@@ -36,7 +36,6 @@ from .quadrature import (
     midpoint4_integrate,
     q_plain,
     q_star,
-    thread_count,
 )
 from .spectral import (
     endpoint_difference_zero,
@@ -58,48 +57,3 @@ from .trigpoly import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "BudgetError",
-    "CertifiedValue",
-    "DEFAULT_CONFIG",
-    "IntegrandSpec",
-    "ProofReport",
-    "SignCertificate",
-    "SignVariant",
-    "StageResult",
-    "TaylorCertificate",
-    "TrigSquare",
-    "build_certificate",
-    "check_sign_chain",
-    "check_sign_variation",
-    "emit_report",
-    "endpoint_difference_zero",
-    "envelope_max",
-    "eval_G",
-    "eval_G_derivative",
-    "eval_H",
-    "eval_H_second",
-    "eval_cert_poly",
-    "fourier_coeffs_pow",
-    "gap_derivative",
-    "h4_sup_bound",
-    "h4_term_bounds",
-    "integrate_H",
-    "load_config",
-    "locate_maxima",
-    "merge_config",
-    "midpoint4_integrate",
-    "parse_sign",
-    "parseval_integral",
-    "prove_k5",
-    "q_plain",
-    "q_star",
-    "reproduce_table",
-    "second_deriv_L2",
-    "sup_norm_bound",
-    "thread_count",
-    "torus_integral_upper",
-    "torus_power_integral",
-    "variation_bound_power",
-]

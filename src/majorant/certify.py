@@ -20,11 +20,11 @@ against endpoint bounds until it contradicts a monotone tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial, fsum
 
 from .envelope import envelope_max
-from .quadrature import gap_derivative
+from .quadrature import _ERR_DENOM, gap_derivatives
 
 PIPELINE_T_MIN = 5.0
 PIPELINE_T_MAX = 6.0
@@ -68,7 +68,8 @@ def remainder_bound(center: float, radius: float, base_order: int, degree: int) 
     The (degree+1)-th coefficient derivative is an integral of
     G^t log^(degree+1+base_order) G over the half period for each variant, so
     the Lagrange remainder is at most twice the envelope maximum of that
-    integrand times radius^(degree+1)/(degree+1)!.
+    integrand times radius^(degree+1)/(degree+1)!.  That integrand is monotone
+    in t for each v, so the maximum over the window is at one of its edges.
     """
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -78,7 +79,8 @@ def remainder_bound(center: float, radius: float, base_order: int, degree: int) 
         )
     if base_order < 0 or degree < 0:
         raise ValueError("base_order and degree must be nonnegative")
-    peak = envelope_max(center + radius, degree + 1 + base_order, 0.0, 9.0)
+    m = degree + 1 + base_order
+    peak = max(envelope_max(center - radius, m, 0.0, 9.0), envelope_max(center + radius, m, 0.0, 9.0))
     return 2.0 * peak * radius ** (degree + 1) / factorial(degree + 1)
 
 
@@ -91,7 +93,7 @@ def required_steps(sup4: float, delta: float, radius: float, j: int) -> int:
     """
     if sup4 < 0.0 or delta <= 0.0 or radius <= 0.0 or j < 0:
         raise ValueError("need sup4 >= 0, delta > 0, radius > 0, j >= 0")
-    return math.ceil((2.0 * sup4 * radius**j / (60.0 * 2**10 * factorial(j) * delta)) ** 0.25)
+    return math.ceil((2.0 * sup4 * radius**j / (_ERR_DENOM * factorial(j) * delta)) ** 0.25)
 
 
 def _as_list(value, length: int, caster):
@@ -115,7 +117,8 @@ def build_certificate(
     """Compute and validate a certified Taylor expansion.
 
     ``budgets`` lists one allowance per coefficient 0..degree; ``steps`` and
-    ``modes`` give per-coefficient quadrature settings (scalars broadcast).
+    ``modes`` give per-coefficient quadrature settings (scalars broadcast);
+    coefficients with the same step count share one quadrature pass.
     Fails with BudgetError naming the offending coefficient if any propagated
     quadrature error exceeds its budget, or if budgets plus the computed tail
     bound overrun total_delta.
@@ -132,10 +135,15 @@ def build_certificate(
         raise BudgetError(
             f"budgets plus tail bound {allowance:.9g} exceed total allowance {total_delta:g}"
         )
+    values = {}
+    for n_steps in dict.fromkeys(steps_list):
+        js = [j for j in range(n_terms) if steps_list[j] == n_steps]
+        jobs = [(base_order + j, mode_list[j]) for j in js]
+        values.update(zip(js, gap_derivatives(center, n_steps, jobs)))
     coeffs = []
     errors = []
     for j in range(n_terms):
-        value = gap_derivative(base_order + j, center, steps_list[j], mode_list[j])
+        value = values[j]
         propagated = value.error_bound * radius**j / factorial(j)
         if propagated > budget_list[j]:
             raise BudgetError(
@@ -231,20 +239,8 @@ def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCert
 
 def _reflect(cert: TaylorCertificate, a: float, b: float) -> TaylorCertificate:
     """Certificate of P(a + b - t), recentred so evaluation code can be reused."""
-    n = cert.degree
-    new_center = a + b - cert.center
-    new_coeffs = tuple(cert.coeffs[j] * (-1.0) ** j for j in range(n + 1))
-    return TaylorCertificate(
-        new_center,
-        cert.radius,
-        cert.base_order,
-        n,
-        new_coeffs,
-        cert.coefficient_errors,
-        cert.termwise_budget,
-        cert.remainder,
-        cert.total_delta,
-    )
+    coeffs = tuple(c * (-1.0) ** j for j, c in enumerate(cert.coeffs))
+    return replace(cert, center=a + b - cert.center, coeffs=coeffs)
 
 
 def _validate_interval(cert, a, b):

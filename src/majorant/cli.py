@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success (and verdict PROVED for ``prove``), 1 proof ran but is
-INCONCLUSIVE, 2 invalid input (arguments, configuration file, environment),
+INCONCLUSIVE, 2 invalid input (arguments, configuration file),
 3 internal consistency failure.
 """
 
@@ -19,7 +19,7 @@ from .pipeline import (
     prove_k5,
     reproduce_table,
 )
-from .quadrature import gap_derivative, thread_count
+from .quadrature import gap_derivative
 from .trigpoly import TrigSquare, locate_maxima, parse_sign, sup_norm_bound
 
 _MIN_TABLE_BUMP = 0.001
@@ -58,7 +58,7 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
 def _cmd_maxima(args: argparse.Namespace) -> int:
     square = TrigSquare(5, parse_sign(args.sign))
-    minimal = 0.5 * sup_norm_bound(2).value * (args.step / 2.0) ** 2
+    minimal = 0.5 * sup_norm_bound(2) * (args.step / 2.0) ** 2
     bump = args.bump if args.bump is not None else max(_MIN_TABLE_BUMP, minimal)
     table = locate_maxima(square, args.step, bump)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -106,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        thread_count()  # fail fast on a malformed MAJORANT_THREADS
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,17 +19,21 @@ exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import mul
+from typing import NamedTuple
 
 from .envelope import envelope_max
-from .trigpoly import SignVariant, TrigSquare, eval_G, eval_G_derivative, sup_norm_bound
+from .trigpoly import SignVariant, TrigSquare, eval_G, eval_G_derivative, eval_G_jet, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
 WORK_M = (9.0, 176.0, 6800.0, 280000.0, 11600000.0)
 
 for _m, _w in enumerate(WORK_M):
-    assert _w >= sup_norm_bound(_m).value, f"working bound {_w} below true sup at order {_m}"
+    if _w < sup_norm_bound(_m):
+        raise RuntimeError(f"working bound {_w} below true sup at order {_m}")
 
 # Group constants of the fourth-derivative expansion.  Scalar groups bound
 # |G'| by WORK_M[1]; the refined groups keep a first-derivative factor so the
@@ -51,7 +55,12 @@ _REFINED_GROUPS = (
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """Parameters of H = G^t log^j G for one sign variant."""
+    """Parameters of H = G^t log^j G for one sign variant.
+
+    Only k = 5 is accepted: the working bounds WORK_M and the quadrature's
+    variation constants are proven for that square alone, so any other k
+    would get a bound that is not one.
+    """
 
     t: float
     j: int
@@ -59,6 +68,8 @@ class IntegrandSpec:
     k: int = 5
 
     def __post_init__(self):
+        if self.k != 5:
+            raise ValueError(f"integrand bounds are proven for k = 5 only, got k = {self.k}")
         if self.t < 1.0:
             raise ValueError(f"power t must be >= 1, got {self.t}")
         if self.j < 0 or int(self.j) != self.j:
@@ -95,33 +106,73 @@ def eval_H(spec: IntegrandSpec, x: float) -> float:
     return g**spec.t * math.log(g) ** spec.j
 
 
-def eval_H_second(spec: IntegrandSpec, x: float) -> float:
-    """Second derivative of H at x, by the chain rule.
+class PowerRow(NamedTuple):
+    """Columns over the nodes where G > 0: G^t, G'' G^(t-1), G'^2 G^(t-2) and (log G)^p by p."""
 
-    With L = log G,
+    t: float
+    gt: list[float]
+    a: list[float]
+    b: list[float]
+    logs: dict[int, list[float]]
+
+
+def power_row(trig: TrigSquare, t: float, xs, orders: Iterable[int]) -> PowerRow:
+    """The power row of G^t at the nodes xs, with the log powers H'' of ``orders`` needs.
+
+    Nodes where G vanishes are left out: eval_H and eval_H_second give 0
+    there, and dropping zeros does not change an exactly rounded sum.
+    """
+    gt, a, b, ell = [], [], [], []
+    for g, g1, g2 in eval_G_jet(trig, xs):
+        if g == 0.0:
+            continue
+        gt.append(g**t)
+        a.append(g2 * g ** (t - 1.0))
+        b.append(g1 * g1 * g ** (t - 2.0))
+        ell.append(math.log(g))
+    powers = {p for j in orders for p in range(max(j - 2, 0), j + 1)}
+    return PowerRow(t, gt, a, b, {p: [v**p for v in ell] for p in powers})
+
+
+def h_values(row: PowerRow, j: int) -> list[float]:
+    """H = G^t (log G)^j at the row's nodes."""
+    return list(map(mul, row.gt, row.logs[j]))
+
+
+def h_second_values(row: PowerRow, j: int) -> list[float]:
+    """H'' at the row's nodes by the chain rule: with L = log G,
 
         H'' = G'' G^(t-1) (t L^j + j L^(j-1))
             + G'^2 G^(t-2) (t(t-1) L^j + j(2t-1) L^(j-1) + j(j-1) L^(j-2)),
 
     where terms with a vanishing falling factorial of j are absent rather than
-    evaluated.  At a zero of G the value is 0 (the t >= 3 powers win).
+    evaluated.  Both eval_H_second and the batched quadrature evaluate it here.
     """
-    t, j = spec.t, spec.j
-    trig = spec.trig
+    t, lj = row.t, row.logs[j]
+    c2 = t * (t - 1.0)
+    if j == 0:
+        return [a * (t * p) + b * (c2 * p) for a, b, p in zip(row.a, row.b, lj)]
+    c1 = j * (2.0 * t - 1.0)
+    if j == 1:
+        nodes = zip(row.a, row.b, lj, row.logs[0])
+        return [a * (t * p + j * q) + b * (c2 * p + c1 * q) for a, b, p, q in nodes]
+    c0 = j * (j - 1)
+    return [
+        a * (t * p + j * q) + b * (c2 * p + c1 * q + c0 * r)
+        for a, b, p, q, r in zip(row.a, row.b, lj, row.logs[j - 1], row.logs[j - 2])
+    ]
+
+
+def eval_H_second(spec: IntegrandSpec, x: float) -> float:
+    """H'' at x (0 where G vanishes) via eval_G and eval_G_derivative; the pointwise reference."""
+    t, j, trig = spec.t, spec.j, spec.trig
     g = eval_G(trig, x)
     if g == 0.0:
         return 0.0
-    gp = eval_G_derivative(trig, 1, x)
-    gpp = eval_G_derivative(trig, 2, x)
-    ell = math.log(g)
-    brace1 = t * ell**j
-    brace2 = t * (t - 1.0) * ell**j
-    if j >= 1:
-        brace1 += j * ell ** (j - 1)
-        brace2 += j * (2.0 * t - 1.0) * ell ** (j - 1)
-    if j >= 2:
-        brace2 += j * (j - 1) * ell ** (j - 2)
-    return gpp * g ** (t - 1.0) * brace1 + gp * gp * g ** (t - 2.0) * brace2
+    gp, gpp, ell = eval_G_derivative(trig, 1, x), eval_G_derivative(trig, 2, x), math.log(g)
+    logs = {p: [ell**p] for p in range(max(j - 2, 0), j + 1)}
+    row = PowerRow(t, [], [gpp * g ** (t - 1.0)], [gp * gp * g ** (t - 2.0)], logs)
+    return h_second_values(row, j)[0]
 
 
 def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:

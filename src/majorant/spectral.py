@@ -11,7 +11,6 @@ comparison and seeds the upper bounds used for non-integer powers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -19,17 +18,8 @@ from math import comb
 from .trigpoly import SignVariant
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Integer coefficients of F^rho on frequencies 0 .. rho*(k+2)."""
-
-    rho: int
-    sign: SignVariant
-    coeffs: tuple[int, ...]
-
-
-def fourier_coeffs_pow(sign: SignVariant, rho: int, k: int = 5) -> CoefficientVector:
-    """Coefficient vector of F^rho via the double binomial expansion.
+def fourier_coeffs_pow(sign: SignVariant, rho: int, k: int = 5) -> tuple[int, ...]:
+    """Integer coefficients of F^rho on frequencies 0 .. rho*(k+2), by double binomial expansion.
 
     The coefficient at frequency nu = mu*(k+2) + lambda is
     sign^mu * C(rho, mu) * C(rho - mu, lambda).  Blocks for distinct mu are
@@ -55,7 +45,7 @@ def fourier_coeffs_pow(sign: SignVariant, rho: int, k: int = 5) -> CoefficientVe
             coeffs.append(0)
             continue
         coeffs.append((s**mu) * comb(rho, mu) * comb(rho - mu, lam))
-    return CoefficientVector(rho, sign, tuple(coeffs))
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -67,8 +57,7 @@ def torus_power_integral(rho: int, k: int = 5) -> int:
     """
     if not 0 <= rho <= k + 1:
         raise ValueError(f"exact power integrals need 0 <= rho <= k+1, got {rho}")
-    vec = fourier_coeffs_pow(SignVariant.PLUS, rho, k)
-    return sum(c * c for c in vec.coeffs)
+    return sum(c * c for c in fourier_coeffs_pow(SignVariant.PLUS, rho, k))
 
 
 def parseval_integral(rho: int, k: int = 5) -> Fraction:
@@ -117,6 +106,6 @@ def endpoint_difference_zero(k: int = 5) -> bool:
     for rho in (k, k + 1):
         plus = fourier_coeffs_pow(SignVariant.PLUS, rho, k)
         minus = fourier_coeffs_pow(SignVariant.MINUS, rho, k)
-        if sum(c * c for c in plus.coeffs) != sum(c * c for c in minus.coeffs):
+        if sum(c * c for c in plus) != sum(c * c for c in minus):
             return False
     return True

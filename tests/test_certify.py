@@ -15,6 +15,7 @@ from majorant.certify import (
     remainder_bound,
     required_steps,
 )
+from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec, h4_sup_bound
 from majorant.pipeline import DEFAULT_CONFIG
 from majorant.trigpoly import SignVariant
@@ -54,6 +55,14 @@ class TestRemainderBound:
         assert remainder_bound(5.065, 0.065, 4, 6) == pytest.approx(
             0.0008807972696323334, rel=1e-12
         )
+
+    def test_left_edge_peak_counts(self):
+        """Below v = 1 the envelope decreases in t, so the left edge can dominate."""
+        left = 2.0 * envelope_max(5.0, 40, 0.0, 9.0) * 0.1**10 / math.factorial(10)
+        right = 2.0 * envelope_max(5.2, 40, 0.0, 9.0) * 0.1**10 / math.factorial(10)
+        assert left > right
+        assert remainder_bound(5.1, 0.1, 30, 9) == left
+        assert remainder_bound(5.1, 0.1, 30, 9) == pytest.approx(311.2340945847426, rel=1e-12)
 
     def test_window_must_stay_inside_proven_range(self):
         with pytest.raises(ValueError, match="leaves \\[5, 6\\]"):

@@ -22,12 +22,12 @@ PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 class TestWorkingConstants:
     def test_dominate_exact_sup_norms(self):
         for m, w in enumerate(WORK_M):
-            assert w >= sup_norm_bound(m).value, f"order {m}: {w} below exact bound"
+            assert w >= sup_norm_bound(m), f"order {m}: {w} below exact bound"
 
     def test_reasonably_tight(self):
         # the rounding headroom stays below one percent at every order
         for m, w in enumerate(WORK_M):
-            assert w <= sup_norm_bound(m).value * 1.01
+            assert w <= sup_norm_bound(m) * 1.01
 
 
 class TestSpecValidation:
@@ -40,6 +40,12 @@ class TestSpecValidation:
             IntegrandSpec(5.0, -1, PLUS)
         with pytest.raises(ValueError, match="nonnegative integer"):
             IntegrandSpec(5.0, 1.5, PLUS)
+
+    @pytest.mark.parametrize("k", [0, 4, 6, 40])
+    def test_rejects_k_other_than_five(self, k):
+        """WORK_M holds sup bounds for k = 5 only; k = 40 once got a k = 5 bound."""
+        with pytest.raises(ValueError, match="k = 5 only"):
+            IntegrandSpec(5.5, 1, MINUS, k=k)
 
 
 class TestEvalH:

@@ -6,39 +6,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from majorant.integrand import IntegrandSpec, eval_H, h4_term_bounds
+from majorant.integrand import IntegrandSpec, eval_H, eval_H_second, h4_term_bounds
+from majorant.pipeline import DEFAULT_CONFIG
 from majorant.quadrature import (
     MAX_STEPS,
     CertifiedValue,
+    _h_node_sums,
     gap_derivative,
+    gap_derivatives,
     integrate_H,
     midpoint4_integrate,
     q_plain,
     q_star,
     refined_error_bound,
-    thread_count,
 )
-from majorant.trigpoly import SignVariant, eval_G, eval_G_derivative
+from majorant.trigpoly import SignVariant, TrigSquare, eval_G, eval_G_derivative
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
-
-
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("MAJORANT_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("MAJORANT_THREADS", "")
-        assert thread_count() == 1
-
-    def test_parses_positive_integers(self, monkeypatch):
-        monkeypatch.setenv("MAJORANT_THREADS", "4")
-        assert thread_count() == 4
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5"])
-    def test_rejects_garbage(self, bad, monkeypatch):
-        monkeypatch.setenv("MAJORANT_THREADS", bad)
-        with pytest.raises(ValueError, match="MAJORANT_THREADS"):
-            thread_count()
 
 
 class TestMidpointRule:
@@ -67,11 +51,9 @@ class TestMidpointRule:
 
 
 class TestDeterminism:
-    def test_identical_bits_across_thread_counts(self, monkeypatch):
+    def test_identical_bits_across_thread_counts(self):
         spec = IntegrandSpec(5, 1, MINUS)
-        monkeypatch.setenv("MAJORANT_THREADS", "1")
         serial = integrate_H(spec, 500, "refined")
-        monkeypatch.setenv("MAJORANT_THREADS", "3")
         threaded = integrate_H(spec, 500, "refined")
         assert serial.estimate == threaded.estimate  # bitwise, not approximately
         assert serial.error_bound == threaded.error_bound
@@ -80,6 +62,50 @@ class TestDeterminism:
         a = gap_derivative(1, 5.0, 200, "refined")
         b = gap_derivative(1, 5.0, 200, "refined")
         assert a == b
+
+
+def default_proof_passes():
+    """{(t, N): orders} for every gap-derivative evaluation of the default proof."""
+    passes = {}
+    for stage in DEFAULT_CONFIG["stages"].values():
+        if "center" in stage:
+            steps = stage["steps"]
+            if not isinstance(steps, (list, tuple)):
+                steps = [steps] * (stage["degree"] + 1)
+            for j, n in enumerate(steps):
+                passes.setdefault((stage["center"], n), []).append(stage["base_order"] + j)
+        elif "order" in stage:
+            passes.setdefault((stage["t"], stage["steps"]), []).append(stage["order"])
+    return passes
+
+
+def pointwise_node_sums(spec, n):
+    """Chunked fsum of eval_H and eval_H_second over the midpoint nodes, 256 per chunk."""
+    xs = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
+    chunks = [xs[lo:lo + 256] for lo in range(0, n, 256)]
+    return (
+        math.fsum([math.fsum(eval_H(spec, x) for x in c) for c in chunks]),
+        math.fsum([math.fsum(eval_H_second(spec, x) for x in c) for c in chunks]),
+    )
+
+
+class TestBatchedNodeSums:
+    def test_bitwise_equal_to_pointwise_reference(self):
+        """One batched pass per (sign, t, N) reproduces every pointwise node sum exactly."""
+        passes = default_proof_passes()
+        assert sum(len(orders) for orders in passes.values()) == 38
+        for (t, n), orders in passes.items():
+            for sign in (PLUS, MINUS):
+                batched = _h_node_sums(TrigSquare(5, sign), t, sorted(orders), n)
+                for j in orders:
+                    reference = pointwise_node_sums(IntegrandSpec(t, j, sign), n)
+                    got = [v.hex() for v in batched[j]]
+                    assert got == [v.hex() for v in reference], (t, n, j, sign)
+
+    def test_batch_matches_single_order_calls(self):
+        jobs = [(1, "refined"), (4, "plain"), (2, "refined")]
+        singles = [gap_derivative(order, 5.2, 300, mode) for order, mode in jobs]
+        assert gap_derivatives(5.2, 300, jobs) == singles
 
 
 class TestNodeSumBounds:

@@ -38,8 +38,8 @@ class TestFourierCoeffs:
     def test_first_power(self):
         plus = fourier_coeffs_pow(SignVariant.PLUS, 1)
         minus = fourier_coeffs_pow(SignVariant.MINUS, 1)
-        assert plus.coeffs == (1, 1, 0, 0, 0, 0, 0, 1)
-        assert minus.coeffs == (1, 1, 0, 0, 0, 0, 0, -1)
+        assert plus == (1, 1, 0, 0, 0, 0, 0, 1)
+        assert minus == (1, 1, 0, 0, 0, 0, 0, -1)
 
     def test_second_power(self):
         minus = fourier_coeffs_pow(SignVariant.MINUS, 2)
@@ -47,19 +47,19 @@ class TestFourierCoeffs:
         expected[0], expected[1], expected[2] = 1, 2, 1
         expected[7], expected[8] = -2, -2
         expected[14] = 1
-        assert list(minus.coeffs) == expected
+        assert list(minus) == expected
 
     @pytest.mark.parametrize("rho", range(7))
     @pytest.mark.parametrize("sign", [SignVariant.PLUS, SignVariant.MINUS])
     def test_matches_convolution_oracle(self, rho, sign):
         closed = fourier_coeffs_pow(sign, rho)
-        assert list(closed.coeffs) == convolution_coeffs(sign, rho)
+        assert list(closed) == convolution_coeffs(sign, rho)
 
     def test_overlapping_blocks_warn_and_disagree(self):
         """Beyond rho = k+1 the closed form misses overlaps and must warn."""
         with pytest.warns(UserWarning, match="overlap"):
             naive = fourier_coeffs_pow(SignVariant.PLUS, 7)
-        naive_parseval = sum(c * c for c in naive.coeffs)
+        naive_parseval = sum(c * c for c in naive)
         true_parseval = sum(c * c for c in convolution_coeffs(SignVariant.PLUS, 7))
         assert true_parseval == 272849
         assert naive_parseval == 272834

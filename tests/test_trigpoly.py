@@ -11,6 +11,7 @@ from majorant.trigpoly import (
     default_max_table,
     eval_G,
     eval_G_derivative,
+    eval_G_jet,
     locate_maxima,
     parse_sign,
     second_deriv_L2,
@@ -77,7 +78,7 @@ class TestDerivatives:
                     ) / (2 * h)
                 exact = eval_G_derivative(spec, m, x)
                 # central-difference truncation is bounded by sup|G^(m+2)| h^2 / 6
-                tol = sup_norm_bound(m + 2).value * h**2 / 6.0 + 1e-6
+                tol = sup_norm_bound(m + 2) * h**2 / 6.0 + 1e-6
                 assert exact == pytest.approx(fd, abs=max(tol, 1e-8 * abs(exact))), (
                     f"order {m} at x={x}: closed form {exact} vs difference {fd}"
                 )
@@ -92,18 +93,39 @@ class TestDerivatives:
             eval_G_derivative(plus_square, 0, 0.25)
 
 
+class TestJet:
+    def test_bitwise_equal_to_pointwise_functions(self):
+        """The fused (G, G', G'') equal eval_G / eval_G_derivative to the last bit.
+
+        k = 0 (frequencies 1, 1, 2) vanishes at x = 1/3, where roundoff sends
+        G below zero on part of the grid, so the clamp branch is exercised.
+        """
+        zero_grid = [1.0 / 3.0 + i * 2.0**-52 for i in range(-600, 601)]
+        cases = [(TrigSquare(5, sign), [i / 2000.0 for i in range(2001)]) for sign in SignVariant]
+        cases.append((TrigSquare(0, SignVariant.PLUS), zero_grid))
+        clamped = 0
+        for spec, xs in cases:
+            for x, jet in zip(xs, eval_G_jet(spec, xs)):
+                reference = (
+                    eval_G(spec, x), eval_G_derivative(spec, 1, x), eval_G_derivative(spec, 2, x)
+                )
+                assert [v.hex() for v in jet] == [v.hex() for v in reference], f"{spec} at x={x!r}"
+                clamped += jet[0] == 0.0
+        assert clamped > 0
+
+
 class TestSupNormBounds:
     def test_frozen_values(self):
-        assert sup_norm_bound(0).value == 9.0
-        assert sup_norm_bound(1).value == pytest.approx(175.92918860102841, rel=1e-14)
-        assert sup_norm_bound(2).value == pytest.approx(6790.287827949478, rel=1e-14)
-        assert sup_norm_bound(3).value == pytest.approx(277816.23905548634, rel=1e-14)
-        assert sup_norm_bound(4).value == pytest.approx(11527002.19659971, rel=1e-14)
+        assert sup_norm_bound(0) == 9.0
+        assert sup_norm_bound(1) == pytest.approx(175.92918860102841, rel=1e-14)
+        assert sup_norm_bound(2) == pytest.approx(6790.287827949478, rel=1e-14)
+        assert sup_norm_bound(3) == pytest.approx(277816.23905548634, rel=1e-14)
+        assert sup_norm_bound(4) == pytest.approx(11527002.19659971, rel=1e-14)
 
     def test_dominates_samples(self, plus_square, minus_square, rng):
         for spec in (plus_square, minus_square):
             for m in range(1, 5):
-                bound = sup_norm_bound(m).value
+                bound = sup_norm_bound(m)
                 worst = max(
                     abs(eval_G_derivative(spec, m, x)) for x in rng.uniform(0.0, 1.0, 400)
                 )
