@@ -29,6 +29,7 @@ from .quadrature import _ERR_DENOM, gap_derivatives
 PIPELINE_T_MIN = 5.0
 PIPELINE_T_MAX = 6.0
 _EDGE_TOL = 1e-9
+_PROVEN_RANGE = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
 
 
 class BudgetError(ValueError):
@@ -62,6 +63,37 @@ class SignCertificate:
     failure_reason: str | None = None
 
 
+# The three checks below are phrased as "not <valid>" so that a NaN fails them.
+def check_window(center: float, radius: float, base_order: int, degree: int) -> None:
+    """Reject an expansion window that leaves the proven range, or a negative order or degree."""
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    lo, hi = center - radius, center + radius
+    if not PIPELINE_T_MIN - _EDGE_TOL <= lo <= hi <= PIPELINE_T_MAX + _EDGE_TOL:
+        raise ValueError(f"expansion window [{lo}, {hi}] leaves {_PROVEN_RANGE}")
+    if base_order < 0 or degree < 0:
+        raise ValueError("base_order and degree must be nonnegative")
+
+
+def check_interval(center: float, radius: float, a: float, b: float) -> None:
+    """Reject a sign-check interval that is empty, leaves the proven range or leaves the window."""
+    if not a < b:
+        raise ValueError(f"empty interval [{a}, {b}]")
+    if not (PIPELINE_T_MIN - _EDGE_TOL <= a and b <= PIPELINE_T_MAX + _EDGE_TOL):
+        raise ValueError(f"interval [{a}, {b}] is outside the proven range {_PROVEN_RANGE}")
+    lo, hi = center - radius, center + radius
+    if not (lo - _EDGE_TOL <= a and b <= hi + _EDGE_TOL):
+        raise ValueError(f"interval [{a}, {b}] leaves the certified window [{lo}, {hi}]")
+
+
+def check_budgets(budgets, degree: int) -> None:
+    """Reject budgets that are not one positive allowance per coefficient 0..degree."""
+    if len(budgets) != degree + 1:
+        raise ValueError(f"expected {degree + 1} coefficient budgets, got {len(budgets)}")
+    if not all(b > 0.0 for b in budgets):
+        raise ValueError("every coefficient budget must be positive")
+
+
 def remainder_bound(center: float, radius: float, base_order: int, degree: int) -> float:
     """Bound for the truncated Taylor tail of the gap's base_order-th derivative.
 
@@ -71,14 +103,7 @@ def remainder_bound(center: float, radius: float, base_order: int, degree: int) 
     integrand times radius^(degree+1)/(degree+1)!.  That integrand is monotone
     in t for each v, so the maximum over the window is at one of its edges.
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if center - radius < PIPELINE_T_MIN - _EDGE_TOL or center + radius > PIPELINE_T_MAX + _EDGE_TOL:
-        raise ValueError(
-            f"expansion window [{center - radius}, {center + radius}] leaves [5, 6]"
-        )
-    if base_order < 0 or degree < 0:
-        raise ValueError("base_order and degree must be nonnegative")
+    check_window(center, radius, base_order, degree)
     m = degree + 1 + base_order
     peak = max(envelope_max(center - radius, m, 0.0, 9.0), envelope_max(center + radius, m, 0.0, 9.0))
     return 2.0 * peak * radius ** (degree + 1) / factorial(degree + 1)
@@ -96,69 +121,48 @@ def required_steps(sup4: float, delta: float, radius: float, j: int) -> int:
     return math.ceil((2.0 * sup4 * radius**j / (_ERR_DENOM * factorial(j) * delta)) ** 0.25)
 
 
-def _as_list(value, length: int, caster):
-    if isinstance(value, (list, tuple)):
-        if len(value) != length:
-            raise ValueError(f"expected {length} per-coefficient entries, got {len(value)}")
-        return [caster(v) for v in value]
-    return [caster(value)] * length
-
-
 def build_certificate(
     center: float,
     radius: float,
     base_order: int,
     degree: int,
     budgets,
-    steps,
-    modes,
+    steps: int,
+    mode: str,
     total_delta: float,
 ) -> TaylorCertificate:
     """Compute and validate a certified Taylor expansion.
 
-    ``budgets`` lists one allowance per coefficient 0..degree; ``steps`` and
-    ``modes`` give per-coefficient quadrature settings (scalars broadcast);
-    coefficients with the same step count share one quadrature pass.
-    Fails with BudgetError naming the offending coefficient if any propagated
-    quadrature error exceeds its budget, or if budgets plus the computed tail
-    bound overrun total_delta.
+    ``budgets`` lists one allowance per coefficient 0..degree.  Every
+    coefficient is a gap derivative at the center computed with the same
+    ``steps`` and ``mode``, so all of them share one quadrature pass per sign
+    variant.  Fails with BudgetError naming the offending coefficient if any
+    propagated quadrature error exceeds its budget, or if budgets plus the
+    computed tail bound overrun total_delta.
     """
-    n_terms = degree + 1
-    budget_list = _as_list(budgets, n_terms, float)
-    steps_list = _as_list(steps, n_terms, int)
-    mode_list = _as_list(modes, n_terms, str)
-    if any(b <= 0.0 for b in budget_list):
-        raise ValueError("every coefficient budget must be positive")
+    check_budgets(budgets, degree)
+    budget_list = [float(b) for b in budgets]
     tail = remainder_bound(center, radius, base_order, degree)
     allowance = fsum(budget_list) + tail
     if allowance > total_delta:
         raise BudgetError(
             f"budgets plus tail bound {allowance:.9g} exceed total allowance {total_delta:g}"
         )
-    values = {}
-    for n_steps in dict.fromkeys(steps_list):
-        js = [j for j in range(n_terms) if steps_list[j] == n_steps]
-        jobs = [(base_order + j, mode_list[j]) for j in js]
-        values.update(zip(js, gap_derivatives(center, n_steps, jobs)))
-    coeffs = []
-    errors = []
-    for j in range(n_terms):
-        value = values[j]
+    values = gap_derivatives(center, steps, [(base_order + j, mode) for j in range(degree + 1)])
+    for j, (value, budget) in enumerate(zip(values, budget_list)):
         propagated = value.error_bound * radius**j / factorial(j)
-        if propagated > budget_list[j]:
+        if propagated > budget:
             raise BudgetError(
                 f"coefficient {j}: propagated quadrature error {propagated:.6g} exceeds "
-                f"budget {budget_list[j]:g} (steps={steps_list[j]}, mode={mode_list[j]})"
+                f"budget {budget:g} (steps={steps}, mode={mode})"
             )
-        coeffs.append(value.estimate)
-        errors.append(value.error_bound)
     return TaylorCertificate(
         center,
         radius,
         base_order,
         degree,
-        tuple(coeffs),
-        tuple(errors),
+        tuple(v.estimate for v in values),
+        tuple(v.error_bound for v in values),
         tuple(budget_list),
         tail,
         float(total_delta),
@@ -214,7 +218,7 @@ def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCert
     neither orientation closes yields certified=False with a reason.
     """
     a, b = float(interval[0]), float(interval[1])
-    _validate_interval(cert, a, b)
+    check_interval(cert.center, cert.radius, a, b)
     if target not in ("positive", "negative"):
         raise ValueError(f"target must be 'positive' or 'negative', got {target!r}")
     ok, rows = _chain_conditions(cert, cert.total_delta, a, b, target)
@@ -241,16 +245,6 @@ def _reflect(cert: TaylorCertificate, a: float, b: float) -> TaylorCertificate:
     """Certificate of P(a + b - t), recentred so evaluation code can be reused."""
     coeffs = tuple(c * (-1.0) ** j for j, c in enumerate(cert.coeffs))
     return replace(cert, center=a + b - cert.center, coeffs=coeffs)
-
-
-def _validate_interval(cert, a, b):
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    if a < cert.center - cert.radius - _EDGE_TOL or b > cert.center + cert.radius + _EDGE_TOL:
-        raise ValueError(
-            f"interval [{a}, {b}] leaves the certified window "
-            f"[{cert.center - cert.radius}, {cert.center + cert.radius}]"
-        )
 
 
 def _tail_negative(cert, m, a):
@@ -284,7 +278,7 @@ def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> Sign
     positive throughout.
     """
     a, b = float(interval[0]), float(interval[1])
-    _validate_interval(cert, a, b)
+    check_interval(cert.center, cert.radius, a, b)
     if target != "positive":
         raise ValueError("the variation cascade certifies positive targets only")
     delta = cert.total_delta

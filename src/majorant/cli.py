@@ -19,7 +19,7 @@ from .pipeline import (
     prove_k5,
     reproduce_table,
 )
-from .quadrature import gap_derivative
+from .quadrature import MODES, gap_derivative
 from .trigpoly import TrigSquare, locate_maxima, parse_sign, sup_norm_bound
 
 _MIN_TABLE_BUMP = 0.001
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     deriv.add_argument("--order", type=int, required=True, help="derivative order (>= 1)")
     deriv.add_argument("--t", type=float, required=True, help="exponent, inside [5, 6]")
     deriv.add_argument("--steps", type=int, required=True, help="midpoint nodes per half period")
-    deriv.add_argument("--mode", choices=("plain", "refined"), default="refined")
+    deriv.add_argument("--mode", choices=MODES, default="refined")
     deriv.set_defaults(func=_cmd_derivative)
 
     maxima = sub.add_parser("maxima", help="certified local-maxima table of one square")

@@ -55,21 +55,17 @@ _REFINED_GROUPS = (
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """Parameters of H = G^t log^j G for one sign variant.
+    """Parameters of H = G^t log^j G for one sign variant of the k = 5 square.
 
-    Only k = 5 is accepted: the working bounds WORK_M and the quadrature's
-    variation constants are proven for that square alone, so any other k
-    would get a bound that is not one.
+    There is no k: the working bounds WORK_M and the quadrature's variation
+    constants are proven for k = 5 alone.
     """
 
     t: float
     j: int
     sign: SignVariant
-    k: int = 5
 
     def __post_init__(self):
-        if self.k != 5:
-            raise ValueError(f"integrand bounds are proven for k = 5 only, got k = {self.k}")
         if self.t < 1.0:
             raise ValueError(f"power t must be >= 1, got {self.t}")
         if self.j < 0 or int(self.j) != self.j:
@@ -77,7 +73,7 @@ class IntegrandSpec:
 
     @property
     def trig(self) -> TrigSquare:
-        return TrigSquare(self.k, self.sign)
+        return TrigSquare(5, self.sign)
 
 
 @dataclass(frozen=True)

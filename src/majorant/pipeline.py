@@ -19,16 +19,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .certify import (
+    PIPELINE_T_MAX,
+    PIPELINE_T_MIN,
     BudgetError,
     build_certificate,
+    check_budgets,
+    check_interval,
     check_sign_chain,
     check_sign_variation,
+    check_window,
     eval_cert_poly,
 )
-from .quadrature import gap_derivative, q_plain, q_star
+from .quadrature import MODES, gap_derivative, q_plain, q_star
 from .spectral import endpoint_difference_zero, torus_power_integral
 from .trigpoly import SignVariant, TrigSquare, default_max_table
 
@@ -127,13 +134,14 @@ DEFAULT_CONFIG = {
 }
 
 _MAX_PIPELINE_STEPS = 500
-_D_STAGE_KEYS = {"order", "t", "steps", "mode"}
-_CERT_STAGE_KEYS = {
-    "center", "radius", "base_order", "degree", "budgets", "steps", "mode",
-    "total_delta", "tail_budget", "target", "method", "intervals", "notes",
-}
 
-TABLE_IDS = ("maxima", "A_rho", "Q500", "Q400", "T1", "T2", "T3", "T4", "T5", "T6")
+# A field takes the JSON type of its default.  Stages that share a field share its type, so
+# any non-empty default of it will do (two stages' notes lists are empty).
+_FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items() if v != []}
+_JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
+
+# Method -> sign check, looked up per call so that instrumentation rebinding the checks sees the calls.
+_SIGN_CHECKS = {"chain": lambda *a: check_sign_chain(*a), "cascade": lambda *a: check_sign_variation(*a)}
 
 # ---------------------------------------------------------------------------
 # Reference values the pipeline is expected to reproduce (regression anchors).
@@ -172,14 +180,6 @@ REFERENCE_COEFFS = {
     "T6": (-0.982761617, -7.57978318, -42.74047825, -200.2495965, -823.1734963,
            -3064.925687, -10561.40925, -34212.60072, -105414.5993),
 }
-
-_COEFF_TABLE_STAGE = {
-    "T1": "gap_d4_on_5.000_5.130",
-    "T2": "gap_d1_on_5.130_5.330",
-    "T4": "gap_d1_on_5.330_5.720",
-    "T6": "gap_d2_on_5.720_6.000",
-}
-_CASCADE_TABLE_STAGE = {"T3": "gap_d1_on_5.130_5.330", "T5": "gap_d1_on_5.330_5.720"}
 
 # (interval, quantity, order, location or None) -> reference value
 REFERENCE_CASCADE = {
@@ -244,9 +244,8 @@ class ProofReport:
 
 def merge_config(overrides: dict | None) -> dict:
     """Deep-merge user overrides onto the default configuration."""
-    cfg = {"case": DEFAULT_CONFIG["case"], "stages": {}}
-    for name, stage in DEFAULT_CONFIG["stages"].items():
-        cfg["stages"][name] = dict(stage)
+    stages = {name: dict(stage) for name, stage in DEFAULT_CONFIG["stages"].items()}
+    cfg = {"case": DEFAULT_CONFIG["case"], "stages": stages}
     if not overrides:
         return cfg
     if not isinstance(overrides, dict):
@@ -268,51 +267,63 @@ def merge_config(overrides: dict | None) -> dict:
     return cfg
 
 
+def _has_json_type(value, prototype) -> bool:
+    """Whether value has the JSON type of prototype; list elements match its first element."""
+    if isinstance(prototype, list):
+        return isinstance(value, list) and all(_has_json_type(v, prototype[0]) for v in value)
+    if isinstance(value, bool):  # true/false is neither a count nor a number
+        return False
+    if isinstance(prototype, float):  # finite: no NaN, no infinity, no int too large for a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, type(prototype))
+
+
+def _validate_stage(stage: dict, default: dict) -> None:
+    unknown, missing = set(stage) - set(default), set(default) - set(stage)
+    if unknown or missing:
+        raise ValueError(f"unknown fields {sorted(unknown)}, missing fields {sorted(missing)}")
+    for key, value in stage.items():
+        if not _has_json_type(value, _FIELD_TYPES[key]):
+            kind = _JSON_TYPES[type(_FIELD_TYPES[key])]
+            raise ValueError(f"{key} must be a JSON {kind} like its default, got {json.dumps(value)}")
+    if "steps" in stage and not 1 <= stage["steps"] <= _MAX_PIPELINE_STEPS:
+        raise ValueError(f"steps must be in 1..{_MAX_PIPELINE_STEPS}, got {stage['steps']}")
+    if "mode" in stage and stage["mode"] not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {stage['mode']!r}")
+    if "order" in stage and stage["order"] < 0:
+        raise ValueError(f"order must be nonnegative, got {stage['order']}")
+    if "t" in stage and not PIPELINE_T_MIN <= stage["t"] <= PIPELINE_T_MAX:
+        raise ValueError(f"t must lie in [{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]")
+    if "center" not in stage:
+        return
+    center, radius = stage["center"], stage["radius"]
+    check_window(center, radius, stage["base_order"], stage["degree"])
+    if not stage["intervals"]:
+        raise ValueError("intervals must not be empty")
+    for interval in stage["intervals"]:
+        if len(interval) != 2:
+            raise ValueError(f"intervals must be [a, b] pairs, got {interval}")
+        check_interval(center, radius, *interval)
+    if stage["target"] not in ("positive", "negative"):
+        raise ValueError("target must be 'positive' or 'negative'")
+    if stage["method"] not in _SIGN_CHECKS:
+        raise ValueError(f"method must be one of {tuple(_SIGN_CHECKS)}")
+    check_budgets(stage["budgets"], stage["degree"])
+    if stage["total_delta"] <= 0:
+        raise ValueError("total_delta must be positive")
+
+
 def validate_config(cfg: dict) -> None:
-    """Reject configurations outside the proven envelope (bad input, not failure)."""
+    """Reject bad input before any stage runs; window, interval and budget rules are the library's."""
+    if cfg["case"] != CASE_ID:
+        raise ValueError(f"case must be {CASE_ID!r}, got {cfg['case']!r}")
+    if list(cfg["stages"]) != list(DEFAULT_CONFIG["stages"]):
+        raise ValueError(f"stages must be {list(DEFAULT_CONFIG['stages'])}, in that order")
     for name, stage in cfg["stages"].items():
-        is_cert = "center" in DEFAULT_CONFIG["stages"][name]
-        allowed = _CERT_STAGE_KEYS if is_cert else (_D_STAGE_KEYS if name != "endpoint_gap_zero" else set())
-        unknown = set(stage) - allowed
-        if unknown:
-            raise ValueError(f"stage {name!r}: unknown fields {sorted(unknown)}")
-        if "steps" in stage:
-            steps_values = stage["steps"] if isinstance(stage["steps"], (list, tuple)) else [stage["steps"]]
-            for s in steps_values:
-                if not isinstance(s, int) or not 1 <= s <= _MAX_PIPELINE_STEPS:
-                    raise ValueError(
-                        f"stage {name!r}: steps must be integers in 1..{_MAX_PIPELINE_STEPS}"
-                    )
-        if "mode" in stage:
-            modes = stage["mode"] if isinstance(stage["mode"], (list, tuple)) else [stage["mode"]]
-            for m in modes:
-                if m not in ("plain", "refined"):
-                    raise ValueError(f"stage {name!r}: mode must be 'plain' or 'refined'")
-        if "t" in stage and not 5.0 <= float(stage["t"]) <= 6.0:
-            raise ValueError(f"stage {name!r}: t must lie in [5, 6]")
-        if is_cert:
-            center = float(stage["center"])
-            radius = float(stage["radius"])
-            if radius <= 0 or center - radius < 5.0 - 1e-9 or center + radius > 6.0 + 1e-9:
-                raise ValueError(f"stage {name!r}: expansion window must stay inside [5, 6]")
-            for a, b in stage["intervals"]:
-                if not (5.0 - 1e-9 <= a < b <= 6.0 + 1e-9):
-                    raise ValueError(
-                        f"stage {name!r}: interval [{a}, {b}] is outside the proven range [5, 6]"
-                    )
-                if a < center - radius - 1e-9 or b > center + radius + 1e-9:
-                    raise ValueError(
-                        f"stage {name!r}: interval [{a}, {b}] leaves the expansion window"
-                    )
-            if stage["target"] not in ("positive", "negative"):
-                raise ValueError(f"stage {name!r}: target must be 'positive' or 'negative'")
-            if stage["method"] not in ("chain", "cascade"):
-                raise ValueError(f"stage {name!r}: method must be 'chain' or 'cascade'")
-            budgets = stage["budgets"]
-            if len(budgets) != int(stage["degree"]) + 1 or any(b <= 0 for b in budgets):
-                raise ValueError(f"stage {name!r}: need degree+1 positive budgets")
-            if float(stage["total_delta"]) <= 0:
-                raise ValueError(f"stage {name!r}: total_delta must be positive")
+        try:
+            _validate_stage(stage, DEFAULT_CONFIG["stages"][name])
+        except ValueError as exc:
+            raise ValueError(f"stage {name!r}: {exc}") from None
 
 
 def load_config(path: str) -> dict:
@@ -343,7 +354,7 @@ def _run_endpoint_stage(name: str) -> StageResult:
 
 
 def _run_derivative_stage(name: str, stage: dict) -> StageResult:
-    value = gap_derivative(int(stage["order"]), float(stage["t"]), int(stage["steps"]), stage["mode"])
+    value = gap_derivative(stage["order"], stage["t"], stage["steps"], stage["mode"])
     margin = value.estimate - value.error_bound
     status = "certified" if margin > 0.0 else "failed"
     warnings = () if status == "certified" else (
@@ -352,28 +363,26 @@ def _run_derivative_stage(name: str, stage: dict) -> StageResult:
     return StageResult(name, status, value.estimate, value.error_bound, margin, warnings)
 
 
+def _stage_certificate(stage: dict):
+    return build_certificate(
+        stage["center"], stage["radius"], stage["base_order"], stage["degree"],
+        stage["budgets"], stage["steps"], stage["mode"], stage["total_delta"],
+    )
+
+
 def _run_certificate_stage(name: str, stage: dict) -> StageResult:
-    notes = tuple(stage.get("notes", ()))
+    notes = tuple(stage["notes"])
     try:
-        cert = build_certificate(
-            float(stage["center"]),
-            float(stage["radius"]),
-            int(stage["base_order"]),
-            int(stage["degree"]),
-            stage["budgets"],
-            stage["steps"],
-            stage["mode"],
-            float(stage["total_delta"]),
-        )
+        cert = _stage_certificate(stage)
     except BudgetError as exc:
         return StageResult(name, "failed", None, None, None, notes + (str(exc),))
-    if cert.remainder > float(stage["tail_budget"]):
+    if cert.remainder > stage["tail_budget"]:
         notes += (
             f"computed tail bound {cert.remainder:.6g} exceeds the declared tail budget "
             f"{stage['tail_budget']:g} (still within total_delta)",
         )
     target = stage["target"]
-    checker = check_sign_chain if stage["method"] == "chain" else check_sign_variation
+    checker = _SIGN_CHECKS[stage["method"]]
     verdicts = [checker(cert, target, interval) for interval in stage["intervals"]]
     anchors = []
     for a, b in stage["intervals"]:
@@ -520,16 +529,8 @@ def _q_rows(n_steps: int, reference: dict):
     return ["kind", "t", "j", "bound_plus", "bound_minus", "reference", "reference_slack"], rows
 
 
-def _stage_certificate(stage_name: str):
-    stage = DEFAULT_CONFIG["stages"][stage_name]
-    return build_certificate(
-        stage["center"], stage["radius"], stage["base_order"], stage["degree"],
-        stage["budgets"], stage["steps"], stage["mode"], stage["total_delta"],
-    ), stage
-
-
-def _coeff_rows(table_id: str):
-    cert, stage = _stage_certificate(_COEFF_TABLE_STAGE[table_id])
+def _coeff_rows(table_id: str, stage_name: str):
+    cert = _stage_certificate(DEFAULT_CONFIG["stages"][stage_name])
     refs = REFERENCE_COEFFS[table_id]
     rows = []
     for j, (coeff, ref) in enumerate(zip(cert.coeffs, refs)):
@@ -539,8 +540,9 @@ def _coeff_rows(table_id: str):
     return ["j", "derivative_order", "coefficient", "reference", "abs_diff", "budget"], rows
 
 
-def _cascade_rows(table_id: str):
-    cert, stage = _stage_certificate(_CASCADE_TABLE_STAGE[table_id])
+def _cascade_rows(stage_name: str):
+    stage = DEFAULT_CONFIG["stages"][stage_name]
+    cert = _stage_certificate(stage)
     rows = []
     for interval in stage["intervals"]:
         verdict = check_sign_variation(cert, "positive", interval)
@@ -560,22 +562,27 @@ def _cascade_rows(table_id: str):
     return ["interval", "quantity", "order", "location", "value", "reference", "abs_diff"], rows
 
 
+_TABLES = {
+    "maxima": _maxima_rows,
+    "A_rho": _a_rho_rows,
+    "Q500": partial(_q_rows, 500, REFERENCE_Q500),
+    "Q400": partial(_q_rows, 400, REFERENCE_Q400),
+    "T1": partial(_coeff_rows, "T1", "gap_d4_on_5.000_5.130"),
+    "T2": partial(_coeff_rows, "T2", "gap_d1_on_5.130_5.330"),
+    "T3": partial(_cascade_rows, "gap_d1_on_5.130_5.330"),
+    "T4": partial(_coeff_rows, "T4", "gap_d1_on_5.330_5.720"),
+    "T5": partial(_cascade_rows, "gap_d1_on_5.330_5.720"),
+    "T6": partial(_coeff_rows, "T6", "gap_d2_on_5.720_6.000"),
+}
+TABLE_IDS = tuple(_TABLES)
+
+
 def reproduce_table(table_id: str):
     """Recompute one reference table; returns (header, rows).
 
     Every table carries a companion column with the reference values and the
     absolute differences, where a reference exists.
     """
-    if table_id == "maxima":
-        return _maxima_rows()
-    if table_id == "A_rho":
-        return _a_rho_rows()
-    if table_id == "Q500":
-        return _q_rows(500, REFERENCE_Q500)
-    if table_id == "Q400":
-        return _q_rows(400, REFERENCE_Q400)
-    if table_id in _COEFF_TABLE_STAGE:
-        return _coeff_rows(table_id)
-    if table_id in _CASCADE_TABLE_STAGE:
-        return _cascade_rows(table_id)
-    raise ValueError(f"unknown table {table_id!r}; expected one of {', '.join(TABLE_IDS)}")
+    if table_id not in _TABLES:
+        raise ValueError(f"unknown table {table_id!r}; expected one of {', '.join(TABLE_IDS)}")
+    return _TABLES[table_id]()

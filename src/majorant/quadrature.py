@@ -28,6 +28,7 @@ from .trigpoly import LocalMaxTable, SignVariant, TrigSquare, default_max_table,
 from .trigpoly import sup_norm_bound, variation_bound_power
 
 MAX_STEPS = 1_000_000
+MODES = ("plain", "refined")
 _CHUNK = 256
 _ERR_DENOM = 60.0 * 2**10  # 61440, exact
 
@@ -170,8 +171,8 @@ def _integrate_orders(sign: SignVariant, t: float, n_steps: int, jobs) -> list[C
     """Certified integrals of G^t log^j G over [0, 1/2], one per (j, mode) in jobs."""
     specs = [IntegrandSpec(t, j, sign) for j, _ in jobs]
     for _, mode in jobs:
-        if mode not in ("plain", "refined"):
-            raise ValueError(f"mode must be 'plain' or 'refined', got {mode!r}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     trig = TrigSquare(5, sign)
     sums = _h_node_sums(trig, t, sorted({spec.j for spec in specs}), n_steps)
     values = []
@@ -198,9 +199,6 @@ def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:
     even, so the half-period integral is half the mean).  The estimate is
     minus-variant minus plus-variant; error bounds add.
     """
-    for order, _ in jobs:
-        if order < 0:
-            raise ValueError(f"derivative order must be nonnegative, got {order}")
     minus = _integrate_orders(SignVariant.MINUS, t, n_steps, jobs)
     plus = _integrate_orders(SignVariant.PLUS, t, n_steps, jobs)
     return [

@@ -72,6 +72,11 @@ class TestRemainderBound:
         with pytest.raises(ValueError, match="radius"):
             remainder_bound(5.5, 0.0, 1, 8)
 
+    @pytest.mark.parametrize("center,radius", [(math.nan, 0.1), (5.5, math.nan)])
+    def test_rejects_nan_window(self, center, radius):
+        with pytest.raises(ValueError, match="radius|window"):
+            remainder_bound(center, radius, 1, 8)
+
 
 class TestRequiredSteps:
     def test_reproduces_step_table_entry(self):
@@ -136,9 +141,14 @@ class TestBuildCertificate:
                     stage["total_delta"],
                 )
 
+    def test_rejects_nan_budget(self):
+        with pytest.raises(ValueError, match="positive"):
+            build_certificate(5.5, 0.1, 1, 2, [0.1, math.nan, 0.1], 100, "refined", 0.5)
+
     def test_broadcast_length_mismatch(self):
+        """Budgets must give one allowance per coefficient 0..degree."""
         with pytest.raises(ValueError, match="expected 3"):
-            build_certificate(5.5, 0.1, 1, 2, [0.1, 0.1, 0.1], [100, 100], "refined", 0.5)
+            build_certificate(5.5, 0.1, 1, 2, [0.1, 0.1], 100, "refined", 0.5)
 
 
 class TestEvalCertPoly:

@@ -43,8 +43,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("k", [0, 4, 6, 40])
     def test_rejects_k_other_than_five(self, k):
-        """WORK_M holds sup bounds for k = 5 only; k = 40 once got a k = 5 bound."""
-        with pytest.raises(ValueError, match="k = 5 only"):
+        """WORK_M holds sup bounds for k = 5 only (k = 40 once got a k = 5 bound), so k is no parameter."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'k'"):
             IntegrandSpec(5.5, 1, MINUS, k=k)
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from majorant.pipeline import (
+    CASE_ID,
     DEFAULT_CONFIG,
     TABLE_IDS,
     config_hash,
@@ -28,6 +29,28 @@ EXPECTED_STAGES = [
     "gap_d1_on_5.130_5.330",
     "gap_d1_on_5.330_5.720",
     "gap_d2_on_5.720_6.000",
+]
+
+D4 = "gap_d4_on_5.000_5.130"
+D1 = "gap_d1_at_5"
+BAD_BUDGETS = [0.15, "a", 0.005, 0.0005, 0.0002, 0.0002, 0.0002]
+
+# (overrides, stage named in the error or None, field named in the error)
+MALFORMED_CONFIGS = [
+    pytest.param({"stages": {D4: {"radius": None}}}, D4, "radius", id="radius-null"),
+    pytest.param({"stages": {D4: {"radius": float("nan")}}}, D4, "radius", id="radius-nan"),
+    pytest.param({"stages": {D4: {"intervals": 5}}}, D4, "intervals", id="intervals-number"),
+    pytest.param({"stages": {D4: {"intervals": []}}}, D4, "intervals", id="intervals-empty"),
+    pytest.param({"stages": {D4: {"intervals": [[5.0, 5.05, 5.13]]}}}, D4, "intervals", id="interval-triple"),
+    pytest.param({"stages": {D4: {"notes": 3}}}, D4, "notes", id="notes-number"),
+    pytest.param({"stages": {D4: {"budgets": BAD_BUDGETS}}}, D4, "budgets", id="budget-string"),
+    pytest.param({"stages": {D4: {"tail_budget": "x"}}}, D4, "tail_budget", id="tail-budget-string"),
+    pytest.param({"stages": {D4: {"base_order": -1}}}, D4, "base_order", id="base-order-negative"),
+    pytest.param({"stages": {D1: {"t": None}}}, D1, "t", id="t-null"),
+    pytest.param({"stages": {D1: {"steps": True}}}, D1, "steps", id="steps-bool"),
+    pytest.param({"stages": {D1: {"order": 1.7}}}, D1, "order", id="order-fraction"),
+    pytest.param({"stages": {D1: {"order": -1}}}, D1, "order", id="order-negative"),
+    pytest.param({"case": "k7"}, None, "case", id="case-other"),
 ]
 
 
@@ -63,6 +86,18 @@ class TestConfig:
         bad = {"stages": {"gap_d4_on_5.000_5.130": {"intervals": [[6.0, 7.0]]}}}
         with pytest.raises(ValueError, match="outside the proven range"):
             validate_config(merge_config(bad))
+
+    @pytest.mark.parametrize("overrides,stage,field", MALFORMED_CONFIGS)
+    def test_malformed_config_names_stage_and_field(self, overrides, stage, field):
+        with pytest.raises(ValueError) as excinfo:
+            validate_config(merge_config(overrides))
+        message = str(excinfo.value)
+        assert field in message
+        assert stage is None or f"stage {stage!r}" in message
+
+    def test_stages_must_all_be_present(self):
+        with pytest.raises(ValueError, match="stages must be"):
+            validate_config({"case": CASE_ID, "stages": {}})
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -192,9 +227,10 @@ class TestTables:
             reproduce_table("T7")
 
 
-def run_cli(*args):
+def run_cli(*args, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "majorant", *args], capture_output=True, text=True, timeout=120
+        [sys.executable, *python_flags, "-m", "majorant", *args],
+        capture_output=True, text=True, timeout=120,
     )
 
 
@@ -228,6 +264,15 @@ class TestCli:
         assert result.returncode == 2
         assert "outside the proven range" in result.stderr
 
+    def test_malformed_config_exit_two_without_traceback(self, tmp_path):
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({"stages": {D4: {"radius": None}}}), encoding="utf-8")
+        result = run_cli("prove", "--config", str(cfg))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     def test_missing_config_file_exit_two(self):
         result = run_cli("prove", "--config", "/nonexistent/cfg.json")
         assert result.returncode == 2
@@ -257,6 +302,14 @@ class TestCli:
         r1 = run_cli("prove", "--out", str(a))
         r2 = run_cli("prove", "--out", str(b))
         assert r1.returncode == 0 and r2.returncode == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_optimized_interpreter_gives_same_bytes(self, tmp_path):
+        """Checks live in explicit raises, not asserts, so python -O changes nothing."""
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        normal = run_cli("prove", "--out", str(a))
+        optimized = run_cli("prove", "--out", str(b), python_flags=("-O",))
+        assert normal.returncode == 0 and optimized.returncode == 0, optimized.stderr
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_subcommand_exit_two(self):
