@@ -31,6 +31,10 @@ PIPELINE_T_MAX = 6.0
 _EDGE_TOL = 1e-9
 _PROVEN_RANGE = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
 
+# The targets each sign check certifies, keyed by the configuration's method name.  The
+# variation cascade argues from positive shifted endpoint values, so it proves positivity only.
+SIGN_TARGETS = {"chain": ("positive", "negative"), "cascade": ("positive",)}
+
 
 class BudgetError(ValueError):
     """A certificate's error accounting failed; the message names the culprit."""
@@ -92,6 +96,13 @@ def check_budgets(budgets, degree: int) -> None:
         raise ValueError(f"expected {degree + 1} coefficient budgets, got {len(budgets)}")
     if not all(b > 0.0 for b in budgets):
         raise ValueError("every coefficient budget must be positive")
+
+
+def check_target(method: str, target: str) -> None:
+    """Reject a target that the sign check named by method does not certify."""
+    targets = SIGN_TARGETS[method]
+    if target not in targets:
+        raise ValueError(f"the {method} check certifies {' or '.join(targets)} targets only, got {target!r}")
 
 
 def remainder_bound(center: float, radius: float, base_order: int, degree: int) -> float:
@@ -219,8 +230,7 @@ def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCert
     """
     a, b = float(interval[0]), float(interval[1])
     check_interval(cert.center, cert.radius, a, b)
-    if target not in ("positive", "negative"):
-        raise ValueError(f"target must be 'positive' or 'negative', got {target!r}")
+    check_target("chain", target)
     ok, rows = _chain_conditions(cert, cert.total_delta, a, b, target)
     if ok:
         return SignCertificate((a, b), target, "derivative_chain", True, tuple(rows))
@@ -279,8 +289,7 @@ def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> Sign
     """
     a, b = float(interval[0]), float(interval[1])
     check_interval(cert.center, cert.radius, a, b)
-    if target != "positive":
-        raise ValueError("the variation cascade certifies positive targets only")
+    check_target("cascade", target)
     delta = cert.total_delta
     pa = eval_cert_poly(cert, 0, a) - delta
     pb = eval_cert_poly(cert, 0, b) - delta

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and verdict PROVED for ``prove``), 1 proof ran but is
 INCONCLUSIVE, 2 invalid input (arguments, configuration file),
-3 internal consistency failure.
+3 internal error (any other exception: a fault in the program, not in its input).
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 would read as INCONCLUSIVE, so a fault gets its own code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

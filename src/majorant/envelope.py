@@ -19,26 +19,30 @@ def envelope_max(s: float, m: int, a: float, b: float) -> float:
     v = 1 and is smooth elsewhere; on (0, 1) its only interior critical point
     is v0 = exp(-m/s) with value (m/(e*s))^m, and on (1, 9] it increases.
     The maximum over [a, b] is therefore the largest of the endpoint values
-    and, when a < v0 < min(b, 1), the interior peak.
+    and, when a < v0 < min(b, 1), the interior peak.  A maximum beyond the
+    float range is returned as inf: still an upper bound, if a useless one.
     """
     if m < 0:
         raise ValueError(f"log exponent must be a nonnegative integer, got {m}")
     if not 0.0 <= a < b <= 9.0 + 1e-12:
         raise ValueError(f"need 0 <= a < b <= 9, got [{a}, {b}]")
-    if m == 0:
-        if s < 0.0:
-            raise ValueError(f"power must be nonnegative, got {s}")
-        return b**s
-    if s <= 0.0:
+    if m == 0 and s < 0.0:
+        raise ValueError(f"power must be nonnegative, got {s}")
+    if m > 0 and s <= 0.0:
         raise ValueError(f"power must be positive when logs are present, got {s}")
 
     def alpha(v: float) -> float:
         return v**s * abs(math.log(v)) ** m
 
-    candidates = [alpha(b)]
-    if a > 0.0:
-        candidates.append(alpha(a))
-    v0 = math.exp(-m / s)
-    if a < v0 < min(b, 1.0):
-        candidates.append((m / (math.e * s)) ** m)
-    return max(candidates)
+    try:
+        if m == 0:
+            return b**s
+        candidates = [alpha(b)]
+        if a > 0.0:
+            candidates.append(alpha(a))
+        v0 = math.exp(-m / s)
+        if a < v0 < min(b, 1.0):
+            candidates.append((m / (math.e * s)) ** m)
+        return max(candidates)
+    except OverflowError:
+        return math.inf

@@ -95,15 +95,13 @@ class BoundTermSum:
 
 
 def eval_H(spec: IntegrandSpec, x: float) -> float:
-    """Signed value of H at x (0 at zeros of G, where t >= 1 kills the log)."""
+    """Signed value of H at x (G > 0 everywhere, so log G is finite)."""
     g = eval_G(spec.trig, x)
-    if g == 0.0:
-        return 0.0
     return g**spec.t * math.log(g) ** spec.j
 
 
 class PowerRow(NamedTuple):
-    """Columns over the nodes where G > 0: G^t, G'' G^(t-1), G'^2 G^(t-2) and (log G)^p by p."""
+    """Columns over the nodes: G^t, G'' G^(t-1), G'^2 G^(t-2) and (log G)^p by p."""
 
     t: float
     gt: list[float]
@@ -113,15 +111,9 @@ class PowerRow(NamedTuple):
 
 
 def power_row(trig: TrigSquare, t: float, xs, orders: Iterable[int]) -> PowerRow:
-    """The power row of G^t at the nodes xs, with the log powers H'' of ``orders`` needs.
-
-    Nodes where G vanishes are left out: eval_H and eval_H_second give 0
-    there, and dropping zeros does not change an exactly rounded sum.
-    """
+    """The power row of G^t at the nodes xs, with the log powers H'' of ``orders`` needs."""
     gt, a, b, ell = [], [], [], []
     for g, g1, g2 in eval_G_jet(trig, xs):
-        if g == 0.0:
-            continue
         gt.append(g**t)
         a.append(g2 * g ** (t - 1.0))
         b.append(g1 * g1 * g ** (t - 2.0))
@@ -160,11 +152,9 @@ def h_second_values(row: PowerRow, j: int) -> list[float]:
 
 
 def eval_H_second(spec: IntegrandSpec, x: float) -> float:
-    """H'' at x (0 where G vanishes) via eval_G and eval_G_derivative; the pointwise reference."""
+    """H'' at x via eval_G and eval_G_derivative; the pointwise reference."""
     t, j, trig = spec.t, spec.j, spec.trig
     g = eval_G(trig, x)
-    if g == 0.0:
-        return 0.0
     gp, gpp, ell = eval_G_derivative(trig, 1, x), eval_G_derivative(trig, 2, x), math.log(g)
     logs = {p: [ell**p] for p in range(max(j - 2, 0), j + 1)}
     row = PowerRow(t, [], [gpp * g ** (t - 1.0)], [gp * gp * g ** (t - 2.0)], logs)
@@ -204,7 +194,7 @@ def h4_sup_bound(spec: IntegrandSpec) -> float:
 
     Every group becomes constant * max of G^(t+offset) |log G|^p over [0, 9]
     via the closed-form envelope.  Needs t > 4 when logs are present (at
-    t = 4 the G^0 log^j G term is unbounded near zeros of G), t >= 4 otherwise.
+    t = 4 the envelope of the G^0 log^j G term is unbounded at 0), t >= 4 otherwise.
     """
     t, j = spec.t, spec.j
     if t < 4.0 or (t == 4.0 and j > 0):
@@ -235,8 +225,6 @@ def term_sum_value(bound_sum: BoundTermSum, x: float) -> float:
     """Pointwise value of a BoundTermSum at x (an upper bound for |H''''(x)|)."""
     trig = bound_sum.spec.trig
     g = eval_G(trig, x)
-    if g == 0.0:
-        return math.inf if any(term.j_r > 0 for term in bound_sum.terms) else 0.0
     gp = abs(eval_G_derivative(trig, 1, x))
     ell = abs(math.log(g))
     return math.fsum(

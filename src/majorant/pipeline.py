@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from .certify import (
@@ -32,6 +32,7 @@ from .certify import (
     check_interval,
     check_sign_chain,
     check_sign_variation,
+    check_target,
     check_window,
     eval_cert_poly,
 )
@@ -141,6 +142,7 @@ _FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in 
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
 
 # Method -> sign check, looked up per call so that instrumentation rebinding the checks sees the calls.
+# certify.SIGN_TARGETS says which targets each method certifies.
 _SIGN_CHECKS = {"chain": lambda *a: check_sign_chain(*a), "cascade": lambda *a: check_sign_variation(*a)}
 
 # ---------------------------------------------------------------------------
@@ -304,10 +306,9 @@ def _validate_stage(stage: dict, default: dict) -> None:
         if len(interval) != 2:
             raise ValueError(f"intervals must be [a, b] pairs, got {interval}")
         check_interval(center, radius, *interval)
-    if stage["target"] not in ("positive", "negative"):
-        raise ValueError("target must be 'positive' or 'negative'")
     if stage["method"] not in _SIGN_CHECKS:
         raise ValueError(f"method must be one of {tuple(_SIGN_CHECKS)}")
+    check_target(stage["method"], stage["target"])
     check_budgets(stage["budgets"], stage["degree"])
     if stage["total_delta"] <= 0:
         raise ValueError("total_delta must be positive")
@@ -349,7 +350,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def _run_endpoint_stage(name: str) -> StageResult:
-    ok = endpoint_difference_zero(5)
+    ok = endpoint_difference_zero()
     return StageResult(name, "certified" if ok else "failed", 0.0, 0.0, None)
 
 
@@ -434,32 +435,10 @@ def prove_k5(config: dict | None = None) -> ProofReport:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: ProofReport) -> dict:
-    return {
-        "version": report.version,
-        "case": report.case,
-        "verdict": report.verdict,
-        "environment": report.environment,
-        "timestamp": report.timestamp,
-        "config_hash": report.config_hash,
-        "stages": [
-            {
-                "name": s.name,
-                "status": s.status,
-                "estimate": s.estimate,
-                "error_bound": s.error_bound,
-                "margin": s.margin,
-                "warnings": list(s.warnings),
-            }
-            for s in report.stages
-        ],
-    }
-
-
 def emit_report(report: ProofReport, fmt: str = "json") -> str:
     """Serialize a report deterministically (identical runs, identical bytes)."""
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
+        return json.dumps(asdict(report), indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"format must be 'json' or 'text', got {fmt!r}")
     lines = [
@@ -509,7 +488,7 @@ def _maxima_rows():
 def _a_rho_rows():
     rows = []
     for rho, ref in enumerate(REFERENCE_A):
-        ours = torus_power_integral(rho, 5)
+        ours = torus_power_integral(rho)
         rows.append([rho, ours, ref, abs(ours - ref)])
     return ["rho", "integral", "reference", "abs_diff"], rows
 

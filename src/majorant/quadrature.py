@@ -113,7 +113,7 @@ def q_plain(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTab
     """
     _check_node_sum_args(t, j, n_steps)
     small = envelope_max(t, j, 0.0, 1.0 / 9.0) * n_steps if j != 0 else 0.0
-    mean = torus_integral_upper(t, spec.k)
+    mean = torus_integral_upper(t)
     var = variation_bound_power(spec, t, table)
     return small + LOG9**j * (n_steps * mean + 0.5 * var)
 
@@ -132,7 +132,7 @@ def q_star(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTabl
         small = envelope_max(t, j, 0.0, 1.0 / 9.0) * (14.0 * n_steps / 9.0 + _HALF_L2_G2)
     var_up = variation_bound_power(spec, t + 1.0, table)
     var_t = variation_bound_power(spec, t, table)
-    tail = _HALF_L2_G2 * math.sqrt(torus_integral_upper(2.0 * t, spec.k))
+    tail = _HALF_L2_G2 * math.sqrt(torus_integral_upper(2.0 * t))
     return small + LOG9**j * (n_steps / (t + 1.0) * var_up + _HALF_SUP_G1 * var_t + tail)
 
 
@@ -146,7 +146,7 @@ def refined_error_bound(
     bound with one extra 1/N.
     """
     if bound_sum.spec.trig != spec:
-        raise ValueError("term bound and square disagree on sign variant or k")
+        raise ValueError("term bound and square disagree on sign variant")
     if n_steps < 1:
         raise ValueError(f"step count must be positive, got {n_steps}")
     w = fsum(

@@ -1,15 +1,20 @@
-"""Trigonometric squares ``|1 + e(x) + s·e((k+2)x)|^2`` and certified facts about them.
+"""The trigonometric squares ``|1 + e(x) + s·e(7x)|^2`` and certified facts about them.
 
-Everything downstream rests on a single family of nonnegative trigonometric
-polynomials.  For an integer ``k >= 0`` and a sign ``s`` the square expands to
+Everything downstream rests on one pair of nonnegative trigonometric
+polynomials, the case k = 5 of the paper: for a sign ``s`` the square expands to
 
-    G(x) = 3 + 2*(cos(2*pi*x) + s*cos(2*pi*(k+1)*x) + s*cos(2*pi*(k+2)*x)),
+    G(x) = 3 + 2*(cos(2*pi*x) + s*cos(2*pi*6*x) + s*cos(2*pi*7*x)),
 
-an even, 1-periodic function with values in [0, 9].  This module evaluates G
-and its derivatives in closed form, produces sup-norm bounds for those
-derivatives, tabulates certified upper bounds at the local maxima of G over a
-half period, and converts such a table into an upper bound for the total
-variation of integer or real powers of G.
+an even, 1-periodic function with frequencies 1, 6 and 7 and values in
+[0.018, 9]: G has no zeros (its minimum on a grid of step 1/20000, less the
+curvature slack sup|G''| h^2/8, is 0.0182 for the minus sign and larger for
+plus).  Every working constant in the package is proven for this case alone,
+so k is the module constant ``K`` rather than a parameter.
+
+This module evaluates G and its derivatives in closed form, produces sup-norm
+bounds for those derivatives, tabulates certified upper bounds at the local
+maxima of G over a half period, and converts such a table into an upper bound
+for the total variation of integer or real powers of G.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ from functools import lru_cache
 from math import cos, fsum, pi, sin
 
 TWO_PI = 2.0 * pi
+K = 5
+F2, F3 = K + 1, K + 2  # the frequencies of the two signed cosines
 
 
 class SignVariant(enum.Enum):
-    """Sign of the high-frequency term in ``1 + e(x) + s*e((k+2)x)``."""
+    """Sign of the high-frequency term in ``1 + e(x) + s*e(7x)``."""
 
     PLUS = "plus"
     MINUS = "minus"
@@ -47,14 +54,18 @@ def parse_sign(name) -> SignVariant:
 
 @dataclass(frozen=True)
 class TrigSquare:
-    """The squared three-term sum with frequencies 1, k+1 and k+2."""
+    """The squared three-term sum with frequencies 1, 6 and 7.
 
-    k: int = 5
+    ``k`` admits only K = 5; it stays a field so that ``TrigSquare(5, sign)``
+    keeps working.
+    """
+
+    k: int = K
     sign: SignVariant = SignVariant.PLUS
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"k must be a nonnegative integer, got {self.k}")
+        if self.k != K:
+            raise ValueError(f"only k = {K} is supported, got k = {self.k}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +98,9 @@ class LocalMaxTable:
 
 
 def eval_G(spec: TrigSquare, x: float) -> float:
-    """Value of G at x, clamped below at 0 against roundoff."""
+    """Value of G at x."""
     s = spec.sign.factor
-    f2, f3 = spec.k + 1, spec.k + 2
-    v = 3.0 + 2.0 * (cos(TWO_PI * x) + s * cos(TWO_PI * f2 * x) + s * cos(TWO_PI * f3 * x))
-    return v if v > 0.0 else 0.0
+    return 3.0 + 2.0 * (cos(TWO_PI * x) + s * cos(TWO_PI * F2 * x) + s * cos(TWO_PI * F3 * x))
 
 
 def eval_G_derivative(spec: TrigSquare, m: int, x: float) -> float:
@@ -101,21 +110,19 @@ def eval_G_derivative(spec: TrigSquare, m: int, x: float) -> float:
     and scales by the frequency to the m-th power, so
 
         G^(m)(x) = 2 * (-1)^ceil(m/2) * (2*pi)^m
-                   * (trig(2*pi*x) + s*(k+1)^m*trig(2*pi*(k+1)x)
-                                   + s*(k+2)^m*trig(2*pi*(k+2)x))
+                   * (trig(2*pi*x) + s*6^m*trig(2*pi*6x) + s*7^m*trig(2*pi*7x))
 
     with trig = sin for odd m and cos for even m.
     """
     if m < 1:
         raise ValueError(f"derivative order must be >= 1, got {m}")
     s = spec.sign.factor
-    f2, f3 = spec.k + 1, spec.k + 2
     sgn = -1.0 if ((m + 1) // 2) % 2 else 1.0
     trig = sin if m % 2 else cos
     inner = (
         trig(TWO_PI * x)
-        + s * float(f2) ** m * trig(TWO_PI * f2 * x)
-        + s * float(f3) ** m * trig(TWO_PI * f3 * x)
+        + s * float(F2) ** m * trig(TWO_PI * F2 * x)
+        + s * float(F3) ** m * trig(TWO_PI * F3 * x)
     )
     return 2.0 * sgn * TWO_PI**m * inner
 
@@ -127,24 +134,22 @@ def eval_G_jet(spec: TrigSquare, xs) -> Iterator[tuple[float, float, float]]:
     same order, so the values agree with theirs to the last bit.
     """
     s = spec.sign.factor
-    f2, f3 = spec.k + 1, spec.k + 2
-    w2, w3 = TWO_PI * f2, TWO_PI * f3
+    w2, w3 = TWO_PI * F2, TWO_PI * F3
     d1, d2 = 2.0 * -1.0 * TWO_PI**1, 2.0 * -1.0 * TWO_PI**2  # 2 sgn (2 pi)^m, sgn = -1 for m = 1, 2
-    a2, a3 = s * float(f2) ** 1, s * float(f3) ** 1
-    b2, b3 = s * float(f2) ** 2, s * float(f3) ** 2
+    a2, a3 = s * float(F2) ** 1, s * float(F3) ** 1
+    b2, b3 = s * float(F2) ** 2, s * float(F3) ** 2
     for x in xs:
         u, v, w = TWO_PI * x, w2 * x, w3 * x
         cu, cv, cw = cos(u), cos(v), cos(w)
-        g = 3.0 + 2.0 * (cu + s * cv + s * cw)
         yield (
-            g if g > 0.0 else 0.0,
+            3.0 + 2.0 * (cu + s * cv + s * cw),
             d1 * (sin(u) + a2 * sin(v) + a3 * sin(w)),
             d2 * (cu + b2 * cv + b3 * cw),
         )
 
 
-def sup_norm_bound(m: int, k: int = 5) -> float:
-    """Proven bound for sup|G^(m)|: 9 for m = 0, else 2^(m+1) pi^m (1 + (k+1)^m + (k+2)^m).
+def sup_norm_bound(m: int) -> float:
+    """Proven bound for sup|G^(m)|: 9 for m = 0, else 2^(m+1) pi^m (1 + 6^m + 7^m).
 
     The m >= 1 case is the triangle inequality applied to the closed form of
     the derivative; it is independent of the sign variant.
@@ -153,18 +158,16 @@ def sup_norm_bound(m: int, k: int = 5) -> float:
         raise ValueError(f"derivative order must be >= 0, got {m}")
     if m == 0:
         return 9.0
-    return 2.0 ** (m + 1) * pi**m * (1.0 + float(k + 1) ** m + float(k + 2) ** m)
+    return 2.0 ** (m + 1) * pi**m * (1.0 + float(F2) ** m + float(F3) ** m)
 
 
 def second_deriv_L2(spec: TrigSquare) -> float:
-    """L^2 norm of G'' over one period: 8 pi^2 sqrt((1 + (k+1)^4 + (k+2)^4)/2).
+    """L^2 norm of G'' over one period: 8 pi^2 sqrt((1 + 6^4 + 7^4)/2).
 
     Each cosine in the closed form of G'' contributes half the square of its
-    amplitude to the mean square.  For k = 5 the radicand is 3698/2 = 43^2, so
-    the norm is exactly 8 pi^2 * 43.
+    amplitude to the mean square.  The radicand is 3698/2 = 43^2, so the norm
+    is exactly 8 pi^2 * 43.
     """
-    if spec.k != 5:
-        raise ValueError("second_deriv_L2 is tabulated for k = 5 only")
     return 8.0 * pi**2 * 43.0
 
 
@@ -188,7 +191,7 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    slack = 0.5 * sup_norm_bound(2, spec.k) * (h / 2.0) ** 2
+    slack = 0.5 * sup_norm_bound(2) * (h / 2.0) ** 2
     if bump < slack:
         raise ValueError(
             f"bump {bump:g} does not cover the curvature slack {slack:.6g} for step {h:g}"
@@ -210,9 +213,9 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
             bound = min(_ceil_decimals(max(left, v, right) + bump), 9.0)
             entries.append(LocalMaxEntry(i * h, bound, 2))
     table = LocalMaxTable(spec, h, bump, tuple(entries))
-    if spec.k == 5 and table.total_multiplicity != 7:
+    if table.total_multiplicity != 7:
         raise ValueError(
-            f"expected 7 local maxima (with multiplicity) for k = 5, found "
+            f"expected 7 local maxima (with multiplicity), found "
             f"{table.total_multiplicity}; the tabulation step is unreliable"
         )
     return table

@@ -32,6 +32,11 @@ class TestClosedForm:
         value = envelope_max(5.0, 2, 0.9, 9.0)
         assert value == pytest.approx(9.0**5 * math.log(9.0) ** 2, rel=1e-13)
 
+    def test_overflow_gives_infinity(self):
+        # the interior peak (400/(5e))^400 and 9^400 exceed the float range; inf still bounds them
+        assert envelope_max(5.0, 400, 0.0, 9.0) == math.inf
+        assert envelope_max(400.0, 0, 0.0, 9.0) == math.inf
+
 
 def dense_grid_max(s, m, a, b):
     # geometric spacing resolves peaks near zero that a linear grid undersamples

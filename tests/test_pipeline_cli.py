@@ -1,11 +1,13 @@
 """Tests for the proof pipeline, configuration handling, reports, and the CLI."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+import majorant.cli
 from majorant.pipeline import (
     CASE_ID,
     DEFAULT_CONFIG,
@@ -15,7 +17,6 @@ from majorant.pipeline import (
     load_config,
     merge_config,
     prove_k5,
-    report_to_dict,
     reproduce_table,
     validate_config,
 )
@@ -33,6 +34,7 @@ EXPECTED_STAGES = [
 
 D4 = "gap_d4_on_5.000_5.130"
 D1 = "gap_d1_at_5"
+C1 = "gap_d1_on_5.130_5.330"
 BAD_BUDGETS = [0.15, "a", 0.005, 0.0005, 0.0002, 0.0002, 0.0002]
 
 # (overrides, stage named in the error or None, field named in the error)
@@ -51,6 +53,7 @@ MALFORMED_CONFIGS = [
     pytest.param({"stages": {D1: {"order": 1.7}}}, D1, "order", id="order-fraction"),
     pytest.param({"stages": {D1: {"order": -1}}}, D1, "order", id="order-negative"),
     pytest.param({"case": "k7"}, None, "case", id="case-other"),
+    pytest.param({"stages": {C1: {"target": "negative"}}}, C1, "target", id="cascade-negative"),
 ]
 
 
@@ -151,10 +154,20 @@ class TestProve:
         assert {s.name for s in failed} == {"gap_d1_at_5", "gap_d2_at_5"}
         assert all(s.margin < 0 for s in failed)
 
+    def test_overflowing_envelope_is_inconclusive(self):
+        """A log power so high that envelope maxima overflow gives an infinite bound, not a crash."""
+        cfg = merge_config({"stages": {D1: {"order": 400}, D4: {"base_order": 400}}})
+        report = prove_k5(cfg)
+        assert report.verdict == "INCONCLUSIVE"
+        by_name = {s.name: s for s in report.stages}
+        assert by_name[D1].status == "failed" and by_name[D1].margin == -math.inf
+        assert by_name[D4].status == "failed"
+        assert "tail bound inf exceed" in by_name[D4].warnings[-1]
+
 
 class TestReports:
     def test_json_schema(self, default_report):
-        data = report_to_dict(default_report)
+        data = json.loads(emit_report(default_report))
         assert set(data) == {
             "version", "case", "verdict", "environment", "timestamp",
             "config_hash", "stages",
@@ -311,6 +324,16 @@ class TestCli:
         optimized = run_cli("prove", "--out", str(b), python_flags=("-O",))
         assert normal.returncode == 0 and optimized.returncode == 0, optimized.stderr
         assert a.read_bytes() == b.read_bytes()
+
+    def test_internal_error_exit_three(self, monkeypatch, capsys):
+        def broken(_config):
+            raise RuntimeError("stage table out of step")
+
+        monkeypatch.setattr(majorant.cli, "prove_k5", broken)
+        assert majorant.cli.main(["prove"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: stage table out of step\n"
+        assert captured.out == ""
 
     def test_bad_subcommand_exit_two(self):
         result = run_cli("defeat")

@@ -55,15 +55,16 @@ class TestFourierCoeffs:
         closed = fourier_coeffs_pow(sign, rho)
         assert list(closed) == convolution_coeffs(sign, rho)
 
-    def test_overlapping_blocks_warn_and_disagree(self):
-        """Beyond rho = k+1 the closed form misses overlaps and must warn."""
-        with pytest.warns(UserWarning, match="overlap"):
-            naive = fourier_coeffs_pow(SignVariant.PLUS, 7)
-        naive_parseval = sum(c * c for c in naive)
-        true_parseval = sum(c * c for c in convolution_coeffs(SignVariant.PLUS, 7))
-        assert true_parseval == 272849
-        assert naive_parseval == 272834
-        assert naive_parseval != true_parseval
+    def test_overlapping_blocks_rejected(self):
+        """Beyond rho = k+1 = 6 the blocks overlap, which the closed form cannot express.
+
+        At rho = 7 it would miss overlaps (Parseval sum 272834 against the
+        convolution's 272849), so it refuses rather than return a wrong expansion.
+        """
+        assert sum(c * c for c in convolution_coeffs(SignVariant.PLUS, 7)) == 272849
+        for sign in SignVariant:
+            with pytest.raises(ValueError, match="overlap"):
+                fourier_coeffs_pow(sign, 7)
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -128,7 +129,7 @@ class TestPowerIntegralBound:
 
 class TestEndpointDifference:
     def test_gap_vanishes_at_integer_endpoints(self):
-        assert endpoint_difference_zero(5) is True
+        assert endpoint_difference_zero() is True
 
     def test_numeric_agreement(self):
         x = np.linspace(0.0, 1.0, 1_000_001)[:-1]

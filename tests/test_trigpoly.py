@@ -57,9 +57,19 @@ class TestEvalG:
             assert min(values) >= 0.0
             assert max(values) <= 9.0 + 1e-12
 
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError, match="k must be"):
-            TrigSquare(-1, SignVariant.PLUS)
+    @pytest.mark.parametrize("k", [-1, 0, 3, 6, 200])
+    def test_rejects_k_other_than_five(self, k):
+        """The bound constants hold for k = 5 only: at k = 200 q_star fell below the node sum it bounds."""
+        with pytest.raises(ValueError, match="k = 5"):
+            TrigSquare(k, SignVariant.MINUS)
+
+    @pytest.mark.parametrize("sign", list(SignVariant))
+    def test_G_has_no_zeros(self, sign):
+        """Grid minimum less the curvature slack at a true minimum (where G' = 0) stays positive."""
+        h = 1.0 / 20000.0
+        spec = TrigSquare(5, sign)
+        grid_min = min(eval_G(spec, i * h) for i in range(10001))  # [0, 1/2]: G is even
+        assert grid_min - 0.5 * sup_norm_bound(2) * (h / 2.0) ** 2 > 0.0
 
 
 class TestDerivatives:
@@ -95,23 +105,14 @@ class TestDerivatives:
 
 class TestJet:
     def test_bitwise_equal_to_pointwise_functions(self):
-        """The fused (G, G', G'') equal eval_G / eval_G_derivative to the last bit.
-
-        k = 0 (frequencies 1, 1, 2) vanishes at x = 1/3, where roundoff sends
-        G below zero on part of the grid, so the clamp branch is exercised.
-        """
-        zero_grid = [1.0 / 3.0 + i * 2.0**-52 for i in range(-600, 601)]
-        cases = [(TrigSquare(5, sign), [i / 2000.0 for i in range(2001)]) for sign in SignVariant]
-        cases.append((TrigSquare(0, SignVariant.PLUS), zero_grid))
-        clamped = 0
-        for spec, xs in cases:
+        """The fused (G, G', G'') equal eval_G / eval_G_derivative to the last bit."""
+        xs = [i / 2000.0 for i in range(2001)]
+        for spec in (TrigSquare(5, sign) for sign in SignVariant):
             for x, jet in zip(xs, eval_G_jet(spec, xs)):
                 reference = (
                     eval_G(spec, x), eval_G_derivative(spec, 1, x), eval_G_derivative(spec, 2, x)
                 )
                 assert [v.hex() for v in jet] == [v.hex() for v in reference], f"{spec} at x={x!r}"
-                clamped += jet[0] == 0.0
-        assert clamped > 0
 
 
 class TestSupNormBounds:
