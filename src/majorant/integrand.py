@@ -19,13 +19,13 @@ exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
 from .envelope import envelope_max
-from .trigpoly import SignVariant, TrigSquare, eval_G, eval_G_derivative, eval_G_jet, sup_norm_bound
+from .trigpoly import SignVariant, TrigSquare, eval_G, eval_G_derivative, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
@@ -100,6 +100,15 @@ def eval_H(spec: IntegrandSpec, x: float) -> float:
     return g**spec.t * math.log(g) ** spec.j
 
 
+class NodeColumns(NamedTuple):
+    """G, G', G'' and log G over a run of nodes: everything about them that is free of t and j."""
+
+    g: tuple[float, ...]
+    g1: tuple[float, ...]
+    g2: tuple[float, ...]
+    ell: tuple[float, ...]
+
+
 class PowerRow(NamedTuple):
     """Columns over the nodes: G^t, G'' G^(t-1), G'^2 G^(t-2) and (log G)^p by p."""
 
@@ -110,16 +119,21 @@ class PowerRow(NamedTuple):
     logs: dict[int, list[float]]
 
 
-def power_row(trig: TrigSquare, t: float, xs, orders: Iterable[int]) -> PowerRow:
-    """The power row of G^t at the nodes xs, with the log powers H'' of ``orders`` needs."""
-    gt, a, b, ell = [], [], [], []
-    for g, g1, g2 in eval_G_jet(trig, xs):
-        gt.append(g**t)
-        a.append(g2 * g ** (t - 1.0))
-        b.append(g1 * g1 * g ** (t - 2.0))
-        ell.append(math.log(g))
+def power_row(nodes: NodeColumns, t: float, orders: Sequence[int]) -> PowerRow:
+    """The power row of G^t at the nodes, with the log powers H'' of ``orders`` needs.
+
+    A log power beyond the float range is refused with a ValueError naming the order.
+    """
+    t1, t2 = t - 1.0, t - 2.0
+    gt = [g**t for g in nodes.g]
+    a = [g2 * g**t1 for g, g2 in zip(nodes.g, nodes.g2)]
+    b = [g1 * g1 * g**t2 for g, g1 in zip(nodes.g, nodes.g1)]
     powers = {p for j in orders for p in range(max(j - 2, 0), j + 1)}
-    return PowerRow(t, gt, a, b, {p: [v**p for v in ell] for p in powers})
+    try:
+        logs = {p: [v**p for v in nodes.ell] for p in powers}
+    except OverflowError:  # at a node with |log G| > 1, so the largest order overflows as well
+        raise ValueError(f"log order {max(orders)} is too large to evaluate: a power of log G overflows a float") from None
+    return PowerRow(t, gt, a, b, logs)
 
 
 def h_values(row: PowerRow, j: int) -> list[float]:

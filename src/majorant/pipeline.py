@@ -36,7 +36,7 @@ from .certify import (
     check_window,
     eval_cert_poly,
 )
-from .quadrature import MODES, gap_derivative, q_plain, q_star
+from .quadrature import MODES, CertifiedValue, gap_derivatives, q_plain, q_star
 from .spectral import endpoint_difference_zero, torus_power_integral
 from .trigpoly import SignVariant, TrigSquare, default_max_table
 
@@ -354,8 +354,19 @@ def _run_endpoint_stage(name: str) -> StageResult:
     return StageResult(name, "certified" if ok else "failed", 0.0, 0.0, None)
 
 
-def _run_derivative_stage(name: str, stage: dict) -> StageResult:
-    value = gap_derivative(stage["order"], stage["t"], stage["steps"], stage["mode"])
+def _derivative_values(stages: dict) -> dict[str, CertifiedValue]:
+    """The certified value of every derivative stage, one gap_derivatives call per (t, steps)."""
+    groups = {}
+    for name, stage in stages.items():
+        if "order" in stage:
+            groups.setdefault((stage["t"], stage["steps"]), {})[name] = (stage["order"], stage["mode"])
+    values = {}
+    for (t, steps), jobs in groups.items():
+        values.update(zip(jobs, gap_derivatives(t, steps, list(jobs.values()))))
+    return values
+
+
+def _run_derivative_stage(name: str, value: CertifiedValue) -> StageResult:
     margin = value.estimate - value.error_bound
     status = "certified" if margin > 0.0 else "failed"
     warnings = () if status == "certified" else (
@@ -416,6 +427,7 @@ def prove_k5(config: dict | None = None) -> ProofReport:
     cfg = config if config is not None else merge_config(None)
     validate_config(cfg)
     digest = config_hash(cfg)
+    derivatives = _derivative_values(cfg["stages"])
     results = []
     for name, stage in cfg["stages"].items():
         if name == "endpoint_gap_zero":
@@ -423,7 +435,7 @@ def prove_k5(config: dict | None = None) -> ProofReport:
         elif "center" in stage:
             results.append(_run_certificate_stage(name, stage))
         else:
-            results.append(_run_derivative_stage(name, stage))
+            results.append(_run_derivative_stage(name, derivatives[name]))
     verdict = "PROVED" if all(r.status == "certified" for r in results) else "INCONCLUSIVE"
     return ProofReport(
         REPORT_VERSION, cfg["case"], verdict, ENVIRONMENT_NOTE, None, digest, tuple(results)

@@ -11,21 +11,26 @@ one integrates a term-form bound (powers of G, logs, and |G'| factors) using
 exact moments and total-variation bounds, gaining one extra power of N.
 
 Integrands H = G^t log^j G of one t and step count differ only in j, so they
-share one node pass: G, G', G'' and the powers of G once per node.
+share one power row per node chunk: the powers of G once per node.  The node
+table under it (G, G', G'' and log G per chunk) depends on neither t nor j and
+outlives the call: it is cached per (square, step count), at most two tables
+(one per sign of the latest step count), and is immutable.  Likewise the
+refined bounds of a batch compute each j-free base and each (t, j) term once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum
 
 from .envelope import envelope_max
 from .integrand import BoundTermSum, IntegrandSpec, h4_sup_bound, h4_term_bounds
-from .integrand import h_second_values, h_values, power_row
+from .integrand import NodeColumns, h_second_values, h_values, power_row
 from .spectral import torus_integral_upper
 from .trigpoly import LocalMaxTable, SignVariant, TrigSquare, default_max_table, second_deriv_L2
-from .trigpoly import sup_norm_bound, variation_bound_power
+from .trigpoly import eval_G_jet, sup_norm_bound, variation_bound_power
 
 MAX_STEPS = 1_000_000
 MODES = ("plain", "refined")
@@ -36,7 +41,7 @@ _ERR_DENOM = 60.0 * 2**10  # 61440, exact
 # and half a rounded upper bound for the L^2 norm of G''.
 _HALF_SUP_G1 = 88.0
 _HALF_L2_G2 = 1700.0
-if 2.0 * _HALF_SUP_G1 < sup_norm_bound(1) or 2.0 * _HALF_L2_G2 < second_deriv_L2(TrigSquare()):
+if 2.0 * _HALF_SUP_G1 < sup_norm_bound(1) or 2.0 * _HALF_L2_G2 < second_deriv_L2():
     raise RuntimeError("_HALF_SUP_G1 or _HALF_L2_G2 is below half the bound it stands for")
 
 LOG9 = math.log(9.0)
@@ -103,6 +108,31 @@ def _check_node_sum_args(t: float, j: int, n_steps: int) -> None:
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
 
 
+def _plain_base(spec: TrigSquare, t: float, n_steps: int, table: LocalMaxTable) -> float:
+    """The j-free large-range part of q_plain: N times the mean of G^t plus half its variation."""
+    return n_steps * torus_integral_upper(t) + 0.5 * variation_bound_power(spec, t, table)
+
+
+def _star_base(spec: TrigSquare, t: float, n_steps: int, table: LocalMaxTable) -> float:
+    """The j-free large-range part of q_star (see there)."""
+    var_up = variation_bound_power(spec, t + 1.0, table)
+    var_t = variation_bound_power(spec, t, table)
+    tail = _HALF_L2_G2 * math.sqrt(torus_integral_upper(2.0 * t))
+    return n_steps / (t + 1.0) * var_up + _HALF_SUP_G1 * var_t + tail
+
+
+def _q_value(has_gprime: bool, t: float, j: int, n_steps: int, base: float) -> float:
+    """q_star (has_gprime) or q_plain from its base: the small-range part plus log(9)^j times base."""
+    small = 0.0
+    if j != 0:
+        weight = 14.0 * n_steps / 9.0 + _HALF_L2_G2 if has_gprime else n_steps
+        small = envelope_max(t, j, 0.0, 1.0 / 9.0) * weight
+    try:
+        return small + LOG9**j * base
+    except OverflowError:  # log(9)^j beyond the float range: infinite, still an upper bound
+        return math.inf
+
+
 def q_plain(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTable) -> float:
     """Bound for the node sum of G^t |log G|^j without a derivative factor.
 
@@ -112,10 +142,7 @@ def q_plain(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTab
     the total variation of G^t.
     """
     _check_node_sum_args(t, j, n_steps)
-    small = envelope_max(t, j, 0.0, 1.0 / 9.0) * n_steps if j != 0 else 0.0
-    mean = torus_integral_upper(t)
-    var = variation_bound_power(spec, t, table)
-    return small + LOG9**j * (n_steps * mean + 0.5 * var)
+    return _q_value(False, t, j, n_steps, _plain_base(spec, t, n_steps, table))
 
 
 def q_star(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTable) -> float:
@@ -127,41 +154,60 @@ def q_star(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTabl
     terms controlled by the variation of G^t and the L^2 norm of G''.
     """
     _check_node_sum_args(t, j, n_steps)
-    small = 0.0
-    if j != 0:
-        small = envelope_max(t, j, 0.0, 1.0 / 9.0) * (14.0 * n_steps / 9.0 + _HALF_L2_G2)
-    var_up = variation_bound_power(spec, t + 1.0, table)
-    var_t = variation_bound_power(spec, t, table)
-    tail = _HALF_L2_G2 * math.sqrt(torus_integral_upper(2.0 * t))
-    return small + LOG9**j * (n_steps / (t + 1.0) * var_up + _HALF_SUP_G1 * var_t + tail)
+    return _q_value(True, t, j, n_steps, _star_base(spec, t, n_steps, table))
 
 
-def refined_error_bound(
-    bound_sum: BoundTermSum, spec: TrigSquare, n_steps: int, table: LocalMaxTable
-) -> float:
-    """Variation-aware quadrature error bound, one power of N sharper than plain.
+def refined_error_bounds(
+    bound_sums: list[BoundTermSum], spec: TrigSquare, n_steps: int, table: LocalMaxTable
+) -> list[float]:
+    """Variation-aware quadrature error bounds, one power of N sharper than plain.
 
-    Each term of the |H''''| bound is summed over the nodes via q_star (terms
+    Each term of an |H''''| bound is summed over the nodes via q_star (terms
     carrying |G'|) or q_plain (terms without), then scaled like the plain
-    bound with one extra 1/N.
+    bound with one extra 1/N.  The bound sums of a batch share their terms'
+    (kind, t_r) bases and (kind, t_r, j_r) values, so each is computed once.
     """
-    if bound_sum.spec.trig != spec:
+    if any(bound_sum.spec.trig != spec for bound_sum in bound_sums):
         raise ValueError("term bound and square disagree on sign variant")
     if n_steps < 1:
         raise ValueError(f"step count must be positive, got {n_steps}")
-    w = fsum(
-        term.coefficient
-        * (q_star if term.has_gprime else q_plain)(spec, term.t_r, term.j_r, n_steps, table)
-        for term in bound_sum.terms
-    )
-    return w / (_ERR_DENOM * float(n_steps) ** 5)
+    bases, q = {}, {}
+    for term in (term for bound_sum in bound_sums for term in bound_sum.terms):
+        key = (term.has_gprime, term.t_r, term.j_r)
+        if key not in q:
+            _check_node_sum_args(term.t_r, term.j_r, n_steps)
+            if key[:2] not in bases:
+                bases[key[:2]] = (_star_base if term.has_gprime else _plain_base)(spec, term.t_r, n_steps, table)
+            q[key] = _q_value(*key, n_steps, bases[key[:2]])
+    scale = _ERR_DENOM * float(n_steps) ** 5
+    return [
+        fsum(term.coefficient * q[term.has_gprime, term.t_r, term.j_r] for term in bound_sum.terms) / scale
+        for bound_sum in bound_sums
+    ]
+
+
+def refined_error_bound(bound_sum: BoundTermSum, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
+    """Variation-aware error bound for one |H''''| bound: refined_error_bounds of one."""
+    return refined_error_bounds([bound_sum], spec, n_steps, table)[0]
+
+
+@lru_cache(maxsize=2, typed=True)  # typed: a float step count misses and is refused by _node_chunks
+def _node_table(trig: TrigSquare, n_steps: int) -> tuple[NodeColumns, ...]:
+    """G, G', G'' (one eval_G_jet pass) and log G for each chunk of _CHUNK midpoint nodes.
+
+    Free of t and j, so every batch at this step count shares it; the two
+    entries hold both signs of one step count, which gap_derivatives asks
+    for in turn.
+    """
+    jets = (zip(*eval_G_jet(trig, xs)) for xs in _node_chunks(n_steps))
+    return tuple(NodeColumns(g, g1, g2, tuple(map(math.log, g))) for g, g1, g2 in jets)
 
 
 def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, tuple[float, float]]:
     """Node sums of H = G^t log^j G and of H'' for each j in orders, from one node pass."""
     parts = {j: [] for j in orders}
-    for xs in _node_chunks(n_steps):
-        row = power_row(trig, t, xs, orders)
+    for nodes in _node_table(trig, n_steps):
+        row = power_row(nodes, t, orders)
         for j in orders:
             parts[j].append((fsum(h_values(row, j)), fsum(h_second_values(row, j))))
     return {j: _node_sums(p) for j, p in parts.items()}
@@ -175,12 +221,11 @@ def _integrate_orders(sign: SignVariant, t: float, n_steps: int, jobs) -> list[C
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     trig = TrigSquare(5, sign)
     sums = _h_node_sums(trig, t, sorted({spec.j for spec in specs}), n_steps)
+    refined = [h4_term_bounds(spec) for spec, (_, mode) in zip(specs, jobs) if mode == "refined"]
+    refined_errors = iter(refined_error_bounds(refined, trig, n_steps, default_max_table(trig)))
     values = []
     for spec, (_, mode) in zip(specs, jobs):
-        if mode == "plain":
-            err = _plain_error(h4_sup_bound(spec), n_steps)
-        else:
-            err = refined_error_bound(h4_term_bounds(spec), trig, n_steps, default_max_table(trig))
+        err = _plain_error(h4_sup_bound(spec), n_steps) if mode == "plain" else next(refined_errors)
         values.append(CertifiedValue(_estimate(*sums[spec.j], n_steps), err, n_steps, mode))
     return values
 

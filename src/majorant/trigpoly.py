@@ -161,7 +161,7 @@ def sup_norm_bound(m: int) -> float:
     return 2.0 ** (m + 1) * pi**m * (1.0 + float(F2) ** m + float(F3) ** m)
 
 
-def second_deriv_L2(spec: TrigSquare) -> float:
+def second_deriv_L2() -> float:
     """L^2 norm of G'' over one period: 8 pi^2 sqrt((1 + 6^4 + 7^4)/2).
 
     Each cosine in the closed form of G'' contributes half the square of its

@@ -286,6 +286,23 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
+    def test_derivative_order_too_large_exit_two(self):
+        """(log G)^p beyond the float range is rejected input, not an internal OverflowError."""
+        result = run_cli("derivative", "--order", "1000", "--t", "5.5", "--steps", "100", "--mode", "plain")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: log order 1000 ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
+    def test_config_order_too_large_exit_two(self, tmp_path):
+        cfg = tmp_path / "order.json"
+        cfg.write_text(json.dumps({"stages": {"gap_d1_at_5": {"order": 1000}}}), encoding="utf-8")
+        result = run_cli("prove", "--config", str(cfg))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: log order 1000 ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
     def test_missing_config_file_exit_two(self):
         result = run_cli("prove", "--config", "/nonexistent/cfg.json")
         assert result.returncode == 2

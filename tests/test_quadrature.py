@@ -12,6 +12,7 @@ from majorant.quadrature import (
     MAX_STEPS,
     CertifiedValue,
     _h_node_sums,
+    _node_table,
     gap_derivative,
     gap_derivatives,
     integrate_H,
@@ -19,8 +20,9 @@ from majorant.quadrature import (
     q_plain,
     q_star,
     refined_error_bound,
+    refined_error_bounds,
 )
-from majorant.trigpoly import SignVariant, TrigSquare, eval_G, eval_G_derivative
+from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, eval_G, eval_G_derivative
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -51,12 +53,22 @@ class TestMidpointRule:
 
 
 class TestDeterminism:
-    def test_identical_bits_across_thread_counts(self):
-        spec = IntegrandSpec(5, 1, MINUS)
-        serial = integrate_H(spec, 500, "refined")
-        threaded = integrate_H(spec, 500, "refined")
-        assert serial.estimate == threaded.estimate  # bitwise, not approximately
-        assert serial.error_bound == threaded.error_bound
+    def test_identical_bits_with_cold_and_warm_node_table(self):
+        jobs = [(1, "refined"), (3, "plain"), (6, "refined")]
+        _node_table.cache_clear()
+        cold = gap_derivatives(5.4, 500, jobs)
+        assert _node_table.cache_info().misses == 2  # one table per sign
+        warm = gap_derivatives(5.4, 500, jobs)
+        assert _node_table.cache_info().hits == 2
+        for c, w in zip(cold, warm):
+            assert c.estimate.hex() == w.estimate.hex()  # bitwise, not approximately
+            assert c.error_bound.hex() == w.error_bound.hex()
+
+    def test_node_table_cache_is_bounded(self):
+        _node_table.cache_clear()
+        for n in (120, 300, 257):
+            gap_derivative(1, 5.5, n, "plain")
+        assert _node_table.cache_info().currsize <= 2
 
     def test_repeat_runs_are_bitwise_stable(self):
         a = gap_derivative(1, 5.0, 200, "refined")
@@ -69,11 +81,8 @@ def default_proof_passes():
     passes = {}
     for stage in DEFAULT_CONFIG["stages"].values():
         if "center" in stage:
-            steps = stage["steps"]
-            if not isinstance(steps, (list, tuple)):
-                steps = [steps] * (stage["degree"] + 1)
-            for j, n in enumerate(steps):
-                passes.setdefault((stage["center"], n), []).append(stage["base_order"] + j)
+            orders = range(stage["base_order"], stage["base_order"] + stage["degree"] + 1)
+            passes.setdefault((stage["center"], stage["steps"]), []).extend(orders)
         elif "order" in stage:
             passes.setdefault((stage["t"], stage["steps"]), []).append(stage["order"])
     return passes
@@ -101,6 +110,25 @@ class TestBatchedNodeSums:
                     reference = pointwise_node_sums(IntegrandSpec(t, j, sign), n)
                     got = [v.hex() for v in batched[j]]
                     assert got == [v.hex() for v in reference], (t, n, j, sign)
+
+    def test_batched_refined_bounds_equal_single_calls(self):
+        """One refined_error_bounds batch per (sign, t, N) reproduces every single bound bitwise."""
+        for (t, n), orders in default_proof_passes().items():
+            for sign in (PLUS, MINUS):
+                trig = TrigSquare(5, sign)
+                table = default_max_table(trig)
+                term_sums = [h4_term_bounds(IntegrandSpec(t, j, sign)) for j in orders]
+                batched = refined_error_bounds(term_sums, trig, n, table)
+                singles = [refined_error_bound(s, trig, n, table) for s in term_sums]
+                assert [b.hex() for b in batched] == [s.hex() for s in singles], (t, n, sign)
+                termwise = [  # the one-term public bounds, summed as the error bound sums them
+                    math.fsum(
+                        term.coefficient * (q_star if term.has_gprime else q_plain)(trig, term.t_r, term.j_r, n, table)
+                        for term in s.terms
+                    ) / (61440.0 * float(n) ** 5)
+                    for s in term_sums
+                ]
+                assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, sign)
 
     def test_batch_matches_single_order_calls(self):
         jobs = [(1, "refined"), (4, "plain"), (2, "refined")]
@@ -149,6 +177,14 @@ class TestNodeSumBounds:
         assert q_plain(minus_square, 4.0, 1, 500, minus_table) == pytest.approx(
             733943.3811378691, rel=1e-12
         )
+
+    def test_overflowing_log_power_gives_infinity(self, plus_square, plus_table):
+        """log(9)^j beyond the float range is an infinite bound, not an OverflowError."""
+        assert q_star(plus_square, 6.0, 1000, 100, plus_table) == math.inf
+        assert q_plain(plus_square, 6.0, 1000, 100, plus_table) == math.inf
+        # one node, where |log G| < log 9, so the node pass stays finite
+        value = gap_derivative(1000, 5.5, 1, "refined")
+        assert math.isfinite(value.estimate) and value.error_bound == math.inf
 
     def test_input_validation(self, plus_square, plus_table):
         with pytest.raises(ValueError, match=">= 1"):

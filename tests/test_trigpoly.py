@@ -138,20 +138,16 @@ class TestSupNormBounds:
 
 
 class TestSecondDerivL2:
-    def test_frozen_value(self, plus_square):
-        assert second_deriv_L2(plus_square) == pytest.approx(3395.143913974739, rel=1e-14)
-        assert second_deriv_L2(plus_square) < 3400.0
+    def test_frozen_value(self):
+        assert second_deriv_L2() == pytest.approx(3395.143913974739, rel=1e-14)
+        assert second_deriv_L2() < 3400.0
 
     def test_matches_numeric_norm(self, minus_square):
         # equispaced sampling is exact for a trig polynomial of this degree
         x = np.linspace(0.0, 1.0, 1001)[:-1]
         gpp = np.array([eval_G_derivative(minus_square, 2, xi) for xi in x])
         numeric = math.sqrt(float((gpp**2).mean()))
-        assert numeric == pytest.approx(second_deriv_L2(minus_square), rel=1e-9)
-
-    def test_only_k5(self):
-        with pytest.raises(ValueError, match="k = 5"):
-            second_deriv_L2(TrigSquare(3, SignVariant.PLUS))
+        assert numeric == pytest.approx(second_deriv_L2(), rel=1e-9)
 
 
 class TestLocateMaxima:
