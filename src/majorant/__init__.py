@@ -18,7 +18,7 @@ from .certify import (
     eval_cert_poly,
 )
 from .envelope import envelope_max
-from .integrand import IntegrandSpec, eval_H, eval_H_second, h4_sup_bound, h4_term_bounds
+from .integrand import IntegrandSpec, h4_sup_bound, h4_term_bounds
 from .pipeline import (
     DEFAULT_CONFIG,
     ProofReport,
@@ -32,8 +32,6 @@ from .pipeline import (
 from .quadrature import (
     CertifiedValue,
     gap_derivative,
-    integrate_H,
-    midpoint4_integrate,
     q_plain,
     q_star,
 )
@@ -48,7 +46,6 @@ from .trigpoly import (
     SignVariant,
     TrigSquare,
     eval_G,
-    eval_G_derivative,
     locate_maxima,
     parse_sign,
     second_deriv_L2,

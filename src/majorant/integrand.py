@@ -2,10 +2,10 @@
 
 Fractional-power norms are differentiated under the integral sign, which turns
 every integrand into a power-times-log combination of G.  The quadrature rule
-needs H'' pointwise and a sup-norm bound for H''''; the latter is assembled by
-the chain rule from the derivative bounds of G.  Expanding four derivatives of
-G^t log^j G and collecting by which G-derivatives appear yields a short list
-of groups, each of the form
+needs H and H'' at its nodes, built here from one power row per node chunk,
+and a bound for |H''''|, assembled by the chain rule from the derivative
+bounds of G.  Expanding four derivatives of G^t log^j G and collecting by
+which G-derivatives appear yields a short list of groups, each of the form
 
     constant * G^(t-i) * (|G'| or 1) * brace(t, j; log G)
 
@@ -13,7 +13,7 @@ where the brace is a fixed polynomial in log G with coefficients polynomial in
 t and falling factorials of j.  Replacing |G'| by its sup bound gives a single
 scalar envelope (``h4_sup_bound``); keeping |G'| as a factor gives the term
 list (``h4_term_bounds``) that the variation-aware error bound integrates
-exactly.
+exactly.  Neither bound depends on the sign variant: WORK_M bounds both.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .envelope import envelope_max
-from .trigpoly import SignVariant, TrigSquare, eval_G, eval_G_derivative, sup_norm_bound
+from .trigpoly import SignVariant, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
@@ -71,10 +71,6 @@ class IntegrandSpec:
         if self.j < 0 or int(self.j) != self.j:
             raise ValueError(f"log exponent j must be a nonnegative integer, got {self.j}")
 
-    @property
-    def trig(self) -> TrigSquare:
-        return TrigSquare(5, self.sign)
-
 
 @dataclass(frozen=True)
 class BoundTerm:
@@ -84,20 +80,6 @@ class BoundTerm:
     t_r: float
     j_r: int
     has_gprime: bool
-
-
-@dataclass(frozen=True)
-class BoundTermSum:
-    """A pointwise upper bound for |H''''| as a sum of BoundTerms."""
-
-    spec: IntegrandSpec
-    terms: tuple[BoundTerm, ...]
-
-
-def eval_H(spec: IntegrandSpec, x: float) -> float:
-    """Signed value of H at x (G > 0 everywhere, so log G is finite)."""
-    g = eval_G(spec.trig, x)
-    return g**spec.t * math.log(g) ** spec.j
 
 
 class NodeColumns(NamedTuple):
@@ -148,7 +130,7 @@ def h_second_values(row: PowerRow, j: int) -> list[float]:
             + G'^2 G^(t-2) (t(t-1) L^j + j(2t-1) L^(j-1) + j(j-1) L^(j-2)),
 
     where terms with a vanishing falling factorial of j are absent rather than
-    evaluated.  Both eval_H_second and the batched quadrature evaluate it here.
+    evaluated.
     """
     t, lj = row.t, row.logs[j]
     c2 = t * (t - 1.0)
@@ -163,16 +145,6 @@ def h_second_values(row: PowerRow, j: int) -> list[float]:
         a * (t * p + j * q) + b * (c2 * p + c1 * q + c0 * r)
         for a, b, p, q, r in zip(row.a, row.b, lj, row.logs[j - 1], row.logs[j - 2])
     ]
-
-
-def eval_H_second(spec: IntegrandSpec, x: float) -> float:
-    """H'' at x via eval_G and eval_G_derivative; the pointwise reference."""
-    t, j, trig = spec.t, spec.j, spec.trig
-    g = eval_G(trig, x)
-    gp, gpp, ell = eval_G_derivative(trig, 1, x), eval_G_derivative(trig, 2, x), math.log(g)
-    logs = {p: [ell**p] for p in range(max(j - 2, 0), j + 1)}
-    row = PowerRow(t, [], [gpp * g ** (t - 1.0)], [gp * gp * g ** (t - 2.0)], logs)
-    return h_second_values(row, j)[0]
 
 
 def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:
@@ -220,28 +192,17 @@ def h4_sup_bound(spec: IntegrandSpec) -> float:
     return math.fsum(pieces)
 
 
-def h4_term_bounds(spec: IntegrandSpec) -> BoundTermSum:
-    """|H''''| bound as explicit terms, keeping a |G'| factor where one arises.
+def h4_term_bounds(spec: IntegrandSpec) -> tuple[BoundTerm, ...]:
+    """|H''''| bound as a sum of explicit terms, keeping a |G'| factor where one arises.
 
-    Needs t >= 5 so that every retained power of G is at least 1.
+    The terms depend on t and j alone, not on the sign.  Needs t >= 5 so
+    that every retained power of G is at least 1.
     """
     t, j = spec.t, spec.j
     if t < 5.0:
         raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
-    terms = []
-    for const, offset, kind, has_gprime in _REFINED_GROUPS:
-        for c, p in _brace_terms(kind, t, j):
-            terms.append(BoundTerm(const * abs(c), t + offset, p, has_gprime))
-    return BoundTermSum(spec, tuple(terms))
-
-
-def term_sum_value(bound_sum: BoundTermSum, x: float) -> float:
-    """Pointwise value of a BoundTermSum at x (an upper bound for |H''''(x)|)."""
-    trig = bound_sum.spec.trig
-    g = eval_G(trig, x)
-    gp = abs(eval_G_derivative(trig, 1, x))
-    ell = abs(math.log(g))
-    return math.fsum(
-        term.coefficient * g**term.t_r * ell**term.j_r * (gp if term.has_gprime else 1.0)
-        for term in bound_sum.terms
-    )
+    return tuple([  # from a list: tuple() of a generator resizes, and fragments memory measurably
+        BoundTerm(const * abs(c), t + offset, p, has_gprime)
+        for const, offset, kind, has_gprime in _REFINED_GROUPS
+        for c, p in _brace_terms(kind, t, j)
+    ])

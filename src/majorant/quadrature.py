@@ -26,13 +26,12 @@ from functools import lru_cache
 from math import fsum
 
 from .envelope import envelope_max
-from .integrand import BoundTermSum, IntegrandSpec, h4_sup_bound, h4_term_bounds
-from .integrand import NodeColumns, h_second_values, h_values, power_row
+from .integrand import BoundTerm, IntegrandSpec, NodeColumns, h4_sup_bound, h4_term_bounds
+from .integrand import h_second_values, h_values, power_row
 from .spectral import torus_integral_upper
-from .trigpoly import LocalMaxTable, SignVariant, TrigSquare, default_max_table, second_deriv_L2
-from .trigpoly import eval_G_jet, sup_norm_bound, variation_bound_power
+from .trigpoly import MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
+from .trigpoly import eval_G_jet, second_deriv_L2, sup_norm_bound, variation_bound_power
 
-MAX_STEPS = 1_000_000
 MODES = ("plain", "refined")
 _CHUNK = 256
 _ERR_DENOM = 60.0 * 2**10  # 61440, exact
@@ -84,19 +83,6 @@ def _estimate(sf: float, sf2: float, n_steps: int) -> float:
 
 def _plain_error(sup4: float, n_steps: int) -> float:
     return sup4 / (_ERR_DENOM * float(n_steps) ** 4)
-
-
-def midpoint4_integrate(f, f2, n_steps: int, sup4: float) -> CertifiedValue:
-    """Corrected midpoint estimate of the integral of f over [0, 1/2].
-
-    ``f2`` must be the second derivative of f and ``sup4`` a bound for
-    sup|f''''| (0 for integrands of degree at most 3, making the rule exact).
-    """
-    chunks = _node_chunks(n_steps)
-    if sup4 < 0.0:
-        raise ValueError(f"fourth-derivative bound must be nonnegative, got {sup4}")
-    sf, sf2 = _node_sums([(fsum(map(f, xs)), fsum(map(f2, xs))) for xs in chunks])
-    return CertifiedValue(_estimate(sf, sf2, n_steps), _plain_error(sup4, n_steps), n_steps, "plain")
 
 
 def _check_node_sum_args(t: float, j: int, n_steps: int) -> None:
@@ -158,21 +144,20 @@ def q_star(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTabl
 
 
 def refined_error_bounds(
-    bound_sums: list[BoundTermSum], spec: TrigSquare, n_steps: int, table: LocalMaxTable
+    term_lists: list[tuple[BoundTerm, ...]], spec: TrigSquare, n_steps: int, table: LocalMaxTable
 ) -> list[float]:
     """Variation-aware quadrature error bounds, one power of N sharper than plain.
 
     Each term of an |H''''| bound is summed over the nodes via q_star (terms
     carrying |G'|) or q_plain (terms without), then scaled like the plain
-    bound with one extra 1/N.  The bound sums of a batch share their terms'
+    bound with one extra 1/N.  The term lists of a batch share their terms'
     (kind, t_r) bases and (kind, t_r, j_r) values, so each is computed once.
+    A term list is sign-free; the square ``spec`` picks the sign.
     """
-    if any(bound_sum.spec.trig != spec for bound_sum in bound_sums):
-        raise ValueError("term bound and square disagree on sign variant")
     if n_steps < 1:
         raise ValueError(f"step count must be positive, got {n_steps}")
     bases, q = {}, {}
-    for term in (term for bound_sum in bound_sums for term in bound_sum.terms):
+    for term in (term for terms in term_lists for term in terms):
         key = (term.has_gprime, term.t_r, term.j_r)
         if key not in q:
             _check_node_sum_args(term.t_r, term.j_r, n_steps)
@@ -181,14 +166,14 @@ def refined_error_bounds(
             q[key] = _q_value(*key, n_steps, bases[key[:2]])
     scale = _ERR_DENOM * float(n_steps) ** 5
     return [
-        fsum(term.coefficient * q[term.has_gprime, term.t_r, term.j_r] for term in bound_sum.terms) / scale
-        for bound_sum in bound_sums
+        fsum(term.coefficient * q[term.has_gprime, term.t_r, term.j_r] for term in terms) / scale
+        for terms in term_lists
     ]
 
 
-def refined_error_bound(bound_sum: BoundTermSum, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
+def refined_error_bound(terms: tuple[BoundTerm, ...], spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
     """Variation-aware error bound for one |H''''| bound: refined_error_bounds of one."""
-    return refined_error_bounds([bound_sum], spec, n_steps, table)[0]
+    return refined_error_bounds([terms], spec, n_steps, table)[0]
 
 
 @lru_cache(maxsize=2, typed=True)  # typed: a float step count misses and is refused by _node_chunks
@@ -221,6 +206,9 @@ def _integrate_orders(sign: SignVariant, t: float, n_steps: int, jobs) -> list[C
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     trig = TrigSquare(5, sign)
     sums = _h_node_sums(trig, t, sorted({spec.j for spec in specs}), n_steps)
+    for j, node_sums in sums.items():
+        if not all(map(math.isfinite, node_sums)):  # H or H'' overflowed at some node
+            raise ValueError(f"log order {j} is too large to evaluate: its node sums are not finite")
     refined = [h4_term_bounds(spec) for spec, (_, mode) in zip(specs, jobs) if mode == "refined"]
     refined_errors = iter(refined_error_bounds(refined, trig, n_steps, default_max_table(trig)))
     values = []
@@ -228,11 +216,6 @@ def _integrate_orders(sign: SignVariant, t: float, n_steps: int, jobs) -> list[C
         err = _plain_error(h4_sup_bound(spec), n_steps) if mode == "plain" else next(refined_errors)
         values.append(CertifiedValue(_estimate(*sums[spec.j], n_steps), err, n_steps, mode))
     return values
-
-
-def integrate_H(spec: IntegrandSpec, n_steps: int, mode: str = "plain") -> CertifiedValue:
-    """Certified integral of H = G^t log^j G over [0, 1/2]."""
-    return _integrate_orders(spec.sign, spec.t, n_steps, [(spec.j, mode)])[0]
 
 
 def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:

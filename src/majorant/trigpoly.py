@@ -29,6 +29,7 @@ from math import cos, fsum, pi, sin
 TWO_PI = 2.0 * pi
 K = 5
 F2, F3 = K + 1, K + 2  # the frequencies of the two signed cosines
+MAX_STEPS = 1_000_000  # the most nodes or grid steps any evaluation takes
 
 
 class SignVariant(enum.Enum):
@@ -103,41 +104,18 @@ def eval_G(spec: TrigSquare, x: float) -> float:
     return 3.0 + 2.0 * (cos(TWO_PI * x) + s * cos(TWO_PI * F2 * x) + s * cos(TWO_PI * F3 * x))
 
 
-def eval_G_derivative(spec: TrigSquare, m: int, x: float) -> float:
-    """m-th derivative of G at x (m >= 1), in closed form.
-
-    Differentiating each cosine m times rotates it to ``+-sin`` or ``+-cos``
-    and scales by the frequency to the m-th power, so
-
-        G^(m)(x) = 2 * (-1)^ceil(m/2) * (2*pi)^m
-                   * (trig(2*pi*x) + s*6^m*trig(2*pi*6x) + s*7^m*trig(2*pi*7x))
-
-    with trig = sin for odd m and cos for even m.
-    """
-    if m < 1:
-        raise ValueError(f"derivative order must be >= 1, got {m}")
-    s = spec.sign.factor
-    sgn = -1.0 if ((m + 1) // 2) % 2 else 1.0
-    trig = sin if m % 2 else cos
-    inner = (
-        trig(TWO_PI * x)
-        + s * float(F2) ** m * trig(TWO_PI * F2 * x)
-        + s * float(F3) ** m * trig(TWO_PI * F3 * x)
-    )
-    return 2.0 * sgn * TWO_PI**m * inner
-
-
 def eval_G_jet(spec: TrigSquare, xs) -> Iterator[tuple[float, float, float]]:
     """(G, G', G'') at each x of xs in one pass: cosines shared by G and G'', sines once.
 
-    Every product and sum is the one eval_G and eval_G_derivative form, in the
-    same order, so the values agree with theirs to the last bit.
+    G is formed as in eval_G, to the last bit, and its derivatives in closed form:
+
+        G'(x)  = -4 pi   (sin(2 pi x) + 6 s sin(12 pi x) + 7 s sin(14 pi x)),
+        G''(x) = -8 pi^2 (cos(2 pi x) + 36 s cos(12 pi x) + 49 s cos(14 pi x)).
     """
     s = spec.sign.factor
     w2, w3 = TWO_PI * F2, TWO_PI * F3
-    d1, d2 = 2.0 * -1.0 * TWO_PI**1, 2.0 * -1.0 * TWO_PI**2  # 2 sgn (2 pi)^m, sgn = -1 for m = 1, 2
-    a2, a3 = s * float(F2) ** 1, s * float(F3) ** 1
-    b2, b3 = s * float(F2) ** 2, s * float(F3) ** 2
+    d1, d2 = -2.0 * TWO_PI, -2.0 * TWO_PI**2
+    a2, a3, b2, b3 = s * F2, s * F3, s * F2**2, s * F3**2
     for x in xs:
         u, v, w = TWO_PI * x, w2 * x, w3 * x
         cu, cv, cw = cos(u), cos(v), cos(w)
@@ -187,7 +165,8 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     that quadratic slack.  Interior bounds are rounded up to 3 decimals; at
     the symmetry points 0 and 1/2 the derivative vanishes identically and the
     sampled value is the exact local maximum value, so no slack is added.
-    Every bound is clamped at the global maximum 9.
+    Every bound is clamped at the global maximum 9.  A step that needs more
+    than MAX_STEPS grid steps is refused before any sampling.
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
@@ -197,6 +176,8 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
             f"bump {bump:g} does not cover the curvature slack {slack:.6g} for step {h:g}"
         )
     n = round(0.5 / h)
+    if n > MAX_STEPS:
+        raise ValueError(f"step {h:g} gives {n} grid steps, more than {MAX_STEPS}")
     if n < 2 or abs(n * h - 0.5) > 1e-9:
         raise ValueError(f"step {h:g} must evenly divide the half period")
     samples = [eval_G(spec, i * h) for i in range(n + 1)]

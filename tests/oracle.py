@@ -1,0 +1,64 @@
+"""Pointwise reference values of G's derivatives, H, H'' and the |H''''| term bound.
+
+The package evaluates these only in node batches (``eval_G_jet``, ``power_row``,
+``h_values``, ``h_second_values``).  This module writes each formula out again,
+one point at a time and without those helpers, in the same operation order,
+so a batch must match it to the last bit.
+"""
+
+import math
+from math import cos, sin
+
+from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, eval_G
+
+
+def eval_G_derivative(spec, m, x):
+    """G^(m)(x) = 2 (-1)^ceil(m/2) (2 pi)^m (trig(2 pi x) + s 6^m trig(12 pi x) + s 7^m trig(14 pi x)).
+
+    Here m >= 1, and trig = sin for odd m and cos for even m.
+    """
+    if m < 1:
+        raise ValueError(f"derivative order must be >= 1, got {m}")
+    s = spec.sign.factor
+    sgn = -1.0 if ((m + 1) // 2) % 2 else 1.0
+    trig = sin if m % 2 else cos
+    inner = trig(TWO_PI * x) + s * float(F2) ** m * trig(TWO_PI * F2 * x)
+    inner += s * float(F3) ** m * trig(TWO_PI * F3 * x)
+    return 2.0 * sgn * TWO_PI**m * inner
+
+
+def eval_H(spec, x):
+    """H = G^t log^j G at x for an IntegrandSpec (G > 0, so log G is finite)."""
+    g = eval_G(TrigSquare(5, spec.sign), x)
+    return g**spec.t * math.log(g) ** spec.j
+
+
+def eval_H_second(spec, x):
+    """H'' at x by the chain rule, term for term as in the docstring of ``h_second_values``."""
+    t, j, trig = spec.t, spec.j, TrigSquare(5, spec.sign)
+    g = eval_G(trig, x)
+    ell = math.log(g)
+    a = eval_G_derivative(trig, 2, x) * g ** (t - 1.0)
+    gp = eval_G_derivative(trig, 1, x)
+    b = gp * gp * g ** (t - 2.0)
+    p = ell**j
+    c2 = t * (t - 1.0)
+    if j == 0:
+        return a * (t * p) + b * (c2 * p)
+    q = ell ** (j - 1)
+    c1 = j * (2.0 * t - 1.0)
+    if j == 1:
+        return a * (t * p + j * q) + b * (c2 * p + c1 * q)
+    r = ell ** (j - 2)
+    return a * (t * p + j * q) + b * (c2 * p + c1 * q + j * (j - 1) * r)
+
+
+def term_sum_value(terms, trig, x):
+    """Value at x of a term-form |H''''| bound (``h4_term_bounds``) on the square trig."""
+    g = eval_G(trig, x)
+    gp = abs(eval_G_derivative(trig, 1, x))
+    ell = abs(math.log(g))
+    return math.fsum(
+        term.coefficient * g**term.t_r * ell**term.j_r * (gp if term.has_gprime else 1.0)
+        for term in terms
+    )

@@ -4,17 +4,10 @@ import math
 
 import pytest
 
-from majorant.integrand import (
-    WORK_M,
-    BoundTermSum,
-    IntegrandSpec,
-    eval_H,
-    eval_H_second,
-    h4_sup_bound,
-    h4_term_bounds,
-    term_sum_value,
-)
-from majorant.trigpoly import SignVariant, eval_G, sup_norm_bound
+from majorant.integrand import WORK_M, IntegrandSpec, h4_sup_bound, h4_term_bounds
+from majorant.trigpoly import SignVariant, TrigSquare, eval_G, sup_norm_bound
+
+from oracle import eval_H, eval_H_second, term_sum_value
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -61,7 +54,7 @@ class TestEvalH:
         # G < 1 regions contribute with the sign of log^j
         spec = IntegrandSpec(5, 1, MINUS)
         x = 0.15  # in the valley between the first two maxima of the minus square
-        g = eval_G(spec.trig, x)
+        g = eval_G(TrigSquare(5, MINUS), x)
         assert g < 1.0
         assert eval_H(spec, x) < 0.0
 
@@ -90,7 +83,7 @@ class TestEvalHSecond:
             spec = IntegrandSpec(t, j, sign)
             checked = 0
             for x in rng.uniform(0.01, 0.49, size=60):
-                if eval_G(spec.trig, x) < 0.5:
+                if eval_G(TrigSquare(5, sign), x) < 0.5:
                     continue  # skip ill-conditioned spots near deep minima
                 # one Richardson step cancels the h^2 truncation term, which
                 # alone can reach ~400 absolute where the fourth derivative
@@ -127,7 +120,7 @@ class TestFourthDerivativeBounds:
 
     def test_term_coefficients_are_exact_integers(self):
         """Group constants times brace coefficients at t = 5, j = 1 and j = 2."""
-        terms1 = h4_term_bounds(IntegrandSpec(5, 1, PLUS)).terms
+        terms1 = h4_term_bounds(IntegrandSpec(5, 1, PLUS))
         by_group1 = {
             (term.t_r, term.j_r, term.has_gprime): term.coefficient for term in terms1
         }
@@ -143,7 +136,7 @@ class TestFourthDerivativeBounds:
             (4.0, 0, False): 11600000.0,
             (4.0, 1, False): 58000000.0,
         }
-        terms2 = h4_term_bounds(IntegrandSpec(5, 2, PLUS)).terms
+        terms2 = h4_term_bounds(IntegrandSpec(5, 2, PLUS))
         quartic2 = {
             term.j_r: term.coefficient
             for term in terms2
@@ -155,10 +148,10 @@ class TestFourthDerivativeBounds:
         """The pointwise term bound must cover a numeric fourth derivative."""
         h = 1e-4
         for spec in (IntegrandSpec(5, 1, PLUS), IntegrandSpec(5, 2, MINUS)):
-            bound_sum = h4_term_bounds(spec)
+            terms, trig = h4_term_bounds(spec), TrigSquare(5, spec.sign)
             scalar = h4_sup_bound(spec)
             for x in rng.uniform(0.02, 0.48, size=40):
-                if eval_G(spec.trig, x) < 0.5:
+                if eval_G(trig, x) < 0.5:
                     continue
                 fd4 = (
                     eval_H_second(spec, x + h)
@@ -166,7 +159,7 @@ class TestFourthDerivativeBounds:
                     + eval_H_second(spec, x - h)
                 ) / h**2
                 slack = 1e-4 * abs(fd4) + 2e4  # difference-quotient noise floor
-                assert abs(fd4) <= term_sum_value(bound_sum, x) + slack
+                assert abs(fd4) <= term_sum_value(terms, trig, x) + slack
                 assert abs(fd4) <= scalar + slack
 
     def test_requires_large_enough_power(self):
@@ -176,8 +169,3 @@ class TestFourthDerivativeBounds:
             h4_sup_bound(IntegrandSpec(3.9, 0, PLUS))
         with pytest.raises(ValueError, match="t >= 5"):
             h4_term_bounds(IntegrandSpec(4.5, 0, PLUS))
-
-    def test_term_sum_type(self):
-        bound_sum = h4_term_bounds(IntegrandSpec(5, 0, MINUS))
-        assert isinstance(bound_sum, BoundTermSum)
-        assert all(term.t_r >= 1.0 for term in bound_sum.terms)

@@ -1,13 +1,16 @@
 """Tests for the proof pipeline, configuration handling, reports, and the CLI."""
 
+import hashlib
 import json
 import math
+import platform
 import subprocess
 import sys
 
 import pytest
 
 import majorant.cli
+import majorant.trigpoly
 from majorant.pipeline import (
     CASE_ID,
     DEFAULT_CONFIG,
@@ -180,6 +183,12 @@ class TestReports:
             }
             assert isinstance(stage["warnings"], list)
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the hash was recorded with glibc's libm")
+    def test_default_report_bytes_are_pinned(self):
+        """The default JSON report is the behavioural contract; hash recorded on glibc 2.36, x86-64, Python 3.11.7."""
+        digest = hashlib.sha256(emit_report(prove_k5(), "json").encode("utf-8")).hexdigest()
+        assert digest == "f5618e00a23593c31dee3d089501f8c90f0b6531c9071ae6efdc72bd03cbcd45"
+
     def test_emissions_are_deterministic(self, default_report):
         again = prove_k5()
         assert emit_report(default_report, "json") == emit_report(again, "json")
@@ -287,12 +296,13 @@ class TestCli:
         assert result.stdout == ""
 
     def test_derivative_order_too_large_exit_two(self):
-        """(log G)^p beyond the float range is rejected input, not an internal OverflowError."""
-        result = run_cli("derivative", "--order", "1000", "--t", "5.5", "--steps", "100", "--mode", "plain")
-        assert result.returncode == 2
-        assert result.stderr.startswith("error: log order 1000 ")
-        assert result.stderr.count("\n") == 1
-        assert result.stdout == ""
+        """(log G)^p beyond the float range, or H and H'' overflowing at order 510, is rejected input."""
+        for order, mode in (("1000", "plain"), ("510", "plain"), ("510", "refined")):
+            result = run_cli("derivative", "--order", order, "--t", "5.5", "--steps", "100", "--mode", mode)
+            assert result.returncode == 2, (order, mode, result.stdout)
+            assert result.stderr.startswith(f"error: log order {order} ")
+            assert result.stderr.count("\n") == 1
+            assert result.stdout == ""
 
     def test_config_order_too_large_exit_two(self, tmp_path):
         cfg = tmp_path / "order.json"
@@ -326,6 +336,12 @@ class TestCli:
         result = run_cli("maxima", "--sign", "minus", "--step", "0.001")
         assert result.returncode == 0
         assert "0.5,1.0,1" in result.stdout
+
+    def test_maxima_grid_too_large_exit_two(self, monkeypatch, capsys):
+        """A step of 1e-9 would sample 5e8 points; it is refused before the first one."""
+        monkeypatch.setattr(majorant.trigpoly, "eval_G", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
+        assert majorant.cli.main(["maxima", "--sign", "plus", "--step", "1e-9"]) == 2
+        assert capsys.readouterr() == ("", "error: step 1e-09 gives 500000000 grid steps, more than 1000000\n")
 
     def test_thread_env_does_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,55 +1,62 @@
 """Tests for the corrected midpoint rule and its two error-bound flavours."""
 
+import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from majorant.integrand import IntegrandSpec, eval_H, eval_H_second, h4_term_bounds
+from majorant.integrand import IntegrandSpec, h4_term_bounds
 from majorant.pipeline import DEFAULT_CONFIG
 from majorant.quadrature import (
     MAX_STEPS,
     CertifiedValue,
+    _estimate,
     _h_node_sums,
+    _integrate_orders,
+    _node_chunks,
+    _node_sums,
     _node_table,
+    _plain_error,
     gap_derivative,
     gap_derivatives,
-    integrate_H,
-    midpoint4_integrate,
     q_plain,
     q_star,
     refined_error_bound,
     refined_error_bounds,
 )
-from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, eval_G, eval_G_derivative
+from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, eval_G
+
+from oracle import eval_G_derivative, eval_H, eval_H_second
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
+
+
+def midpoint_estimate(f, f2, n):
+    """The corrected midpoint estimate of the integral of f over [0, 1/2], f2 = f''."""
+    parts = [(math.fsum(map(f, xs)), math.fsum(map(f2, xs))) for xs in _node_chunks(n)]
+    return _estimate(*_node_sums(parts), n)
 
 
 class TestMidpointRule:
     def test_exact_on_cubics(self):
         # integral of x^3 - 2x^2 + x over [0, 1/2] is 11/192
-        value = midpoint4_integrate(
-            lambda x: x**3 - 2.0 * x**2 + x, lambda x: 6.0 * x - 4.0, 3, 0.0
-        )
-        assert value.estimate == pytest.approx(float(Fraction(11, 192)), abs=1e-16)
-        assert value.error_bound == 0.0
+        estimate = midpoint_estimate(lambda x: x**3 - 2.0 * x**2 + x, lambda x: 6.0 * x - 4.0, 3)
+        assert estimate == pytest.approx(float(Fraction(11, 192)), abs=1e-16)
+        assert _plain_error(0.0, 3) == 0.0
 
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_error_bound_sharp_on_quartic(self, n):
         """For f = x^4 the rule's error equals the bound exactly."""
-        value = midpoint4_integrate(lambda x: x**4, lambda x: 12.0 * x**2, n, 24.0)
+        estimate = midpoint_estimate(lambda x: x**4, lambda x: 12.0 * x**2, n)
         truth = 0.5**5 / 5.0
-        assert abs(truth - value.estimate) == pytest.approx(value.error_bound, rel=1e-9)
+        assert abs(truth - estimate) == pytest.approx(_plain_error(24.0, n), rel=1e-9)
 
     def test_step_count_validation(self):
         with pytest.raises(ValueError, match="step count"):
-            midpoint4_integrate(lambda x: x, lambda x: 0.0, 0, 0.0)
+            _node_chunks(0)
         with pytest.raises(ValueError, match="step count"):
-            midpoint4_integrate(lambda x: x, lambda x: 0.0, MAX_STEPS + 1, 0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            midpoint4_integrate(lambda x: x, lambda x: 0.0, 10, -1.0)
+            _node_chunks(MAX_STEPS + 1)
 
 
 class TestDeterminism:
@@ -124,7 +131,7 @@ class TestBatchedNodeSums:
                 termwise = [  # the one-term public bounds, summed as the error bound sums them
                     math.fsum(
                         term.coefficient * (q_star if term.has_gprime else q_plain)(trig, term.t_r, term.j_r, n, table)
-                        for term in s.terms
+                        for term in s
                     ) / (61440.0 * float(n) ** 5)
                     for s in term_sums
                 ]
@@ -194,34 +201,36 @@ class TestNodeSumBounds:
 
 
 class TestIntegrateH:
+    """One sign's certified integral of H, through _integrate_orders."""
+
     def test_refined_tracks_oracle(self, half_period_oracle):
         for t, j, sign in ((5.0, 1, PLUS), (5.0, 1, MINUS), (5.23, 2, MINUS)):
-            value = integrate_H(IntegrandSpec(t, j, sign), 500, "refined")
+            value = _integrate_orders(sign, t, 500, [(j, "refined")])[0]
             truth = half_period_oracle(t, j, sign.value)
             assert abs(value.estimate - truth) <= value.error_bound
             assert abs(value.estimate - truth) < 1e-6  # the bound is very conservative
 
     def test_refined_beats_plain_bound(self):
-        spec = IntegrandSpec(5, 1, PLUS)
-        plain = integrate_H(spec, 500, "plain")
-        refined = integrate_H(spec, 500, "refined")
+        plain, refined = (_integrate_orders(PLUS, 5, 500, [(1, mode)])[0] for mode in ("plain", "refined"))
         assert refined.estimate == plain.estimate  # same nodes, same estimate
         assert refined.error_bound < plain.error_bound
         assert refined.method == "refined" and plain.method == "plain"
 
     def test_refined_error_bound_consistency(self, plus_square, plus_table):
-        spec = IntegrandSpec(5, 2, PLUS)
-        direct = refined_error_bound(h4_term_bounds(spec), plus_square, 400, plus_table)
-        assert integrate_H(spec, 400, "refined").error_bound == direct
+        direct = refined_error_bound(h4_term_bounds(IntegrandSpec(5, 2, PLUS)), plus_square, 400, plus_table)
+        assert _integrate_orders(PLUS, 5, 400, [(2, "refined")])[0].error_bound == direct
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="plain.*refined"):
-            integrate_H(IntegrandSpec(5, 0, PLUS), 100, "fancy")
+            _integrate_orders(PLUS, 5, 100, [(0, "fancy")])
 
-    def test_foreign_square_rejected(self, minus_square, minus_table):
-        spec = IntegrandSpec(5, 0, PLUS)
-        with pytest.raises(ValueError, match="disagree"):
-            refined_error_bound(h4_term_bounds(spec), minus_square, 100, minus_table)
+    def test_term_lists_are_sign_free(self, minus_square, minus_table):
+        """Plus and minus give the same fourth-derivative terms, hence bitwise the same bound on a square."""
+        for t, j in itertools.product((5.0, 5.065, 5.33, 5.72, 6.0, 7.5), range(13)):
+            plus, minus = (h4_term_bounds(IntegrandSpec(t, j, sign)) for sign in (PLUS, MINUS))
+            assert plus == minus and all(term.t_r >= 1.0 for term in plus), (t, j)
+            bounds = [refined_error_bound(terms, minus_square, 500, minus_table) for terms in (plus, minus)]
+            assert bounds[0].hex() == bounds[1].hex(), (t, j)
 
 
 class TestGapDerivative:
