@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=_cmd_table)
 
     deriv = sub.add_parser("derivative", help="one certified gap-derivative evaluation")
-    deriv.add_argument("--order", type=int, required=True, help="derivative order (>= 1)")
+    deriv.add_argument("--order", type=int, required=True, help="derivative order (>= 0; 0 is the gap itself)")
     deriv.add_argument("--t", type=float, required=True, help="exponent, inside [5, 6]")
     deriv.add_argument("--steps", type=int, required=True, help="midpoint nodes per half period")
     deriv.add_argument("--mode", choices=MODES, default="refined")

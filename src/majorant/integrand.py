@@ -2,10 +2,11 @@
 
 Fractional-power norms are differentiated under the integral sign, which turns
 every integrand into a power-times-log combination of G.  The quadrature rule
-needs H and H'' at its nodes, built here from one power row per node chunk,
-and a bound for |H''''|, assembled by the chain rule from the derivative
-bounds of G.  Expanding four derivatives of G^t log^j G and collecting by
-which G-derivatives appear yields a short list of groups, each of the form
+needs H and H'' at its nodes, built from the j-free columns of one power row
+per node chunk and the log powers kept with the node columns, and a bound for
+|H''''|, assembled by the chain rule from the derivative bounds of G.
+Expanding four derivatives of G^t log^j G and collecting by which
+G-derivatives appear yields a short list of groups, each of the form
 
     constant * G^(t-i) * (|G'| or 1) * brace(t, j; log G)
 
@@ -19,9 +20,7 @@ exactly.  Neither bound depends on the sign variant: WORK_M bounds both.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 from .envelope import envelope_max
@@ -66,7 +65,7 @@ class IntegrandSpec:
     sign: SignVariant
 
     def __post_init__(self):
-        if self.t < 1.0:
+        if not self.t >= 1.0:  # also refuses nan
             raise ValueError(f"power t must be >= 1, got {self.t}")
         if self.j < 0 or int(self.j) != self.j:
             raise ValueError(f"log exponent j must be a nonnegative integer, got {self.j}")
@@ -83,68 +82,62 @@ class BoundTerm:
 
 
 class NodeColumns(NamedTuple):
-    """G, G', G'' and log G over a run of nodes: everything about them that is free of t and j."""
+    """G, G', G'' and log G over a run of nodes: everything about them that is free of t and j.
+
+    ``logs`` holds the powers (log G)^p already asked for, by p; they are free
+    of t too, so they are kept with the columns and share their lifetime.
+    """
 
     g: tuple[float, ...]
     g1: tuple[float, ...]
     g2: tuple[float, ...]
     ell: tuple[float, ...]
+    logs: dict[int, list[float]]
+
+    def log_power(self, p: int) -> list[float]:
+        """(log G)^p at the nodes, computed on first request.  May raise OverflowError."""
+        column = self.logs.get(p)
+        if column is None:
+            column = self.logs[p] = [v**p for v in self.ell]
+        return column
 
 
 class PowerRow(NamedTuple):
-    """Columns over the nodes: G^t, G'' G^(t-1), G'^2 G^(t-2) and (log G)^p by p."""
+    """The columns over the nodes that depend on t but not on j.
 
-    t: float
+    With L = log G, they are G^t and u, v, b such that for every log order j
+
+        H'' = u L^j + j v L^(j-1) + j(j-1) b L^(j-2),
+
+    where the chain rule gives, with a = G'' G^(t-1) and b = G'^2 G^(t-2),
+    u = t a + t(t-1) b and v = a + (2t-1) b.
+    """
+
     gt: list[float]
-    a: list[float]
+    u: list[float]
+    v: list[float]
     b: list[float]
-    logs: dict[int, list[float]]
 
 
-def power_row(nodes: NodeColumns, t: float, orders: Sequence[int]) -> PowerRow:
-    """The power row of G^t at the nodes, with the log powers H'' of ``orders`` needs.
+def power_row(nodes: NodeColumns, t: float) -> PowerRow:
+    """The power row of G^t at the nodes.
 
-    A log power beyond the float range is refused with a ValueError naming the order.
+    A row beyond the float range (G^t itself, or G^t times G's derivatives)
+    is refused with a ValueError naming t.
     """
     t1, t2 = t - 1.0, t - 2.0
-    gt = [g**t for g in nodes.g]
-    a = [g2 * g**t1 for g, g2 in zip(nodes.g, nodes.g2)]
-    b = [g1 * g1 * g**t2 for g, g1 in zip(nodes.g, nodes.g1)]
-    powers = {p for j in orders for p in range(max(j - 2, 0), j + 1)}
+    c2, c1 = t * t1, 2.0 * t - 1.0
     try:
-        logs = {p: [v**p for v in nodes.ell] for p in powers}
-    except OverflowError:  # at a node with |log G| > 1, so the largest order overflows as well
-        raise ValueError(f"log order {max(orders)} is too large to evaluate: a power of log G overflows a float") from None
-    return PowerRow(t, gt, a, b, logs)
-
-
-def h_values(row: PowerRow, j: int) -> list[float]:
-    """H = G^t (log G)^j at the row's nodes."""
-    return list(map(mul, row.gt, row.logs[j]))
-
-
-def h_second_values(row: PowerRow, j: int) -> list[float]:
-    """H'' at the row's nodes by the chain rule: with L = log G,
-
-        H'' = G'' G^(t-1) (t L^j + j L^(j-1))
-            + G'^2 G^(t-2) (t(t-1) L^j + j(2t-1) L^(j-1) + j(j-1) L^(j-2)),
-
-    where terms with a vanishing falling factorial of j are absent rather than
-    evaluated.
-    """
-    t, lj = row.t, row.logs[j]
-    c2 = t * (t - 1.0)
-    if j == 0:
-        return [a * (t * p) + b * (c2 * p) for a, b, p in zip(row.a, row.b, lj)]
-    c1 = j * (2.0 * t - 1.0)
-    if j == 1:
-        nodes = zip(row.a, row.b, lj, row.logs[0])
-        return [a * (t * p + j * q) + b * (c2 * p + c1 * q) for a, b, p, q in nodes]
-    c0 = j * (j - 1)
-    return [
-        a * (t * p + j * q) + b * (c2 * p + c1 * q + c0 * r)
-        for a, b, p, q, r in zip(row.a, row.b, lj, row.logs[j - 1], row.logs[j - 2])
-    ]
+        gt = [g**t for g in nodes.g]
+        a = [g2 * g**t1 for g, g2 in zip(nodes.g, nodes.g2)]
+        b = [g1 * g1 * g**t2 for g, g1 in zip(nodes.g, nodes.g1)]
+        u = [t * x + c2 * y for x, y in zip(a, b)]
+        v = [x + c1 * y for x, y in zip(a, b)]
+        if not math.isfinite(sum(gt) + sum(u) + sum(v) + sum(b)):  # an entry overflowed to inf
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
+    return PowerRow(gt, u, v, b)
 
 
 def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:
@@ -189,7 +182,10 @@ def h4_sup_bound(spec: IntegrandSpec) -> float:
     for const, offset, kind in _SCALAR_GROUPS:
         for c, p in _brace_terms(kind, t, j):
             pieces.append(const * abs(c) * envelope_max(t + offset, p, 0.0, 9.0))
-    return math.fsum(pieces)
+    try:
+        return math.fsum(pieces)
+    except OverflowError:  # a sum beyond the float range: infinite, still an upper bound
+        return math.inf
 
 
 def h4_term_bounds(spec: IntegrandSpec) -> tuple[BoundTerm, ...]:

@@ -11,11 +11,14 @@ one integrates a term-form bound (powers of G, logs, and |G'| factors) using
 exact moments and total-variation bounds, gaining one extra power of N.
 
 Integrands H = G^t log^j G of one t and step count differ only in j, so they
-share one power row per node chunk: the powers of G once per node.  The node
-table under it (G, G', G'' and log G per chunk) depends on neither t nor j and
-outlives the call: it is cached per (square, step count), at most two tables
-(one per sign of the latest step count), and is immutable.  Likewise the
-refined bounds of a batch compute each j-free base and each (t, j) term once.
+share one power row per node chunk: G^t and three j-free columns whose
+moments against powers of log G give H'' of every order j.  The node table
+under it (G, G', G'' and log G per chunk) depends on neither t nor j and
+outlives the call: it is cached per (square, step count), at most four tables
+(both signs of the two latest step counts).  Each chunk of a table also keeps
+the powers (log G)^p once asked for, so they live and die with the table.
+The |H''''| bounds depend on t and j alone and are built once for both signs;
+the refined bounds of a batch compute each j-free base and each (t, j) term once.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
+from operator import mul
 
 from .envelope import envelope_max
 from .integrand import BoundTerm, IntegrandSpec, NodeColumns, h4_sup_bound, h4_term_bounds
-from .integrand import h_second_values, h_values, power_row
+from .integrand import power_row
 from .spectral import torus_integral_upper
 from .trigpoly import MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
 from .trigpoly import eval_G_jet, second_deriv_L2, sup_norm_bound, variation_bound_power
@@ -165,10 +169,13 @@ def refined_error_bounds(
                 bases[key[:2]] = (_star_base if term.has_gprime else _plain_base)(spec, term.t_r, n_steps, table)
             q[key] = _q_value(*key, n_steps, bases[key[:2]])
     scale = _ERR_DENOM * float(n_steps) ** 5
-    return [
-        fsum(term.coefficient * q[term.has_gprime, term.t_r, term.j_r] for term in terms) / scale
-        for terms in term_lists
-    ]
+    bounds = []
+    for terms in term_lists:
+        try:
+            bounds.append(fsum(term.coefficient * q[term.has_gprime, term.t_r, term.j_r] for term in terms) / scale)
+        except OverflowError:  # a sum beyond the float range: infinite, still an upper bound
+            bounds.append(math.inf)
+    return bounds
 
 
 def refined_error_bound(terms: tuple[BoundTerm, ...], spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
@@ -176,45 +183,72 @@ def refined_error_bound(terms: tuple[BoundTerm, ...], spec: TrigSquare, n_steps:
     return refined_error_bounds([terms], spec, n_steps, table)[0]
 
 
-@lru_cache(maxsize=2, typed=True)  # typed: a float step count misses and is refused by _node_chunks
+@lru_cache(maxsize=4, typed=True)  # typed: a float step count misses and is refused by _node_chunks
 def _node_table(trig: TrigSquare, n_steps: int) -> tuple[NodeColumns, ...]:
     """G, G', G'' (one eval_G_jet pass) and log G for each chunk of _CHUNK midpoint nodes.
 
-    Free of t and j, so every batch at this step count shares it; the two
-    entries hold both signs of one step count, which gap_derivatives asks
-    for in turn.
+    Free of t and j, so every batch at this step count shares it, and so do
+    the log powers each chunk keeps once asked for.  The four entries hold
+    both signs of two step counts: gap_derivatives asks for the signs in
+    turn, and the default proof uses two step counts.
     """
     jets = (zip(*eval_G_jet(trig, xs)) for xs in _node_chunks(n_steps))
-    return tuple(NodeColumns(g, g1, g2, tuple(map(math.log, g))) for g, g1, g2 in jets)
+    return tuple(NodeColumns(g, g1, g2, tuple(map(math.log, g)), {}) for g, g1, g2 in jets)
 
 
 def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, tuple[float, float]]:
-    """Node sums of H = G^t log^j G and of H'' for each j in orders, from one node pass."""
+    """Node sums of H = G^t log^j G and of H'' for each j in orders, from one node pass.
+
+    Per chunk, the H sum of order j is fsum(G^t L^j), and the H'' sum combines
+    three moment sums of the power row's j-free columns (see PowerRow):
+    fsum(u L^j), j fsum(v L^(j-1)) and j(j-1) fsum(b L^(j-2)).
+    """
     parts = {j: [] for j in orders}
     for nodes in _node_table(trig, n_steps):
-        row = power_row(nodes, t, orders)
-        for j in orders:
-            parts[j].append((fsum(h_values(row, j)), fsum(h_second_values(row, j))))
+        row = power_row(nodes, t)
+        try:
+            logs = {p: nodes.log_power(p) for j in orders for p in range(max(j - 2, 0), j + 1)}
+        except OverflowError:  # at a node with |log G| > 1, so the largest order overflows as well
+            raise ValueError(f"log order {max(orders)} is too large to evaluate: a power of log G overflows a float") from None
+        try:
+            for j in orders:
+                moments = [fsum(map(mul, row.u, logs[j]))]
+                if j >= 1:
+                    moments.append(j * fsum(map(mul, row.v, logs[j - 1])))
+                if j >= 2:
+                    moments.append(j * (j - 1) * fsum(map(mul, row.b, logs[j - 2])))
+                parts[j].append((fsum(map(mul, row.gt, logs[j])), fsum(moments)))
+        except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
+            raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sums overflow a float") from None
     return {j: _node_sums(p) for j, p in parts.items()}
 
 
-def _integrate_orders(sign: SignVariant, t: float, n_steps: int, jobs) -> list[CertifiedValue]:
-    """Certified integrals of G^t log^j G over [0, 1/2], one per (j, mode) in jobs."""
-    specs = [IntegrandSpec(t, j, sign) for j, _ in jobs]
+def _h4_bounds(t: float, jobs) -> list:
+    """The |H''''| bound of each (j, mode) in jobs: h4_sup_bound if plain, h4_term_bounds if refined.
+
+    Both depend on t and j alone (the spec's sign is not read), so the two
+    signs of a gap derivative share them.
+    """
     for _, mode in jobs:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    bound = {"plain": h4_sup_bound, "refined": h4_term_bounds}
+    return [bound[mode](IntegrandSpec(t, j, SignVariant.PLUS)) for j, mode in jobs]
+
+
+def _integrate_orders(sign: SignVariant, t: float, n_steps: int, jobs, h4_bounds) -> list[CertifiedValue]:
+    """Certified integrals of G^t log^j G over [0, 1/2], one per (j, mode) in jobs, given their _h4_bounds."""
     trig = TrigSquare(5, sign)
-    sums = _h_node_sums(trig, t, sorted({spec.j for spec in specs}), n_steps)
+    sums = _h_node_sums(trig, t, sorted({j for j, _ in jobs}), n_steps)
     for j, node_sums in sums.items():
-        if not all(map(math.isfinite, node_sums)):  # H or H'' overflowed at some node
-            raise ValueError(f"log order {j} is too large to evaluate: its node sums are not finite")
-    refined = [h4_term_bounds(spec) for spec, (_, mode) in zip(specs, jobs) if mode == "refined"]
+        if not all(map(math.isfinite, node_sums)):  # an H or H'' product overflowed to inf
+            raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sums are not finite")
+    refined = [terms for terms, (_, mode) in zip(h4_bounds, jobs) if mode == "refined"]
     refined_errors = iter(refined_error_bounds(refined, trig, n_steps, default_max_table(trig)))
     values = []
-    for spec, (_, mode) in zip(specs, jobs):
-        err = _plain_error(h4_sup_bound(spec), n_steps) if mode == "plain" else next(refined_errors)
-        values.append(CertifiedValue(_estimate(*sums[spec.j], n_steps), err, n_steps, mode))
+    for bound, (j, mode) in zip(h4_bounds, jobs):
+        err = _plain_error(bound, n_steps) if mode == "plain" else next(refined_errors)
+        values.append(CertifiedValue(_estimate(*sums[j], n_steps), err, n_steps, mode))
     return values
 
 
@@ -227,8 +261,9 @@ def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:
     even, so the half-period integral is half the mean).  The estimate is
     minus-variant minus plus-variant; error bounds add.
     """
-    minus = _integrate_orders(SignVariant.MINUS, t, n_steps, jobs)
-    plus = _integrate_orders(SignVariant.PLUS, t, n_steps, jobs)
+    h4_bounds = _h4_bounds(t, jobs)
+    minus = _integrate_orders(SignVariant.MINUS, t, n_steps, jobs, h4_bounds)
+    plus = _integrate_orders(SignVariant.PLUS, t, n_steps, jobs, h4_bounds)
     return [
         CertifiedValue(m.estimate - p.estimate, m.error_bound + p.error_bound, n_steps, mode)
         for m, p, (_, mode) in zip(minus, plus, jobs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 from .trigpoly import F2, F3, K, SignVariant
 
@@ -74,7 +74,10 @@ def power_integral_bound(tau: float, rho: int) -> float:
         raise ValueError(f"anchor exponent must satisfy 1 <= rho <= k+1 = {_MAX_RHO}, got {rho}")
     a = float(torus_power_integral(rho))
     if tau >= rho:
-        return 0.5 * 9.0 ** (tau - rho) * a
+        try:
+            return 0.5 * 9.0 ** (tau - rho) * a
+        except OverflowError:  # beyond the float range: infinite, still an upper bound
+            return inf
     return 0.5 * a ** (tau / rho)
 
 

@@ -218,4 +218,7 @@ def variation_bound_power(spec: TrigSquare, t: float, table: LocalMaxTable) -> f
         raise ValueError("local-maximum table was built for a different square")
     if t < 0.0:
         raise ValueError(f"power must be nonnegative, got {t}")
-    return 2.0 * fsum(e.multiplicity * e.value_upper**t for e in table.entries)
+    try:
+        return 2.0 * fsum(e.multiplicity * e.value_upper**t for e in table.entries)
+    except OverflowError:  # beyond the float range: infinite, still an upper bound
+        return math.inf

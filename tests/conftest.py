@@ -1,8 +1,9 @@
-"""Shared fixtures: the two squares, their maxima tables, and a numpy oracle."""
+"""Shared fixtures: the two squares, their maxima tables, a numpy oracle, and one sign's integral."""
 
 import numpy as np
 import pytest
 
+from majorant.quadrature import _h4_bounds, _integrate_orders
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table
 
 
@@ -29,6 +30,12 @@ def minus_table(minus_square):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+def one_sign_integral(sign, t, n_steps, j, mode):
+    """One sign's certified integral of G^t log^j G over [0, 1/2], as gap_derivatives computes it."""
+    jobs = [(j, mode)]
+    return _integrate_orders(sign, t, n_steps, jobs, _h4_bounds(t, jobs))[0]
 
 
 def numpy_G(x, sign):

@@ -1,9 +1,11 @@
 """Pointwise reference values of G's derivatives, H, H'' and the |H''''| term bound.
 
-The package evaluates these only in node batches (``eval_G_jet``, ``power_row``,
-``h_values``, ``h_second_values``).  This module writes each formula out again,
-one point at a time and without those helpers, in the same operation order,
-so a batch must match it to the last bit.
+The package evaluates these only in node batches (``eval_G_jet``, ``power_row``
+and the moment sums of ``quadrature._h_node_sums``).  This module writes each
+formula out again, one point at a time and without those helpers.  G and H
+follow the package's operation order, so a batch must match them to the last
+bit.  H'' here is the chain rule term by term; the package regroups it into
+j-free moment sums, so H'' node sums agree only to rounding.
 """
 
 import math
@@ -34,7 +36,14 @@ def eval_H(spec, x):
 
 
 def eval_H_second(spec, x):
-    """H'' at x by the chain rule, term for term as in the docstring of ``h_second_values``."""
+    """H'' at x by the chain rule, term for term: with L = log G,
+
+        H'' = G'' G^(t-1) (t L^j + j L^(j-1))
+            + G'^2 G^(t-2) (t(t-1) L^j + j(2t-1) L^(j-1) + j(j-1) L^(j-2)),
+
+    where terms with a vanishing falling factorial of j are absent rather than
+    evaluated.
+    """
     t, j, trig = spec.t, spec.j, TrigSquare(5, spec.sign)
     g = eval_G(trig, x)
     ell = math.log(g)

@@ -23,7 +23,7 @@ from majorant.pipeline import (
     prove_k5,
     reproduce_table,
 )
-from majorant.quadrature import _integrate_orders, gap_derivative
+from majorant.quadrature import gap_derivative
 from majorant.spectral import torus_power_integral
 from majorant.trigpoly import (
     SignVariant,
@@ -32,7 +32,7 @@ from majorant.trigpoly import (
     variation_bound_power,
 )
 
-from conftest import numpy_G
+from conftest import numpy_G, one_sign_integral
 from oracle import eval_H, eval_H_second
 
 
@@ -84,7 +84,7 @@ def test_criterion_04_first_derivative_at_five():
     assert value.estimate == pytest.approx(0.002878492, abs=1e-6)
     assert value.error_bound <= 0.00195
     for sign in SignVariant:
-        part = _integrate_orders(sign, 5.0, 500, [(1, "refined")])[0]
+        part = one_sign_integral(sign, 5.0, 500, 1, "refined")
         assert part.error_bound <= 0.0009745
         assert part.error_bound >= 0.0009745 * 0.999
     assert elapsed < 5.0
@@ -95,7 +95,7 @@ def test_criterion_05_second_derivative_at_five():
     value = gap_derivative(2, 5.0, 400, "refined")
     assert value.estimate == pytest.approx(0.033815603, abs=1e-6)
     for sign in SignVariant:
-        part = _integrate_orders(sign, 5.0, 400, [(2, "refined")])[0]
+        part = one_sign_integral(sign, 5.0, 400, 2, "refined")
         assert 0.0069 <= part.error_bound <= 0.0071
     print("ACCEPTANCE 05 PASS — second derivative at 400 steps within budget")
 
@@ -201,7 +201,7 @@ def test_criterion_10_property_sweeps(half_period_oracle, rng):
     # Certified integrals bracket an independent high-resolution oracle.
     for t, j in [(5.0, 1), (5.0, 2), (5.0, 3), (5.065, 4), (5.86, 2)]:
         for sign in SignVariant:
-            value = _integrate_orders(sign, t, 500, [(j, "refined")])[0]
+            value = one_sign_integral(sign, t, 500, j, "refined")
             truth = half_period_oracle(t, j, sign.value)
             assert abs(value.estimate - truth) <= value.error_bound
 

@@ -296,11 +296,24 @@ class TestCli:
         assert result.stdout == ""
 
     def test_derivative_order_too_large_exit_two(self):
-        """(log G)^p beyond the float range, or H and H'' overflowing at order 510, is rejected input."""
-        for order, mode in (("1000", "plain"), ("510", "plain"), ("510", "refined")):
-            result = run_cli("derivative", "--order", order, "--t", "5.5", "--steps", "100", "--mode", mode)
-            assert result.returncode == 2, (order, mode, result.stdout)
+        """(log G)^p beyond the float range, or node sums of H and H'' overflowing, is rejected input.
+
+        The inputs reach each refusal in turn: the log power, a node sum fsum
+        cannot take, and a node sum that came out infinite.
+        """
+        for order, t, mode in (("1000", "5.5", "plain"), ("400", "200", "plain"), ("200", "250", "refined")):
+            result = run_cli("derivative", "--order", order, "--t", t, "--steps", "100", "--mode", mode)
+            assert result.returncode == 2, (order, t, mode, result.stdout)
             assert result.stderr.startswith(f"error: log order {order} ")
+            assert result.stderr.count("\n") == 1
+            assert result.stdout == ""
+
+    def test_derivative_power_too_large_exit_two(self):
+        """G^t beyond the float range (t = 400: 9^400 > 1.8e308) is rejected input naming t."""
+        for mode in ("plain", "refined"):
+            result = run_cli("derivative", "--order", "1", "--t", "400", "--steps", "10", "--mode", mode)
+            assert result.returncode == 2, (mode, result.stdout)
+            assert result.stderr.startswith("error: power t = 400.0 ")
             assert result.stderr.count("\n") == 1
             assert result.stdout == ""
 
@@ -342,13 +355,6 @@ class TestCli:
         monkeypatch.setattr(majorant.trigpoly, "eval_G", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
         assert majorant.cli.main(["maxima", "--sign", "plus", "--step", "1e-9"]) == 2
         assert capsys.readouterr() == ("", "error: step 1e-09 gives 500000000 grid steps, more than 1000000\n")
-
-    def test_thread_env_does_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        r1 = run_cli("prove", "--out", str(a))
-        r2 = run_cli("prove", "--out", str(b))
-        assert r1.returncode == 0 and r2.returncode == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_optimized_interpreter_gives_same_bytes(self, tmp_path):
         """Checks live in explicit raises, not asserts, so python -O changes nothing."""

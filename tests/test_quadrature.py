@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from majorant import quadrature
 from majorant.integrand import IntegrandSpec, h4_term_bounds
-from majorant.pipeline import DEFAULT_CONFIG
+from majorant.pipeline import DEFAULT_CONFIG, prove_k5
 from majorant.quadrature import (
     MAX_STEPS,
     CertifiedValue,
     _estimate,
     _h_node_sums,
-    _integrate_orders,
     _node_chunks,
     _node_sums,
     _node_table,
@@ -27,6 +27,7 @@ from majorant.quadrature import (
 )
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, eval_G
 
+from conftest import one_sign_integral
 from oracle import eval_G_derivative, eval_H, eval_H_second
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
@@ -75,7 +76,36 @@ class TestDeterminism:
         _node_table.cache_clear()
         for n in (120, 300, 257):
             gap_derivative(1, 5.5, n, "plain")
-        assert _node_table.cache_info().currsize <= 2
+        assert _node_table.cache_info().currsize <= 4
+
+    def test_warm_proof_makes_no_node_table_misses(self):
+        """Four entries hold both signs of both step counts of the default proof."""
+        prove_k5()
+        before = _node_table.cache_info()
+        prove_k5()
+        after = _node_table.cache_info()
+        assert after.misses == before.misses
+        assert after.hits - before.hits == 12  # one lookup per sign of each gap_derivatives call
+
+    def test_proof_builds_each_term_list_once(self, monkeypatch):
+        """Term lists are sign-free, so a proof builds one per refined (t, j), not one per sign."""
+        calls = []
+        real = quadrature.h4_term_bounds
+        monkeypatch.setattr(quadrature, "h4_term_bounds", lambda spec: calls.append((spec.t, spec.j)) or real(spec))
+        prove_k5()
+        assert len(calls) == 37
+
+    def test_log_columns_live_with_the_node_table(self):
+        """(log G)^p is kept on the table's chunks once asked for, and rebuilt with the table."""
+        trig, orders = TrigSquare(5, PLUS), [0, 3, 7]
+        warm = _h_node_sums(trig, 5.3, orders, 500)
+        assert all(set(chunk.logs) >= {0, 1, 2, 3, 5, 6, 7} for chunk in _node_table(trig, 500))
+        _node_table.cache_clear()
+        assert all(chunk.logs == {} for chunk in _node_table(trig, 500))
+        cold = _h_node_sums(trig, 5.3, orders, 500)
+        assert {j: [v.hex() for v in sums] for j, sums in cold.items()} == {
+            j: [v.hex() for v in sums] for j, sums in warm.items()
+        }
 
     def test_repeat_runs_are_bitwise_stable(self):
         a = gap_derivative(1, 5.0, 200, "refined")
@@ -96,27 +126,36 @@ def default_proof_passes():
 
 
 def pointwise_node_sums(spec, n):
-    """Chunked fsum of eval_H and eval_H_second over the midpoint nodes, 256 per chunk."""
+    """Chunked fsum of eval_H and eval_H_second over the midpoint nodes, 256 per chunk, and the sum of |H''|."""
     xs = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
     chunks = [xs[lo:lo + 256] for lo in range(0, n, 256)]
+    h2 = [[eval_H_second(spec, x) for x in c] for c in chunks]
     return (
         math.fsum([math.fsum(eval_H(spec, x) for x in c) for c in chunks]),
-        math.fsum([math.fsum(eval_H_second(spec, x) for x in c) for c in chunks]),
+        math.fsum([math.fsum(c) for c in h2]),
+        math.fsum(abs(v) for c in h2 for v in c),
     )
 
 
 class TestBatchedNodeSums:
     def test_bitwise_equal_to_pointwise_reference(self):
-        """One batched pass per (sign, t, N) reproduces every pointwise node sum exactly."""
+        """One batched pass per (sign, t, N) reproduces every pointwise H sum and every estimate exactly.
+
+        The H'' sums are grouped differently: moment sums of j-free columns per
+        log power, against the pointwise chain rule.  Their true value is near 0
+        (H'(0) = H'(1/2) = 0), so they agree only to rounding of the sum of |H''|;
+        they enter the estimate through a division by 192 N^3.
+        """
         passes = default_proof_passes()
         assert sum(len(orders) for orders in passes.values()) == 38
         for (t, n), orders in passes.items():
             for sign in (PLUS, MINUS):
                 batched = _h_node_sums(TrigSquare(5, sign), t, sorted(orders), n)
                 for j in orders:
-                    reference = pointwise_node_sums(IntegrandSpec(t, j, sign), n)
-                    got = [v.hex() for v in batched[j]]
-                    assert got == [v.hex() for v in reference], (t, n, j, sign)
+                    h_sum, h2_sum, h2_abs = pointwise_node_sums(IntegrandSpec(t, j, sign), n)
+                    assert batched[j][0].hex() == h_sum.hex(), (t, n, j, sign)
+                    assert _estimate(*batched[j], n).hex() == _estimate(h_sum, h2_sum, n).hex(), (t, n, j, sign)
+                    assert abs(batched[j][1] - h2_sum) <= 1e-14 * h2_abs, (t, n, j, sign)
 
     def test_batched_refined_bounds_equal_single_calls(self):
         """One refined_error_bounds batch per (sign, t, N) reproduces every single bound bitwise."""
@@ -185,6 +224,12 @@ class TestNodeSumBounds:
             733943.3811378691, rel=1e-12
         )
 
+    def test_bounds_beyond_float_range_are_infinite(self):
+        """Large t or j push a bound past the float range: it is inf, still a valid bound, not an OverflowError."""
+        for j, t, mode in ((1, 200.0, "refined"), (300, 200.0, "plain"), (400, 170.0, "refined")):
+            value = gap_derivative(j, t, 10, mode)
+            assert math.isfinite(value.estimate) and value.error_bound == math.inf, (j, t, mode)
+
     def test_overflowing_log_power_gives_infinity(self, plus_square, plus_table):
         """log(9)^j beyond the float range is an infinite bound, not an OverflowError."""
         assert q_star(plus_square, 6.0, 1000, 100, plus_table) == math.inf
@@ -201,28 +246,28 @@ class TestNodeSumBounds:
 
 
 class TestIntegrateH:
-    """One sign's certified integral of H, through _integrate_orders."""
+    """One sign's certified integral of H, through _integrate_orders and _h4_bounds."""
 
     def test_refined_tracks_oracle(self, half_period_oracle):
         for t, j, sign in ((5.0, 1, PLUS), (5.0, 1, MINUS), (5.23, 2, MINUS)):
-            value = _integrate_orders(sign, t, 500, [(j, "refined")])[0]
+            value = one_sign_integral(sign, t, 500, j, "refined")
             truth = half_period_oracle(t, j, sign.value)
             assert abs(value.estimate - truth) <= value.error_bound
             assert abs(value.estimate - truth) < 1e-6  # the bound is very conservative
 
     def test_refined_beats_plain_bound(self):
-        plain, refined = (_integrate_orders(PLUS, 5, 500, [(1, mode)])[0] for mode in ("plain", "refined"))
+        plain, refined = (one_sign_integral(PLUS, 5, 500, 1, mode) for mode in ("plain", "refined"))
         assert refined.estimate == plain.estimate  # same nodes, same estimate
         assert refined.error_bound < plain.error_bound
         assert refined.method == "refined" and plain.method == "plain"
 
     def test_refined_error_bound_consistency(self, plus_square, plus_table):
         direct = refined_error_bound(h4_term_bounds(IntegrandSpec(5, 2, PLUS)), plus_square, 400, plus_table)
-        assert _integrate_orders(PLUS, 5, 400, [(2, "refined")])[0].error_bound == direct
+        assert one_sign_integral(PLUS, 5, 400, 2, "refined").error_bound == direct
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="plain.*refined"):
-            _integrate_orders(PLUS, 5, 100, [(0, "fancy")])
+            gap_derivatives(5, 100, [(0, "fancy")])
 
     def test_term_lists_are_sign_free(self, minus_square, minus_table):
         """Plus and minus give the same fourth-derivative terms, hence bitwise the same bound on a square."""
@@ -255,6 +300,15 @@ class TestGapDerivative:
         value = gap_derivative(1, 5.5, 50, "refined")
         assert isinstance(value, CertifiedValue)
         assert value.steps == 50 and value.method == "refined"
+
+    def test_high_order_without_overflow(self):
+        """At order 510, (log G)^510 and every moment sum stay finite, so the estimate is a number.
+
+        The reference is the same 100-node corrected midpoint sum at 60 digits
+        (mpmath, H'' by numerical differentiation).
+        """
+        value = gap_derivative(510, 5.5, 100, "plain")
+        assert value.estimate == pytest.approx(7.1714586221182637e295, rel=1e-10)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="nonnegative"):
