@@ -38,7 +38,6 @@ from .quadrature import (
 from .spectral import (
     endpoint_difference_zero,
     fourier_coeffs_pow,
-    parseval_integral,
     torus_integral_upper,
     torus_power_integral,
 )

@@ -19,12 +19,11 @@ against endpoint bounds until it contradicts a monotone tail.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from math import factorial, fsum
 
 from .envelope import envelope_max
-from .quadrature import _ERR_DENOM, gap_derivatives
+from .quadrature import gap_derivatives
 
 PIPELINE_T_MIN = 5.0
 PIPELINE_T_MAX = 6.0
@@ -118,18 +117,6 @@ def remainder_bound(center: float, radius: float, base_order: int, degree: int) 
     m = degree + 1 + base_order
     peak = max(envelope_max(center - radius, m, 0.0, 9.0), envelope_max(center + radius, m, 0.0, 9.0))
     return 2.0 * peak * radius ** (degree + 1) / factorial(degree + 1)
-
-
-def required_steps(sup4: float, delta: float, radius: float, j: int) -> int:
-    """Steps needed for the plain error of coefficient j to fit its share of delta.
-
-    Two quadratures (one per sign variant) each contribute
-    sup4/(60*2^10*N^4), scaled by radius^j/j!; solving
-    2 * sup4 * radius^j / (60*2^10*N^4*j!) <= delta for N and rounding up.
-    """
-    if sup4 < 0.0 or delta <= 0.0 or radius <= 0.0 or j < 0:
-        raise ValueError("need sup4 >= 0, delta > 0, radius > 0, j >= 0")
-    return math.ceil((2.0 * sup4 * radius**j / (_ERR_DENOM * factorial(j) * delta)) ** 0.25)
 
 
 def build_certificate(

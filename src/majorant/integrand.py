@@ -2,9 +2,10 @@
 
 Fractional-power norms are differentiated under the integral sign, which turns
 every integrand into a power-times-log combination of G.  The quadrature rule
-needs H and H'' at its nodes, built from the j-free columns of one power row
-per node chunk and the log powers kept with the node columns, and a bound for
-|H''''|, assembled by the chain rule from the derivative bounds of G.
+needs H and H'' at its nodes, built from the two j-free columns a and b of
+one power row per node chunk and the log powers kept with the node columns,
+and a bound for |H''''|, assembled by the chain rule from the derivative
+bounds of G.
 Expanding four derivatives of G^t log^j G and collecting by which
 G-derivatives appear yields a short list of groups, each of the form
 
@@ -71,8 +72,7 @@ class IntegrandSpec:
             raise ValueError(f"log exponent j must be a nonnegative integer, got {self.j}")
 
 
-@dataclass(frozen=True)
-class BoundTerm:
+class BoundTerm(NamedTuple):
     """One bound term ``coefficient * G^t_r * |log G|^j_r * (|G'| if has_gprime)``."""
 
     coefficient: float
@@ -103,51 +103,57 @@ class NodeColumns(NamedTuple):
 
 
 class PowerRow(NamedTuple):
-    """The columns over the nodes that depend on t but not on j.
+    """The columns over the nodes that depend on t but not on j: G^t, a and b.
 
-    With L = log G, they are G^t and u, v, b such that for every log order j
+    With L = log G, a = G'' G^(t-1) and b = G'^2 G^(t-2), the chain rule gives
+    for every log order j
 
-        H'' = u L^j + j v L^(j-1) + j(j-1) b L^(j-2),
+        H'' = t a L^j + t(t-1) b L^j + j a L^(j-1) + j(2t-1) b L^(j-1) + j(j-1) b L^(j-2),
 
-    where the chain rule gives, with a = G'' G^(t-1) and b = G'^2 G^(t-2),
-    u = t a + t(t-1) b and v = a + (2t-1) b.
+    so H'' of every order comes from the moments of a and b against powers of
+    L, and consecutive orders share those moments.
     """
 
     gt: list[float]
-    u: list[float]
-    v: list[float]
+    a: list[float]
     b: list[float]
 
 
+def _power_too_large(t: float, what: str) -> ValueError:
+    """The refusal of a power t at which ``what`` passes the float range."""
+    return ValueError(f"power t = {t!r} is too large to evaluate: {what} overflows a float")
+
+
 def power_row(nodes: NodeColumns, t: float) -> PowerRow:
-    """The power row of G^t at the nodes.
+    """The power row of G^t at the nodes: three list passes, one power of G each.
 
     A row beyond the float range (G^t itself, or G^t times G's derivatives)
     is refused with a ValueError naming t.
     """
     t1, t2 = t - 1.0, t - 2.0
-    c2, c1 = t * t1, 2.0 * t - 1.0
     try:
         gt = [g**t for g in nodes.g]
         a = [g2 * g**t1 for g, g2 in zip(nodes.g, nodes.g2)]
         b = [g1 * g1 * g**t2 for g, g1 in zip(nodes.g, nodes.g1)]
-        u = [t * x + c2 * y for x, y in zip(a, b)]
-        v = [x + c1 * y for x, y in zip(a, b)]
-        if not math.isfinite(sum(gt) + sum(u) + sum(v) + sum(b)):  # an entry overflowed to inf
+        if not math.isfinite(sum(gt) + sum(a) + sum(b)):  # an entry overflowed to inf
             raise OverflowError
     except OverflowError:
-        raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
-    return PowerRow(gt, u, v, b)
+        raise _power_too_large(t, "G^t at the nodes") from None
+    return PowerRow(gt, a, b)
 
 
 def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:
     """(coefficient, log-power) pairs of one brace polynomial, zero terms omitted."""
     if kind == "quartic":
+        try:
+            cube = t**3
+        except OverflowError:  # from t ~ 5.6e102, where G^t at the nodes has long overflowed
+            raise _power_too_large(t, "the fourth-derivative bound") from None
         raw = (
             (float(j * (j - 1) * (j - 2) * (j - 3)), j - 4),
             ((4.0 * t - 6.0) * j * (j - 1) * (j - 2), j - 3),
             ((6.0 * t * t - 18.0 * t + 11.0) * j * (j - 1), j - 2),
-            ((2.0 * t**3 - 9.0 * t * t + 11.0 * t - 3.0) * 2.0 * j, j - 1),
+            ((2.0 * cube - 9.0 * t * t + 11.0 * t - 3.0) * 2.0 * j, j - 1),
             (t * (t - 1.0) * (t - 2.0) * (t - 3.0), j),
         )
     elif kind == "cubic":

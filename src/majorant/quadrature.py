@@ -11,14 +11,17 @@ one integrates a term-form bound (powers of G, logs, and |G'| factors) using
 exact moments and total-variation bounds, gaining one extra power of N.
 
 Integrands H = G^t log^j G of one t and step count differ only in j, so they
-share one power row per node chunk: G^t and three j-free columns whose
-moments against powers of log G give H'' of every order j.  The node table
-under it (G, G', G'' and log G per chunk) depends on neither t nor j and
-outlives the call: it is cached per (square, step count), at most four tables
-(both signs of the two latest step counts).  Each chunk of a table also keeps
-the powers (log G)^p once asked for, so they live and die with the table.
-The |H''''| bounds depend on t and j alone and are built once for both signs;
-the refined bounds of a batch compute each j-free base and each (t, j) term once.
+share one power row per node chunk: G^t and the two j-free columns
+a = G'' G^(t-1) and b = G'^2 G^(t-2).  One moment sum of a and one of b per
+power of log G give H'' of every order j, and consecutive orders share them.
+The node table under it (G, G', G'' and log G per chunk) depends on neither
+t nor j and outlives the call: it is cached per (square, step count), at most
+four tables (both signs of the two latest step counts).  Each chunk of a
+table also keeps the powers (log G)^p once asked for, so they live and die
+with the table.  The |H''''| bounds depend on t and j alone and are built
+once for both signs.  Of the refined bounds only the j-free bases depend on
+the sign, so one pass per gap derivative computes each term's small-range
+part once for both signs and each sign's bases once.
 """
 
 from __future__ import annotations
@@ -111,16 +114,23 @@ def _star_base(spec: TrigSquare, t: float, n_steps: int, table: LocalMaxTable) -
     return n_steps / (t + 1.0) * var_up + _HALF_SUP_G1 * var_t + tail
 
 
-def _q_value(has_gprime: bool, t: float, j: int, n_steps: int, base: float) -> float:
-    """q_star (has_gprime) or q_plain from its base: the small-range part plus log(9)^j times base."""
+def _sign_free_part(has_gprime: bool, t: float, j: int, n_steps: int) -> tuple[float, float]:
+    """What q_star (has_gprime) or q_plain takes from no sign: the small-range part and log(9)^j."""
+    _check_node_sum_args(t, j, n_steps)
     small = 0.0
     if j != 0:
         weight = 14.0 * n_steps / 9.0 + _HALF_L2_G2 if has_gprime else n_steps
         small = envelope_max(t, j, 0.0, 1.0 / 9.0) * weight
     try:
-        return small + LOG9**j * base
+        return small, LOG9**j
     except OverflowError:  # log(9)^j beyond the float range: infinite, still an upper bound
-        return math.inf
+        return small, math.inf
+
+
+def _q_value(sign_free: tuple[float, float], base: float) -> float:
+    """q_star or q_plain from its sign-free part and its j-free base: small + log(9)^j * base."""
+    small, log9_power = sign_free
+    return small + log9_power * base
 
 
 def q_plain(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTable) -> float:
@@ -131,8 +141,7 @@ def q_plain(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTab
     sum of G^t, which a midpoint sum bounds through the exact mean and half
     the total variation of G^t.
     """
-    _check_node_sum_args(t, j, n_steps)
-    return _q_value(False, t, j, n_steps, _plain_base(spec, t, n_steps, table))
+    return _q_value(_sign_free_part(False, t, j, n_steps), _plain_base(spec, t, n_steps, table))
 
 
 def q_star(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTable) -> float:
@@ -143,44 +152,49 @@ def q_star(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTabl
     G^t |G'| telescope into the variation of G^(t+1)/(t+1) plus correction
     terms controlled by the variation of G^t and the L^2 norm of G''.
     """
-    _check_node_sum_args(t, j, n_steps)
-    return _q_value(True, t, j, n_steps, _star_base(spec, t, n_steps, table))
+    return _q_value(_sign_free_part(True, t, j, n_steps), _star_base(spec, t, n_steps, table))
 
 
 def refined_error_bounds(
-    term_lists: list[tuple[BoundTerm, ...]], spec: TrigSquare, n_steps: int, table: LocalMaxTable
-) -> list[float]:
+    term_lists: list[tuple[BoundTerm, ...]], squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int
+) -> list[list[float]]:
     """Variation-aware quadrature error bounds, one power of N sharper than plain.
 
     Each term of an |H''''| bound is summed over the nodes via q_star (terms
     carrying |G'|) or q_plain (terms without), then scaled like the plain
-    bound with one extra 1/N.  The term lists of a batch share their terms'
-    (kind, t_r) bases and (kind, t_r, j_r) values, so each is computed once.
-    A term list is sign-free; the square ``spec`` picks the sign.
+    bound with one extra 1/N.  Term lists are sign-free, so one pass serves
+    every (square, maxima table) in squares and returns one list of bounds
+    per square.  Each (kind, t_r, j_r) key of the batch is checked, and its
+    sign-free part computed, once; each square's j-free (kind, t_r) base once.
     """
     if n_steps < 1:
         raise ValueError(f"step count must be positive, got {n_steps}")
-    bases, q = {}, {}
+    sign_free = {}
     for term in (term for terms in term_lists for term in terms):
         key = (term.has_gprime, term.t_r, term.j_r)
-        if key not in q:
-            _check_node_sum_args(term.t_r, term.j_r, n_steps)
-            if key[:2] not in bases:
-                bases[key[:2]] = (_star_base if term.has_gprime else _plain_base)(spec, term.t_r, n_steps, table)
-            q[key] = _q_value(*key, n_steps, bases[key[:2]])
+        if key not in sign_free:
+            sign_free[key] = _sign_free_part(*key, n_steps)
     scale = _ERR_DENOM * float(n_steps) ** 5
-    bounds = []
-    for terms in term_lists:
-        try:
-            bounds.append(fsum(term.coefficient * q[term.has_gprime, term.t_r, term.j_r] for term in terms) / scale)
-        except OverflowError:  # a sum beyond the float range: infinite, still an upper bound
-            bounds.append(math.inf)
-    return bounds
+    per_square = []
+    for spec, table in squares:
+        bases, q = {}, {}
+        for key, part in sign_free.items():
+            if key[:2] not in bases:
+                bases[key[:2]] = (_star_base if key[0] else _plain_base)(spec, key[1], n_steps, table)
+            q[key] = _q_value(part, bases[key[:2]])
+        bounds = []
+        for terms in term_lists:
+            try:
+                bounds.append(fsum(term.coefficient * q[term.has_gprime, term.t_r, term.j_r] for term in terms) / scale)
+            except OverflowError:  # a sum beyond the float range: infinite, still an upper bound
+                bounds.append(math.inf)
+        per_square.append(bounds)
+    return per_square
 
 
 def refined_error_bound(terms: tuple[BoundTerm, ...], spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
-    """Variation-aware error bound for one |H''''| bound: refined_error_bounds of one."""
-    return refined_error_bounds([terms], spec, n_steps, table)[0]
+    """Variation-aware error bound for one |H''''| bound on one square: refined_error_bounds of one."""
+    return refined_error_bounds([terms], [(spec, table)], n_steps)[0][0]
 
 
 @lru_cache(maxsize=4, typed=True)  # typed: a float step count misses and is refused by _node_chunks
@@ -197,30 +211,45 @@ def _node_table(trig: TrigSquare, n_steps: int) -> tuple[NodeColumns, ...]:
 
 
 def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, tuple[float, float]]:
-    """Node sums of H = G^t log^j G and of H'' for each j in orders, from one node pass.
+    """Node sums of H = G^t log^j G and of H'' for each j in the sorted orders, from one node pass.
 
-    Per chunk, the H sum of order j is fsum(G^t L^j), and the H'' sum combines
-    three moment sums of the power row's j-free columns (see PowerRow):
-    fsum(u L^j), j fsum(v L^(j-1)) and j(j-1) fsum(b L^(j-2)).
+    Per chunk, the H sum of order j is fsum(G^t L^j).  The H'' sums combine
+    the moment sums M_a(p) = fsum(a L^p) and M_b(p) = fsum(b L^p) of the power
+    row's two j-free columns (see PowerRow), taken once per chunk for each
+    log power p that some order needs, so consecutive orders share them:
+
+        H''_j = t M_a(j) + t(t-1) M_b(j) + j M_a(j-1) + j(2t-1) M_b(j-1) + j(j-1) M_b(j-2),
+
+    leaving out the terms whose factor of j vanishes.
     """
+    a_powers = sorted({p for j in orders for p in range(max(j - 1, 0), j + 1)})
+    b_powers = sorted({p for j in orders for p in range(max(j - 2, 0), j + 1)})
+    c2, c1 = t * (t - 1.0), 2.0 * t - 1.0
     parts = {j: [] for j in orders}
     for nodes in _node_table(trig, n_steps):
         row = power_row(nodes, t)
         try:
-            logs = {p: nodes.log_power(p) for j in orders for p in range(max(j - 2, 0), j + 1)}
+            logs = {p: nodes.log_power(p) for p in b_powers}
         except OverflowError:  # at a node with |log G| > 1, so the largest order overflows as well
-            raise ValueError(f"log order {max(orders)} is too large to evaluate: a power of log G overflows a float") from None
+            raise ValueError(f"log order {orders[-1]} is too large to evaluate: a power of log G overflows a float") from None
+        j = orders[-1]  # named if a moment sum fails
         try:
+            m_a = {p: fsum(map(mul, row.a, logs[p])) for p in a_powers}
+            m_b = {p: fsum(map(mul, row.b, logs[p])) for p in b_powers}
             for j in orders:
-                moments = [fsum(map(mul, row.u, logs[j]))]
+                moments = [t * m_a[j], c2 * m_b[j]]
                 if j >= 1:
-                    moments.append(j * fsum(map(mul, row.v, logs[j - 1])))
+                    moments += [j * m_a[j - 1], j * c1 * m_b[j - 1]]
                 if j >= 2:
-                    moments.append(j * (j - 1) * fsum(map(mul, row.b, logs[j - 2])))
+                    moments.append(j * (j - 1) * m_b[j - 2])
                 parts[j].append((fsum(map(mul, row.gt, logs[j])), fsum(moments)))
         except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
             raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sums overflow a float") from None
-    return {j: _node_sums(p) for j, p in parts.items()}
+    sums = {j: _node_sums(p) for j, p in parts.items()}
+    for j, node_sums in sums.items():
+        if not all(map(math.isfinite, node_sums)):  # an H or H'' product overflowed to inf
+            raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sums are not finite")
+    return sums
 
 
 def _h4_bounds(t: float, jobs) -> list:
@@ -236,19 +265,24 @@ def _h4_bounds(t: float, jobs) -> list:
     return [bound[mode](IntegrandSpec(t, j, SignVariant.PLUS)) for j, mode in jobs]
 
 
-def _integrate_orders(sign: SignVariant, t: float, n_steps: int, jobs, h4_bounds) -> list[CertifiedValue]:
-    """Certified integrals of G^t log^j G over [0, 1/2], one per (j, mode) in jobs, given their _h4_bounds."""
-    trig = TrigSquare(5, sign)
-    sums = _h_node_sums(trig, t, sorted({j for j, _ in jobs}), n_steps)
-    for j, node_sums in sums.items():
-        if not all(map(math.isfinite, node_sums)):  # an H or H'' product overflowed to inf
-            raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sums are not finite")
+def _integrate_orders(signs, t: float, n_steps: int, jobs) -> list[list[CertifiedValue]]:
+    """Certified integrals of G^t log^j G over [0, 1/2]: per sign in signs, one per (j, mode) in jobs.
+
+    The signs share the jobs' _h4_bounds and one refined_error_bounds pass.
+    """
+    h4_bounds = _h4_bounds(t, jobs)
+    squares = [TrigSquare(5, sign) for sign in signs]
+    orders = sorted({j for j, _ in jobs})
+    sums = [_h_node_sums(trig, t, orders, n_steps) for trig in squares]
     refined = [terms for terms, (_, mode) in zip(h4_bounds, jobs) if mode == "refined"]
-    refined_errors = iter(refined_error_bounds(refined, trig, n_steps, default_max_table(trig)))
+    refined_errors = refined_error_bounds(refined, [(trig, default_max_table(trig)) for trig in squares], n_steps)
     values = []
-    for bound, (j, mode) in zip(h4_bounds, jobs):
-        err = _plain_error(bound, n_steps) if mode == "plain" else next(refined_errors)
-        values.append(CertifiedValue(_estimate(*sums[j], n_steps), err, n_steps, mode))
+    for square_sums, errors in zip(sums, map(iter, refined_errors)):
+        row = []
+        for bound, (j, mode) in zip(h4_bounds, jobs):
+            err = _plain_error(bound, n_steps) if mode == "plain" else next(errors)
+            row.append(CertifiedValue(_estimate(*square_sums[j], n_steps), err, n_steps, mode))
+        values.append(row)
     return values
 
 
@@ -261,9 +295,7 @@ def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:
     even, so the half-period integral is half the mean).  The estimate is
     minus-variant minus plus-variant; error bounds add.
     """
-    h4_bounds = _h4_bounds(t, jobs)
-    minus = _integrate_orders(SignVariant.MINUS, t, n_steps, jobs, h4_bounds)
-    plus = _integrate_orders(SignVariant.PLUS, t, n_steps, jobs, h4_bounds)
+    minus, plus = _integrate_orders((SignVariant.MINUS, SignVariant.PLUS), t, n_steps, jobs)
     return [
         CertifiedValue(m.estimate - p.estimate, m.error_bound + p.error_bound, n_steps, mode)
         for m, p, (_, mode) in zip(minus, plus, jobs)

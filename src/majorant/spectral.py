@@ -11,7 +11,6 @@ and seeds the upper bounds used for non-integer powers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
 
@@ -53,11 +52,6 @@ def torus_power_integral(rho: int) -> int:
     squaring erases the sign variant.  fourier_coeffs_pow rejects rho > 6.
     """
     return sum(c * c for c in fourier_coeffs_pow(SignVariant.PLUS, rho))
-
-
-def parseval_integral(rho: int) -> Fraction:
-    """Exact integral of G^rho over the half period [0, 1/2], as a fraction."""
-    return Fraction(torus_power_integral(rho), 2)
 
 
 def power_integral_bound(tau: float, rho: int) -> float:

@@ -168,10 +168,10 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     Every bound is clamped at the global maximum 9.  A step that needs more
     than MAX_STEPS grid steps is refused before any sampling.
     """
-    if h <= 0.0:
+    if not h > 0.0:  # also refuses nan
         raise ValueError(f"step must be positive, got {h}")
     slack = 0.5 * sup_norm_bound(2) * (h / 2.0) ** 2
-    if bump < slack:
+    if not bump >= slack:
         raise ValueError(
             f"bump {bump:g} does not cover the curvature slack {slack:.6g} for step {h:g}"
         )

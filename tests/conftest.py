@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from majorant.quadrature import _h4_bounds, _integrate_orders
+from majorant.quadrature import _integrate_orders
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table
 
 
@@ -34,8 +34,7 @@ def rng():
 
 def one_sign_integral(sign, t, n_steps, j, mode):
     """One sign's certified integral of G^t log^j G over [0, 1/2], as gap_derivatives computes it."""
-    jobs = [(j, mode)]
-    return _integrate_orders(sign, t, n_steps, jobs, _h4_bounds(t, jobs))[0]
+    return _integrate_orders([sign], t, n_steps, [(j, mode)])[0][0]
 
 
 def numpy_G(x, sign):

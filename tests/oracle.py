@@ -6,11 +6,18 @@ formula out again, one point at a time and without those helpers.  G and H
 follow the package's operation order, so a batch must match them to the last
 bit.  H'' here is the chain rule term by term; the package regroups it into
 j-free moment sums, so H'' node sums agree only to rounding.
+
+It also keeps two closed forms the package no longer evaluates: the exact
+half-period moments (``parseval_integral``) and the fourth-root step rule
+(``required_steps``).
 """
 
 import math
+from fractions import Fraction
 from math import cos, sin
 
+from majorant.quadrature import _ERR_DENOM
+from majorant.spectral import torus_power_integral
 from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, eval_G
 
 
@@ -71,3 +78,20 @@ def term_sum_value(terms, trig, x):
         term.coefficient * g**term.t_r * ell**term.j_r * (gp if term.has_gprime else 1.0)
         for term in terms
     )
+
+
+def parseval_integral(rho):
+    """Exact integral of G^rho over the half period [0, 1/2], as a fraction."""
+    return Fraction(torus_power_integral(rho), 2)
+
+
+def required_steps(sup4, delta, radius, j):
+    """Steps needed for the plain error of coefficient j to fit its share of delta.
+
+    Two quadratures (one per sign variant) each contribute
+    sup4/(60*2^10*N^4), scaled by radius^j/j!; solving
+    2 * sup4 * radius^j / (60*2^10*N^4*j!) <= delta for N and rounding up.
+    """
+    if sup4 < 0.0 or delta <= 0.0 or radius <= 0.0 or j < 0:
+        raise ValueError("need sup4 >= 0, delta > 0, radius > 0, j >= 0")
+    return math.ceil((2.0 * sup4 * radius**j / (_ERR_DENOM * math.factorial(j) * delta)) ** 0.25)

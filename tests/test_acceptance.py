@@ -12,7 +12,6 @@ from majorant.certify import (
     build_certificate,
     check_sign_variation,
     eval_cert_poly,
-    required_steps,
 )
 from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec, h4_sup_bound
@@ -33,7 +32,7 @@ from majorant.trigpoly import (
 )
 
 from conftest import numpy_G, one_sign_integral
-from oracle import eval_H, eval_H_second
+from oracle import eval_H, eval_H_second, required_steps
 
 
 def stage_certificate(name):

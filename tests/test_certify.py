@@ -13,12 +13,13 @@ from majorant.certify import (
     check_sign_variation,
     eval_cert_poly,
     remainder_bound,
-    required_steps,
 )
 from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec, h4_sup_bound
 from majorant.pipeline import DEFAULT_CONFIG
 from majorant.trigpoly import SignVariant
+
+from oracle import required_steps
 
 
 def stage_certificate(name):

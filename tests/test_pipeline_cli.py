@@ -317,6 +317,15 @@ class TestCli:
             assert result.stderr.count("\n") == 1
             assert result.stdout == ""
 
+    @pytest.mark.parametrize("t", ["1e120", "1e308"])
+    def test_derivative_huge_power_exit_two(self, t, capsys):
+        """From t ~ 5.6e102 the t**3 of the |H''''| bound passes the float range too; t is still refused by name."""
+        for mode in ("plain", "refined"):
+            assert majorant.cli.main(["derivative", "--order", "1", "--t", t, "--steps", "10", "--mode", mode]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: power t = {float(t)!r} is too large to evaluate"), mode
+            assert err.count("\n") == 1
+
     def test_config_order_too_large_exit_two(self, tmp_path):
         cfg = tmp_path / "order.json"
         cfg.write_text(json.dumps({"stages": {"gap_d1_at_5": {"order": 1000}}}), encoding="utf-8")
@@ -355,6 +364,13 @@ class TestCli:
         monkeypatch.setattr(majorant.trigpoly, "eval_G", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
         assert majorant.cli.main(["maxima", "--sign", "plus", "--step", "1e-9"]) == 2
         assert capsys.readouterr() == ("", "error: step 1e-09 gives 500000000 grid steps, more than 1000000\n")
+
+    def test_maxima_nan_step_or_bump_exit_two(self, capsys):
+        """NaN fails every comparison, so the step and bump checks are written to fail on it."""
+        assert majorant.cli.main(["maxima", "--sign", "minus", "--step", "nan"]) == 2
+        assert capsys.readouterr() == ("", "error: step must be positive, got nan\n")
+        assert majorant.cli.main(["maxima", "--sign", "minus", "--bump", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: bump nan does not cover the curvature slack")
 
     def test_optimized_interpreter_gives_same_bytes(self, tmp_path):
         """Checks live in explicit raises, not asserts, so python -O changes nothing."""

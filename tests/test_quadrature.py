@@ -14,6 +14,7 @@ from majorant.quadrature import (
     CertifiedValue,
     _estimate,
     _h_node_sums,
+    _integrate_orders,
     _node_chunks,
     _node_sums,
     _node_table,
@@ -95,6 +96,18 @@ class TestDeterminism:
         prove_k5()
         assert len(calls) == 37
 
+    def test_proof_computes_each_small_range_term_once(self, monkeypatch):
+        """The envelope part of q_star/q_plain is sign-free, so one refined pass per call serves both signs.
+
+        Measured: 206 calls from quadrature per warm proof, half the 412 of one pass per sign.
+        """
+        calls = []
+        real = quadrature.envelope_max
+        prove_k5()  # warm
+        monkeypatch.setattr(quadrature, "envelope_max", lambda *args: calls.append(args) or real(*args))
+        prove_k5()
+        assert len(calls) == 206
+
     def test_log_columns_live_with_the_node_table(self):
         """(log G)^p is kept on the table's chunks once asked for, and rebuilt with the table."""
         trig, orders = TrigSquare(5, PLUS), [0, 3, 7]
@@ -114,14 +127,14 @@ class TestDeterminism:
 
 
 def default_proof_passes():
-    """{(t, N): orders} for every gap-derivative evaluation of the default proof."""
+    """{(t, N): [(order, mode), ...]} for every gap-derivative evaluation of the default proof."""
     passes = {}
     for stage in DEFAULT_CONFIG["stages"].values():
         if "center" in stage:
             orders = range(stage["base_order"], stage["base_order"] + stage["degree"] + 1)
-            passes.setdefault((stage["center"], stage["steps"]), []).extend(orders)
+            passes.setdefault((stage["center"], stage["steps"]), []).extend((j, stage["mode"]) for j in orders)
         elif "order" in stage:
-            passes.setdefault((stage["t"], stage["steps"]), []).append(stage["order"])
+            passes.setdefault((stage["t"], stage["steps"]), []).append((stage["order"], stage["mode"]))
     return passes
 
 
@@ -147,8 +160,9 @@ class TestBatchedNodeSums:
         they enter the estimate through a division by 192 N^3.
         """
         passes = default_proof_passes()
-        assert sum(len(orders) for orders in passes.values()) == 38
-        for (t, n), orders in passes.items():
+        assert sum(len(jobs) for jobs in passes.values()) == 38
+        for (t, n), jobs in passes.items():
+            orders = [j for j, _ in jobs]
             for sign in (PLUS, MINUS):
                 batched = _h_node_sums(TrigSquare(5, sign), t, sorted(orders), n)
                 for j in orders:
@@ -158,15 +172,13 @@ class TestBatchedNodeSums:
                     assert abs(batched[j][1] - h2_sum) <= 1e-14 * h2_abs, (t, n, j, sign)
 
     def test_batched_refined_bounds_equal_single_calls(self):
-        """One refined_error_bounds batch per (sign, t, N) reproduces every single bound bitwise."""
-        for (t, n), orders in default_proof_passes().items():
-            for sign in (PLUS, MINUS):
-                trig = TrigSquare(5, sign)
-                table = default_max_table(trig)
-                term_sums = [h4_term_bounds(IntegrandSpec(t, j, sign)) for j in orders]
-                batched = refined_error_bounds(term_sums, trig, n, table)
+        """One refined_error_bounds pass per (t, N) for both signs reproduces every single bound bitwise."""
+        for (t, n), jobs in default_proof_passes().items():
+            term_sums = [h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j, _ in jobs]
+            squares = [(trig, default_max_table(trig)) for trig in (TrigSquare(5, PLUS), TrigSquare(5, MINUS))]
+            for (trig, table), batched in zip(squares, refined_error_bounds(term_sums, squares, n)):
                 singles = [refined_error_bound(s, trig, n, table) for s in term_sums]
-                assert [b.hex() for b in batched] == [s.hex() for s in singles], (t, n, sign)
+                assert [b.hex() for b in batched] == [s.hex() for s in singles], (t, n, trig.sign)
                 termwise = [  # the one-term public bounds, summed as the error bound sums them
                     math.fsum(
                         term.coefficient * (q_star if term.has_gprime else q_plain)(trig, term.t_r, term.j_r, n, table)
@@ -174,7 +186,42 @@ class TestBatchedNodeSums:
                     ) / (61440.0 * float(n) ** 5)
                     for s in term_sums
                 ]
-                assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, sign)
+                assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, trig.sign)
+
+    def test_single_order_sums_match_batch_and_oracle(self):
+        """A one-order pass, as one gap_derivative call makes, and gapped batches agree with the full batch.
+
+        At N = 777 the last chunk is partial (777 = 3 * 256 + 9).  Every order
+        0..10 alone, and the batches {1, 3} and {0, 4, 9}, give bitwise the H
+        and H'' sums of the batch {0..10}; H matches the pointwise oracle
+        bitwise, and H'' within 1e-14 of the sum of |H''|.
+        """
+        t, n = 5.7, 777
+        for sign in (PLUS, MINUS):
+            trig = TrigSquare(5, sign)
+            batch = {j: [v.hex() for v in sums] for j, sums in _h_node_sums(trig, t, list(range(11)), n).items()}
+            for orders in [[j] for j in range(11)] + [[1, 3], [0, 4, 9]]:
+                for j, sums in _h_node_sums(trig, t, orders, n).items():
+                    assert [v.hex() for v in sums] == batch[j], (sign, orders, j)
+            for j in range(11):
+                h_sum, h2_sum, h2_abs = pointwise_node_sums(IntegrandSpec(t, j, sign), n)
+                assert batch[j][0] == h_sum.hex(), (sign, j)
+                assert abs(float.fromhex(batch[j][1]) - h2_sum) <= 1e-14 * h2_abs, (sign, j)
+
+    def test_shared_refined_pass_equals_one_sign_bound(self):
+        """Every refined per-sign error bound of the default proof is bitwise refined_error_bound on that sign."""
+        checked = 0
+        for (t, n), jobs in default_proof_passes().items():
+            per_sign = _integrate_orders((MINUS, PLUS), t, n, jobs)
+            for sign, values in zip((MINUS, PLUS), per_sign):
+                trig = TrigSquare(5, sign)
+                for (j, mode), value in zip(jobs, values):
+                    if mode == "refined":
+                        terms = h4_term_bounds(IntegrandSpec(t, j, sign))
+                        single = refined_error_bound(terms, trig, n, default_max_table(trig))
+                        assert value.error_bound.hex() == single.hex(), (sign, t, j, n)
+                        checked += 1
+        assert checked == 2 * 37
 
     def test_batch_matches_single_order_calls(self):
         jobs = [(1, "refined"), (4, "plain"), (2, "refined")]

@@ -8,7 +8,6 @@ import pytest
 from majorant.spectral import (
     endpoint_difference_zero,
     fourier_coeffs_pow,
-    parseval_integral,
     power_integral_bound,
     torus_integral_upper,
     torus_power_integral,
@@ -16,6 +15,7 @@ from majorant.spectral import (
 from majorant.trigpoly import SignVariant
 
 from conftest import numpy_G
+from oracle import parseval_integral
 
 
 def convolution_coeffs(sign: SignVariant, rho: int) -> list[int]:
