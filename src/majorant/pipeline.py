@@ -36,7 +36,7 @@ from .certify import (
     check_window,
     eval_cert_poly,
 )
-from .quadrature import MODES, CertifiedValue, gap_derivatives, q_plain, q_star
+from .quadrature import MODES, CertifiedValue, gap_derivatives, q_values
 from .spectral import endpoint_difference_zero, torus_power_integral
 from .trigpoly import SignVariant, TrigSquare, default_max_table
 
@@ -245,10 +245,10 @@ class ProofReport:
 
 
 def merge_config(overrides: dict | None) -> dict:
-    """Deep-merge user overrides onto the default configuration."""
+    """Deep-merge user overrides onto the default configuration; only None means no overrides."""
     stages = {name: dict(stage) for name, stage in DEFAULT_CONFIG["stages"].items()}
     cfg = {"case": DEFAULT_CONFIG["case"], "stages": stages}
-    if not overrides:
+    if overrides is None:
         return cfg
     if not isinstance(overrides, dict):
         raise ValueError("configuration must be a JSON object")
@@ -334,6 +334,8 @@ def load_config(path: str) -> dict:
             overrides = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"configuration file {path} is not valid JSON: {exc}") from None
+    if overrides is None:  # merge_config reads None as "no overrides"; a file holding null is no object
+        raise ValueError("configuration must be a JSON object")
     cfg = merge_config(overrides)
     validate_config(cfg)
     return cfg
@@ -506,17 +508,13 @@ def _a_rho_rows():
 
 
 def _q_rows(n_steps: int, reference: dict):
+    """Both signs' q_star ("star") or q_plain of every reference key, from one q pass."""
+    keys = [(kind == "star", float(t), j) for kind, t, j in reference]
+    squares = [TrigSquare(5, sign) for sign in (SignVariant.PLUS, SignVariant.MINUS)]
+    plus, minus = q_values(keys, [(trig, default_max_table(trig)) for trig in squares], n_steps)
     rows = []
-    for (kind, t, j), ref in reference.items():
-        fn = q_star if kind == "star" else q_plain
-        per_sign = {}
-        for label, sign in (("plus", SignVariant.PLUS), ("minus", SignVariant.MINUS)):
-            trig = TrigSquare(5, sign)
-            per_sign[label] = fn(trig, float(t), j, n_steps, default_max_table(trig))
-        worst = max(per_sign.values())
-        rows.append([
-            kind, t, j, per_sign["plus"], per_sign["minus"], ref, ref - worst,
-        ])
+    for ((kind, t, j), ref), key in zip(reference.items(), keys):
+        rows.append([kind, t, j, plus[key], minus[key], ref, ref - max(plus[key], minus[key])])
     return ["kind", "t", "j", "bound_plus", "bound_minus", "reference", "reference_slack"], rows
 
 

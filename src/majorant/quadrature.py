@@ -19,9 +19,11 @@ t nor j and outlives the call: it is cached per (square, step count), at most
 four tables (both signs of the two latest step counts).  Each chunk of a
 table also keeps the powers (log G)^p once asked for, so they live and die
 with the table.  The |H''''| bounds depend on t and j alone and are built
-once for both signs.  Of the refined bounds only the j-free bases depend on
-the sign, so one pass per gap derivative computes each term's small-range
-part once for both signs and each sign's bases once.
+once for both signs.  Every node-sum bound (q_star, q_plain, the refined
+error bounds, the Q tables) comes from one q pass, q_values, over a batch of
+keys and squares: the small-range term and log(9)^j once per key, the torus
+mean once per power, the variation once per (square, power), each j-free
+base once per square.  One pass per gap derivative serves both signs.
 """
 
 from __future__ import annotations
@@ -92,31 +94,14 @@ def _plain_error(sup4: float, n_steps: int) -> float:
     return sup4 / (_ERR_DENOM * float(n_steps) ** 4)
 
 
-def _check_node_sum_args(t: float, j: int, n_steps: int) -> None:
+def _sign_free_part(has_gprime: bool, t: float, j: int, n_steps: int) -> tuple[float, float]:
+    """What q_star (has_gprime) or q_plain takes from no sign: the small-range part and log(9)^j."""
     if t < 1.0:
         raise ValueError(f"power must be >= 1, got {t}")
     if j < 0:
         raise ValueError(f"log exponent must be nonnegative, got {j}")
     if n_steps < 0:
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
-
-
-def _plain_base(spec: TrigSquare, t: float, n_steps: int, table: LocalMaxTable) -> float:
-    """The j-free large-range part of q_plain: N times the mean of G^t plus half its variation."""
-    return n_steps * torus_integral_upper(t) + 0.5 * variation_bound_power(spec, t, table)
-
-
-def _star_base(spec: TrigSquare, t: float, n_steps: int, table: LocalMaxTable) -> float:
-    """The j-free large-range part of q_star (see there)."""
-    var_up = variation_bound_power(spec, t + 1.0, table)
-    var_t = variation_bound_power(spec, t, table)
-    tail = _HALF_L2_G2 * math.sqrt(torus_integral_upper(2.0 * t))
-    return n_steps / (t + 1.0) * var_up + _HALF_SUP_G1 * var_t + tail
-
-
-def _sign_free_part(has_gprime: bool, t: float, j: int, n_steps: int) -> tuple[float, float]:
-    """What q_star (has_gprime) or q_plain takes from no sign: the small-range part and log(9)^j."""
-    _check_node_sum_args(t, j, n_steps)
     small = 0.0
     if j != 0:
         weight = 14.0 * n_steps / 9.0 + _HALF_L2_G2 if has_gprime else n_steps
@@ -127,32 +112,54 @@ def _sign_free_part(has_gprime: bool, t: float, j: int, n_steps: int) -> tuple[f
         return small, math.inf
 
 
-def _q_value(sign_free: tuple[float, float], base: float) -> float:
-    """q_star or q_plain from its sign-free part and its j-free base: small + log(9)^j * base."""
-    small, log9_power = sign_free
-    return small + log9_power * base
+def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int) -> list[dict]:
+    """The q pass: q_star (has_gprime) or q_plain of every (has_gprime, t, j) key, per square.
+
+    squares holds (square, maxima table) pairs, and one {key: value} dict is
+    returned per square.  Each value is small + log(9)^j * base, and each
+    ingredient is computed once, at the granularity it depends on: the
+    small-range envelope term and log(9)^j once per key, torus_integral_upper
+    once per power, variation_bound_power once per (square, power), and the
+    j-free base of each (has_gprime, t) once per square.
+    """
+    sign_free = {key: _sign_free_part(*key, n_steps) for key in dict.fromkeys(keys)}
+    kinds = dict.fromkeys(key[:2] for key in sign_free)  # the (has_gprime, t) of each j-free base
+    means = {p: torus_integral_upper(p) for p in {2.0 * t if star else t for star, t in kinds}}
+    powers = {p for star, t in kinds for p in ((t + 1.0, t) if star else (t,))}
+    per_square = []
+    for spec, table in squares:
+        variation = {p: variation_bound_power(spec, p, table) for p in powers}
+        bases = {}
+        for star, t in kinds:
+            if star:  # see q_star
+                tail = _HALF_L2_G2 * math.sqrt(means[2.0 * t])
+                bases[star, t] = n_steps / (t + 1.0) * variation[t + 1.0] + _HALF_SUP_G1 * variation[t] + tail
+            else:  # N times the mean of G^t plus half its variation
+                bases[star, t] = n_steps * means[t] + 0.5 * variation[t]
+        per_square.append({key: small + log9_power * bases[key[:2]] for key, (small, log9_power) in sign_free.items()})
+    return per_square
 
 
 def q_plain(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTable) -> float:
-    """Bound for the node sum of G^t |log G|^j without a derivative factor.
+    """Bound for the node sum of G^t |log G|^j without a derivative factor: the q pass of one key.
 
     Splits the range of G at 1/9: small values are covered by the envelope
     maximum on [0, 1/9] at every node, large values by log(9)^j times the node
     sum of G^t, which a midpoint sum bounds through the exact mean and half
     the total variation of G^t.
     """
-    return _q_value(_sign_free_part(False, t, j, n_steps), _plain_base(spec, t, n_steps, table))
+    return q_values([(False, t, j)], [(spec, table)], n_steps)[0][False, t, j]
 
 
 def q_star(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTable) -> float:
-    """Bound for the node sum of G^t |log G|^j |G'|.
+    """Bound for the node sum of G^t |log G|^j |G'|: the q pass of one key.
 
     The |G'| factor is absorbed two ways: on the small range [0, 1/9] it costs
     a node-count term plus a boundary term; on the large range, node sums of
     G^t |G'| telescope into the variation of G^(t+1)/(t+1) plus correction
     terms controlled by the variation of G^t and the L^2 norm of G''.
     """
-    return _q_value(_sign_free_part(True, t, j, n_steps), _star_base(spec, t, n_steps, table))
+    return q_values([(True, t, j)], [(spec, table)], n_steps)[0][True, t, j]
 
 
 def refined_error_bounds(
@@ -162,26 +169,16 @@ def refined_error_bounds(
 
     Each term of an |H''''| bound is summed over the nodes via q_star (terms
     carrying |G'|) or q_plain (terms without), then scaled like the plain
-    bound with one extra 1/N.  Term lists are sign-free, so one pass serves
-    every (square, maxima table) in squares and returns one list of bounds
-    per square.  Each (kind, t_r, j_r) key of the batch is checked, and its
-    sign-free part computed, once; each square's j-free (kind, t_r) base once.
+    bound with one extra 1/N.  Term lists are sign-free, so one q pass over
+    the batch's (has_gprime, t_r, j_r) keys serves every (square, maxima
+    table) in squares, and one list of bounds is returned per square.
     """
     if n_steps < 1:
         raise ValueError(f"step count must be positive, got {n_steps}")
-    sign_free = {}
-    for term in (term for terms in term_lists for term in terms):
-        key = (term.has_gprime, term.t_r, term.j_r)
-        if key not in sign_free:
-            sign_free[key] = _sign_free_part(*key, n_steps)
+    keys = ((term.has_gprime, term.t_r, term.j_r) for terms in term_lists for term in terms)
     scale = _ERR_DENOM * float(n_steps) ** 5
     per_square = []
-    for spec, table in squares:
-        bases, q = {}, {}
-        for key, part in sign_free.items():
-            if key[:2] not in bases:
-                bases[key[:2]] = (_star_base if key[0] else _plain_base)(spec, key[1], n_steps, table)
-            q[key] = _q_value(part, bases[key[:2]])
+    for q in q_values(keys, squares, n_steps):
         bounds = []
         for terms in term_lists:
             try:

@@ -165,8 +165,9 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     that quadratic slack.  Interior bounds are rounded up to 3 decimals; at
     the symmetry points 0 and 1/2 the derivative vanishes identically and the
     sampled value is the exact local maximum value, so no slack is added.
-    Every bound is clamped at the global maximum 9.  A step that needs more
-    than MAX_STEPS grid steps is refused before any sampling.
+    Every bound is clamped at the global maximum 9 before it is rounded, so
+    a huge or infinite bump gives 9.  A step that needs more than MAX_STEPS
+    grid steps is refused before any sampling.
     """
     if not h > 0.0:  # also refuses nan
         raise ValueError(f"step must be positive, got {h}")
@@ -175,9 +176,10 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
         raise ValueError(
             f"bump {bump:g} does not cover the curvature slack {slack:.6g} for step {h:g}"
         )
-    n = round(0.5 / h)
-    if n > MAX_STEPS:
-        raise ValueError(f"step {h:g} gives {n} grid steps, more than {MAX_STEPS}")
+    steps = 0.5 / h  # inf for a subnormal step
+    if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS; short form, as 5e+299 for 1e-300
+        raise ValueError(f"step {h:g} gives {steps:.9g} grid steps, more than {MAX_STEPS}")
+    n = round(steps)
     if n < 2 or abs(n * h - 0.5) > 1e-9:
         raise ValueError(f"step {h:g} must evenly divide the half period")
     samples = [eval_G(spec, i * h) for i in range(n + 1)]
@@ -191,7 +193,7 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
         if i == 0 or i == n:
             entries.append(LocalMaxEntry(i * h, min(v, 9.0), 1))
         else:
-            bound = min(_ceil_decimals(max(left, v, right) + bump), 9.0)
+            bound = _ceil_decimals(min(max(left, v, right) + bump, 9.0))  # clamped first: bump may be inf
             entries.append(LocalMaxEntry(i * h, bound, 2))
     table = LocalMaxTable(spec, h, bump, tuple(entries))
     if table.total_multiplicity != 7:

@@ -7,18 +7,20 @@ follow the package's operation order, so a batch must match them to the last
 bit.  H'' here is the chain rule term by term; the package regroups it into
 j-free moment sums, so H'' node sums agree only to rounding.
 
-It also keeps two closed forms the package no longer evaluates: the exact
-half-period moments (``parseval_integral``) and the fourth-root step rule
-(``required_steps``).
+It also keeps closed forms the package no longer evaluates one at a time:
+the exact half-period moments (``parseval_integral``), the fourth-root step
+rule (``required_steps``), and the per-key node-sum bound ``q_reference``,
+which the package's q pass computes from shared ingredients.
 """
 
 import math
 from fractions import Fraction
 from math import cos, sin
 
-from majorant.quadrature import _ERR_DENOM
-from majorant.spectral import torus_power_integral
-from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, eval_G
+from majorant.envelope import envelope_max
+from majorant.quadrature import _ERR_DENOM, _HALF_L2_G2, _HALF_SUP_G1
+from majorant.spectral import torus_integral_upper, torus_power_integral
+from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, eval_G, variation_bound_power
 
 
 def eval_G_derivative(spec, m, x):
@@ -95,3 +97,29 @@ def required_steps(sup4, delta, radius, j):
     if sup4 < 0.0 or delta <= 0.0 or radius <= 0.0 or j < 0:
         raise ValueError("need sup4 >= 0, delta > 0, radius > 0, j >= 0")
     return math.ceil((2.0 * sup4 * radius**j / (_ERR_DENOM * math.factorial(j) * delta)) ** 0.25)
+
+
+def _plain_base(spec, t, n_steps, table):
+    """The j-free large-range part of q_plain: N times the mean of G^t plus half its variation."""
+    return n_steps * torus_integral_upper(t) + 0.5 * variation_bound_power(spec, t, table)
+
+
+def _star_base(spec, t, n_steps, table):
+    """The j-free large-range part of q_star: the telescoped sum of G^t |G'| and its corrections."""
+    var_up = variation_bound_power(spec, t + 1.0, table)
+    var_t = variation_bound_power(spec, t, table)
+    tail = _HALF_L2_G2 * math.sqrt(torus_integral_upper(2.0 * t))
+    return n_steps / (t + 1.0) * var_up + _HALF_SUP_G1 * var_t + tail
+
+
+def q_reference(has_gprime, spec, t, j, n_steps, table):
+    """q_star (has_gprime) or q_plain of one key, every ingredient computed afresh: small + log(9)^j * base."""
+    small = 0.0
+    if j != 0:
+        weight = 14.0 * n_steps / 9.0 + _HALF_L2_G2 if has_gprime else n_steps
+        small = envelope_max(t, j, 0.0, 1.0 / 9.0) * weight
+    try:
+        log9_power = math.log(9.0) ** j
+    except OverflowError:
+        log9_power = math.inf
+    return small + log9_power * (_star_base if has_gprime else _plain_base)(spec, t, n_steps, table)

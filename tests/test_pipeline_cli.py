@@ -101,6 +101,12 @@ class TestConfig:
         assert field in message
         assert stage is None or f"stage {stage!r}" in message
 
+    def test_only_none_means_no_overrides(self):
+        assert merge_config({}) == merge_config(None) == {"case": CASE_ID, "stages": DEFAULT_CONFIG["stages"]}
+        for falsy in ([], 0, False, ""):
+            with pytest.raises(ValueError, match="configuration must be a JSON object"):
+                merge_config(falsy)
+
     def test_stages_must_all_be_present(self):
         with pytest.raises(ValueError, match="stages must be"):
             validate_config({"case": CASE_ID, "stages": {}})
@@ -335,6 +341,14 @@ class TestCli:
         assert result.stderr.count("\n") == 1
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("text", ["[]", "0", "false", "null", '""'])
+    def test_prove_non_object_config_exit_two(self, text, tmp_path, capsys):
+        """A falsy JSON value is no object either: it is refused, not read as "no overrides"."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "error: configuration must be a JSON object\n")
+
     def test_missing_config_file_exit_two(self):
         result = run_cli("prove", "--config", "/nonexistent/cfg.json")
         assert result.returncode == 2
@@ -364,6 +378,19 @@ class TestCli:
         monkeypatch.setattr(majorant.trigpoly, "eval_G", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
         assert majorant.cli.main(["maxima", "--sign", "plus", "--step", "1e-9"]) == 2
         assert capsys.readouterr() == ("", "error: step 1e-09 gives 500000000 grid steps, more than 1000000\n")
+
+    @pytest.mark.parametrize("step,count", [("1e-300", "5e+299"), ("1e-309", "inf")])
+    def test_maxima_tiny_step_refusal_is_short(self, step, count, capsys):
+        """A grid-step count past 10^9 is stated in short form; past the float range (a subnormal step) as inf."""
+        assert majorant.cli.main(["maxima", "--sign", "plus", "--step", step]) == 2
+        assert capsys.readouterr() == ("", f"error: step {float(step):g} gives {count} grid steps, more than 1000000\n")
+
+    @pytest.mark.parametrize("bump", ["inf", "1e308"])
+    def test_maxima_huge_bump_gives_nine(self, bump, capsys):
+        """Every interior bound is clamped at 9 before it is rounded, so a huge bump gives 9, not an OverflowError."""
+        assert majorant.cli.main(["maxima", "--sign", "plus", "--bump", bump]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[1:] == ["0.0,9.0,1", "0.151,9.0,2", "0.302,9.0,2", "0.448,9.0,2"]
 
     def test_maxima_nan_step_or_bump_exit_two(self, capsys):
         """NaN fails every comparison, so the step and bump checks are written to fail on it."""

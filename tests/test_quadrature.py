@@ -1,5 +1,6 @@
 """Tests for the corrected midpoint rule and its two error-bound flavours."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from majorant import quadrature
 from majorant.integrand import IntegrandSpec, h4_term_bounds
-from majorant.pipeline import DEFAULT_CONFIG, prove_k5
+from majorant.pipeline import DEFAULT_CONFIG, prove_k5, reproduce_table
 from majorant.quadrature import (
     MAX_STEPS,
     CertifiedValue,
@@ -23,13 +24,14 @@ from majorant.quadrature import (
     gap_derivatives,
     q_plain,
     q_star,
+    q_values,
     refined_error_bound,
     refined_error_bounds,
 )
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, eval_G
 
 from conftest import one_sign_integral
-from oracle import eval_G_derivative, eval_H, eval_H_second
+from oracle import eval_G_derivative, eval_H, eval_H_second, q_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -172,16 +174,16 @@ class TestBatchedNodeSums:
                     assert abs(batched[j][1] - h2_sum) <= 1e-14 * h2_abs, (t, n, j, sign)
 
     def test_batched_refined_bounds_equal_single_calls(self):
-        """One refined_error_bounds pass per (t, N) for both signs reproduces every single bound bitwise."""
+        """One refined_error_bounds pass per (t, N) for both signs reproduces every single bound and the oracle bitwise."""
         for (t, n), jobs in default_proof_passes().items():
             term_sums = [h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j, _ in jobs]
             squares = [(trig, default_max_table(trig)) for trig in (TrigSquare(5, PLUS), TrigSquare(5, MINUS))]
             for (trig, table), batched in zip(squares, refined_error_bounds(term_sums, squares, n)):
                 singles = [refined_error_bound(s, trig, n, table) for s in term_sums]
                 assert [b.hex() for b in batched] == [s.hex() for s in singles], (t, n, trig.sign)
-                termwise = [  # the one-term public bounds, summed as the error bound sums them
+                termwise = [  # the per-key oracle, summed as the error bound sums it
                     math.fsum(
-                        term.coefficient * (q_star if term.has_gprime else q_plain)(trig, term.t_r, term.j_r, n, table)
+                        term.coefficient * q_reference(term.has_gprime, trig, term.t_r, term.j_r, n, table)
                         for term in s
                     ) / (61440.0 * float(n) ** 5)
                     for s in term_sums
@@ -227,6 +229,52 @@ class TestBatchedNodeSums:
         jobs = [(1, "refined"), (4, "plain"), (2, "refined")]
         singles = [gap_derivative(order, 5.2, 300, mode) for order, mode in jobs]
         assert gap_derivatives(5.2, 300, jobs) == singles
+
+
+class TestQPass:
+    """The q pass shares its ingredients across keys and squares, and changes no value."""
+
+    @pytest.fixture
+    def squares(self, plus_square, minus_square, plus_table, minus_table):
+        return [(plus_square, plus_table), (minus_square, minus_table)]
+
+    @pytest.mark.parametrize("table_id,n", [("Q500", 500), ("Q400", 400)])
+    def test_tables_equal_oracle(self, table_id, n, squares):
+        """Every Q500/Q400 entry, both signs, and the one-key q_star/q_plain are bitwise the per-key oracle."""
+        _, rows = reproduce_table(table_id)
+        for kind, t, j, *per_sign, _, _ in rows:
+            for value, (trig, table) in zip(per_sign, squares):
+                expected = q_reference(kind == "star", trig, float(t), j, n, table).hex()
+                single = (q_star if kind == "star" else q_plain)(trig, float(t), j, n, table)
+                assert value.hex() == single.hex() == expected, (table_id, kind, t, j, trig.sign)
+
+    def test_proof_keys_equal_oracle(self, squares):
+        """Every (has_gprime, t_r, j_r) key of the default proof's refined bounds, both signs, is bitwise the oracle."""
+        checked = 0
+        for (t, n), jobs in default_proof_passes().items():
+            terms = [term for j, mode in jobs if mode == "refined" for term in h4_term_bounds(IntegrandSpec(t, j, PLUS))]
+            keys = [(term.has_gprime, term.t_r, term.j_r) for term in terms]
+            for q, (trig, table) in zip(q_values(keys, squares, n), squares):
+                assert set(q) == set(keys)
+                for (has_gprime, t_r, j_r), value in q.items():
+                    expected = q_reference(has_gprime, trig, t_r, j_r, n, table)
+                    assert value.hex() == expected.hex(), (t, n, has_gprime, t_r, j_r, trig.sign)
+                    checked += 1
+        assert checked == 2 * 230
+
+    @pytest.mark.parametrize("table_id,envelopes", [("Q500", 5), ("Q400", 10)])
+    def test_each_table_computes_each_ingredient_once(self, monkeypatch, table_id, envelopes):
+        """Per table: one variation per (sign, power), one torus bound per power, one envelope term per key.
+
+        Both tables use the powers 1..4 for variations and 2, 3, 4, 6 for torus
+        bounds; Q500 has 5 keys with j > 0, Q400 has 10.
+        """
+        calls = collections.Counter()
+        for name in ("variation_bound_power", "torus_integral_upper", "envelope_max"):
+            real = getattr(quadrature, name)
+            monkeypatch.setattr(quadrature, name, lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
+        reproduce_table(table_id)
+        assert calls == {"variation_bound_power": 8, "torus_integral_upper": 4, "envelope_max": envelopes}
 
 
 class TestNodeSumBounds:
