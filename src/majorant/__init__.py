@@ -44,7 +44,6 @@ from .spectral import (
 from .trigpoly import (
     SignVariant,
     TrigSquare,
-    eval_G,
     locate_maxima,
     parse_sign,
     second_deriv_L2,

@@ -14,7 +14,8 @@ The polynomial minus (or plus) delta then brackets the gap derivative from
 below (or above), and two elementary mechanisms turn endpoint data into a
 sign on the whole interval: a monotonicity chain of derivative signs, and a
 variation cascade that plays the growth of a would-be zero's total variation
-against endpoint bounds until it contradicts a monotone tail.
+against endpoint bounds until it contradicts a monotone tail.  The method names
+"chain" and "cascade" live here alone: check_sign runs the check one names.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from math import factorial, fsum
 
 from .envelope import envelope_max
 from .quadrature import gap_derivatives
+from .trigpoly import G_MAX
 
 PIPELINE_T_MIN = 5.0
 PIPELINE_T_MAX = 6.0
@@ -98,10 +100,18 @@ def check_budgets(budgets, degree: int) -> None:
 
 
 def check_target(method: str, target: str) -> None:
-    """Reject a target that the sign check named by method does not certify."""
+    """Reject a method that names no sign check, or a target that its check does not certify."""
+    if method not in SIGN_TARGETS:
+        raise ValueError(f"method must be one of {tuple(SIGN_TARGETS)}")
     targets = SIGN_TARGETS[method]
     if target not in targets:
         raise ValueError(f"the {method} check certifies {' or '.join(targets)} targets only, got {target!r}")
+
+
+def check_sign(method: str, cert: TaylorCertificate, target: str, interval) -> SignCertificate:
+    """The verdict of the sign check that method names, looked up per call so that a rebound checker runs."""
+    check_target(method, target)
+    return (check_sign_chain if method == "chain" else check_sign_variation)(cert, target, interval)
 
 
 def remainder_bound(center: float, radius: float, base_order: int, degree: int) -> float:
@@ -115,7 +125,7 @@ def remainder_bound(center: float, radius: float, base_order: int, degree: int) 
     """
     check_window(center, radius, base_order, degree)
     m = degree + 1 + base_order
-    peak = max(envelope_max(center - radius, m, 0.0, 9.0), envelope_max(center + radius, m, 0.0, 9.0))
+    peak = max(envelope_max(center - radius, m, 0.0, G_MAX), envelope_max(center + radius, m, 0.0, G_MAX))
     return 2.0 * peak * radius ** (degree + 1) / factorial(degree + 1)
 
 
@@ -171,7 +181,7 @@ def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
     """m-th derivative of the certificate polynomial at t inside its window."""
     if not 0 <= m <= cert.degree:
         raise ValueError(f"derivative order must be in 0..{cert.degree}, got {m}")
-    if abs(t - cert.center) > cert.radius + _EDGE_TOL:
+    if not abs(t - cert.center) <= cert.radius + _EDGE_TOL:  # also refuses nan
         raise ValueError(
             f"t={t} outside certified window [{cert.center - cert.radius}, "
             f"{cert.center + cert.radius}]"

@@ -20,7 +20,7 @@ from .pipeline import (
     reproduce_table,
 )
 from .quadrature import MODES, gap_derivative
-from .trigpoly import TrigSquare, locate_maxima, parse_sign, sup_norm_bound
+from .trigpoly import TrigSquare, curvature_slack, locate_maxima, parse_sign
 
 _MIN_TABLE_BUMP = 0.001
 
@@ -58,8 +58,7 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
 def _cmd_maxima(args: argparse.Namespace) -> int:
     square = TrigSquare(5, parse_sign(args.sign))
-    minimal = 0.5 * sup_norm_bound(2) * (args.step / 2.0) ** 2
-    bump = args.bump if args.bump is not None else max(_MIN_TABLE_BUMP, minimal)
+    bump = args.bump if args.bump is not None else max(_MIN_TABLE_BUMP, curvature_slack(args.step))
     table = locate_maxima(square, args.step, bump)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["location", "value_upper", "multiplicity"])
@@ -87,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     deriv = sub.add_parser("derivative", help="one certified gap-derivative evaluation")
     deriv.add_argument("--order", type=int, required=True, help="derivative order (>= 0; 0 is the gap itself)")
-    deriv.add_argument("--t", type=float, required=True, help="exponent, inside [5, 6]")
+    deriv.add_argument("--t", type=float, required=True, help="exponent: t > 4 plain (t >= 4 at order 0), t >= 5 refined")
     deriv.add_argument("--steps", type=int, required=True, help="midpoint nodes per half period")
     deriv.add_argument("--mode", choices=MODES, default="refined")
     deriv.set_defaults(func=_cmd_derivative)

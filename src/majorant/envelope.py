@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .trigpoly import G_MAX
+
 
 def envelope_max(s: float, m: int, a: float, b: float) -> float:
     """Maximum of v^s * |log v|^m over [a, b], for 0 <= a < b <= 9 and s > 0.
@@ -24,11 +26,11 @@ def envelope_max(s: float, m: int, a: float, b: float) -> float:
     """
     if m < 0:
         raise ValueError(f"log exponent must be a nonnegative integer, got {m}")
-    if not 0.0 <= a < b <= 9.0 + 1e-12:
-        raise ValueError(f"need 0 <= a < b <= 9, got [{a}, {b}]")
-    if m == 0 and s < 0.0:
+    if not 0.0 <= a < b <= G_MAX + 1e-12:
+        raise ValueError(f"need 0 <= a < b <= {G_MAX:g}, got [{a}, {b}]")
+    if m == 0 and not s >= 0.0:  # phrased "not <valid>" so that a NaN fails
         raise ValueError(f"power must be nonnegative, got {s}")
-    if m > 0 and s <= 0.0:
+    if m > 0 and not s > 0.0:
         raise ValueError(f"power must be positive when logs are present, got {s}")
 
     def alpha(v: float) -> float:

@@ -25,31 +25,29 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .envelope import envelope_max
-from .trigpoly import SignVariant, sup_norm_bound
+from .trigpoly import G_MAX, SignVariant, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
-WORK_M = (9.0, 176.0, 6800.0, 280000.0, 11600000.0)
+WORK_M = (G_MAX, 176.0, 6800.0, 280000.0, 11600000.0)
 
 for _m, _w in enumerate(WORK_M):
     if _w < sup_norm_bound(_m):
         raise RuntimeError(f"working bound {_w} below true sup at order {_m}")
 
-# Group constants of the fourth-derivative expansion.  Scalar groups bound
-# |G'| by WORK_M[1]; the refined groups keep a first-derivative factor so the
-# quadrature can integrate |G'| exactly.
-_SCALAR_GROUPS = (
-    (WORK_M[1] ** 4, -4, "quartic"),
-    (6.0 * WORK_M[1] ** 2 * WORK_M[2], -3, "cubic"),
-    (3.0 * WORK_M[2] ** 2 + 4.0 * WORK_M[1] * WORK_M[3], -2, "quadratic"),
-    (WORK_M[4], -1, "linear"),
-)
+# Groups (constant, power offset, brace kind, |G'| factor) of the fourth-derivative expansion.
+# The refined groups keep |G'| so the quadrature can integrate it exactly; the scalar groups
+# bound it by WORK_M[1] and add up each kind's constants (exact: all are integers < 2^53).
 _REFINED_GROUPS = (
     (WORK_M[1] ** 3, -4, "quartic", True),
     (6.0 * WORK_M[1] * WORK_M[2], -3, "cubic", True),
     (4.0 * WORK_M[3], -2, "quadratic", True),
     (3.0 * WORK_M[2] ** 2, -2, "quadratic", False),
     (WORK_M[4], -1, "linear", False),
+)
+_SCALAR_GROUPS = tuple(
+    (sum(c * (WORK_M[1] if g else 1.0) for c, _, k, g in _REFINED_GROUPS if k == kind), offset, kind)
+    for offset, kind in dict.fromkeys((offset, kind) for _, offset, kind, _ in _REFINED_GROUPS)
 )
 
 
@@ -177,7 +175,7 @@ def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:
 def h4_sup_bound(spec: IntegrandSpec) -> float:
     """Scalar sup-norm bound for H'''' over the whole period.
 
-    Every group becomes constant * max of G^(t+offset) |log G|^p over [0, 9]
+    Every group becomes constant * max of G^(t+offset) |log G|^p over [0, G_MAX]
     via the closed-form envelope.  Needs t > 4 when logs are present (at
     t = 4 the envelope of the G^0 log^j G term is unbounded at 0), t >= 4 otherwise.
     """
@@ -187,7 +185,7 @@ def h4_sup_bound(spec: IntegrandSpec) -> float:
     pieces = []
     for const, offset, kind in _SCALAR_GROUPS:
         for c, p in _brace_terms(kind, t, j):
-            pieces.append(const * abs(c) * envelope_max(t + offset, p, 0.0, 9.0))
+            pieces.append(const * abs(c) * envelope_max(t + offset, p, 0.0, G_MAX))
     try:
         return math.fsum(pieces)
     except OverflowError:  # a sum beyond the float range: infinite, still an upper bound

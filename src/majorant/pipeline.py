@@ -30,7 +30,7 @@ from .certify import (
     build_certificate,
     check_budgets,
     check_interval,
-    check_sign_chain,
+    check_sign,
     check_sign_variation,
     check_target,
     check_window,
@@ -134,16 +134,13 @@ DEFAULT_CONFIG = {
     },
 }
 
+# A config file is outside input, so its steps stay far below MAX_STEPS, where four cached node tables hold ~2 GB.
 _MAX_PIPELINE_STEPS = 500
 
 # A field takes the JSON type of its default.  Stages that share a field share its type, so
 # any non-empty default of it will do (two stages' notes lists are empty).
 _FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items() if v != []}
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
-
-# Method -> sign check, looked up per call so that instrumentation rebinding the checks sees the calls.
-# certify.SIGN_TARGETS says which targets each method certifies.
-_SIGN_CHECKS = {"chain": lambda *a: check_sign_chain(*a), "cascade": lambda *a: check_sign_variation(*a)}
 
 # ---------------------------------------------------------------------------
 # Reference values the pipeline is expected to reproduce (regression anchors).
@@ -306,8 +303,6 @@ def _validate_stage(stage: dict, default: dict) -> None:
         if len(interval) != 2:
             raise ValueError(f"intervals must be [a, b] pairs, got {interval}")
         check_interval(center, radius, *interval)
-    if stage["method"] not in _SIGN_CHECKS:
-        raise ValueError(f"method must be one of {tuple(_SIGN_CHECKS)}")
     check_target(stage["method"], stage["target"])
     check_budgets(stage["budgets"], stage["degree"])
     if stage["total_delta"] <= 0:
@@ -396,8 +391,7 @@ def _run_certificate_stage(name: str, stage: dict) -> StageResult:
             f"{stage['tail_budget']:g} (still within total_delta)",
         )
     target = stage["target"]
-    checker = _SIGN_CHECKS[stage["method"]]
-    verdicts = [checker(cert, target, interval) for interval in stage["intervals"]]
+    verdicts = [check_sign(stage["method"], cert, target, interval) for interval in stage["intervals"]]
     anchors = []
     for a, b in stage["intervals"]:
         anchors.extend((eval_cert_poly(cert, 0, a), eval_cert_poly(cert, 0, b)))

@@ -35,24 +35,24 @@ from math import fsum
 from operator import mul
 
 from .envelope import envelope_max
-from .integrand import BoundTerm, IntegrandSpec, NodeColumns, h4_sup_bound, h4_term_bounds
+from .integrand import WORK_M, BoundTerm, IntegrandSpec, NodeColumns, h4_sup_bound, h4_term_bounds
 from .integrand import power_row
 from .spectral import torus_integral_upper
-from .trigpoly import MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
-from .trigpoly import eval_G_jet, second_deriv_L2, sup_norm_bound, variation_bound_power
+from .trigpoly import G_MAX, MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
+from .trigpoly import eval_G_jet, second_deriv_L2, variation_bound_power
 
 MODES = ("plain", "refined")
 _CHUNK = 256
 _ERR_DENOM = 60.0 * 2**10  # 61440, exact
 
-# Working constants for the variation-aware bound: half the sup bound of G'
-# and half a rounded upper bound for the L^2 norm of G''.
-_HALF_SUP_G1 = 88.0
+# Working constants for the variation-aware bound: half the working sup bound
+# of G' (88, exact) and half a rounded upper bound for the L^2 norm of G''.
+_HALF_SUP_G1 = WORK_M[1] / 2
 _HALF_L2_G2 = 1700.0
-if 2.0 * _HALF_SUP_G1 < sup_norm_bound(1) or 2.0 * _HALF_L2_G2 < second_deriv_L2():
-    raise RuntimeError("_HALF_SUP_G1 or _HALF_L2_G2 is below half the bound it stands for")
+if 2.0 * _HALF_L2_G2 < second_deriv_L2():
+    raise RuntimeError("_HALF_L2_G2 is below half the bound it stands for")
 
-LOG9 = math.log(9.0)
+LOG9 = math.log(G_MAX)
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,16 @@ def _plain_error(sup4: float, n_steps: int) -> float:
 
 def _sign_free_part(has_gprime: bool, t: float, j: int, n_steps: int) -> tuple[float, float]:
     """What q_star (has_gprime) or q_plain takes from no sign: the small-range part and log(9)^j."""
-    if t < 1.0:
+    if not t >= 1.0:  # the argument checks are phrased "not <valid>" so that a NaN fails them
         raise ValueError(f"power must be >= 1, got {t}")
-    if j < 0:
+    if not j >= 0:
         raise ValueError(f"log exponent must be nonnegative, got {j}")
-    if n_steps < 0:
+    if not n_steps >= 0:
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
     small = 0.0
     if j != 0:
-        weight = 14.0 * n_steps / 9.0 + _HALF_L2_G2 if has_gprime else n_steps
-        small = envelope_max(t, j, 0.0, 1.0 / 9.0) * weight
+        weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2 if has_gprime else n_steps
+        small = envelope_max(t, j, 0.0, 1.0 / G_MAX) * weight
     try:
         return small, LOG9**j
     except OverflowError:  # log(9)^j beyond the float range: infinite, still an upper bound
@@ -173,7 +173,7 @@ def refined_error_bounds(
     the batch's (has_gprime, t_r, j_r) keys serves every (square, maxima
     table) in squares, and one list of bounds is returned per square.
     """
-    if n_steps < 1:
+    if not n_steps >= 1:
         raise ValueError(f"step count must be positive, got {n_steps}")
     keys = ((term.has_gprime, term.t_r, term.j_r) for terms in term_lists for term in terms)
     scale = _ERR_DENOM * float(n_steps) ** 5

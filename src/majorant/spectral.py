@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, inf
 
-from .trigpoly import F2, F3, K, SignVariant
+from .trigpoly import F2, F3, G_MAX, K, SignVariant
 
 _MAX_RHO = F2  # the blocks of F^rho stay disjoint while rho < F3
 
@@ -57,19 +57,19 @@ def torus_power_integral(rho: int) -> int:
 def power_integral_bound(tau: float, rho: int) -> float:
     """Upper bound for the integral of G^tau over [0, 1/2] from the exact rho-th moment.
 
-    For tau >= rho, G^tau <= 9^(tau-rho) * G^rho pointwise since G <= 9.  For
+    For tau >= rho, G^tau <= G_MAX^(tau-rho) * G^rho pointwise.  For
     tau <= rho, Jensen's inequality on the unit-mass period gives
     mean(G^tau) <= mean(G^rho)^(tau/rho).  Both reduce to the exact integer
     moment A(rho); the half-period bound is half the full-period one.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:  # also refuses nan
         raise ValueError(f"power must be positive, got {tau}")
     if not 1 <= rho <= _MAX_RHO:
         raise ValueError(f"anchor exponent must satisfy 1 <= rho <= k+1 = {_MAX_RHO}, got {rho}")
     a = float(torus_power_integral(rho))
     if tau >= rho:
         try:
-            return 0.5 * 9.0 ** (tau - rho) * a
+            return 0.5 * G_MAX ** (tau - rho) * a
         except OverflowError:  # beyond the float range: infinite, still an upper bound
             return inf
     return 0.5 * a ** (tau / rho)
@@ -81,7 +81,7 @@ def torus_integral_upper(t: float) -> float:
     Non-integer (or large) powers take the best of the anchored bounds over
     all admissible integer moments.
     """
-    if t <= 0.0:
+    if not t > 0.0:  # also refuses nan
         raise ValueError(f"power must be positive, got {t}")
     if float(t).is_integer() and t <= _MAX_RHO:
         return float(torus_power_integral(int(t)))

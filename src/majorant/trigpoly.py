@@ -7,14 +7,14 @@ polynomials, the case k = 5 of the paper: for a sign ``s`` the square expands to
 
 an even, 1-periodic function with frequencies 1, 6 and 7 and values in
 [0.018, 9]: G has no zeros (its minimum on a grid of step 1/20000, less the
-curvature slack sup|G''| h^2/8, is 0.0182 for the minus sign and larger for
+curvature slack of that step, is 0.0182 for the minus sign and larger for
 plus).  Every working constant in the package is proven for this case alone,
 so k is the module constant ``K`` rather than a parameter.
 
-This module evaluates G and its derivatives in closed form, produces sup-norm
-bounds for those derivatives, tabulates certified upper bounds at the local
-maxima of G over a half period, and converts such a table into an upper bound
-for the total variation of integer or real powers of G.
+This module states G's range bound ``G_MAX``, evaluates G, G' and G'' in one
+pass over a run of points, bounds the sup norms of the derivatives, tabulates
+certified upper bounds at the local maxima of G over a half period, and bounds
+the total variation of integer or real powers of G.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ TWO_PI = 2.0 * pi
 K = 5
 F2, F3 = K + 1, K + 2  # the frequencies of the two signed cosines
 MAX_STEPS = 1_000_000  # the most nodes or grid steps any evaluation takes
+G_MAX = 9.0  # sup G = (1 + 1 + 1)^2, attained at x = 0 by the plus sign
 
 
 class SignVariant(enum.Enum):
@@ -98,16 +99,10 @@ class LocalMaxTable:
         return sum(e.multiplicity for e in self.entries)
 
 
-def eval_G(spec: TrigSquare, x: float) -> float:
-    """Value of G at x."""
-    s = spec.sign.factor
-    return 3.0 + 2.0 * (cos(TWO_PI * x) + s * cos(TWO_PI * F2 * x) + s * cos(TWO_PI * F3 * x))
-
-
 def eval_G_jet(spec: TrigSquare, xs) -> Iterator[tuple[float, float, float]]:
     """(G, G', G'') at each x of xs in one pass: cosines shared by G and G'', sines once.
 
-    G is formed as in eval_G, to the last bit, and its derivatives in closed form:
+    In closed form, G(x) = 3 + 2 (cos(2 pi x) + s cos(12 pi x) + s cos(14 pi x)) and
 
         G'(x)  = -4 pi   (sin(2 pi x) + 6 s sin(12 pi x) + 7 s sin(14 pi x)),
         G''(x) = -8 pi^2 (cos(2 pi x) + 36 s cos(12 pi x) + 49 s cos(14 pi x)).
@@ -127,15 +122,15 @@ def eval_G_jet(spec: TrigSquare, xs) -> Iterator[tuple[float, float, float]]:
 
 
 def sup_norm_bound(m: int) -> float:
-    """Proven bound for sup|G^(m)|: 9 for m = 0, else 2^(m+1) pi^m (1 + 6^m + 7^m).
+    """Proven bound for sup|G^(m)|: G_MAX for m = 0, else 2^(m+1) pi^m (1 + 6^m + 7^m).
 
     The m >= 1 case is the triangle inequality applied to the closed form of
     the derivative; it is independent of the sign variant.
     """
-    if m < 0:
+    if not m >= 0:  # also refuses nan
         raise ValueError(f"derivative order must be >= 0, got {m}")
     if m == 0:
-        return 9.0
+        return G_MAX
     return 2.0 ** (m + 1) * pi**m * (1.0 + float(F2) ** m + float(F3) ** m)
 
 
@@ -147,6 +142,11 @@ def second_deriv_L2() -> float:
     is exactly 8 pi^2 * 43.
     """
     return 8.0 * pi**2 * 43.0
+
+
+def curvature_slack(h: float) -> float:
+    """How far G may rise above a grid value at step h near a local maximum: sup|G''| (h/2)^2 / 2."""
+    return 0.5 * sup_norm_bound(2) * (h / 2.0) ** 2
 
 
 def _ceil_decimals(x: float, decimals: int = 3) -> float:
@@ -161,28 +161,26 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     G is sampled at step h.  A sample exceeding both neighbours (with the grid
     mirrored at 0 and 1/2, where G is even) brackets a true local maximum; a
     maximum at xi within an h-neighbourhood of the winning sample satisfies
-    G(xi) <= sample + M2*(h/2)^2/2 because G'(xi) = 0, so ``bump`` must cover
-    that quadratic slack.  Interior bounds are rounded up to 3 decimals; at
+    G(xi) <= sample + curvature_slack(h) because G'(xi) = 0, so ``bump`` must
+    cover that slack.  Interior bounds are rounded up to 3 decimals; at
     the symmetry points 0 and 1/2 the derivative vanishes identically and the
     sampled value is the exact local maximum value, so no slack is added.
-    Every bound is clamped at the global maximum 9 before it is rounded, so
-    a huge or infinite bump gives 9.  A step that needs more than MAX_STEPS
-    grid steps is refused before any sampling.
+    Every bound is clamped at the global maximum G_MAX before it is rounded,
+    so a huge or infinite bump gives G_MAX.  A step that needs more than
+    MAX_STEPS grid steps is refused before any sampling.
     """
     if not h > 0.0:  # also refuses nan
         raise ValueError(f"step must be positive, got {h}")
-    slack = 0.5 * sup_norm_bound(2) * (h / 2.0) ** 2
+    slack = curvature_slack(h)
     if not bump >= slack:
-        raise ValueError(
-            f"bump {bump:g} does not cover the curvature slack {slack:.6g} for step {h:g}"
-        )
+        raise ValueError(f"bump {bump:g} does not cover the curvature slack {slack:.6g} for step {h:g}")
     steps = 0.5 / h  # inf for a subnormal step
     if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS; short form, as 5e+299 for 1e-300
         raise ValueError(f"step {h:g} gives {steps:.9g} grid steps, more than {MAX_STEPS}")
     n = round(steps)
     if n < 2 or abs(n * h - 0.5) > 1e-9:
         raise ValueError(f"step {h:g} must evenly divide the half period")
-    samples = [eval_G(spec, i * h) for i in range(n + 1)]
+    samples = [g for g, _, _ in eval_G_jet(spec, (i * h for i in range(n + 1)))]
     entries = []
     for i in range(n + 1):
         left = samples[i - 1] if i > 0 else samples[1]
@@ -191,9 +189,9 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
         if not (v > left and v > right):
             continue
         if i == 0 or i == n:
-            entries.append(LocalMaxEntry(i * h, min(v, 9.0), 1))
+            entries.append(LocalMaxEntry(i * h, min(v, G_MAX), 1))
         else:
-            bound = _ceil_decimals(min(max(left, v, right) + bump, 9.0))  # clamped first: bump may be inf
+            bound = _ceil_decimals(min(max(left, v, right) + bump, G_MAX))  # clamped first: bump may be inf
             entries.append(LocalMaxEntry(i * h, bound, 2))
     table = LocalMaxTable(spec, h, bump, tuple(entries))
     if table.total_multiplicity != 7:
@@ -218,7 +216,7 @@ def variation_bound_power(spec: TrigSquare, t: float, table: LocalMaxTable) -> f
     """
     if table.spec != spec:
         raise ValueError("local-maximum table was built for a different square")
-    if t < 0.0:
+    if not t >= 0.0:  # also refuses nan
         raise ValueError(f"power must be nonnegative, got {t}")
     try:
         return 2.0 * fsum(e.multiplicity * e.value_upper**t for e in table.entries)

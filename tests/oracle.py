@@ -1,4 +1,4 @@
-"""Pointwise reference values of G's derivatives, H, H'' and the |H''''| term bound.
+"""Pointwise reference values of G, its derivatives, H, H'' and the |H''''| term bound.
 
 The package evaluates these only in node batches (``eval_G_jet``, ``power_row``
 and the moment sums of ``quadrature._h_node_sums``).  This module writes each
@@ -20,7 +20,13 @@ from math import cos, sin
 from majorant.envelope import envelope_max
 from majorant.quadrature import _ERR_DENOM, _HALF_L2_G2, _HALF_SUP_G1
 from majorant.spectral import torus_integral_upper, torus_power_integral
-from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, eval_G, variation_bound_power
+from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, variation_bound_power
+
+
+def eval_G(spec, x):
+    """Value of G at x."""
+    s = spec.sign.factor
+    return 3.0 + 2.0 * (cos(TWO_PI * x) + s * cos(TWO_PI * F2 * x) + s * cos(TWO_PI * F3 * x))
 
 
 def eval_G_derivative(spec, m, x):

@@ -9,6 +9,7 @@ from majorant.certify import (
     SignCertificate,
     TaylorCertificate,
     build_certificate,
+    check_sign,
     check_sign_chain,
     check_sign_variation,
     eval_cert_poly,
@@ -49,6 +50,29 @@ def cert_c():
 @pytest.fixture(scope="module")
 def cert_d():
     return stage_certificate("gap_d2_on_5.720_6.000")[0]
+
+
+class TestCheckSign:
+    def test_same_verdict_as_the_named_checker(self, cert_a, cert_b, cert_c, cert_d):
+        """On the five stage intervals of the default proof, check_sign is the checker its method names."""
+        checkers = {"chain": check_sign_chain, "cascade": check_sign_variation}
+        certs = {"gap_d4_on_5.000_5.130": cert_a, "gap_d1_on_5.130_5.330": cert_b,
+                 "gap_d1_on_5.330_5.720": cert_c, "gap_d2_on_5.720_6.000": cert_d}
+        checked = 0
+        for name, cert in certs.items():
+            stage = DEFAULT_CONFIG["stages"][name]
+            for interval in stage["intervals"]:
+                verdict = check_sign(stage["method"], cert, stage["target"], interval)
+                assert verdict == checkers[stage["method"]](cert, stage["target"], interval)
+                assert verdict.certified
+                checked += 1
+        assert checked == 5
+
+    def test_refuses_unknown_method_and_uncovered_target(self, cert_b):
+        with pytest.raises(ValueError, match=r"method must be one of \('chain', 'cascade'\)"):
+            check_sign("bogus", cert_b, "positive", (5.13, 5.33))
+        with pytest.raises(ValueError, match="certifies positive targets only"):
+            check_sign("cascade", cert_b, "negative", (5.13, 5.33))
 
 
 class TestRemainderBound:

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from majorant.integrand import WORK_M, IntegrandSpec, h4_sup_bound, h4_term_bounds
-from majorant.trigpoly import SignVariant, TrigSquare, eval_G, sup_norm_bound
+from majorant.integrand import _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_sup_bound, h4_term_bounds
+from majorant.trigpoly import SignVariant, TrigSquare, sup_norm_bound
 
-from oracle import eval_H, eval_H_second, term_sum_value
+from oracle import eval_G, eval_H, eval_H_second, term_sum_value
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -21,6 +21,15 @@ class TestWorkingConstants:
         # the rounding headroom stays below one percent at every order
         for m, w in enumerate(WORK_M):
             assert w <= sup_norm_bound(m) * 1.01
+
+    def test_scalar_groups_are_exact_integers(self):
+        """176^4, 6*176^2*6800, 3*6800^2 + 4*176*280000 and 11600000: the scalar |H''''| groups."""
+        assert _SCALAR_GROUPS == (
+            (959512576.0, -4, "quartic"),
+            (1263820800.0, -3, "cubic"),
+            (335840000.0, -2, "quadratic"),
+            (11600000.0, -1, "linear"),
+        )
 
 
 class TestSpecValidation:

@@ -1,6 +1,8 @@
 """Tests for the proof pipeline, configuration handling, reports, and the CLI."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import platform
@@ -59,6 +61,20 @@ MALFORMED_CONFIGS = [
     pytest.param({"stages": {C1: {"target": "negative"}}}, C1, "target", id="cascade-negative"),
 ]
 
+# sha256 of each reference table's CSV, as ``majorant table <id>`` prints it
+TABLE_SHA256 = {
+    "maxima": "9f71782fcdf4cc22f2df9b3109c38fec3e8af4303fe01dc646875f44b09f0d24",
+    "A_rho": "00e04b72fa0884bbc54c5392ec40887b6c40b8a182e8bc26058f790fefa2934d",
+    "Q500": "4735a5fe4c95225484befd5fa8d8e358714b72e386ca8f67460c4d80c37872e4",
+    "Q400": "5e7160ba5716361a23711cfcea88b7afbb803b36e3dc289db145ebed1d0b1c48",
+    "T1": "aa690647fb679a6ca1b34a8320b965c6e53791f05d6c32f35de0f86474f996a6",
+    "T2": "364fb4777cca5945e84d89301ebc817956d93c0bd34e98d8e6dec4d64d6dc470",
+    "T3": "70ea7b7c9b8ad4a05b77174a37e54c9fb26a96c7c964685b91579fc3fcb74636",
+    "T4": "43aba76878167dca18bfb0033a920b4e49b586df167a3bc1152536e82807c543",
+    "T5": "4b46f8fe1763b970584fc309b88886294da8a7bf2dc382800bf7827e549375d8",
+    "T6": "8a358658f0ffece8bd4b053bd60a1678c016ef1df786564b9ffcfd1ef4a4de43",
+}
+
 
 @pytest.fixture(scope="module")
 def default_report():
@@ -100,6 +116,10 @@ class TestConfig:
         message = str(excinfo.value)
         assert field in message
         assert stage is None or f"stage {stage!r}" in message
+
+    def test_unknown_sign_method_rejected(self):
+        with pytest.raises(ValueError, match=r"^stage 'gap_d1_on_5.130_5.330': method must be one of \('chain', 'cascade'\)$"):
+            validate_config(merge_config({"stages": {C1: {"method": "bogus"}}}))
 
     def test_only_none_means_no_overrides(self):
         assert merge_config({}) == merge_config(None) == {"case": CASE_ID, "stages": DEFAULT_CONFIG["stages"]}
@@ -194,6 +214,17 @@ class TestReports:
         """The default JSON report is the behavioural contract; hash recorded on glibc 2.36, x86-64, Python 3.11.7."""
         digest = hashlib.sha256(emit_report(prove_k5(), "json").encode("utf-8")).hexdigest()
         assert digest == "f5618e00a23593c31dee3d089501f8c90f0b6531c9071ae6efdc72bd03cbcd45"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the hashes were recorded with glibc's libm")
+    @pytest.mark.parametrize("table_id,digest", TABLE_SHA256.items())
+    def test_table_bytes_are_pinned(self, table_id, digest):
+        """The CSV that ``majorant table <id>`` prints; hashes recorded on glibc 2.36, x86-64, Python 3.11.7."""
+        header, rows = reproduce_table(table_id)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
     def test_emissions_are_deterministic(self, default_report):
         again = prove_k5()
@@ -375,7 +406,7 @@ class TestCli:
 
     def test_maxima_grid_too_large_exit_two(self, monkeypatch, capsys):
         """A step of 1e-9 would sample 5e8 points; it is refused before the first one."""
-        monkeypatch.setattr(majorant.trigpoly, "eval_G", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
+        monkeypatch.setattr(majorant.trigpoly, "eval_G_jet", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
         assert majorant.cli.main(["maxima", "--sign", "plus", "--step", "1e-9"]) == 2
         assert capsys.readouterr() == ("", "error: step 1e-09 gives 500000000 grid steps, more than 1000000\n")
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from majorant import quadrature
+from majorant.certify import TaylorCertificate, eval_cert_poly
+from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec, h4_term_bounds
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5, reproduce_table
 from majorant.quadrature import (
@@ -28,10 +30,11 @@ from majorant.quadrature import (
     refined_error_bound,
     refined_error_bounds,
 )
-from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, eval_G
+from majorant.spectral import power_integral_bound, torus_integral_upper
+from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
-from oracle import eval_G_derivative, eval_H, eval_H_second, q_reference
+from oracle import eval_G, eval_G_derivative, eval_H, eval_H_second, q_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -338,6 +341,33 @@ class TestNodeSumBounds:
             q_plain(plus_square, 0.5, 0, 100, plus_table)
         with pytest.raises(ValueError, match="nonnegative"):
             q_star(plus_square, 2.0, -1, 100, plus_table)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda sq, tb: q_plain(sq, math.nan, 1, 100, tb), id="q_plain"),
+            pytest.param(lambda sq, tb: q_star(sq, math.nan, 1, 100, tb), id="q_star"),
+            pytest.param(
+                lambda sq, tb: refined_error_bound(h4_term_bounds(IntegrandSpec(5.5, 1, PLUS)), sq, math.nan, tb),
+                id="refined_error_bound",
+            ),
+            pytest.param(lambda sq, tb: variation_bound_power(sq, math.nan, tb), id="variation_bound_power"),
+            pytest.param(lambda sq, tb: torus_integral_upper(math.nan), id="torus_integral_upper"),
+            pytest.param(lambda sq, tb: power_integral_bound(math.nan, 3), id="power_integral_bound"),
+            pytest.param(lambda sq, tb: envelope_max(math.nan, 2, 0.0, 9.0), id="envelope_max"),
+            pytest.param(lambda sq, tb: sup_norm_bound(math.nan), id="sup_norm_bound"),
+            pytest.param(
+                lambda sq, tb: eval_cert_poly(
+                    TaylorCertificate(5.5, 0.1, 1, 1, (1.0, 2.0), (0.0, 0.0), (1.0, 1.0), 0.0, 1.0), 0, math.nan
+                ),
+                id="eval_cert_poly",
+            ),
+        ],
+    )
+    def test_nan_argument_is_refused(self, call, plus_square, plus_table):
+        """NaN fails every comparison, so a check written as x < lo lets it through to a nan bound."""
+        with pytest.raises(ValueError):
+            call(plus_square, plus_table)
 
 
 class TestIntegrateH:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from majorant.trigpoly import (
+    G_MAX,
     SignVariant,
     TrigSquare,
     default_max_table,
-    eval_G,
     eval_G_jet,
     locate_maxima,
     parse_sign,
@@ -19,7 +19,7 @@ from majorant.trigpoly import (
 )
 
 from conftest import numpy_G
-from oracle import eval_G_derivative
+from oracle import eval_G, eval_G_derivative
 
 
 class TestParseSign:
@@ -135,6 +135,10 @@ class TestSupNormBounds:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
             sup_norm_bound(-1)
+
+    def test_range_bound_is_attained(self, plus_square):
+        """G_MAX is sup G: the m = 0 bound, and G of the plus sign at x = 0."""
+        assert G_MAX == sup_norm_bound(0) == eval_G(plus_square, 0.0)
 
 
 class TestSecondDerivL2:
