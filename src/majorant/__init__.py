@@ -1,11 +1,12 @@
 """Certified numerics for comparing L^p norms of three-term exponential sums.
 
-For the pair of squares |1 + e(x) +- e(7x)|^2 this package proves, with
-explicit floating-point error accounting, that the minus variant has the
-strictly larger L^p norm for every p between 10 and 12.  The building blocks
-(certified midpoint quadrature, closed-form envelope maxima, Taylor
-certificates with budgeted coefficient errors, and two endpoint-based sign
-mechanisms) are exposed for reuse; ``prove_k5`` runs the whole argument.
+For the pair of squares |1 + e(x) +- e(7x)|^2 this package proves, with a
+proven bound on every quadrature and Taylor truncation error, that the minus
+variant has the strictly larger L^p norm for every p between 10 and 12.  The
+rounding of the floating-point evaluation itself is not yet bounded.  The
+building blocks (certified midpoint quadrature, closed-form envelope maxima,
+Taylor certificates with budgeted coefficient errors, and two endpoint-based
+sign mechanisms) are exposed for reuse; ``prove_k5`` runs the whole argument.
 """
 
 from .certify import (

@@ -2,10 +2,9 @@
 
 Fractional-power norms are differentiated under the integral sign, which turns
 every integrand into a power-times-log combination of G.  The quadrature rule
-needs H and H'' at its nodes, built from the two j-free columns a and b of
-one power row per node chunk and the log powers kept with the node columns,
-and a bound for |H''''|, assembled by the chain rule from the derivative
-bounds of G.
+needs H at its nodes, the product of one power row G^t per node chunk and the
+log powers kept with the node columns, and a bound for |H''''|, assembled by
+the chain rule from the derivative bounds of G.
 Expanding four derivatives of G^t log^j G and collecting by which
 G-derivatives appear yields a short list of groups, each of the form
 
@@ -14,8 +13,8 @@ G-derivatives appear yields a short list of groups, each of the form
 where the brace is a fixed polynomial in log G with coefficients polynomial in
 t and falling factorials of j.  Replacing |G'| by its sup bound gives a single
 scalar envelope (``h4_sup_bound``); keeping |G'| as a factor gives the term
-list (``h4_term_bounds``) that the variation-aware error bound integrates
-exactly.  Neither bound depends on the sign variant: WORK_M bounds both.
+list (``h4_term_bounds``) whose integrals over the period the refined error
+bound adds up.  Neither bound depends on the sign variant: WORK_M bounds both.
 """
 
 from __future__ import annotations
@@ -80,15 +79,13 @@ class BoundTerm(NamedTuple):
 
 
 class NodeColumns(NamedTuple):
-    """G, G', G'' and log G over a run of nodes: everything about them that is free of t and j.
+    """G and log G over a run of nodes: everything about them that is free of t and j.
 
     ``logs`` holds the powers (log G)^p already asked for, by p; they are free
     of t too, so they are kept with the columns and share their lifetime.
     """
 
-    g: tuple[float, ...]
-    g1: tuple[float, ...]
-    g2: tuple[float, ...]
+    g: list[float]
     ell: tuple[float, ...]
     logs: dict[int, list[float]]
 
@@ -100,44 +97,23 @@ class NodeColumns(NamedTuple):
         return column
 
 
-class PowerRow(NamedTuple):
-    """The columns over the nodes that depend on t but not on j: G^t, a and b.
-
-    With L = log G, a = G'' G^(t-1) and b = G'^2 G^(t-2), the chain rule gives
-    for every log order j
-
-        H'' = t a L^j + t(t-1) b L^j + j a L^(j-1) + j(2t-1) b L^(j-1) + j(j-1) b L^(j-2),
-
-    so H'' of every order comes from the moments of a and b against powers of
-    L, and consecutive orders share those moments.
-    """
-
-    gt: list[float]
-    a: list[float]
-    b: list[float]
-
-
 def _power_too_large(t: float, what: str) -> ValueError:
     """The refusal of a power t at which ``what`` passes the float range."""
     return ValueError(f"power t = {t!r} is too large to evaluate: {what} overflows a float")
 
 
-def power_row(nodes: NodeColumns, t: float) -> PowerRow:
-    """The power row of G^t at the nodes: three list passes, one power of G each.
+def power_row(nodes: NodeColumns, t: float) -> list[float]:
+    """G^t at the nodes: the one factor of H = G^t log^j G that depends on t but not on j.
 
-    A row beyond the float range (G^t itself, or G^t times G's derivatives)
-    is refused with a ValueError naming t.
+    A row beyond the float range is refused with a ValueError naming t.
     """
-    t1, t2 = t - 1.0, t - 2.0
     try:
         gt = [g**t for g in nodes.g]
-        a = [g2 * g**t1 for g, g2 in zip(nodes.g, nodes.g2)]
-        b = [g1 * g1 * g**t2 for g, g1 in zip(nodes.g, nodes.g1)]
-        if not math.isfinite(sum(gt) + sum(a) + sum(b)):  # an entry overflowed to inf
+        if not math.isfinite(sum(gt)):  # an entry overflowed to inf
             raise OverflowError
     except OverflowError:
         raise _power_too_large(t, "G^t at the nodes") from None
-    return PowerRow(gt, a, b)
+    return gt
 
 
 def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:

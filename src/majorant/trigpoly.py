@@ -11,20 +11,19 @@ curvature slack of that step, is 0.0182 for the minus sign and larger for
 plus).  Every working constant in the package is proven for this case alone,
 so k is the module constant ``K`` rather than a parameter.
 
-This module states G's range bound ``G_MAX``, evaluates G, G' and G'' in one
-pass over a run of points, bounds the sup norms of the derivatives, tabulates
-certified upper bounds at the local maxima of G over a half period, and bounds
-the total variation of integer or real powers of G.
+This module states G's range bound ``G_MAX``, evaluates G over a run of
+points, bounds the sup norms of the derivatives, tabulates certified upper
+bounds at the local maxima of G over a half period, and bounds the total
+variation of integer or real powers of G.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, fsum, pi, sin
+from math import cos, fsum, pi
 
 TWO_PI = 2.0 * pi
 K = 5
@@ -99,26 +98,11 @@ class LocalMaxTable:
         return sum(e.multiplicity for e in self.entries)
 
 
-def eval_G_jet(spec: TrigSquare, xs) -> Iterator[tuple[float, float, float]]:
-    """(G, G', G'') at each x of xs in one pass: cosines shared by G and G'', sines once.
-
-    In closed form, G(x) = 3 + 2 (cos(2 pi x) + s cos(12 pi x) + s cos(14 pi x)) and
-
-        G'(x)  = -4 pi   (sin(2 pi x) + 6 s sin(12 pi x) + 7 s sin(14 pi x)),
-        G''(x) = -8 pi^2 (cos(2 pi x) + 36 s cos(12 pi x) + 49 s cos(14 pi x)).
-    """
+def eval_G_values(spec: TrigSquare, xs) -> list[float]:
+    """G at each x of xs: 3 + 2 (cos(2 pi x) + s cos(12 pi x) + s cos(14 pi x))."""
     s = spec.sign.factor
     w2, w3 = TWO_PI * F2, TWO_PI * F3
-    d1, d2 = -2.0 * TWO_PI, -2.0 * TWO_PI**2
-    a2, a3, b2, b3 = s * F2, s * F3, s * F2**2, s * F3**2
-    for x in xs:
-        u, v, w = TWO_PI * x, w2 * x, w3 * x
-        cu, cv, cw = cos(u), cos(v), cos(w)
-        yield (
-            3.0 + 2.0 * (cu + s * cv + s * cw),
-            d1 * (sin(u) + a2 * sin(v) + a3 * sin(w)),
-            d2 * (cu + b2 * cv + b3 * cw),
-        )
+    return [3.0 + 2.0 * (cos(TWO_PI * x) + s * cos(w2 * x) + s * cos(w3 * x)) for x in xs]
 
 
 def sup_norm_bound(m: int) -> float:
@@ -180,7 +164,7 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     n = round(steps)
     if n < 2 or abs(n * h - 0.5) > 1e-9:
         raise ValueError(f"step {h:g} must evenly divide the half period")
-    samples = [g for g, _, _ in eval_G_jet(spec, (i * h for i in range(n + 1)))]
+    samples = eval_G_values(spec, (i * h for i in range(n + 1)))
     entries = []
     for i in range(n + 1):
         left = samples[i - 1] if i > 0 else samples[1]

@@ -1,16 +1,18 @@
 """Pointwise reference values of G, its derivatives, H, H'' and the |H''''| term bound.
 
-The package evaluates these only in node batches (``eval_G_jet``, ``power_row``
-and the moment sums of ``quadrature._h_node_sums``).  This module writes each
-formula out again, one point at a time and without those helpers.  G and H
-follow the package's operation order, so a batch must match them to the last
-bit.  H'' here is the chain rule term by term; the package regroups it into
-j-free moment sums, so H'' node sums agree only to rounding.
+The package evaluates G only in node batches (``eval_G_values``) and H only
+as node sums (``quadrature._h_node_sums``).  This module writes each formula
+out again, one point at a time and without those helpers.  G and H follow the
+package's operation order, so a batch must match them to the last bit.  H''
+here is the chain rule term by term; the package does not evaluate it, and
+the tests use it to check the |H''''| bounds by finite differences.
 
-It also keeps closed forms the package no longer evaluates one at a time:
-the exact half-period moments (``parseval_integral``), the fourth-root step
-rule (``required_steps``), and the per-key node-sum bound ``q_reference``,
-which the package's q pass computes from shared ingredients.
+It also keeps closed forms the package does not evaluate one at a time: the
+exact half-period moments (``parseval_integral``), the paper's fourth-root
+step rule (``required_steps``), and the per-key bounds ``q_reference`` (a node
+sum, behind the Q tables) and ``term_integral_reference`` (an integral over
+the period, behind the refined error bound), which the package computes from
+shared ingredients.
 """
 
 import math
@@ -18,7 +20,7 @@ from fractions import Fraction
 from math import cos, sin
 
 from majorant.envelope import envelope_max
-from majorant.quadrature import _ERR_DENOM, _HALF_L2_G2, _HALF_SUP_G1
+from majorant.quadrature import _HALF_L2_G2, _HALF_SUP_G1
 from majorant.spectral import torus_integral_upper, torus_power_integral
 from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, variation_bound_power
 
@@ -93,8 +95,11 @@ def parseval_integral(rho):
     return Fraction(torus_power_integral(rho), 2)
 
 
+PAPER_ERR_DENOM = 60.0 * 2**10  # the paper's corrected midpoint rule errs by at most sup|f''''| / (61440 N^4)
+
+
 def required_steps(sup4, delta, radius, j):
-    """Steps needed for the plain error of coefficient j to fit its share of delta.
+    """Steps the paper's rule needs for the plain error of coefficient j to fit its share of delta.
 
     Two quadratures (one per sign variant) each contribute
     sup4/(60*2^10*N^4), scaled by radius^j/j!; solving
@@ -102,7 +107,7 @@ def required_steps(sup4, delta, radius, j):
     """
     if sup4 < 0.0 or delta <= 0.0 or radius <= 0.0 or j < 0:
         raise ValueError("need sup4 >= 0, delta > 0, radius > 0, j >= 0")
-    return math.ceil((2.0 * sup4 * radius**j / (_ERR_DENOM * math.factorial(j) * delta)) ** 0.25)
+    return math.ceil((2.0 * sup4 * radius**j / (PAPER_ERR_DENOM * math.factorial(j) * delta)) ** 0.25)
 
 
 def _plain_base(spec, t, n_steps, table):
@@ -129,3 +134,24 @@ def q_reference(has_gprime, spec, t, j, n_steps, table):
     except OverflowError:
         log9_power = math.inf
     return small + log9_power * (_star_base if has_gprime else _plain_base)(spec, t, n_steps, table)
+
+
+def term_integral_reference(has_gprime, spec, t, j, table):
+    """The integral bound of one key behind the refined error bound, every ingredient computed afresh.
+
+    small + log(9)^j * base: small is the envelope maximum on [0, 1/9], times
+    14/9 with |G'|; base is the mean bound of G^t, or with |G'| the variation
+    bound of G^(t+1) over t+1.
+    """
+    small = 0.0
+    if j != 0:
+        small = envelope_max(t, j, 0.0, 1.0 / 9.0) * (14.0 / 9.0 if has_gprime else 1.0)
+    try:
+        log9_power = math.log(9.0) ** j
+    except OverflowError:
+        log9_power = math.inf
+    if has_gprime:
+        base = variation_bound_power(spec, t + 1.0, table) / (t + 1.0)
+    else:
+        base = torus_integral_upper(t)
+    return small + log9_power * base

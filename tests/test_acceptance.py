@@ -77,30 +77,32 @@ def test_criterion_03_integer_moments():
 
 
 def test_criterion_04_first_derivative_at_five():
+    steps = DEFAULT_CONFIG["stages"]["gap_d1_at_5"]["steps"]
     start = time.perf_counter()
-    value = gap_derivative(1, 5.0, 500, "refined")
+    value = gap_derivative(1, 5.0, steps, "refined")
     elapsed = time.perf_counter() - start
     assert value.estimate == pytest.approx(0.002878492, abs=1e-6)
     assert value.error_bound <= 0.00195
     for sign in SignVariant:
-        part = one_sign_integral(sign, 5.0, 500, 1, "refined")
-        assert part.error_bound <= 0.0009745
-        assert part.error_bound >= 0.0009745 * 0.999
+        part = one_sign_integral(sign, 5.0, steps, 1, "refined")
+        assert part.error_bound <= 0.0008672
+        assert part.error_bound >= 0.0008672 * 0.999
     assert elapsed < 5.0
     print("ACCEPTANCE 04 PASS — refined first derivative positive within 0.00195")
 
 
 def test_criterion_05_second_derivative_at_five():
-    value = gap_derivative(2, 5.0, 400, "refined")
+    steps = DEFAULT_CONFIG["stages"]["gap_d2_at_5"]["steps"]
+    value = gap_derivative(2, 5.0, steps, "refined")
     assert value.estimate == pytest.approx(0.033815603, abs=1e-6)
     for sign in SignVariant:
-        part = one_sign_integral(sign, 5.0, 400, 2, "refined")
-        assert 0.0069 <= part.error_bound <= 0.0071
-    print("ACCEPTANCE 05 PASS — second derivative at 400 steps within budget")
+        part = one_sign_integral(sign, 5.0, steps, 2, "refined")
+        assert 0.00245 <= part.error_bound <= 0.00252
+    print(f"ACCEPTANCE 05 PASS — second derivative at {steps} steps within budget")
 
 
 def test_criterion_06_third_derivative_and_step_rule():
-    value = gap_derivative(3, 5.0, 500, "plain")
+    value = gap_derivative(3, 5.0, DEFAULT_CONFIG["stages"]["gap_d3_at_5"]["steps"], "plain")
     assert value.estimate == pytest.approx(0.18354763424, abs=1e-8)
     sup4 = max(h4_sup_bound(IntegrandSpec(5.0, 3, sign)) for sign in SignVariant)
     assert sup4 <= 2.8294e14

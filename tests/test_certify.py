@@ -127,9 +127,9 @@ class TestBuildCertificate:
 
     def test_frozen_spot_coefficients(self, cert_a, cert_b, cert_d):
         assert cert_a.coeffs[0] == pytest.approx(0.38173750763962744, rel=1e-12)
-        assert cert_a.coeffs[6] == pytest.approx(-8940.145590490196, rel=1e-12)
+        assert cert_a.coeffs[6] == pytest.approx(-8940.145590489265, rel=1e-12)
         assert cert_b.coeffs[8] == pytest.approx(-4474.521415974479, rel=1e-12)
-        assert cert_d.coeffs[0] == pytest.approx(-0.9827616166949156, rel=1e-12)
+        assert cert_d.coeffs[0] == pytest.approx(-0.9827616166876396, rel=1e-12)
 
     def test_frozen_remainders(self, cert_a, cert_b, cert_c, cert_d):
         assert cert_a.remainder == pytest.approx(0.0008807972696323334, rel=1e-12)
@@ -197,7 +197,7 @@ class TestSignChain:
         verdict = check_sign_chain(cert_a, "positive", (5.0, 5.13))
         assert verdict.certified
         rows = {(r["quantity"], r["order"]): r["value"] for r in verdict.evidence}
-        assert rows[("shifted_value", 0)] == pytest.approx(0.0016940309549638155, rel=1e-9)
+        assert rows[("shifted_value", 0)] == pytest.approx(0.0016940309569170586, rel=1e-9)
         expected_chain = [
             -0.8065026990649153,
             -15.964277705573258,
@@ -214,7 +214,7 @@ class TestSignChain:
         verdict = check_sign_chain(cert_d, "negative", (5.72, 6.0))
         assert verdict.certified
         rows = {(r["quantity"], r["order"]): r["value"] for r in verdict.evidence}
-        assert rows[("shifted_value", 0)] == pytest.approx(-0.011374125936343293, rel=1e-9)
+        assert rows[("shifted_value", 0)] == pytest.approx(-0.011374125928522105, rel=1e-9)
         expected_chain = [
             -3.226759089062916,
             -21.525764045541987,

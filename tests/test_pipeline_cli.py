@@ -67,12 +67,12 @@ TABLE_SHA256 = {
     "A_rho": "00e04b72fa0884bbc54c5392ec40887b6c40b8a182e8bc26058f790fefa2934d",
     "Q500": "4735a5fe4c95225484befd5fa8d8e358714b72e386ca8f67460c4d80c37872e4",
     "Q400": "5e7160ba5716361a23711cfcea88b7afbb803b36e3dc289db145ebed1d0b1c48",
-    "T1": "aa690647fb679a6ca1b34a8320b965c6e53791f05d6c32f35de0f86474f996a6",
-    "T2": "364fb4777cca5945e84d89301ebc817956d93c0bd34e98d8e6dec4d64d6dc470",
-    "T3": "70ea7b7c9b8ad4a05b77174a37e54c9fb26a96c7c964685b91579fc3fcb74636",
-    "T4": "43aba76878167dca18bfb0033a920b4e49b586df167a3bc1152536e82807c543",
-    "T5": "4b46f8fe1763b970584fc309b88886294da8a7bf2dc382800bf7827e549375d8",
-    "T6": "8a358658f0ffece8bd4b053bd60a1678c016ef1df786564b9ffcfd1ef4a4de43",
+    "T1": "db10cf5d6bb97b5773065e0c9350b0a81e84f095d27bfa72304d2e55205e8dac",
+    "T2": "3d9ce4ae5831fdcfceffba7a83a5a13564476f652a7a977aab3394ff367186dc",
+    "T3": "ff80d0d46513cf20f83197a7023a30a08ff7bce292da2c6232d65f6bfc99c789",
+    "T4": "2f23ae3746df06d1ff9f71a1da698ac5780a523b5c0c4eb6d6d6f8d6d5ed7501",
+    "T5": "84b31e2f20b6798fcf9f012eeb9d0d4e17a795cf37b936c193464d669d9090f3",
+    "T6": "32df67a842e6d118974d81b04d2e91e0f04ba7fe4d0d3fbe2a86ca050ef2916a",
 }
 
 
@@ -100,7 +100,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="steps"):
             validate_config(merge_config({"stages": {"gap_d1_at_5": {"steps": 0}}}))
         with pytest.raises(ValueError, match="steps"):
-            validate_config(merge_config({"stages": {"gap_d1_at_5": {"steps": 501}}}))
+            validate_config(merge_config({"stages": {"gap_d1_at_5": {"steps": 641}}}))
 
     def test_mode_and_interval_checks(self):
         with pytest.raises(ValueError, match="mode"):
@@ -145,8 +145,8 @@ class TestConfig:
 
     def test_hash_is_stable_and_sensitive(self):
         base = config_hash(merge_config(None))
-        assert base == "98e62668bed7efe50bed6ec603fed3c42a3030374ee14ac7d86240c09000c3b4"
-        changed = config_hash(merge_config({"stages": {"gap_d1_at_5": {"steps": 499}}}))
+        assert base == "720e3cd23913be745085b7843218e37a3bd57f91a3e2df63ba53f2f2a118671e"
+        changed = config_hash(merge_config({"stages": {"gap_d1_at_5": {"steps": 639}}}))
         assert changed != base
 
 
@@ -159,13 +159,13 @@ class TestProve:
     def test_margins_are_positive_and_frozen(self, default_report):
         margins = {s.name: s.margin for s in default_report.stages}
         assert margins["endpoint_gap_zero"] is None
-        assert margins["gap_d1_at_5"] == pytest.approx(0.0009297011195387632, rel=1e-9)
-        assert margins["gap_d2_at_5"] == pytest.approx(0.01979421554722528, rel=1e-9)
-        assert margins["gap_d3_at_5"] == pytest.approx(0.03618715293975777, rel=1e-9)
-        assert margins["gap_d4_on_5.000_5.130"] == pytest.approx(0.0016940309549638155, rel=1e-9)
-        assert margins["gap_d1_on_5.130_5.330"] == pytest.approx(0.004183404981209984, rel=1e-9)
-        assert margins["gap_d1_on_5.330_5.720"] == pytest.approx(0.013254175334014446, rel=1e-9)
-        assert margins["gap_d2_on_5.720_6.000"] == pytest.approx(0.011374125936343293, rel=1e-9)
+        assert margins["gap_d1_at_5"] == pytest.approx(0.0011444685189975572, rel=1e-9)
+        assert margins["gap_d2_at_5"] == pytest.approx(0.028840577023975206, rel=1e-9)
+        assert margins["gap_d3_at_5"] == pytest.approx(0.037158148546507785, rel=1e-9)
+        assert margins["gap_d4_on_5.000_5.130"] == pytest.approx(0.0016940309569170586, rel=1e-9)
+        assert margins["gap_d1_on_5.130_5.330"] == pytest.approx(0.004183404982826701, rel=1e-9)
+        assert margins["gap_d1_on_5.330_5.720"] == pytest.approx(0.013254175331453599, rel=1e-9)
+        assert margins["gap_d2_on_5.720_6.000"] == pytest.approx(0.011374125928522105, rel=1e-9)
 
     def test_mode_notes_surface_on_wide_stages(self, default_report):
         by_name = {s.name: s for s in default_report.stages}
@@ -213,7 +213,7 @@ class TestReports:
     def test_default_report_bytes_are_pinned(self):
         """The default JSON report is the behavioural contract; hash recorded on glibc 2.36, x86-64, Python 3.11.7."""
         digest = hashlib.sha256(emit_report(prove_k5(), "json").encode("utf-8")).hexdigest()
-        assert digest == "f5618e00a23593c31dee3d089501f8c90f0b6531c9071ae6efdc72bd03cbcd45"
+        assert digest == "d6f935ee7eb47dcc556a544f3a2f394e2bcf440c8765acbc51757e181847d146"
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the hashes were recorded with glibc's libm")
     @pytest.mark.parametrize("table_id,digest", TABLE_SHA256.items())
@@ -333,13 +333,16 @@ class TestCli:
         assert result.stdout == ""
 
     def test_derivative_order_too_large_exit_two(self):
-        """(log G)^p beyond the float range, or node sums of H and H'' overflowing, is rejected input.
+        """(log G)^p beyond the float range, or a node sum of H overflowing, is rejected input.
 
         The inputs reach each refusal in turn: the log power, a node sum fsum
-        cannot take, and a node sum that came out infinite.
+        cannot take (finite products whose sum passes the float range), and a
+        node sum that came out infinite (a product that did).
         """
-        for order, t, mode in (("1000", "5.5", "plain"), ("400", "200", "plain"), ("200", "250", "refined")):
-            result = run_cli("derivative", "--order", order, "--t", t, "--steps", "100", "--mode", mode)
+        for order, t, mode, steps in (
+            ("1000", "5.5", "plain", "100"), ("200", "252", "plain", "1000"), ("300", "300", "refined", "100"),
+        ):
+            result = run_cli("derivative", "--order", order, "--t", t, "--steps", steps, "--mode", mode)
             assert result.returncode == 2, (order, t, mode, result.stdout)
             assert result.stderr.startswith(f"error: log order {order} ")
             assert result.stderr.count("\n") == 1
@@ -406,7 +409,7 @@ class TestCli:
 
     def test_maxima_grid_too_large_exit_two(self, monkeypatch, capsys):
         """A step of 1e-9 would sample 5e8 points; it is refused before the first one."""
-        monkeypatch.setattr(majorant.trigpoly, "eval_G_jet", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
+        monkeypatch.setattr(majorant.trigpoly, "eval_G_values", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
         assert majorant.cli.main(["maxima", "--sign", "plus", "--step", "1e-9"]) == 2
         assert capsys.readouterr() == ("", "error: step 1e-09 gives 500000000 grid steps, more than 1000000\n")
 

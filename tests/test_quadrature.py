@@ -1,9 +1,8 @@
-"""Tests for the corrected midpoint rule and its two error-bound flavours."""
+"""Tests for the plain midpoint rule and its two error-bound flavours."""
 
 import collections
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -15,11 +14,9 @@ from majorant.pipeline import DEFAULT_CONFIG, prove_k5, reproduce_table
 from majorant.quadrature import (
     MAX_STEPS,
     CertifiedValue,
-    _estimate,
     _h_node_sums,
     _integrate_orders,
     _node_chunks,
-    _node_sums,
     _node_table,
     _plain_error,
     gap_derivative,
@@ -29,41 +26,81 @@ from majorant.quadrature import (
     q_values,
     refined_error_bound,
     refined_error_bounds,
+    term_integrals,
 )
 from majorant.spectral import power_integral_bound, torus_integral_upper
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
-from oracle import eval_G, eval_G_derivative, eval_H, eval_H_second, q_reference
+from oracle import eval_G, eval_G_derivative, eval_H, q_reference, term_integral_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
 
-def midpoint_estimate(f, f2, n):
-    """The corrected midpoint estimate of the integral of f over [0, 1/2], f2 = f''."""
-    parts = [(math.fsum(map(f, xs)), math.fsum(map(f2, xs))) for xs in _node_chunks(n)]
-    return _estimate(*_node_sums(parts), n)
+def midpoint_sum(f, n):
+    """The midpoint estimate of the integral of f over [0, 1/2], chunked as the package chunks it."""
+    return math.fsum([math.fsum(map(f, xs)) for xs in _node_chunks(n)]) / (2.0 * n)
 
 
 class TestMidpointRule:
-    def test_exact_on_cubics(self):
-        # integral of x^3 - 2x^2 + x over [0, 1/2] is 11/192
-        estimate = midpoint_estimate(lambda x: x**3 - 2.0 * x**2 + x, lambda x: 6.0 * x - 4.0, 3)
-        assert estimate == pytest.approx(float(Fraction(11, 192)), abs=1e-16)
-        assert _plain_error(0.0, 3) == 0.0
-
     @pytest.mark.parametrize("n", [1, 7, 40])
-    def test_error_bound_sharp_on_quartic(self, n):
-        """For f = x^4 the rule's error equals the bound exactly."""
-        estimate = midpoint_estimate(lambda x: x**4, lambda x: 12.0 * x**2, n)
-        truth = 0.5**5 / 5.0
-        assert abs(truth - estimate) == pytest.approx(_plain_error(24.0, n), rel=1e-9)
+    def test_error_bound_sharp_on_aliasing_mode(self, n):
+        """On cos(4 pi N x), the lowest frequency the N-node rule aliases to 0, the error is exactly 1/2.
+
+        Its integral over [0, 1/2] is 0 and every node sits at a trough.  With
+        the L^1 norm of the fourth derivative, (4 pi N)^4 * 2/pi, the bound is
+        512 pi^3 / 23040 ~ 0.689 at every N: only zeta(4) and the step from
+        the L^1 norm to one Fourier coefficient separate the two.  Every lower
+        frequency 1..2N-1 integrates to 0 exactly, up to rounding.
+        """
+        assert midpoint_sum(lambda x: math.cos(4.0 * math.pi * n * x), n) == pytest.approx(-0.5, rel=1e-12)
+        bound = _plain_error((4.0 * math.pi * n) ** 4 * 2.0 / math.pi, n)
+        assert bound == pytest.approx(512.0 * math.pi**3 / 23040.0, rel=1e-12)
+        assert 0.5 < bound < 0.69
+        for k in range(1, 2 * n):
+            assert abs(midpoint_sum(lambda x: math.cos(2.0 * math.pi * k * x), n)) < 1e-14, k
+
+    def test_bounds_hold_against_mpmath_integral(self):
+        """|midpoint sum - integral| is within the refined and the plain bound, for both signs.
+
+        Few nodes, so the error is far above rounding; at N = 4, 8, 16 the
+        refined bound is 33-668 times the true error.  The reference is
+        Gauss-Legendre on 14 panels at 30 digits, with the package's float t.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        ratios = []
+        for sign, (t, j) in itertools.product((PLUS, MINUS), [(5.0, 0), (5.3, 2), (5.9, 6)]):
+            s = sign.factor
+            with mpmath.workdps(30):
+
+                def h(x):
+                    g = 3 + 2 * (mpmath.cospi(2 * x) + s * mpmath.cospi(12 * x) + s * mpmath.cospi(14 * x))
+                    return g**t * mpmath.log(g) ** j
+
+                truth = mpmath.quad(h, mpmath.linspace(0, mpmath.mpf(1) / 2, 15), method="gauss-legendre")
+                for n in (4, 8, 16):
+                    refined, plain = (one_sign_integral(sign, t, n, j, mode) for mode in ("refined", "plain"))
+                    assert refined.estimate == plain.estimate
+                    error = abs(mpmath.mpf(refined.estimate) - truth)
+                    assert error <= refined.error_bound and error <= plain.error_bound, (sign, t, j, n)
+                    ratios.append(float(refined.error_bound / error))
+        assert 10.0 < min(ratios) and max(ratios) < 1e4
 
     def test_step_count_validation(self):
         with pytest.raises(ValueError, match="step count"):
             _node_chunks(0)
         with pytest.raises(ValueError, match="step count"):
             _node_chunks(MAX_STEPS + 1)
+
+    def test_boolean_step_count_is_refused(self):
+        """True equals 1 but is no step count: it would run one node and report steps=True."""
+        with pytest.raises(ValueError, match="step count"):
+            _node_chunks(True)
+        with pytest.raises(ValueError, match="step count"):
+            gap_derivative(1, 5.5, True)
+
+    def test_empty_job_list_gives_no_values(self):
+        assert gap_derivatives(5.5, 100, []) == []
 
 
 class TestDeterminism:
@@ -82,16 +119,16 @@ class TestDeterminism:
         _node_table.cache_clear()
         for n in (120, 300, 257):
             gap_derivative(1, 5.5, n, "plain")
-        assert _node_table.cache_info().currsize <= 4
+        assert _node_table.cache_info().currsize <= 2
 
     def test_warm_proof_makes_no_node_table_misses(self):
-        """Four entries hold both signs of both step counts of the default proof."""
+        """Two entries hold both signs of the default proof's one step count."""
         prove_k5()
         before = _node_table.cache_info()
         prove_k5()
         after = _node_table.cache_info()
         assert after.misses == before.misses
-        assert after.hits - before.hits == 12  # one lookup per sign of each gap_derivatives call
+        assert after.hits - before.hits == 10  # one lookup per sign of each of the 5 gap_derivatives calls
 
     def test_proof_builds_each_term_list_once(self, monkeypatch):
         """Term lists are sign-free, so a proof builds one per refined (t, j), not one per sign."""
@@ -102,28 +139,27 @@ class TestDeterminism:
         assert len(calls) == 37
 
     def test_proof_computes_each_small_range_term_once(self, monkeypatch):
-        """The envelope part of q_star/q_plain is sign-free, so one refined pass per call serves both signs.
+        """The envelope part of the term integrals is sign-free, so one refined pass per call serves both signs.
 
-        Measured: 206 calls from quadrature per warm proof, half the 412 of one pass per sign.
+        Measured: 201 calls from quadrature per warm proof, one per key with
+        j > 0 of each call, half the 402 of one pass per sign.
         """
         calls = []
         real = quadrature.envelope_max
         prove_k5()  # warm
         monkeypatch.setattr(quadrature, "envelope_max", lambda *args: calls.append(args) or real(*args))
         prove_k5()
-        assert len(calls) == 206
+        assert len(calls) == 201
 
     def test_log_columns_live_with_the_node_table(self):
         """(log G)^p is kept on the table's chunks once asked for, and rebuilt with the table."""
         trig, orders = TrigSquare(5, PLUS), [0, 3, 7]
         warm = _h_node_sums(trig, 5.3, orders, 500)
-        assert all(set(chunk.logs) >= {0, 1, 2, 3, 5, 6, 7} for chunk in _node_table(trig, 500))
+        assert all(set(chunk.logs) >= {0, 3, 7} for chunk in _node_table(trig, 500))
         _node_table.cache_clear()
         assert all(chunk.logs == {} for chunk in _node_table(trig, 500))
         cold = _h_node_sums(trig, 5.3, orders, 500)
-        assert {j: [v.hex() for v in sums] for j, sums in cold.items()} == {
-            j: [v.hex() for v in sums] for j, sums in warm.items()
-        }
+        assert {j: v.hex() for j, v in cold.items()} == {j: v.hex() for j, v in warm.items()}
 
     def test_repeat_runs_are_bitwise_stable(self):
         a = gap_derivative(1, 5.0, 200, "refined")
@@ -143,27 +179,15 @@ def default_proof_passes():
     return passes
 
 
-def pointwise_node_sums(spec, n):
-    """Chunked fsum of eval_H and eval_H_second over the midpoint nodes, 256 per chunk, and the sum of |H''|."""
+def pointwise_node_sum(spec, n):
+    """Chunked fsum of eval_H over the midpoint nodes, 256 per chunk."""
     xs = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
-    chunks = [xs[lo:lo + 256] for lo in range(0, n, 256)]
-    h2 = [[eval_H_second(spec, x) for x in c] for c in chunks]
-    return (
-        math.fsum([math.fsum(eval_H(spec, x) for x in c) for c in chunks]),
-        math.fsum([math.fsum(c) for c in h2]),
-        math.fsum(abs(v) for c in h2 for v in c),
-    )
+    return math.fsum([math.fsum(eval_H(spec, x) for x in xs[lo:lo + 256]) for lo in range(0, n, 256)])
 
 
 class TestBatchedNodeSums:
     def test_bitwise_equal_to_pointwise_reference(self):
-        """One batched pass per (sign, t, N) reproduces every pointwise H sum and every estimate exactly.
-
-        The H'' sums are grouped differently: moment sums of j-free columns per
-        log power, against the pointwise chain rule.  Their true value is near 0
-        (H'(0) = H'(1/2) = 0), so they agree only to rounding of the sum of |H''|;
-        they enter the estimate through a division by 192 N^3.
-        """
+        """One batched pass per (sign, t, N) reproduces every pointwise H sum, hence every estimate, exactly."""
         passes = default_proof_passes()
         assert sum(len(jobs) for jobs in passes.values()) == 38
         for (t, n), jobs in passes.items():
@@ -171,10 +195,7 @@ class TestBatchedNodeSums:
             for sign in (PLUS, MINUS):
                 batched = _h_node_sums(TrigSquare(5, sign), t, sorted(orders), n)
                 for j in orders:
-                    h_sum, h2_sum, h2_abs = pointwise_node_sums(IntegrandSpec(t, j, sign), n)
-                    assert batched[j][0].hex() == h_sum.hex(), (t, n, j, sign)
-                    assert _estimate(*batched[j], n).hex() == _estimate(h_sum, h2_sum, n).hex(), (t, n, j, sign)
-                    assert abs(batched[j][1] - h2_sum) <= 1e-14 * h2_abs, (t, n, j, sign)
+                    assert batched[j].hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (t, n, j, sign)
 
     def test_batched_refined_bounds_equal_single_calls(self):
         """One refined_error_bounds pass per (t, N) for both signs reproduces every single bound and the oracle bitwise."""
@@ -186,9 +207,9 @@ class TestBatchedNodeSums:
                 assert [b.hex() for b in batched] == [s.hex() for s in singles], (t, n, trig.sign)
                 termwise = [  # the per-key oracle, summed as the error bound sums it
                     math.fsum(
-                        term.coefficient * q_reference(term.has_gprime, trig, term.t_r, term.j_r, n, table)
+                        term.coefficient * term_integral_reference(term.has_gprime, trig, term.t_r, term.j_r, table)
                         for term in s
-                    ) / (61440.0 * float(n) ** 5)
+                    ) / (23040.0 * float(n) ** 4)
                     for s in term_sums
                 ]
                 assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, trig.sign)
@@ -198,20 +219,17 @@ class TestBatchedNodeSums:
 
         At N = 777 the last chunk is partial (777 = 3 * 256 + 9).  Every order
         0..10 alone, and the batches {1, 3} and {0, 4, 9}, give bitwise the H
-        and H'' sums of the batch {0..10}; H matches the pointwise oracle
-        bitwise, and H'' within 1e-14 of the sum of |H''|.
+        sums of the batch {0..10}, and those match the pointwise oracle bitwise.
         """
         t, n = 5.7, 777
         for sign in (PLUS, MINUS):
             trig = TrigSquare(5, sign)
-            batch = {j: [v.hex() for v in sums] for j, sums in _h_node_sums(trig, t, list(range(11)), n).items()}
+            batch = {j: v.hex() for j, v in _h_node_sums(trig, t, list(range(11)), n).items()}
             for orders in [[j] for j in range(11)] + [[1, 3], [0, 4, 9]]:
-                for j, sums in _h_node_sums(trig, t, orders, n).items():
-                    assert [v.hex() for v in sums] == batch[j], (sign, orders, j)
+                for j, v in _h_node_sums(trig, t, orders, n).items():
+                    assert v.hex() == batch[j], (sign, orders, j)
             for j in range(11):
-                h_sum, h2_sum, h2_abs = pointwise_node_sums(IntegrandSpec(t, j, sign), n)
-                assert batch[j][0] == h_sum.hex(), (sign, j)
-                assert abs(float.fromhex(batch[j][1]) - h2_sum) <= 1e-14 * h2_abs, (sign, j)
+                assert batch[j] == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, j)
 
     def test_shared_refined_pass_equals_one_sign_bound(self):
         """Every refined per-sign error bound of the default proof is bitwise refined_error_bound on that sign."""
@@ -235,7 +253,7 @@ class TestBatchedNodeSums:
 
 
 class TestQPass:
-    """The q pass shares its ingredients across keys and squares, and changes no value."""
+    """The q pass and the term-integral pass share their ingredients across keys and squares, and change no value."""
 
     @pytest.fixture
     def squares(self, plus_square, minus_square, plus_table, minus_table):
@@ -252,18 +270,24 @@ class TestQPass:
                 assert value.hex() == single.hex() == expected, (table_id, kind, t, j, trig.sign)
 
     def test_proof_keys_equal_oracle(self, squares):
-        """Every (has_gprime, t_r, j_r) key of the default proof's refined bounds, both signs, is bitwise the oracle."""
+        """Every (has_gprime, t_r, j_r) key of the default proof's refined bounds, both signs, is bitwise the oracle.
+
+        Both per-key passes are checked at the proof's N: term_integrals, which
+        the refined error bounds sum, and the q pass.
+        """
         checked = 0
         for (t, n), jobs in default_proof_passes().items():
             terms = [term for j, mode in jobs if mode == "refined" for term in h4_term_bounds(IntegrandSpec(t, j, PLUS))]
             keys = [(term.has_gprime, term.t_r, term.j_r) for term in terms]
-            for q, (trig, table) in zip(q_values(keys, squares, n), squares):
-                assert set(q) == set(keys)
+            for q, integrals, (trig, table) in zip(q_values(keys, squares, n), term_integrals(keys, squares), squares):
+                assert set(q) == set(integrals) == set(keys)
                 for (has_gprime, t_r, j_r), value in q.items():
                     expected = q_reference(has_gprime, trig, t_r, j_r, n, table)
                     assert value.hex() == expected.hex(), (t, n, has_gprime, t_r, j_r, trig.sign)
+                    expected = term_integral_reference(has_gprime, trig, t_r, j_r, table)
+                    assert integrals[has_gprime, t_r, j_r].hex() == expected.hex(), (t, has_gprime, t_r, j_r, trig.sign)
                     checked += 1
-        assert checked == 2 * 230
+        assert checked == 2 * 221
 
     @pytest.mark.parametrize("table_id,envelopes", [("Q500", 5), ("Q400", 10)])
     def test_each_table_computes_each_ingredient_once(self, monkeypatch, table_id, envelopes):
@@ -323,8 +347,13 @@ class TestNodeSumBounds:
         )
 
     def test_bounds_beyond_float_range_are_infinite(self):
-        """Large t or j push a bound past the float range: it is inf, still a valid bound, not an OverflowError."""
-        for j, t, mode in ((1, 200.0, "refined"), (300, 200.0, "plain"), (400, 170.0, "refined")):
+        """Large t or j push a bound past the float range: it is inf, still a valid bound, not an OverflowError.
+
+        At t = 325, G^t at the 10 nodes stays finite (their largest G is about
+        8.66), while 9^(t+1) in the variation bound of the refined mode and the
+        sup bound of the plain mode do not.
+        """
+        for j, t, mode in ((1, 325.0, "refined"), (1, 325.0, "plain"), (300, 200.0, "plain"), (400, 170.0, "refined")):
             value = gap_derivative(j, t, 10, mode)
             assert math.isfinite(value.estimate) and value.error_bound == math.inf, (j, t, mode)
 
@@ -405,21 +434,23 @@ class TestIntegrateH:
 
 class TestGapDerivative:
     def test_frozen_pipeline_values(self):
-        d1 = gap_derivative(1, 5.0, 500, "refined")
-        assert d1.estimate == pytest.approx(0.0028784920987163787, rel=1e-12)
-        assert d1.error_bound == pytest.approx(0.0019487909791776154, rel=1e-12)
-        d2 = gap_derivative(2, 5.0, 400, "refined")
+        d1 = gap_derivative(1, 5.0, 640, "refined")
+        assert d1.estimate == pytest.approx(0.0028784920996258734, rel=1e-12)
+        assert d1.error_bound == pytest.approx(0.0017340235806283162, rel=1e-12)
+        d2 = gap_derivative(2, 5.0, 640, "refined")
         assert d2.estimate == pytest.approx(0.033815603115726844, rel=1e-12)
-        assert d2.error_bound == pytest.approx(0.014021387568501565, rel=1e-12)
-        d3 = gap_derivative(3, 5.0, 500, "plain")
-        assert d3.estimate == pytest.approx(0.18354763424940757, rel=1e-12)
-        assert d3.error_bound == pytest.approx(0.1473604813096498, rel=1e-12)
+        assert d2.error_bound == pytest.approx(0.004975026091751638, rel=1e-12)
+        d3 = gap_derivative(3, 5.0, 640, "plain")
+        assert d3.estimate == pytest.approx(0.18354763425304554, rel=1e-12)
+        assert d3.error_bound == pytest.approx(0.14638948570653776, rel=1e-12)
 
     def test_tracks_oracle(self, half_period_oracle):
-        value = gap_derivative(2, 5.0, 400, "refined")
-        truth = half_period_oracle(5.0, 2, "minus") - half_period_oracle(5.0, 2, "plus")
-        assert abs(value.estimate - truth) <= value.error_bound
-        assert abs(value.estimate - truth) < 1e-6
+        """Each derivative stage at t = 5, at the proof's 640 nodes, encloses the Simpson oracle."""
+        for order, mode in ((1, "refined"), (2, "refined"), (3, "plain")):
+            value = gap_derivative(order, 5.0, 640, mode)
+            truth = half_period_oracle(5.0, order, "minus") - half_period_oracle(5.0, order, "plus")
+            assert abs(value.estimate - truth) <= value.error_bound, order
+            assert abs(value.estimate - truth) < 1e-6, order
 
     def test_returns_certified_value(self):
         value = gap_derivative(1, 5.5, 50, "refined")
@@ -427,13 +458,12 @@ class TestGapDerivative:
         assert value.steps == 50 and value.method == "refined"
 
     def test_high_order_without_overflow(self):
-        """At order 510, (log G)^510 and every moment sum stay finite, so the estimate is a number.
+        """At order 510, (log G)^510 and every node sum stay finite, so the estimate is a number.
 
-        The reference is the same 100-node corrected midpoint sum at 60 digits
-        (mpmath, H'' by numerical differentiation).
+        The reference is the same 100-node midpoint sum at 60 digits (mpmath).
         """
         value = gap_derivative(510, 5.5, 100, "plain")
-        assert value.estimate == pytest.approx(7.1714586221182637e295, rel=1e-10)
+        assert value.estimate == pytest.approx(3.9846027431704598e293, rel=1e-10)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="nonnegative"):
