@@ -30,12 +30,7 @@ from .pipeline import (
     prove_k5,
     reproduce_table,
 )
-from .quadrature import (
-    CertifiedValue,
-    gap_derivative,
-    q_plain,
-    q_star,
-)
+from .quadrature import CertifiedValue, gap_derivative
 from .spectral import (
     endpoint_difference_zero,
     fourier_coeffs_pow,

@@ -1,10 +1,9 @@
-"""The quadrature integrand ``H(x) = G(x)^t * log(G(x))^j`` and its derivative bounds.
+"""Bounds for |H''''|, the fourth derivative of the integrand ``H(x) = G(x)^t * log(G(x))^j``.
 
 Fractional-power norms are differentiated under the integral sign, which turns
-every integrand into a power-times-log combination of G.  The quadrature rule
-needs H at its nodes, the product of one power row G^t per node chunk and the
-log powers kept with the node columns, and a bound for |H''''|, assembled by
-the chain rule from the derivative bounds of G.
+every integrand into a power-times-log combination of G.  The quadrature module
+sums H at its nodes; its error bound needs a bound for |H''''|, assembled here
+by the chain rule from the derivative bounds of G.
 Expanding four derivatives of G^t log^j G and collecting by which
 G-derivatives appear yields a short list of groups, each of the form
 
@@ -78,51 +77,13 @@ class BoundTerm(NamedTuple):
     has_gprime: bool
 
 
-class NodeColumns(NamedTuple):
-    """G and log G over a run of nodes: everything about them that is free of t and j.
-
-    ``logs`` holds the powers (log G)^p already asked for, by p; they are free
-    of t too, so they are kept with the columns and share their lifetime.
-    """
-
-    g: list[float]
-    ell: tuple[float, ...]
-    logs: dict[int, list[float]]
-
-    def log_power(self, p: int) -> list[float]:
-        """(log G)^p at the nodes, computed on first request.  May raise OverflowError."""
-        column = self.logs.get(p)
-        if column is None:
-            column = self.logs[p] = [v**p for v in self.ell]
-        return column
-
-
-def _power_too_large(t: float, what: str) -> ValueError:
-    """The refusal of a power t at which ``what`` passes the float range."""
-    return ValueError(f"power t = {t!r} is too large to evaluate: {what} overflows a float")
-
-
-def power_row(nodes: NodeColumns, t: float) -> list[float]:
-    """G^t at the nodes: the one factor of H = G^t log^j G that depends on t but not on j.
-
-    A row beyond the float range is refused with a ValueError naming t.
-    """
-    try:
-        gt = [g**t for g in nodes.g]
-        if not math.isfinite(sum(gt)):  # an entry overflowed to inf
-            raise OverflowError
-    except OverflowError:
-        raise _power_too_large(t, "G^t at the nodes") from None
-    return gt
-
-
 def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:
     """(coefficient, log-power) pairs of one brace polynomial, zero terms omitted."""
     if kind == "quartic":
         try:
             cube = t**3
         except OverflowError:  # from t ~ 5.6e102, where G^t at the nodes has long overflowed
-            raise _power_too_large(t, "the fourth-derivative bound") from None
+            raise ValueError(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float") from None
         raw = (
             (float(j * (j - 1) * (j - 2) * (j - 3)), j - 4),
             ((4.0 * t - 6.0) * j * (j - 1) * (j - 2), j - 3),

@@ -503,7 +503,7 @@ def _a_rho_rows():
 
 
 def _q_rows(n_steps: int, reference: dict):
-    """Both signs' q_star ("star") or q_plain of every reference key, from one q pass."""
+    """Both signs' node-sum bound of every reference key ("star": with |G'|), from one q pass."""
     keys = [(kind == "star", float(t), j) for kind, t, j in reference]
     squares = [TrigSquare(5, sign) for sign in (SignVariant.PLUS, SignVariant.MINUS)]
     plus, minus = q_values(keys, [(trig, default_max_table(trig)) for trig in squares], n_steps)

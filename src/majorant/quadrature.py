@@ -23,18 +23,13 @@ term of h4_term_bounds over the period, splitting the range of G at 1/9:
     torus_integral_upper(t), and the integral of G^t |G'| is exactly
     Var(G^(t+1)) / (t+1), bounded by variation_bound_power.
 
-Integrands H = G^t log^j G of one t and step count differ only in j, so they
-share one power row G^t per node chunk.  The node table under it (G and log G
-per chunk) depends on neither t nor j and outlives the call: it is cached per
-(square, step count), at most two tables (both signs of the latest step
-count).  Each chunk of a table also keeps the powers (log G)^p once asked for,
-so they live and die with the table.  The |H''''| bounds depend on t and j
-alone and are built once for both signs, and one term_integrals pass per gap
-derivative serves both signs.  The node-sum bounds q_star and q_plain, which
-give the paper's Q tables, come from one q pass, q_values, over a batch of
-keys and squares: the small-range term and log(9)^j once per key, the torus
-mean once per power, the variation once per (square, power), each j-free base
-once per square.
+The node layer lives here too.  Integrands H = G^t log^j G of one t and step
+count differ only in j, so they share one power row G^t (power_row) per node
+chunk.  Under it, the node table holds NodeColumns per chunk: G, log G and the
+powers (log G)^p once asked for, all free of t and j, cached per (square, step
+count), at most two tables.  The |H''''| bounds depend on t and j alone, so
+both signs share them and one term_integrals pass.  The node-sum bounds of the
+paper's Q tables come from one q pass, q_values, computing each ingredient once.
 """
 
 from __future__ import annotations
@@ -44,10 +39,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
 from operator import mul
+from typing import NamedTuple
 
 from .envelope import envelope_max
-from .integrand import WORK_M, BoundTerm, IntegrandSpec, NodeColumns, h4_sup_bound, h4_term_bounds
-from .integrand import power_row
+from .integrand import WORK_M, BoundTerm, IntegrandSpec, h4_sup_bound, h4_term_bounds
 from .spectral import torus_integral_upper
 from .trigpoly import G_MAX, MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
 from .trigpoly import eval_G_values, second_deriv_L2, variation_bound_power
@@ -56,7 +51,7 @@ MODES = ("plain", "refined")
 _CHUNK = 256
 _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
 
-# Working constants of the node-sum bounds q_star/q_plain: half the working sup
+# Working constants of the node-sum bounds of q_values: half the working sup
 # bound of G' (88, exact) and half a rounded upper bound for the L^2 norm of G''.
 _HALF_SUP_G1 = WORK_M[1] / 2
 _HALF_L2_G2 = 1700.0
@@ -74,17 +69,6 @@ class CertifiedValue:
     error_bound: float
     steps: int
     method: str
-
-
-def _node_chunks(n_steps: int):
-    """The midpoint nodes x_n = (2n-1)/(4N), n = 1..N, in fixed chunks of _CHUNK."""
-    if isinstance(n_steps, bool) or not 1 <= n_steps <= MAX_STEPS:  # True would pass as 1
-        raise ValueError(f"step count must be an integer in 1..{MAX_STEPS}, got {n_steps!r}")
-    denom = 4.0 * n_steps
-    return (
-        [(2 * n - 1) / denom for n in range(lo, min(lo + _CHUNK, n_steps + 1))]
-        for lo in range(1, n_steps + 1, _CHUNK)
-    )
 
 
 def _plain_error(sup4: float, n_steps: int) -> float:
@@ -110,11 +94,23 @@ def _sign_free_part(t: float, j: int, weight: float) -> tuple[float, float]:
 
 
 def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int) -> list[dict]:
-    """The q pass: q_star (has_gprime) or q_plain of every (has_gprime, t, j) key, per square.
+    """The q pass: bounds for the N-node midpoint sum of G^t |log G|^j, times |G'| if has_gprime, per key and square.
 
-    squares holds (square, maxima table) pairs, and one {key: value} dict is
-    returned per square.  Each value is small + log(9)^j * base, and each
-    ingredient is computed once, at the granularity it depends on: the
+    squares holds (square, maxima table) pairs, and one {(has_gprime, t, j):
+    bound} dict is returned per square.  Each bound splits the range of G at
+    1/9 and is small + log(9)^j * base:
+
+      * without |G'|, small values are covered by the envelope maximum on
+        [0, 1/9] at every node, large values by log(9)^j times the node sum
+        of G^t, which a midpoint sum bounds through the exact mean and half
+        the total variation of G^t;
+      * with |G'|, the factor is absorbed two ways: on the small range it
+        costs a node-count term plus a boundary term; on the large range,
+        node sums of G^t |G'| telescope into the variation of G^(t+1)/(t+1)
+        plus correction terms controlled by the variation of G^t and the L^2
+        norm of G''.
+
+    Each ingredient is computed once, at the granularity it depends on: the
     small-range envelope term and log(9)^j once per key,
     torus_integral_upper once per power, variation_bound_power once per
     (square, power), and the j-free base of each (has_gprime, t) once per
@@ -122,7 +118,7 @@ def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int
     """
     if not n_steps >= 0:
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
-    star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2  # see q_star
+    star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2
     sign_free = {(star, t, j): _sign_free_part(t, j, star_weight if star else n_steps) for star, t, j in dict.fromkeys(keys)}
     kinds = dict.fromkeys(key[:2] for key in sign_free)  # the (has_gprime, t) of each j-free base
     means = {p: torus_integral_upper(p) for p in {2.0 * t if star else t for star, t in kinds}}
@@ -132,35 +128,13 @@ def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int
         variation = {p: variation_bound_power(spec, p, table) for p in powers}
         bases = {}
         for star, t in kinds:
-            if star:  # see q_star
+            if star:
                 tail = _HALF_L2_G2 * math.sqrt(means[2.0 * t])
                 bases[star, t] = n_steps / (t + 1.0) * variation[t + 1.0] + _HALF_SUP_G1 * variation[t] + tail
             else:  # N times the mean of G^t plus half its variation
                 bases[star, t] = n_steps * means[t] + 0.5 * variation[t]
         per_square.append({key: small + log9_power * bases[key[:2]] for key, (small, log9_power) in sign_free.items()})
     return per_square
-
-
-def q_plain(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTable) -> float:
-    """Bound for the node sum of G^t |log G|^j without a derivative factor: the q pass of one key.
-
-    Splits the range of G at 1/9: small values are covered by the envelope
-    maximum on [0, 1/9] at every node, large values by log(9)^j times the node
-    sum of G^t, which a midpoint sum bounds through the exact mean and half
-    the total variation of G^t.
-    """
-    return q_values([(False, t, j)], [(spec, table)], n_steps)[0][False, t, j]
-
-
-def q_star(spec: TrigSquare, t: float, j: int, n_steps: int, table: LocalMaxTable) -> float:
-    """Bound for the node sum of G^t |log G|^j |G'|: the q pass of one key.
-
-    The |G'| factor is absorbed two ways: on the small range [0, 1/9] it costs
-    a node-count term plus a boundary term; on the large range, node sums of
-    G^t |G'| telescope into the variation of G^(t+1)/(t+1) plus correction
-    terms controlled by the variation of G^t and the L^2 norm of G''.
-    """
-    return q_values([(True, t, j)], [(spec, table)], n_steps)[0][True, t, j]
 
 
 def term_integrals(keys, squares: list[tuple[TrigSquare, LocalMaxTable]]) -> list[dict]:
@@ -214,8 +188,38 @@ def refined_error_bounds(
 
 
 def refined_error_bound(terms: tuple[BoundTerm, ...], spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
-    """The refined error bound of one |H''''| term list on one square: refined_error_bounds of one."""
+    """refined_error_bounds of one |H''''| term list on one square; it stays because bench/workloads.py calls it."""
     return refined_error_bounds([terms], [(spec, table)], n_steps)[0][0]
+
+
+def _node_chunks(n_steps: int):
+    """The midpoint nodes x_n = (2n-1)/(4N), n = 1..N, in fixed chunks of _CHUNK."""
+    if type(n_steps) is not int or not 1 <= n_steps <= MAX_STEPS:  # refuses True (== 1) and 100.0 too
+        raise ValueError(f"step count must be an integer in 1..{MAX_STEPS}, got {n_steps!r}")
+    denom = 4.0 * n_steps
+    return (
+        [(2 * n - 1) / denom for n in range(lo, min(lo + _CHUNK, n_steps + 1))]
+        for lo in range(1, n_steps + 1, _CHUNK)
+    )
+
+
+class NodeColumns(NamedTuple):
+    """G and log G over one chunk of nodes: everything about them that is free of t and j.
+
+    ``logs`` holds the powers (log G)^p already asked for, by p; they are free
+    of t too, so they are kept with the columns and share their lifetime.
+    """
+
+    g: list[float]
+    ell: tuple[float, ...]
+    logs: dict[int, list[float]]
+
+    def log_power(self, p: int) -> list[float]:
+        """(log G)^p at the nodes, computed on first request.  May raise OverflowError."""
+        column = self.logs.get(p)
+        if column is None:
+            column = self.logs[p] = [v**p for v in self.ell]
+        return column
 
 
 @lru_cache(maxsize=2, typed=True)  # typed: True and 1.0 miss rather than reuse the table of 1, and are refused
@@ -231,14 +235,42 @@ def _node_table(trig: TrigSquare, n_steps: int) -> tuple[NodeColumns, ...]:
     return tuple(NodeColumns(g, tuple(map(math.log, g)), {}) for g in columns)
 
 
+def power_row(nodes: NodeColumns, t: float) -> list[float]:
+    """G^t at the nodes: the one factor of H = G^t log^j G that depends on t but not on j.
+
+    g**t raises OverflowError rather than return inf, so an entry beyond the
+    float range is refused here, naming t; a row whose sum overflows is
+    refused by _h_node_sums.
+    """
+    try:
+        return [g**t for g in nodes.g]
+    except OverflowError:
+        raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
+
+
 def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, float]:
     """Node sums of H = G^t log^j G for each j in orders, from one node pass.
 
-    Per chunk, the sum of order j is fsum(G^t L^j) with L = log G; the chunk
-    sums are added exactly rounded, in node order.  The fixed 256-node
-    chunking keeps the frozen values: one fsum over all nodes is as accurate
-    but may move the last bit.
+    Per chunk, the sum of order j is fsum(G^t L^j) with L = log G, exactly
+    rounded; one more fsum adds the chunk sums in node order.  So a total
+    carries up to ceil(N/256) + 1 roundings, where one fsum over all nodes
+    would carry one: in the default proof 16 of the 76 per-sign sums are 1 ulp
+    from the exact sum of the rounded products, which a single fsum hits in
+    all 16.  The chunks stay because they are mostly faster (per sum, 54-60
+    against 58-64 us at N = 640, 154-211 against 190-267 us at N = 3000;
+    CPython 3.11, 2-CPU x86-64) and because the report's estimates, the
+    T1-T6 tables and the frozen test values are taken from them.
     """
+
+    def node_sum(j, terms):
+        try:
+            total = fsum(terms)
+        except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
+            total = math.nan
+        if not math.isfinite(total):  # nan from above, or inf from an H product that overflowed
+            raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sum overflows a float")
+        return total
+
     parts = {j: [] for j in orders}
     for nodes in _node_table(trig, n_steps):
         gt = power_row(nodes, t)
@@ -247,36 +279,21 @@ def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, 
                 logs = nodes.log_power(j)
             except OverflowError:  # at a node with |log G| > 1
                 raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
-            try:
-                parts[j].append(fsum(map(mul, gt, logs)))
-            except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
-                raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sum overflows a float") from None
-    sums = {j: fsum(p) for j, p in parts.items()}
-    for j, total in sums.items():
-        if not math.isfinite(total):  # an H product overflowed to inf
-            raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sum is not finite")
-    return sums
-
-
-def _h4_bounds(t: float, jobs) -> list:
-    """The |H''''| bound of each (j, mode) in jobs: h4_sup_bound if plain, h4_term_bounds if refined.
-
-    Both depend on t and j alone (the spec's sign is not read), so the two
-    signs of a gap derivative share them.
-    """
-    for _, mode in jobs:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    bound = {"plain": h4_sup_bound, "refined": h4_term_bounds}
-    return [bound[mode](IntegrandSpec(t, j, SignVariant.PLUS)) for j, mode in jobs]
+            parts[j].append(node_sum(j, map(mul, gt, logs)))
+    return {j: node_sum(j, p) for j, p in parts.items()}
 
 
 def _integrate_orders(signs, t: float, n_steps: int, jobs) -> list[list[CertifiedValue]]:
     """Certified integrals of G^t log^j G over [0, 1/2]: per sign in signs, one per (j, mode) in jobs.
 
-    The signs share the jobs' _h4_bounds and one refined_error_bounds pass.
+    The |H''''| bound of each job, h4_sup_bound if plain and h4_term_bounds if
+    refined, depends on t and j alone, so the signs share it and one
+    refined_error_bounds pass.
     """
-    h4_bounds = _h4_bounds(t, jobs)
+    for _, mode in jobs:  # before any node work
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    h4_bounds = [(h4_term_bounds if mode == "refined" else h4_sup_bound)(IntegrandSpec(t, j, SignVariant.PLUS)) for j, mode in jobs]
     squares = [TrigSquare(5, sign) for sign in signs]
     orders = sorted({j for j, _ in jobs})
     sums = [_h_node_sums(trig, t, orders, n_steps) for trig in squares]

@@ -13,6 +13,7 @@ from majorant.integrand import IntegrandSpec, h4_term_bounds
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5, reproduce_table
 from majorant.quadrature import (
     MAX_STEPS,
+    MODES,
     CertifiedValue,
     _h_node_sums,
     _integrate_orders,
@@ -21,8 +22,6 @@ from majorant.quadrature import (
     _plain_error,
     gap_derivative,
     gap_derivatives,
-    q_plain,
-    q_star,
     q_values,
     refined_error_bound,
     refined_error_bounds,
@@ -98,6 +97,18 @@ class TestMidpointRule:
             _node_chunks(True)
         with pytest.raises(ValueError, match="step count"):
             gap_derivative(1, 5.5, True)
+
+    def test_float_step_count_is_refused(self):
+        """100.0 is no step count either, with the table of 100 cached or not (the node cache is typed)."""
+        refusal = rf"step count must be an integer in 1\.\.{MAX_STEPS}, got 100\.0"
+        with pytest.raises(ValueError, match=refusal):
+            _node_chunks(100.0)
+        _node_table.cache_clear()
+        with pytest.raises(ValueError, match=refusal):
+            gap_derivative(1, 5.5, 100.0)
+        gap_derivative(1, 5.5, 100)
+        with pytest.raises(ValueError, match=refusal):
+            gap_derivative(1, 5.5, 100.0)
 
     def test_empty_job_list_gives_no_values(self):
         assert gap_derivatives(5.5, 100, []) == []
@@ -255,18 +266,15 @@ class TestBatchedNodeSums:
 class TestQPass:
     """The q pass and the term-integral pass share their ingredients across keys and squares, and change no value."""
 
-    @pytest.fixture
-    def squares(self, plus_square, minus_square, plus_table, minus_table):
-        return [(plus_square, plus_table), (minus_square, minus_table)]
-
     @pytest.mark.parametrize("table_id,n", [("Q500", 500), ("Q400", 400)])
     def test_tables_equal_oracle(self, table_id, n, squares):
-        """Every Q500/Q400 entry, both signs, and the one-key q_star/q_plain are bitwise the per-key oracle."""
+        """Every Q500/Q400 entry, both signs, and a one-key q pass are bitwise the per-key oracle."""
         _, rows = reproduce_table(table_id)
         for kind, t, j, *per_sign, _, _ in rows:
+            key = (kind == "star", float(t), j)
             for value, (trig, table) in zip(per_sign, squares):
                 expected = q_reference(kind == "star", trig, float(t), j, n, table).hex()
-                single = (q_star if kind == "star" else q_plain)(trig, float(t), j, n, table)
+                single = q_values([key], [(trig, table)], n)[0][key]
                 assert value.hex() == single.hex() == expected, (table_id, kind, t, j, trig.sign)
 
     def test_proof_keys_equal_oracle(self, squares):
@@ -305,46 +313,39 @@ class TestQPass:
 
 
 class TestNodeSumBounds:
-    """q_plain / q_star must dominate the true node sums they stand for."""
+    """The q pass's bounds, with |G'| ("star") and without ("plain"), must dominate the true node sums they stand for."""
 
     @pytest.mark.parametrize("t,j", [(1.0, 0), (3.0, 1), (5.0, 2), (5.5, 0)])
-    def test_q_plain_dominates(self, t, j, plus_square, minus_square, plus_table, minus_table):
+    def test_q_plain_dominates(self, t, j, squares):
         n = 500
         nodes = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
-        for spec, table in ((plus_square, plus_table), (minus_square, minus_table)):
+        for (spec, _), bounds in zip(squares, q_values([(False, t, j)], squares, n)):
             total = math.fsum(
                 eval_G(spec, x) ** t * abs(math.log(eval_G(spec, x))) ** j for x in nodes
             )
-            bound = q_plain(spec, t, j, n, table)
+            bound = bounds[False, t, j]
             assert total <= bound, f"t={t} j={j} {spec.sign.value}: {total} > {bound}"
 
     @pytest.mark.parametrize("t,j", [(1.0, 0), (3.0, 1), (5.0, 2)])
-    def test_q_star_dominates(self, t, j, plus_square, minus_square, plus_table, minus_table):
+    def test_q_star_dominates(self, t, j, squares):
         n = 400
         nodes = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
-        for spec, table in ((plus_square, plus_table), (minus_square, minus_table)):
+        for (spec, _), bounds in zip(squares, q_values([(True, t, j)], squares, n)):
             total = math.fsum(
                 eval_G(spec, x) ** t
                 * abs(math.log(eval_G(spec, x))) ** j
                 * abs(eval_G_derivative(spec, 1, x))
                 for x in nodes
             )
-            bound = q_star(spec, t, j, n, table)
+            bound = bounds[True, t, j]
             assert total <= bound, f"t={t} j={j} {spec.sign.value}: {total} > {bound}"
 
-    def test_frozen_values(self, plus_square, minus_square, plus_table, minus_table):
-        assert q_star(plus_square, 1.0, 0, 500, plus_table) == pytest.approx(
-            137075.2576885526, rel=1e-12
-        )
-        assert q_star(minus_square, 1.0, 0, 500, minus_table) == pytest.approx(
-            137063.17368855263, rel=1e-12
-        )
-        assert q_plain(plus_square, 3.0, 0, 500, plus_table) == pytest.approx(
-            48349.835484068, rel=1e-12
-        )
-        assert q_plain(minus_square, 4.0, 1, 500, minus_table) == pytest.approx(
-            733943.3811378691, rel=1e-12
-        )
+    def test_frozen_values(self, squares):
+        plus, minus = q_values([(True, 1.0, 0), (False, 3.0, 0), (False, 4.0, 1)], squares, 500)
+        assert plus[True, 1.0, 0] == pytest.approx(137075.2576885526, rel=1e-12)
+        assert minus[True, 1.0, 0] == pytest.approx(137063.17368855263, rel=1e-12)
+        assert plus[False, 3.0, 0] == pytest.approx(48349.835484068, rel=1e-12)
+        assert minus[False, 4.0, 1] == pytest.approx(733943.3811378691, rel=1e-12)
 
     def test_bounds_beyond_float_range_are_infinite(self):
         """Large t or j push a bound past the float range: it is inf, still a valid bound, not an OverflowError.
@@ -357,25 +358,48 @@ class TestNodeSumBounds:
             value = gap_derivative(j, t, 10, mode)
             assert math.isfinite(value.estimate) and value.error_bound == math.inf, (j, t, mode)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_overflowing_node_sum_is_refused(self, mode):
+        """At t = 323.0, 9^t and every G^t at the 1000 nodes are finite but a chunk's node sum is not.
+
+        power_row computes every G^t; the node sum that passes the float range
+        is refused by _h_node_sums, naming the order and t.
+        """
+        with pytest.raises(ValueError, match=r"^log order 0 at power t = 323\.0 is too large to evaluate: its node sum overflows"):
+            gap_derivative(0, 323.0, 1000, mode)
+
+    def test_overflowing_total_of_chunk_sums_is_refused(self):
+        """At N = 100000 and t = 320.3 every 256-node chunk sum is finite, but their total is not.
+
+        The plus square's peak G(0) = 9 then spreads over many chunks, so the
+        overflow comes from the fsum that adds the chunk sums; it is refused
+        like the others, not raised as an OverflowError.
+        """
+        try:
+            with pytest.raises(ValueError, match=r"^log order 0 at power t = 320\.3 is too large to evaluate: its node sum overflows"):
+                gap_derivative(0, 320.3, 100_000, "plain")
+        finally:
+            _node_table.cache_clear()  # two tables of 100000 nodes
+
     def test_overflowing_log_power_gives_infinity(self, plus_square, plus_table):
         """log(9)^j beyond the float range is an infinite bound, not an OverflowError."""
-        assert q_star(plus_square, 6.0, 1000, 100, plus_table) == math.inf
-        assert q_plain(plus_square, 6.0, 1000, 100, plus_table) == math.inf
+        (bounds,) = q_values([(True, 6.0, 1000), (False, 6.0, 1000)], [(plus_square, plus_table)], 100)
+        assert bounds == {(True, 6.0, 1000): math.inf, (False, 6.0, 1000): math.inf}
         # one node, where |log G| < log 9, so the node pass stays finite
         value = gap_derivative(1000, 5.5, 1, "refined")
         assert math.isfinite(value.estimate) and value.error_bound == math.inf
 
     def test_input_validation(self, plus_square, plus_table):
         with pytest.raises(ValueError, match=">= 1"):
-            q_plain(plus_square, 0.5, 0, 100, plus_table)
+            q_values([(False, 0.5, 0)], [(plus_square, plus_table)], 100)
         with pytest.raises(ValueError, match="nonnegative"):
-            q_star(plus_square, 2.0, -1, 100, plus_table)
+            q_values([(True, 2.0, -1)], [(plus_square, plus_table)], 100)
 
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda sq, tb: q_plain(sq, math.nan, 1, 100, tb), id="q_plain"),
-            pytest.param(lambda sq, tb: q_star(sq, math.nan, 1, 100, tb), id="q_star"),
+            pytest.param(lambda sq, tb: q_values([(False, math.nan, 1)], [(sq, tb)], 100), id="q_plain"),
+            pytest.param(lambda sq, tb: q_values([(True, math.nan, 1)], [(sq, tb)], 100), id="q_star"),
             pytest.param(
                 lambda sq, tb: refined_error_bound(h4_term_bounds(IntegrandSpec(5.5, 1, PLUS)), sq, math.nan, tb),
                 id="refined_error_bound",
@@ -400,7 +424,7 @@ class TestNodeSumBounds:
 
 
 class TestIntegrateH:
-    """One sign's certified integral of H, through _integrate_orders and _h4_bounds."""
+    """One sign's certified integral of H, through _integrate_orders."""
 
     def test_refined_tracks_oracle(self, half_period_oracle):
         for t, j, sign in ((5.0, 1, PLUS), (5.0, 1, MINUS), (5.23, 2, MINUS)):

@@ -59,7 +59,7 @@ class TestEvalG:
 
     @pytest.mark.parametrize("k", [-1, 0, 3, 6, 200])
     def test_rejects_k_other_than_five(self, k):
-        """The bound constants hold for k = 5 only: at k = 200 q_star fell below the node sum it bounds."""
+        """The bound constants hold for k = 5 only: at k = 200 the q pass's |G'| bound fell below the node sum it bounds."""
         with pytest.raises(ValueError, match="k = 5"):
             TrigSquare(k, SignVariant.MINUS)
 
