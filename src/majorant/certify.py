@@ -31,6 +31,7 @@ PIPELINE_T_MIN = 5.0
 PIPELINE_T_MAX = 6.0
 _EDGE_TOL = 1e-9
 _PROVEN_RANGE = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
+MAX_DEGREE = 169  # the tail bound divides by (degree + 1)!, and 170! is the largest factorial below the float range
 
 # The targets each sign check certifies, keyed by the configuration's method name.  The
 # variation cascade argues from positive shifted endpoint values, so it proves positivity only.
@@ -70,7 +71,7 @@ class SignCertificate:
 
 # The three checks below are phrased as "not <valid>" so that a NaN fails them.
 def check_window(center: float, radius: float, base_order: int, degree: int) -> None:
-    """Reject an expansion window that leaves the proven range, or a negative order or degree."""
+    """Reject an expansion window that leaves the proven range, a negative order, or a degree outside 0..MAX_DEGREE."""
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     lo, hi = center - radius, center + radius
@@ -78,6 +79,8 @@ def check_window(center: float, radius: float, base_order: int, degree: int) -> 
         raise ValueError(f"expansion window [{lo}, {hi}] leaves {_PROVEN_RANGE}")
     if base_order < 0 or degree < 0:
         raise ValueError("base_order and degree must be nonnegative")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
 
 
 def check_interval(center: float, radius: float, a: float, b: float) -> None:

@@ -8,7 +8,8 @@ a chain of certified facts: the first three derivatives of the gap at t = 5
 are positive, and on four subintervals covering [5, 6] a certified Taylor
 polynomial of a low-order derivative keeps a fixed sign.  Each stage carries
 explicit error accounting; a stage whose margin cannot be certified makes the
-whole run INCONCLUSIVE rather than silently passing.
+whole run INCONCLUSIVE rather than silently passing.  The layout of the
+argument is fixed; a configuration tunes only its numerics.
 
 This module owns the default stage configuration, configuration loading and
 hashing, the report object, and the reproduction of the reference tables that
@@ -24,8 +25,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 from .certify import (
-    PIPELINE_T_MAX,
-    PIPELINE_T_MIN,
     BudgetError,
     build_certificate,
     check_budgets,
@@ -42,7 +41,7 @@ from .trigpoly import SignVariant, TrigSquare, default_max_table
 
 REPORT_VERSION = "1"
 CASE_ID = "k5-three-term"
-ENVIRONMENT_NOTE = "IEEE-754 binary64; exactly rounded compensated sums; deterministic node order"
+ENVIRONMENT_NOTE = "IEEE-754 binary64; compensated sums exactly rounded per 256-node chunk; deterministic node order"
 
 _NOTE_REFINED_REQUIRED = (
     "plain-mode coefficient errors exceed the leading budget at this center "
@@ -142,6 +141,8 @@ _MAX_PIPELINE_STEPS = 640
 # any non-empty default of it will do (two stages' notes lists are empty).
 _FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items() if v != []}
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
+# The fields that state the argument: a configuration may only repeat their defaults.
+_FIXED_FIELDS = ("order", "t", "base_order", "target", "intervals")
 
 # ---------------------------------------------------------------------------
 # Reference values the pipeline is expected to reproduce (regression anchors).
@@ -286,23 +287,17 @@ def _validate_stage(stage: dict, default: dict) -> None:
         if not _has_json_type(value, _FIELD_TYPES[key]):
             kind = _JSON_TYPES[type(_FIELD_TYPES[key])]
             raise ValueError(f"{key} must be a JSON {kind} like its default, got {json.dumps(value)}")
+        if key in _FIXED_FIELDS and json.dumps(value) != json.dumps(default[key]):  # 5 for 5.0 would change config_hash
+            raise ValueError(f"{key} is fixed by the argument at {json.dumps(default[key])}, got {json.dumps(value)}")
     if "steps" in stage and not 1 <= stage["steps"] <= _MAX_PIPELINE_STEPS:
         raise ValueError(f"steps must be in 1..{_MAX_PIPELINE_STEPS}, got {stage['steps']}")
     if "mode" in stage and stage["mode"] not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {stage['mode']!r}")
-    if "order" in stage and stage["order"] < 0:
-        raise ValueError(f"order must be nonnegative, got {stage['order']}")
-    if "t" in stage and not PIPELINE_T_MIN <= stage["t"] <= PIPELINE_T_MAX:
-        raise ValueError(f"t must lie in [{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]")
     if "center" not in stage:
         return
     center, radius = stage["center"], stage["radius"]
     check_window(center, radius, stage["base_order"], stage["degree"])
-    if not stage["intervals"]:
-        raise ValueError("intervals must not be empty")
     for interval in stage["intervals"]:
-        if len(interval) != 2:
-            raise ValueError(f"intervals must be [a, b] pairs, got {interval}")
         check_interval(center, radius, *interval)
     check_target(stage["method"], stage["target"])
     check_budgets(stage["budgets"], stage["degree"])
@@ -393,9 +388,7 @@ def _run_certificate_stage(name: str, stage: dict) -> StageResult:
         )
     target = stage["target"]
     verdicts = [check_sign(stage["method"], cert, target, interval) for interval in stage["intervals"]]
-    anchors = []
-    for a, b in stage["intervals"]:
-        anchors.extend((eval_cert_poly(cert, 0, a), eval_cert_poly(cert, 0, b)))
+    anchors = [eval_cert_poly(cert, 0, end) for interval in stage["intervals"] for end in interval]
     if target == "positive":
         estimate = min(anchors)
         margin = estimate - cert.total_delta

@@ -71,6 +71,12 @@ class CertifiedValue:
     method: str
 
 
+def _check_steps(n_steps: int) -> None:
+    """The one step-count rule of the node pass and both bound passes: an int in 1..MAX_STEPS."""
+    if type(n_steps) is not int or not 1 <= n_steps <= MAX_STEPS:  # refuses True (== 1) and 100.0 too
+        raise ValueError(f"step count must be an integer in 1..{MAX_STEPS}, got {n_steps!r}")
+
+
 def _plain_error(sup4: float, n_steps: int) -> float:
     return sup4 / (_ERR_DENOM * float(n_steps) ** 4)
 
@@ -116,8 +122,7 @@ def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int
     (square, power), and the j-free base of each (has_gprime, t) once per
     square.
     """
-    if not n_steps >= 0:
-        raise ValueError(f"step count must be nonnegative, got {n_steps}")
+    _check_steps(n_steps)
     star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2
     sign_free = {(star, t, j): _sign_free_part(t, j, star_weight if star else n_steps) for star, t, j in dict.fromkeys(keys)}
     kinds = dict.fromkeys(key[:2] for key in sign_free)  # the (has_gprime, t) of each j-free base
@@ -171,8 +176,7 @@ def refined_error_bounds(
     (has_gprime, t_r, j_r) keys serves every (square, maxima table) in
     squares, and one list of bounds is returned per square.
     """
-    if not n_steps >= 1:
-        raise ValueError(f"step count must be positive, got {n_steps}")
+    _check_steps(n_steps)
     keys = ((term.has_gprime, term.t_r, term.j_r) for terms in term_lists for term in terms)
     scale = _ERR_DENOM * float(n_steps) ** 4
     per_square = []
@@ -194,8 +198,7 @@ def refined_error_bound(terms: tuple[BoundTerm, ...], spec: TrigSquare, n_steps:
 
 def _node_chunks(n_steps: int):
     """The midpoint nodes x_n = (2n-1)/(4N), n = 1..N, in fixed chunks of _CHUNK."""
-    if type(n_steps) is not int or not 1 <= n_steps <= MAX_STEPS:  # refuses True (== 1) and 100.0 too
-        raise ValueError(f"step count must be an integer in 1..{MAX_STEPS}, got {n_steps!r}")
+    _check_steps(n_steps)
     denom = 4.0 * n_steps
     return (
         [(2 * n - 1) / denom for n in range(lo, min(lo + _CHUNK, n_steps + 1))]

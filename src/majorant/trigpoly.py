@@ -130,7 +130,7 @@ def second_deriv_L2() -> float:
 
 def curvature_slack(h: float) -> float:
     """How far G may rise above a grid value at step h near a local maximum: sup|G''| (h/2)^2 / 2."""
-    return 0.5 * sup_norm_bound(2) * (h / 2.0) ** 2
+    return 0.5 * sup_norm_bound(2) * (h / 2.0) * (h / 2.0)  # not ** 2, which raises OverflowError for h past 1e154
 
 
 def _ceil_decimals(x: float, decimals: int = 3) -> float:

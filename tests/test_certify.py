@@ -97,6 +97,16 @@ class TestRemainderBound:
         with pytest.raises(ValueError, match="radius"):
             remainder_bound(5.5, 0.0, 1, 8)
 
+    def test_degree_past_factorial_range_is_refused(self):
+        """The tail bound divides by (degree + 1)!, a float only up to 170!, so 169 is the largest degree."""
+        assert math.isfinite(remainder_bound(5.065, 0.065, 4, 169))
+        for call in (
+            lambda: remainder_bound(5.065, 0.065, 4, 170),
+            lambda: build_certificate(5.065, 0.065, 4, 170, [0.15] + 170 * [1e-6], 640, "refined", 0.187),
+        ):
+            with pytest.raises(ValueError, match="^degree must be at most 169, got 170$"):
+                call()
+
     @pytest.mark.parametrize("center,radius", [(math.nan, 0.1), (5.5, math.nan)])
     def test_rejects_nan_window(self, center, radius):
         with pytest.raises(ValueError, match="radius|window"):

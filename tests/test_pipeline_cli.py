@@ -6,6 +6,7 @@ import io
 import json
 import math
 import platform
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,8 @@ from majorant.pipeline import (
     CASE_ID,
     DEFAULT_CONFIG,
     TABLE_IDS,
+    _run_certificate_stage,
+    _run_derivative_stage,
     config_hash,
     emit_report,
     load_config,
@@ -25,6 +28,7 @@ from majorant.pipeline import (
     reproduce_table,
     validate_config,
 )
+from majorant.quadrature import gap_derivative
 
 EXPECTED_STAGES = [
     "endpoint_gap_zero",
@@ -59,6 +63,37 @@ MALFORMED_CONFIGS = [
     pytest.param({"stages": {D1: {"order": -1}}}, D1, "order", id="order-negative"),
     pytest.param({"case": "k7"}, None, "case", id="case-other"),
     pytest.param({"stages": {C1: {"target": "negative"}}}, C1, "target", id="cascade-negative"),
+]
+
+# Every (stage, field) that states the argument rather than tunes its numerics
+FIXED = [
+    (name, field)
+    for name, stage in DEFAULT_CONFIG["stages"].items()
+    for field in ("order", "t", "base_order", "target", "intervals")
+    if field in stage
+]
+
+
+def other_value(field, value):
+    """A well-typed value of a fixed field that differs from its default."""
+    if field == "target":
+        return "negative" if value == "positive" else "positive"
+    if field == "intervals":
+        (a, b), *rest = value
+        return [[a, (a + b) / 2], *rest]
+    return value + (0.05 if field == "t" else 1)
+
+
+# Configs that pass every type and window check but would certify another argument, and the
+# (stage, field) each is refused for: A leaves (5.4, 5.56) and (5.8, 6) uncovered, B never certifies
+# gap'(5) and leaves (5.05, 5.13) uncovered, C certifies derivatives at 5.05 instead of 5.
+OTHER_ARGUMENTS = [
+    pytest.param(
+        {"stages": {"gap_d1_on_5.330_5.720": {"intervals": [[5.33, 5.4]]}, "gap_d2_on_5.720_6.000": {"intervals": [[5.72, 5.8]]}}},
+        "gap_d1_on_5.330_5.720", "intervals", id="A-uncovered",
+    ),
+    pytest.param({"stages": {D1: {"order": 2}, D4: {"intervals": [[5.0, 5.05]]}}}, D1, "order", id="B-order"),
+    pytest.param({"stages": {D1: {"t": 5.05}, "gap_d2_at_5": {"t": 5.05}}}, D1, "t", id="C-moved"),
 ]
 
 # sha256 of each reference table's CSV, as ``majorant table <id>`` prints it
@@ -103,11 +138,45 @@ class TestConfig:
             validate_config(merge_config({"stages": {"gap_d1_at_5": {"steps": 641}}}))
 
     def test_mode_and_interval_checks(self):
+        """The intervals are fixed, so the range and window checks are reached through the window."""
         with pytest.raises(ValueError, match="mode"):
             validate_config(merge_config({"stages": {"gap_d1_at_5": {"mode": "best"}}}))
-        bad = {"stages": {"gap_d4_on_5.000_5.130": {"intervals": [[6.0, 7.0]]}}}
-        with pytest.raises(ValueError, match="outside the proven range"):
-            validate_config(merge_config(bad))
+        with pytest.raises(ValueError, match=r"leaves \[5, 6\]"):
+            validate_config(merge_config({"stages": {D4: {"center": 5.9, "radius": 0.2}}}))
+        with pytest.raises(ValueError, match=r"interval \[5\.0, 5\.13\] leaves the certified window"):
+            validate_config(merge_config({"stages": {D4: {"center": 5.5, "radius": 0.1}}}))
+
+    def test_every_fixed_field_is_counted(self):
+        """18 of the 64 stage fields state the argument; the other 46 are tunable."""
+        assert len(FIXED) == 18
+        assert sum(map(len, DEFAULT_CONFIG["stages"].values())) - len(FIXED) == 46
+
+    @pytest.mark.parametrize("stage,field", FIXED)
+    def test_fixed_field_refuses_other_value(self, stage, field):
+        default = DEFAULT_CONFIG["stages"][stage][field]
+        value = other_value(field, default)
+        refusal = f"stage {stage!r}: {field} is fixed by the argument at {json.dumps(default)}, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            validate_config(merge_config({"stages": {stage: {field: value}}}))
+
+    def test_fixed_field_refuses_another_spelling(self):
+        """5 equals 5.0 but would change config_hash, so only the default's own JSON is accepted."""
+        with pytest.raises(ValueError, match=r"^stage 'gap_d1_at_5': t is fixed by the argument at 5\.0, got 5$"):
+            validate_config(merge_config({"stages": {D1: {"t": 5}}}))
+
+    def test_default_config_states_the_argument(self):
+        """Orders 1-3 at t = 5, then four certificates whose intervals tile [5, 6] in stage order."""
+        stages = DEFAULT_CONFIG["stages"]
+        assert [(s["order"], s["t"]) for s in stages.values() if "order" in s] == [(1, 5.0), (2, 5.0), (3, 5.0)]
+        certificates = [s for s in stages.values() if "center" in s]
+        edges = [5.0]
+        for stage in certificates:
+            for a, b in stage["intervals"]:
+                assert a == edges[-1]
+                edges.append(b)
+        assert edges == [5.0, 5.13, 5.33, 5.56, 5.72, 6.0]
+        assert [s["base_order"] for s in certificates] == [4, 1, 1, 2]
+        assert [s["target"] for s in certificates] == ["positive", "positive", "positive", "negative"]
 
     @pytest.mark.parametrize("overrides,stage,field", MALFORMED_CONFIGS)
     def test_malformed_config_names_stage_and_field(self, overrides, stage, field):
@@ -184,14 +253,27 @@ class TestProve:
         assert all(s.margin < 0 for s in failed)
 
     def test_overflowing_envelope_is_inconclusive(self):
-        """A log power so high that envelope maxima overflow gives an infinite bound, not a crash."""
-        cfg = merge_config({"stages": {D1: {"order": 400}, D4: {"base_order": 400}}})
-        report = prove_k5(cfg)
-        assert report.verdict == "INCONCLUSIVE"
-        by_name = {s.name: s for s in report.stages}
-        assert by_name[D1].status == "failed" and by_name[D1].margin == -math.inf
-        assert by_name[D4].status == "failed"
-        assert "tail bound inf exceed" in by_name[D4].warnings[-1]
+        """A log power so high that envelope maxima overflow gives an infinite bound and a failed stage, not a crash.
+
+        Orders are fixed, so no configuration reaches such an order; the stage
+        runners are called directly: order 400 at t = 5, and a certificate of
+        base order 400 on a stage dict that skipped validation.
+        """
+        value = gap_derivative(400, 5.0, 640, "refined")
+        assert math.isfinite(value.estimate) and value.error_bound == math.inf
+        result = _run_derivative_stage(D1, value)
+        assert result.status == "failed" and result.margin == -math.inf
+        result = _run_certificate_stage(D4, dict(DEFAULT_CONFIG["stages"][D4], base_order=400))
+        assert result.status == "failed"
+        assert "tail bound inf exceed" in result.warnings[-1]
+
+    def test_default_values_keep_report_bytes(self, default_report):
+        """Repeating every fixed field's default is accepted and changes no report byte."""
+        overrides = {"stages": {}}
+        for stage, field in FIXED:
+            overrides["stages"].setdefault(stage, {})[field] = DEFAULT_CONFIG["stages"][stage][field]
+        report = prove_k5(merge_config(json.loads(json.dumps(overrides))))
+        assert emit_report(report) == emit_report(default_report)
 
 
 class TestReports:
@@ -213,7 +295,7 @@ class TestReports:
     def test_default_report_bytes_are_pinned(self):
         """The default JSON report is the behavioural contract; hash recorded on glibc 2.36, x86-64, Python 3.11.7."""
         digest = hashlib.sha256(emit_report(prove_k5(), "json").encode("utf-8")).hexdigest()
-        assert digest == "d6f935ee7eb47dcc556a544f3a2f394e2bcf440c8765acbc51757e181847d146"
+        assert digest == "edc758ed3368006859824b419470c6aaf62d7539113b11025942f9068eaa066a"
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the hashes were recorded with glibc's libm")
     @pytest.mark.parametrize("table_id,digest", TABLE_SHA256.items())
@@ -321,7 +403,9 @@ class TestCli:
         )
         result = run_cli("prove", "--config", str(cfg))
         assert result.returncode == 2
-        assert "outside the proven range" in result.stderr
+        assert result.stderr == (
+            "error: stage 'gap_d4_on_5.000_5.130': intervals is fixed by the argument at [[5.0, 5.13]], got [[6.0, 7.0]]\n"
+        )
 
     def test_malformed_config_exit_two_without_traceback(self, tmp_path):
         cfg = tmp_path / "null.json"
@@ -367,13 +451,29 @@ class TestCli:
             assert err.count("\n") == 1
 
     def test_config_order_too_large_exit_two(self, tmp_path):
+        """Order 1000 is refused as a fixed field; test_derivative_order_too_large_exit_two covers its log power."""
         cfg = tmp_path / "order.json"
         cfg.write_text(json.dumps({"stages": {"gap_d1_at_5": {"order": 1000}}}), encoding="utf-8")
         result = run_cli("prove", "--config", str(cfg))
         assert result.returncode == 2
-        assert result.stderr.startswith("error: log order 1000 ")
-        assert result.stderr.count("\n") == 1
+        assert result.stderr == "error: stage 'gap_d1_at_5': order is fixed by the argument at 1, got 1000\n"
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("overrides,stage,field", OTHER_ARGUMENTS)
+    def test_config_of_another_argument_exit_two(self, overrides, stage, field, tmp_path, capsys):
+        cfg = tmp_path / "other.json"
+        cfg.write_text(json.dumps(overrides), encoding="utf-8")
+        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: stage {stage!r}: {field} is fixed by the argument at ")
+        assert err.count("\n") == 1
+
+    def test_config_degree_past_factorial_range_exit_two(self, tmp_path, capsys):
+        """The tail bound divides by (degree + 1)!, a float only up to 170!, so degree 170 is refused input."""
+        cfg = tmp_path / "degree.json"
+        cfg.write_text(json.dumps({"stages": {D4: {"degree": 170, "budgets": [0.15] + 170 * [1e-6]}}}), encoding="utf-8")
+        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: stage {D4!r}: degree must be at most 169, got 170\n")
 
     @pytest.mark.parametrize("text", ["[]", "0", "false", "null", '""'])
     def test_prove_non_object_config_exit_two(self, text, tmp_path, capsys):
@@ -425,6 +525,21 @@ class TestCli:
         assert majorant.cli.main(["maxima", "--sign", "plus", "--bump", bump]) == 0
         out, err = capsys.readouterr()
         assert err == "" and out.splitlines()[1:] == ["0.0,9.0,1", "0.151,9.0,2", "0.302,9.0,2", "0.448,9.0,2"]
+
+    @pytest.mark.parametrize(
+        "args,refusal",
+        [
+            pytest.param(["--step", "1e200"], "step 1e+200 must evenly divide the half period", id="1e200"),
+            pytest.param(["--step", "1e308"], "step 1e+308 must evenly divide the half period", id="1e308"),
+            pytest.param(
+                ["--step", "1e200", "--bump", "1"], "bump 1 does not cover the curvature slack inf for step 1e+200", id="1e200-bump"
+            ),
+        ],
+    )
+    def test_maxima_huge_step_exit_two(self, args, refusal, capsys):
+        """A step past 1e154 squares past the float range: the slack is inf, and the step is refused in one line."""
+        assert majorant.cli.main(["maxima", "--sign", "plus", *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
     def test_maxima_nan_step_or_bump_exit_two(self, capsys):
         """NaN fails every comparison, so the step and bump checks are written to fail on it."""

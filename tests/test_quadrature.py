@@ -389,6 +389,19 @@ class TestNodeSumBounds:
         value = gap_derivative(1000, 5.5, 1, "refined")
         assert math.isfinite(value.estimate) and value.error_bound == math.inf
 
+    @pytest.mark.parametrize("n_steps", [100.5, True, 0])
+    def test_bound_passes_share_the_node_step_rule(self, n_steps, plus_square, plus_table):
+        """A step count the node pass refuses has no node sum to bound, so both bound passes refuse it too."""
+        squares = [(plus_square, plus_table)]
+        terms = h4_term_bounds(IntegrandSpec(5.5, 1, PLUS))
+        for call in (
+            lambda: _node_chunks(n_steps),
+            lambda: q_values([(False, 5.0, 1)], squares, n_steps),
+            lambda: refined_error_bounds([terms], squares, n_steps),
+        ):
+            with pytest.raises(ValueError, match=rf"^step count must be an integer in 1\.\.{MAX_STEPS}, got {n_steps!r}$"):
+                call()
+
     def test_input_validation(self, plus_square, plus_table):
         with pytest.raises(ValueError, match=">= 1"):
             q_values([(False, 0.5, 0)], [(plus_square, plus_table)], 100)
