@@ -24,7 +24,7 @@ def envelope_max(s: float, m: int, a: float, b: float) -> float:
     and, when a < v0 < min(b, 1), the interior peak.  A maximum beyond the
     float range is returned as inf: still an upper bound, if a useless one.
     """
-    if m < 0:
+    if not m >= 0:  # also refuses nan
         raise ValueError(f"log exponent must be a nonnegative integer, got {m}")
     if not 0.0 <= a < b <= G_MAX + 1e-12:
         raise ValueError(f"need 0 <= a < b <= {G_MAX:g}, got [{a}, {b}]")

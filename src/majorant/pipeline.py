@@ -134,7 +134,7 @@ DEFAULT_CONFIG = {
 }
 
 # A config file is outside input, so its steps stay at the default proof's one step count, far below
-# MAX_STEPS, where the two cached node tables (G and log G, both signs) hold ~130 MB before any log power.
+# MAX_STEPS, where the one cached node table (G and log G of both signs) holds ~130 MB before any log power.
 _MAX_PIPELINE_STEPS = 640
 
 # A field takes the JSON type of its default.  Stages that share a field share its type, so

@@ -25,18 +25,17 @@ term of h4_term_bounds over the period, splitting the range of G at 1/9:
 
 The node layer lives here too.  Integrands H = G^t log^j G of one t and step
 count differ only in j, so they share one power row G^t (power_row) per node
-chunk.  Under it, the node table holds NodeColumns per chunk: G, log G and the
-powers (log G)^p once asked for, all free of t and j, cached per (square, step
-count), at most two tables.  The |H''''| bounds depend on t and j alone, so
-both signs share them and one term_integrals pass.  The node-sum bounds of the
-paper's Q tables come from one q pass, q_values, computing each ingredient once.
+chunk.  Under it, the node table holds NodeColumns per chunk and sign: G, log
+G and the powers (log G)^p once asked for, free of t and j, both signs from one
+cosine pass, for the latest step count only.  The |H''''| bounds depend on t
+and j alone, so both signs share them and one term_integrals pass.  The q pass
+q_values gives the node-sum bounds of the Q tables, each ingredient once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import fsum
 from operator import mul
 from typing import NamedTuple
@@ -45,7 +44,7 @@ from .envelope import envelope_max
 from .integrand import WORK_M, BoundTerm, IntegrandSpec, h4_sup_bound, h4_term_bounds
 from .spectral import torus_integral_upper
 from .trigpoly import G_MAX, MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
-from .trigpoly import eval_G_values, second_deriv_L2, variation_bound_power
+from .trigpoly import eval_G_pair, second_deriv_L2, variation_bound_power
 
 MODES = ("plain", "refined")
 _CHUNK = 256
@@ -59,6 +58,7 @@ if 2.0 * _HALF_L2_G2 < second_deriv_L2():
     raise RuntimeError("_HALF_L2_G2 is below half the bound it stands for")
 
 LOG9 = math.log(G_MAX)
+_NODE_TABLE: dict[int, dict[SignVariant, tuple[NodeColumns, ...]]] = {}  # see _node_table
 
 
 @dataclass(frozen=True)
@@ -225,17 +225,21 @@ class NodeColumns(NamedTuple):
         return column
 
 
-@lru_cache(maxsize=2, typed=True)  # typed: True and 1.0 miss rather than reuse the table of 1, and are refused
-def _node_table(trig: TrigSquare, n_steps: int) -> tuple[NodeColumns, ...]:
-    """G (one eval_G_values pass) and log G for each chunk of _CHUNK midpoint nodes.
+def _node_table(n_steps: int) -> dict[SignVariant, tuple[NodeColumns, ...]]:
+    """G and log G for each chunk of _CHUNK midpoint nodes, by sign, from one eval_G_pair pass per chunk.
 
-    Free of t and j, so every batch at this step count shares it, and so do
-    the log powers each chunk keeps once asked for.  The two entries hold
-    both signs of one step count: gap_derivatives asks for the signs in turn,
-    and the default proof uses one step count.
+    Free of t and j, so every batch at this step count shares it, and so do the
+    log powers each chunk keeps once asked for.  Only the latest step count's
+    table is held (a proof uses one), and it is dropped before another is built.
+    Both signs' columns of a chunk are built before the next chunk's cosines,
+    which measured a lower peak RSS than evaluating every chunk first.
     """
-    columns = (eval_G_values(trig, xs) for xs in _node_chunks(n_steps))
-    return tuple(NodeColumns(g, tuple(map(math.log, g)), {}) for g in columns)
+    _check_steps(n_steps)  # before the lookup, where 100.0 and True would find the table of 100 or of 1
+    if n_steps not in _NODE_TABLE:
+        _NODE_TABLE.clear()
+        chunks = [tuple(NodeColumns(g, tuple(map(math.log, g)), {}) for g in eval_G_pair(xs)) for xs in _node_chunks(n_steps)]
+        _NODE_TABLE[n_steps] = dict(zip((SignVariant.MINUS, SignVariant.PLUS), zip(*chunks)))  # (minus, plus) per chunk
+    return _NODE_TABLE[n_steps]
 
 
 def power_row(nodes: NodeColumns, t: float) -> list[float]:
@@ -275,7 +279,7 @@ def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, 
         return total
 
     parts = {j: [] for j in orders}
-    for nodes in _node_table(trig, n_steps):
+    for nodes in _node_table(n_steps)[trig.sign]:
         gt = power_row(nodes, t)
         for j in orders:
             try:

@@ -11,10 +11,10 @@ curvature slack of that step, is 0.0182 for the minus sign and larger for
 plus).  Every working constant in the package is proven for this case alone,
 so k is the module constant ``K`` rather than a parameter.
 
-This module states G's range bound ``G_MAX``, evaluates G over a run of
-points, bounds the sup norms of the derivatives, tabulates certified upper
-bounds at the local maxima of G over a half period, and bounds the total
-variation of integer or real powers of G.
+This module states G's range bound ``G_MAX``, evaluates both signs' G over a
+run of points in one pass, bounds the sup norms of the derivatives, tabulates
+certified upper bounds at the local maxima of G over a half period, and bounds
+the total variation of integer or real powers of G.
 """
 
 from __future__ import annotations
@@ -98,11 +98,15 @@ class LocalMaxTable:
         return sum(e.multiplicity for e in self.entries)
 
 
-def eval_G_values(spec: TrigSquare, xs) -> list[float]:
-    """G at each x of xs: 3 + 2 (cos(2 pi x) + s cos(12 pi x) + s cos(14 pi x))."""
-    s = spec.sign.factor
+def eval_G_pair(xs) -> tuple[list[float], list[float]]:
+    """(minus, plus): G = 3 + 2 (c1 + s c6 + s c7) of both signs at each x of xs, each c_v = cos(2 pi v x) taken once."""
     w2, w3 = TWO_PI * F2, TWO_PI * F3
-    return [3.0 + 2.0 * (cos(TWO_PI * x) + s * cos(w2 * x) + s * cos(w3 * x)) for x in xs]
+    minus, plus = [], []
+    for x in xs:
+        c1, c6, c7 = cos(TWO_PI * x), cos(w2 * x), cos(w3 * x)
+        minus.append(3.0 + 2.0 * (c1 - c6 - c7))
+        plus.append(3.0 + 2.0 * (c1 + c6 + c7))
+    return minus, plus
 
 
 def sup_norm_bound(m: int) -> float:
@@ -164,7 +168,7 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     n = round(steps)
     if n < 2 or abs(n * h - 0.5) > 1e-9:
         raise ValueError(f"step {h:g} must evenly divide the half period")
-    samples = eval_G_values(spec, (i * h for i in range(n + 1)))
+    samples = eval_G_pair(i * h for i in range(n + 1))[spec.sign is SignVariant.PLUS]  # index 1 is the plus sign
     entries = []
     for i in range(n + 1):
         left = samples[i - 1] if i > 0 else samples[1]

@@ -1,9 +1,11 @@
 """Pointwise reference values of G, its derivatives, H, H'' and the |H''''| term bound.
 
-The package evaluates G only in node batches (``eval_G_values``) and H only
-as node sums (``quadrature._h_node_sums``).  This module writes each formula
-out again, one point at a time and without those helpers.  G and H follow the
-package's operation order, so a batch must match them to the last bit.  H''
+The package evaluates G only in node batches, both signs from one set of
+cosines (``eval_G_pair``), and H only as node sums
+(``quadrature._h_node_sums``).  This module writes each formula out again, one
+point and one sign at a time and without those helpers.  G and H follow the
+package's operation order (its c1 - c6 - c7 is c1 + s*c6 + s*c7 exactly for
+s = -1), so a batch must match them to the last bit.  H''
 here is the chain rule term by term; the package does not evaluate it, and
 the tests use it to check the |H''''| bounds by finite differences.
 

@@ -94,3 +94,8 @@ class TestValidation:
             envelope_max(0.0, 2, 0.0, 9.0)
         with pytest.raises(ValueError, match="nonnegative"):
             envelope_max(-1.0, 0, 0.0, 9.0)
+
+    def test_rejects_nan_log_exponent(self):
+        """NaN fails every comparison, so the check is phrased m >= 0 negated; m < 0 let it through to a nan maximum."""
+        with pytest.raises(ValueError, match="log exponent must be a nonnegative integer, got nan"):
+            envelope_max(5.0, math.nan, 0.0, 1.0)

@@ -509,7 +509,7 @@ class TestCli:
 
     def test_maxima_grid_too_large_exit_two(self, monkeypatch, capsys):
         """A step of 1e-9 would sample 5e8 points; it is refused before the first one."""
-        monkeypatch.setattr(majorant.trigpoly, "eval_G_values", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
+        monkeypatch.setattr(majorant.trigpoly, "eval_G_pair", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
         assert majorant.cli.main(["maxima", "--sign", "plus", "--step", "1e-9"]) == 2
         assert capsys.readouterr() == ("", "error: step 1e-09 gives 500000000 grid steps, more than 1000000\n")
 

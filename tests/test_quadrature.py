@@ -17,6 +17,7 @@ from majorant.quadrature import (
     CertifiedValue,
     _h_node_sums,
     _integrate_orders,
+    _NODE_TABLE,
     _node_chunks,
     _node_table,
     _plain_error,
@@ -34,6 +35,15 @@ from conftest import one_sign_integral
 from oracle import eval_G, eval_G_derivative, eval_H, q_reference, term_integral_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The arguments of each eval_G_pair call the node table makes while the test runs, one list of nodes per call."""
+    calls = []
+    real = quadrature.eval_G_pair
+    monkeypatch.setattr(quadrature, "eval_G_pair", lambda xs: calls.append(xs) or real(xs))
+    return calls
 
 
 def midpoint_sum(f, n):
@@ -99,47 +109,68 @@ class TestMidpointRule:
             gap_derivative(1, 5.5, True)
 
     def test_float_step_count_is_refused(self):
-        """100.0 is no step count either, with the table of 100 cached or not (the node cache is typed)."""
+        """100.0 is no step count either, with the table of 100 cached or not (the rule runs before the lookup)."""
         refusal = rf"step count must be an integer in 1\.\.{MAX_STEPS}, got 100\.0"
         with pytest.raises(ValueError, match=refusal):
             _node_chunks(100.0)
-        _node_table.cache_clear()
+        _NODE_TABLE.clear()
         with pytest.raises(ValueError, match=refusal):
             gap_derivative(1, 5.5, 100.0)
         gap_derivative(1, 5.5, 100)
-        with pytest.raises(ValueError, match=refusal):
-            gap_derivative(1, 5.5, 100.0)
+        assert list(_NODE_TABLE) == [100]  # 100.0 == 100, so a plain lookup would find this table
+        for call in (lambda: gap_derivative(1, 5.5, 100.0), lambda: _node_table(100.0)):
+            with pytest.raises(ValueError, match=refusal):
+                call()
+        gap_derivative(1, 5.5, 1)
+        with pytest.raises(ValueError, match="got True"):
+            _node_table(True)  # True == 1 would find the table of 1
 
     def test_empty_job_list_gives_no_values(self):
         assert gap_derivatives(5.5, 100, []) == []
 
 
 class TestDeterminism:
-    def test_identical_bits_with_cold_and_warm_node_table(self):
+    def test_identical_bits_with_cold_and_warm_node_table(self, pair_calls):
         jobs = [(1, "refined"), (3, "plain"), (6, "refined")]
-        _node_table.cache_clear()
+        _NODE_TABLE.clear()
         cold = gap_derivatives(5.4, 500, jobs)
-        assert _node_table.cache_info().misses == 2  # one table per sign
+        assert len(pair_calls) == 2  # one cosine pass per chunk of 256 nodes, for both signs
         warm = gap_derivatives(5.4, 500, jobs)
-        assert _node_table.cache_info().hits == 2
+        assert len(pair_calls) == 2  # the warm call finds both signs in the table
         for c, w in zip(cold, warm):
             assert c.estimate.hex() == w.estimate.hex()  # bitwise, not approximately
             assert c.error_bound.hex() == w.error_bound.hex()
 
-    def test_node_table_cache_is_bounded(self):
-        _node_table.cache_clear()
+    def test_node_table_cache_is_bounded(self, monkeypatch):
+        """Only the latest step count is held, and the old table is dropped before a new one is built."""
+        held_while_building = []
+        real = quadrature.eval_G_pair
+        monkeypatch.setattr(quadrature, "eval_G_pair", lambda xs: held_while_building.append(list(_NODE_TABLE)) or real(xs))
+        _NODE_TABLE.clear()
         for n in (120, 300, 257):
             gap_derivative(1, 5.5, n, "plain")
-        assert _node_table.cache_info().currsize <= 2
+        assert held_while_building == [[]] * 5  # 1 + 2 + 2 chunks, none built beside another table
+        assert list(_NODE_TABLE) == [257]
+        assert set(_NODE_TABLE[257]) == {PLUS, MINUS}
 
-    def test_warm_proof_makes_no_node_table_misses(self):
-        """Two entries hold both signs of the default proof's one step count."""
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 640, 3000])
+    def test_cold_call_makes_one_cosine_pass_per_chunk(self, n, pair_calls):
+        """Both signs come from one eval_G_pair call per chunk of 256 nodes: ceil(N/256) calls, not twice that."""
+        _NODE_TABLE.clear()
+        gap_derivatives(5.5, n, [(1, "refined"), (2, "plain")])
+        assert len(pair_calls) == -(-n // 256)
+        assert [len(xs) for xs in pair_calls] == [min(256, n - lo) for lo in range(0, n, 256)]
+
+    def test_warm_proof_makes_no_node_table_misses(self, monkeypatch, pair_calls):
+        """One table holds both signs of the default proof's one step count, so a warm proof evaluates no G."""
         prove_k5()
-        before = _node_table.cache_info()
+        lookups = []
+        real = quadrature._node_table
+        monkeypatch.setattr(quadrature, "_node_table", lambda n: lookups.append(n) or real(n))
+        pair_calls.clear()
         prove_k5()
-        after = _node_table.cache_info()
-        assert after.misses == before.misses
-        assert after.hits - before.hits == 10  # one lookup per sign of each of the 5 gap_derivatives calls
+        assert pair_calls == []
+        assert lookups == [640] * 10  # one lookup per sign of each of the 5 gap_derivatives calls
 
     def test_proof_builds_each_term_list_once(self, monkeypatch):
         """Term lists are sign-free, so a proof builds one per refined (t, j), not one per sign."""
@@ -166,9 +197,9 @@ class TestDeterminism:
         """(log G)^p is kept on the table's chunks once asked for, and rebuilt with the table."""
         trig, orders = TrigSquare(5, PLUS), [0, 3, 7]
         warm = _h_node_sums(trig, 5.3, orders, 500)
-        assert all(set(chunk.logs) >= {0, 3, 7} for chunk in _node_table(trig, 500))
-        _node_table.cache_clear()
-        assert all(chunk.logs == {} for chunk in _node_table(trig, 500))
+        assert all(set(chunk.logs) >= {0, 3, 7} for chunk in _node_table(500)[PLUS])
+        _NODE_TABLE.clear()
+        assert all(chunk.logs == {} for chunk in _node_table(500)[PLUS])
         cold = _h_node_sums(trig, 5.3, orders, 500)
         assert {j: v.hex() for j, v in cold.items()} == {j: v.hex() for j, v in warm.items()}
 
@@ -379,7 +410,7 @@ class TestNodeSumBounds:
             with pytest.raises(ValueError, match=r"^log order 0 at power t = 320\.3 is too large to evaluate: its node sum overflows"):
                 gap_derivative(0, 320.3, 100_000, "plain")
         finally:
-            _node_table.cache_clear()  # two tables of 100000 nodes
+            _NODE_TABLE.clear()  # both signs' tables of 100000 nodes
 
     def test_overflowing_log_power_gives_infinity(self, plus_square, plus_table):
         """log(9)^j beyond the float range is an infinite bound, not an OverflowError."""

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from majorant.quadrature import _node_chunks
 from majorant.trigpoly import (
     G_MAX,
     SignVariant,
     TrigSquare,
     default_max_table,
-    eval_G_values,
+    eval_G_pair,
     locate_maxima,
     parse_sign,
     second_deriv_L2,
@@ -103,13 +104,30 @@ class TestDerivatives:
             eval_G_derivative(plus_square, 0, 0.25)
 
 
+def assert_pair_matches_oracle(xs):
+    """Both signs of eval_G_pair equal the one-sign oracle eval_G to the last bit at every x of xs."""
+    minus, plus = eval_G_pair(xs)
+    assert len(minus) == len(plus) == len(xs)
+    for sign, values in ((SignVariant.MINUS, minus), (SignVariant.PLUS, plus)):
+        spec = TrigSquare(5, sign)
+        for x, g in zip(xs, values):
+            assert g.hex() == eval_G(spec, x).hex(), f"{spec} at x={x!r}"
+
+
 class TestJet:
     def test_bitwise_equal_to_pointwise_functions(self):
         """The batch evaluator of G, which the node tables and the maxima grid use, equals eval_G to the last bit."""
-        xs = [i / 2000.0 for i in range(2001)]
-        for spec in (TrigSquare(5, sign) for sign in SignVariant):
-            for x, g in zip(xs, eval_G_values(spec, xs)):
-                assert g.hex() == eval_G(spec, x).hex(), f"{spec} at x={x!r}"
+        assert_pair_matches_oracle([i / 2000.0 for i in range(2001)])
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 640, 3000])
+    def test_pair_is_bitwise_at_the_midpoint_nodes(self, n):
+        """At every node of the N-node rule, chunk by chunk as the node table evaluates them."""
+        for xs in _node_chunks(n):
+            assert_pair_matches_oracle(xs)
+
+    def test_pair_is_bitwise_on_the_default_maxima_grid(self):
+        """On the grid locate_maxima samples for default_max_table: step 1/1000 over [0, 1/2]."""
+        assert_pair_matches_oracle([i * 0.001 for i in range(501)])
 
 
 class TestSupNormBounds:
