@@ -27,9 +27,10 @@ The node layer lives here too.  Integrands H = G^t log^j G of one t and step
 count differ only in j, so they share one power row G^t (power_row) per node
 chunk.  Under it, the node table holds NodeColumns per chunk and sign: G, log
 G and the powers (log G)^p once asked for, free of t and j, both signs from one
-cosine pass, for the latest step count only.  The |H''''| bounds depend on t
-and j alone, so both signs share them and one term_integrals pass.  The q pass
-q_values gives the node-sum bounds of the Q tables, each ingredient once.
+cosine pass, for the latest step count only, G in descending order within a
+chunk (see _node_table).  The |H''''| bounds depend on t and j alone, so both
+signs share them and one term_integrals pass.  The q pass q_values gives the
+node-sum bounds of the Q tables, each ingredient once.
 """
 
 from __future__ import annotations
@@ -201,13 +202,13 @@ def _node_chunks(n_steps: int):
     _check_steps(n_steps)
     denom = 4.0 * n_steps
     return (
-        [(2 * n - 1) / denom for n in range(lo, min(lo + _CHUNK, n_steps + 1))]
+        [k / denom for k in range(2 * lo - 1, 2 * min(lo + _CHUNK, n_steps + 1) - 1, 2)]  # k = 2n - 1
         for lo in range(1, n_steps + 1, _CHUNK)
     )
 
 
 class NodeColumns(NamedTuple):
-    """G and log G over one chunk of nodes: everything about them that is free of t and j.
+    """G, in descending order, and log G over one chunk of nodes: everything about them that is free of t and j.
 
     ``logs`` holds the powers (log G)^p already asked for, by p; they are free
     of t too, so they are kept with the columns and share their lifetime.
@@ -232,12 +233,15 @@ def _node_table(n_steps: int) -> dict[SignVariant, tuple[NodeColumns, ...]]:
     log powers each chunk keeps once asked for.  Only the latest step count's
     table is held (a proof uses one), and it is dropped before another is built.
     Both signs' columns of a chunk are built before the next chunk's cosines,
-    which measured a lower peak RSS than evaluating every chunk first.
+    which measured a lower peak RSS than evaluating every chunk first.  Each
+    chunk's G is sorted descending before log G: fsum keeps fewer partials
+    when the largest terms come first, and is exactly rounded in any order.
     """
     _check_steps(n_steps)  # before the lookup, where 100.0 and True would find the table of 100 or of 1
     if n_steps not in _NODE_TABLE:
         _NODE_TABLE.clear()
-        chunks = [tuple(NodeColumns(g, tuple(map(math.log, g)), {}) for g in eval_G_pair(xs)) for xs in _node_chunks(n_steps)]
+        descending = ([sorted(g, reverse=True) for g in eval_G_pair(xs)] for xs in _node_chunks(n_steps))  # lazily
+        chunks = [tuple(NodeColumns(g, tuple(map(math.log, g)), {}) for g in pair) for pair in descending]
         _NODE_TABLE[n_steps] = dict(zip((SignVariant.MINUS, SignVariant.PLUS), zip(*chunks)))  # (minus, plus) per chunk
     return _NODE_TABLE[n_steps]
 
@@ -259,14 +263,14 @@ def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, 
     """Node sums of H = G^t log^j G for each j in orders, from one node pass.
 
     Per chunk, the sum of order j is fsum(G^t L^j) with L = log G, exactly
-    rounded; one more fsum adds the chunk sums in node order.  So a total
-    carries up to ceil(N/256) + 1 roundings, where one fsum over all nodes
-    would carry one: in the default proof 16 of the 76 per-sign sums are 1 ulp
-    from the exact sum of the rounded products, which a single fsum hits in
-    all 16.  The chunks stay because they are mostly faster (per sum, 54-60
-    against 58-64 us at N = 640, 154-211 against 190-267 us at N = 3000;
-    CPython 3.11, 2-CPU x86-64) and because the report's estimates, the
-    T1-T6 tables and the frozen test values are taken from them.
+    rounded in any node order; one more fsum adds the chunk sums in chunk
+    order.  So a total carries up to ceil(N/256) + 1 roundings, where one
+    fsum over all nodes would carry one: in the default proof 16 of the 76
+    per-sign sums are 1 ulp from the exact sum of the rounded products, which
+    a single fsum hits in all 16.  The chunks stay because they are faster
+    (per sum on the sorted table, 46-47 against 50-51 us at N = 640, 216-230
+    against 264-288 us at N = 3000; CPython 3.11, 2-CPU x86-64) and because
+    the report, the T1-T6 tables and the frozen test values come from them.
     """
 
     def node_sum(j, terms):

@@ -38,10 +38,6 @@ class SignVariant(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
-    @property
-    def factor(self) -> float:
-        return 1.0 if self is SignVariant.PLUS else -1.0
-
 
 def parse_sign(name) -> SignVariant:
     """Coerce a user-supplied sign label ('plus'/'minus') to a SignVariant."""

@@ -24,12 +24,17 @@ from math import cos, sin
 from majorant.envelope import envelope_max
 from majorant.quadrature import _HALF_L2_G2, _HALF_SUP_G1
 from majorant.spectral import torus_integral_upper, torus_power_integral
-from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, variation_bound_power
+from majorant.trigpoly import F2, F3, TWO_PI, SignVariant, TrigSquare, variation_bound_power
+
+
+def sign_factor(sign):
+    """The s of G as a float: 1.0 for the plus square, -1.0 for the minus square."""
+    return 1.0 if sign is SignVariant.PLUS else -1.0
 
 
 def eval_G(spec, x):
     """Value of G at x."""
-    s = spec.sign.factor
+    s = sign_factor(spec.sign)
     return 3.0 + 2.0 * (cos(TWO_PI * x) + s * cos(TWO_PI * F2 * x) + s * cos(TWO_PI * F3 * x))
 
 
@@ -40,7 +45,7 @@ def eval_G_derivative(spec, m, x):
     """
     if m < 1:
         raise ValueError(f"derivative order must be >= 1, got {m}")
-    s = spec.sign.factor
+    s = sign_factor(spec.sign)
     sgn = -1.0 if ((m + 1) // 2) % 2 else 1.0
     trig = sin if m % 2 else cos
     inner = trig(TWO_PI * x) + s * float(F2) ** m * trig(TWO_PI * F2 * x)

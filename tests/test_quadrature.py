@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -32,7 +33,7 @@ from majorant.spectral import power_integral_bound, torus_integral_upper
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
-from oracle import eval_G, eval_G_derivative, eval_H, q_reference, term_integral_reference
+from oracle import eval_G, eval_G_derivative, eval_H, q_reference, sign_factor, term_integral_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -79,7 +80,7 @@ class TestMidpointRule:
         mpmath = pytest.importorskip("mpmath")
         ratios = []
         for sign, (t, j) in itertools.product((PLUS, MINUS), [(5.0, 0), (5.3, 2), (5.9, 6)]):
-            s = sign.factor
+            s = sign_factor(sign)
             with mpmath.workdps(30):
 
                 def h(x):
@@ -94,6 +95,14 @@ class TestMidpointRule:
                     assert error <= refined.error_bound and error <= plain.error_bound, (sign, t, j, n)
                     ratios.append(float(refined.error_bound / error))
         assert 10.0 < min(ratios) and max(ratios) < 1e4
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 640, 3000, 99991])
+    def test_nodes_are_the_rounded_midpoints(self, n):
+        """Node k of N is (2k-1)/(4N) rounded once to a float, 256 nodes per chunk, the last chunk partial."""
+        chunks = list(_node_chunks(n))
+        assert [len(xs) for xs in chunks] == [min(256, n - lo) for lo in range(0, n, 256)]
+        exact = [float(Fraction(2 * k - 1, 4 * n)).hex() for k in range(1, n + 1)]
+        assert [x.hex() for xs in chunks for x in xs] == exact
 
     def test_step_count_validation(self):
         with pytest.raises(ValueError, match="step count"):
@@ -193,6 +202,32 @@ class TestDeterminism:
         prove_k5()
         assert len(calls) == 201
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 640])
+    def test_each_chunk_holds_its_own_nodes_in_descending_order(self, n, monkeypatch):
+        """Chunk k of each sign holds the G of eval_G_pair's k-th call, sorted non-increasing, and log G follows it.
+
+        fsum is exactly rounded whatever the order of its terms, and runs
+        faster with the largest first; the chunks and their sizes stay.
+        """
+        outputs = []
+        real = quadrature.eval_G_pair
+
+        def recording(xs):
+            pair = real(xs)
+            outputs.append([list(g) for g in pair])  # copies, in grid order
+            return pair
+
+        monkeypatch.setattr(quadrature, "eval_G_pair", recording)
+        _NODE_TABLE.clear()
+        table = _node_table(n)
+        assert [len(minus) for minus, _ in outputs] == [min(256, n - lo) for lo in range(0, n, 256)]
+        for i, sign in enumerate((MINUS, PLUS)):
+            assert len(table[sign]) == len(outputs)
+            for chunk, pair in zip(table[sign], outputs):
+                assert all(a >= b for a, b in zip(chunk.g, chunk.g[1:])), sign
+                assert sorted(chunk.g) == sorted(pair[i]), sign
+                assert chunk.ell == tuple(map(math.log, chunk.g)), sign
+
     def test_log_columns_live_with_the_node_table(self):
         """(log G)^p is kept on the table's chunks once asked for, and rebuilt with the table."""
         trig, orders = TrigSquare(5, PLUS), [0, 3, 7]
@@ -238,6 +273,13 @@ class TestBatchedNodeSums:
                 batched = _h_node_sums(TrigSquare(5, sign), t, sorted(orders), n)
                 for j in orders:
                     assert batched[j].hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (t, n, j, sign)
+
+    @pytest.mark.parametrize("n", [1, 255, 257, 3000])
+    def test_sums_off_the_proof_grid_equal_node_order_reference(self, n):
+        """Sums over the descending chunks equal the node-order reference bit for bit, at (t, N) the proof never uses."""
+        for sign, t in itertools.product((PLUS, MINUS), (5.0, 5.37, 6.0)):
+            for j, v in _h_node_sums(TrigSquare(5, sign), t, [0, 1, 4, 9], n).items():
+                assert v.hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, t, j)
 
     def test_batched_refined_bounds_equal_single_calls(self):
         """One refined_error_bounds pass per (t, N) for both signs reproduces every single bound and the oracle bitwise."""

@@ -20,7 +20,7 @@ from majorant.trigpoly import (
 )
 
 from conftest import numpy_G
-from oracle import eval_G, eval_G_derivative
+from oracle import eval_G, eval_G_derivative, sign_factor
 
 
 class TestParseSign:
@@ -34,8 +34,9 @@ class TestParseSign:
             parse_sign("both")
 
     def test_factor(self):
-        assert SignVariant.PLUS.factor == 1.0
-        assert SignVariant.MINUS.factor == -1.0
+        """The oracle's s of each square; the package never multiplies by it."""
+        assert sign_factor(SignVariant.PLUS) == 1.0
+        assert sign_factor(SignVariant.MINUS) == -1.0
 
 
 class TestEvalG:
