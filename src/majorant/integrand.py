@@ -11,16 +11,16 @@ G-derivatives appear yields a short list of groups, each of the form
 
 where the brace is a fixed polynomial in log G with coefficients polynomial in
 t and falling factorials of j.  Replacing |G'| by its sup bound gives a single
-scalar envelope (``h4_sup_bound``); keeping |G'| as a factor gives the term
-list (``h4_term_bounds``) whose integrals over the period the refined error
-bound adds up.  Neither bound depends on the sign variant: WORK_M bounds both.
+scalar envelope (``h4_sup_bound``); keeping |G'| as a factor gives a tuple of
+(coefficient, key) terms (``h4_term_bounds``), each key naming one integral
+over the period that the refined error bound weighs and adds up.  Neither
+bound depends on the sign variant: WORK_M bounds both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .envelope import envelope_max
 from .trigpoly import G_MAX, SignVariant, sup_norm_bound
@@ -64,17 +64,8 @@ class IntegrandSpec:
     def __post_init__(self):
         if not self.t >= 1.0:  # also refuses nan
             raise ValueError(f"power t must be >= 1, got {self.t}")
-        if self.j < 0 or int(self.j) != self.j:
+        if not (self.j >= 0 and self.j % 1 == 0):  # inf % 1 and nan % 1 are nan
             raise ValueError(f"log exponent j must be a nonnegative integer, got {self.j}")
-
-
-class BoundTerm(NamedTuple):
-    """One bound term ``coefficient * G^t_r * |log G|^j_r * (|G'| if has_gprime)``."""
-
-    coefficient: float
-    t_r: float
-    j_r: int
-    has_gprime: bool
 
 
 def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:
@@ -84,8 +75,12 @@ def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:
             cube = t**3
         except OverflowError:  # from t ~ 5.6e102, where G^t at the nodes has long overflowed
             raise ValueError(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float") from None
+        try:  # the largest integer any brace converts, and every bound takes the quartic brace
+            falling = float(j * (j - 1) * (j - 2) * (j - 3))
+        except OverflowError:  # from j ~ 1.2e77; the message gives log10(j), as str(j) refuses past 4300 digits
+            raise ValueError(f"log exponent j ~ 10^{math.log10(j):.1f} is too large to evaluate: the fourth-derivative bound overflows a float") from None
         raw = (
-            (float(j * (j - 1) * (j - 2) * (j - 3)), j - 4),
+            (falling, j - 4),
             ((4.0 * t - 6.0) * j * (j - 1) * (j - 2), j - 3),
             ((6.0 * t * t - 18.0 * t + 11.0) * j * (j - 1), j - 2),
             ((2.0 * cube - 9.0 * t * t + 11.0 * t - 3.0) * 2.0 * j, j - 1),
@@ -129,17 +124,19 @@ def h4_sup_bound(spec: IntegrandSpec) -> float:
         return math.inf
 
 
-def h4_term_bounds(spec: IntegrandSpec) -> tuple[BoundTerm, ...]:
+def h4_term_bounds(spec: IntegrandSpec) -> tuple[tuple[float, tuple[bool, float, int]], ...]:
     """|H''''| bound as a sum of explicit terms, keeping a |G'| factor where one arises.
 
-    The terms depend on t and j alone, not on the sign.  Needs t >= 5 so
-    that every retained power of G is at least 1.
+    Each term is (coefficient, key) for coefficient * G^t_r |log G|^j_r, times
+    |G'| if has_gprime, with key (has_gprime, t_r, j_r) as term_integrals
+    takes it.  The terms depend on t and j alone, not on the sign.  Needs
+    t >= 5 so that every retained power of G is at least 1.
     """
     t, j = spec.t, spec.j
     if t < 5.0:
         raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
     return tuple([  # from a list: tuple() of a generator resizes, and fragments memory measurably
-        BoundTerm(const * abs(c), t + offset, p, has_gprime)
+        (const * abs(c), (has_gprime, t + offset, p))
         for const, offset, kind, has_gprime in _REFINED_GROUPS
         for c, p in _brace_terms(kind, t, j)
     ])

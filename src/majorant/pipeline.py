@@ -498,8 +498,8 @@ def _a_rho_rows():
 def _q_rows(n_steps: int, reference: dict):
     """Both signs' node-sum bound of every reference key ("star": with |G'|), from one q pass."""
     keys = [(kind == "star", float(t), j) for kind, t, j in reference]
-    squares = [TrigSquare(5, sign) for sign in (SignVariant.PLUS, SignVariant.MINUS)]
-    plus, minus = q_values(keys, [(trig, default_max_table(trig)) for trig in squares], n_steps)
+    tables = [default_max_table(TrigSquare(5, sign)) for sign in (SignVariant.PLUS, SignVariant.MINUS)]
+    plus, minus = q_values(keys, tables, n_steps)
     rows = []
     for ((kind, t, j), ref), key in zip(reference.items(), keys):
         rows.append([kind, t, j, plus[key], minus[key], ref, ref - max(plus[key], minus[key])])

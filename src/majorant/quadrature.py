@@ -30,7 +30,9 @@ G and the powers (log G)^p once asked for, free of t and j, both signs from one
 cosine pass, for the latest step count only, G in descending order within a
 chunk (see _node_table).  The |H''''| bounds depend on t and j alone, so both
 signs share them and one term_integrals pass.  The q pass q_values gives the
-node-sum bounds of the Q tables, each ingredient once.
+node-sum bounds of the Q tables, each ingredient once.  Both bound passes take
+a list of maxima tables: only the variation bounds depend on the sign, and a
+LocalMaxTable carries it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .envelope import envelope_max
-from .integrand import WORK_M, BoundTerm, IntegrandSpec, h4_sup_bound, h4_term_bounds
+from .integrand import WORK_M, IntegrandSpec, h4_sup_bound, h4_term_bounds
 from .spectral import torus_integral_upper
 from .trigpoly import G_MAX, MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
 from .trigpoly import eval_G_pair, second_deriv_L2, variation_bound_power
@@ -100,11 +102,11 @@ def _sign_free_part(t: float, j: int, weight: float) -> tuple[float, float]:
         return small, math.inf
 
 
-def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int) -> list[dict]:
-    """The q pass: bounds for the N-node midpoint sum of G^t |log G|^j, times |G'| if has_gprime, per key and square.
+def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
+    """The q pass: bounds for the N-node midpoint sum of G^t |log G|^j, times |G'| if has_gprime, per key and sign.
 
-    squares holds (square, maxima table) pairs, and one {(has_gprime, t, j):
-    bound} dict is returned per square.  Each bound splits the range of G at
+    One {(has_gprime, t, j): bound} dict is returned per maxima table in
+    tables, for the sign of that table.  Each bound splits the range of G at
     1/9 and is small + log(9)^j * base:
 
       * without |G'|, small values are covered by the envelope maximum on
@@ -120,8 +122,8 @@ def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int
     Each ingredient is computed once, at the granularity it depends on: the
     small-range envelope term and log(9)^j once per key,
     torus_integral_upper once per power, variation_bound_power once per
-    (square, power), and the j-free base of each (has_gprime, t) once per
-    square.
+    (table, power), and the j-free base of each (has_gprime, t) once per
+    table.
     """
     _check_steps(n_steps)
     star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2
@@ -129,9 +131,9 @@ def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int
     kinds = dict.fromkeys(key[:2] for key in sign_free)  # the (has_gprime, t) of each j-free base
     means = {p: torus_integral_upper(p) for p in {2.0 * t if star else t for star, t in kinds}}
     powers = {p for star, t in kinds for p in ((t + 1.0, t) if star else (t,))}
-    per_square = []
-    for spec, table in squares:
-        variation = {p: variation_bound_power(spec, p, table) for p in powers}
+    per_table = []
+    for table in tables:
+        variation = {p: variation_bound_power(table, p) for p in powers}
         bases = {}
         for star, t in kinds:
             if star:
@@ -139,62 +141,60 @@ def q_values(keys, squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int
                 bases[star, t] = n_steps / (t + 1.0) * variation[t + 1.0] + _HALF_SUP_G1 * variation[t] + tail
             else:  # N times the mean of G^t plus half its variation
                 bases[star, t] = n_steps * means[t] + 0.5 * variation[t]
-        per_square.append({key: small + log9_power * bases[key[:2]] for key, (small, log9_power) in sign_free.items()})
-    return per_square
+        per_table.append({key: small + log9_power * bases[key[:2]] for key, (small, log9_power) in sign_free.items()})
+    return per_table
 
 
-def term_integrals(keys, squares: list[tuple[TrigSquare, LocalMaxTable]]) -> list[dict]:
-    """Bounds for the integral over one period of G^t |log G|^j, times |G'| if has_gprime, per key and square.
+def term_integrals(keys, tables: list[LocalMaxTable]) -> list[dict]:
+    """Bounds for the integral over one period of G^t |log G|^j, times |G'| if has_gprime, per key and sign.
 
-    One {(has_gprime, t, j): bound} dict is returned per (square, maxima
-    table) in squares.  Each bound is small + log(9)^j * base, split at G = 1/9
-    as the module docstring derives: small is envelope_max(t, j, 0, 1/9),
-    times 14/9 with |G'|, and base is the mean bound torus_integral_upper(t),
-    or with |G'| the variation bound of G^(t+1) over t+1.  The sign-free parts
-    are computed once per key, the means once per power, the variations once
-    per (square, power).
+    One {(has_gprime, t, j): bound} dict is returned per maxima table in
+    tables, for the sign of that table.  Each bound is small + log(9)^j * base,
+    split at G = 1/9 as the module docstring derives: small is
+    envelope_max(t, j, 0, 1/9), times 14/9 with |G'|, and base is the mean
+    bound torus_integral_upper(t), or with |G'| the variation bound of G^(t+1)
+    over t+1.  The sign-free parts are computed once per key, the means once
+    per power, the variations once per (table, power).
     """
     sign_free = {(star, t, j): _sign_free_part(t, j, 14.0 / G_MAX if star else 1.0) for star, t, j in dict.fromkeys(keys)}
     kinds = dict.fromkeys(key[:2] for key in sign_free)  # the (has_gprime, t) of each j-free base
     means = {t: torus_integral_upper(t) for star, t in kinds if not star}
-    per_square = []
-    for spec, table in squares:
-        bases = {
-            (star, t): variation_bound_power(spec, t + 1.0, table) / (t + 1.0) if star else means[t]
-            for star, t in kinds
-        }
-        per_square.append({key: small + log9_power * bases[key[:2]] for key, (small, log9_power) in sign_free.items()})
-    return per_square
+    per_table = []
+    for table in tables:
+        bases = {(star, t): variation_bound_power(table, t + 1.0) / (t + 1.0) if star else means[t] for star, t in kinds}
+        per_table.append({key: small + log9_power * bases[key[:2]] for key, (small, log9_power) in sign_free.items()})
+    return per_table
 
 
-def refined_error_bounds(
-    term_lists: list[tuple[BoundTerm, ...]], squares: list[tuple[TrigSquare, LocalMaxTable]], n_steps: int
-) -> list[list[float]]:
+def refined_error_bounds(term_lists, tables: list[LocalMaxTable], n_steps: int) -> list[list[float]]:
     """Error bounds from term-form |H''''| bounds: the terms' integrals, summed, over 23040 N^4.
 
-    The sum bounds ||H''''||_1 term by term through term_integrals.  Term
-    lists are sign-free, so one term_integrals pass over the batch's
-    (has_gprime, t_r, j_r) keys serves every (square, maxima table) in
-    squares, and one list of bounds is returned per square.
+    Each term list is a tuple of (coefficient, key) pairs from h4_term_bounds,
+    and the sum bounds ||H''''||_1 term by term through term_integrals.  Term
+    lists are sign-free, so one term_integrals pass over the batch's keys
+    serves every maxima table in tables, and one list of bounds is returned
+    per table.
     """
     _check_steps(n_steps)
-    keys = ((term.has_gprime, term.t_r, term.j_r) for terms in term_lists for term in terms)
+    keys = (key for terms in term_lists for _, key in terms)
     scale = _ERR_DENOM * float(n_steps) ** 4
-    per_square = []
-    for integrals in term_integrals(keys, squares):
+    per_table = []
+    for integrals in term_integrals(keys, tables):
         bounds = []
         for terms in term_lists:
             try:
-                bounds.append(fsum(term.coefficient * integrals[term.has_gprime, term.t_r, term.j_r] for term in terms) / scale)
+                bounds.append(fsum(c * integrals[key] for c, key in terms) / scale)
             except OverflowError:  # a sum beyond the float range: infinite, still an upper bound
                 bounds.append(math.inf)
-        per_square.append(bounds)
-    return per_square
+        per_table.append(bounds)
+    return per_table
 
 
-def refined_error_bound(terms: tuple[BoundTerm, ...], spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
-    """refined_error_bounds of one |H''''| term list on one square; it stays because bench/workloads.py calls it."""
-    return refined_error_bounds([terms], [(spec, table)], n_steps)[0][0]
+def refined_error_bound(terms, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
+    """refined_error_bounds of one |H''''| term list for spec's sign, whose table it must be; bench/workloads.py calls it."""
+    if table.sign is not spec.sign:
+        raise ValueError("local-maximum table was built for a different square")
+    return refined_error_bounds([terms], [table], n_steps)[0][0]
 
 
 def _node_chunks(n_steps: int):
@@ -259,8 +259,8 @@ def power_row(nodes: NodeColumns, t: float) -> list[float]:
         raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
 
 
-def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, float]:
-    """Node sums of H = G^t log^j G for each j in orders, from one node pass.
+def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int, float]:
+    """Node sums of H = G^t log^j G of one sign for each j in orders, from one node pass.
 
     Per chunk, the sum of order j is fsum(G^t L^j) with L = log G, exactly
     rounded in any node order; one more fsum adds the chunk sums in chunk
@@ -283,7 +283,7 @@ def _h_node_sums(trig: TrigSquare, t: float, orders, n_steps: int) -> dict[int, 
         return total
 
     parts = {j: [] for j in orders}
-    for nodes in _node_table(n_steps)[trig.sign]:
+    for nodes in _node_table(n_steps)[sign]:
         gt = power_row(nodes, t)
         for j in orders:
             try:
@@ -305,17 +305,16 @@ def _integrate_orders(signs, t: float, n_steps: int, jobs) -> list[list[Certifie
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     h4_bounds = [(h4_term_bounds if mode == "refined" else h4_sup_bound)(IntegrandSpec(t, j, SignVariant.PLUS)) for j, mode in jobs]
-    squares = [TrigSquare(5, sign) for sign in signs]
     orders = sorted({j for j, _ in jobs})
-    sums = [_h_node_sums(trig, t, orders, n_steps) for trig in squares]
+    sums = [_h_node_sums(sign, t, orders, n_steps) for sign in signs]
     refined = [terms for terms, (_, mode) in zip(h4_bounds, jobs) if mode == "refined"]
-    refined_errors = refined_error_bounds(refined, [(trig, default_max_table(trig)) for trig in squares], n_steps)
+    refined_errors = refined_error_bounds(refined, [default_max_table(TrigSquare(5, sign)) for sign in signs], n_steps)
     values = []
-    for square_sums, errors in zip(sums, map(iter, refined_errors)):
+    for sign_sums, errors in zip(sums, map(iter, refined_errors)):
         row = []
         for bound, (j, mode) in zip(h4_bounds, jobs):
             err = _plain_error(bound, n_steps) if mode == "plain" else next(errors)
-            row.append(CertifiedValue(square_sums[j] / (2.0 * n_steps), err, n_steps, mode))
+            row.append(CertifiedValue(sign_sums[j] / (2.0 * n_steps), err, n_steps, mode))
         values.append(row)
     return values
 

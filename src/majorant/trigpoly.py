@@ -82,9 +82,9 @@ class LocalMaxEntry:
 
 @dataclass(frozen=True)
 class LocalMaxTable:
-    """Certified local-maximum bounds for one TrigSquare over [0, 1/2]."""
+    """Certified local-maximum bounds for the G of one sign over [0, 1/2]: the bound layer's one carrier of the sign."""
 
-    spec: TrigSquare
+    sign: SignVariant
     step: float
     bump: float
     entries: tuple[LocalMaxEntry, ...]
@@ -177,7 +177,7 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
         else:
             bound = _ceil_decimals(min(max(left, v, right) + bump, G_MAX))  # clamped first: bump may be inf
             entries.append(LocalMaxEntry(i * h, bound, 2))
-    table = LocalMaxTable(spec, h, bump, tuple(entries))
+    table = LocalMaxTable(spec.sign, h, bump, tuple(entries))
     if table.total_multiplicity != 7:
         raise ValueError(
             f"expected 7 local maxima (with multiplicity), found "
@@ -191,15 +191,13 @@ def default_max_table(spec: TrigSquare) -> LocalMaxTable:
     return locate_maxima(spec, 0.001, 0.001)
 
 
-def variation_bound_power(spec: TrigSquare, t: float, table: LocalMaxTable) -> float:
-    """Upper bound for the total variation of G^t over one period.
+def variation_bound_power(table: LocalMaxTable, t: float) -> float:
+    """Upper bound for the total variation of G^t over one period, for the sign of table.
 
     G^t rises from a minimum to each local maximum and falls again, so its
     variation is at most twice the sum of the local maximum values of G^t,
     counted with multiplicity; each of those is bounded by value_upper^t.
     """
-    if table.spec != spec:
-        raise ValueError("local-maximum table was built for a different square")
     if not t >= 0.0:  # also refuses nan
         raise ValueError(f"power must be nonnegative, got {t}")
     try:

@@ -1,4 +1,4 @@
-"""Shared fixtures: the two squares, their maxima tables and pairs of both, a numpy oracle, and one sign's integral."""
+"""Shared fixtures: the two squares, their maxima tables and the list of both, a numpy oracle, and one sign's integral."""
 
 import numpy as np
 import pytest
@@ -28,9 +28,9 @@ def minus_table(minus_square):
 
 
 @pytest.fixture(scope="session")
-def squares(plus_square, minus_square, plus_table, minus_table):
-    """The (square, maxima table) pairs of both signs, as the q and term-integral passes take them."""
-    return [(plus_square, plus_table), (minus_square, minus_table)]
+def tables(plus_table, minus_table):
+    """The maxima tables of both signs, plus first, as the q and term-integral passes take them."""
+    return [plus_table, minus_table]
 
 
 @pytest.fixture

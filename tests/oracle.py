@@ -87,13 +87,13 @@ def eval_H_second(spec, x):
 
 
 def term_sum_value(terms, trig, x):
-    """Value at x of a term-form |H''''| bound (``h4_term_bounds``) on the square trig."""
+    """Value at x of a term-form |H''''| bound (``h4_term_bounds``: (coefficient, key) pairs) on the square trig."""
     g = eval_G(trig, x)
     gp = abs(eval_G_derivative(trig, 1, x))
     ell = abs(math.log(g))
     return math.fsum(
-        term.coefficient * g**term.t_r * ell**term.j_r * (gp if term.has_gprime else 1.0)
-        for term in terms
+        c * g**t_r * ell**j_r * (gp if has_gprime else 1.0)
+        for c, (has_gprime, t_r, j_r) in terms
     )
 
 
@@ -117,21 +117,21 @@ def required_steps(sup4, delta, radius, j):
     return math.ceil((2.0 * sup4 * radius**j / (PAPER_ERR_DENOM * math.factorial(j) * delta)) ** 0.25)
 
 
-def _plain_base(spec, t, n_steps, table):
+def _plain_base(t, n_steps, table):
     """The j-free large-range part of q_plain: N times the mean of G^t plus half its variation."""
-    return n_steps * torus_integral_upper(t) + 0.5 * variation_bound_power(spec, t, table)
+    return n_steps * torus_integral_upper(t) + 0.5 * variation_bound_power(table, t)
 
 
-def _star_base(spec, t, n_steps, table):
+def _star_base(t, n_steps, table):
     """The j-free large-range part of q_star: the telescoped sum of G^t |G'| and its corrections."""
-    var_up = variation_bound_power(spec, t + 1.0, table)
-    var_t = variation_bound_power(spec, t, table)
+    var_up = variation_bound_power(table, t + 1.0)
+    var_t = variation_bound_power(table, t)
     tail = _HALF_L2_G2 * math.sqrt(torus_integral_upper(2.0 * t))
     return n_steps / (t + 1.0) * var_up + _HALF_SUP_G1 * var_t + tail
 
 
-def q_reference(has_gprime, spec, t, j, n_steps, table):
-    """q_star (has_gprime) or q_plain of one key, every ingredient computed afresh: small + log(9)^j * base."""
+def q_reference(has_gprime, t, j, n_steps, table):
+    """q_star (has_gprime) or q_plain of one key for table's sign, every ingredient computed afresh: small + log(9)^j * base."""
     small = 0.0
     if j != 0:
         weight = 14.0 * n_steps / 9.0 + _HALF_L2_G2 if has_gprime else n_steps
@@ -140,11 +140,11 @@ def q_reference(has_gprime, spec, t, j, n_steps, table):
         log9_power = math.log(9.0) ** j
     except OverflowError:
         log9_power = math.inf
-    return small + log9_power * (_star_base if has_gprime else _plain_base)(spec, t, n_steps, table)
+    return small + log9_power * (_star_base if has_gprime else _plain_base)(t, n_steps, table)
 
 
-def term_integral_reference(has_gprime, spec, t, j, table):
-    """The integral bound of one key behind the refined error bound, every ingredient computed afresh.
+def term_integral_reference(has_gprime, t, j, table):
+    """The integral bound of one key behind the refined error bound for table's sign, every ingredient computed afresh.
 
     small + log(9)^j * base: small is the envelope maximum on [0, 1/9], times
     14/9 with |G'|; base is the mean bound of G^t, or with |G'| the variation
@@ -158,7 +158,7 @@ def term_integral_reference(has_gprime, spec, t, j, table):
     except OverflowError:
         log9_power = math.inf
     if has_gprime:
-        base = variation_bound_power(spec, t + 1.0, table) / (t + 1.0)
+        base = variation_bound_power(table, t + 1.0) / (t + 1.0)
     else:
         base = torus_integral_upper(t)
     return small + log9_power * base

@@ -60,8 +60,8 @@ def test_criterion_01_local_maxima_tables():
 def test_criterion_02_variation_bounds():
     plus = TrigSquare(5, SignVariant.PLUS)
     minus = TrigSquare(5, SignVariant.MINUS)
-    v_plus = variation_bound_power(plus, 1.0, default_max_table(plus))
-    v_minus = variation_bound_power(minus, 1.0, default_max_table(minus))
+    v_plus = variation_bound_power(default_max_table(plus), 1.0)
+    v_minus = variation_bound_power(default_max_table(minus), 1.0)
     assert v_plus == 73.96
     assert v_minus == 73.784
     assert v_plus < 74.0 and v_minus < 74.0

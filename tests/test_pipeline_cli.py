@@ -450,6 +450,15 @@ class TestCli:
             assert out == "" and err.startswith(f"error: power t = {float(t)!r} is too large to evaluate"), mode
             assert err.count("\n") == 1
 
+    def test_derivative_huge_order_exit_two(self, capsys):
+        """From order ~ 1.2e77 the falling factorials of the |H''''| bound pass the float range; the order is refused as j."""
+        order = str(10**400)
+        for mode in ("plain", "refined"):
+            assert majorant.cli.main(["derivative", "--order", order, "--t", "5.5", "--steps", "100", "--mode", mode]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: log exponent j ~ 10^400.0 is too large to evaluate"), mode
+            assert err.count("\n") == 1
+
     def test_config_order_too_large_exit_two(self, tmp_path):
         """Order 1000 is refused as a fixed field; test_derivative_order_too_large_exit_two covers its log power."""
         cfg = tmp_path / "order.json"

@@ -230,12 +230,12 @@ class TestDeterminism:
 
     def test_log_columns_live_with_the_node_table(self):
         """(log G)^p is kept on the table's chunks once asked for, and rebuilt with the table."""
-        trig, orders = TrigSquare(5, PLUS), [0, 3, 7]
-        warm = _h_node_sums(trig, 5.3, orders, 500)
+        orders = [0, 3, 7]
+        warm = _h_node_sums(PLUS, 5.3, orders, 500)
         assert all(set(chunk.logs) >= {0, 3, 7} for chunk in _node_table(500)[PLUS])
         _NODE_TABLE.clear()
         assert all(chunk.logs == {} for chunk in _node_table(500)[PLUS])
-        cold = _h_node_sums(trig, 5.3, orders, 500)
+        cold = _h_node_sums(PLUS, 5.3, orders, 500)
         assert {j: v.hex() for j, v in cold.items()} == {j: v.hex() for j, v in warm.items()}
 
     def test_repeat_runs_are_bitwise_stable(self):
@@ -270,7 +270,7 @@ class TestBatchedNodeSums:
         for (t, n), jobs in passes.items():
             orders = [j for j, _ in jobs]
             for sign in (PLUS, MINUS):
-                batched = _h_node_sums(TrigSquare(5, sign), t, sorted(orders), n)
+                batched = _h_node_sums(sign, t, sorted(orders), n)
                 for j in orders:
                     assert batched[j].hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (t, n, j, sign)
 
@@ -278,25 +278,23 @@ class TestBatchedNodeSums:
     def test_sums_off_the_proof_grid_equal_node_order_reference(self, n):
         """Sums over the descending chunks equal the node-order reference bit for bit, at (t, N) the proof never uses."""
         for sign, t in itertools.product((PLUS, MINUS), (5.0, 5.37, 6.0)):
-            for j, v in _h_node_sums(TrigSquare(5, sign), t, [0, 1, 4, 9], n).items():
+            for j, v in _h_node_sums(sign, t, [0, 1, 4, 9], n).items():
                 assert v.hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, t, j)
 
     def test_batched_refined_bounds_equal_single_calls(self):
         """One refined_error_bounds pass per (t, N) for both signs reproduces every single bound and the oracle bitwise."""
         for (t, n), jobs in default_proof_passes().items():
             term_sums = [h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j, _ in jobs]
-            squares = [(trig, default_max_table(trig)) for trig in (TrigSquare(5, PLUS), TrigSquare(5, MINUS))]
-            for (trig, table), batched in zip(squares, refined_error_bounds(term_sums, squares, n)):
-                singles = [refined_error_bound(s, trig, n, table) for s in term_sums]
-                assert [b.hex() for b in batched] == [s.hex() for s in singles], (t, n, trig.sign)
+            tables = [default_max_table(TrigSquare(5, sign)) for sign in (PLUS, MINUS)]
+            for table, batched in zip(tables, refined_error_bounds(term_sums, tables, n)):
+                singles = [refined_error_bound(s, TrigSquare(5, table.sign), n, table) for s in term_sums]
+                assert [b.hex() for b in batched] == [s.hex() for s in singles], (t, n, table.sign)
                 termwise = [  # the per-key oracle, summed as the error bound sums it
-                    math.fsum(
-                        term.coefficient * term_integral_reference(term.has_gprime, trig, term.t_r, term.j_r, table)
-                        for term in s
-                    ) / (23040.0 * float(n) ** 4)
+                    math.fsum(c * term_integral_reference(has_gprime, t_r, j_r, table) for c, (has_gprime, t_r, j_r) in s)
+                    / (23040.0 * float(n) ** 4)
                     for s in term_sums
                 ]
-                assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, trig.sign)
+                assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, table.sign)
 
     def test_single_order_sums_match_batch_and_oracle(self):
         """A one-order pass, as one gap_derivative call makes, and gapped batches agree with the full batch.
@@ -307,10 +305,9 @@ class TestBatchedNodeSums:
         """
         t, n = 5.7, 777
         for sign in (PLUS, MINUS):
-            trig = TrigSquare(5, sign)
-            batch = {j: v.hex() for j, v in _h_node_sums(trig, t, list(range(11)), n).items()}
+            batch = {j: v.hex() for j, v in _h_node_sums(sign, t, list(range(11)), n).items()}
             for orders in [[j] for j in range(11)] + [[1, 3], [0, 4, 9]]:
-                for j, v in _h_node_sums(trig, t, orders, n).items():
+                for j, v in _h_node_sums(sign, t, orders, n).items():
                     assert v.hex() == batch[j], (sign, orders, j)
             for j in range(11):
                 assert batch[j] == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, j)
@@ -337,20 +334,20 @@ class TestBatchedNodeSums:
 
 
 class TestQPass:
-    """The q pass and the term-integral pass share their ingredients across keys and squares, and change no value."""
+    """The q pass and the term-integral pass share their ingredients across keys and signs, and change no value."""
 
     @pytest.mark.parametrize("table_id,n", [("Q500", 500), ("Q400", 400)])
-    def test_tables_equal_oracle(self, table_id, n, squares):
+    def test_tables_equal_oracle(self, table_id, n, tables):
         """Every Q500/Q400 entry, both signs, and a one-key q pass are bitwise the per-key oracle."""
         _, rows = reproduce_table(table_id)
         for kind, t, j, *per_sign, _, _ in rows:
             key = (kind == "star", float(t), j)
-            for value, (trig, table) in zip(per_sign, squares):
-                expected = q_reference(kind == "star", trig, float(t), j, n, table).hex()
-                single = q_values([key], [(trig, table)], n)[0][key]
-                assert value.hex() == single.hex() == expected, (table_id, kind, t, j, trig.sign)
+            for value, table in zip(per_sign, tables):
+                expected = q_reference(kind == "star", float(t), j, n, table).hex()
+                single = q_values([key], [table], n)[0][key]
+                assert value.hex() == single.hex() == expected, (table_id, kind, t, j, table.sign)
 
-    def test_proof_keys_equal_oracle(self, squares):
+    def test_proof_keys_equal_oracle(self, tables):
         """Every (has_gprime, t_r, j_r) key of the default proof's refined bounds, both signs, is bitwise the oracle.
 
         Both per-key passes are checked at the proof's N: term_integrals, which
@@ -358,15 +355,14 @@ class TestQPass:
         """
         checked = 0
         for (t, n), jobs in default_proof_passes().items():
-            terms = [term for j, mode in jobs if mode == "refined" for term in h4_term_bounds(IntegrandSpec(t, j, PLUS))]
-            keys = [(term.has_gprime, term.t_r, term.j_r) for term in terms]
-            for q, integrals, (trig, table) in zip(q_values(keys, squares, n), term_integrals(keys, squares), squares):
+            keys = [key for j, mode in jobs if mode == "refined" for _, key in h4_term_bounds(IntegrandSpec(t, j, PLUS))]
+            for q, integrals, table in zip(q_values(keys, tables, n), term_integrals(keys, tables), tables):
                 assert set(q) == set(integrals) == set(keys)
                 for (has_gprime, t_r, j_r), value in q.items():
-                    expected = q_reference(has_gprime, trig, t_r, j_r, n, table)
-                    assert value.hex() == expected.hex(), (t, n, has_gprime, t_r, j_r, trig.sign)
-                    expected = term_integral_reference(has_gprime, trig, t_r, j_r, table)
-                    assert integrals[has_gprime, t_r, j_r].hex() == expected.hex(), (t, has_gprime, t_r, j_r, trig.sign)
+                    expected = q_reference(has_gprime, t_r, j_r, n, table)
+                    assert value.hex() == expected.hex(), (t, n, has_gprime, t_r, j_r, table.sign)
+                    expected = term_integral_reference(has_gprime, t_r, j_r, table)
+                    assert integrals[has_gprime, t_r, j_r].hex() == expected.hex(), (t, has_gprime, t_r, j_r, table.sign)
                     checked += 1
         assert checked == 2 * 221
 
@@ -389,10 +385,11 @@ class TestNodeSumBounds:
     """The q pass's bounds, with |G'| ("star") and without ("plain"), must dominate the true node sums they stand for."""
 
     @pytest.mark.parametrize("t,j", [(1.0, 0), (3.0, 1), (5.0, 2), (5.5, 0)])
-    def test_q_plain_dominates(self, t, j, squares):
+    def test_q_plain_dominates(self, t, j, tables):
         n = 500
         nodes = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
-        for (spec, _), bounds in zip(squares, q_values([(False, t, j)], squares, n)):
+        for table, bounds in zip(tables, q_values([(False, t, j)], tables, n)):
+            spec = TrigSquare(5, table.sign)
             total = math.fsum(
                 eval_G(spec, x) ** t * abs(math.log(eval_G(spec, x))) ** j for x in nodes
             )
@@ -400,10 +397,11 @@ class TestNodeSumBounds:
             assert total <= bound, f"t={t} j={j} {spec.sign.value}: {total} > {bound}"
 
     @pytest.mark.parametrize("t,j", [(1.0, 0), (3.0, 1), (5.0, 2)])
-    def test_q_star_dominates(self, t, j, squares):
+    def test_q_star_dominates(self, t, j, tables):
         n = 400
         nodes = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
-        for (spec, _), bounds in zip(squares, q_values([(True, t, j)], squares, n)):
+        for table, bounds in zip(tables, q_values([(True, t, j)], tables, n)):
+            spec = TrigSquare(5, table.sign)
             total = math.fsum(
                 eval_G(spec, x) ** t
                 * abs(math.log(eval_G(spec, x))) ** j
@@ -413,8 +411,8 @@ class TestNodeSumBounds:
             bound = bounds[True, t, j]
             assert total <= bound, f"t={t} j={j} {spec.sign.value}: {total} > {bound}"
 
-    def test_frozen_values(self, squares):
-        plus, minus = q_values([(True, 1.0, 0), (False, 3.0, 0), (False, 4.0, 1)], squares, 500)
+    def test_frozen_values(self, tables):
+        plus, minus = q_values([(True, 1.0, 0), (False, 3.0, 0), (False, 4.0, 1)], tables, 500)
         assert plus[True, 1.0, 0] == pytest.approx(137075.2576885526, rel=1e-12)
         assert minus[True, 1.0, 0] == pytest.approx(137063.17368855263, rel=1e-12)
         assert plus[False, 3.0, 0] == pytest.approx(48349.835484068, rel=1e-12)
@@ -454,43 +452,42 @@ class TestNodeSumBounds:
         finally:
             _NODE_TABLE.clear()  # both signs' tables of 100000 nodes
 
-    def test_overflowing_log_power_gives_infinity(self, plus_square, plus_table):
+    def test_overflowing_log_power_gives_infinity(self, plus_table):
         """log(9)^j beyond the float range is an infinite bound, not an OverflowError."""
-        (bounds,) = q_values([(True, 6.0, 1000), (False, 6.0, 1000)], [(plus_square, plus_table)], 100)
+        (bounds,) = q_values([(True, 6.0, 1000), (False, 6.0, 1000)], [plus_table], 100)
         assert bounds == {(True, 6.0, 1000): math.inf, (False, 6.0, 1000): math.inf}
         # one node, where |log G| < log 9, so the node pass stays finite
         value = gap_derivative(1000, 5.5, 1, "refined")
         assert math.isfinite(value.estimate) and value.error_bound == math.inf
 
     @pytest.mark.parametrize("n_steps", [100.5, True, 0])
-    def test_bound_passes_share_the_node_step_rule(self, n_steps, plus_square, plus_table):
+    def test_bound_passes_share_the_node_step_rule(self, n_steps, plus_table):
         """A step count the node pass refuses has no node sum to bound, so both bound passes refuse it too."""
-        squares = [(plus_square, plus_table)]
         terms = h4_term_bounds(IntegrandSpec(5.5, 1, PLUS))
         for call in (
             lambda: _node_chunks(n_steps),
-            lambda: q_values([(False, 5.0, 1)], squares, n_steps),
-            lambda: refined_error_bounds([terms], squares, n_steps),
+            lambda: q_values([(False, 5.0, 1)], [plus_table], n_steps),
+            lambda: refined_error_bounds([terms], [plus_table], n_steps),
         ):
             with pytest.raises(ValueError, match=rf"^step count must be an integer in 1\.\.{MAX_STEPS}, got {n_steps!r}$"):
                 call()
 
-    def test_input_validation(self, plus_square, plus_table):
+    def test_input_validation(self, plus_table):
         with pytest.raises(ValueError, match=">= 1"):
-            q_values([(False, 0.5, 0)], [(plus_square, plus_table)], 100)
+            q_values([(False, 0.5, 0)], [plus_table], 100)
         with pytest.raises(ValueError, match="nonnegative"):
-            q_values([(True, 2.0, -1)], [(plus_square, plus_table)], 100)
+            q_values([(True, 2.0, -1)], [plus_table], 100)
 
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda sq, tb: q_values([(False, math.nan, 1)], [(sq, tb)], 100), id="q_plain"),
-            pytest.param(lambda sq, tb: q_values([(True, math.nan, 1)], [(sq, tb)], 100), id="q_star"),
+            pytest.param(lambda sq, tb: q_values([(False, math.nan, 1)], [tb], 100), id="q_plain"),
+            pytest.param(lambda sq, tb: q_values([(True, math.nan, 1)], [tb], 100), id="q_star"),
             pytest.param(
                 lambda sq, tb: refined_error_bound(h4_term_bounds(IntegrandSpec(5.5, 1, PLUS)), sq, math.nan, tb),
                 id="refined_error_bound",
             ),
-            pytest.param(lambda sq, tb: variation_bound_power(sq, math.nan, tb), id="variation_bound_power"),
+            pytest.param(lambda sq, tb: variation_bound_power(tb, math.nan), id="variation_bound_power"),
             pytest.param(lambda sq, tb: torus_integral_upper(math.nan), id="torus_integral_upper"),
             pytest.param(lambda sq, tb: power_integral_bound(math.nan, 3), id="power_integral_bound"),
             pytest.param(lambda sq, tb: envelope_max(math.nan, 2, 0.0, 9.0), id="envelope_max"),
@@ -537,9 +534,22 @@ class TestIntegrateH:
         """Plus and minus give the same fourth-derivative terms, hence bitwise the same bound on a square."""
         for t, j in itertools.product((5.0, 5.065, 5.33, 5.72, 6.0, 7.5), range(13)):
             plus, minus = (h4_term_bounds(IntegrandSpec(t, j, sign)) for sign in (PLUS, MINUS))
-            assert plus == minus and all(term.t_r >= 1.0 for term in plus), (t, j)
+            assert plus == minus and all(t_r >= 1.0 for _, (_, t_r, _) in plus), (t, j)
             bounds = [refined_error_bound(terms, minus_square, 500, minus_table) for terms in (plus, minus)]
             assert bounds[0].hex() == bounds[1].hex(), (t, j)
+
+    def test_term_keys_are_term_integral_keys(self, tables):
+        """The key of each h4_term_bounds term is the key under which term_integrals returns its integral."""
+        for t, j in itertools.product((5.0, 5.065, 5.33, 6.0), range(13)):
+            keys = [key for _, key in h4_term_bounds(IntegrandSpec(t, j, PLUS))]
+            for integrals in term_integrals(keys, tables):
+                assert all(key in integrals for key in keys) and len(integrals) == len(set(keys)), (t, j)
+
+    def test_refined_error_bound_rejects_foreign_table(self, plus_square, minus_table):
+        """The one-key wrapper takes a square beside its table, and refuses a table of the other sign."""
+        terms = h4_term_bounds(IntegrandSpec(5.5, 1, PLUS))
+        with pytest.raises(ValueError, match="different square"):
+            refined_error_bound(terms, plus_square, 500, minus_table)
 
 
 class TestGapDerivative:
@@ -578,3 +588,9 @@ class TestGapDerivative:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="nonnegative"):
             gap_derivative(-1, 5.0, 100)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rejects_order_past_the_float_range(self, mode):
+        """An order whose falling factorials pass the float range is refused before any node work, naming j."""
+        with pytest.raises(ValueError, match=r"^log exponent j ~ 10\^80\.0 is too large"):
+            gap_derivative(10**80, 5.5, 100, mode)

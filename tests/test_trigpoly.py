@@ -231,12 +231,12 @@ class TestLocateMaxima:
 
 
 class TestVariationBound:
-    def test_frozen_power_one(self, plus_square, minus_square, plus_table, minus_table):
-        assert variation_bound_power(plus_square, 1.0, plus_table) == 73.96
-        assert variation_bound_power(minus_square, 1.0, minus_table) == 73.784
+    def test_frozen_power_one(self, plus_table, minus_table):
+        assert variation_bound_power(plus_table, 1.0) == 73.96
+        assert variation_bound_power(minus_table, 1.0) == 73.784
 
-    def test_power_zero_counts_multiplicity(self, plus_square, plus_table):
-        assert variation_bound_power(plus_square, 0.0, plus_table) == 14.0
+    def test_power_zero_counts_multiplicity(self, plus_table):
+        assert variation_bound_power(plus_table, 0.0) == 14.0
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 5.0, 5.5, 6.0])
     def test_dominates_numeric_variation(self, t, plus_square, minus_square):
@@ -245,13 +245,13 @@ class TestVariationBound:
         for spec, label in ((plus_square, "plus"), (minus_square, "minus")):
             g = numpy_G(x, label)
             tv = float(np.abs(np.diff(g**t)).sum())
-            bound = variation_bound_power(spec, t, default_max_table(spec))
+            bound = variation_bound_power(default_max_table(spec), t)
             assert tv <= bound * (1 + 1e-9), f"t={t} {label}: variation {tv} above {bound}"
 
-    def test_rejects_foreign_table(self, plus_square, minus_table):
-        with pytest.raises(ValueError, match="different square"):
-            variation_bound_power(plus_square, 1.0, minus_table)
+    def test_table_carries_its_sign(self, plus_table, minus_table):
+        """The sign is the table's, so no square is passed beside it."""
+        assert (plus_table.sign, minus_table.sign) == (SignVariant.PLUS, SignVariant.MINUS)
 
-    def test_rejects_negative_power(self, plus_square, plus_table):
+    def test_rejects_negative_power(self, plus_table):
         with pytest.raises(ValueError, match="nonnegative"):
-            variation_bound_power(plus_square, -0.5, plus_table)
+            variation_bound_power(plus_table, -0.5)
