@@ -3,18 +3,17 @@
 Fractional-power norms are differentiated under the integral sign, which turns
 every integrand into a power-times-log combination of G.  The quadrature module
 sums H at its nodes; its error bound needs a bound for |H''''|, assembled here
-by the chain rule from the derivative bounds of G.
-Expanding four derivatives of G^t log^j G and collecting by which
-G-derivatives appear yields a short list of groups, each of the form
+by the chain rule from the derivative bounds of G.  Expanding four derivatives
+of G^t log^j G and collecting by which G-derivatives appear yields five groups
 
     constant * G^(t-i) * (|G'| or 1) * brace(t, j; log G)
 
-where the brace is a fixed polynomial in log G with coefficients polynomial in
-t and falling factorials of j.  Replacing |G'| by its sup bound gives a single
-scalar envelope (``h4_sup_bound``); keeping |G'| as a factor gives a tuple of
-(coefficient, key) terms (``h4_term_bounds``), each key naming one integral
-over the period that the refined error bound weighs and adds up.  Neither
-bound depends on the sign variant: WORK_M bounds both.
+where each of four braces is a polynomial in log G whose coefficients are
+polynomials in t times falling factorials of j.  ``h4_bounds`` takes the
+polynomials once per t and gives each order j a scalar envelope, |G'| bounded
+by its sup (``h4_sup_bound``), or (coefficient, key) terms keeping |G'|
+(``h4_term_bounds``), each key naming one integral over the period that the
+refined error bound weighs.  No bound depends on the sign: WORK_M bounds both.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .envelope import envelope_max
-from .trigpoly import G_MAX, SignVariant, sup_norm_bound
+from .trigpoly import G_MAX, SignVariant, overflow_to_inf, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
@@ -62,81 +61,78 @@ class IntegrandSpec:
     sign: SignVariant
 
     def __post_init__(self):
-        if not self.t >= 1.0:  # also refuses nan
-            raise ValueError(f"power t must be >= 1, got {self.t}")
-        if not (self.j >= 0 and self.j % 1 == 0):  # inf % 1 and nan % 1 are nan
-            raise ValueError(f"log exponent j must be a nonnegative integer, got {self.j}")
+        _check_power_and_order(self.t, self.j)
 
 
-def _brace_terms(kind: str, t: float, j: int) -> list[tuple[float, int]]:
-    """(coefficient, log-power) pairs of one brace polynomial, zero terms omitted."""
-    if kind == "quartic":
-        try:
-            cube = t**3
-        except OverflowError:  # from t ~ 5.6e102, where G^t at the nodes has long overflowed
-            raise ValueError(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float") from None
+def _check_power_and_order(t: float, j: int) -> None:
+    if not t >= 1.0:  # also refuses nan
+        raise ValueError(f"power t must be >= 1, got {t}")
+    if not (j >= 0 and j % 1 == 0):  # inf % 1 and nan % 1 are nan
+        raise ValueError(f"log exponent j must be a nonnegative integer, got {j}")
+
+
+def _brace_rows(t: float) -> tuple[tuple[float, ...], ...]:
+    """The t-polynomials of the quartic, cubic, quadratic and linear braces; a t where one is not finite is refused."""
+    cube = overflow_to_inf(pow, t, 3)  # inf from t ~ 5.6e102; t(t-1)(t-2)(t-3) is inf from t ~ 1.2e77 already
+    falling2 = t * (t - 1.0)
+    falling3 = falling2 * (t - 2.0)
+    rows = (
+        (4.0 * t - 6.0, 6.0 * t * t - 18.0 * t + 11.0, 2.0 * cube - 9.0 * t * t + 11.0 * t - 3.0, falling3 * (t - 3.0)),
+        (3.0 * (t - 1.0), 3.0 * t * t - 6.0 * t + 2.0, falling3),
+        (2.0 * t - 1.0, falling2),
+        (t,),
+    )
+    if not all(math.isfinite(c) for row in rows for c in row):  # t = inf too, where the bound would be nan
+        raise ValueError(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float")
+    return rows
+
+
+def h4_bounds(t: float, jobs) -> list:
+    """The |H''''| bound of each (j, refined) in jobs at one t: a tuple of terms if refined, else one scalar.
+
+    A term (coefficient, (has_gprime, t_r, j_r)) stands for coefficient *
+    G^t_r |log G|^j_r, times |G'| if has_gprime, keyed as term_integrals takes
+    it; terms need t >= 5, so that each t_r is at least 1.  The scalar holds
+    over the whole period, each scalar group's term bounded by the envelope of
+    G^(t+offset) |log G|^p on [0, G_MAX]; it needs t > 4 with logs (at t = 4
+    the G^0 log^j G envelope is unbounded at 0), t >= 4 without.  Neither
+    depends on the sign.  The brace polynomials in t are taken once, and each
+    job is checked, in job order, before its bound is built.
+    """
+    groups = None
+    bounds = []
+    for j, refined in jobs:
+        _check_power_and_order(t, j)
+        if refined and t < 5.0:
+            raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
+        if not refined and (t < 4.0 or (t == 4.0 and j > 0)):
+            raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 plain), got t={t}, j={j}")
+        if groups is None:  # the first job: the t-polynomials, and the refined groups' powers of G
+            (a1, a2, a3, a4), (b1, b2, b3), (c1, c2), (d1,) = _brace_rows(t)
+            groups = [(const, has_gprime, t + offset, kind) for const, offset, kind, has_gprime in _REFINED_GROUPS]
         try:  # the largest integer any brace converts, and every bound takes the quartic brace
             falling = float(j * (j - 1) * (j - 2) * (j - 3))
         except OverflowError:  # from j ~ 1.2e77; the message gives log10(j), as str(j) refuses past 4300 digits
             raise ValueError(f"log exponent j ~ 10^{math.log10(j):.1f} is too large to evaluate: the fourth-derivative bound overflows a float") from None
-        raw = (
-            (falling, j - 4),
-            ((4.0 * t - 6.0) * j * (j - 1) * (j - 2), j - 3),
-            ((6.0 * t * t - 18.0 * t + 11.0) * j * (j - 1), j - 2),
-            ((2.0 * cube - 9.0 * t * t + 11.0 * t - 3.0) * 2.0 * j, j - 1),
-            (t * (t - 1.0) * (t - 2.0) * (t - 3.0), j),
-        )
-    elif kind == "cubic":
-        raw = (
-            (float(j * (j - 1) * (j - 2)), j - 3),
-            (3.0 * (t - 1.0) * j * (j - 1), j - 2),
-            ((3.0 * t * t - 6.0 * t + 2.0) * j, j - 1),
-            (t * (t - 1.0) * (t - 2.0), j),
-        )
-    elif kind == "quadratic":
-        raw = (
-            (float(j * (j - 1)), j - 2),
-            ((2.0 * t - 1.0) * j, j - 1),
-            (t * (t - 1.0), j),
-        )
-    else:  # linear
-        raw = ((float(j), j - 1), (t, j))
-    return [(c, p) for c, p in raw if p >= 0 and c != 0.0]
+        braces = {  # polynomial times falling factors of j, left to right; positive at t >= 4, so no zero term or abs
+            "quartic": [(c, p) for c, p in ((falling, j - 4), (a1 * j * (j - 1) * (j - 2), j - 3), (a2 * j * (j - 1), j - 2), (a3 * 2.0 * j, j - 1), (a4, j)) if p >= 0],
+            "cubic": [(c, p) for c, p in ((float(j * (j - 1) * (j - 2)), j - 3), (b1 * j * (j - 1), j - 2), (b2 * j, j - 1), (b3, j)) if p >= 0],
+            "quadratic": [(c, p) for c, p in ((float(j * (j - 1)), j - 2), (c1 * j, j - 1), (c2, j)) if p >= 0],
+            "linear": [(c, p) for c, p in ((float(j), j - 1), (d1, j)) if p >= 0],
+        }
+        if refined:  # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
+            bounds.append(tuple([(const * c, (has_gprime, t_r, p)) for const, has_gprime, t_r, kind in groups for c, p in braces[kind]]))
+        else:
+            pieces = [const * c * envelope_max(t + offset, p, 0.0, G_MAX) for const, offset, kind in _SCALAR_GROUPS for c, p in braces[kind]]
+            bounds.append(overflow_to_inf(math.fsum, pieces))
+    return bounds
 
 
 def h4_sup_bound(spec: IntegrandSpec) -> float:
-    """Scalar sup-norm bound for H'''' over the whole period.
-
-    Every group becomes constant * max of G^(t+offset) |log G|^p over [0, G_MAX]
-    via the closed-form envelope.  Needs t > 4 when logs are present (at
-    t = 4 the envelope of the G^0 log^j G term is unbounded at 0), t >= 4 otherwise.
-    """
-    t, j = spec.t, spec.j
-    if t < 4.0 or (t == 4.0 and j > 0):
-        raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 plain), got t={t}, j={j}")
-    pieces = []
-    for const, offset, kind in _SCALAR_GROUPS:
-        for c, p in _brace_terms(kind, t, j):
-            pieces.append(const * abs(c) * envelope_max(t + offset, p, 0.0, G_MAX))
-    try:
-        return math.fsum(pieces)
-    except OverflowError:  # a sum beyond the float range: infinite, still an upper bound
-        return math.inf
+    """Scalar sup-norm bound for H'''' over the whole period: h4_bounds of one plain job."""
+    return h4_bounds(spec.t, [(spec.j, False)])[0]
 
 
 def h4_term_bounds(spec: IntegrandSpec) -> tuple[tuple[float, tuple[bool, float, int]], ...]:
-    """|H''''| bound as a sum of explicit terms, keeping a |G'| factor where one arises.
-
-    Each term is (coefficient, key) for coefficient * G^t_r |log G|^j_r, times
-    |G'| if has_gprime, with key (has_gprime, t_r, j_r) as term_integrals
-    takes it.  The terms depend on t and j alone, not on the sign.  Needs
-    t >= 5 so that every retained power of G is at least 1.
-    """
-    t, j = spec.t, spec.j
-    if t < 5.0:
-        raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
-    return tuple([  # from a list: tuple() of a generator resizes, and fragments memory measurably
-        (const * abs(c), (has_gprime, t + offset, p))
-        for const, offset, kind, has_gprime in _REFINED_GROUPS
-        for c, p in _brace_terms(kind, t, j)
-    ])
+    """|H''''| bound as (coefficient, key) terms that keep a |G'| factor where one arises: h4_bounds of one refined job."""
+    return h4_bounds(spec.t, [(spec.j, True)])[0]

@@ -23,16 +23,13 @@ term of h4_term_bounds over the period, splitting the range of G at 1/9:
     torus_integral_upper(t), and the integral of G^t |G'| is exactly
     Var(G^(t+1)) / (t+1), bounded by variation_bound_power.
 
-The node layer lives here too.  Integrands H = G^t log^j G of one t and step
-count differ only in j, so they share one power row G^t (power_row) per node
-chunk.  Under it, the node table holds NodeColumns per chunk and sign: G, log
-G and the powers (log G)^p once asked for, free of t and j, both signs from one
-cosine pass, for the latest step count only, G in descending order within a
-chunk (see _node_table).  The |H''''| bounds depend on t and j alone, so both
-signs share them and one term_integrals pass.  The q pass q_values gives the
-node-sum bounds of the Q tables, each ingredient once.  Both bound passes take
-a list of maxima tables: only the variation bounds depend on the sign, and a
-LocalMaxTable carries it.
+The node layer lives here too: per chunk of the node table, one power row G^t
+(power_row) serves every j, and the table holds G, log G and the powers
+(log G)^p asked for, both signs from one cosine pass (see _node_table).  Both
+signs share one h4_bounds call and one term_integrals pass per batch.  That
+pass and the q pass q_values, behind the Q tables, take each key's small-range
+term in closed form (_sign_free_parts); only their variation bounds depend on
+the sign, which each LocalMaxTable carries.
 """
 
 from __future__ import annotations
@@ -43,11 +40,10 @@ from math import fsum
 from operator import mul
 from typing import NamedTuple
 
-from .envelope import envelope_max
-from .integrand import WORK_M, IntegrandSpec, h4_sup_bound, h4_term_bounds
+from .integrand import WORK_M, h4_bounds
 from .spectral import torus_integral_upper
 from .trigpoly import G_MAX, MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
-from .trigpoly import eval_G_pair, second_deriv_L2, variation_bound_power
+from .trigpoly import eval_G_pair, overflow_to_inf, second_deriv_L2, variation_bound_power
 
 MODES = ("plain", "refined")
 _CHUNK = 256
@@ -61,6 +57,8 @@ if 2.0 * _HALF_L2_G2 < second_deriv_L2():
     raise RuntimeError("_HALF_L2_G2 is below half the bound it stands for")
 
 LOG9 = math.log(G_MAX)
+_SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
+_LOG_SMALL_END = abs(math.log(_SMALL_END))
 _NODE_TABLE: dict[int, dict[SignVariant, tuple[NodeColumns, ...]]] = {}  # see _node_table
 
 
@@ -84,22 +82,34 @@ def _plain_error(sup4: float, n_steps: int) -> float:
     return sup4 / (_ERR_DENOM * float(n_steps) ** 4)
 
 
-def _sign_free_part(t: float, j: int, weight: float) -> tuple[float, float]:
-    """What a bound of one (t, j) key takes from no sign: envelope_max(t, j, 0, 1/9) * weight and log(9)^j.
+def _sign_free_parts(keys, weights) -> tuple[dict, dict]:
+    """{(has_gprime, t, j): (small, log(9)^j, (has_gprime, t))} per distinct key, and the (has_gprime, t) of all keys.
 
-    The small-range part is 0 when j = 0, where no log factor needs the split.
+    small is envelope_max(t, j, 0, 1/9) * weights[has_gprime] from the
+    envelope's closed form, in the same floats, and 0 at j = 0.  (1/9)^t is
+    taken once per power, |log(1/9)|^j and log(9)^j once per order, and so
+    are the argument checks; the keys come from the group table or a Q table.
     """
-    if not t >= 1.0:  # the argument checks are phrased "not <valid>" so that a NaN fails them
-        raise ValueError(f"power must be >= 1, got {t}")
-    if not j >= 0:
-        raise ValueError(f"log exponent must be nonnegative, got {j}")
-    small = 0.0
-    if j != 0:
-        small = envelope_max(t, j, 0.0, 1.0 / G_MAX) * weight
-    try:
-        return small, LOG9**j
-    except OverflowError:  # log(9)^j beyond the float range: infinite, still an upper bound
-        return small, math.inf
+    ends, logs, parts, inf = {}, {}, {}, math.inf
+    for key in dict.fromkeys(keys):
+        star, t, j = key
+        if t not in ends:
+            if not t >= 1.0:  # the argument checks are phrased "not <valid>" so that a NaN fails them
+                raise ValueError(f"power must be >= 1, got {t}")
+            ends[t] = _SMALL_END**t
+        if j not in logs:
+            if not j >= 0:
+                raise ValueError(f"log exponent must be nonnegative, got {j}")
+            logs[j] = overflow_to_inf(pow, _LOG_SMALL_END, j), overflow_to_inf(pow, LOG9, j)
+        log_small, log9_power = logs[j]
+        small = 0.0
+        if j != 0:  # the larger of the value at 1/9 and, if exp(-j/t) lies in (0, 1/9), the peak (j/(e t))^j there
+            small = ends[t] * log_small if log_small != inf else inf
+            if small != inf and 0.0 < math.exp(-j / t) < _SMALL_END:
+                small = max(small, overflow_to_inf(pow, j / (math.e * t), j))
+            small *= weights[star]
+        parts[key] = small, log9_power, key[:2]
+    return parts, dict.fromkeys(kind for _, _, kind in parts.values())
 
 
 def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
@@ -119,16 +129,12 @@ def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
         plus correction terms controlled by the variation of G^t and the L^2
         norm of G''.
 
-    Each ingredient is computed once, at the granularity it depends on: the
-    small-range envelope term and log(9)^j once per key,
-    torus_integral_upper once per power, variation_bound_power once per
-    (table, power), and the j-free base of each (has_gprime, t) once per
-    table.
+    torus_integral_upper is taken once per power, variation_bound_power once
+    per (table, power), and each j-free base once per table.
     """
     _check_steps(n_steps)
     star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2
-    sign_free = {(star, t, j): _sign_free_part(t, j, star_weight if star else n_steps) for star, t, j in dict.fromkeys(keys)}
-    kinds = dict.fromkeys(key[:2] for key in sign_free)  # the (has_gprime, t) of each j-free base
+    sign_free, kinds = _sign_free_parts(keys, (n_steps, star_weight))
     means = {p: torus_integral_upper(p) for p in {2.0 * t if star else t for star, t in kinds}}
     powers = {p for star, t in kinds for p in ((t + 1.0, t) if star else (t,))}
     per_table = []
@@ -141,7 +147,7 @@ def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
                 bases[star, t] = n_steps / (t + 1.0) * variation[t + 1.0] + _HALF_SUP_G1 * variation[t] + tail
             else:  # N times the mean of G^t plus half its variation
                 bases[star, t] = n_steps * means[t] + 0.5 * variation[t]
-        per_table.append({key: small + log9_power * bases[key[:2]] for key, (small, log9_power) in sign_free.items()})
+        per_table.append({key: small + log9_power * bases[kind] for key, (small, log9_power, kind) in sign_free.items()})
     return per_table
 
 
@@ -152,42 +158,33 @@ def term_integrals(keys, tables: list[LocalMaxTable]) -> list[dict]:
     tables, for the sign of that table.  Each bound is small + log(9)^j * base,
     split at G = 1/9 as the module docstring derives: small is
     envelope_max(t, j, 0, 1/9), times 14/9 with |G'|, and base is the mean
-    bound torus_integral_upper(t), or with |G'| the variation bound of G^(t+1)
-    over t+1.  The sign-free parts are computed once per key, the means once
-    per power, the variations once per (table, power).
+    bound torus_integral_upper(t), once per power, or with |G'| the variation
+    bound of G^(t+1) over t+1, once per (table, power).
     """
-    sign_free = {(star, t, j): _sign_free_part(t, j, 14.0 / G_MAX if star else 1.0) for star, t, j in dict.fromkeys(keys)}
-    kinds = dict.fromkeys(key[:2] for key in sign_free)  # the (has_gprime, t) of each j-free base
+    sign_free, kinds = _sign_free_parts(keys, (1.0, 14.0 / G_MAX))
     means = {t: torus_integral_upper(t) for star, t in kinds if not star}
     per_table = []
     for table in tables:
         bases = {(star, t): variation_bound_power(table, t + 1.0) / (t + 1.0) if star else means[t] for star, t in kinds}
-        per_table.append({key: small + log9_power * bases[key[:2]] for key, (small, log9_power) in sign_free.items()})
+        per_table.append({key: small + log9_power * bases[kind] for key, (small, log9_power, kind) in sign_free.items()})
     return per_table
 
 
 def refined_error_bounds(term_lists, tables: list[LocalMaxTable], n_steps: int) -> list[list[float]]:
     """Error bounds from term-form |H''''| bounds: the terms' integrals, summed, over 23040 N^4.
 
-    Each term list is a tuple of (coefficient, key) pairs from h4_term_bounds,
-    and the sum bounds ||H''''||_1 term by term through term_integrals.  Term
-    lists are sign-free, so one term_integrals pass over the batch's keys
-    serves every maxima table in tables, and one list of bounds is returned
-    per table.
+    Each term list is a tuple of (coefficient, key) pairs from h4_bounds, and
+    the sum bounds ||H''''||_1 term by term through term_integrals.  Term lists
+    are sign-free, so one term_integrals pass over the batch's keys serves
+    every maxima table in tables; one list of bounds is returned per table.
     """
     _check_steps(n_steps)
-    keys = (key for terms in term_lists for _, key in terms)
+    keys = {key: None for terms in term_lists for _, key in terms}
     scale = _ERR_DENOM * float(n_steps) ** 4
-    per_table = []
-    for integrals in term_integrals(keys, tables):
-        bounds = []
-        for terms in term_lists:
-            try:
-                bounds.append(fsum(c * integrals[key] for c, key in terms) / scale)
-            except OverflowError:  # a sum beyond the float range: infinite, still an upper bound
-                bounds.append(math.inf)
-        per_table.append(bounds)
-    return per_table
+    return [
+        [overflow_to_inf(fsum, [c * integrals[key] for c, key in terms]) / scale for terms in term_lists]
+        for integrals in term_integrals(keys, tables)
+    ]
 
 
 def refined_error_bound(terms, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
@@ -297,22 +294,21 @@ def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int,
 def _integrate_orders(signs, t: float, n_steps: int, jobs) -> list[list[CertifiedValue]]:
     """Certified integrals of G^t log^j G over [0, 1/2]: per sign in signs, one per (j, mode) in jobs.
 
-    The |H''''| bound of each job, h4_sup_bound if plain and h4_term_bounds if
-    refined, depends on t and j alone, so the signs share it and one
-    refined_error_bounds pass.
+    The |H''''| bounds of all jobs come from one h4_bounds call: they depend
+    on t and j alone, so the signs share them and one refined_error_bounds pass.
     """
     for _, mode in jobs:  # before any node work
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    h4_bounds = [(h4_term_bounds if mode == "refined" else h4_sup_bound)(IntegrandSpec(t, j, SignVariant.PLUS)) for j, mode in jobs]
+    bounds = h4_bounds(t, [(j, mode == "refined") for j, mode in jobs])
     orders = sorted({j for j, _ in jobs})
     sums = [_h_node_sums(sign, t, orders, n_steps) for sign in signs]
-    refined = [terms for terms, (_, mode) in zip(h4_bounds, jobs) if mode == "refined"]
+    refined = [terms for terms, (_, mode) in zip(bounds, jobs) if mode == "refined"]
     refined_errors = refined_error_bounds(refined, [default_max_table(TrigSquare(5, sign)) for sign in signs], n_steps)
     values = []
     for sign_sums, errors in zip(sums, map(iter, refined_errors)):
         row = []
-        for bound, (j, mode) in zip(h4_bounds, jobs):
+        for bound, (j, mode) in zip(bounds, jobs):
             err = _plain_error(bound, n_steps) if mode == "plain" else next(errors)
             row.append(CertifiedValue(sign_sums[j] / (2.0 * n_steps), err, n_steps, mode))
         values.append(row)

@@ -12,9 +12,9 @@ and seeds the upper bounds used for non-integer powers.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, inf
+from math import comb
 
-from .trigpoly import F2, F3, G_MAX, K, SignVariant
+from .trigpoly import F2, F3, G_MAX, K, SignVariant, overflow_to_inf
 
 _MAX_RHO = F2  # the blocks of F^rho stay disjoint while rho < F3
 
@@ -68,10 +68,7 @@ def power_integral_bound(tau: float, rho: int) -> float:
         raise ValueError(f"anchor exponent must satisfy 1 <= rho <= k+1 = {_MAX_RHO}, got {rho}")
     a = float(torus_power_integral(rho))
     if tau >= rho:
-        try:
-            return 0.5 * G_MAX ** (tau - rho) * a
-        except OverflowError:  # beyond the float range: infinite, still an upper bound
-            return inf
+        return 0.5 * overflow_to_inf(pow, G_MAX, tau - rho) * a
     return 0.5 * a ** (tau / rho)
 
 

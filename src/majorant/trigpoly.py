@@ -105,6 +105,14 @@ def eval_G_pair(xs) -> tuple[list[float], list[float]]:
     return minus, plus
 
 
+def overflow_to_inf(f, *args) -> float:
+    """f(*args), or inf where f raises OverflowError: a bound beyond the float range is infinite, still an upper bound."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 def sup_norm_bound(m: int) -> float:
     """Proven bound for sup|G^(m)|: G_MAX for m = 0, else 2^(m+1) pi^m (1 + 6^m + 7^m).
 
@@ -150,8 +158,8 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     the symmetry points 0 and 1/2 the derivative vanishes identically and the
     sampled value is the exact local maximum value, so no slack is added.
     Every bound is clamped at the global maximum G_MAX before it is rounded,
-    so a huge or infinite bump gives G_MAX.  A step that needs more than
-    MAX_STEPS grid steps is refused before any sampling.
+    so a huge or infinite bump gives G_MAX.  A step past MAX_STEPS grid steps
+    is refused before any sampling; both signs share the grid (_grid_pair).
     """
     if not h > 0.0:  # also refuses nan
         raise ValueError(f"step must be positive, got {h}")
@@ -164,7 +172,7 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     n = round(steps)
     if n < 2 or abs(n * h - 0.5) > 1e-9:
         raise ValueError(f"step {h:g} must evenly divide the half period")
-    samples = eval_G_pair(i * h for i in range(n + 1))[spec.sign is SignVariant.PLUS]  # index 1 is the plus sign
+    samples = _grid_pair(h, n)[spec.sign is SignVariant.PLUS]  # index 1 is the plus sign
     entries = []
     for i in range(n + 1):
         left = samples[i - 1] if i > 0 else samples[1]
@@ -186,6 +194,11 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     return table
 
 
+@lru_cache(maxsize=1)  # the latest grid, so that both signs' tables of one step share its eval_G_pair pass
+def _grid_pair(h: float, n: int) -> tuple[list[float], list[float]]:
+    return eval_G_pair(i * h for i in range(n + 1))
+
+
 def default_max_table(spec: TrigSquare) -> LocalMaxTable:
     """The standard table at step 1/1000 with matching bump."""
     return locate_maxima(spec, 0.001, 0.001)
@@ -200,7 +213,4 @@ def variation_bound_power(table: LocalMaxTable, t: float) -> float:
     """
     if not t >= 0.0:  # also refuses nan
         raise ValueError(f"power must be nonnegative, got {t}")
-    try:
-        return 2.0 * fsum(e.multiplicity * e.value_upper**t for e in table.entries)
-    except OverflowError:  # beyond the float range: infinite, still an upper bound
-        return math.inf
+    return 2.0 * overflow_to_inf(fsum, (e.multiplicity * e.value_upper**t for e in table.entries))

@@ -14,7 +14,9 @@ exact half-period moments (``parseval_integral``), the paper's fourth-root
 step rule (``required_steps``), and the per-key bounds ``q_reference`` (a node
 sum, behind the Q tables) and ``term_integral_reference`` (an integral over
 the period, behind the refined error bound), which the package computes from
-shared ingredients.
+shared ingredients.  The |H''''| bounds of one (t, j) are written out from the
+per-order brace formulas (``brace_terms_reference``), where the package takes
+the polynomials in t once for all orders.
 """
 
 import math
@@ -22,6 +24,7 @@ from fractions import Fraction
 from math import cos, sin
 
 from majorant.envelope import envelope_max
+from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS
 from majorant.quadrature import _HALF_L2_G2, _HALF_SUP_G1
 from majorant.spectral import torus_integral_upper, torus_power_integral
 from majorant.trigpoly import F2, F3, TWO_PI, SignVariant, TrigSquare, variation_bound_power
@@ -162,3 +165,58 @@ def term_integral_reference(has_gprime, t, j, table):
     else:
         base = torus_integral_upper(t)
     return small + log9_power * base
+
+
+def brace_terms_reference(kind, t, j):
+    """(coefficient, log-power) pairs of one brace polynomial at (t, j), zero terms omitted, every expression written out."""
+    if kind == "quartic":
+        raw = (
+            (float(j * (j - 1) * (j - 2) * (j - 3)), j - 4),
+            ((4.0 * t - 6.0) * j * (j - 1) * (j - 2), j - 3),
+            ((6.0 * t * t - 18.0 * t + 11.0) * j * (j - 1), j - 2),
+            ((2.0 * t**3 - 9.0 * t * t + 11.0 * t - 3.0) * 2.0 * j, j - 1),
+            (t * (t - 1.0) * (t - 2.0) * (t - 3.0), j),
+        )
+    elif kind == "cubic":
+        raw = (
+            (float(j * (j - 1) * (j - 2)), j - 3),
+            (3.0 * (t - 1.0) * j * (j - 1), j - 2),
+            ((3.0 * t * t - 6.0 * t + 2.0) * j, j - 1),
+            (t * (t - 1.0) * (t - 2.0), j),
+        )
+    elif kind == "quadratic":
+        raw = ((float(j * (j - 1)), j - 2), ((2.0 * t - 1.0) * j, j - 1), (t * (t - 1.0), j))
+    else:  # linear
+        raw = ((float(j), j - 1), (t, j))
+    return [(c, p) for c, p in raw if p >= 0 and c != 0.0]
+
+
+def h4_term_bounds_reference(t, j):
+    """The term-form |H''''| bound of one (t, j): (const * |c|, (has_gprime, t + offset, p)) per group and brace term."""
+    return tuple(
+        (const * abs(c), (has_gprime, t + offset, p))
+        for const, offset, kind, has_gprime in _REFINED_GROUPS
+        for c, p in brace_terms_reference(kind, t, j)
+    )
+
+
+def h4_sup_bound_reference(t, j):
+    """The scalar |H''''| bound of one (t, j): each scalar group's brace terms times their envelope maxima on [0, 9], summed."""
+    pieces = [
+        const * abs(c) * envelope_max(t + offset, p, 0.0, 9.0)
+        for const, offset, kind in _SCALAR_GROUPS
+        for c, p in brace_terms_reference(kind, t, j)
+    ]
+    try:
+        return math.fsum(pieces)
+    except OverflowError:
+        return math.inf
+
+
+def refined_error_bound_reference(t, j, n_steps, table):
+    """The refined error bound of one (t, j) for table's sign: each term's integral bound afresh, summed, over 23040 N^4."""
+    try:
+        total = math.fsum([c * term_integral_reference(has_gprime, t_r, j_r, table) for c, (has_gprime, t_r, j_r) in h4_term_bounds_reference(t, j)])
+    except OverflowError:
+        total = math.inf
+    return total / (23040.0 * float(n_steps) ** 4)

@@ -1,13 +1,16 @@
 """Tests for the integrand H = G^t log^j G and its fourth-derivative bounds."""
 
 import math
+import random
+import re
 
 import pytest
 
-from majorant.integrand import _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_sup_bound, h4_term_bounds
+from majorant import integrand
+from majorant.integrand import _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds
 from majorant.trigpoly import SignVariant, TrigSquare, sup_norm_bound
 
-from oracle import eval_G, eval_H, eval_H_second, term_sum_value
+from oracle import eval_G, eval_H, eval_H_second, h4_sup_bound_reference, h4_term_bounds_reference, term_sum_value
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -177,3 +180,60 @@ class TestFourthDerivativeBounds:
             h4_sup_bound(IntegrandSpec(3.9, 0, PLUS))
         with pytest.raises(ValueError, match="t >= 5"):
             h4_term_bounds(IntegrandSpec(4.5, 0, PLUS))
+
+
+# The t of the default proof's batches and of its plain stage, then seeded t in [5, 40]; orders 0..30 and two past any proof.
+BUILDER_POWERS = [5.0, 5.065, 5.23, 5.525, 5.86, 6.0] + [random.Random(17).uniform(5.0, 40.0) for _ in range(6)]
+BUILDER_ORDERS = list(range(31)) + [10**6, 10**15]
+
+
+def bits(terms):
+    """A term list with every float as its hex string, so that equality is bitwise."""
+    return [(c.hex(), has_gprime, t_r.hex(), j_r) for c, (has_gprime, t_r, j_r) in terms]
+
+
+class TestBraceBuilder:
+    """h4_bounds takes the brace polynomials once per t; every bound equals the per-order formula bit for bit."""
+
+    def test_term_lists_equal_the_per_order_reference(self):
+        for t in BUILDER_POWERS:
+            built = h4_bounds(t, [(j, True) for j in BUILDER_ORDERS])
+            for j, terms in zip(BUILDER_ORDERS, built):
+                assert bits(terms) == bits(h4_term_bounds_reference(t, j)), (t, j)
+                assert terms == h4_term_bounds(IntegrandSpec(t, j, MINUS))
+
+    def test_sup_bounds_equal_the_per_order_reference(self):
+        for t in BUILDER_POWERS + [4.0, 4.5]:
+            orders = BUILDER_ORDERS if t > 4.0 else [0]
+            for j, bound in zip(orders, h4_bounds(t, [(j, False) for j in orders])):
+                assert bound.hex() == h4_sup_bound_reference(t, j).hex() == h4_sup_bound(IntegrandSpec(t, j, PLUS)).hex(), (t, j)
+
+    def test_mixed_jobs_keep_their_order_and_kind(self):
+        jobs = [(3, False), (1, True), (0, True), (3, True), (1, False)]
+        bounds = h4_bounds(5.0, jobs)
+        assert bounds[0] == h4_sup_bound_reference(5.0, 3) and bounds[4] == h4_sup_bound_reference(5.0, 1)
+        assert [bounds[1], bounds[2], bounds[3]] == [h4_term_bounds_reference(5.0, j) for j in (1, 0, 3)]
+
+    def test_brace_polynomials_are_taken_once_per_call(self, monkeypatch):
+        calls = []
+        real = integrand._brace_rows
+        monkeypatch.setattr(integrand, "_brace_rows", lambda t: calls.append(t) or real(t))
+        h4_bounds(5.525, [(j, j % 2 == 0) for j in range(31)])
+        assert calls == [5.525]
+
+    def test_jobs_are_checked_in_job_order(self):
+        """The first job that a bound refuses names the error, as when each job was built on its own."""
+        with pytest.raises(ValueError, match="nonnegative integer, got -1"):
+            h4_bounds(5.5, [(1, True), (-1, True), (10**80, True)])
+        with pytest.raises(ValueError, match=r"j ~ 10\^80\.0 is too large"):
+            h4_bounds(5.5, [(1, True), (10**80, True), (-1, True)])
+        with pytest.raises(ValueError, match="t >= 5"):
+            h4_bounds(4.5, [(0, False), (0, True)])
+
+    @pytest.mark.parametrize("t", [math.inf, 1e80, 5e102])
+    def test_power_whose_polynomials_overflow_is_refused(self, t):
+        """At t = inf the brace polynomials are inf - inf; an overflowing polynomial is refused by name, never a nan or inf bound."""
+        message = "^" + re.escape(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float") + "$"
+        for call in (h4_sup_bound, h4_term_bounds):
+            with pytest.raises(ValueError, match=message):
+                call(IntegrandSpec(t, 2, PLUS))

@@ -1,6 +1,7 @@
 """Tests for the proof pipeline, configuration handling, reports, and the CLI."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -321,6 +322,26 @@ class TestReports:
         with pytest.raises(ValueError, match="json.*text"):
             emit_report(default_report, "yaml")
 
+    def test_json_is_the_asdict_rendering(self, default_report):
+        """The report dict is built field by field, in place of dataclasses.asdict, with the same bytes."""
+        assert emit_report(default_report) == json.dumps(dataclasses.asdict(default_report), indent=2) + "\n"
+
+    def test_inconclusive_json_is_the_asdict_rendering(self):
+        """A failed certificate stage has None fields and warnings; they render as asdict renders them."""
+        report = prove_k5(merge_config({"stages": {D4: {"steps": 50}, "gap_d1_at_5": {"steps": 50}}}))
+        assert report.verdict == "INCONCLUSIVE"
+        by_name = {s.name: s for s in report.stages}
+        assert by_name[D4].estimate is None and by_name[D4].margin is None and len(by_name[D4].warnings) == 3
+        assert by_name["endpoint_gap_zero"].margin is None and by_name["gap_d1_at_5"].warnings
+        assert emit_report(report) == json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+
+    def test_import_leaves_hashlib_unloaded(self):
+        """Only config_hash needs hashlib, which loads OpenSSL, so the table, derivative and maxima commands skip it."""
+        code = "import sys, majorant; print('hashlib' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
 
 class TestTables:
     def test_all_ids_render(self):
@@ -449,6 +470,12 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith(f"error: power t = {float(t)!r} is too large to evaluate"), mode
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["plain", "refined"])
+    def test_derivative_infinite_power_exit_two(self, mode, capsys):
+        """At t = inf the |H''''| bound would be nan; t is refused by name before any node work."""
+        assert majorant.cli.main(["derivative", "--order", "1", "--t", "inf", "--steps", "10", "--mode", mode]) == 2
+        assert capsys.readouterr() == ("", "error: power t = inf is too large to evaluate: the fourth-derivative bound overflows a float\n")
 
     def test_derivative_huge_order_exit_two(self, capsys):
         """From order ~ 1.2e77 the falling factorials of the |H''''| bound pass the float range; the order is refused as j."""

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from majorant import quadrature
 from majorant.certify import TaylorCertificate, eval_cert_poly
 from majorant.envelope import envelope_max
-from majorant.integrand import IntegrandSpec, h4_term_bounds
+from majorant.integrand import IntegrandSpec, h4_bounds, h4_term_bounds
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5, reproduce_table
 from majorant.quadrature import (
     MAX_STEPS,
@@ -33,7 +34,7 @@ from majorant.spectral import power_integral_bound, torus_integral_upper
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
-from oracle import eval_G, eval_G_derivative, eval_H, q_reference, sign_factor, term_integral_reference
+from oracle import eval_G, eval_G_derivative, eval_H, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -182,25 +183,28 @@ class TestDeterminism:
         assert lookups == [640] * 10  # one lookup per sign of each of the 5 gap_derivatives calls
 
     def test_proof_builds_each_term_list_once(self, monkeypatch):
-        """Term lists are sign-free, so a proof builds one per refined (t, j), not one per sign."""
+        """Term lists are sign-free, so a proof builds one per refined (t, j), not one per sign, from one h4_bounds call per batch."""
         calls = []
-        real = quadrature.h4_term_bounds
-        monkeypatch.setattr(quadrature, "h4_term_bounds", lambda spec: calls.append((spec.t, spec.j)) or real(spec))
+        real = quadrature.h4_bounds
+        monkeypatch.setattr(quadrature, "h4_bounds", lambda t, jobs: calls.append([(t, j) for j, refined in jobs if refined]) or real(t, jobs))
         prove_k5()
-        assert len(calls) == 37
+        assert sum(map(len, calls)) == 37
+        assert len(calls) == 5  # one per gap_derivatives batch
 
     def test_proof_computes_each_small_range_term_once(self, monkeypatch):
-        """The envelope part of the term integrals is sign-free, so one refined pass per call serves both signs.
+        """The small-range part of the term integrals is sign-free, so one refined pass per call serves both signs.
 
-        Measured: 201 calls from quadrature per warm proof, one per key with
-        j > 0 of each call, half the 402 of one pass per sign.
+        Measured: 201 small-range terms per warm proof, one per key with j > 0
+        of each call, half the 402 of one pass per sign; each batch makes one
+        _sign_free_parts pass, which computes each distinct key's term once.
         """
-        calls = []
-        real = quadrature.envelope_max
+        passes = []
+        real = quadrature._sign_free_parts
         prove_k5()  # warm
-        monkeypatch.setattr(quadrature, "envelope_max", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(quadrature, "_sign_free_parts", lambda keys, weights: passes.append(real(keys, weights)) or passes[-1])
         prove_k5()
-        assert len(calls) == 201
+        assert sum(1 for parts, _ in passes for _, _, j in parts if j != 0) == 201
+        assert len(passes) == 5
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640])
     def test_each_chunk_holds_its_own_nodes_in_descending_order(self, n, monkeypatch):
@@ -366,19 +370,28 @@ class TestQPass:
                     checked += 1
         assert checked == 2 * 221
 
-    @pytest.mark.parametrize("table_id,envelopes", [("Q500", 5), ("Q400", 10)])
-    def test_each_table_computes_each_ingredient_once(self, monkeypatch, table_id, envelopes):
-        """Per table: one variation per (sign, power), one torus bound per power, one envelope term per key.
+    @pytest.mark.parametrize("table_id,small_terms", [("Q500", 5), ("Q400", 10)])
+    def test_each_table_computes_each_ingredient_once(self, monkeypatch, table_id, small_terms):
+        """Per table: one variation per (sign, power), one torus bound per power, one small-range term per key.
 
         Both tables use the powers 1..4 for variations and 2, 3, 4, 6 for torus
-        bounds; Q500 has 5 keys with j > 0, Q400 has 10.
+        bounds; Q500 has 5 keys with j > 0, Q400 has 10, all from one
+        _sign_free_parts pass.
         """
         calls = collections.Counter()
-        for name in ("variation_bound_power", "torus_integral_upper", "envelope_max"):
+        for name in ("variation_bound_power", "torus_integral_upper"):
             real = getattr(quadrature, name)
             monkeypatch.setattr(quadrature, name, lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
+        real_parts = quadrature._sign_free_parts
+
+        def counting(keys, weights):
+            parts, kinds = real_parts(keys, weights)
+            calls.update(["_sign_free_parts"] + ["small_range_term" for _, _, j in parts if j != 0])
+            return parts, kinds
+
+        monkeypatch.setattr(quadrature, "_sign_free_parts", counting)
         reproduce_table(table_id)
-        assert calls == {"variation_bound_power": 8, "torus_integral_upper": 4, "envelope_max": envelopes}
+        assert calls == {"variation_bound_power": 8, "torus_integral_upper": 4, "_sign_free_parts": 1, "small_range_term": small_terms}
 
 
 class TestNodeSumBounds:
@@ -594,3 +607,26 @@ class TestGapDerivative:
         """An order whose falling factorials pass the float range is refused before any node work, naming j."""
         with pytest.raises(ValueError, match=r"^log exponent j ~ 10\^80\.0 is too large"):
             gap_derivative(10**80, 5.5, 100, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rejects_infinite_power_before_node_work(self, mode, pair_calls):
+        """At t = inf the |H''''| bound would be nan (inf - inf in its polynomials); t is refused before any cosine."""
+        _NODE_TABLE.clear()
+        with pytest.raises(ValueError, match=r"^power t = inf is too large to evaluate: the fourth-derivative bound overflows a float$"):
+            gap_derivative(1, math.inf, 10, mode)
+        assert pair_calls == []
+
+
+# The t of the default proof's batches, then seeded t in [5, 40]; orders 0..30 and two past any proof.
+BOUND_POWERS = [5.0, 5.065, 5.23, 5.525, 5.86, 6.0] + [random.Random(1717).uniform(5.0, 40.0) for _ in range(4)]
+BOUND_ORDERS = list(range(31)) + [10**6, 10**15]
+
+
+@pytest.mark.parametrize("n", [1, 255, 640, 3000])
+def test_refined_bounds_equal_the_per_order_reference(n, tables):
+    """Each batch's refined error bounds, both signs, are bitwise the per-(t, j) brace formula with every key integral afresh."""
+    for t in BOUND_POWERS:
+        term_lists = h4_bounds(t, [(j, True) for j in BOUND_ORDERS])
+        for table, bounds in zip(tables, refined_error_bounds(term_lists, tables, n)):
+            expected = [refined_error_bound_reference(t, j, n, table) for j in BOUND_ORDERS]
+            assert [b.hex() for b in bounds] == [e.hex() for e in expected], (t, n, table.sign)

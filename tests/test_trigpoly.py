@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from majorant import trigpoly
 from majorant.quadrature import _node_chunks
 from majorant.trigpoly import (
     G_MAX,
@@ -228,6 +229,18 @@ class TestLocateMaxima:
         assert locate_maxima(plus_square, 0.001, 0.001) is locate_maxima(
             plus_square, 0.001, 0.001
         )
+
+    def test_one_grid_pass_fills_both_default_tables(self, plus_square, minus_square, plus_table, minus_table, monkeypatch):
+        """From cleared caches, both signs' default tables come from one eval_G_pair pass, each as before and cached again."""
+        calls = []
+        real = trigpoly.eval_G_pair
+        monkeypatch.setattr(trigpoly, "eval_G_pair", lambda xs: calls.append(1) or real(xs))
+        locate_maxima.cache_clear()
+        trigpoly._grid_pair.cache_clear()
+        plus, minus = default_max_table(plus_square), default_max_table(minus_square)
+        assert len(calls) == 1
+        assert (plus, minus) == (plus_table, minus_table)  # equal to the tables built before the caches were cleared
+        assert default_max_table(plus_square) is plus and default_max_table(minus_square) is minus
 
 
 class TestVariationBound:
