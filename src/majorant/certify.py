@@ -20,8 +20,8 @@ against endpoint bounds until it contradicts a monotone tail.  The method names
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import factorial, fsum
+from typing import NamedTuple
 
 from .envelope import envelope_max
 from .quadrature import gap_derivatives
@@ -42,8 +42,7 @@ class BudgetError(ValueError):
     """A certificate's error accounting failed; the message names the culprit."""
 
 
-@dataclass(frozen=True)
-class TaylorCertificate:
+class TaylorCertificate(NamedTuple):
     """A certified degree-n expansion of the base_order-th gap derivative."""
 
     center: float
@@ -57,8 +56,7 @@ class TaylorCertificate:
     total_delta: float
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(NamedTuple):
     """Outcome of a sign check on an interval; inconclusive is a value, not an error."""
 
     interval: tuple[float, float]
@@ -189,10 +187,8 @@ def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
             f"t={t} outside certified window [{cert.center - cert.radius}, "
             f"{cert.center + cert.radius}]"
         )
-    u = t - cert.center
-    return fsum(
-        cert.coeffs[j] / factorial(j - m) * u ** (j - m) for j in range(m, cert.degree + 1)
-    )
+    u, coeffs = t - cert.center, cert.coeffs  # coeffs read once, not once per term
+    return fsum(coeffs[j] / factorial(j - m) * u ** (j - m) for j in range(m, cert.degree + 1))
 
 
 def _chain_conditions(cert, delta, a, b, target):
@@ -254,7 +250,7 @@ def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCert
 def _reflect(cert: TaylorCertificate, a: float, b: float) -> TaylorCertificate:
     """Certificate of P(a + b - t), recentred so evaluation code can be reused."""
     coeffs = tuple(c * (-1.0) ** j for j, c in enumerate(cert.coeffs))
-    return replace(cert, center=a + b - cert.center, coeffs=coeffs)
+    return cert._replace(center=a + b - cert.center, coeffs=coeffs)
 
 
 def _tail_negative(cert, m, a):

@@ -19,7 +19,7 @@ refined error bound weighs.  No bound depends on the sign: WORK_M bounds both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .envelope import envelope_max
 from .trigpoly import G_MAX, SignVariant, overflow_to_inf, sup_norm_bound
@@ -48,20 +48,23 @@ _SCALAR_GROUPS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+# A functional NamedTuple base, as for TrigSquare, so that __new__ can check t and j.
+class IntegrandSpec(NamedTuple("IntegrandSpec", [("t", float), ("j", int), ("sign", SignVariant)])):
     """Parameters of H = G^t log^j G for one sign variant of the k = 5 square.
 
     There is no k: the working bounds WORK_M and the quadrature's variation
     constants are proven for k = 5 alone.
     """
 
-    t: float
-    j: int
-    sign: SignVariant
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_power_and_order(self.t, self.j)
+    def __new__(cls, t: float, j: int, sign: SignVariant):
+        _check_power_and_order(t, j)
+        return super().__new__(cls, t, j, sign)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so a replaced field is checked too
+        return cls(*fields)
 
 
 def _check_power_and_order(t: float, j: int) -> None:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .certify import (
     BudgetError,
@@ -216,8 +216,7 @@ REFERENCE_CASCADE = {
 }
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     name: str
     status: str  # "certified" or "failed"
     estimate: float | None
@@ -226,8 +225,7 @@ class StageResult:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(NamedTuple):
     version: str
     case: str
     verdict: str  # "PROVED" or "INCONCLUSIVE"
@@ -440,7 +438,7 @@ def prove_k5(config: dict | None = None) -> ProofReport:
 def emit_report(report: ProofReport, fmt: str = "json") -> str:
     """Serialize a report deterministically (identical runs, identical bytes)."""
     if fmt == "json":
-        return json.dumps(dict(vars(report), stages=[vars(s) for s in report.stages]), indent=2) + "\n"  # asdict's bytes, half its time
+        return json.dumps(dict(report._asdict(), stages=[s._asdict() for s in report.stages]), indent=2) + "\n"  # _asdict keeps the field order, and with it the bytes
     if fmt != "text":
         raise ValueError(f"format must be 'json' or 'text', got {fmt!r}")
     lines = [

@@ -35,7 +35,6 @@ the sign, which each LocalMaxTable carries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import fsum
 from operator import mul
 from typing import NamedTuple
@@ -62,8 +61,7 @@ _LOG_SMALL_END = abs(math.log(_SMALL_END))
 _NODE_TABLE: dict[int, dict[SignVariant, tuple[NodeColumns, ...]]] = {}  # see _node_table
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
+class CertifiedValue(NamedTuple):
     """A numeric estimate together with a proven absolute error bound."""
 
     estimate: float

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, fsum, pi
+from typing import NamedTuple
 
 TWO_PI = 2.0 * pi
 K = 5
@@ -49,24 +49,27 @@ def parse_sign(name) -> SignVariant:
         raise ValueError(f"unknown sign variant {name!r}; expected 'plus' or 'minus'") from None
 
 
-@dataclass(frozen=True)
-class TrigSquare:
+# The fields sit in a functional NamedTuple base: a NamedTuple class body may not define __new__, which checks them.
+class TrigSquare(NamedTuple("TrigSquare", [("k", int), ("sign", SignVariant)])):
     """The squared three-term sum with frequencies 1, 6 and 7.
 
     ``k`` admits only K = 5; it stays a field so that ``TrigSquare(5, sign)``
-    keeps working.
+    keeps working.  ``sign`` is a SignVariant or its label, as parse_sign takes it.
     """
 
-    k: int = K
-    sign: SignVariant = SignVariant.PLUS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k != K:
-            raise ValueError(f"only k = {K} is supported, got k = {self.k}")
+    def __new__(cls, k: int = K, sign: SignVariant | str = SignVariant.PLUS):
+        if k != K:
+            raise ValueError(f"only k = {K} is supported, got k = {k}")
+        return super().__new__(cls, k, parse_sign(sign))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so a replaced field is checked too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class LocalMaxEntry:
+class LocalMaxEntry(NamedTuple):
     """One local maximum of G on the half period.
 
     ``location`` is accurate to within the tabulation step; interior maxima
@@ -80,8 +83,7 @@ class LocalMaxEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class LocalMaxTable:
+class LocalMaxTable(NamedTuple):
     """Certified local-maximum bounds for the G of one sign over [0, 1/2]: the bound layer's one carrier of the sign."""
 
     sign: SignVariant

@@ -45,6 +45,11 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="nonnegative integer"):
                 IntegrandSpec(5.0, j, PLUS)
 
+    def test_replace_checks_too(self):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            IntegrandSpec(5.0, 0, PLUS)._replace(t=0.5)
+        assert IntegrandSpec(5.0, 0, PLUS)._replace(j=2) == IntegrandSpec(5.0, 2, PLUS)
+
     @pytest.mark.parametrize("k", [0, 4, 6, 40])
     def test_rejects_k_other_than_five(self, k):
         """WORK_M holds sup bounds for k = 5 only (k = 40 once got a k = 5 bound), so k is no parameter."""

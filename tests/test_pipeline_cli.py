@@ -1,7 +1,6 @@
 """Tests for the proof pipeline, configuration handling, reports, and the CLI."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -15,10 +14,14 @@ import pytest
 
 import majorant.cli
 import majorant.trigpoly
+from majorant.certify import SignCertificate, TaylorCertificate
+from majorant.integrand import IntegrandSpec
 from majorant.pipeline import (
     CASE_ID,
     DEFAULT_CONFIG,
     TABLE_IDS,
+    ProofReport,
+    StageResult,
     _run_certificate_stage,
     _run_derivative_stage,
     config_hash,
@@ -29,7 +32,8 @@ from majorant.pipeline import (
     reproduce_table,
     validate_config,
 )
-from majorant.quadrature import gap_derivative
+from majorant.quadrature import CertifiedValue, gap_derivative
+from majorant.trigpoly import G_MAX, LocalMaxEntry, SignVariant, TrigSquare, default_max_table
 
 EXPECTED_STAGES = [
     "endpoint_gap_zero",
@@ -73,6 +77,15 @@ FIXED = [
     for field in ("order", "t", "base_order", "target", "intervals")
     if field in stage
 ]
+
+
+def asdict_rendering(value):
+    """The report as dataclasses.asdict rendered it: records become dicts, recursively, and other tuples lists."""
+    if hasattr(value, "_asdict"):
+        return {name: asdict_rendering(v) for name, v in value._asdict().items()}
+    if isinstance(value, (tuple, list)):
+        return [asdict_rendering(v) for v in value]
+    return value
 
 
 def other_value(field, value):
@@ -323,24 +336,51 @@ class TestReports:
             emit_report(default_report, "yaml")
 
     def test_json_is_the_asdict_rendering(self, default_report):
-        """The report dict is built field by field, in place of dataclasses.asdict, with the same bytes."""
-        assert emit_report(default_report) == json.dumps(dataclasses.asdict(default_report), indent=2) + "\n"
+        """The report dict is built field by field from the records' _asdict, with the bytes of a recursive rendering."""
+        assert emit_report(default_report) == json.dumps(asdict_rendering(default_report), indent=2) + "\n"
 
     def test_inconclusive_json_is_the_asdict_rendering(self):
-        """A failed certificate stage has None fields and warnings; they render as asdict renders them."""
+        """A failed certificate stage has None fields and warnings; they render as the recursive rendering does, with pinned bytes."""
         report = prove_k5(merge_config({"stages": {D4: {"steps": 50}, "gap_d1_at_5": {"steps": 50}}}))
         assert report.verdict == "INCONCLUSIVE"
         by_name = {s.name: s for s in report.stages}
         assert by_name[D4].estimate is None and by_name[D4].margin is None and len(by_name[D4].warnings) == 3
         assert by_name["endpoint_gap_zero"].margin is None and by_name["gap_d1_at_5"].warnings
-        assert emit_report(report) == json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+        assert emit_report(report) == json.dumps(asdict_rendering(report), indent=2) + "\n"
+        if platform.libc_ver()[0] == "glibc":  # recorded on glibc 2.36, x86-64, Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0
+            digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
+            assert digest == "0a2b83760771a084ce21f4026bb0bd3902178906e5f3ad53926d159bbbcd021c"
 
-    def test_import_leaves_hashlib_unloaded(self):
-        """Only config_hash needs hashlib, which loads OpenSSL, so the table, derivative and maxima commands skip it."""
-        code = "import sys, majorant; print('hashlib' in sys.modules)"
+    @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect"])
+    def test_import_leaves_module_unloaded(self, module):
+        """Only config_hash needs hashlib, which loads OpenSSL; the records are NamedTuples, so nothing loads dataclasses or inspect."""
+        code = f"import sys, majorant; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "record,field",
+    [
+        (TrigSquare(), "sign"),
+        (LocalMaxEntry(0.0, G_MAX, 1), "value_upper"),
+        (default_max_table(TrigSquare()), "entries"),
+        (IntegrandSpec(5.0, 0, SignVariant.PLUS), "t"),
+        (CertifiedValue(0.0, 0.0, 1, "midpoint"), "error_bound"),
+        (TaylorCertificate(5.0, 0.1, 1, 0, (0.0,), (0.0,), (0.0,), 0.0, 0.0), "coeffs"),
+        (SignCertificate((5.0, 6.0), "positive", "derivative_chain", True, ()), "certified"),
+        (StageResult("stage", "certified", 0.0, 0.0, 0.0), "margin"),
+        (ProofReport("1", CASE_ID, "PROVED", "", None, "", ()), "verdict"),
+    ],
+    ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
+)
+def test_records_are_immutable(record, field):
+    """Neither a field nor a new attribute can be set on any record."""
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
 
 
 class TestTables:

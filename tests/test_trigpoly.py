@@ -66,6 +66,16 @@ class TestEvalG:
         with pytest.raises(ValueError, match="k = 5"):
             TrigSquare(k, SignVariant.MINUS)
 
+    def test_sign_label_is_its_variant(self, plus_square, plus_table):
+        """A label is coerced when the square is built, so its table is that sign's, not the other's."""
+        assert TrigSquare(5, "plus") == plus_square and TrigSquare(5, "plus").sign is SignVariant.PLUS
+        assert default_max_table(TrigSquare(5, "plus")) == plus_table
+        with pytest.raises(ValueError, match="unknown sign variant"):
+            TrigSquare(5, "bogus")
+        assert TrigSquare(5, SignVariant.MINUS)._replace(sign="plus") == plus_square
+        with pytest.raises(ValueError, match="k = 5"):
+            plus_square._replace(k=4)
+
     @pytest.mark.parametrize("sign", list(SignVariant))
     def test_G_has_no_zeros(self, sign):
         """Grid minimum less the curvature slack at a true minimum (where G' = 0) stays positive."""
