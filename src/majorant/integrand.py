@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .envelope import envelope_max
-from .trigpoly import G_MAX, SignVariant, overflow_to_inf, sup_norm_bound
+from .trigpoly import G_MAX, SignVariant, overflow_to_inf, parse_sign, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
@@ -53,14 +53,15 @@ class IntegrandSpec(NamedTuple("IntegrandSpec", [("t", float), ("j", int), ("sig
     """Parameters of H = G^t log^j G for one sign variant of the k = 5 square.
 
     There is no k: the working bounds WORK_M and the quadrature's variation
-    constants are proven for k = 5 alone.
+    constants are proven for k = 5 alone.  ``sign`` is a SignVariant or its
+    label, as parse_sign takes it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, t: float, j: int, sign: SignVariant):
+    def __new__(cls, t: float, j: int, sign: SignVariant | str):
         _check_power_and_order(t, j)
-        return super().__new__(cls, t, j, sign)
+        return super().__new__(cls, t, j, parse_sign(sign))
 
     @classmethod
     def _make(cls, fields):  # _replace builds through _make, so a replaced field is checked too

@@ -40,7 +40,7 @@ from .trigpoly import SignVariant, TrigSquare, default_max_table
 
 REPORT_VERSION = "1"
 CASE_ID = "k5-three-term"
-ENVIRONMENT_NOTE = "IEEE-754 binary64; compensated sums exactly rounded per 256-node chunk; deterministic node order"
+ENVIRONMENT_NOTE = "IEEE-754 binary64; every node sum exactly rounded; deterministic node order"
 
 _NOTE_REFINED_REQUIRED = (
     "plain-mode coefficient errors exceed the leading budget at this center "
@@ -140,8 +140,9 @@ _MAX_PIPELINE_STEPS = 640
 # any non-empty default of it will do (two stages' notes lists are empty).
 _FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items() if v != []}
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
-# The fields that state the argument: a configuration may only repeat their defaults.
-_FIXED_FIELDS = ("order", "t", "base_order", "target", "intervals")
+# The fields that state the argument, by stage, as their defaults' JSON at import: a configuration may only repeat them.
+_FIXED = ("order", "t", "base_order", "target", "intervals")
+_FIXED_JSON = {name: {k: json.dumps(stage[k]) for k in _FIXED if k in stage} for name, stage in DEFAULT_CONFIG["stages"].items()}
 
 # ---------------------------------------------------------------------------
 # Reference values the pipeline is expected to reproduce (regression anchors).
@@ -240,9 +241,14 @@ class ProofReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _copy_lists(value):
+    """value with each list in it copied, at every depth; numbers and strings are immutable and stay shared."""
+    return [_copy_lists(v) for v in value] if isinstance(value, list) else value
+
+
 def merge_config(overrides: dict | None) -> dict:
-    """Deep-merge user overrides onto the default configuration; only None means no overrides."""
-    stages = {name: dict(stage) for name, stage in DEFAULT_CONFIG["stages"].items()}
+    """Deep-merge user overrides onto a copy of the default configuration, lists and all; only None means no overrides."""
+    stages = {name: {k: _copy_lists(v) for k, v in stage.items()} for name, stage in DEFAULT_CONFIG["stages"].items()}
     cfg = {"case": DEFAULT_CONFIG["case"], "stages": stages}
     if overrides is None:
         return cfg
@@ -276,7 +282,8 @@ def _has_json_type(value, prototype) -> bool:
     return isinstance(value, type(prototype))
 
 
-def _validate_stage(stage: dict, default: dict) -> None:
+def _validate_stage(name: str, stage: dict) -> None:
+    default, fixed = DEFAULT_CONFIG["stages"][name], _FIXED_JSON[name]
     unknown, missing = set(stage) - set(default), set(default) - set(stage)
     if unknown or missing:
         raise ValueError(f"unknown fields {sorted(unknown)}, missing fields {sorted(missing)}")
@@ -284,8 +291,8 @@ def _validate_stage(stage: dict, default: dict) -> None:
         if not _has_json_type(value, _FIELD_TYPES[key]):
             kind = _JSON_TYPES[type(_FIELD_TYPES[key])]
             raise ValueError(f"{key} must be a JSON {kind} like its default, got {json.dumps(value)}")
-        if key in _FIXED_FIELDS and json.dumps(value) != json.dumps(default[key]):  # 5 for 5.0 would change config_hash
-            raise ValueError(f"{key} is fixed by the argument at {json.dumps(default[key])}, got {json.dumps(value)}")
+        if key in fixed and json.dumps(value) != fixed[key]:  # 5 for 5.0 would change config_hash
+            raise ValueError(f"{key} is fixed by the argument at {fixed[key]}, got {json.dumps(value)}")
     if "steps" in stage and not 1 <= stage["steps"] <= _MAX_PIPELINE_STEPS:
         raise ValueError(f"steps must be in 1..{_MAX_PIPELINE_STEPS}, got {stage['steps']}")
     if "mode" in stage and stage["mode"] not in MODES:
@@ -310,7 +317,7 @@ def validate_config(cfg: dict) -> None:
         raise ValueError(f"stages must be {list(DEFAULT_CONFIG['stages'])}, in that order")
     for name, stage in cfg["stages"].items():
         try:
-            _validate_stage(stage, DEFAULT_CONFIG["stages"][name])
+            _validate_stage(name, stage)
         except ValueError as exc:
             raise ValueError(f"stage {name!r}: {exc}") from None
 

@@ -23,8 +23,8 @@ term of h4_term_bounds over the period, splitting the range of G at 1/9:
     torus_integral_upper(t), and the integral of G^t |G'| is exactly
     Var(G^(t+1)) / (t+1), bounded by variation_bound_power.
 
-The node layer lives here too: per chunk of the node table, one power row G^t
-(power_row) serves every j, and the table holds G, log G and the powers
+The node layer lives here too: per sign, one power row G^t (power_row) over all
+N nodes serves every j, and the node table holds G, log G and the powers
 (log G)^p asked for, both signs from one cosine pass (see _node_table).  Both
 signs share one h4_bounds call and one term_integrals pass per batch.  That
 pass and the q pass q_values, behind the Q tables, take each key's small-range
@@ -45,7 +45,6 @@ from .trigpoly import G_MAX, MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, 
 from .trigpoly import eval_G_pair, overflow_to_inf, second_deriv_L2, variation_bound_power
 
 MODES = ("plain", "refined")
-_CHUNK = 256
 _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
 
 # Working constants of the node-sum bounds of q_values: half the working sup
@@ -58,7 +57,7 @@ if 2.0 * _HALF_L2_G2 < second_deriv_L2():
 LOG9 = math.log(G_MAX)
 _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
 _LOG_SMALL_END = abs(math.log(_SMALL_END))
-_NODE_TABLE: dict[int, dict[SignVariant, tuple[NodeColumns, ...]]] = {}  # see _node_table
+_NODE_TABLE: dict[int, dict[SignVariant, NodeColumns]] = {}  # see _node_table
 
 
 class CertifiedValue(NamedTuple):
@@ -192,18 +191,15 @@ def refined_error_bound(terms, spec: TrigSquare, n_steps: int, table: LocalMaxTa
     return refined_error_bounds([terms], [table], n_steps)[0][0]
 
 
-def _node_chunks(n_steps: int):
-    """The midpoint nodes x_n = (2n-1)/(4N), n = 1..N, in fixed chunks of _CHUNK."""
+def _nodes(n_steps: int):
+    """The midpoint nodes x_n = (2n-1)/(4N), n = 1..N, lazily, after the step-count check."""
     _check_steps(n_steps)
     denom = 4.0 * n_steps
-    return (
-        [k / denom for k in range(2 * lo - 1, 2 * min(lo + _CHUNK, n_steps + 1) - 1, 2)]  # k = 2n - 1
-        for lo in range(1, n_steps + 1, _CHUNK)
-    )
+    return (k / denom for k in range(1, 2 * n_steps, 2))  # k = 2n - 1
 
 
 class NodeColumns(NamedTuple):
-    """G, in descending order, and log G over one chunk of nodes: everything about them that is free of t and j.
+    """G, in descending order, and log G at the N nodes of one sign: everything about them that is free of t and j.
 
     ``logs`` holds the powers (log G)^p already asked for, by p; they are free
     of t too, so they are kept with the columns and share their lifetime.
@@ -221,23 +217,23 @@ class NodeColumns(NamedTuple):
         return column
 
 
-def _node_table(n_steps: int) -> dict[SignVariant, tuple[NodeColumns, ...]]:
-    """G and log G for each chunk of _CHUNK midpoint nodes, by sign, from one eval_G_pair pass per chunk.
+def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
+    """G and log G at the N midpoint nodes, by sign, from one eval_G_pair pass.
 
     Free of t and j, so every batch at this step count shares it, and so do the
-    log powers each chunk keeps once asked for.  Only the latest step count's
-    table is held (a proof uses one), and it is dropped before another is built.
-    Both signs' columns of a chunk are built before the next chunk's cosines,
-    which measured a lower peak RSS than evaluating every chunk first.  Each
-    chunk's G is sorted descending before log G: fsum keeps fewer partials
-    when the largest terms come first, and is exactly rounded in any order.
+    log powers it keeps once asked for.  Only the latest step count's table is
+    held (a proof uses one), and it is dropped before another is built.  Each
+    sign's G is sorted descending before log G: fsum keeps fewer partials when
+    the largest terms come first, and is exactly rounded in any order.
     """
     _check_steps(n_steps)  # before the lookup, where 100.0 and True would find the table of 100 or of 1
     if n_steps not in _NODE_TABLE:
         _NODE_TABLE.clear()
-        descending = ([sorted(g, reverse=True) for g in eval_G_pair(xs)] for xs in _node_chunks(n_steps))  # lazily
-        chunks = [tuple(NodeColumns(g, tuple(map(math.log, g)), {}) for g in pair) for pair in descending]
-        _NODE_TABLE[n_steps] = dict(zip((SignVariant.MINUS, SignVariant.PLUS), zip(*chunks)))  # (minus, plus) per chunk
+        table = {}
+        for sign, g in zip((SignVariant.MINUS, SignVariant.PLUS), eval_G_pair(_nodes(n_steps))):
+            g.sort(reverse=True)
+            table[sign] = NodeColumns(g, tuple(map(math.log, g)), {})
+        _NODE_TABLE[n_steps] = table
     return _NODE_TABLE[n_steps]
 
 
@@ -257,36 +253,25 @@ def power_row(nodes: NodeColumns, t: float) -> list[float]:
 def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int, float]:
     """Node sums of H = G^t log^j G of one sign for each j in orders, from one node pass.
 
-    Per chunk, the sum of order j is fsum(G^t L^j) with L = log G, exactly
-    rounded in any node order; one more fsum adds the chunk sums in chunk
-    order.  So a total carries up to ceil(N/256) + 1 roundings, where one
-    fsum over all nodes would carry one: in the default proof 16 of the 76
-    per-sign sums are 1 ulp from the exact sum of the rounded products, which
-    a single fsum hits in all 16.  The chunks stay because they are faster
-    (per sum on the sorted table, 46-47 against 50-51 us at N = 640, 216-230
-    against 264-288 us at N = 3000; CPython 3.11, 2-CPU x86-64) and because
-    the report, the T1-T6 tables and the frozen test values come from them.
+    The sum of order j is one fsum(G^t L^j) over all N nodes, with L = log G:
+    the exactly rounded sum of the rounded products, in any node order.
     """
-
-    def node_sum(j, terms):
+    nodes = _node_table(n_steps)[sign]
+    gt = power_row(nodes, t)
+    sums = {}
+    for j in orders:
         try:
-            total = fsum(terms)
+            logs = nodes.log_power(j)
+        except OverflowError:  # at a node with |log G| > 1
+            raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
+        try:
+            total = fsum(map(mul, gt, logs))
         except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
             total = math.nan
         if not math.isfinite(total):  # nan from above, or inf from an H product that overflowed
             raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sum overflows a float")
-        return total
-
-    parts = {j: [] for j in orders}
-    for nodes in _node_table(n_steps)[sign]:
-        gt = power_row(nodes, t)
-        for j in orders:
-            try:
-                logs = nodes.log_power(j)
-            except OverflowError:  # at a node with |log G| > 1
-                raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
-            parts[j].append(node_sum(j, map(mul, gt, logs)))
-    return {j: node_sum(j, p) for j, p in parts.items()}
+        sums[j] = total
+    return sums
 
 
 def _integrate_orders(signs, t: float, n_steps: int, jobs) -> list[list[CertifiedValue]]:

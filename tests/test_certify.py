@@ -136,7 +136,7 @@ class TestBuildCertificate:
             assert math.fsum(cert.termwise_budget) + cert.remainder <= cert.total_delta
 
     def test_frozen_spot_coefficients(self, cert_a, cert_b, cert_d):
-        assert cert_a.coeffs[0] == pytest.approx(0.38173750763962744, rel=1e-12)
+        assert cert_a.coeffs[0] == pytest.approx(0.3817375076469034, rel=1e-12)
         assert cert_a.coeffs[6] == pytest.approx(-8940.145590489265, rel=1e-12)
         assert cert_b.coeffs[8] == pytest.approx(-4474.521415974479, rel=1e-12)
         assert cert_d.coeffs[0] == pytest.approx(-0.9827616166876396, rel=1e-12)
@@ -207,7 +207,7 @@ class TestSignChain:
         verdict = check_sign_chain(cert_a, "positive", (5.0, 5.13))
         assert verdict.certified
         rows = {(r["quantity"], r["order"]): r["value"] for r in verdict.evidence}
-        assert rows[("shifted_value", 0)] == pytest.approx(0.0016940309569170586, rel=1e-9)
+        assert rows[("shifted_value", 0)] == pytest.approx(0.0016940309631856554, rel=1e-9)
         expected_chain = [
             -0.8065026990649153,
             -15.964277705573258,

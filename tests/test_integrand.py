@@ -50,6 +50,16 @@ class TestSpecValidation:
             IntegrandSpec(5.0, 0, PLUS)._replace(t=0.5)
         assert IntegrandSpec(5.0, 0, PLUS)._replace(j=2) == IntegrandSpec(5.0, 2, PLUS)
 
+    def test_sign_label_is_its_variant(self):
+        """A label becomes its SignVariant, as for TrigSquare; any other sign is refused, through _replace too."""
+        assert IntegrandSpec(5.5, 2, "plus").sign is PLUS and IntegrandSpec(5.5, 2, "MINUS").sign is MINUS
+        assert IntegrandSpec(5.5, 2, MINUS)._replace(sign="plus") == IntegrandSpec(5.5, 2, PLUS)
+        for sign in ("bogus", None, 1):
+            with pytest.raises(ValueError, match="unknown sign variant"):
+                IntegrandSpec(5.5, 2, sign)
+        with pytest.raises(ValueError, match="unknown sign variant"):
+            IntegrandSpec(5.5, 2, PLUS)._replace(sign="bogus")
+
     @pytest.mark.parametrize("k", [0, 4, 6, 40])
     def test_rejects_k_other_than_five(self, k):
         """WORK_M holds sup bounds for k = 5 only (k = 40 once got a k = 5 bound), so k is no parameter."""

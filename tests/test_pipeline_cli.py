@@ -116,12 +116,12 @@ TABLE_SHA256 = {
     "A_rho": "00e04b72fa0884bbc54c5392ec40887b6c40b8a182e8bc26058f790fefa2934d",
     "Q500": "4735a5fe4c95225484befd5fa8d8e358714b72e386ca8f67460c4d80c37872e4",
     "Q400": "5e7160ba5716361a23711cfcea88b7afbb803b36e3dc289db145ebed1d0b1c48",
-    "T1": "db10cf5d6bb97b5773065e0c9350b0a81e84f095d27bfa72304d2e55205e8dac",
-    "T2": "3d9ce4ae5831fdcfceffba7a83a5a13564476f652a7a977aab3394ff367186dc",
-    "T3": "ff80d0d46513cf20f83197a7023a30a08ff7bce292da2c6232d65f6bfc99c789",
-    "T4": "2f23ae3746df06d1ff9f71a1da698ac5780a523b5c0c4eb6d6d6f8d6d5ed7501",
-    "T5": "84b31e2f20b6798fcf9f012eeb9d0d4e17a795cf37b936c193464d669d9090f3",
-    "T6": "32df67a842e6d118974d81b04d2e91e0f04ba7fe4d0d3fbe2a86ca050ef2916a",
+    "T1": "5e640255a33d0019d43eedccd1473962b1ed426368fe6dc4f741852b8295d4cb",
+    "T2": "b2d246c02d2ab6539c511f9ef57d93a384ed6e983652f99e8803573ba5536eec",
+    "T3": "c6e7578aa72334e8204bdfa772c069d75fbf4481084ffce5a5f4b6566b4f01e5",
+    "T4": "429ea3a96728f5b58516dab7e353874e875344886185efb436b6f4638a70fa2c",
+    "T5": "5a69234f89db0267d926c194fc25da85de22296f9753c3fcd126654b52ed9ce9",
+    "T6": "70dee90ea3ff045fbd4abc9bbbb92b0b6f4540ac5669b5908616143ada295f4a",
 }
 
 
@@ -136,6 +136,24 @@ class TestConfig:
         assert cfg["stages"]["gap_d1_at_5"]["steps"] == 400
         assert cfg["stages"]["gap_d1_at_5"]["mode"] == "refined"
         assert cfg["stages"]["gap_d2_at_5"] == DEFAULT_CONFIG["stages"]["gap_d2_at_5"]
+
+    def test_merged_config_owns_its_lists(self, default_report):
+        """Editing a merged config's lists leaves DEFAULT_CONFIG, and so a plain proof's report, as they are."""
+        before = json.dumps(DEFAULT_CONFIG)
+        cfg = merge_config(None)
+        cfg["stages"][D4]["budgets"][0] = 0.1
+        cfg["stages"]["gap_d1_on_5.330_5.720"]["intervals"][0][1] = 5.5
+        assert json.dumps(DEFAULT_CONFIG) == before
+        assert emit_report(prove_k5()) == emit_report(default_report)
+        with pytest.raises(ValueError, match=r"^stage 'gap_d1_on_5\.330_5\.720': intervals is fixed by the argument"):
+            validate_config(cfg)
+
+    def test_fixed_fields_are_taken_at_import(self, monkeypatch):
+        """The fixed-field check compares with the defaults' JSON as imported, so an edited DEFAULT_CONFIG moves nothing."""
+        monkeypatch.setitem(DEFAULT_CONFIG["stages"]["gap_d1_on_5.330_5.720"], "intervals", [[5.33, 5.5], [5.56, 5.72]])
+        refusal = "stage 'gap_d1_on_5.330_5.720': intervals is fixed by the argument at [[5.33, 5.56], [5.56, 5.72]], got"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+            validate_config(merge_config(None))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown configuration key"):
@@ -244,11 +262,11 @@ class TestProve:
         assert margins["endpoint_gap_zero"] is None
         assert margins["gap_d1_at_5"] == pytest.approx(0.0011444685189975572, rel=1e-9)
         assert margins["gap_d2_at_5"] == pytest.approx(0.028840577023975206, rel=1e-9)
-        assert margins["gap_d3_at_5"] == pytest.approx(0.037158148546507785, rel=1e-9)
-        assert margins["gap_d4_on_5.000_5.130"] == pytest.approx(0.0016940309569170586, rel=1e-9)
-        assert margins["gap_d1_on_5.130_5.330"] == pytest.approx(0.004183404982826701, rel=1e-9)
-        assert margins["gap_d1_on_5.330_5.720"] == pytest.approx(0.013254175331453599, rel=1e-9)
-        assert margins["gap_d2_on_5.720_6.000"] == pytest.approx(0.011374125928522105, rel=1e-9)
+        assert margins["gap_d3_at_5"] == pytest.approx(0.03715814854286981, rel=1e-9)
+        assert margins["gap_d4_on_5.000_5.130"] == pytest.approx(0.0016940309631856554, rel=1e-9)
+        assert margins["gap_d1_on_5.130_5.330"] == pytest.approx(0.004183404982501709, rel=1e-9)
+        assert margins["gap_d1_on_5.330_5.720"] == pytest.approx(0.013254175331730003, rel=1e-9)
+        assert margins["gap_d2_on_5.720_6.000"] == pytest.approx(0.011374125926484846, rel=1e-9)
 
     def test_mode_notes_surface_on_wide_stages(self, default_report):
         by_name = {s.name: s for s in default_report.stages}
@@ -309,7 +327,7 @@ class TestReports:
     def test_default_report_bytes_are_pinned(self):
         """The default JSON report is the behavioural contract; hash recorded on glibc 2.36, x86-64, Python 3.11.7."""
         digest = hashlib.sha256(emit_report(prove_k5(), "json").encode("utf-8")).hexdigest()
-        assert digest == "edc758ed3368006859824b419470c6aaf62d7539113b11025942f9068eaa066a"
+        assert digest == "b8202409c097f762d25c29b34f2eabf52ba8574cc9d0750bffaffb7c9a81307f"
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the hashes were recorded with glibc's libm")
     @pytest.mark.parametrize("table_id,digest", TABLE_SHA256.items())
@@ -349,7 +367,7 @@ class TestReports:
         assert emit_report(report) == json.dumps(asdict_rendering(report), indent=2) + "\n"
         if platform.libc_ver()[0] == "glibc":  # recorded on glibc 2.36, x86-64, Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0
             digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
-            assert digest == "0a2b83760771a084ce21f4026bb0bd3902178906e5f3ad53926d159bbbcd021c"
+            assert digest == "725ec3c705ae5bbea8e1c43b19380c9fab27aab4318dae04c73bb9213ce679c8"
 
     @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect"])
     def test_import_leaves_module_unloaded(self, module):

@@ -20,8 +20,8 @@ from majorant.quadrature import (
     _h_node_sums,
     _integrate_orders,
     _NODE_TABLE,
-    _node_chunks,
     _node_table,
+    _nodes,
     _plain_error,
     gap_derivative,
     gap_derivatives,
@@ -44,13 +44,18 @@ def pair_calls(monkeypatch):
     """The arguments of each eval_G_pair call the node table makes while the test runs, one list of nodes per call."""
     calls = []
     real = quadrature.eval_G_pair
-    monkeypatch.setattr(quadrature, "eval_G_pair", lambda xs: calls.append(xs) or real(xs))
+
+    def recording(xs):
+        calls.append(list(xs))
+        return real(calls[-1])
+
+    monkeypatch.setattr(quadrature, "eval_G_pair", recording)
     return calls
 
 
 def midpoint_sum(f, n):
-    """The midpoint estimate of the integral of f over [0, 1/2], chunked as the package chunks it."""
-    return math.fsum([math.fsum(map(f, xs)) for xs in _node_chunks(n)]) / (2.0 * n)
+    """The midpoint estimate of the integral of f over [0, 1/2], one fsum over the nodes as the package sums it."""
+    return math.fsum(map(f, _nodes(n))) / (2.0 * n)
 
 
 class TestMidpointRule:
@@ -99,22 +104,20 @@ class TestMidpointRule:
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640, 3000, 99991])
     def test_nodes_are_the_rounded_midpoints(self, n):
-        """Node k of N is (2k-1)/(4N) rounded once to a float, 256 nodes per chunk, the last chunk partial."""
-        chunks = list(_node_chunks(n))
-        assert [len(xs) for xs in chunks] == [min(256, n - lo) for lo in range(0, n, 256)]
+        """Node k of N is (2k-1)/(4N) rounded once to a float, in node order."""
         exact = [float(Fraction(2 * k - 1, 4 * n)).hex() for k in range(1, n + 1)]
-        assert [x.hex() for xs in chunks for x in xs] == exact
+        assert [x.hex() for x in _nodes(n)] == exact
 
     def test_step_count_validation(self):
         with pytest.raises(ValueError, match="step count"):
-            _node_chunks(0)
+            _nodes(0)
         with pytest.raises(ValueError, match="step count"):
-            _node_chunks(MAX_STEPS + 1)
+            _nodes(MAX_STEPS + 1)
 
     def test_boolean_step_count_is_refused(self):
         """True equals 1 but is no step count: it would run one node and report steps=True."""
         with pytest.raises(ValueError, match="step count"):
-            _node_chunks(True)
+            _nodes(True)
         with pytest.raises(ValueError, match="step count"):
             gap_derivative(1, 5.5, True)
 
@@ -122,7 +125,7 @@ class TestMidpointRule:
         """100.0 is no step count either, with the table of 100 cached or not (the rule runs before the lookup)."""
         refusal = rf"step count must be an integer in 1\.\.{MAX_STEPS}, got 100\.0"
         with pytest.raises(ValueError, match=refusal):
-            _node_chunks(100.0)
+            _nodes(100.0)
         _NODE_TABLE.clear()
         with pytest.raises(ValueError, match=refusal):
             gap_derivative(1, 5.5, 100.0)
@@ -144,9 +147,9 @@ class TestDeterminism:
         jobs = [(1, "refined"), (3, "plain"), (6, "refined")]
         _NODE_TABLE.clear()
         cold = gap_derivatives(5.4, 500, jobs)
-        assert len(pair_calls) == 2  # one cosine pass per chunk of 256 nodes, for both signs
+        assert len(pair_calls) == 1  # one cosine pass per table build, for both signs
         warm = gap_derivatives(5.4, 500, jobs)
-        assert len(pair_calls) == 2  # the warm call finds both signs in the table
+        assert len(pair_calls) == 1  # the warm call finds both signs in the table
         for c, w in zip(cold, warm):
             assert c.estimate.hex() == w.estimate.hex()  # bitwise, not approximately
             assert c.error_bound.hex() == w.error_bound.hex()
@@ -159,17 +162,16 @@ class TestDeterminism:
         _NODE_TABLE.clear()
         for n in (120, 300, 257):
             gap_derivative(1, 5.5, n, "plain")
-        assert held_while_building == [[]] * 5  # 1 + 2 + 2 chunks, none built beside another table
+        assert held_while_building == [[]] * 3  # one build per step count, none beside another table
         assert list(_NODE_TABLE) == [257]
         assert set(_NODE_TABLE[257]) == {PLUS, MINUS}
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640, 3000])
-    def test_cold_call_makes_one_cosine_pass_per_chunk(self, n, pair_calls):
-        """Both signs come from one eval_G_pair call per chunk of 256 nodes: ceil(N/256) calls, not twice that."""
+    def test_cold_build_makes_one_cosine_pass(self, n, pair_calls):
+        """Both signs come from one eval_G_pair call over all N nodes, in node order, per table build."""
         _NODE_TABLE.clear()
         gap_derivatives(5.5, n, [(1, "refined"), (2, "plain")])
-        assert len(pair_calls) == -(-n // 256)
-        assert [len(xs) for xs in pair_calls] == [min(256, n - lo) for lo in range(0, n, 256)]
+        assert pair_calls == [list(_nodes(n))]
 
     def test_warm_proof_makes_no_node_table_misses(self, monkeypatch, pair_calls):
         """One table holds both signs of the default proof's one step count, so a warm proof evaluates no G."""
@@ -207,38 +209,38 @@ class TestDeterminism:
         assert len(passes) == 5
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640])
-    def test_each_chunk_holds_its_own_nodes_in_descending_order(self, n, monkeypatch):
-        """Chunk k of each sign holds the G of eval_G_pair's k-th call, sorted non-increasing, and log G follows it.
+    def test_each_sign_holds_all_nodes_in_descending_order(self, n, monkeypatch):
+        """Each sign's column holds the G of all N nodes from eval_G_pair, sorted non-increasing, and log G follows it.
 
         fsum is exactly rounded whatever the order of its terms, and runs
-        faster with the largest first; the chunks and their sizes stay.
+        faster with the largest first.
         """
         outputs = []
         real = quadrature.eval_G_pair
 
         def recording(xs):
             pair = real(xs)
-            outputs.append([list(g) for g in pair])  # copies, in grid order
+            outputs.append([list(g) for g in pair])  # copies, in node order
             return pair
 
         monkeypatch.setattr(quadrature, "eval_G_pair", recording)
         _NODE_TABLE.clear()
         table = _node_table(n)
-        assert [len(minus) for minus, _ in outputs] == [min(256, n - lo) for lo in range(0, n, 256)]
-        for i, sign in enumerate((MINUS, PLUS)):
-            assert len(table[sign]) == len(outputs)
-            for chunk, pair in zip(table[sign], outputs):
-                assert all(a >= b for a, b in zip(chunk.g, chunk.g[1:])), sign
-                assert sorted(chunk.g) == sorted(pair[i]), sign
-                assert chunk.ell == tuple(map(math.log, chunk.g)), sign
+        assert len(outputs) == 1
+        for sign, node_order in zip((MINUS, PLUS), outputs[0]):
+            column = table[sign]
+            assert len(column.g) == n, sign
+            assert all(a >= b for a, b in zip(column.g, column.g[1:])), sign
+            assert sorted(column.g) == sorted(node_order), sign
+            assert column.ell == tuple(map(math.log, column.g)), sign
 
     def test_log_columns_live_with_the_node_table(self):
-        """(log G)^p is kept on the table's chunks once asked for, and rebuilt with the table."""
+        """(log G)^p is kept on the table's columns once asked for, and rebuilt with the table."""
         orders = [0, 3, 7]
         warm = _h_node_sums(PLUS, 5.3, orders, 500)
-        assert all(set(chunk.logs) >= {0, 3, 7} for chunk in _node_table(500)[PLUS])
+        assert set(_node_table(500)[PLUS].logs) >= {0, 3, 7}
         _NODE_TABLE.clear()
-        assert all(chunk.logs == {} for chunk in _node_table(500)[PLUS])
+        assert _node_table(500)[PLUS].logs == {}
         cold = _h_node_sums(PLUS, 5.3, orders, 500)
         assert {j: v.hex() for j, v in cold.items()} == {j: v.hex() for j, v in warm.items()}
 
@@ -260,15 +262,24 @@ def default_proof_passes():
     return passes
 
 
+def pointwise_products(spec, n):
+    """eval_H at the midpoint nodes, in node order: the rounded products whose sum a node sum stands for."""
+    return [eval_H(spec, (2 * i - 1) / (4.0 * n)) for i in range(1, n + 1)]
+
+
 def pointwise_node_sum(spec, n):
-    """Chunked fsum of eval_H over the midpoint nodes, 256 per chunk."""
-    xs = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
-    return math.fsum([math.fsum(eval_H(spec, x) for x in xs[lo:lo + 256]) for lo in range(0, n, 256)])
+    """One fsum of eval_H over the midpoint nodes, in node order."""
+    return math.fsum(pointwise_products(spec, n))
 
 
 class TestBatchedNodeSums:
     def test_bitwise_equal_to_pointwise_reference(self):
-        """One batched pass per (sign, t, N) reproduces every pointwise H sum, hence every estimate, exactly."""
+        """Each of the default proof's 76 per-sign sums is the exactly rounded sum of its rounded products.
+
+        The products are the pointwise oracle's G^t log^j G; their sum is taken
+        exactly in Fractions and rounded once.  One batched pass per (sign, t, N)
+        gives that float, hence every estimate, and so does one fsum in node order.
+        """
         passes = default_proof_passes()
         assert sum(len(jobs) for jobs in passes.values()) == 38
         for (t, n), jobs in passes.items():
@@ -276,11 +287,13 @@ class TestBatchedNodeSums:
             for sign in (PLUS, MINUS):
                 batched = _h_node_sums(sign, t, sorted(orders), n)
                 for j in orders:
-                    assert batched[j].hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (t, n, j, sign)
+                    products = pointwise_products(IntegrandSpec(t, j, sign), n)
+                    exact = float(sum(map(Fraction, products)))
+                    assert batched[j].hex() == exact.hex() == math.fsum(products).hex(), (t, n, j, sign)
 
     @pytest.mark.parametrize("n", [1, 255, 257, 3000])
     def test_sums_off_the_proof_grid_equal_node_order_reference(self, n):
-        """Sums over the descending chunks equal the node-order reference bit for bit, at (t, N) the proof never uses."""
+        """Sums over the descending columns equal the node-order reference bit for bit, at (t, N) the proof never uses."""
         for sign, t in itertools.product((PLUS, MINUS), (5.0, 5.37, 6.0)):
             for j, v in _h_node_sums(sign, t, [0, 1, 4, 9], n).items():
                 assert v.hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, t, j)
@@ -303,9 +316,9 @@ class TestBatchedNodeSums:
     def test_single_order_sums_match_batch_and_oracle(self):
         """A one-order pass, as one gap_derivative call makes, and gapped batches agree with the full batch.
 
-        At N = 777 the last chunk is partial (777 = 3 * 256 + 9).  Every order
-        0..10 alone, and the batches {1, 3} and {0, 4, 9}, give bitwise the H
-        sums of the batch {0..10}, and those match the pointwise oracle bitwise.
+        At N = 777, every order 0..10 alone, and the batches {1, 3} and
+        {0, 4, 9}, give bitwise the H sums of the batch {0..10}, and those
+        match the pointwise oracle bitwise.
         """
         t, n = 5.7, 777
         for sign in (PLUS, MINUS):
@@ -444,26 +457,13 @@ class TestNodeSumBounds:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_overflowing_node_sum_is_refused(self, mode):
-        """At t = 323.0, 9^t and every G^t at the 1000 nodes are finite but a chunk's node sum is not.
+        """At t = 323.0, 9^t and every G^t at the 1000 nodes are finite but their node sum is not.
 
-        power_row computes every G^t; the node sum that passes the float range
+        power_row computes every G^t; the one fsum that passes the float range
         is refused by _h_node_sums, naming the order and t.
         """
         with pytest.raises(ValueError, match=r"^log order 0 at power t = 323\.0 is too large to evaluate: its node sum overflows"):
             gap_derivative(0, 323.0, 1000, mode)
-
-    def test_overflowing_total_of_chunk_sums_is_refused(self):
-        """At N = 100000 and t = 320.3 every 256-node chunk sum is finite, but their total is not.
-
-        The plus square's peak G(0) = 9 then spreads over many chunks, so the
-        overflow comes from the fsum that adds the chunk sums; it is refused
-        like the others, not raised as an OverflowError.
-        """
-        try:
-            with pytest.raises(ValueError, match=r"^log order 0 at power t = 320\.3 is too large to evaluate: its node sum overflows"):
-                gap_derivative(0, 320.3, 100_000, "plain")
-        finally:
-            _NODE_TABLE.clear()  # both signs' tables of 100000 nodes
 
     def test_overflowing_log_power_gives_infinity(self, plus_table):
         """log(9)^j beyond the float range is an infinite bound, not an OverflowError."""
@@ -478,7 +478,7 @@ class TestNodeSumBounds:
         """A step count the node pass refuses has no node sum to bound, so both bound passes refuse it too."""
         terms = h4_term_bounds(IntegrandSpec(5.5, 1, PLUS))
         for call in (
-            lambda: _node_chunks(n_steps),
+            lambda: _nodes(n_steps),
             lambda: q_values([(False, 5.0, 1)], [plus_table], n_steps),
             lambda: refined_error_bounds([terms], [plus_table], n_steps),
         ):
@@ -574,7 +574,7 @@ class TestGapDerivative:
         assert d2.estimate == pytest.approx(0.033815603115726844, rel=1e-12)
         assert d2.error_bound == pytest.approx(0.004975026091751638, rel=1e-12)
         d3 = gap_derivative(3, 5.0, 640, "plain")
-        assert d3.estimate == pytest.approx(0.18354763425304554, rel=1e-12)
+        assert d3.estimate == pytest.approx(0.18354763424940757, rel=1e-12)
         assert d3.error_bound == pytest.approx(0.14638948570653776, rel=1e-12)
 
     def test_tracks_oracle(self, half_period_oracle):

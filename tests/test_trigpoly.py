@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from majorant import trigpoly
-from majorant.quadrature import _node_chunks
+from majorant.quadrature import _nodes
 from majorant.trigpoly import (
     G_MAX,
     SignVariant,
@@ -133,9 +133,8 @@ class TestJet:
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640, 3000])
     def test_pair_is_bitwise_at_the_midpoint_nodes(self, n):
-        """At every node of the N-node rule, chunk by chunk as the node table evaluates them."""
-        for xs in _node_chunks(n):
-            assert_pair_matches_oracle(xs)
+        """At every node of the N-node rule, as the node table evaluates them."""
+        assert_pair_matches_oracle(list(_nodes(n)))
 
     def test_pair_is_bitwise_on_the_default_maxima_grid(self):
         """On the grid locate_maxima samples for default_max_table: step 1/1000 over [0, 1/2]."""
