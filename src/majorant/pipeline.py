@@ -140,8 +140,8 @@ _MAX_PIPELINE_STEPS = 640
 # any non-empty default of it will do (two stages' notes lists are empty).
 _FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items() if v != []}
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
-# The fields that state the argument, by stage, as their defaults' JSON at import: a configuration may only repeat them.
-_FIXED = ("order", "t", "base_order", "target", "intervals")
+# Fields a configuration may only repeat, by stage, as their defaults' JSON at import: the argument's, and notes (printed raw).
+_FIXED = ("order", "t", "base_order", "target", "intervals", "notes")
 _FIXED_JSON = {name: {k: json.dumps(stage[k]) for k in _FIXED if k in stage} for name, stage in DEFAULT_CONFIG["stages"].items()}
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def _validate_stage(name: str, stage: dict) -> None:
             kind = _JSON_TYPES[type(_FIELD_TYPES[key])]
             raise ValueError(f"{key} must be a JSON {kind} like its default, got {json.dumps(value)}")
         if key in fixed and json.dumps(value) != fixed[key]:  # 5 for 5.0 would change config_hash
-            raise ValueError(f"{key} is fixed by the argument at {fixed[key]}, got {json.dumps(value)}")
+            raise ValueError(f"{key} is fixed at {fixed[key]}, got {json.dumps(value)}")
     if "steps" in stage and not 1 <= stage["steps"] <= _MAX_PIPELINE_STEPS:
         raise ValueError(f"steps must be in 1..{_MAX_PIPELINE_STEPS}, got {stage['steps']}")
     if "mode" in stage and stage["mode"] not in MODES:

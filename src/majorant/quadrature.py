@@ -23,11 +23,12 @@ term of h4_term_bounds over the period, splitting the range of G at 1/9:
     torus_integral_upper(t), and the integral of G^t |G'| is exactly
     Var(G^(t+1)) / (t+1), bounded by variation_bound_power.
 
-The node layer lives here too: per sign, one power row G^t (power_row) over all
-N nodes serves every j, and the node table holds G, log G and the powers
-(log G)^p asked for, both signs from one cosine pass (see _node_table).  Both
-signs share one h4_bounds call and one term_integrals pass per batch.  That
-pass and the q pass q_values, behind the Q tables, take each key's small-range
+The node layer lives here too: per sign, one row G^t over all N nodes serves
+every j (_h_node_sums), and the node table holds G, log G and the powers
+(log G)^p asked for, both signs from one cosine pass (see _node_table).
+gap_derivatives assembles each certified gap value from both signs' node sums,
+one h4_bounds call and one term_integrals pass per batch.  That pass and the
+q pass q_values, behind the Q tables, take each key's small-range
 term in closed form (_sign_free_parts); only their variation bounds depend on
 the sign, which each LocalMaxTable carries.
 """
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 from .integrand import WORK_M, h4_bounds
 from .spectral import torus_integral_upper
-from .trigpoly import G_MAX, MAX_STEPS, LocalMaxTable, SignVariant, TrigSquare, default_max_table
+from .trigpoly import G_MAX, MAX_STEPS, SIGN_PAIR, LocalMaxTable, SignVariant, TrigSquare, default_max_table
 from .trigpoly import eval_G_pair, overflow_to_inf, second_deriv_L2, variation_bound_power
 
 MODES = ("plain", "refined")
@@ -73,10 +74,6 @@ def _check_steps(n_steps: int) -> None:
     """The one step-count rule of the node pass and both bound passes: an int in 1..MAX_STEPS."""
     if type(n_steps) is not int or not 1 <= n_steps <= MAX_STEPS:  # refuses True (== 1) and 100.0 too
         raise ValueError(f"step count must be an integer in 1..{MAX_STEPS}, got {n_steps!r}")
-
-
-def _plain_error(sup4: float, n_steps: int) -> float:
-    return sup4 / (_ERR_DENOM * float(n_steps) ** 4)
 
 
 def _sign_free_parts(keys, weights) -> tuple[dict, dict]:
@@ -201,20 +198,13 @@ def _nodes(n_steps: int):
 class NodeColumns(NamedTuple):
     """G, in descending order, and log G at the N nodes of one sign: everything about them that is free of t and j.
 
-    ``logs`` holds the powers (log G)^p already asked for, by p; they are free
-    of t too, so they are kept with the columns and share their lifetime.
+    ``logs`` holds the powers (log G)^p asked for so far (by _h_node_sums), by
+    p; they are free of t too, so they are kept with the columns.
     """
 
     g: list[float]
     ell: tuple[float, ...]
     logs: dict[int, list[float]]
-
-    def log_power(self, p: int) -> list[float]:
-        """(log G)^p at the nodes, computed on first request.  May raise OverflowError."""
-        column = self.logs.get(p)
-        if column is None:
-            column = self.logs[p] = [v**p for v in self.ell]
-        return column
 
 
 def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
@@ -230,40 +220,34 @@ def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
     if n_steps not in _NODE_TABLE:
         _NODE_TABLE.clear()
         table = {}
-        for sign, g in zip((SignVariant.MINUS, SignVariant.PLUS), eval_G_pair(_nodes(n_steps))):
+        for sign, g in zip(SIGN_PAIR, eval_G_pair(_nodes(n_steps))):
             g.sort(reverse=True)
             table[sign] = NodeColumns(g, tuple(map(math.log, g)), {})
         _NODE_TABLE[n_steps] = table
     return _NODE_TABLE[n_steps]
 
 
-def power_row(nodes: NodeColumns, t: float) -> list[float]:
-    """G^t at the nodes: the one factor of H = G^t log^j G that depends on t but not on j.
-
-    g**t raises OverflowError rather than return inf, so an entry beyond the
-    float range is refused here, naming t; a row whose sum overflows is
-    refused by _h_node_sums.
-    """
-    try:
-        return [g**t for g in nodes.g]
-    except OverflowError:
-        raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
-
-
 def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int, float]:
     """Node sums of H = G^t log^j G of one sign for each j in orders, from one node pass.
 
-    The sum of order j is one fsum(G^t L^j) over all N nodes, with L = log G:
-    the exactly rounded sum of the rounded products, in any node order.
+    One row G^t over all N nodes serves every j; (log G)^j is kept in the node
+    table once asked for.  The sum of order j is one fsum(G^t L^j) over all N
+    nodes, L = log G: the exactly rounded sum of the rounded products.  An entry
+    G^t or L^j, or a node sum, beyond the float range is refused, naming t or j.
     """
     nodes = _node_table(n_steps)[sign]
-    gt = power_row(nodes, t)
+    try:
+        gt = [g**t for g in nodes.g]
+    except OverflowError:
+        raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
     sums = {}
     for j in orders:
-        try:
-            logs = nodes.log_power(j)
-        except OverflowError:  # at a node with |log G| > 1
-            raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
+        logs = nodes.logs.get(j)
+        if logs is None:
+            try:
+                logs = nodes.logs[j] = [v**j for v in nodes.ell]
+            except OverflowError:  # at a node with |log G| > 1
+                raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
         try:
             total = fsum(map(mul, gt, logs))
         except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
@@ -274,46 +258,39 @@ def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int,
     return sums
 
 
-def _integrate_orders(signs, t: float, n_steps: int, jobs) -> list[list[CertifiedValue]]:
-    """Certified integrals of G^t log^j G over [0, 1/2]: per sign in signs, one per (j, mode) in jobs.
-
-    The |H''''| bounds of all jobs come from one h4_bounds call: they depend
-    on t and j alone, so the signs share them and one refined_error_bounds pass.
-    """
-    for _, mode in jobs:  # before any node work
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    bounds = h4_bounds(t, [(j, mode == "refined") for j, mode in jobs])
-    orders = sorted({j for j, _ in jobs})
-    sums = [_h_node_sums(sign, t, orders, n_steps) for sign in signs]
-    refined = [terms for terms, (_, mode) in zip(bounds, jobs) if mode == "refined"]
-    refined_errors = refined_error_bounds(refined, [default_max_table(TrigSquare(5, sign)) for sign in signs], n_steps)
-    values = []
-    for sign_sums, errors in zip(sums, map(iter, refined_errors)):
-        row = []
-        for bound, (j, mode) in zip(bounds, jobs):
-            err = _plain_error(bound, n_steps) if mode == "plain" else next(errors)
-            row.append(CertifiedValue(sign_sums[j] / (2.0 * n_steps), err, n_steps, mode))
-        values.append(row)
-    return values
-
-
 def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:
     """Certified gap derivatives at t, one per (order, mode) in jobs; no jobs give no values.
 
     Differentiating the mean of G^t in t brings down log^order G, so the
     derivative of the gap is the difference of the two sign variants'
     integrals of H = G^t log^order G over the half period (both variants are
-    even, so the half-period integral is half the mean).  The estimate is
-    minus-variant minus plus-variant; error bounds add.
+    even, so the half-period integral is half the mean).  The estimate is the
+    minus variant's node sum over 2N less the plus variant's; the error bound
+    adds the two variants' bounds.  Those depend on the sign only through the
+    maxima tables, so one h4_bounds call serves both signs: each sign's plain
+    bound is the sup bound over 23040 N^4, and one refined_error_bounds pass
+    gives both signs' refined bounds.
     """
     if not jobs:
         return []
-    minus, plus = _integrate_orders((SignVariant.MINUS, SignVariant.PLUS), t, n_steps, jobs)
-    return [
-        CertifiedValue(m.estimate - p.estimate, m.error_bound + p.error_bound, n_steps, mode)
-        for m, p, (_, mode) in zip(minus, plus, jobs)
-    ]
+    for _, mode in jobs:  # before any node work
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    bounds = h4_bounds(t, [(j, mode == "refined") for j, mode in jobs])
+    orders = sorted({j for j, _ in jobs})
+    minus, plus = [_h_node_sums(sign, t, orders, n_steps) for sign in SIGN_PAIR]
+    refined = [terms for terms, (_, mode) in zip(bounds, jobs) if mode == "refined"]
+    tables = [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
+    minus_errors, plus_errors = map(iter, refined_error_bounds(refined, tables, n_steps))
+    two_n, plain_scale = 2.0 * n_steps, _ERR_DENOM * float(n_steps) ** 4
+    values = []
+    for bound, (j, mode) in zip(bounds, jobs):
+        if mode == "plain":
+            e_minus = e_plus = bound / plain_scale
+        else:
+            e_minus, e_plus = next(minus_errors), next(plus_errors)
+        values.append(CertifiedValue(minus[j] / two_n - plus[j] / two_n, e_minus + e_plus, n_steps, mode))
+    return values
 
 
 def gap_derivative(order: int, t: float, n_steps: int, mode: str = "refined") -> CertifiedValue:

@@ -54,35 +54,20 @@ def torus_power_integral(rho: int) -> int:
     return sum(c * c for c in fourier_coeffs_pow(SignVariant.PLUS, rho))
 
 
-def power_integral_bound(tau: float, rho: int) -> float:
-    """Upper bound for the integral of G^tau over [0, 1/2] from the exact rho-th moment.
-
-    For tau >= rho, G^tau <= G_MAX^(tau-rho) * G^rho pointwise.  For
-    tau <= rho, Jensen's inequality on the unit-mass period gives
-    mean(G^tau) <= mean(G^rho)^(tau/rho).  Both reduce to the exact integer
-    moment A(rho); the half-period bound is half the full-period one.
-    """
-    if not tau > 0.0:  # also refuses nan
-        raise ValueError(f"power must be positive, got {tau}")
-    if not 1 <= rho <= _MAX_RHO:
-        raise ValueError(f"anchor exponent must satisfy 1 <= rho <= k+1 = {_MAX_RHO}, got {rho}")
-    a = float(torus_power_integral(rho))
-    if tau >= rho:
-        return 0.5 * overflow_to_inf(pow, G_MAX, tau - rho) * a
-    return 0.5 * a ** (tau / rho)
-
-
 def torus_integral_upper(t: float) -> float:
     """Upper bound for the mean of G^t over one period, exact at integer t <= 6.
 
-    Non-integer (or large) powers take the best of the anchored bounds over
-    all admissible integer moments.
+    Any other power takes the least of six bounds, one anchored at each exact
+    integer moment A(rho), rho = 1..6.  For t >= rho, G^t <= G_MAX^(t-rho) G^rho
+    pointwise, so the mean is at most G_MAX^(t-rho) A(rho); for t < rho,
+    Jensen's inequality on the unit-mass period gives A(rho)^(t/rho).
     """
     if not t > 0.0:  # also refuses nan
         raise ValueError(f"power must be positive, got {t}")
     if float(t).is_integer() and t <= _MAX_RHO:
         return float(torus_power_integral(int(t)))
-    return min(2.0 * power_integral_bound(t, rho) for rho in range(1, _MAX_RHO + 1))
+    anchors = ((rho, float(torus_power_integral(rho))) for rho in range(1, _MAX_RHO + 1))
+    return min(overflow_to_inf(pow, G_MAX, t - rho) * a if t >= rho else a ** (t / rho) for rho, a in anchors)
 
 
 def endpoint_difference_zero() -> bool:

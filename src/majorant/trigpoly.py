@@ -96,8 +96,11 @@ class LocalMaxTable(NamedTuple):
         return sum(e.multiplicity for e in self.entries)
 
 
+SIGN_PAIR = (SignVariant.MINUS, SignVariant.PLUS)  # the signs of eval_G_pair's two lists, in order
+
+
 def eval_G_pair(xs) -> tuple[list[float], list[float]]:
-    """(minus, plus): G = 3 + 2 (c1 + s c6 + s c7) of both signs at each x of xs, each c_v = cos(2 pi v x) taken once."""
+    """G = 3 + 2 (c1 + s c6 + s c7) at each x of xs, one list per sign of SIGN_PAIR, each c_v = cos(2 pi v x) taken once."""
     w2, w3 = TWO_PI * F2, TWO_PI * F3
     minus, plus = [], []
     for x in xs:
@@ -174,7 +177,7 @@ def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
     n = round(steps)
     if n < 2 or abs(n * h - 0.5) > 1e-9:
         raise ValueError(f"step {h:g} must evenly divide the half period")
-    samples = _grid_pair(h, n)[spec.sign is SignVariant.PLUS]  # index 1 is the plus sign
+    samples = _grid_pair(h, n)[SIGN_PAIR.index(spec.sign)]
     entries = []
     for i in range(n + 1):
         left = samples[i - 1] if i > 0 else samples[1]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from majorant.quadrature import _integrate_orders
+from majorant.integrand import h4_bounds
+from majorant.quadrature import CertifiedValue, _h_node_sums, refined_error_bounds
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table
 
 
@@ -39,8 +40,18 @@ def rng():
 
 
 def one_sign_integral(sign, t, n_steps, j, mode):
-    """One sign's certified integral of G^t log^j G over [0, 1/2], as gap_derivatives computes it."""
-    return _integrate_orders([sign], t, n_steps, [(j, mode)])[0][0]
+    """One sign's certified integral of G^t log^j G over [0, 1/2], from the parts gap_derivatives assembles.
+
+    The estimate is the sign's node sum over 2N; the error bound is the plain
+    sup bound over 23040 N^4, or the refined bound on the sign's maxima table.
+    """
+    (bound,) = h4_bounds(t, [(j, mode == "refined")])
+    estimate = _h_node_sums(sign, t, [j], n_steps)[j] / (2.0 * n_steps)
+    if mode == "refined":
+        error = refined_error_bounds([bound], [default_max_table(TrigSquare(5, sign))], n_steps)[0][0]
+    else:
+        error = bound / (23040.0 * float(n_steps) ** 4)
+    return CertifiedValue(estimate, error, n_steps, mode)
 
 
 def numpy_G(x, sign):

@@ -10,8 +10,9 @@ here is the chain rule term by term; the package does not evaluate it, and
 the tests use it to check the |H''''| bounds by finite differences.
 
 It also keeps closed forms the package does not evaluate one at a time: the
-exact half-period moments (``parseval_integral``), the paper's fourth-root
-step rule (``required_steps``), and the per-key bounds ``q_reference`` (a node
+exact half-period moments (``parseval_integral``), the six anchored bounds
+for the mean of G^t (``torus_anchor_bounds``), the paper's fourth-root step
+rule (``required_steps``), and the per-key bounds ``q_reference`` (a node
 sum, behind the Q tables) and ``term_integral_reference`` (an integral over
 the period, behind the refined error bound), which the package computes from
 shared ingredients.  The |H''''| bounds of one (t, j) are written out from the
@@ -103,6 +104,28 @@ def term_sum_value(terms, trig, x):
 def parseval_integral(rho):
     """Exact integral of G^rho over the half period [0, 1/2], as a fraction."""
     return Fraction(torus_power_integral(rho), 2)
+
+
+TORUS_MOMENTS = (1, 3, 15, 93, 639, 4653, 35169)  # the mean of G^rho over one period, rho = 0..6 (Parseval)
+
+
+def torus_anchor_bounds(t):
+    """The six full-period bounds for the mean of G^t, one per exact moment A(rho), rho = 1..6.
+
+    9^(t-rho) A(rho) for t >= rho, from G <= 9 pointwise (infinite beyond the
+    float range), and A(rho)^(t/rho) below, by Jensen's inequality.
+    """
+    anchors = []
+    for rho in range(1, 7):
+        a = float(TORUS_MOMENTS[rho])
+        if t < rho:
+            anchors.append(a ** (t / rho))
+            continue
+        try:
+            anchors.append(9.0 ** (t - rho) * a)
+        except OverflowError:
+            anchors.append(math.inf)
+    return anchors
 
 
 PAPER_ERR_DENOM = 60.0 * 2**10  # the paper's corrected midpoint rule errs by at most sup|f''''| / (61440 N^4)

@@ -207,36 +207,36 @@ class TestSignChain:
         verdict = check_sign_chain(cert_a, "positive", (5.0, 5.13))
         assert verdict.certified
         rows = {(r["quantity"], r["order"]): r["value"] for r in verdict.evidence}
-        assert rows[("shifted_value", 0)] == pytest.approx(0.0016940309631856554, rel=1e-9)
+        assert rows[("shifted_value", 0)] == pytest.approx(0.0016940309631856554, rel=1e-12)
         expected_chain = [
-            -0.8065026990649153,
-            -15.964277705573258,
-            -103.81631240218665,
-            -496.9504606376079,
-            -1940.2778727383761,
-            -8940.145590490196,
+            -0.8065026990503629,
+            -15.964277705573288,
+            -103.81631240218522,
+            -496.9504606376513,
+            -1940.277872737738,
+            -8940.145590489265,
         ]
         for m, ref in enumerate(expected_chain, start=1):
-            assert rows[("derivative", m)] == pytest.approx(ref, rel=1e-9)
+            assert rows[("derivative", m)] == pytest.approx(ref, rel=1e-12)
         assert all("orientation" not in r for r in verdict.evidence)
 
     def test_last_interval_negative(self, cert_d):
         verdict = check_sign_chain(cert_d, "negative", (5.72, 6.0))
         assert verdict.certified
         rows = {(r["quantity"], r["order"]): r["value"] for r in verdict.evidence}
-        assert rows[("shifted_value", 0)] == pytest.approx(-0.011374125928522105, rel=1e-9)
+        assert rows[("shifted_value", 0)] == pytest.approx(-0.011374125926484846, rel=1e-12)
         expected_chain = [
-            -3.226759089062916,
-            -21.525764045541987,
-            -110.71187852467465,
-            -483.62648438088524,
-            -1873.4022691477255,
-            -6804.708219318975,
-            -19454.556827396616,
-            -105414.59926776215,
+            -3.226759089085085,
+            -21.525764045491215,
+            -110.7118785246236,
+            -483.6264843808991,
+            -1873.4022691467958,
+            -6804.708219318939,
+            -19454.556827397137,
+            -105414.59926775843,
         ]
         for m, ref in enumerate(expected_chain, start=1):
-            assert rows[("derivative", m)] == pytest.approx(ref, rel=1e-9)
+            assert rows[("derivative", m)] == pytest.approx(ref, rel=1e-12)
 
     def test_reflected_orientation_rescues_mirrored_case(self):
         """A rising linear certificate only closes after reflection."""

@@ -22,6 +22,7 @@ from majorant.pipeline import (
     TABLE_IDS,
     ProofReport,
     StageResult,
+    _FIXED_JSON,
     _run_certificate_stage,
     _run_derivative_stage,
     config_hash,
@@ -74,7 +75,7 @@ MALFORMED_CONFIGS = [
 FIXED = [
     (name, field)
     for name, stage in DEFAULT_CONFIG["stages"].items()
-    for field in ("order", "t", "base_order", "target", "intervals")
+    for field in ("order", "t", "base_order", "target", "intervals", "notes")
     if field in stage
 ]
 
@@ -95,6 +96,8 @@ def other_value(field, value):
     if field == "intervals":
         (a, b), *rest = value
         return [[a, (a + b) / 2], *rest]
+    if field == "notes":
+        return [*value, "x"]
     return value + (0.05 if field == "t" else 1)
 
 
@@ -145,13 +148,13 @@ class TestConfig:
         cfg["stages"]["gap_d1_on_5.330_5.720"]["intervals"][0][1] = 5.5
         assert json.dumps(DEFAULT_CONFIG) == before
         assert emit_report(prove_k5()) == emit_report(default_report)
-        with pytest.raises(ValueError, match=r"^stage 'gap_d1_on_5\.330_5\.720': intervals is fixed by the argument"):
+        with pytest.raises(ValueError, match=r"^stage 'gap_d1_on_5\.330_5\.720': intervals is fixed at"):
             validate_config(cfg)
 
     def test_fixed_fields_are_taken_at_import(self, monkeypatch):
         """The fixed-field check compares with the defaults' JSON as imported, so an edited DEFAULT_CONFIG moves nothing."""
         monkeypatch.setitem(DEFAULT_CONFIG["stages"]["gap_d1_on_5.330_5.720"], "intervals", [[5.33, 5.5], [5.56, 5.72]])
-        refusal = "stage 'gap_d1_on_5.330_5.720': intervals is fixed by the argument at [[5.33, 5.56], [5.56, 5.72]], got"
+        refusal = "stage 'gap_d1_on_5.330_5.720': intervals is fixed at [[5.33, 5.56], [5.56, 5.72]], got"
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
             validate_config(merge_config(None))
 
@@ -179,21 +182,29 @@ class TestConfig:
             validate_config(merge_config({"stages": {D4: {"center": 5.5, "radius": 0.1}}}))
 
     def test_every_fixed_field_is_counted(self):
-        """18 of the 64 stage fields state the argument; the other 46 are tunable."""
-        assert len(FIXED) == 18
-        assert sum(map(len, DEFAULT_CONFIG["stages"].values())) - len(FIXED) == 46
+        """22 of the 64 stage fields are fixed: 18 state the argument and 4 are notes; the other 42 are tunable."""
+        assert set(FIXED) == {(name, field) for name, fields in _FIXED_JSON.items() for field in fields}
+        assert len(FIXED) == 22 and sum(field == "notes" for _, field in FIXED) == 4
+        assert sum(map(len, DEFAULT_CONFIG["stages"].values())) - len(FIXED) == 42
+
+    def test_default_notes_may_be_repeated(self):
+        """A config may repeat each stage's default notes, empty lists included, and validates as the default does."""
+        notes = {name: {"notes": list(stage["notes"])} for name, stage in DEFAULT_CONFIG["stages"].items() if "notes" in stage}
+        cfg = merge_config({"stages": notes})
+        validate_config(cfg)
+        assert cfg == merge_config(None)
 
     @pytest.mark.parametrize("stage,field", FIXED)
     def test_fixed_field_refuses_other_value(self, stage, field):
         default = DEFAULT_CONFIG["stages"][stage][field]
         value = other_value(field, default)
-        refusal = f"stage {stage!r}: {field} is fixed by the argument at {json.dumps(default)}, got {json.dumps(value)}"
+        refusal = f"stage {stage!r}: {field} is fixed at {json.dumps(default)}, got {json.dumps(value)}"
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             validate_config(merge_config({"stages": {stage: {field: value}}}))
 
     def test_fixed_field_refuses_another_spelling(self):
         """5 equals 5.0 but would change config_hash, so only the default's own JSON is accepted."""
-        with pytest.raises(ValueError, match=r"^stage 'gap_d1_at_5': t is fixed by the argument at 5\.0, got 5$"):
+        with pytest.raises(ValueError, match=r"^stage 'gap_d1_at_5': t is fixed at 5\.0, got 5$"):
             validate_config(merge_config({"stages": {D1: {"t": 5}}}))
 
     def test_default_config_states_the_argument(self):
@@ -483,8 +494,18 @@ class TestCli:
         result = run_cli("prove", "--config", str(cfg))
         assert result.returncode == 2
         assert result.stderr == (
-            "error: stage 'gap_d4_on_5.000_5.130': intervals is fixed by the argument at [[5.0, 5.13]], got [[6.0, 7.0]]\n"
+            "error: stage 'gap_d4_on_5.000_5.130': intervals is fixed at [[5.0, 5.13]], got [[6.0, 7.0]]\n"
         )
+
+    def test_prove_forged_notes_exit_two(self, tmp_path):
+        """Notes are printed raw in the text report, so a config that could set them could forge a stage and a verdict."""
+        forged = "x\n\n[certified] gap_d4_on_5.000_5.130\nverdict: PROVED"
+        cfg = tmp_path / "forged.json"
+        cfg.write_text(json.dumps({"stages": {D4: {"steps": 50, "notes": [forged]}}}), encoding="utf-8")
+        result = run_cli("prove", "--config", str(cfg), "--format", "text")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"error: stage {D4!r}: notes is fixed at ")
+        assert result.stderr.count("\n") == 1
 
     def test_malformed_config_exit_two_without_traceback(self, tmp_path):
         cfg = tmp_path / "null.json"
@@ -550,7 +571,7 @@ class TestCli:
         cfg.write_text(json.dumps({"stages": {"gap_d1_at_5": {"order": 1000}}}), encoding="utf-8")
         result = run_cli("prove", "--config", str(cfg))
         assert result.returncode == 2
-        assert result.stderr == "error: stage 'gap_d1_at_5': order is fixed by the argument at 1, got 1000\n"
+        assert result.stderr == "error: stage 'gap_d1_at_5': order is fixed at 1, got 1000\n"
         assert result.stdout == ""
 
     @pytest.mark.parametrize("overrides,stage,field", OTHER_ARGUMENTS)
@@ -559,7 +580,7 @@ class TestCli:
         cfg.write_text(json.dumps(overrides), encoding="utf-8")
         assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: stage {stage!r}: {field} is fixed by the argument at ")
+        assert out == "" and err.startswith(f"error: stage {stage!r}: {field} is fixed at ")
         assert err.count("\n") == 1
 
     def test_config_degree_past_factorial_range_exit_two(self, tmp_path, capsys):

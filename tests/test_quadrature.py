@@ -11,18 +11,17 @@ import pytest
 from majorant import quadrature
 from majorant.certify import TaylorCertificate, eval_cert_poly
 from majorant.envelope import envelope_max
-from majorant.integrand import IntegrandSpec, h4_bounds, h4_term_bounds
+from majorant.integrand import IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5, reproduce_table
 from majorant.quadrature import (
     MAX_STEPS,
     MODES,
     CertifiedValue,
+    _ERR_DENOM,
     _h_node_sums,
-    _integrate_orders,
     _NODE_TABLE,
     _node_table,
     _nodes,
-    _plain_error,
     gap_derivative,
     gap_derivatives,
     q_values,
@@ -30,7 +29,7 @@ from majorant.quadrature import (
     refined_error_bounds,
     term_integrals,
 )
-from majorant.spectral import power_integral_bound, torus_integral_upper
+from majorant.spectral import torus_integral_upper
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
@@ -70,7 +69,7 @@ class TestMidpointRule:
         frequency 1..2N-1 integrates to 0 exactly, up to rounding.
         """
         assert midpoint_sum(lambda x: math.cos(4.0 * math.pi * n * x), n) == pytest.approx(-0.5, rel=1e-12)
-        bound = _plain_error((4.0 * math.pi * n) ** 4 * 2.0 / math.pi, n)
+        bound = (4.0 * math.pi * n) ** 4 * 2.0 / math.pi / (_ERR_DENOM * float(n) ** 4)  # the plain bound's form
         assert bound == pytest.approx(512.0 * math.pi**3 / 23040.0, rel=1e-12)
         assert 0.5 < bound < 0.69
         for k in range(1, 2 * n):
@@ -330,19 +329,29 @@ class TestBatchedNodeSums:
                 assert batch[j] == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, j)
 
     def test_shared_refined_pass_equals_one_sign_bound(self):
-        """Every refined per-sign error bound of the default proof is bitwise refined_error_bound on that sign."""
-        checked = 0
+        """Every gap value of the default proof is bitwise its two signs' parts, each computed alone.
+
+        The estimate is the minus node sum over 2N less the plus one.  The
+        error is the sum of the two signs' bounds: refined_error_bound on each
+        sign's table, or the plain sup bound over 23040 N^4, twice.
+        """
+        checked = collections.Counter()
         for (t, n), jobs in default_proof_passes().items():
-            per_sign = _integrate_orders((MINUS, PLUS), t, n, jobs)
-            for sign, values in zip((MINUS, PLUS), per_sign):
-                trig = TrigSquare(5, sign)
-                for (j, mode), value in zip(jobs, values):
-                    if mode == "refined":
-                        terms = h4_term_bounds(IntegrandSpec(t, j, sign))
-                        single = refined_error_bound(terms, trig, n, default_max_table(trig))
-                        assert value.error_bound.hex() == single.hex(), (sign, t, j, n)
-                        checked += 1
-        assert checked == 2 * 37
+            for (j, mode), value in zip(jobs, gap_derivatives(t, n, jobs)):
+                minus, plus = (_h_node_sums(sign, t, [j], n)[j] for sign in (MINUS, PLUS))
+                assert value.estimate.hex() == (minus / (2.0 * n) - plus / (2.0 * n)).hex(), (t, j, n)
+                if mode == "refined":
+                    trigs = [TrigSquare(5, sign) for sign in (MINUS, PLUS)]
+                    e_minus, e_plus = (
+                        refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, trig.sign)), trig, n, default_max_table(trig))
+                        for trig in trigs
+                    )
+                else:
+                    e_minus = e_plus = h4_sup_bound(IntegrandSpec(t, j, PLUS)) / (23040.0 * float(n) ** 4)
+                assert value.error_bound.hex() == (e_minus + e_plus).hex(), (t, j, n, mode)
+                assert (value.steps, value.method) == (n, mode)
+                checked[mode] += 1
+        assert checked == {"refined": 37, "plain": 1}
 
     def test_batch_matches_single_order_calls(self):
         jobs = [(1, "refined"), (4, "plain"), (2, "refined")]
@@ -459,8 +468,8 @@ class TestNodeSumBounds:
     def test_overflowing_node_sum_is_refused(self, mode):
         """At t = 323.0, 9^t and every G^t at the 1000 nodes are finite but their node sum is not.
 
-        power_row computes every G^t; the one fsum that passes the float range
-        is refused by _h_node_sums, naming the order and t.
+        _h_node_sums computes every G^t, and refuses the one fsum that passes
+        the float range, naming the order and t.
         """
         with pytest.raises(ValueError, match=r"^log order 0 at power t = 323\.0 is too large to evaluate: its node sum overflows"):
             gap_derivative(0, 323.0, 1000, mode)
@@ -502,7 +511,6 @@ class TestNodeSumBounds:
             ),
             pytest.param(lambda sq, tb: variation_bound_power(tb, math.nan), id="variation_bound_power"),
             pytest.param(lambda sq, tb: torus_integral_upper(math.nan), id="torus_integral_upper"),
-            pytest.param(lambda sq, tb: power_integral_bound(math.nan, 3), id="power_integral_bound"),
             pytest.param(lambda sq, tb: envelope_max(math.nan, 2, 0.0, 9.0), id="envelope_max"),
             pytest.param(lambda sq, tb: sup_norm_bound(math.nan), id="sup_norm_bound"),
             pytest.param(
@@ -520,7 +528,7 @@ class TestNodeSumBounds:
 
 
 class TestIntegrateH:
-    """One sign's certified integral of H, through _integrate_orders."""
+    """One sign's certified integral of H, from the parts gap_derivatives assembles (conftest.one_sign_integral)."""
 
     def test_refined_tracks_oracle(self, half_period_oracle):
         for t, j, sign in ((5.0, 1, PLUS), (5.0, 1, MINUS), (5.23, 2, MINUS)):

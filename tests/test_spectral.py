@@ -1,5 +1,6 @@
 """Tests for the exact frequency-side arithmetic."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,13 @@ import pytest
 from majorant.spectral import (
     endpoint_difference_zero,
     fourier_coeffs_pow,
-    power_integral_bound,
     torus_integral_upper,
     torus_power_integral,
 )
 from majorant.trigpoly import SignVariant
 
 from conftest import numpy_G
-from oracle import parseval_integral
+from oracle import TORUS_MOMENTS, parseval_integral, torus_anchor_bounds
 
 
 def convolution_coeffs(sign: SignVariant, rho: int) -> list[int]:
@@ -76,6 +76,7 @@ class TestTorusPowerIntegral:
         assert [torus_power_integral(rho) for rho in range(7)] == [
             1, 3, 15, 93, 639, 4653, 35169,
         ]
+        assert TORUS_MOMENTS == (1, 3, 15, 93, 639, 4653, 35169)  # the oracle's copy
 
     @pytest.mark.parametrize("rho", range(7))
     def test_matches_convolution_parseval(self, rho):
@@ -104,12 +105,19 @@ class TestPowerIntegralBound:
         assert torus_integral_upper(10.0) == pytest.approx(230743809.0, rel=1e-12)
 
     def test_half_period_bound_cases(self):
-        # above the anchor: scale by the global maximum
-        assert power_integral_bound(7.0, 6) == pytest.approx(0.5 * 9.0 * 35169.0, rel=1e-12)
-        # below the anchor: normalized-measure mean inequality
-        assert power_integral_bound(3.0, 6) == pytest.approx(
-            0.5 * 35169.0 ** (3.0 / 6.0), rel=1e-12
-        )
+        """Both anchor branches, exactly: each full-period bound is twice the half-period one it stands for."""
+        # above the anchor: scale by the global maximum (rho = 6 gives the least)
+        assert torus_integral_upper(7.0) == 9.0 * 35169.0 == 316521.0
+        # below the anchor: Jensen's inequality on the unit-mass period (rho = 5 gives the least)
+        assert torus_integral_upper(4.9) == 4653.0 ** (4.9 / 5.0) == 3929.87187601025
+
+    def test_least_anchor_on_seeded_sweep(self, rng):
+        """Off the integers 1..6, the bound is bitwise the least of the oracle's six anchors, up to and past overflow."""
+        powers = np.concatenate([rng.uniform(0.0, 400.0, 2000), rng.uniform(0.0, 8.0, 500), [1e-300, 5e-324, 322.9, 323.5]])
+        for t in map(float, powers):
+            if t > 0.0 and not (t.is_integer() and t <= 6):
+                assert torus_integral_upper(t).hex() == min(torus_anchor_bounds(t)).hex(), t
+        assert torus_integral_upper(400.0) == math.inf
 
     @pytest.mark.parametrize("tau", [1.3, 2.5, 5.5, 6.2, 7.9, 11.0])
     @pytest.mark.parametrize("label", ["plus", "minus"])
@@ -124,7 +132,7 @@ class TestPowerIntegralBound:
         with pytest.raises(ValueError, match="positive"):
             torus_integral_upper(0.0)
         with pytest.raises(ValueError, match="positive"):
-            power_integral_bound(-1.0, 3)
+            torus_integral_upper(-1.0)
 
 
 class TestEndpointDifference:

@@ -9,6 +9,7 @@ from majorant import trigpoly
 from majorant.quadrature import _nodes
 from majorant.trigpoly import (
     G_MAX,
+    SIGN_PAIR,
     SignVariant,
     TrigSquare,
     default_max_table,
@@ -117,10 +118,10 @@ class TestDerivatives:
 
 
 def assert_pair_matches_oracle(xs):
-    """Both signs of eval_G_pair equal the one-sign oracle eval_G to the last bit at every x of xs."""
-    minus, plus = eval_G_pair(xs)
-    assert len(minus) == len(plus) == len(xs)
-    for sign, values in ((SignVariant.MINUS, minus), (SignVariant.PLUS, plus)):
+    """Both signs of eval_G_pair, in the order SIGN_PAIR states, equal the one-sign oracle eval_G to the last bit at every x of xs."""
+    pair = eval_G_pair(xs)
+    assert set(SIGN_PAIR) == set(SignVariant) and [len(values) for values in pair] == [len(xs)] * 2
+    for sign, values in zip(SIGN_PAIR, pair):
         spec = TrigSquare(5, sign)
         for x, g in zip(xs, values):
             assert g.hex() == eval_G(spec, x).hex(), f"{spec} at x={x!r}"
