@@ -69,14 +69,15 @@ class SignCertificate(NamedTuple):
 
 # The three checks below are phrased as "not <valid>" so that a NaN fails them.
 def check_window(center: float, radius: float, base_order: int, degree: int) -> None:
-    """Reject an expansion window that leaves the proven range, a negative order, or a degree outside 0..MAX_DEGREE."""
+    """Reject an expansion window that leaves the proven range, a base order or degree that is no nonnegative int, or a degree above MAX_DEGREE."""
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     lo, hi = center - radius, center + radius
     if not PIPELINE_T_MIN - _EDGE_TOL <= lo <= hi <= PIPELINE_T_MAX + _EDGE_TOL:
         raise ValueError(f"expansion window [{lo}, {hi}] leaves {_PROVEN_RANGE}")
-    if base_order < 0 or degree < 0:
-        raise ValueError("base_order and degree must be nonnegative")
+    for name, value in (("base_order", base_order), ("degree", degree)):
+        if type(value) is not int or value < 0:  # refuses True (== 1) and 4.0 too
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     if degree > MAX_DEGREE:
         raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
 
@@ -191,66 +192,33 @@ def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
     return fsum(coeffs[j] / factorial(j - m) * u ** (j - m) for j in range(m, cert.degree + 1))
 
 
-def _chain_conditions(cert, delta, a, b, target):
-    """Endpoint conditions of the monotone derivative chain, one orientation.
+def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCertificate:
+    """Sign verdict on an interval from an endpoint value and a derivative chain.
 
     For a positive verdict: P(b) - delta > 0 and every derivative of P is
     negative at a; the constant top derivative then forces each lower one to
     decrease, so P - delta is decreasing and its minimum P(b) - delta is
     positive.  For a negative verdict: P(a) + delta < 0 with the same
-    derivative signs, so P + delta decreases from a negative start.
-    """
-    rows = []
-    ok = True
-    if target == "positive":
-        anchor = eval_cert_poly(cert, 0, b) - delta
-        rows.append({"quantity": "shifted_value", "order": 0, "location": b, "value": anchor})
-        ok &= anchor > 0.0
-    else:
-        anchor = eval_cert_poly(cert, 0, a) + delta
-        rows.append({"quantity": "shifted_value", "order": 0, "location": a, "value": anchor})
-        ok &= anchor < 0.0
-    for m in range(1, cert.degree + 1):
-        dv = eval_cert_poly(cert, m, a)
-        rows.append({"quantity": "derivative", "order": m, "location": a, "value": dv})
-        ok &= dv < 0.0
-    return ok, rows
-
-
-def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCertificate:
-    """Sign verdict on an interval from endpoint values and a derivative chain.
-
-    Tries the chain as stated, then (if inconclusive) on the reflection
-    t -> a + b - t, which flips every odd derivative; an interval where
-    neither orientation closes yields certified=False with a reason.
+    derivative signs, so P + delta decreases from a negative start.  If any
+    condition fails, the verdict is certified=False, with every row checked
+    and one reason.
     """
     a, b = float(interval[0]), float(interval[1])
     check_interval(cert.center, cert.radius, a, b)
     check_target("chain", target)
-    ok, rows = _chain_conditions(cert, cert.total_delta, a, b, target)
-    if ok:
-        return SignCertificate((a, b), target, "derivative_chain", True, tuple(rows))
-    reflected = _reflect(cert, a, b)
-    ok2, rows2 = _chain_conditions(reflected, cert.total_delta, a, b, target)
-    if ok2:
-        for row in rows2:
-            row["location"] = a + b - row["location"]
-            row["orientation"] = "reflected"
-        return SignCertificate((a, b), target, "derivative_chain", True, tuple(rows2))
-    return SignCertificate(
-        (a, b),
-        target,
-        "derivative_chain",
-        False,
-        tuple(rows),
-        "endpoint or derivative sign conditions fail in both orientations",
-    )
-
-
-def _reflect(cert: TaylorCertificate, a: float, b: float) -> TaylorCertificate:
-    """Certificate of P(a + b - t), recentred so evaluation code can be reused."""
-    coeffs = tuple(c * (-1.0) ** j for j, c in enumerate(cert.coeffs))
-    return cert._replace(center=a + b - cert.center, coeffs=coeffs)
+    if target == "positive":
+        at, anchor = b, eval_cert_poly(cert, 0, b) - cert.total_delta
+        ok = anchor > 0.0
+    else:
+        at, anchor = a, eval_cert_poly(cert, 0, a) + cert.total_delta
+        ok = anchor < 0.0
+    rows = [{"quantity": "shifted_value", "order": 0, "location": at, "value": anchor}]
+    for m in range(1, cert.degree + 1):
+        dv = eval_cert_poly(cert, m, a)
+        rows.append({"quantity": "derivative", "order": m, "location": a, "value": dv})
+        ok &= dv < 0.0
+    reason = None if ok else "endpoint or derivative sign conditions fail"
+    return SignCertificate((a, b), target, "derivative_chain", ok, tuple(rows), reason)
 
 
 def _tail_negative(cert, m, a):

@@ -9,7 +9,9 @@ are positive, and on four subintervals covering [5, 6] a certified Taylor
 polynomial of a low-order derivative keeps a fixed sign.  Each stage carries
 explicit error accounting; a stage whose margin cannot be certified makes the
 whole run INCONCLUSIVE rather than silently passing.  The layout of the
-argument is fixed; a configuration tunes only its numerics.
+argument and its quadrature (640 steps, each stage's error mode and sign check)
+are fixed; a configuration tunes only six numbers of each certificate stage:
+its center, radius, degree, budgets, total_delta and tail_budget.
 
 This module owns the default stage configuration, configuration loading and
 hashing, the report object, and the reproduction of the reference tables that
@@ -30,11 +32,10 @@ from .certify import (
     check_interval,
     check_sign,
     check_sign_variation,
-    check_target,
     check_window,
     eval_cert_poly,
 )
-from .quadrature import MODES, CertifiedValue, gap_derivatives, q_values
+from .quadrature import CertifiedValue, gap_derivatives, q_values
 from .spectral import endpoint_difference_zero, torus_power_integral
 from .trigpoly import SignVariant, TrigSquare, default_max_table
 
@@ -132,17 +133,15 @@ DEFAULT_CONFIG = {
     },
 }
 
-# A config file is outside input, so its steps stay at the default proof's one step count, far below
-# MAX_STEPS, where the one cached node table (G and log G of both signs) holds ~130 MB before any log power.
-_MAX_PIPELINE_STEPS = 640
-
-# A field takes the JSON type of its default.  Stages that share a field share its type, so
-# any non-empty default of it will do (two stages' notes lists are empty).
-_FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items() if v != []}
+# The numbers of a certificate that a configuration may tune.  Every other field may only repeat,
+# by stage, its default's JSON at import: the argument's layout, its quadrature, and notes (printed raw).
+_TUNABLE = ("center", "radius", "degree", "budgets", "total_delta", "tail_budget")
+_FIXED_JSON = {
+    name: {k: json.dumps(v) for k, v in stage.items() if k not in _TUNABLE} for name, stage in DEFAULT_CONFIG["stages"].items()
+}
+# A tunable field takes the JSON type of its default, which every certificate stage shares.
+_FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items()}
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
-# Fields a configuration may only repeat, by stage, as their defaults' JSON at import: the argument's, and notes (printed raw).
-_FIXED = ("order", "t", "base_order", "target", "intervals", "notes")
-_FIXED_JSON = {name: {k: json.dumps(stage[k]) for k in _FIXED if k in stage} for name, stage in DEFAULT_CONFIG["stages"].items()}
 
 # ---------------------------------------------------------------------------
 # Reference values the pipeline is expected to reproduce (regression anchors).
@@ -288,25 +287,22 @@ def _validate_stage(name: str, stage: dict) -> None:
     if unknown or missing:
         raise ValueError(f"unknown fields {sorted(unknown)}, missing fields {sorted(missing)}")
     for key, value in stage.items():
-        if not _has_json_type(value, _FIELD_TYPES[key]):
+        if key in fixed:
+            if json.dumps(value) != fixed[key]:  # 5 for 5.0 would change config_hash
+                raise ValueError(f"{key} is fixed at {fixed[key]}, got {json.dumps(value)}")
+        elif not _has_json_type(value, _FIELD_TYPES[key]):
             kind = _JSON_TYPES[type(_FIELD_TYPES[key])]
             raise ValueError(f"{key} must be a JSON {kind} like its default, got {json.dumps(value)}")
-        if key in fixed and json.dumps(value) != fixed[key]:  # 5 for 5.0 would change config_hash
-            raise ValueError(f"{key} is fixed at {fixed[key]}, got {json.dumps(value)}")
-    if "steps" in stage and not 1 <= stage["steps"] <= _MAX_PIPELINE_STEPS:
-        raise ValueError(f"steps must be in 1..{_MAX_PIPELINE_STEPS}, got {stage['steps']}")
-    if "mode" in stage and stage["mode"] not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {stage['mode']!r}")
     if "center" not in stage:
         return
     center, radius = stage["center"], stage["radius"]
     check_window(center, radius, stage["base_order"], stage["degree"])
     for interval in stage["intervals"]:
         check_interval(center, radius, *interval)
-    check_target(stage["method"], stage["target"])
     check_budgets(stage["budgets"], stage["degree"])
-    if stage["total_delta"] <= 0:
-        raise ValueError("total_delta must be positive")
+    for key in ("total_delta", "tail_budget"):
+        if stage[key] <= 0:
+            raise ValueError(f"{key} must be positive, got {json.dumps(stage[key])}")
 
 
 def validate_config(cfg: dict) -> None:
@@ -353,15 +349,9 @@ def _run_endpoint_stage(name: str) -> StageResult:
 
 
 def _derivative_values(stages: dict) -> dict[str, CertifiedValue]:
-    """The certified value of every derivative stage, one gap_derivatives call per (t, steps)."""
-    groups = {}
-    for name, stage in stages.items():
-        if "order" in stage:
-            groups.setdefault((stage["t"], stage["steps"]), {})[name] = (stage["order"], stage["mode"])
-    values = {}
-    for (t, steps), jobs in groups.items():
-        values.update(zip(jobs, gap_derivatives(t, steps, list(jobs.values()))))
-    return values
+    """The certified value of every derivative stage, from one gap_derivatives call at their fixed t and steps."""
+    jobs = {name: (stage["order"], stage["mode"]) for name, stage in stages.items() if "order" in stage}
+    return dict(zip(jobs, gap_derivatives(5.0, 640, list(jobs.values()))))
 
 
 def _run_derivative_stage(name: str, value: CertifiedValue) -> StageResult:

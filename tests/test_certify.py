@@ -1,6 +1,7 @@
 """Tests for Taylor certificates and the two sign-verdict mechanisms."""
 
 import math
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from majorant.certify import (
     check_sign,
     check_sign_chain,
     check_sign_variation,
+    check_window,
     eval_cert_poly,
     remainder_bound,
 )
@@ -106,6 +108,20 @@ class TestRemainderBound:
         ):
             with pytest.raises(ValueError, match="^degree must be at most 169, got 170$"):
                 call()
+
+    @pytest.mark.parametrize("call,refusal", [
+        pytest.param(lambda: remainder_bound(5.065, 0.065, True, 6), "base_order must be a nonnegative integer, got True", id="base-order-true"),
+        pytest.param(lambda: check_window(5.065, 0.065, 4.0, 6), "base_order must be a nonnegative integer, got 4.0", id="base-order-float"),
+        pytest.param(lambda: check_window(5.065, 0.065, -1, 6), "base_order must be a nonnegative integer, got -1", id="base-order-negative"),
+        pytest.param(
+            lambda: build_certificate(5.065, 0.065, 4, 6.0, [0.15, 0.03, 0.005, 0.0005, 0.0002, 0.0002, 0.0002], 640, "refined", 0.187),
+            "degree must be a nonnegative integer, got 6.0", id="degree-float",
+        ),
+    ])
+    def test_orders_must_be_ints(self, call, refusal):
+        """True would give the base-order-1 bound and 6.0 a TypeError from factorial; both are refused by name, as step counts are."""
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            call()
 
     @pytest.mark.parametrize("center,radius", [(math.nan, 0.1), (5.5, math.nan)])
     def test_rejects_nan_window(self, center, radius):
@@ -238,26 +254,28 @@ class TestSignChain:
         for m, ref in enumerate(expected_chain, start=1):
             assert rows[("derivative", m)] == pytest.approx(ref, rel=1e-12)
 
-    def test_reflected_orientation_rescues_mirrored_case(self):
-        """A rising linear certificate only closes after reflection."""
+    def test_rising_certificate_is_not_certified(self):
+        """A rising linear certificate, positive on the whole interval, fails the one orientation the chain has."""
         cert = TaylorCertificate(
             center=5.5, radius=0.1, base_order=1, degree=1,
             coeffs=(1.0, 2.0), coefficient_errors=(0.0, 0.0),
             termwise_budget=(1e-9, 1e-9), remainder=0.0, total_delta=0.1,
         )
         verdict = check_sign_chain(cert, "positive", (5.4, 5.6))
-        assert verdict.certified
-        assert all(r.get("orientation") == "reflected" for r in verdict.evidence)
+        assert not verdict.certified
+        assert verdict.failure_reason == "endpoint or derivative sign conditions fail"
+        assert all("orientation" not in r for r in verdict.evidence)
         by_quantity = {r["quantity"]: r for r in verdict.evidence}
-        # the reflected anchor lands at the original left endpoint
-        assert by_quantity["shifted_value"]["location"] == pytest.approx(5.4)
-        assert by_quantity["shifted_value"]["value"] == pytest.approx(0.7)
-        assert by_quantity["derivative"]["location"] == pytest.approx(5.6)
+        assert by_quantity["shifted_value"]["location"] == 5.6
+        assert by_quantity["shifted_value"]["value"] == pytest.approx(1.1)
+        assert by_quantity["derivative"]["location"] == 5.4 and by_quantity["derivative"]["value"] == 2.0
 
-    def test_middle_interval_fails_both_orientations(self, cert_b):
+    def test_middle_interval_fails(self, cert_b):
+        """The chain does not close where the cascade is needed; the verdict keeps the rows it checked."""
         verdict = check_sign_chain(cert_b, "positive", (5.13, 5.33))
         assert not verdict.certified
-        assert "both orientations" in verdict.failure_reason
+        assert verdict.failure_reason == "endpoint or derivative sign conditions fail"
+        assert [r["order"] for r in verdict.evidence] == list(range(cert_b.degree + 1))
 
     def test_target_validation(self, cert_a):
         with pytest.raises(ValueError, match="positive.*negative"):

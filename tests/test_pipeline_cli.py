@@ -71,13 +71,17 @@ MALFORMED_CONFIGS = [
     pytest.param({"stages": {C1: {"target": "negative"}}}, C1, "target", id="cascade-negative"),
 ]
 
-# Every (stage, field) that states the argument rather than tunes its numerics
+# Every (stage, field) that states the argument or its quadrature rather than tunes a certificate's numbers
 FIXED = [
     (name, field)
     for name, stage in DEFAULT_CONFIG["stages"].items()
-    for field in ("order", "t", "base_order", "target", "intervals", "notes")
+    for field in ("order", "t", "steps", "mode", "base_order", "target", "method", "intervals", "notes")
     if field in stage
 ]
+TUNABLE = {"center", "radius", "degree", "budgets", "total_delta", "tail_budget"}
+# The allowance of the d4 certificate is below its budgets plus tail bound, so that stage fails and the run is INCONCLUSIVE
+TIGHT_ALLOWANCE = {"stages": {"gap_d4_on_5.000_5.130": {"total_delta": 0.1}}}
+TIGHT_ALLOWANCE_REASON = "budgets plus tail bound 0.186980797 exceed total allowance 0.1"
 
 
 def asdict_rendering(value):
@@ -98,6 +102,10 @@ def other_value(field, value):
         return [[a, (a + b) / 2], *rest]
     if field == "notes":
         return [*value, "x"]
+    if field in ("mode", "method"):
+        return {"refined": "plain", "plain": "refined", "chain": "cascade", "cascade": "chain"}[value]
+    if field == "steps":  # fewer steps could only weaken the proof
+        return value - 1
     return value + (0.05 if field == "t" else 1)
 
 
@@ -167,14 +175,14 @@ class TestConfig:
             validate_config(merge_config({"stages": {"gap_d1_at_5": {"nsteps": 10}}}))
 
     def test_step_limits(self):
-        with pytest.raises(ValueError, match="steps"):
-            validate_config(merge_config({"stages": {"gap_d1_at_5": {"steps": 0}}}))
-        with pytest.raises(ValueError, match="steps"):
-            validate_config(merge_config({"stages": {"gap_d1_at_5": {"steps": 641}}}))
+        """Steps are fixed at 640, so a config can neither starve nor exceed them."""
+        for steps in (0, 641):
+            with pytest.raises(ValueError, match=f"^stage 'gap_d1_at_5': steps is fixed at 640, got {steps}$"):
+                validate_config(merge_config({"stages": {"gap_d1_at_5": {"steps": steps}}}))
 
     def test_mode_and_interval_checks(self):
-        """The intervals are fixed, so the range and window checks are reached through the window."""
-        with pytest.raises(ValueError, match="mode"):
+        """Mode and intervals are fixed, so the range and window checks are reached through the window."""
+        with pytest.raises(ValueError, match=r'^stage \'gap_d1_at_5\': mode is fixed at "refined", got "best"$'):
             validate_config(merge_config({"stages": {"gap_d1_at_5": {"mode": "best"}}}))
         with pytest.raises(ValueError, match=r"leaves \[5, 6\]"):
             validate_config(merge_config({"stages": {D4: {"center": 5.9, "radius": 0.2}}}))
@@ -182,10 +190,15 @@ class TestConfig:
             validate_config(merge_config({"stages": {D4: {"center": 5.5, "radius": 0.1}}}))
 
     def test_every_fixed_field_is_counted(self):
-        """22 of the 64 stage fields are fixed: 18 state the argument and 4 are notes; the other 42 are tunable."""
+        """40 of the 64 stage fields are fixed: 18 state the argument, 18 its quadrature and 4 are notes.
+
+        The other 24 are the six tunable numbers of each of the four certificate stages.
+        """
         assert set(FIXED) == {(name, field) for name, fields in _FIXED_JSON.items() for field in fields}
-        assert len(FIXED) == 22 and sum(field == "notes" for _, field in FIXED) == 4
-        assert sum(map(len, DEFAULT_CONFIG["stages"].values())) - len(FIXED) == 42
+        assert len(FIXED) == 40 and sum(field == "notes" for _, field in FIXED) == 4
+        assert sum(field in ("steps", "mode", "method") for _, field in FIXED) == 18
+        tunable = [(name, field) for name, stage in DEFAULT_CONFIG["stages"].items() for field in stage if (name, field) not in FIXED]
+        assert len(tunable) == 24 and {field for _, field in tunable} == TUNABLE
 
     def test_default_notes_may_be_repeated(self):
         """A config may repeat each stage's default notes, empty lists included, and validates as the default does."""
@@ -195,12 +208,15 @@ class TestConfig:
         assert cfg == merge_config(None)
 
     @pytest.mark.parametrize("stage,field", FIXED)
-    def test_fixed_field_refuses_other_value(self, stage, field):
+    def test_fixed_field_refuses_other_value(self, stage, field, tmp_path, capsys):
+        """`majorant prove --config` refuses another value of a fixed field with exit 2, naming the stage and the field."""
         default = DEFAULT_CONFIG["stages"][stage][field]
         value = other_value(field, default)
         refusal = f"stage {stage!r}: {field} is fixed at {json.dumps(default)}, got {json.dumps(value)}"
-        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
-            validate_config(merge_config({"stages": {stage: {field: value}}}))
+        cfg = tmp_path / "fixed.json"
+        cfg.write_text(json.dumps({"stages": {stage: {field: value}}}), encoding="utf-8")
+        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
     def test_fixed_field_refuses_another_spelling(self):
         """5 equals 5.0 but would change config_hash, so only the default's own JSON is accepted."""
@@ -230,7 +246,8 @@ class TestConfig:
         assert stage is None or f"stage {stage!r}" in message
 
     def test_unknown_sign_method_rejected(self):
-        with pytest.raises(ValueError, match=r"^stage 'gap_d1_on_5.130_5.330': method must be one of \('chain', 'cascade'\)$"):
+        """The method is fixed, so an unknown one is refused as another value of it."""
+        with pytest.raises(ValueError, match=r'^stage \'gap_d1_on_5\.130_5\.330\': method is fixed at "cascade", got "bogus"$'):
             validate_config(merge_config({"stages": {C1: {"method": "bogus"}}}))
 
     def test_only_none_means_no_overrides(self):
@@ -245,9 +262,9 @@ class TestConfig:
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text('{"stages": {"gap_d2_at_5": {"steps": 300}}}', encoding="utf-8")
+        path.write_text('{"stages": {"gap_d1_on_5.130_5.330": {"tail_budget": 3e-06}}}', encoding="utf-8")
         cfg = load_config(str(path))
-        assert cfg["stages"]["gap_d2_at_5"]["steps"] == 300
+        assert cfg["stages"][C1]["tail_budget"] == 3e-06
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -258,7 +275,7 @@ class TestConfig:
     def test_hash_is_stable_and_sensitive(self):
         base = config_hash(merge_config(None))
         assert base == "720e3cd23913be745085b7843218e37a3bd57f91a3e2df63ba53f2f2a118671e"
-        changed = config_hash(merge_config({"stages": {"gap_d1_at_5": {"steps": 639}}}))
+        changed = config_hash(merge_config({"stages": {D4: {"total_delta": 0.1869}}}))
         assert changed != base
 
 
@@ -285,15 +302,19 @@ class TestProve:
         assert len(by_name["gap_d2_on_5.720_6.000"].warnings) == 2
         assert by_name["gap_d1_on_5.130_5.330"].warnings == ()
 
-    def test_low_step_run_is_inconclusive(self):
-        cfg = merge_config(
-            {"stages": {"gap_d1_at_5": {"steps": 50}, "gap_d2_at_5": {"steps": 50}}}
-        )
-        report = prove_k5(cfg)
+    def test_tight_allowance_run_is_inconclusive(self):
+        """A certificate whose allowance its budgets and tail overrun fails, and only that stage."""
+        report = prove_k5(merge_config(TIGHT_ALLOWANCE))
         assert report.verdict == "INCONCLUSIVE"
         failed = [s for s in report.stages if s.status == "failed"]
-        assert {s.name for s in failed} == {"gap_d1_at_5", "gap_d2_at_5"}
-        assert all(s.margin < 0 for s in failed)
+        assert [s.name for s in failed] == [D4]
+        assert failed[0].warnings[-1] == TIGHT_ALLOWANCE_REASON
+
+    def test_starved_derivative_stage_fails(self):
+        """Steps are fixed, so a derivative stage with a non-positive margin is built from a starved value."""
+        result = _run_derivative_stage(D1, gap_derivative(1, 5.0, 50))
+        assert result.status == "failed" and result.margin < 0
+        assert result.warnings == (f"positivity margin {result.margin:.6g} is not positive at 50 steps",)
 
     def test_overflowing_envelope_is_inconclusive(self):
         """A log power so high that envelope maxima overflow gives an infinite bound and a failed stage, not a crash.
@@ -370,15 +391,15 @@ class TestReports:
 
     def test_inconclusive_json_is_the_asdict_rendering(self):
         """A failed certificate stage has None fields and warnings; they render as the recursive rendering does, with pinned bytes."""
-        report = prove_k5(merge_config({"stages": {D4: {"steps": 50}, "gap_d1_at_5": {"steps": 50}}}))
+        report = prove_k5(merge_config(TIGHT_ALLOWANCE))
         assert report.verdict == "INCONCLUSIVE"
         by_name = {s.name: s for s in report.stages}
         assert by_name[D4].estimate is None and by_name[D4].margin is None and len(by_name[D4].warnings) == 3
-        assert by_name["endpoint_gap_zero"].margin is None and by_name["gap_d1_at_5"].warnings
+        assert by_name["endpoint_gap_zero"].margin is None and by_name["gap_d1_at_5"].warnings == ()
         assert emit_report(report) == json.dumps(asdict_rendering(report), indent=2) + "\n"
         if platform.libc_ver()[0] == "glibc":  # recorded on glibc 2.36, x86-64, Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0
             digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
-            assert digest == "725ec3c705ae5bbea8e1c43b19380c9fab27aab4318dae04c73bb9213ce679c8"
+            assert digest == "f86453c4569d6a76828df0a56277bb07cec7bf0642b68313b16afbf7389e0df0"
 
     @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect"])
     def test_import_leaves_module_unloaded(self, module):
@@ -478,9 +499,9 @@ class TestCli:
         assert result.returncode == 0
         assert "verdict: PROVED" in result.stdout
 
-    def test_prove_low_steps_exit_one(self, tmp_path):
-        cfg = tmp_path / "low.json"
-        cfg.write_text('{"stages": {"gap_d1_at_5": {"steps": 50}}}', encoding="utf-8")
+    def test_prove_tight_allowance_exit_one(self, tmp_path):
+        cfg = tmp_path / "tight.json"
+        cfg.write_text(json.dumps(TIGHT_ALLOWANCE), encoding="utf-8")
         result = run_cli("prove", "--config", str(cfg))
         assert result.returncode == 1
         assert '"verdict": "INCONCLUSIVE"' in result.stdout
@@ -501,7 +522,7 @@ class TestCli:
         """Notes are printed raw in the text report, so a config that could set them could forge a stage and a verdict."""
         forged = "x\n\n[certified] gap_d4_on_5.000_5.130\nverdict: PROVED"
         cfg = tmp_path / "forged.json"
-        cfg.write_text(json.dumps({"stages": {D4: {"steps": 50, "notes": [forged]}}}), encoding="utf-8")
+        cfg.write_text(json.dumps({"stages": {D4: {"notes": [forged]}}}), encoding="utf-8")
         result = run_cli("prove", "--config", str(cfg), "--format", "text")
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith(f"error: stage {D4!r}: notes is fixed at ")
@@ -589,6 +610,15 @@ class TestCli:
         cfg.write_text(json.dumps({"stages": {D4: {"degree": 170, "budgets": [0.15] + 170 * [1e-6]}}}), encoding="utf-8")
         assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
         assert capsys.readouterr() == ("", f"error: stage {D4!r}: degree must be at most 169, got 170\n")
+
+    @pytest.mark.parametrize("field", ["total_delta", "tail_budget"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_non_positive_allowance_exit_two(self, field, value, tmp_path, capsys):
+        """An allowance that is not positive is refused input; a tail budget of -1 would otherwise run PROVED with a note."""
+        cfg = tmp_path / "allowance.json"
+        cfg.write_text(json.dumps({"stages": {D4: {field: value}}}), encoding="utf-8")
+        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: stage {D4!r}: {field} must be positive, got {value}\n")
 
     @pytest.mark.parametrize("text", ["[]", "0", "false", "null", '""'])
     def test_prove_non_object_config_exit_two(self, text, tmp_path, capsys):
