@@ -28,7 +28,6 @@ from .pipeline import (
     load_config,
     merge_config,
     prove_k5,
-    reproduce_table,
 )
 from .quadrature import CertifiedValue, gap_derivative
 from .spectral import (
@@ -42,9 +41,18 @@ from .trigpoly import (
     TrigSquare,
     locate_maxima,
     parse_sign,
-    second_deriv_L2,
     sup_norm_bound,
     variation_bound_power,
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    """reproduce_table and second_deriv_L2 from majorant.tables, bound here on first use: import majorant skips the tables."""
+    if name not in ("reproduce_table", "second_deriv_L2"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tables
+
+    value = globals()[name] = getattr(tables, name)
+    return value

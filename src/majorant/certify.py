@@ -154,7 +154,7 @@ def build_certificate(
     budget_list = [float(b) for b in budgets]
     tail = remainder_bound(center, radius, base_order, degree)
     allowance = fsum(budget_list) + tail
-    if allowance > total_delta:
+    if not allowance <= total_delta:  # a nan total_delta fails this, where allowance > nan would let it pass
         raise BudgetError(
             f"budgets plus tail bound {allowance:.9g} exceed total allowance {total_delta:g}"
         )

@@ -11,15 +11,9 @@ import argparse
 import csv
 import sys
 
-from .pipeline import (
-    TABLE_IDS,
-    emit_report,
-    load_config,
-    merge_config,
-    prove_k5,
-    reproduce_table,
-)
+from .pipeline import emit_report, load_config, merge_config, prove_k5
 from .quadrature import MODES, gap_derivative
+from .tables import TABLE_IDS, reproduce_table
 from .trigpoly import TrigSquare, curvature_slack, locate_maxima, parse_sign
 
 _MIN_TABLE_BUMP = 0.001

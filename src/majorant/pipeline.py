@@ -14,15 +14,13 @@ are fixed; a configuration tunes only six numbers of each certificate stage:
 its center, radius, degree, budgets, total_delta and tail_budget.
 
 This module owns the default stage configuration, configuration loading and
-hashing, the report object, and the reproduction of the reference tables that
-the numbers are expected to match.
+hashing, and the report object; majorant.tables reproduces the paper's tables.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from functools import partial
 from typing import NamedTuple
 
 from .certify import (
@@ -31,13 +29,11 @@ from .certify import (
     check_budgets,
     check_interval,
     check_sign,
-    check_sign_variation,
     check_window,
     eval_cert_poly,
 )
-from .quadrature import CertifiedValue, gap_derivatives, q_values
-from .spectral import endpoint_difference_zero, torus_power_integral
-from .trigpoly import SignVariant, TrigSquare, default_max_table
+from .quadrature import CertifiedValue, gap_derivatives
+from .spectral import endpoint_difference_zero
 
 REPORT_VERSION = "1"
 CASE_ID = "k5-three-term"
@@ -142,79 +138,6 @@ _FIXED_JSON = {
 # A tunable field takes the JSON type of its default, which every certificate stage shares.
 _FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items()}
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
-
-# ---------------------------------------------------------------------------
-# Reference values the pipeline is expected to reproduce (regression anchors).
-# ---------------------------------------------------------------------------
-
-REFERENCE_A = (1, 3, 15, 93, 639, 4653, 35169)
-
-REFERENCE_MAXIMA = {
-    "plus": ((0.0, 9.0, 1), (0.151, 7.701, 2), (0.302, 4.628, 2), (0.448, 1.661, 2)),
-    "minus": ((0.076, 8.662, 2), (0.227, 6.279, 2), (0.377, 3.005, 2), (0.5, 1.0, 1)),
-}
-
-REFERENCE_Q500 = {
-    ("star", 1, 0): 137081.0, ("star", 1, 1): 301803.0,
-    ("star", 2, 0): 703352.0, ("star", 2, 1): 1545490.0,
-    ("star", 3, 0): 4277432.0, ("star", 3, 1): 9398487.0,
-    ("plain", 3, 0): 48351.0, ("plain", 3, 1): 106240.0,
-    ("plain", 4, 0): 334032.0, ("plain", 4, 1): 733944.0,
-}
-
-REFERENCE_Q400 = {
-    ("star", 1, 0): 112282.0, ("star", 1, 1): 247274.0, ("star", 1, 2): 543316.0,
-    ("star", 2, 0): 580005.0, ("star", 2, 1): 1274463.0, ("star", 2, 2): 2800281.0,
-    ("star", 3, 0): 3550835.0, ("star", 3, 1): 7801987.0, ("star", 3, 2): 17142718.0,
-    ("plain", 3, 0): 39051.0, ("plain", 3, 1): 85804.0, ("plain", 3, 2): 188530.0,
-    ("plain", 4, 1): 593541.0, ("plain", 4, 2): 1304143.0,
-}
-
-REFERENCE_COEFFS = {
-    "T1": (0.381737508, -2.087768122, -23.85760346, -140.6261273,
-           -641.9545799, -2521.387336, -8940.14559),
-    "T2": (0.016265345, 0.084372338, 0.223408446, -0.41545758, -8.507038066,
-           -57.99608037, -288.5739971, -1204.823065, -4474.521416),
-    "T4": (0.045016622, 0.070827581, -0.6357179, -7.162905157, -45.0748687,
-           -220.5767067, -922.6394344, -3454.236354, -11901.56441, -38448.6079),
-    "T6": (-0.982761617, -7.57978318, -42.74047825, -200.2495965, -823.1734963,
-           -3064.925687, -10561.40925, -34212.60072, -105414.5993),
-}
-
-# (interval, quantity, order, location or None) -> reference value
-REFERENCE_CASCADE = {
-    ((5.13, 5.33), "shifted_value", 0, 5.13): 0.004183405,
-    ((5.13, 5.33), "shifted_value", 0, 5.33): 0.020909673,
-    ((5.13, 5.33), "variation_lower", 0, None): 0.02509308,
-    ((5.13, 5.33), "mean_lower", 1, None): 0.12546539,
-    ((5.13, 5.33), "derivative", 1, 5.13): 0.061152858,
-    ((5.13, 5.33), "derivative", 1, 5.33): 0.102950595,
-    ((5.13, 5.33), "variation_lower", 1, None): 0.08682733,
-    ((5.13, 5.33), "mean_lower", 2, None): 0.43413663,
-    ((5.13, 5.33), "derivative", 2, 5.13): 0.230976823,
-    ((5.13, 5.33), "derivative", 2, 5.33): 0.128352476,
-    ((5.13, 5.33), "variation_lower", 2, None): 0.50894396,
-    ((5.13, 5.33), "mean_lower", 3, None): 2.54471981,
-    ((5.13, 5.33), "derivative", 3, 5.13): 0.188714272,
-    ((5.13, 5.33), "derivative", 3, 5.33): -1.609630427,
-    ((5.13, 5.33), "variation_lower", 3, None): 3.66852346,
-    ((5.13, 5.33), "mean_lower", 4, None): 18.3426173,
-    ((5.33, 5.56), "shifted_value", 0, 5.33): 0.013254173,
-    ((5.33, 5.56), "shifted_value", 0, 5.56): 0.034596608,
-    ((5.33, 5.56), "variation_lower", 0, None): 0.04785078,
-    ((5.33, 5.56), "mean_lower", 1, None): 0.20804689,
-    ((5.33, 5.56), "derivative", 1, 5.56): 0.043853873,
-    ((5.33, 5.56), "variation_lower", 1, None): 0.26928943,
-    ((5.33, 5.56), "mean_lower", 2, None): 1.170823618,
-    ((5.33, 5.56), "derivative", 2, 5.56): -0.915663374,
-    ((5.56, 5.72), "shifted_value", 0, 5.56): 0.034596608,
-    ((5.56, 5.72), "shifted_value", 0, 5.72): 0.022121605,
-    ((5.56, 5.72), "variation_lower", 0, None): 0.05671821,
-    ((5.56, 5.72), "mean_lower", 1, None): 0.35448883,
-    ((5.56, 5.72), "derivative", 1, 5.56): 0.043853873,
-    ((5.56, 5.72), "derivative", 1, 5.72): -0.260773968,
-}
-
 
 class StageResult(NamedTuple):
     name: str
@@ -459,102 +382,3 @@ def emit_report(report: ProofReport, fmt: str = "json") -> str:
     lines.append("")
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# Reference-table reproduction
-# ---------------------------------------------------------------------------
-
-
-def _maxima_rows():
-    rows = []
-    for label, sign in (("plus", SignVariant.PLUS), ("minus", SignVariant.MINUS)):
-        table = default_max_table(TrigSquare(5, sign))
-        refs = REFERENCE_MAXIMA[label]
-        for entry, ref in zip(table.entries, refs):
-            rows.append([
-                label,
-                f"{entry.location:.3f}",
-                entry.multiplicity,
-                entry.value_upper,
-                ref[1],
-                abs(entry.value_upper - ref[1]),
-            ])
-    return ["sign", "location", "multiplicity", "value_upper", "reference", "abs_diff"], rows
-
-
-def _a_rho_rows():
-    rows = []
-    for rho, ref in enumerate(REFERENCE_A):
-        ours = torus_power_integral(rho)
-        rows.append([rho, ours, ref, abs(ours - ref)])
-    return ["rho", "integral", "reference", "abs_diff"], rows
-
-
-def _q_rows(n_steps: int, reference: dict):
-    """Both signs' node-sum bound of every reference key ("star": with |G'|), from one q pass."""
-    keys = [(kind == "star", float(t), j) for kind, t, j in reference]
-    tables = [default_max_table(TrigSquare(5, sign)) for sign in (SignVariant.PLUS, SignVariant.MINUS)]
-    plus, minus = q_values(keys, tables, n_steps)
-    rows = []
-    for ((kind, t, j), ref), key in zip(reference.items(), keys):
-        rows.append([kind, t, j, plus[key], minus[key], ref, ref - max(plus[key], minus[key])])
-    return ["kind", "t", "j", "bound_plus", "bound_minus", "reference", "reference_slack"], rows
-
-
-def _coeff_rows(table_id: str, stage_name: str):
-    cert = _stage_certificate(DEFAULT_CONFIG["stages"][stage_name])
-    refs = REFERENCE_COEFFS[table_id]
-    rows = []
-    for j, (coeff, ref) in enumerate(zip(cert.coeffs, refs)):
-        rows.append([
-            j, cert.base_order + j, coeff, ref, abs(coeff - ref), cert.termwise_budget[j],
-        ])
-    return ["j", "derivative_order", "coefficient", "reference", "abs_diff", "budget"], rows
-
-
-def _cascade_rows(stage_name: str):
-    stage = DEFAULT_CONFIG["stages"][stage_name]
-    cert = _stage_certificate(stage)
-    rows = []
-    for interval in stage["intervals"]:
-        verdict = check_sign_variation(cert, "positive", interval)
-        key_iv = (interval[0], interval[1])
-        for row in verdict.evidence:
-            loc = row.get("location")
-            ref = REFERENCE_CASCADE.get((key_iv, row["quantity"], row["order"], loc))
-            rows.append([
-                f"{interval[0]:.2f}..{interval[1]:.2f}",
-                row["quantity"],
-                row["order"],
-                "" if loc is None else loc,
-                row["value"],
-                "" if ref is None else ref,
-                "" if ref is None else abs(row["value"] - ref),
-            ])
-    return ["interval", "quantity", "order", "location", "value", "reference", "abs_diff"], rows
-
-
-_TABLES = {
-    "maxima": _maxima_rows,
-    "A_rho": _a_rho_rows,
-    "Q500": partial(_q_rows, 500, REFERENCE_Q500),
-    "Q400": partial(_q_rows, 400, REFERENCE_Q400),
-    "T1": partial(_coeff_rows, "T1", "gap_d4_on_5.000_5.130"),
-    "T2": partial(_coeff_rows, "T2", "gap_d1_on_5.130_5.330"),
-    "T3": partial(_cascade_rows, "gap_d1_on_5.130_5.330"),
-    "T4": partial(_coeff_rows, "T4", "gap_d1_on_5.330_5.720"),
-    "T5": partial(_cascade_rows, "gap_d1_on_5.330_5.720"),
-    "T6": partial(_coeff_rows, "T6", "gap_d2_on_5.720_6.000"),
-}
-TABLE_IDS = tuple(_TABLES)
-
-
-def reproduce_table(table_id: str):
-    """Recompute one reference table; returns (header, rows).
-
-    Every table carries a companion column with the reference values and the
-    absolute differences, where a reference exists.
-    """
-    if table_id not in _TABLES:
-        raise ValueError(f"unknown table {table_id!r}; expected one of {', '.join(TABLE_IDS)}")
-    return _TABLES[table_id]()

@@ -27,8 +27,8 @@ The node layer lives here too: per sign, one row G^t over all N nodes serves
 every j (_h_node_sums), and the node table holds G, log G and the powers
 (log G)^p asked for, both signs from one cosine pass (see _node_table).
 gap_derivatives assembles each certified gap value from both signs' node sums,
-one h4_bounds call and one term_integrals pass per batch.  That pass and the
-q pass q_values, behind the Q tables, take each key's small-range
+one h4_bounds call and one term_integrals pass per batch.  That pass, and the
+q pass of majorant.tables behind the Q tables, take each key's small-range
 term in closed form (_sign_free_parts); only their variation bounds depend on
 the sign, which each LocalMaxTable carries.
 """
@@ -40,20 +40,13 @@ from math import fsum
 from operator import mul
 from typing import NamedTuple
 
-from .integrand import WORK_M, h4_bounds
+from .integrand import h4_bounds
 from .spectral import torus_integral_upper
 from .trigpoly import G_MAX, MAX_STEPS, SIGN_PAIR, LocalMaxTable, SignVariant, TrigSquare, default_max_table
-from .trigpoly import eval_G_pair, overflow_to_inf, second_deriv_L2, variation_bound_power
+from .trigpoly import eval_G_pair, overflow_to_inf, variation_bound_power
 
 MODES = ("plain", "refined")
 _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
-
-# Working constants of the node-sum bounds of q_values: half the working sup
-# bound of G' (88, exact) and half a rounded upper bound for the L^2 norm of G''.
-_HALF_SUP_G1 = WORK_M[1] / 2
-_HALF_L2_G2 = 1700.0
-if 2.0 * _HALF_L2_G2 < second_deriv_L2():
-    raise RuntimeError("_HALF_L2_G2 is below half the bound it stands for")
 
 LOG9 = math.log(G_MAX)
 _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
@@ -104,45 +97,6 @@ def _sign_free_parts(keys, weights) -> tuple[dict, dict]:
             small *= weights[star]
         parts[key] = small, log9_power, key[:2]
     return parts, dict.fromkeys(kind for _, _, kind in parts.values())
-
-
-def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
-    """The q pass: bounds for the N-node midpoint sum of G^t |log G|^j, times |G'| if has_gprime, per key and sign.
-
-    One {(has_gprime, t, j): bound} dict is returned per maxima table in
-    tables, for the sign of that table.  Each bound splits the range of G at
-    1/9 and is small + log(9)^j * base:
-
-      * without |G'|, small values are covered by the envelope maximum on
-        [0, 1/9] at every node, large values by log(9)^j times the node sum
-        of G^t, which a midpoint sum bounds through the exact mean and half
-        the total variation of G^t;
-      * with |G'|, the factor is absorbed two ways: on the small range it
-        costs a node-count term plus a boundary term; on the large range,
-        node sums of G^t |G'| telescope into the variation of G^(t+1)/(t+1)
-        plus correction terms controlled by the variation of G^t and the L^2
-        norm of G''.
-
-    torus_integral_upper is taken once per power, variation_bound_power once
-    per (table, power), and each j-free base once per table.
-    """
-    _check_steps(n_steps)
-    star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2
-    sign_free, kinds = _sign_free_parts(keys, (n_steps, star_weight))
-    means = {p: torus_integral_upper(p) for p in {2.0 * t if star else t for star, t in kinds}}
-    powers = {p for star, t in kinds for p in ((t + 1.0, t) if star else (t,))}
-    per_table = []
-    for table in tables:
-        variation = {p: variation_bound_power(table, p) for p in powers}
-        bases = {}
-        for star, t in kinds:
-            if star:
-                tail = _HALF_L2_G2 * math.sqrt(means[2.0 * t])
-                bases[star, t] = n_steps / (t + 1.0) * variation[t + 1.0] + _HALF_SUP_G1 * variation[t] + tail
-            else:  # N times the mean of G^t plus half its variation
-                bases[star, t] = n_steps * means[t] + 0.5 * variation[t]
-        per_table.append({key: small + log9_power * bases[kind] for key, (small, log9_power, kind) in sign_free.items()})
-    return per_table
 
 
 def term_integrals(keys, tables: list[LocalMaxTable]) -> list[dict]:

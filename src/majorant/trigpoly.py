@@ -122,23 +122,14 @@ def sup_norm_bound(m: int) -> float:
     """Proven bound for sup|G^(m)|: G_MAX for m = 0, else 2^(m+1) pi^m (1 + 6^m + 7^m).
 
     The m >= 1 case is the triangle inequality applied to the closed form of
-    the derivative; it is independent of the sign variant.
+    the derivative; it is independent of the sign variant.  Past the float
+    range (from m = 188) the bound is inf.
     """
-    if not m >= 0:  # also refuses nan
-        raise ValueError(f"derivative order must be >= 0, got {m}")
+    if type(m) is not int or m < 0:  # refuses nan, 1.5 and True (== 1) too, as check_window does
+        raise ValueError(f"derivative order must be >= 0 and an int, got {m!r}")
     if m == 0:
         return G_MAX
-    return 2.0 ** (m + 1) * pi**m * (1.0 + float(F2) ** m + float(F3) ** m)
-
-
-def second_deriv_L2() -> float:
-    """L^2 norm of G'' over one period: 8 pi^2 sqrt((1 + 6^4 + 7^4)/2).
-
-    Each cosine in the closed form of G'' contributes half the square of its
-    amplitude to the mean square.  The radicand is 3698/2 = 43^2, so the norm
-    is exactly 8 pi^2 * 43.
-    """
-    return 8.0 * pi**2 * 43.0
+    return overflow_to_inf(lambda: 2.0 ** (m + 1) * pi**m * (1.0 + float(F2) ** m + float(F3) ** m))
 
 
 def curvature_slack(h: float) -> float:

@@ -26,8 +26,8 @@ from math import cos, sin
 
 from majorant.envelope import envelope_max
 from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS
-from majorant.quadrature import _HALF_L2_G2, _HALF_SUP_G1
 from majorant.spectral import torus_integral_upper, torus_power_integral
+from majorant.tables import _HALF_L2_G2, _HALF_SUP_G1
 from majorant.trigpoly import F2, F3, TWO_PI, SignVariant, TrigSquare, variation_bound_power
 
 

@@ -20,10 +20,10 @@ from majorant.pipeline import (
     emit_report,
     merge_config,
     prove_k5,
-    reproduce_table,
 )
 from majorant.quadrature import gap_derivative
 from majorant.spectral import torus_power_integral
+from majorant.tables import reproduce_table
 from majorant.trigpoly import (
     SignVariant,
     TrigSquare,

@@ -19,7 +19,6 @@ from majorant.integrand import IntegrandSpec
 from majorant.pipeline import (
     CASE_ID,
     DEFAULT_CONFIG,
-    TABLE_IDS,
     ProofReport,
     StageResult,
     _FIXED_JSON,
@@ -30,10 +29,10 @@ from majorant.pipeline import (
     load_config,
     merge_config,
     prove_k5,
-    reproduce_table,
     validate_config,
 )
 from majorant.quadrature import CertifiedValue, gap_derivative
+from majorant.tables import TABLE_IDS, reproduce_table
 from majorant.trigpoly import G_MAX, LocalMaxEntry, SignVariant, TrigSquare, default_max_table
 
 EXPECTED_STAGES = [
@@ -401,9 +400,12 @@ class TestReports:
             digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
             assert digest == "f86453c4569d6a76828df0a56277bb07cec7bf0642b68313b16afbf7389e0df0"
 
-    @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect"])
+    @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect", "majorant.tables"])
     def test_import_leaves_module_unloaded(self, module):
-        """Only config_hash needs hashlib, which loads OpenSSL; the records are NamedTuples, so nothing loads dataclasses or inspect."""
+        """Only config_hash needs hashlib, which loads OpenSSL; the records are NamedTuples, so nothing loads dataclasses or inspect.
+
+        No module of the proof imports majorant.tables: the package binds its names on first use.
+        """
         code = f"import sys, majorant; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
@@ -477,6 +479,17 @@ class TestTables:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown table"):
             reproduce_table("T7")
+
+    def test_package_reexports_the_tables_names(self):
+        """majorant.reproduce_table and majorant.second_deriv_L2 are the objects of majorant.tables; other names still fail."""
+        import majorant
+        import majorant.tables
+
+        assert majorant.reproduce_table is majorant.tables.reproduce_table
+        assert majorant.second_deriv_L2 is majorant.tables.second_deriv_L2
+        assert "reproduce_table" in vars(majorant)  # bound on first use, so later lookups skip __getattr__
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            majorant.no_such_name
 
 
 def run_cli(*args, python_flags=()):

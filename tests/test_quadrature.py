@@ -3,16 +3,18 @@
 import collections
 import itertools
 import math
+import platform
 import random
 from fractions import Fraction
 
 import pytest
 
 from majorant import quadrature
-from majorant.certify import TaylorCertificate, eval_cert_poly
+from majorant import tables as tables_module  # the fixture tables is a pair of maxima tables
+from majorant.certify import TaylorCertificate, build_certificate, eval_cert_poly
 from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds
-from majorant.pipeline import DEFAULT_CONFIG, prove_k5, reproduce_table
+from majorant.pipeline import DEFAULT_CONFIG, prove_k5
 from majorant.quadrature import (
     MAX_STEPS,
     MODES,
@@ -24,13 +26,13 @@ from majorant.quadrature import (
     _nodes,
     gap_derivative,
     gap_derivatives,
-    q_values,
     refined_error_bound,
     refined_error_bounds,
     term_integrals,
 )
-from majorant.spectral import torus_integral_upper
-from majorant.trigpoly import SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
+from majorant.spectral import torus_integral_upper, torus_power_integral
+from majorant.tables import q_values, reproduce_table
+from majorant.trigpoly import SIGN_PAIR, SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
 from oracle import eval_G, eval_G_derivative, eval_H, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
@@ -359,6 +361,34 @@ class TestBatchedNodeSums:
         assert gap_derivatives(5.2, 300, jobs) == singles
 
 
+class TestExactRoundingReference:
+    """At integer t <= 6, G^t is a trigonometric polynomial of degree 7t, so when 2N > 7t the N-node sum is exactly N A(t).
+
+    The half-period rule is half the 2N-node rule over a period, which
+    integrates every frequency below 2N exactly; A(t) is the exact mean
+    torus_power_integral(t).  What the float sum differs by is rounding alone.
+    """
+
+    N_STEPS = (22, 24, 64, 500, 640)
+
+    @pytest.mark.parametrize("n_steps", N_STEPS)
+    @pytest.mark.parametrize("sign", SIGN_PAIR)
+    def test_node_sum_is_n_times_the_moment(self, sign, n_steps):
+        for t in range(1, 7):
+            assert 2 * n_steps > 7 * t
+            exact = n_steps * torus_power_integral(t)
+            total = _h_node_sums(sign, float(t), [0], n_steps)[0]
+            assert abs(total - exact) <= 1e-15 * exact, (t, total, exact)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="recorded with glibc's libm")
+    @pytest.mark.parametrize("n_steps", [500, 640])
+    @pytest.mark.parametrize("sign", SIGN_PAIR)
+    def test_node_sum_is_exact_at_the_proof_step_counts(self, sign, n_steps):
+        """Recorded on glibc 2.36, x86-64, Python 3.11.7: no rounding shows at N = 500 or 640."""
+        for t in range(1, 7):
+            assert _h_node_sums(sign, float(t), [0], n_steps)[0] == n_steps * torus_power_integral(t), t
+
+
 class TestQPass:
     """The q pass and the term-integral pass share their ingredients across keys and signs, and change no value."""
 
@@ -402,16 +432,16 @@ class TestQPass:
         """
         calls = collections.Counter()
         for name in ("variation_bound_power", "torus_integral_upper"):
-            real = getattr(quadrature, name)
-            monkeypatch.setattr(quadrature, name, lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
-        real_parts = quadrature._sign_free_parts
+            real = getattr(tables_module, name)
+            monkeypatch.setattr(tables_module, name, lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
+        real_parts = tables_module._sign_free_parts
 
         def counting(keys, weights):
             parts, kinds = real_parts(keys, weights)
             calls.update(["_sign_free_parts"] + ["small_range_term" for _, _, j in parts if j != 0])
             return parts, kinds
 
-        monkeypatch.setattr(quadrature, "_sign_free_parts", counting)
+        monkeypatch.setattr(tables_module, "_sign_free_parts", counting)
         reproduce_table(table_id)
         assert calls == {"variation_bound_power": 8, "torus_integral_upper": 4, "_sign_free_parts": 1, "small_range_term": small_terms}
 
@@ -518,6 +548,12 @@ class TestNodeSumBounds:
                     TaylorCertificate(5.5, 0.1, 1, 1, (1.0, 2.0), (0.0, 0.0), (1.0, 1.0), 0.0, 1.0), 0, math.nan
                 ),
                 id="eval_cert_poly",
+            ),
+            pytest.param(
+                lambda sq, tb: build_certificate(
+                    5.065, 0.065, 4, 6, [0.15, 0.03, 0.005, 0.0005, 0.0002, 0.0002, 0.0002], 640, "refined", math.nan
+                ),
+                id="build_certificate_total_delta",
             ),
         ],
     )

@@ -7,6 +7,7 @@ import pytest
 
 from majorant import trigpoly
 from majorant.quadrature import _nodes
+from majorant.tables import second_deriv_L2
 from majorant.trigpoly import (
     G_MAX,
     SIGN_PAIR,
@@ -16,7 +17,6 @@ from majorant.trigpoly import (
     eval_G_pair,
     locate_maxima,
     parse_sign,
-    second_deriv_L2,
     sup_norm_bound,
     variation_bound_power,
 )
@@ -162,6 +162,17 @@ class TestSupNormBounds:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
             sup_norm_bound(-1)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True])
+    def test_rejects_order_that_is_no_int(self, m):
+        """The closed form covers integer orders; True (== 1) and 2.0 are refused too, as check_window refuses them."""
+        with pytest.raises(ValueError, match=rf"an int, got {m!r}$"):
+            sup_norm_bound(m)
+
+    def test_order_past_the_float_range_is_infinite(self):
+        """From m = 188 the bound passes the float range; at m = 400, 7.0 ** m alone raises OverflowError."""
+        assert math.isfinite(sup_norm_bound(187))
+        assert sup_norm_bound(188) == sup_norm_bound(400) == math.inf
 
     def test_range_bound_is_attained(self, plus_square):
         """G_MAX is sup G: the m = 0 bound, and G of the plus sign at x = 0."""
