@@ -20,15 +20,7 @@ from .certify import (
 )
 from .envelope import envelope_max
 from .integrand import IntegrandSpec, h4_sup_bound, h4_term_bounds
-from .pipeline import (
-    DEFAULT_CONFIG,
-    ProofReport,
-    StageResult,
-    emit_report,
-    load_config,
-    merge_config,
-    prove_k5,
-)
+from .pipeline import DEFAULT_CONFIG, ProofReport, StageResult, emit_report, prove_k5
 from .quadrature import CertifiedValue, gap_derivative
 from .spectral import (
     endpoint_difference_zero,

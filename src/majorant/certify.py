@@ -33,7 +33,7 @@ _EDGE_TOL = 1e-9
 _PROVEN_RANGE = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
 MAX_DEGREE = 169  # the tail bound divides by (degree + 1)!, and 170! is the largest factorial below the float range
 
-# The targets each sign check certifies, keyed by the configuration's method name.  The
+# The targets each sign check certifies, keyed by the stage table's method name.  The
 # variation cascade argues from positive shifted endpoint values, so it proves positivity only.
 SIGN_TARGETS = {"chain": ("positive", "negative"), "cascade": ("positive",)}
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (and verdict PROVED for ``prove``), 1 proof ran but is
-INCONCLUSIVE, 2 invalid input (arguments, configuration file),
+INCONCLUSIVE, 2 invalid input (arguments, or an --out file that cannot be written),
 3 internal error (any other exception: a fault in the program, not in its input).
+``prove`` takes no configuration: it runs the stage table DEFAULT_CONFIG.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from .pipeline import emit_report, load_config, merge_config, prove_k5
+from .pipeline import emit_report, prove_k5
 from .quadrature import MODES, gap_derivative
 from .tables import TABLE_IDS, reproduce_table
 from .trigpoly import TrigSquare, curvature_slack, locate_maxima, parse_sign
@@ -20,8 +21,7 @@ _MIN_TABLE_BUMP = 0.001
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else merge_config(None)
-    report = prove_k5(cfg)
+    report = prove_k5()
     rendered = emit_report(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     prove = sub.add_parser("prove", help="run the full certified proof and emit a report")
-    prove.add_argument("--config", metavar="PATH", help="JSON file overriding stage settings")
     prove.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     prove.add_argument("--format", choices=("json", "text"), default="json")
     prove.set_defaults(func=_cmd_prove)

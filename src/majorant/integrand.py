@@ -71,7 +71,7 @@ class IntegrandSpec(NamedTuple("IntegrandSpec", [("t", float), ("j", int), ("sig
 def _check_power_and_order(t: float, j: int) -> None:
     if not t >= 1.0:  # also refuses nan
         raise ValueError(f"power t must be >= 1, got {t}")
-    if not (j >= 0 and j % 1 == 0):  # inf % 1 and nan % 1 are nan
+    if type(j) is not int or j < 0:  # True is 1 and 2.0 is 2, but neither is an order
         raise ValueError(f"log exponent j must be a nonnegative integer, got {j}")
 
 

@@ -8,30 +8,21 @@ a chain of certified facts: the first three derivatives of the gap at t = 5
 are positive, and on four subintervals covering [5, 6] a certified Taylor
 polynomial of a low-order derivative keeps a fixed sign.  Each stage carries
 explicit error accounting; a stage whose margin cannot be certified makes the
-whole run INCONCLUSIVE rather than silently passing.  The layout of the
-argument and its quadrature (640 steps, each stage's error mode and sign check)
-are fixed; a configuration tunes only six numbers of each certificate stage:
-its center, radius, degree, budgets, total_delta and tail_budget.
+whole run INCONCLUSIVE rather than silently passing.  The stage table
+DEFAULT_CONFIG states the whole argument: its layout, its quadrature (640
+steps, each stage's error mode and sign check) and every certificate's window,
+degree, budgets and allowances.  No setting changes it.
 
-This module owns the default stage configuration, configuration loading and
-hashing, and the report object; majorant.tables reproduces the paper's tables.
+This module owns the stage table, its hash, and the report object;
+majorant.tables reproduces the paper's tables.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from typing import NamedTuple
 
-from .certify import (
-    BudgetError,
-    build_certificate,
-    check_budgets,
-    check_interval,
-    check_sign,
-    check_window,
-    eval_cert_poly,
-)
+from .certify import BudgetError, build_certificate, check_sign, eval_cert_poly
 from .quadrature import CertifiedValue, gap_derivatives
 from .spectral import endpoint_difference_zero
 
@@ -129,15 +120,6 @@ DEFAULT_CONFIG = {
     },
 }
 
-# The numbers of a certificate that a configuration may tune.  Every other field may only repeat,
-# by stage, its default's JSON at import: the argument's layout, its quadrature, and notes (printed raw).
-_TUNABLE = ("center", "radius", "degree", "budgets", "total_delta", "tail_budget")
-_FIXED_JSON = {
-    name: {k: json.dumps(v) for k, v in stage.items() if k not in _TUNABLE} for name, stage in DEFAULT_CONFIG["stages"].items()
-}
-# A tunable field takes the JSON type of its default, which every certificate stage shares.
-_FIELD_TYPES = {k: v for stage in DEFAULT_CONFIG["stages"].values() for k, v in stage.items()}
-_JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list"}
 
 class StageResult(NamedTuple):
     name: str
@@ -156,103 +138,6 @@ class ProofReport(NamedTuple):
     timestamp: None  # deliberately constant: reports must be bit-reproducible
     config_hash: str
     stages: tuple[StageResult, ...]
-
-
-# ---------------------------------------------------------------------------
-# Configuration handling
-# ---------------------------------------------------------------------------
-
-
-def _copy_lists(value):
-    """value with each list in it copied, at every depth; numbers and strings are immutable and stay shared."""
-    return [_copy_lists(v) for v in value] if isinstance(value, list) else value
-
-
-def merge_config(overrides: dict | None) -> dict:
-    """Deep-merge user overrides onto a copy of the default configuration, lists and all; only None means no overrides."""
-    stages = {name: {k: _copy_lists(v) for k, v in stage.items()} for name, stage in DEFAULT_CONFIG["stages"].items()}
-    cfg = {"case": DEFAULT_CONFIG["case"], "stages": stages}
-    if overrides is None:
-        return cfg
-    if not isinstance(overrides, dict):
-        raise ValueError("configuration must be a JSON object")
-    for key, value in overrides.items():
-        if key == "case":
-            cfg["case"] = value
-        elif key == "stages":
-            if not isinstance(value, dict):
-                raise ValueError("'stages' must map stage names to objects")
-            for name, fields in value.items():
-                if name not in cfg["stages"]:
-                    raise ValueError(f"unknown stage {name!r}")
-                if not isinstance(fields, dict):
-                    raise ValueError(f"stage {name!r} override must be an object")
-                cfg["stages"][name].update(fields)
-        else:
-            raise ValueError(f"unknown configuration key {key!r}")
-    return cfg
-
-
-def _has_json_type(value, prototype) -> bool:
-    """Whether value has the JSON type of prototype; list elements match its first element."""
-    if isinstance(prototype, list):
-        return isinstance(value, list) and all(_has_json_type(v, prototype[0]) for v in value)
-    if isinstance(value, bool):  # true/false is neither a count nor a number
-        return False
-    if isinstance(prototype, float):  # finite: no NaN, no infinity, no int too large for a float
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, type(prototype))
-
-
-def _validate_stage(name: str, stage: dict) -> None:
-    default, fixed = DEFAULT_CONFIG["stages"][name], _FIXED_JSON[name]
-    unknown, missing = set(stage) - set(default), set(default) - set(stage)
-    if unknown or missing:
-        raise ValueError(f"unknown fields {sorted(unknown)}, missing fields {sorted(missing)}")
-    for key, value in stage.items():
-        if key in fixed:
-            if json.dumps(value) != fixed[key]:  # 5 for 5.0 would change config_hash
-                raise ValueError(f"{key} is fixed at {fixed[key]}, got {json.dumps(value)}")
-        elif not _has_json_type(value, _FIELD_TYPES[key]):
-            kind = _JSON_TYPES[type(_FIELD_TYPES[key])]
-            raise ValueError(f"{key} must be a JSON {kind} like its default, got {json.dumps(value)}")
-    if "center" not in stage:
-        return
-    center, radius = stage["center"], stage["radius"]
-    check_window(center, radius, stage["base_order"], stage["degree"])
-    for interval in stage["intervals"]:
-        check_interval(center, radius, *interval)
-    check_budgets(stage["budgets"], stage["degree"])
-    for key in ("total_delta", "tail_budget"):
-        if stage[key] <= 0:
-            raise ValueError(f"{key} must be positive, got {json.dumps(stage[key])}")
-
-
-def validate_config(cfg: dict) -> None:
-    """Reject bad input before any stage runs; window, interval and budget rules are the library's."""
-    if cfg["case"] != CASE_ID:
-        raise ValueError(f"case must be {CASE_ID!r}, got {cfg['case']!r}")
-    if list(cfg["stages"]) != list(DEFAULT_CONFIG["stages"]):
-        raise ValueError(f"stages must be {list(DEFAULT_CONFIG['stages'])}, in that order")
-    for name, stage in cfg["stages"].items():
-        try:
-            _validate_stage(name, stage)
-        except ValueError as exc:
-            raise ValueError(f"stage {name!r}: {exc}") from None
-
-
-def load_config(path: str) -> dict:
-    """Read a JSON configuration file and merge it onto the defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"configuration file {path} is not valid JSON: {exc}") from None
-    if overrides is None:  # merge_config reads None as "no overrides"; a file holding null is no object
-        raise ValueError("configuration must be a JSON object")
-    cfg = merge_config(overrides)
-    validate_config(cfg)
-    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -325,19 +210,18 @@ def _run_certificate_stage(name: str, stage: dict) -> StageResult:
     return StageResult(name, "certified", estimate, cert.total_delta, margin, notes)
 
 
-def prove_k5(config: dict | None = None) -> ProofReport:
-    """Run every stage and assemble the verdict.
+def prove_k5() -> ProofReport:
+    """Run every stage of DEFAULT_CONFIG and assemble the verdict.
 
-    ``config`` is an already-merged configuration (see load_config /
-    merge_config); None runs the defaults.  Stage failures are recorded, never
-    raised: an unprovable margin yields verdict INCONCLUSIVE.
+    The stage table is read, and hashed into the report, as it stands at the
+    call.  Stage failures are recorded, never raised: an unprovable margin
+    yields verdict INCONCLUSIVE.
     """
-    cfg = config if config is not None else merge_config(None)
-    validate_config(cfg)
-    digest = config_hash(cfg)
-    derivatives = _derivative_values(cfg["stages"])
+    digest = config_hash(DEFAULT_CONFIG)
+    stages = DEFAULT_CONFIG["stages"]
+    derivatives = _derivative_values(stages)
     results = []
-    for name, stage in cfg["stages"].items():
+    for name, stage in stages.items():
         if name == "endpoint_gap_zero":
             results.append(_run_endpoint_stage(name))
         elif "center" in stage:
@@ -346,7 +230,7 @@ def prove_k5(config: dict | None = None) -> ProofReport:
             results.append(_run_derivative_stage(name, derivatives[name]))
     verdict = "PROVED" if all(r.status == "certified" for r in results) else "INCONCLUSIVE"
     return ProofReport(
-        REPORT_VERSION, cfg["case"], verdict, ENVIRONMENT_NOTE, None, digest, tuple(results)
+        REPORT_VERSION, DEFAULT_CONFIG["case"], verdict, ENVIRONMENT_NOTE, None, digest, tuple(results)
     )
 
 

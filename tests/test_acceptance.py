@@ -15,12 +15,7 @@ from majorant.certify import (
 )
 from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec, h4_sup_bound
-from majorant.pipeline import (
-    DEFAULT_CONFIG,
-    emit_report,
-    merge_config,
-    prove_k5,
-)
+from majorant.pipeline import DEFAULT_CONFIG, emit_report, prove_k5
 from majorant.quadrature import gap_derivative
 from majorant.spectral import torus_power_integral
 from majorant.tables import reproduce_table
@@ -166,7 +161,7 @@ def test_criterion_09_full_proof_deterministic():
     print("ACCEPTANCE 09 PASS — full proof PROVED, byte-identical across runs")
 
 
-def test_criterion_10_property_sweeps(half_period_oracle, rng):
+def test_criterion_10_property_sweeps(half_period_oracle, rng, monkeypatch):
     # Second-derivative closed form vs Richardson-extrapolated differences.
     def central(spec, x, h):
         return (eval_H(spec, x - h) - 2 * eval_H(spec, x) + eval_H(spec, x + h)) / h**2
@@ -207,6 +202,7 @@ def test_criterion_10_property_sweeps(half_period_oracle, rng):
             assert abs(value.estimate - truth) <= value.error_bound
 
     # An overrun allowance must degrade to INCONCLUSIVE, never to a false PROVED.
-    report = prove_k5(merge_config({"stages": {"gap_d4_on_5.000_5.130": {"total_delta": 0.1}}}))
+    monkeypatch.setitem(DEFAULT_CONFIG["stages"]["gap_d4_on_5.000_5.130"], "total_delta", 0.1)
+    report = prove_k5()
     assert report.verdict == "INCONCLUSIVE"
     print("ACCEPTANCE 10 PASS — property sweeps and failure-mode checks hold")

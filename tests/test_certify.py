@@ -123,6 +123,16 @@ class TestRemainderBound:
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             call()
 
+    @pytest.mark.parametrize("budgets,refusal", [
+        pytest.param([0.15, 0.03, 0.005, 0.0005, 0.0002, 0.0002], "expected 7 coefficient budgets, got 6", id="too-few"),
+        pytest.param([0.15, 0.03, 0.005, 0.0005, 0.0002, 0.0002, 0.0], "every coefficient budget must be positive", id="zero"),
+        pytest.param([0.15, 0.03, 0.005, 0.0005, 0.0002, 0.0002, math.nan], "every coefficient budget must be positive", id="nan"),
+    ])
+    def test_budgets_are_one_positive_allowance_per_coefficient(self, budgets, refusal):
+        """build_certificate refuses budgets that do not give each coefficient 0..degree a positive allowance."""
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            build_certificate(5.065, 0.065, 4, 6, budgets, 640, "refined", 0.187)
+
     @pytest.mark.parametrize("center,radius", [(math.nan, 0.1), (5.5, math.nan)])
     def test_rejects_nan_window(self, center, radius):
         with pytest.raises(ValueError, match="radius|window"):

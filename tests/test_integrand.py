@@ -41,7 +41,7 @@ class TestSpecValidation:
             IntegrandSpec(0.5, 0, PLUS)
 
     def test_rejects_bad_log_exponent(self):
-        for j in (-1, 1.5, math.inf, -math.inf, math.nan):  # int(inf) would raise OverflowError, int(nan) another message
+        for j in (-1, 1.5, math.inf, -math.inf, math.nan, True, 2.0):  # True and 2.0 equal orders 1 and 2 but are no integers
             with pytest.raises(ValueError, match="nonnegative integer"):
                 IntegrandSpec(5.0, j, PLUS)
 

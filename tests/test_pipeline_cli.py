@@ -1,12 +1,12 @@
-"""Tests for the proof pipeline, configuration handling, reports, and the CLI."""
+"""Tests for the proof pipeline, its stage table, reports, and the CLI."""
 
+import copy
 import csv
 import hashlib
 import io
 import json
 import math
 import platform
-import re
 import subprocess
 import sys
 
@@ -21,15 +21,11 @@ from majorant.pipeline import (
     DEFAULT_CONFIG,
     ProofReport,
     StageResult,
-    _FIXED_JSON,
     _run_certificate_stage,
     _run_derivative_stage,
     config_hash,
     emit_report,
-    load_config,
-    merge_config,
     prove_k5,
-    validate_config,
 )
 from majorant.quadrature import CertifiedValue, gap_derivative
 from majorant.tables import TABLE_IDS, reproduce_table
@@ -48,38 +44,7 @@ EXPECTED_STAGES = [
 
 D4 = "gap_d4_on_5.000_5.130"
 D1 = "gap_d1_at_5"
-C1 = "gap_d1_on_5.130_5.330"
-BAD_BUDGETS = [0.15, "a", 0.005, 0.0005, 0.0002, 0.0002, 0.0002]
-
-# (overrides, stage named in the error or None, field named in the error)
-MALFORMED_CONFIGS = [
-    pytest.param({"stages": {D4: {"radius": None}}}, D4, "radius", id="radius-null"),
-    pytest.param({"stages": {D4: {"radius": float("nan")}}}, D4, "radius", id="radius-nan"),
-    pytest.param({"stages": {D4: {"intervals": 5}}}, D4, "intervals", id="intervals-number"),
-    pytest.param({"stages": {D4: {"intervals": []}}}, D4, "intervals", id="intervals-empty"),
-    pytest.param({"stages": {D4: {"intervals": [[5.0, 5.05, 5.13]]}}}, D4, "intervals", id="interval-triple"),
-    pytest.param({"stages": {D4: {"notes": 3}}}, D4, "notes", id="notes-number"),
-    pytest.param({"stages": {D4: {"budgets": BAD_BUDGETS}}}, D4, "budgets", id="budget-string"),
-    pytest.param({"stages": {D4: {"tail_budget": "x"}}}, D4, "tail_budget", id="tail-budget-string"),
-    pytest.param({"stages": {D4: {"base_order": -1}}}, D4, "base_order", id="base-order-negative"),
-    pytest.param({"stages": {D1: {"t": None}}}, D1, "t", id="t-null"),
-    pytest.param({"stages": {D1: {"steps": True}}}, D1, "steps", id="steps-bool"),
-    pytest.param({"stages": {D1: {"order": 1.7}}}, D1, "order", id="order-fraction"),
-    pytest.param({"stages": {D1: {"order": -1}}}, D1, "order", id="order-negative"),
-    pytest.param({"case": "k7"}, None, "case", id="case-other"),
-    pytest.param({"stages": {C1: {"target": "negative"}}}, C1, "target", id="cascade-negative"),
-]
-
-# Every (stage, field) that states the argument or its quadrature rather than tunes a certificate's numbers
-FIXED = [
-    (name, field)
-    for name, stage in DEFAULT_CONFIG["stages"].items()
-    for field in ("order", "t", "steps", "mode", "base_order", "target", "method", "intervals", "notes")
-    if field in stage
-]
-TUNABLE = {"center", "radius", "degree", "budgets", "total_delta", "tail_budget"}
-# The allowance of the d4 certificate is below its budgets plus tail bound, so that stage fails and the run is INCONCLUSIVE
-TIGHT_ALLOWANCE = {"stages": {"gap_d4_on_5.000_5.130": {"total_delta": 0.1}}}
+# The d4 stage's last warning when the tight_allowance fixture sets its total_delta to 0.1
 TIGHT_ALLOWANCE_REASON = "budgets plus tail bound 0.186980797 exceed total allowance 0.1"
 
 
@@ -91,34 +56,6 @@ def asdict_rendering(value):
         return [asdict_rendering(v) for v in value]
     return value
 
-
-def other_value(field, value):
-    """A well-typed value of a fixed field that differs from its default."""
-    if field == "target":
-        return "negative" if value == "positive" else "positive"
-    if field == "intervals":
-        (a, b), *rest = value
-        return [[a, (a + b) / 2], *rest]
-    if field == "notes":
-        return [*value, "x"]
-    if field in ("mode", "method"):
-        return {"refined": "plain", "plain": "refined", "chain": "cascade", "cascade": "chain"}[value]
-    if field == "steps":  # fewer steps could only weaken the proof
-        return value - 1
-    return value + (0.05 if field == "t" else 1)
-
-
-# Configs that pass every type and window check but would certify another argument, and the
-# (stage, field) each is refused for: A leaves (5.4, 5.56) and (5.8, 6) uncovered, B never certifies
-# gap'(5) and leaves (5.05, 5.13) uncovered, C certifies derivatives at 5.05 instead of 5.
-OTHER_ARGUMENTS = [
-    pytest.param(
-        {"stages": {"gap_d1_on_5.330_5.720": {"intervals": [[5.33, 5.4]]}, "gap_d2_on_5.720_6.000": {"intervals": [[5.72, 5.8]]}}},
-        "gap_d1_on_5.330_5.720", "intervals", id="A-uncovered",
-    ),
-    pytest.param({"stages": {D1: {"order": 2}, D4: {"intervals": [[5.0, 5.05]]}}}, D1, "order", id="B-order"),
-    pytest.param({"stages": {D1: {"t": 5.05}, "gap_d2_at_5": {"t": 5.05}}}, D1, "t", id="C-moved"),
-]
 
 # sha256 of each reference table's CSV, as ``majorant table <id>`` prints it
 TABLE_SHA256 = {
@@ -140,88 +77,13 @@ def default_report():
     return prove_k5()
 
 
+@pytest.fixture
+def tight_allowance(monkeypatch):
+    """The d4 certificate's allowance set below its budgets plus tail bound, so that stage fails and the run is INCONCLUSIVE."""
+    monkeypatch.setitem(DEFAULT_CONFIG["stages"][D4], "total_delta", 0.1)
+
+
 class TestConfig:
-    def test_merge_keeps_defaults(self):
-        cfg = merge_config({"stages": {"gap_d1_at_5": {"steps": 400}}})
-        assert cfg["stages"]["gap_d1_at_5"]["steps"] == 400
-        assert cfg["stages"]["gap_d1_at_5"]["mode"] == "refined"
-        assert cfg["stages"]["gap_d2_at_5"] == DEFAULT_CONFIG["stages"]["gap_d2_at_5"]
-
-    def test_merged_config_owns_its_lists(self, default_report):
-        """Editing a merged config's lists leaves DEFAULT_CONFIG, and so a plain proof's report, as they are."""
-        before = json.dumps(DEFAULT_CONFIG)
-        cfg = merge_config(None)
-        cfg["stages"][D4]["budgets"][0] = 0.1
-        cfg["stages"]["gap_d1_on_5.330_5.720"]["intervals"][0][1] = 5.5
-        assert json.dumps(DEFAULT_CONFIG) == before
-        assert emit_report(prove_k5()) == emit_report(default_report)
-        with pytest.raises(ValueError, match=r"^stage 'gap_d1_on_5\.330_5\.720': intervals is fixed at"):
-            validate_config(cfg)
-
-    def test_fixed_fields_are_taken_at_import(self, monkeypatch):
-        """The fixed-field check compares with the defaults' JSON as imported, so an edited DEFAULT_CONFIG moves nothing."""
-        monkeypatch.setitem(DEFAULT_CONFIG["stages"]["gap_d1_on_5.330_5.720"], "intervals", [[5.33, 5.5], [5.56, 5.72]])
-        refusal = "stage 'gap_d1_on_5.330_5.720': intervals is fixed at [[5.33, 5.56], [5.56, 5.72]], got"
-        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
-            validate_config(merge_config(None))
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown configuration key"):
-            merge_config({"stage": {}})
-        with pytest.raises(ValueError, match="unknown stage"):
-            merge_config({"stages": {"gap_d9_at_5": {}}})
-        with pytest.raises(ValueError, match="unknown fields"):
-            validate_config(merge_config({"stages": {"gap_d1_at_5": {"nsteps": 10}}}))
-
-    def test_step_limits(self):
-        """Steps are fixed at 640, so a config can neither starve nor exceed them."""
-        for steps in (0, 641):
-            with pytest.raises(ValueError, match=f"^stage 'gap_d1_at_5': steps is fixed at 640, got {steps}$"):
-                validate_config(merge_config({"stages": {"gap_d1_at_5": {"steps": steps}}}))
-
-    def test_mode_and_interval_checks(self):
-        """Mode and intervals are fixed, so the range and window checks are reached through the window."""
-        with pytest.raises(ValueError, match=r'^stage \'gap_d1_at_5\': mode is fixed at "refined", got "best"$'):
-            validate_config(merge_config({"stages": {"gap_d1_at_5": {"mode": "best"}}}))
-        with pytest.raises(ValueError, match=r"leaves \[5, 6\]"):
-            validate_config(merge_config({"stages": {D4: {"center": 5.9, "radius": 0.2}}}))
-        with pytest.raises(ValueError, match=r"interval \[5\.0, 5\.13\] leaves the certified window"):
-            validate_config(merge_config({"stages": {D4: {"center": 5.5, "radius": 0.1}}}))
-
-    def test_every_fixed_field_is_counted(self):
-        """40 of the 64 stage fields are fixed: 18 state the argument, 18 its quadrature and 4 are notes.
-
-        The other 24 are the six tunable numbers of each of the four certificate stages.
-        """
-        assert set(FIXED) == {(name, field) for name, fields in _FIXED_JSON.items() for field in fields}
-        assert len(FIXED) == 40 and sum(field == "notes" for _, field in FIXED) == 4
-        assert sum(field in ("steps", "mode", "method") for _, field in FIXED) == 18
-        tunable = [(name, field) for name, stage in DEFAULT_CONFIG["stages"].items() for field in stage if (name, field) not in FIXED]
-        assert len(tunable) == 24 and {field for _, field in tunable} == TUNABLE
-
-    def test_default_notes_may_be_repeated(self):
-        """A config may repeat each stage's default notes, empty lists included, and validates as the default does."""
-        notes = {name: {"notes": list(stage["notes"])} for name, stage in DEFAULT_CONFIG["stages"].items() if "notes" in stage}
-        cfg = merge_config({"stages": notes})
-        validate_config(cfg)
-        assert cfg == merge_config(None)
-
-    @pytest.mark.parametrize("stage,field", FIXED)
-    def test_fixed_field_refuses_other_value(self, stage, field, tmp_path, capsys):
-        """`majorant prove --config` refuses another value of a fixed field with exit 2, naming the stage and the field."""
-        default = DEFAULT_CONFIG["stages"][stage][field]
-        value = other_value(field, default)
-        refusal = f"stage {stage!r}: {field} is fixed at {json.dumps(default)}, got {json.dumps(value)}"
-        cfg = tmp_path / "fixed.json"
-        cfg.write_text(json.dumps({"stages": {stage: {field: value}}}), encoding="utf-8")
-        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
-        assert capsys.readouterr() == ("", f"error: {refusal}\n")
-
-    def test_fixed_field_refuses_another_spelling(self):
-        """5 equals 5.0 but would change config_hash, so only the default's own JSON is accepted."""
-        with pytest.raises(ValueError, match=r"^stage 'gap_d1_at_5': t is fixed at 5\.0, got 5$"):
-            validate_config(merge_config({"stages": {D1: {"t": 5}}}))
-
     def test_default_config_states_the_argument(self):
         """Orders 1-3 at t = 5, then four certificates whose intervals tile [5, 6] in stage order."""
         stages = DEFAULT_CONFIG["stages"]
@@ -236,46 +98,21 @@ class TestConfig:
         assert [s["base_order"] for s in certificates] == [4, 1, 1, 2]
         assert [s["target"] for s in certificates] == ["positive", "positive", "positive", "negative"]
 
-    @pytest.mark.parametrize("overrides,stage,field", MALFORMED_CONFIGS)
-    def test_malformed_config_names_stage_and_field(self, overrides, stage, field):
-        with pytest.raises(ValueError) as excinfo:
-            validate_config(merge_config(overrides))
-        message = str(excinfo.value)
-        assert field in message
-        assert stage is None or f"stage {stage!r}" in message
-
-    def test_unknown_sign_method_rejected(self):
-        """The method is fixed, so an unknown one is refused as another value of it."""
-        with pytest.raises(ValueError, match=r'^stage \'gap_d1_on_5\.130_5\.330\': method is fixed at "cascade", got "bogus"$'):
-            validate_config(merge_config({"stages": {C1: {"method": "bogus"}}}))
-
-    def test_only_none_means_no_overrides(self):
-        assert merge_config({}) == merge_config(None) == {"case": CASE_ID, "stages": DEFAULT_CONFIG["stages"]}
-        for falsy in ([], 0, False, ""):
-            with pytest.raises(ValueError, match="configuration must be a JSON object"):
-                merge_config(falsy)
-
-    def test_stages_must_all_be_present(self):
-        with pytest.raises(ValueError, match="stages must be"):
-            validate_config({"case": CASE_ID, "stages": {}})
-
-    def test_load_config_roundtrip(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text('{"stages": {"gap_d1_on_5.130_5.330": {"tail_budget": 3e-06}}}', encoding="utf-8")
-        cfg = load_config(str(path))
-        assert cfg["stages"][C1]["tail_budget"] == 3e-06
-
-    def test_load_config_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_config(str(path))
-
     def test_hash_is_stable_and_sensitive(self):
-        base = config_hash(merge_config(None))
+        base = config_hash(DEFAULT_CONFIG)
         assert base == "720e3cd23913be745085b7843218e37a3bd57f91a3e2df63ba53f2f2a118671e"
-        changed = config_hash(merge_config({"stages": {D4: {"total_delta": 0.1869}}}))
-        assert changed != base
+        changed = copy.deepcopy(DEFAULT_CONFIG)
+        changed["stages"][D4]["total_delta"] = 0.1869
+        assert config_hash(changed) != base
+
+    def test_proof_and_tables_leave_the_stage_table_as_found(self):
+        """A proof reads DEFAULT_CONFIG in place, so no stage runner or coefficient table may edit it, lists included."""
+        before = json.dumps(DEFAULT_CONFIG)
+        prove_k5()
+        assert json.dumps(DEFAULT_CONFIG) == before
+        for table_id in ("T1", "T2", "T3", "T4", "T5", "T6"):
+            reproduce_table(table_id)
+            assert json.dumps(DEFAULT_CONFIG) == before, table_id
 
 
 class TestProve:
@@ -301,9 +138,9 @@ class TestProve:
         assert len(by_name["gap_d2_on_5.720_6.000"].warnings) == 2
         assert by_name["gap_d1_on_5.130_5.330"].warnings == ()
 
-    def test_tight_allowance_run_is_inconclusive(self):
+    def test_tight_allowance_run_is_inconclusive(self, tight_allowance):
         """A certificate whose allowance its budgets and tail overrun fails, and only that stage."""
-        report = prove_k5(merge_config(TIGHT_ALLOWANCE))
+        report = prove_k5()
         assert report.verdict == "INCONCLUSIVE"
         failed = [s for s in report.stages if s.status == "failed"]
         assert [s.name for s in failed] == [D4]
@@ -318,9 +155,8 @@ class TestProve:
     def test_overflowing_envelope_is_inconclusive(self):
         """A log power so high that envelope maxima overflow gives an infinite bound and a failed stage, not a crash.
 
-        Orders are fixed, so no configuration reaches such an order; the stage
-        runners are called directly: order 400 at t = 5, and a certificate of
-        base order 400 on a stage dict that skipped validation.
+        The stage table reaches no such order; the stage runners are called
+        directly: order 400 at t = 5, and a certificate of base order 400.
         """
         value = gap_derivative(400, 5.0, 640, "refined")
         assert math.isfinite(value.estimate) and value.error_bound == math.inf
@@ -329,15 +165,6 @@ class TestProve:
         result = _run_certificate_stage(D4, dict(DEFAULT_CONFIG["stages"][D4], base_order=400))
         assert result.status == "failed"
         assert "tail bound inf exceed" in result.warnings[-1]
-
-    def test_default_values_keep_report_bytes(self, default_report):
-        """Repeating every fixed field's default is accepted and changes no report byte."""
-        overrides = {"stages": {}}
-        for stage, field in FIXED:
-            overrides["stages"].setdefault(stage, {})[field] = DEFAULT_CONFIG["stages"][stage][field]
-        report = prove_k5(merge_config(json.loads(json.dumps(overrides))))
-        assert emit_report(report) == emit_report(default_report)
-
 
 class TestReports:
     def test_json_schema(self, default_report):
@@ -388,9 +215,9 @@ class TestReports:
         """The report dict is built field by field from the records' _asdict, with the bytes of a recursive rendering."""
         assert emit_report(default_report) == json.dumps(asdict_rendering(default_report), indent=2) + "\n"
 
-    def test_inconclusive_json_is_the_asdict_rendering(self):
+    def test_inconclusive_json_is_the_asdict_rendering(self, tight_allowance):
         """A failed certificate stage has None fields and warnings; they render as the recursive rendering does, with pinned bytes."""
-        report = prove_k5(merge_config(TIGHT_ALLOWANCE))
+        report = prove_k5()
         assert report.verdict == "INCONCLUSIVE"
         by_name = {s.name: s for s in report.stages}
         assert by_name[D4].estimate is None and by_name[D4].margin is None and len(by_name[D4].warnings) == 3
@@ -512,43 +339,20 @@ class TestCli:
         assert result.returncode == 0
         assert "verdict: PROVED" in result.stdout
 
-    def test_prove_tight_allowance_exit_one(self, tmp_path):
-        cfg = tmp_path / "tight.json"
-        cfg.write_text(json.dumps(TIGHT_ALLOWANCE), encoding="utf-8")
-        result = run_cli("prove", "--config", str(cfg))
-        assert result.returncode == 1
-        assert '"verdict": "INCONCLUSIVE"' in result.stdout
+    def test_prove_tight_allowance_exit_one(self, tight_allowance, capsys):
+        assert majorant.cli.main(["prove"]) == 1
+        out, err = capsys.readouterr()
+        assert '"verdict": "INCONCLUSIVE"' in out and err == ""
 
-    def test_prove_invalid_config_exit_two(self, tmp_path):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(
-            '{"stages": {"gap_d4_on_5.000_5.130": {"intervals": [[6.0, 7.0]]}}}',
-            encoding="utf-8",
-        )
-        result = run_cli("prove", "--config", str(cfg))
-        assert result.returncode == 2
-        assert result.stderr == (
-            "error: stage 'gap_d4_on_5.000_5.130': intervals is fixed at [[5.0, 5.13]], got [[6.0, 7.0]]\n"
-        )
-
-    def test_prove_forged_notes_exit_two(self, tmp_path):
-        """Notes are printed raw in the text report, so a config that could set them could forge a stage and a verdict."""
-        forged = "x\n\n[certified] gap_d4_on_5.000_5.130\nverdict: PROVED"
-        cfg = tmp_path / "forged.json"
-        cfg.write_text(json.dumps({"stages": {D4: {"notes": [forged]}}}), encoding="utf-8")
-        result = run_cli("prove", "--config", str(cfg), "--format", "text")
-        assert result.returncode == 2 and result.stdout == ""
-        assert result.stderr.startswith(f"error: stage {D4!r}: notes is fixed at ")
-        assert result.stderr.count("\n") == 1
-
-    def test_malformed_config_exit_two_without_traceback(self, tmp_path):
-        cfg = tmp_path / "null.json"
-        cfg.write_text(json.dumps({"stages": {D4: {"radius": None}}}), encoding="utf-8")
-        result = run_cli("prove", "--config", str(cfg))
-        assert result.returncode == 2
-        assert result.stderr.startswith("error:")
-        assert "Traceback" not in result.stderr
-        assert result.stdout == ""
+    def test_prove_takes_no_config(self, tmp_path, capsys):
+        """The proof has one stage table: --config is an unknown argument (exit 2), never a silent run of the defaults."""
+        cfg = tmp_path / "x.json"
+        cfg.write_text("{}", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            majorant.cli.main(["prove", "--config", str(cfg)])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--config" in err
 
     def test_derivative_order_too_large_exit_two(self):
         """(log G)^p beyond the float range, or a node sum of H overflowing, is rejected input.
@@ -598,52 +402,6 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: log exponent j ~ 10^400.0 is too large to evaluate"), mode
             assert err.count("\n") == 1
-
-    def test_config_order_too_large_exit_two(self, tmp_path):
-        """Order 1000 is refused as a fixed field; test_derivative_order_too_large_exit_two covers its log power."""
-        cfg = tmp_path / "order.json"
-        cfg.write_text(json.dumps({"stages": {"gap_d1_at_5": {"order": 1000}}}), encoding="utf-8")
-        result = run_cli("prove", "--config", str(cfg))
-        assert result.returncode == 2
-        assert result.stderr == "error: stage 'gap_d1_at_5': order is fixed at 1, got 1000\n"
-        assert result.stdout == ""
-
-    @pytest.mark.parametrize("overrides,stage,field", OTHER_ARGUMENTS)
-    def test_config_of_another_argument_exit_two(self, overrides, stage, field, tmp_path, capsys):
-        cfg = tmp_path / "other.json"
-        cfg.write_text(json.dumps(overrides), encoding="utf-8")
-        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: stage {stage!r}: {field} is fixed at ")
-        assert err.count("\n") == 1
-
-    def test_config_degree_past_factorial_range_exit_two(self, tmp_path, capsys):
-        """The tail bound divides by (degree + 1)!, a float only up to 170!, so degree 170 is refused input."""
-        cfg = tmp_path / "degree.json"
-        cfg.write_text(json.dumps({"stages": {D4: {"degree": 170, "budgets": [0.15] + 170 * [1e-6]}}}), encoding="utf-8")
-        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
-        assert capsys.readouterr() == ("", f"error: stage {D4!r}: degree must be at most 169, got 170\n")
-
-    @pytest.mark.parametrize("field", ["total_delta", "tail_budget"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_config_non_positive_allowance_exit_two(self, field, value, tmp_path, capsys):
-        """An allowance that is not positive is refused input; a tail budget of -1 would otherwise run PROVED with a note."""
-        cfg = tmp_path / "allowance.json"
-        cfg.write_text(json.dumps({"stages": {D4: {field: value}}}), encoding="utf-8")
-        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
-        assert capsys.readouterr() == ("", f"error: stage {D4!r}: {field} must be positive, got {value}\n")
-
-    @pytest.mark.parametrize("text", ["[]", "0", "false", "null", '""'])
-    def test_prove_non_object_config_exit_two(self, text, tmp_path, capsys):
-        """A falsy JSON value is no object either: it is refused, not read as "no overrides"."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text, encoding="utf-8")
-        assert majorant.cli.main(["prove", "--config", str(cfg)]) == 2
-        assert capsys.readouterr() == ("", "error: configuration must be a JSON object\n")
-
-    def test_missing_config_file_exit_two(self):
-        result = run_cli("prove", "--config", "/nonexistent/cfg.json")
-        assert result.returncode == 2
 
     def test_table_csv(self):
         result = run_cli("table", "maxima")
@@ -715,7 +473,7 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
 
     def test_internal_error_exit_three(self, monkeypatch, capsys):
-        def broken(_config):
+        def broken():
             raise RuntimeError("stage table out of step")
 
         monkeypatch.setattr(majorant.cli, "prove_k5", broken)

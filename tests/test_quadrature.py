@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from majorant import quadrature
+from majorant import certify, pipeline, quadrature
 from majorant import tables as tables_module  # the fixture tables is a pair of maxima tables
 from majorant.certify import TaylorCertificate, build_certificate, eval_cert_poly
 from majorant.envelope import envelope_max
@@ -35,7 +35,7 @@ from majorant.tables import q_values, reproduce_table
 from majorant.trigpoly import SIGN_PAIR, SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
-from oracle import eval_G, eval_G_derivative, eval_H, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
+from oracle import eval_G, eval_G_derivative, eval_H, gap_reference, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -643,8 +643,9 @@ class TestGapDerivative:
         assert value.estimate == pytest.approx(3.9846027431704598e293, rel=1e-10)
 
     def test_rejects_negative_order(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            gap_derivative(-1, 5.0, 100)
+        for order in (-1, True, 2.0):  # True equals 1 and 2.0 equals 2, but neither is an order
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                gap_derivative(order, 5.0, 100)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rejects_order_past_the_float_range(self, mode):
@@ -659,6 +660,43 @@ class TestGapDerivative:
         with pytest.raises(ValueError, match=r"^power t = inf is too large to evaluate: the fourth-derivative bound overflows a float$"):
             gap_derivative(1, math.inf, 10, mode)
         assert pair_calls == []
+
+
+@pytest.fixture(scope="module")
+def proof_batches():
+    """The default proof's gap_derivatives calls, each with its truth: [(t, N, jobs, values, {order: truth})].
+
+    The calls are recorded while prove_k5 runs; the truth is oracle.gap_reference,
+    one mpmath pass per (t, sign), taken once for the module (about 2 s).
+    """
+    pytest.importorskip("mpmath")
+    batches = []
+
+    def recording(t, n_steps, jobs):
+        values = gap_derivatives(t, n_steps, jobs)
+        batches.append((t, n_steps, list(jobs), values))
+        return values
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (pipeline, certify):
+            patch.setattr(module, "gap_derivatives", recording)
+        prove_k5()
+    return [(t, n, jobs, values, gap_reference(t, sorted({j for j, _ in jobs}))) for t, n, jobs, values in batches]
+
+
+class TestTruthHarness:
+    def test_records_the_default_proof(self, proof_batches):
+        """Five batches, one per distinct t, hold the proof's 38 gap values: those of its stage table."""
+        assert {(t, n): jobs for t, n, jobs, _, _ in proof_batches} == default_proof_passes()
+        assert len(proof_batches) == 5 and sum(len(values) for _, _, _, values, _ in proof_batches) == 38
+
+    def test_every_gap_value_encloses_the_truth(self, proof_batches):
+        """|estimate - truth| <= error_bound for each of the 38 values (measured: each bound is 2.2e9 to 8.3e11 times the error)."""
+        import mpmath
+
+        for t, _, jobs, values, truth in proof_batches:
+            for (j, mode), value in zip(jobs, values):
+                assert abs(mpmath.mpf(value.estimate) - truth[j]) <= value.error_bound, (t, j, mode)
 
 
 # The t of the default proof's batches, then seeded t in [5, 40]; orders 0..30 and two past any proof.
