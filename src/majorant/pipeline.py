@@ -157,9 +157,15 @@ def _run_endpoint_stage(name: str) -> StageResult:
 
 
 def _derivative_values(stages: dict) -> dict[str, CertifiedValue]:
-    """The certified value of every derivative stage, from one gap_derivatives call at their fixed t and steps."""
-    jobs = {name: (stage["order"], stage["mode"]) for name, stage in stages.items() if "order" in stage}
-    return dict(zip(jobs, gap_derivatives(5.0, 640, list(jobs.values()))))
+    """The certified value of every derivative stage, from one gap_derivatives call per (t, steps) of the table."""
+    batches: dict[tuple, dict] = {}
+    for name, stage in stages.items():
+        if "order" in stage:
+            batches.setdefault((stage["t"], stage["steps"]), {})[name] = (stage["order"], stage["mode"])
+    values = {}
+    for (t, steps), jobs in batches.items():
+        values.update(zip(jobs, gap_derivatives(t, steps, list(jobs.values()))))
+    return values
 
 
 def _run_derivative_stage(name: str, value: CertifiedValue) -> StageResult:

@@ -57,6 +57,43 @@ def asdict_rendering(value):
     return value
 
 
+# Every entry of the stage table as (stage, field); the stage None stands for the top-level "case"
+TABLE_ENTRIES = [(None, "case")] + [(name, field) for name, stage in DEFAULT_CONFIG["stages"].items() for field in stage]
+
+
+def other_value(field, value):
+    """Another value of a stage-table entry, of the same type, that the proof cannot leave unseen."""
+    if field == "case":
+        return "k7"
+    if field == "target":
+        return "negative" if value == "positive" else "positive"
+    if field in ("mode", "method"):
+        return {"refined": "plain", "plain": "refined", "chain": "cascade", "cascade": "chain"}[value]
+    if field == "intervals":  # the last one past its window's end: a narrower interval could leave the report as it is
+        *rest, (a, b) = value
+        return [*rest, [a, b + 0.01]]
+    if field == "notes":
+        return [*value, "x"]
+    if field == "budgets":  # twice each budget overruns the stage's total_delta
+        return [2 * b for b in value]
+    if field == "tail_budget":  # below the computed tail bound, which adds a note
+        return value / 1e3
+    if field in ("order", "base_order", "degree"):
+        return value + 1
+    if field == "steps":
+        return value - 1
+    return value + 0.01  # t, center, radius, total_delta
+
+
+def proof_outcome():
+    """The proof's report with its config_hash blanked, or the ValueError that refuses the stage table."""
+    try:
+        report = prove_k5()
+    except ValueError as exc:
+        return f"refused: {exc}"
+    return emit_report(report._replace(config_hash=""))
+
+
 # sha256 of each reference table's CSV, as ``majorant table <id>`` prints it
 TABLE_SHA256 = {
     "maxima": "9f71782fcdf4cc22f2df9b3109c38fec3e8af4303fe01dc646875f44b09f0d24",
@@ -97,6 +134,13 @@ class TestConfig:
         assert edges == [5.0, 5.13, 5.33, 5.56, 5.72, 6.0]
         assert [s["base_order"] for s in certificates] == [4, 1, 1, 2]
         assert [s["target"] for s in certificates] == ["positive", "positive", "positive", "negative"]
+
+    @pytest.mark.parametrize("stage,field", TABLE_ENTRIES, ids=[f"{stage}-{field}" for stage, field in TABLE_ENTRIES])
+    def test_every_entry_reaches_the_proof(self, stage, field, default_report, monkeypatch):
+        """Another value of any entry changes the report beyond its config_hash, or the proof refuses it: the table holds nothing the proof ignores."""
+        table = DEFAULT_CONFIG if stage is None else DEFAULT_CONFIG["stages"][stage]
+        monkeypatch.setitem(table, field, other_value(field, table[field]))
+        assert proof_outcome() != emit_report(default_report._replace(config_hash=""))
 
     def test_hash_is_stable_and_sensitive(self):
         base = config_hash(DEFAULT_CONFIG)

@@ -684,19 +684,24 @@ def proof_batches():
     return [(t, n, jobs, values, gap_reference(t, sorted({j for j, _ in jobs}))) for t, n, jobs, values in batches]
 
 
+# The default proof's 38 gap values as (t, N, order, mode), each held against the truth in a test of its own
+PROOF_VALUES = [(t, n, j, mode) for (t, n), jobs in default_proof_passes().items() for j, mode in jobs]
+
+
 class TestTruthHarness:
     def test_records_the_default_proof(self, proof_batches):
         """Five batches, one per distinct t, hold the proof's 38 gap values: those of its stage table."""
         assert {(t, n): jobs for t, n, jobs, _, _ in proof_batches} == default_proof_passes()
-        assert len(proof_batches) == 5 and sum(len(values) for _, _, _, values, _ in proof_batches) == 38
+        assert len(proof_batches) == 5 and sum(len(values) for _, _, _, values, _ in proof_batches) == 38 == len(PROOF_VALUES)
 
-    def test_every_gap_value_encloses_the_truth(self, proof_batches):
-        """|estimate - truth| <= error_bound for each of the 38 values (measured: each bound is 2.2e9 to 8.3e11 times the error)."""
+    @pytest.mark.parametrize("t,n_steps,order,mode", PROOF_VALUES, ids=[f"t{t}-j{j}-{mode}" for t, _, j, mode in PROOF_VALUES])
+    def test_gap_value_encloses_the_truth(self, proof_batches, t, n_steps, order, mode):
+        """|estimate - truth| <= error_bound (measured over the 38 values: each bound is 2.2e9 to 8.3e11 times the error)."""
         import mpmath
 
-        for t, _, jobs, values, truth in proof_batches:
-            for (j, mode), value in zip(jobs, values):
-                assert abs(mpmath.mpf(value.estimate) - truth[j]) <= value.error_bound, (t, j, mode)
+        (jobs, values, truth), = [(jobs, values, truth) for bt, bn, jobs, values, truth in proof_batches if (bt, bn) == (t, n_steps)]
+        value = values[jobs.index((order, mode))]
+        assert abs(mpmath.mpf(value.estimate) - truth[order]) <= value.error_bound
 
 
 # The t of the default proof's batches, then seeded t in [5, 40]; orders 0..30 and two past any proof.
