@@ -181,8 +181,8 @@ def build_certificate(
 
 def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
     """m-th derivative of the certificate polynomial at t inside its window."""
-    if not 0 <= m <= cert.degree:
-        raise ValueError(f"derivative order must be in 0..{cert.degree}, got {m}")
+    if type(m) is not int or not 0 <= m <= cert.degree:  # refuses True (== 1) and 1.0 too
+        raise ValueError(f"derivative order must be in 0..{cert.degree} and an int, got {m!r}")
     if not abs(t - cert.center) <= cert.radius + _EDGE_TOL:  # also refuses nan
         raise ValueError(
             f"t={t} outside certified window [{cert.center - cert.radius}, "

@@ -6,7 +6,8 @@ gap as the difference of the two variants' mean t-th powers (t = p/2), the
 gap vanishes at t = 5 and t = 6 exactly, so positivity on (5, 6) follows from
 a chain of certified facts: the first three derivatives of the gap at t = 5
 are positive, and on four subintervals covering [5, 6] a certified Taylor
-polynomial of a low-order derivative keeps a fixed sign.  Each stage carries
+polynomial of a low-order derivative keeps a fixed sign.  The proof checks
+that those stages' sign-check intervals leave no piece of [5, 6] out.  Each stage carries
 explicit error accounting; a stage whose margin cannot be certified makes the
 whole run INCONCLUSIVE rather than silently passing.  The stage table
 DEFAULT_CONFIG states the whole argument: its layout, its quadrature (640
@@ -22,12 +23,13 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .certify import BudgetError, build_certificate, check_sign, eval_cert_poly
+from .certify import PIPELINE_T_MAX, PIPELINE_T_MIN, BudgetError, build_certificate, check_sign, eval_cert_poly
 from .quadrature import CertifiedValue, gap_derivatives
 from .spectral import endpoint_difference_zero
 
 REPORT_VERSION = "1"
 CASE_ID = "k5-three-term"
+COVERAGE_STAGE = "interval_coverage"  # the failed result a gap in the tiling of [5, 6] adds
 ENVIRONMENT_NOTE = "IEEE-754 binary64; every node sum exactly rounded; deterministic node order"
 
 _NOTE_REFINED_REQUIRED = (
@@ -216,12 +218,26 @@ def _run_certificate_stage(name: str, stage: dict) -> StageResult:
     return StageResult(name, "certified", estimate, cert.total_delta, margin, notes)
 
 
+def _coverage_gaps(stages: dict) -> list[tuple[float, float]]:
+    """The pieces of [PIPELINE_T_MIN, PIPELINE_T_MAX] that no certificate stage's sign-check interval covers."""
+    reach, gaps = PIPELINE_T_MIN, []
+    intervals = sorted((a, b) for stage in stages.values() if "center" in stage for a, b in stage["intervals"])
+    for a, b in intervals:
+        if a > reach:
+            gaps.append((reach, a))
+        reach = max(reach, b)
+    if reach < PIPELINE_T_MAX:
+        gaps.append((reach, PIPELINE_T_MAX))
+    return gaps
+
+
 def prove_k5() -> ProofReport:
     """Run every stage of DEFAULT_CONFIG and assemble the verdict.
 
     The stage table is read, and hashed into the report, as it stands at the
     call.  Stage failures are recorded, never raised: an unprovable margin
-    yields verdict INCONCLUSIVE.
+    yields verdict INCONCLUSIVE.  So does a piece of [5, 6] that no sign-check
+    interval covers: a failed COVERAGE_STAGE result, after the stages, names it.
     """
     digest = config_hash(DEFAULT_CONFIG)
     stages = DEFAULT_CONFIG["stages"]
@@ -234,6 +250,11 @@ def prove_k5() -> ProofReport:
             results.append(_run_certificate_stage(name, stage))
         else:
             results.append(_run_derivative_stage(name, derivatives[name]))
+    gaps = _coverage_gaps(stages)
+    if gaps:
+        span = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
+        warnings = tuple(f"no certificate interval covers [{a!r}, {b!r}] of {span}" for a, b in gaps)
+        results.append(StageResult(COVERAGE_STAGE, "failed", None, None, None, warnings))
     verdict = "PROVED" if all(r.status == "certified" for r in results) else "INCONCLUSIVE"
     return ProofReport(
         REPORT_VERSION, DEFAULT_CONFIG["case"], verdict, ENVIRONMENT_NOTE, None, digest, tuple(results)

@@ -21,12 +21,16 @@ the polynomials in t once for all orders.
 
 ``gap_reference`` is the truth the certified gap values are held against:
 the package's midpoint rule again, in mpmath at 34 digits and with N = 1000.
+``proof_gap_batches`` holds the default proof's gap values against it, and
+``least_overstatement`` reads how far their error bounds overstate the error.
 """
 
 import math
 from fractions import Fraction
 from math import cos, sin
+from unittest import mock
 
+from majorant import certify, pipeline
 from majorant.envelope import envelope_max
 from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS
 from majorant.spectral import torus_integral_upper, torus_power_integral
@@ -118,6 +122,35 @@ def gap_reference(t, orders, n_steps=1000, digits=34):
                     totals[j] += g_t * ell**j
             sums[sign] = totals
         return {j: (sums[SignVariant.MINUS][j] - sums[SignVariant.PLUS][j]) / (2 * n_steps) for j in orders}
+
+
+def proof_gap_batches():
+    """The default proof's gap_derivatives calls, each with its truth: [(t, N, jobs, values, {order: truth})].
+
+    The calls are recorded while prove_k5 runs; the truth is gap_reference,
+    one mpmath pass per (t, sign).
+    """
+    batches, real = [], pipeline.gap_derivatives
+
+    def recording(t, n_steps, jobs):
+        values = real(t, n_steps, jobs)
+        batches.append((t, n_steps, list(jobs), values))
+        return values
+
+    with mock.patch.object(pipeline, "gap_derivatives", recording), mock.patch.object(certify, "gap_derivatives", recording):
+        pipeline.prove_k5()
+    return [(t, n, jobs, values, gap_reference(t, sorted({j for j, _ in jobs}))) for t, n, jobs, values in batches]
+
+
+def least_overstatement(batches):
+    """The least error_bound / |estimate - truth| over the gap values of proof_gap_batches, and the (t, order, mode) it comes from."""
+    import mpmath
+
+    return min(
+        (value.error_bound / abs(mpmath.mpf(value.estimate) - truth[order]), (t, order, mode))
+        for t, _, jobs, values, truth in batches
+        for (order, mode), value in zip(jobs, values)
+    )
 
 
 def term_sum_value(terms, trig, x):

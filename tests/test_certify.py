@@ -227,6 +227,12 @@ class TestEvalCertPoly:
         with pytest.raises(ValueError, match="order must be in"):
             eval_cert_poly(cert_b, 9, cert_b.center)
 
+    @pytest.mark.parametrize("m", [True, 1.0, 1.5])
+    def test_rejects_an_order_that_is_no_int(self, cert_b, m):
+        """True (== 1) gave the first derivative and 1.0 a TypeError from range: every order that is no int is refused."""
+        with pytest.raises(ValueError, match="and an int"):
+            eval_cert_poly(cert_b, m, cert_b.center)
+
 
 class TestSignChain:
     def test_first_interval_positive(self, cert_a):

@@ -18,6 +18,7 @@ from majorant.certify import SignCertificate, TaylorCertificate
 from majorant.integrand import IntegrandSpec
 from majorant.pipeline import (
     CASE_ID,
+    COVERAGE_STAGE,
     DEFAULT_CONFIG,
     ProofReport,
     StageResult,
@@ -69,9 +70,9 @@ def other_value(field, value):
         return "negative" if value == "positive" else "positive"
     if field in ("mode", "method"):
         return {"refined": "plain", "plain": "refined", "chain": "cascade", "cascade": "chain"}[value]
-    if field == "intervals":  # the last one past its window's end: a narrower interval could leave the report as it is
+    if field == "intervals":  # the last one cut to its first half, which leaves a piece of [5, 6] uncovered
         *rest, (a, b) = value
-        return [*rest, [a, b + 0.01]]
+        return [*rest, [a, (a + b) / 2]]
     if field == "notes":
         return [*value, "x"]
     if field == "budgets":  # twice each budget overruns the stage's total_delta
@@ -141,6 +142,16 @@ class TestConfig:
         table = DEFAULT_CONFIG if stage is None else DEFAULT_CONFIG["stages"][stage]
         monkeypatch.setitem(table, field, other_value(field, table[field]))
         assert proof_outcome() != emit_report(default_report._replace(config_hash=""))
+
+    def test_uncovered_piece_of_the_range_is_inconclusive(self, monkeypatch):
+        """A narrowed sign-check interval leaves [5.445, 5.56] uncovered: every stage still certifies, but the verdict is INCONCLUSIVE and a failed result names the piece."""
+        monkeypatch.setitem(DEFAULT_CONFIG["stages"]["gap_d1_on_5.330_5.720"], "intervals", [[5.33, 5.445], [5.56, 5.72]])
+        report = prove_k5()
+        assert report.verdict == "INCONCLUSIVE"
+        assert [s.name for s in report.stages] == EXPECTED_STAGES + [COVERAGE_STAGE]
+        assert all(s.status == "certified" for s in report.stages[:-1])
+        warning = "no certificate interval covers [5.445, 5.56] of [5, 6]"
+        assert report.stages[-1] == StageResult(COVERAGE_STAGE, "failed", None, None, None, (warning,))
 
     def test_hash_is_stable_and_sensitive(self):
         base = config_hash(DEFAULT_CONFIG)

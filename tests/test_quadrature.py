@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from majorant import certify, pipeline, quadrature
+from majorant import quadrature
 from majorant import tables as tables_module  # the fixture tables is a pair of maxima tables
 from majorant.certify import TaylorCertificate, build_certificate, eval_cert_poly
 from majorant.envelope import envelope_max
@@ -19,6 +19,7 @@ from majorant.quadrature import (
     MAX_STEPS,
     MODES,
     CertifiedValue,
+    NodeColumns,
     _ERR_DENOM,
     _h_node_sums,
     _NODE_TABLE,
@@ -35,7 +36,7 @@ from majorant.tables import q_values, reproduce_table
 from majorant.trigpoly import SIGN_PAIR, SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
-from oracle import eval_G, eval_G_derivative, eval_H, gap_reference, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
+from oracle import eval_G, eval_G_derivative, eval_H, gap_reference, proof_gap_batches, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -210,11 +211,11 @@ class TestDeterminism:
         assert len(passes) == 5
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640])
-    def test_each_sign_holds_all_nodes_in_descending_order(self, n, monkeypatch):
-        """Each sign's column holds the G of all N nodes from eval_G_pair, sorted non-increasing, and log G follows it.
+    def test_each_sign_holds_all_nodes_falling_then_rising(self, n, monkeypatch):
+        """Each sign's column holds the G of all N nodes from eval_G_pair, G >= 1 non-increasing, then G < 1 non-decreasing, and log G follows it.
 
-        fsum is exactly rounded whatever the order of its terms, and runs
-        faster with the largest first.
+        fsum is exactly rounded whatever the order of its terms; this one
+        keeps its list of partials short.
         """
         outputs = []
         real = quadrature.eval_G_pair
@@ -231,9 +232,40 @@ class TestDeterminism:
         for sign, node_order in zip((MINUS, PLUS), outputs[0]):
             column = table[sign]
             assert len(column.g) == n, sign
-            assert all(a >= b for a, b in zip(column.g, column.g[1:])), sign
             assert sorted(column.g) == sorted(node_order), sign
+            split = sum(g >= 1.0 for g in node_order)
+            high, low = column.g[:split], column.g[split:]
+            assert n == 1 or (high and low), sign  # both parts are tested
+            assert all(g >= 1.0 for g in high) and all(g < 1.0 for g in low), sign
+            assert all(a >= b for a, b in zip(high, high[1:])), sign
+            assert all(a <= b for a, b in zip(low, low[1:])), sign
             assert column.ell == tuple(map(math.log, column.g)), sign
+
+    def test_node_sums_are_free_of_the_column_order(self, monkeypatch):
+        """All 76 node sums of the default proof are bit-identical over columns in node order, reversed or shuffled: the order is a speed choice only."""
+        passes = default_proof_passes()
+        assert {n for _, n in passes} == {640}
+
+        def node_sums():
+            return {
+                (sign, t, j): v.hex()
+                for (t, n), jobs in passes.items()
+                for sign in SIGN_PAIR
+                for j, v in _h_node_sums(sign, t, sorted({j for j, _ in jobs}), n).items()
+            }
+
+        reference = node_sums()
+        assert len(reference) == 76
+        node_order = dict(zip(SIGN_PAIR, quadrature.eval_G_pair(_nodes(640))))
+        orders = {
+            "node order": node_order,
+            "reversed": {sign: g[::-1] for sign, g in node_order.items()},
+            "shuffled": {sign: random.Random(24).sample(g, len(g)) for sign, g in node_order.items()},
+        }
+        for name, columns in orders.items():
+            table = {sign: NodeColumns(g, tuple(map(math.log, g)), {}) for sign, g in columns.items()}
+            monkeypatch.setitem(_NODE_TABLE, 640, table)  # restored when the test ends
+            assert node_sums() == reference, name
 
     def test_log_columns_live_with_the_node_table(self):
         """(log G)^p is kept on the table's columns once asked for, and rebuilt with the table."""
@@ -294,7 +326,7 @@ class TestBatchedNodeSums:
 
     @pytest.mark.parametrize("n", [1, 255, 257, 3000])
     def test_sums_off_the_proof_grid_equal_node_order_reference(self, n):
-        """Sums over the descending columns equal the node-order reference bit for bit, at (t, N) the proof never uses."""
+        """Sums over the table's columns (G >= 1 falling, then G < 1 rising) equal the node-order reference bit for bit, at (t, N) the proof never uses."""
         for sign, t in itertools.product((PLUS, MINUS), (5.0, 5.37, 6.0)):
             for j, v in _h_node_sums(sign, t, [0, 1, 4, 9], n).items():
                 assert v.hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, t, j)
@@ -664,24 +696,9 @@ class TestGapDerivative:
 
 @pytest.fixture(scope="module")
 def proof_batches():
-    """The default proof's gap_derivatives calls, each with its truth: [(t, N, jobs, values, {order: truth})].
-
-    The calls are recorded while prove_k5 runs; the truth is oracle.gap_reference,
-    one mpmath pass per (t, sign), taken once for the module (about 2 s).
-    """
+    """oracle.proof_gap_batches, taken once for the module (about 2 s)."""
     pytest.importorskip("mpmath")
-    batches = []
-
-    def recording(t, n_steps, jobs):
-        values = gap_derivatives(t, n_steps, jobs)
-        batches.append((t, n_steps, list(jobs), values))
-        return values
-
-    with pytest.MonkeyPatch.context() as patch:
-        for module in (pipeline, certify):
-            patch.setattr(module, "gap_derivatives", recording)
-        prove_k5()
-    return [(t, n, jobs, values, gap_reference(t, sorted({j for j, _ in jobs}))) for t, n, jobs, values in batches]
+    return proof_gap_batches()
 
 
 # The default proof's 38 gap values as (t, N, order, mode), each held against the truth in a test of its own
