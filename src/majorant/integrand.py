@@ -11,9 +11,11 @@ of G^t log^j G and collecting by which G-derivatives appear yields five groups
 where each of four braces is a polynomial in log G whose coefficients are
 polynomials in t times falling factorials of j.  ``h4_bounds`` takes the
 polynomials once per t and gives each order j a scalar envelope, |G'| bounded
-by its sup (``h4_sup_bound``), or (coefficient, key) terms keeping |G'|
-(``h4_term_bounds``), each key naming one integral over the period that the
-refined error bound weighs.  No bound depends on the sign: WORK_M bounds both.
+by its sup (``h4_sup_bound``), or (coefficient, group, p) terms keeping |G'|,
+each naming one integral over the period that the refined error bound weighs:
+of G^(t+offset) |log G|^p for the group's offset, times |G'| if it keeps one.
+``h4_term_bounds`` renders each group as its key (has_gprime, t + offset), as
+``refined_kinds`` lists them.  No bound depends on the sign: WORK_M bounds both.
 """
 
 from __future__ import annotations
@@ -94,16 +96,16 @@ def _brace_rows(t: float) -> tuple[tuple[float, ...], ...]:
 def h4_bounds(t: float, jobs) -> list:
     """The |H''''| bound of each (j, refined) in jobs at one t: a tuple of terms if refined, else one scalar.
 
-    A term (coefficient, (has_gprime, t_r, j_r)) stands for coefficient *
-    G^t_r |log G|^j_r, times |G'| if has_gprime, keyed as term_integrals takes
-    it; terms need t >= 5, so that each t_r is at least 1.  The scalar holds
+    A term (coefficient, group, p) stands for coefficient * G^t_r |log G|^p,
+    times |G'| if has_gprime, where (has_gprime, t_r) is refined_kinds(t)[group];
+    terms need t >= 5, so that each t_r is at least 1.  The scalar holds
     over the whole period, each scalar group's term bounded by the envelope of
     G^(t+offset) |log G|^p on [0, G_MAX]; it needs t > 4 with logs (at t = 4
     the G^0 log^j G envelope is unbounded at 0), t >= 4 without.  Neither
     depends on the sign.  The brace polynomials in t are taken once, and each
     job is checked, in job order, before its bound is built.
     """
-    groups = None
+    rows = None
     bounds = []
     for j, refined in jobs:
         _check_power_and_order(t, j)
@@ -111,23 +113,23 @@ def h4_bounds(t: float, jobs) -> list:
             raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
         if not refined and (t < 4.0 or (t == 4.0 and j > 0)):
             raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 plain), got t={t}, j={j}")
-        if groups is None:  # the first job: the t-polynomials, and the refined groups' powers of G
-            (a1, a2, a3, a4), (b1, b2, b3), (c1, c2), (d1,) = _brace_rows(t)
-            groups = [(const, has_gprime, t + offset, kind) for const, offset, kind, has_gprime in _REFINED_GROUPS]
+        if rows is None:  # the first job: the t-polynomials
+            rows = _brace_rows(t)
+            (a1, a2, a3, a4), (b1, b2, b3), (c1, c2), (d1,) = rows
         try:  # the largest integer any brace converts, and every bound takes the quartic brace
             falling = float(j * (j - 1) * (j - 2) * (j - 3))
         except OverflowError:  # from j ~ 1.2e77; the message gives log10(j), as str(j) refuses past 4300 digits
             raise ValueError(f"log exponent j ~ 10^{math.log10(j):.1f} is too large to evaluate: the fourth-derivative bound overflows a float") from None
         braces = {  # polynomial times falling factors of j, left to right; positive at t >= 4, so no zero term or abs
-            "quartic": [(c, p) for c, p in ((falling, j - 4), (a1 * j * (j - 1) * (j - 2), j - 3), (a2 * j * (j - 1), j - 2), (a3 * 2.0 * j, j - 1), (a4, j)) if p >= 0],
-            "cubic": [(c, p) for c, p in ((float(j * (j - 1) * (j - 2)), j - 3), (b1 * j * (j - 1), j - 2), (b2 * j, j - 1), (b3, j)) if p >= 0],
-            "quadratic": [(c, p) for c, p in ((float(j * (j - 1)), j - 2), (c1 * j, j - 1), (c2, j)) if p >= 0],
-            "linear": [(c, p) for c, p in ((float(j), j - 1), (d1, j)) if p >= 0],
-        }
+            "quartic": ((falling, j - 4), (a1 * j * (j - 1) * (j - 2), j - 3), (a2 * j * (j - 1), j - 2), (a3 * 2.0 * j, j - 1), (a4, j)),
+            "cubic": ((float(j * (j - 1) * (j - 2)), j - 3), (b1 * j * (j - 1), j - 2), (b2 * j, j - 1), (b3, j)),
+            "quadratic": ((float(j * (j - 1)), j - 2), (c1 * j, j - 1), (c2, j)),
+            "linear": ((float(j), j - 1), (d1, j)),
+        }  # a term of log order p < 0 is none: each bound below skips it
         if refined:  # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
-            bounds.append(tuple([(const * c, (has_gprime, t_r, p)) for const, has_gprime, t_r, kind in groups for c, p in braces[kind]]))
+            bounds.append(tuple([(const * c, group, p) for group, (const, _, kind, _) in enumerate(_REFINED_GROUPS) for c, p in braces[kind] if p >= 0]))
         else:
-            pieces = [const * c * envelope_max(t + offset, p, 0.0, G_MAX) for const, offset, kind in _SCALAR_GROUPS for c, p in braces[kind]]
+            pieces = [const * c * envelope_max(t + offset, p, 0.0, G_MAX) for const, offset, kind in _SCALAR_GROUPS for c, p in braces[kind] if p >= 0]
             bounds.append(overflow_to_inf(math.fsum, pieces))
     return bounds
 
@@ -137,6 +139,13 @@ def h4_sup_bound(spec: IntegrandSpec) -> float:
     return h4_bounds(spec.t, [(spec.j, False)])[0]
 
 
+def refined_kinds(t: float) -> list[tuple[bool, float]]:
+    """(has_gprime, t + offset) of each refined group, by group index: what a term of h4_bounds at t integrates."""
+    return [(has_gprime, t + offset) for _, offset, _, has_gprime in _REFINED_GROUPS]
+
+
 def h4_term_bounds(spec: IntegrandSpec) -> tuple[tuple[float, tuple[bool, float, int]], ...]:
-    """|H''''| bound as (coefficient, key) terms that keep a |G'| factor where one arises: h4_bounds of one refined job."""
-    return h4_bounds(spec.t, [(spec.j, True)])[0]
+    """|H''''| bound as (coefficient, (has_gprime, t_r, p)) terms, the keys term_integrals takes: h4_bounds of one refined job."""
+    (terms,) = h4_bounds(spec.t, [(spec.j, True)])
+    kinds = refined_kinds(spec.t)
+    return tuple([(c, (*kinds[group], p)) for c, group, p in terms])

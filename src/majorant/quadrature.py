@@ -27,10 +27,15 @@ The node layer lives here too: per sign, one row G^t over all N nodes serves
 every j (_h_node_sums), and the node table holds G, log G and the powers
 (log G)^p asked for, both signs from one cosine pass (see _node_table).
 gap_derivatives assembles each certified gap value from both signs' node sums,
-one h4_bounds call and one term_integrals pass per batch.  That pass, and the
-q pass of majorant.tables behind the Q tables, take each key's small-range
-term in closed form (_sign_free_parts); only their variation bounds depend on
-the sign, which each LocalMaxTable carries.
+one h4_bounds call and one cell table per sign and batch.  A term of h4_bounds
+is (coefficient, group, p); the table holds the integral bound of each of the
+five groups at each log order p the batch's terms use, and each error bound is
+one fsum over its terms' cells (_error_bounds).  The keyed view, term_integrals
+and refined_error_bounds over the (has_gprime, t, p) keys of h4_term_bounds,
+reads the same cells.  The cells, and the q pass of majorant.tables behind
+the Q tables, take their small-range terms in closed form, once per (kind,
+order) (_cells); only the variation bounds depend on the sign, which each
+LocalMaxTable carries.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from math import fsum
 from operator import mul
 from typing import NamedTuple
 
-from .integrand import h4_bounds
+from .integrand import h4_bounds, refined_kinds
 from .spectral import torus_integral_upper
 from .trigpoly import G_MAX, MAX_STEPS, SIGN_PAIR, LocalMaxTable, SignVariant, TrigSquare, default_max_table
 from .trigpoly import eval_G_pair, overflow_to_inf, variation_bound_power
@@ -70,70 +75,104 @@ def _check_steps(n_steps: int) -> None:
         raise ValueError(f"step count must be an integer in 1..{MAX_STEPS}, got {n_steps!r}")
 
 
-def _sign_free_parts(keys, weights) -> tuple[dict, dict]:
-    """{(has_gprime, t, j): (small, log(9)^j, (has_gprime, t))} per distinct key, and the (has_gprime, t) of all keys.
+_INTEGRAL_WEIGHTS = (1.0, 14.0 / G_MAX)  # the small-range weights of an integral over one period: 1, or 14/9 with |G'|
 
-    small is envelope_max(t, j, 0, 1/9) * weights[has_gprime] from the
-    envelope's closed form, in the same floats, and 0 at j = 0.  (1/9)^t is
-    taken once per power, |log(1/9)|^j and log(9)^j once per order, and so
-    are the argument checks; the keys come from the group table or a Q table.
+
+def _cells(kinds, orders, weights, table_bases) -> list[dict[int, list[float]]]:
+    """{p: [small + log(9)^p * base of each (has_gprime, t) in kinds]} per list of bases, for each log order p in orders.
+
+    small is envelope_max(t, p, 0, 1/9) * weights[has_gprime] from the
+    envelope's closed form, in the same floats, and 0 at p = 0: the one
+    small-range term of both bound passes, the refined one (weights
+    _INTEGRAL_WEIGHTS) and the q pass of majorant.tables.  (1/9)^t is taken
+    once per kind, |log(1/9)|^p and log(9)^p once per order, and so are the
+    argument checks, before table_bases yields each table's bases, in kind order.
     """
-    ends, logs, parts, inf = {}, {}, {}, math.inf
-    for key in dict.fromkeys(keys):
-        star, t, j = key
-        if t not in ends:
-            if not t >= 1.0:  # the argument checks are phrased "not <valid>" so that a NaN fails them
-                raise ValueError(f"power must be >= 1, got {t}")
-            ends[t] = _SMALL_END**t
-        if j not in logs:
-            if not j >= 0:
-                raise ValueError(f"log exponent must be nonnegative, got {j}")
-            logs[j] = overflow_to_inf(pow, _LOG_SMALL_END, j), overflow_to_inf(pow, LOG9, j)
-        log_small, log9_power = logs[j]
-        small = 0.0
-        if j != 0:  # the larger of the value at 1/9 and, if exp(-j/t) lies in (0, 1/9), the peak (j/(e t))^j there
-            small = ends[t] * log_small if log_small != inf else inf
-            if small != inf and 0.0 < math.exp(-j / t) < _SMALL_END:
-                small = max(small, overflow_to_inf(pow, j / (math.e * t), j))
-            small *= weights[star]
-        parts[key] = small, log9_power, key[:2]
-    return parts, dict.fromkeys(kind for _, _, kind in parts.values())
+    per_kind, rows, inf, exp = [], {}, math.inf, math.exp
+    for star, t in kinds:
+        if not t >= 1.0:  # the argument checks are phrased "not <valid>" so that a NaN fails them
+            raise ValueError(f"power must be >= 1, got {t}")
+        per_kind.append((t, _SMALL_END**t, math.e * t, weights[star]))
+    for p in orders:
+        if not p >= 0:
+            raise ValueError(f"log exponent must be nonnegative, got {p}")
+        log_small = overflow_to_inf(pow, _LOG_SMALL_END, p)
+        if p == 0:
+            smalls = [0.0] * len(per_kind)
+        else:  # the larger of the value at 1/9 and, if exp(-p/t) lies in (0, 1/9), the peak (p/(e t))^p there
+            smalls = []
+            for t, end, e_t, weight in per_kind:
+                small = end * log_small if log_small != inf else inf
+                if small != inf and 0.0 < exp(-p / t) < _SMALL_END:
+                    small = max(small, overflow_to_inf(pow, p / e_t, p))
+                smalls.append(small * weight)
+        rows[p] = overflow_to_inf(pow, LOG9, p), smalls
+    return [
+        {p: [small + log9_power * base for small, base in zip(smalls, bases)] for p, (log9_power, smalls) in rows.items()}
+        for bases in table_bases
+    ]
+
+
+def _integral_bases(kinds, tables: list[LocalMaxTable]):
+    """Per maxima table, the large-range base of each (has_gprime, t) in kinds, lazily.
+
+    The mean bound torus_integral_upper(t), once per kind, or with |G'| the
+    variation bound of G^(t+1) over t+1, once per (table, kind): with the
+    small-range term of _cells, the integral over one period of G^t |log G|^p,
+    times |G'| if has_gprime, split at G = 1/9 as the module docstring derives.
+    """
+    means = [None if star else torus_integral_upper(t) for star, t in kinds]
+    for table in tables:
+        yield [variation_bound_power(table, t + 1.0) / (t + 1.0) if star else mean for (star, t), mean in zip(kinds, means)]
+
+
+def _error_bounds(term_lists, kinds, orders, tables: list[LocalMaxTable], n_steps: int) -> list[list[float]]:
+    """Per table, the error bound of each list of (coefficient, kind index, p) terms: fsum of c * cell, over 23040 N^4.
+
+    The cells are the integral bounds of kinds at the log orders in orders,
+    which must hold every p of the terms; fsum is exactly rounded, so the
+    order of the terms does not matter.
+    """
+    _check_steps(n_steps)
+    scale = _ERR_DENOM * float(n_steps) ** 4
+    return [
+        [overflow_to_inf(fsum, [c * cells[p][kind] for c, kind, p in terms]) / scale for terms in term_lists]
+        for cells in _cells(kinds, orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables))
+    ]
+
+
+def _keyed_cells(keys, weights, table_bases) -> list[dict]:
+    """The cells of the distinct keys: one {(has_gprime, t, p): cell} dict per list of bases that table_bases(kinds) yields."""
+    index, slots = {}, {}  # index: {(has_gprime, t): kind index}, in the order first met
+    for key in keys:
+        slots[key] = key[2], index.setdefault(key[:2], len(index))
+    kinds = list(index)
+    per_table = _cells(kinds, {p for p, _ in slots.values()}, weights, table_bases(kinds))
+    return [{key: cells[p][kind] for key, (p, kind) in slots.items()} for cells in per_table]
 
 
 def term_integrals(keys, tables: list[LocalMaxTable]) -> list[dict]:
-    """Bounds for the integral over one period of G^t |log G|^j, times |G'| if has_gprime, per key and sign.
+    """Bounds for the integral over one period of G^t |log G|^p, times |G'| if has_gprime, per key and sign.
 
-    One {(has_gprime, t, j): bound} dict is returned per maxima table in
-    tables, for the sign of that table.  Each bound is small + log(9)^j * base,
-    split at G = 1/9 as the module docstring derives: small is
-    envelope_max(t, j, 0, 1/9), times 14/9 with |G'|, and base is the mean
-    bound torus_integral_upper(t), once per power, or with |G'| the variation
-    bound of G^(t+1) over t+1, once per (table, power).
+    One {(has_gprime, t, p): bound} dict is returned per maxima table in
+    tables, for the sign of that table: the cells of the refined bound pass.
     """
-    sign_free, kinds = _sign_free_parts(keys, (1.0, 14.0 / G_MAX))
-    means = {t: torus_integral_upper(t) for star, t in kinds if not star}
-    per_table = []
-    for table in tables:
-        bases = {(star, t): variation_bound_power(table, t + 1.0) / (t + 1.0) if star else means[t] for star, t in kinds}
-        per_table.append({key: small + log9_power * bases[kind] for key, (small, log9_power, kind) in sign_free.items()})
-    return per_table
+    return _keyed_cells(keys, _INTEGRAL_WEIGHTS, lambda kinds: _integral_bases(kinds, tables))
 
 
 def refined_error_bounds(term_lists, tables: list[LocalMaxTable], n_steps: int) -> list[list[float]]:
     """Error bounds from term-form |H''''| bounds: the terms' integrals, summed, over 23040 N^4.
 
-    Each term list is a tuple of (coefficient, key) pairs from h4_bounds, and
-    the sum bounds ||H''''||_1 term by term through term_integrals.  Term lists
-    are sign-free, so one term_integrals pass over the batch's keys serves
-    every maxima table in tables; one list of bounds is returned per table.
+    Each term list holds (coefficient, (has_gprime, t, p)) pairs, as
+    h4_term_bounds gives them, and the sum bounds ||H''''||_1 term by term.
+    The keys are indexed by (has_gprime, t) and summed over the cells that
+    gap_derivatives sums (_error_bounds).  Term lists are sign-free, so one
+    pass serves every maxima table in tables; one list of bounds is returned
+    per table.
     """
-    _check_steps(n_steps)
-    keys = {key: None for terms in term_lists for _, key in terms}
-    scale = _ERR_DENOM * float(n_steps) ** 4
-    return [
-        [overflow_to_inf(fsum, [c * integrals[key] for c, key in terms]) / scale for terms in term_lists]
-        for integrals in term_integrals(keys, tables)
-    ]
+    index = {}  # {(has_gprime, t): kind index}, in the order first met; one pass, so a generator of term lists serves
+    indexed = [[(c, index.setdefault(key[:2], len(index)), key[2]) for c, key in terms] for terms in term_lists]
+    return _error_bounds(indexed, list(index), {p for terms in indexed for _, _, p in terms}, tables, n_steps)
 
 
 def refined_error_bound(terms, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
@@ -234,9 +273,11 @@ def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:
     minus variant's node sum over 2N less the plus variant's; the error bound
     adds the two variants' bounds.  Those depend on the sign only through the
     maxima tables, so one h4_bounds call serves both signs: each sign's plain
-    bound is the sup bound over 23040 N^4, and one refined_error_bounds pass
-    gives both signs' refined bounds.
+    bound is the sup bound over 23040 N^4, and one cell table per sign, over
+    the five groups and the log orders j-4..j of the refined jobs, gives both
+    signs' refined bounds (_error_bounds).
     """
+    jobs = list(jobs)  # a generator would be used up by the mode check
     if not jobs:
         return []
     for _, mode in jobs:  # before any node work
@@ -247,7 +288,9 @@ def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:
     minus, plus = [_h_node_sums(sign, t, orders, n_steps) for sign in SIGN_PAIR]
     refined = [terms for terms, (_, mode) in zip(bounds, jobs) if mode == "refined"]
     tables = [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
-    minus_errors, plus_errors = map(iter, refined_error_bounds(refined, tables, n_steps))
+    cell_orders = {p for j, mode in jobs if mode == "refined" for p in range(max(j - 4, 0), j + 1)}  # the p of their terms
+    kinds = refined_kinds(t) if refined else []  # no refined job takes no base
+    minus_errors, plus_errors = map(iter, _error_bounds(refined, kinds, cell_orders, tables, n_steps))
     two_n, plain_scale = 2.0 * n_steps, _ERR_DENOM * float(n_steps) ** 4
     values = []
     for bound, (j, mode) in zip(bounds, jobs):

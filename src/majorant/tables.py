@@ -14,7 +14,7 @@ from math import pi
 from .certify import check_sign_variation
 from .integrand import WORK_M
 from .pipeline import DEFAULT_CONFIG, _stage_certificate
-from .quadrature import _check_steps, _sign_free_parts
+from .quadrature import _check_steps, _keyed_cells
 from .spectral import torus_integral_upper, torus_power_integral
 from .trigpoly import G_MAX, LocalMaxTable, SignVariant, TrigSquare, default_max_table, variation_bound_power
 
@@ -127,25 +127,28 @@ def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
         norm of G''.
 
     torus_integral_upper is taken once per power, variation_bound_power once
-    per (table, power), and each j-free base once per table.
+    per (table, power), each j-free base once per table, and each small-range
+    term once per (has_gprime, t, j), in the closed form the refined bound
+    pass takes (quadrature._cells), with the node-sum weights.
     """
     _check_steps(n_steps)
     star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2
-    sign_free, kinds = _sign_free_parts(keys, (n_steps, star_weight))
-    means = {p: torus_integral_upper(p) for p in {2.0 * t if star else t for star, t in kinds}}
-    powers = {p for star, t in kinds for p in ((t + 1.0, t) if star else (t,))}
-    per_table = []
-    for table in tables:
-        variation = {p: variation_bound_power(table, p) for p in powers}
-        bases = {}
-        for star, t in kinds:
-            if star:
-                tail = _HALF_L2_G2 * math.sqrt(means[2.0 * t])
-                bases[star, t] = n_steps / (t + 1.0) * variation[t + 1.0] + _HALF_SUP_G1 * variation[t] + tail
-            else:  # N times the mean of G^t plus half its variation
-                bases[star, t] = n_steps * means[t] + 0.5 * variation[t]
-        per_table.append({key: small + log9_power * bases[kind] for key, (small, log9_power, kind) in sign_free.items()})
-    return per_table
+
+    def table_bases(kinds):
+        means = {p: torus_integral_upper(p) for p in {2.0 * t if star else t for star, t in kinds}}
+        powers = {p for star, t in kinds for p in ((t + 1.0, t) if star else (t,))}
+        for table in tables:
+            variation = {p: variation_bound_power(table, p) for p in powers}
+            bases = []
+            for star, t in kinds:
+                if star:
+                    tail = _HALF_L2_G2 * math.sqrt(means[2.0 * t])
+                    bases.append(n_steps / (t + 1.0) * variation[t + 1.0] + _HALF_SUP_G1 * variation[t] + tail)
+                else:  # N times the mean of G^t plus half its variation
+                    bases.append(n_steps * means[t] + 0.5 * variation[t])
+            yield bases
+
+    return _keyed_cells(keys, (n_steps, star_weight), table_bases)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from majorant.integrand import h4_bounds
-from majorant.quadrature import CertifiedValue, _h_node_sums, refined_error_bounds
+from majorant.integrand import h4_bounds, refined_kinds
+from majorant.quadrature import CertifiedValue, _error_bounds, _h_node_sums
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table
 
 
@@ -47,8 +47,9 @@ def one_sign_integral(sign, t, n_steps, j, mode):
     """
     (bound,) = h4_bounds(t, [(j, mode == "refined")])
     estimate = _h_node_sums(sign, t, [j], n_steps)[j] / (2.0 * n_steps)
-    if mode == "refined":
-        error = refined_error_bounds([bound], [default_max_table(TrigSquare(5, sign))], n_steps)[0][0]
+    if mode == "refined":  # over one sign's cells as gap_derivatives builds them: the five groups at the orders j-4..j
+        table = default_max_table(TrigSquare(5, sign))
+        error = _error_bounds([bound], refined_kinds(t), range(max(j - 4, 0), j + 1), [table], n_steps)[0][0]
     else:
         error = bound / (23040.0 * float(n_steps) ** 4)
     return CertifiedValue(estimate, error, n_steps, mode)

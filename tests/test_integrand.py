@@ -7,7 +7,7 @@ import re
 import pytest
 
 from majorant import integrand
-from majorant.integrand import _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds
+from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds
 from majorant.trigpoly import SignVariant, TrigSquare, sup_norm_bound
 
 from oracle import eval_G, eval_H, eval_H_second, h4_sup_bound_reference, h4_term_bounds_reference, term_sum_value
@@ -207,6 +207,11 @@ def bits(terms):
     return [(c.hex(), has_gprime, t_r.hex(), j_r) for c, (has_gprime, t_r, j_r) in terms]
 
 
+def keyed(t, terms):
+    """A refined term list of h4_bounds at t with each group index written as its key (has_gprime, t + offset), from the group table."""
+    return tuple((c, (_REFINED_GROUPS[group][3], t + _REFINED_GROUPS[group][1], p)) for c, group, p in terms)
+
+
 class TestBraceBuilder:
     """h4_bounds takes the brace polynomials once per t; every bound equals the per-order formula bit for bit."""
 
@@ -214,8 +219,8 @@ class TestBraceBuilder:
         for t in BUILDER_POWERS:
             built = h4_bounds(t, [(j, True) for j in BUILDER_ORDERS])
             for j, terms in zip(BUILDER_ORDERS, built):
-                assert bits(terms) == bits(h4_term_bounds_reference(t, j)), (t, j)
-                assert terms == h4_term_bounds(IntegrandSpec(t, j, MINUS))
+                assert bits(keyed(t, terms)) == bits(h4_term_bounds_reference(t, j)), (t, j)
+                assert keyed(t, terms) == h4_term_bounds(IntegrandSpec(t, j, MINUS))
 
     def test_sup_bounds_equal_the_per_order_reference(self):
         for t in BUILDER_POWERS + [4.0, 4.5]:
@@ -227,7 +232,7 @@ class TestBraceBuilder:
         jobs = [(3, False), (1, True), (0, True), (3, True), (1, False)]
         bounds = h4_bounds(5.0, jobs)
         assert bounds[0] == h4_sup_bound_reference(5.0, 3) and bounds[4] == h4_sup_bound_reference(5.0, 1)
-        assert [bounds[1], bounds[2], bounds[3]] == [h4_term_bounds_reference(5.0, j) for j in (1, 0, 3)]
+        assert [keyed(5.0, bounds[i]) for i in (1, 2, 3)] == [h4_term_bounds_reference(5.0, j) for j in (1, 0, 3)]
 
     def test_brace_polynomials_are_taken_once_per_call(self, monkeypatch):
         calls = []

@@ -13,7 +13,7 @@ from majorant import quadrature
 from majorant import tables as tables_module  # the fixture tables is a pair of maxima tables
 from majorant.certify import TaylorCertificate, build_certificate, eval_cert_poly
 from majorant.envelope import envelope_max
-from majorant.integrand import IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds
+from majorant.integrand import IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds, refined_kinds
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5
 from majorant.quadrature import (
     MAX_STEPS,
@@ -21,6 +21,7 @@ from majorant.quadrature import (
     CertifiedValue,
     NodeColumns,
     _ERR_DENOM,
+    _error_bounds,
     _h_node_sums,
     _NODE_TABLE,
     _node_table,
@@ -143,6 +144,14 @@ class TestMidpointRule:
     def test_empty_job_list_gives_no_values(self):
         assert gap_derivatives(5.5, 100, []) == []
 
+    def test_generators_give_the_values_of_lists(self, tables):
+        """Jobs and term lists are read once each, so a generator of them gives what the list gives."""
+        jobs = [(1, "refined"), (3, "plain"), (2, "refined")]
+        assert gap_derivatives(5.5, 640, (job for job in jobs)) == gap_derivatives(5.5, 640, jobs) != []
+        term_lists = [h4_term_bounds(IntegrandSpec(5.5, j, PLUS)) for j in (1, 2)]
+        expected = refined_error_bounds(term_lists, tables, 640)
+        assert refined_error_bounds(iter(term_lists), tables, 640) == expected and all(len(bounds) == 2 for bounds in expected)
+
 
 class TestDeterminism:
     def test_identical_bits_with_cold_and_warm_node_table(self, pair_calls):
@@ -196,19 +205,48 @@ class TestDeterminism:
         assert len(calls) == 5  # one per gap_derivatives batch
 
     def test_proof_computes_each_small_range_term_once(self, monkeypatch):
-        """The small-range part of the term integrals is sign-free, so one refined pass per call serves both signs.
+        """The cells of the refined bounds are sign-free below 1/9, so one cell table per batch serves both signs.
 
-        Measured: 201 small-range terms per warm proof, one per key with j > 0
-        of each call, half the 402 of one pass per sign; each batch makes one
-        _sign_free_parts pass, which computes each distinct key's term once.
+        Measured: 230 cells per sign per warm proof, 5 groups at 46 log orders
+        (the union of j-4..j over each batch's refined orders: 3, 11, 10, 11
+        and 11 orders), from one _cells call per batch, each small-range term
+        taken once for both signs: 205 with p > 0, where the keyed pass before
+        took 201, one per distinct key with j > 0.
         """
-        passes = []
-        real = quadrature._sign_free_parts
+        calls = []
+        real = quadrature._cells
+
+        def counting(kinds, orders, weights, table_bases):
+            per_table = real(kinds, orders, weights, table_bases)
+            calls.append((len(kinds), len(orders), [sum(map(len, cells.values())) for cells in per_table]))
+            return per_table
+
         prove_k5()  # warm
-        monkeypatch.setattr(quadrature, "_sign_free_parts", lambda keys, weights: passes.append(real(keys, weights)) or passes[-1])
+        monkeypatch.setattr(quadrature, "_cells", counting)
         prove_k5()
-        assert sum(1 for parts, _ in passes for _, _, j in parts if j != 0) == 201
-        assert len(passes) == 5
+        assert [(kinds, orders) for kinds, orders, _ in calls] == [(5, 3), (5, 11), (5, 10), (5, 11), (5, 11)]
+        assert all(per_table == [5 * orders] * 2 for _, orders, per_table in calls)
+        assert sum(per_table[0] for _, _, per_table in calls) == 230
+
+    @pytest.mark.parametrize("j", [0, 1, 3, 4, 9, 30, 10**6, 10**15])
+    def test_single_order_call_builds_cells_at_its_orders_only(self, j, monkeypatch):
+        """A one-order call takes the cells of the five groups at the log orders j-4..j (from 0), never 0..j.
+
+        derivative_sweep makes one gap_derivative call per op and
+        certificate_audit one refined_error_bound call per bound; both are
+        checked up to j = 30.  Past that only the keyed call is: a node sum at
+        j = 10**6 or 10**15 overflows in (log G)^j before any bound is taken.
+        """
+        calls = []
+        real = quadrature._cells
+        monkeypatch.setattr(quadrature, "_cells", lambda kinds, orders, *rest: calls.append((list(kinds), set(orders))) or real(kinds, orders, *rest))
+        expected = set(range(max(j - 4, 0), j + 1))
+        trig = TrigSquare(5, PLUS)
+        refined_error_bound(h4_term_bounds(IntegrandSpec(5.5, j, PLUS)), trig, 300, default_max_table(trig))
+        if j <= 30:
+            gap_derivative(j, 5.5, 300, "refined")
+        assert [orders for _, orders in calls] == [expected] * (1 + (j <= 30))
+        assert all(kinds == refined_kinds(5.5) for kinds, _ in calls)
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640])
     def test_each_sign_holds_all_nodes_falling_then_rising(self, n, monkeypatch):
@@ -456,26 +494,25 @@ class TestQPass:
 
     @pytest.mark.parametrize("table_id,small_terms", [("Q500", 5), ("Q400", 10)])
     def test_each_table_computes_each_ingredient_once(self, monkeypatch, table_id, small_terms):
-        """Per table: one variation per (sign, power), one torus bound per power, one small-range term per key.
+        """Per table: one variation per (sign, power), one torus bound per power, one small-range term per (kind, order).
 
         Both tables use the powers 1..4 for variations and 2, 3, 4, 6 for torus
-        bounds; Q500 has 5 keys with j > 0, Q400 has 10, all from one
-        _sign_free_parts pass.
+        bounds; Q500 has 5 kinds at the order 1, Q400 5 kinds at the orders 1
+        and 2, all from one _cells call.
         """
         calls = collections.Counter()
         for name in ("variation_bound_power", "torus_integral_upper"):
             real = getattr(tables_module, name)
             monkeypatch.setattr(tables_module, name, lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
-        real_parts = tables_module._sign_free_parts
+        real_cells = quadrature._cells
 
-        def counting(keys, weights):
-            parts, kinds = real_parts(keys, weights)
-            calls.update(["_sign_free_parts"] + ["small_range_term" for _, _, j in parts if j != 0])
-            return parts, kinds
+        def counting(kinds, orders, weights, table_bases):
+            calls.update(["_cells"] + ["small_range_term"] * (len(kinds) * sum(1 for p in orders if p != 0)))
+            return real_cells(kinds, orders, weights, table_bases)
 
-        monkeypatch.setattr(tables_module, "_sign_free_parts", counting)
+        monkeypatch.setattr(quadrature, "_cells", counting)
         reproduce_table(table_id)
-        assert calls == {"variation_bound_power": 8, "torus_integral_upper": 4, "_sign_free_parts": 1, "small_range_term": small_terms}
+        assert calls == {"variation_bound_power": 8, "torus_integral_upper": 4, "_cells": 1, "small_range_term": small_terms}
 
 
 class TestNodeSumBounds:
@@ -726,11 +763,57 @@ BOUND_POWERS = [5.0, 5.065, 5.23, 5.525, 5.86, 6.0] + [random.Random(1717).unifo
 BOUND_ORDERS = list(range(31)) + [10**6, 10**15]
 
 
+def sign_errors(monkeypatch):
+    """The per-sign refined error bounds each gap_derivatives call sums, one [minus, plus] pair of lists per call."""
+    calls = []
+    real = quadrature._error_bounds
+    monkeypatch.setattr(quadrature, "_error_bounds", lambda *args: calls.append(real(*args)) or calls[-1])
+    return calls
+
+
+def assert_sign_errors_equal_reference(t, n, jobs, values, errors):
+    """Each refined job's two per-sign bounds are bitwise the oracle's, and its error_bound is their sum."""
+    tables = [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
+    refined = [(j, value) for (j, mode), value in zip(jobs, values) if mode == "refined"]
+    for table, bounds in zip(tables, errors):
+        assert [b.hex() for b in bounds] == [refined_error_bound_reference(t, j, n, table).hex() for j, _ in refined], (t, n, table.sign)
+    for (j, value), e_minus, e_plus in zip(refined, *errors):
+        assert value.error_bound.hex() == (e_minus + e_plus).hex(), (t, n, j)
+
+
+def test_proof_sign_errors_equal_the_reference(monkeypatch):
+    """Every refined gap value of the five default-proof batches: gap_derivatives' own per-sign bounds, not the keyed view."""
+    calls = sign_errors(monkeypatch)
+    for (t, n), jobs in default_proof_passes().items():
+        values = gap_derivatives(t, n, jobs)
+        assert_sign_errors_equal_reference(t, n, jobs, values, calls[-1])
+    assert sum(len(minus) for minus, _ in calls) == 37
+
+
+@pytest.mark.parametrize("n", [1, 255, 640, 3000])
+def test_sweep_sign_errors_equal_the_reference(n, monkeypatch):
+    """gap_derivatives' own per-sign bounds over t in [5, 40] and the orders 0..30 in both modes, bitwise the oracle's."""
+    calls = sign_errors(monkeypatch)
+    jobs = [(j, mode) for j in range(31) for mode in MODES]
+    for t in BOUND_POWERS:
+        values = gap_derivatives(t, n, jobs)
+        assert_sign_errors_equal_reference(t, n, jobs, values, calls[-1])
+    assert len(calls) == len(BOUND_POWERS)
+
+
 @pytest.mark.parametrize("n", [1, 255, 640, 3000])
 def test_refined_bounds_equal_the_per_order_reference(n, tables):
-    """Each batch's refined error bounds, both signs, are bitwise the per-(t, j) brace formula with every key integral afresh."""
+    """Each batch's refined error bounds, both signs, are bitwise the per-(t, j) brace formula with every key integral afresh.
+
+    Both drivers are held: the indexed one over the cells of the five groups
+    at the orders j-4..j, as gap_derivatives sums them, and the keyed one,
+    refined_error_bounds over the terms of h4_term_bounds.
+    """
     for t in BOUND_POWERS:
-        term_lists = h4_bounds(t, [(j, True) for j in BOUND_ORDERS])
-        for table, bounds in zip(tables, refined_error_bounds(term_lists, tables, n)):
-            expected = [refined_error_bound_reference(t, j, n, table) for j in BOUND_ORDERS]
-            assert [b.hex() for b in bounds] == [e.hex() for e in expected], (t, n, table.sign)
+        indexed = _error_bounds(
+            h4_bounds(t, [(j, True) for j in BOUND_ORDERS]), refined_kinds(t), {p for j in BOUND_ORDERS for p in range(max(j - 4, 0), j + 1)}, tables, n
+        )
+        keyed = refined_error_bounds([h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j in BOUND_ORDERS], tables, n)
+        for table, *bounds in zip(tables, indexed, keyed):
+            expected = [refined_error_bound_reference(t, j, n, table).hex() for j in BOUND_ORDERS]
+            assert [[b.hex() for b in driver] for driver in bounds] == [expected, expected], (t, n, table.sign)
