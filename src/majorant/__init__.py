@@ -19,7 +19,7 @@ from .certify import (
     eval_cert_poly,
 )
 from .envelope import envelope_max
-from .integrand import IntegrandSpec, h4_sup_bound, h4_term_bounds
+from .integrand import IntegrandSpec, h4_term_bounds
 from .pipeline import DEFAULT_CONFIG, ProofReport, StageResult, emit_report, prove_k5
 from .quadrature import CertifiedValue, gap_derivative
 from .spectral import (

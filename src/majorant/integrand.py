@@ -11,9 +11,9 @@ of G^t log^j G and collecting by which G-derivatives appear yields five groups
 where each of four braces is a polynomial in log G whose coefficients are
 polynomials in t times falling factorials of j.  ``h4_bounds`` takes the
 polynomials once per t and gives each order j a scalar envelope, |G'| bounded
-by its sup (``h4_sup_bound``), or (coefficient, group, p) terms keeping |G'|,
-each naming one integral over the period that the refined error bound weighs:
-of G^(t+offset) |log G|^p for the group's offset, times |G'| if it keeps one.
+by its sup, or (coefficient, group, p) terms keeping |G'|, each naming one
+integral over the period that the refined error bound weighs: of
+G^(t+offset) |log G|^p for the group's offset, times |G'| if it keeps one.
 ``h4_term_bounds`` renders each group as its key (has_gprime, t + offset), as
 ``refined_kinds`` lists them.  No bound depends on the sign: WORK_M bounds both.
 """
@@ -134,18 +134,13 @@ def h4_bounds(t: float, jobs) -> list:
     return bounds
 
 
-def h4_sup_bound(spec: IntegrandSpec) -> float:
-    """Scalar sup-norm bound for H'''' over the whole period: h4_bounds of one plain job."""
-    return h4_bounds(spec.t, [(spec.j, False)])[0]
-
-
 def refined_kinds(t: float) -> list[tuple[bool, float]]:
     """(has_gprime, t + offset) of each refined group, by group index: what a term of h4_bounds at t integrates."""
     return [(has_gprime, t + offset) for _, offset, _, has_gprime in _REFINED_GROUPS]
 
 
 def h4_term_bounds(spec: IntegrandSpec) -> tuple[tuple[float, tuple[bool, float, int]], ...]:
-    """|H''''| bound as (coefficient, (has_gprime, t_r, p)) terms, the keys term_integrals takes: h4_bounds of one refined job."""
+    """|H''''| bound as (coefficient, (has_gprime, t_r, p)) terms, as refined_error_bound takes them: h4_bounds of one refined job."""
     (terms,) = h4_bounds(spec.t, [(spec.j, True)])
     kinds = refined_kinds(spec.t)
     return tuple([(c, (*kinds[group], p)) for c, group, p in terms])

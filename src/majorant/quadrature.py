@@ -11,9 +11,9 @@ at most ||f''''||_1 / (4 pi N m)^4, with the L^1 norm over one period.  So
 the half-period rule errs by at most ||f''''||_1 zeta(4) / (4 pi N)^4, that
 is ||f''''||_1 / (23040 N^4) (Trefethen and Weideman, "The exponentially
 convergent trapezoidal rule", SIAM Review 56, 2014).  Two interchangeable
-bounds for ||H''''||_1 are provided.  The plain one is the sup bound
-h4_sup_bound, the period having length 1.  The refined one integrates each
-term of h4_term_bounds over the period, splitting the range of G at 1/9:
+bounds for ||H''''||_1 come from h4_bounds.  The plain one is its sup bound,
+the period having length 1.  The refined one integrates each of its terms
+over the period, splitting the range of G at 1/9:
 
   * below 1/9 a term is at most envelope_max(t, j, 0, 1/9), on a set of
     measure at most 1; with a |G'| factor it integrates to at most that
@@ -30,12 +30,11 @@ gap_derivatives assembles each certified gap value from both signs' node sums,
 one h4_bounds call and one cell table per sign and batch.  A term of h4_bounds
 is (coefficient, group, p); the table holds the integral bound of each of the
 five groups at each log order p the batch's terms use, and each error bound is
-one fsum over its terms' cells (_error_bounds).  The keyed view, term_integrals
-and refined_error_bounds over the (has_gprime, t, p) keys of h4_term_bounds,
-reads the same cells.  The cells, and the q pass of majorant.tables behind
-the Q tables, take their small-range terms in closed form, once per (kind,
-order) (_cells); only the variation bounds depend on the sign, which each
-LocalMaxTable carries.
+one fsum over its terms' cells (_error_bounds), the one refined bound driver;
+refined_error_bound indexes one h4_term_bounds term list into it.  The cells,
+and the q pass of majorant.tables behind the Q tables, take their small-range
+terms in closed form, once per (kind, order) (_cells); only the variation
+bounds depend on the sign, which each LocalMaxTable carries.
 """
 
 from __future__ import annotations
@@ -141,45 +140,17 @@ def _error_bounds(term_lists, kinds, orders, tables: list[LocalMaxTable], n_step
     ]
 
 
-def _keyed_cells(keys, weights, table_bases) -> list[dict]:
-    """The cells of the distinct keys: one {(has_gprime, t, p): cell} dict per list of bases that table_bases(kinds) yields."""
-    index, slots = {}, {}  # index: {(has_gprime, t): kind index}, in the order first met
-    for key in keys:
-        slots[key] = key[2], index.setdefault(key[:2], len(index))
-    kinds = list(index)
-    per_table = _cells(kinds, {p for p, _ in slots.values()}, weights, table_bases(kinds))
-    return [{key: cells[p][kind] for key, (p, kind) in slots.items()} for cells in per_table]
-
-
-def term_integrals(keys, tables: list[LocalMaxTable]) -> list[dict]:
-    """Bounds for the integral over one period of G^t |log G|^p, times |G'| if has_gprime, per key and sign.
-
-    One {(has_gprime, t, p): bound} dict is returned per maxima table in
-    tables, for the sign of that table: the cells of the refined bound pass.
-    """
-    return _keyed_cells(keys, _INTEGRAL_WEIGHTS, lambda kinds: _integral_bases(kinds, tables))
-
-
-def refined_error_bounds(term_lists, tables: list[LocalMaxTable], n_steps: int) -> list[list[float]]:
-    """Error bounds from term-form |H''''| bounds: the terms' integrals, summed, over 23040 N^4.
-
-    Each term list holds (coefficient, (has_gprime, t, p)) pairs, as
-    h4_term_bounds gives them, and the sum bounds ||H''''||_1 term by term.
-    The keys are indexed by (has_gprime, t) and summed over the cells that
-    gap_derivatives sums (_error_bounds).  Term lists are sign-free, so one
-    pass serves every maxima table in tables; one list of bounds is returned
-    per table.
-    """
-    index = {}  # {(has_gprime, t): kind index}, in the order first met; one pass, so a generator of term lists serves
-    indexed = [[(c, index.setdefault(key[:2], len(index)), key[2]) for c, key in terms] for terms in term_lists]
-    return _error_bounds(indexed, list(index), {p for terms in indexed for _, _, p in terms}, tables, n_steps)
-
-
 def refined_error_bound(terms, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
-    """refined_error_bounds of one |H''''| term list for spec's sign, whose table it must be; bench/workloads.py calls it."""
+    """The error bound of one h4_term_bounds term list for spec's sign, whose table it must be; bench/workloads.py calls it.
+
+    The (coefficient, (has_gprime, t, p)) terms are indexed by (has_gprime, t)
+    and summed over the cells that gap_derivatives sums (_error_bounds).
+    """
     if table.sign is not spec.sign:
         raise ValueError("local-maximum table was built for a different square")
-    return refined_error_bounds([terms], [table], n_steps)[0][0]
+    index = {}  # {(has_gprime, t): kind index}, in the order first met
+    indexed = [(c, index.setdefault(key[:2], len(index)), key[2]) for c, key in terms]
+    return _error_bounds([indexed], list(index), {p for _, _, p in indexed}, [table], n_steps)[0][0]
 
 
 def _nodes(n_steps: int):

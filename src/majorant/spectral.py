@@ -54,6 +54,9 @@ def torus_power_integral(rho: int) -> int:
     return sum(c * c for c in fourier_coeffs_pow(SignVariant.PLUS, rho))
 
 
+_MOMENTS = tuple(float(torus_power_integral(rho)) for rho in range(1, _MAX_RHO + 1))  # A(rho), rho = 1..6
+
+
 def torus_integral_upper(t: float) -> float:
     """Upper bound for the mean of G^t over one period, exact at integer t <= 6.
 
@@ -65,11 +68,11 @@ def torus_integral_upper(t: float) -> float:
     if not t > 0.0:  # also refuses nan
         raise ValueError(f"power must be positive, got {t}")
     if float(t).is_integer() and t <= _MAX_RHO:
-        return float(torus_power_integral(int(t)))
-    anchors = ((rho, float(torus_power_integral(rho))) for rho in range(1, _MAX_RHO + 1))
-    return min(overflow_to_inf(pow, G_MAX, t - rho) * a if t >= rho else a ** (t / rho) for rho, a in anchors)
+        return _MOMENTS[int(t) - 1]
+    return min(overflow_to_inf(pow, G_MAX, t - rho) * a if t >= rho else a ** (t / rho) for rho, a in enumerate(_MOMENTS, 1))
 
 
+@lru_cache(maxsize=None)
 def endpoint_difference_zero() -> bool:
     """Whether the two sign variants have equal 5th and 6th power integrals.
 

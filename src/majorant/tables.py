@@ -14,7 +14,7 @@ from math import pi
 from .certify import check_sign_variation
 from .integrand import WORK_M
 from .pipeline import DEFAULT_CONFIG, _stage_certificate
-from .quadrature import _check_steps, _keyed_cells
+from .quadrature import _cells, _check_steps
 from .spectral import torus_integral_upper, torus_power_integral
 from .trigpoly import G_MAX, LocalMaxTable, SignVariant, TrigSquare, default_max_table, variation_bound_power
 
@@ -133,8 +133,12 @@ def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
     """
     _check_steps(n_steps)
     star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2
+    index, slots = {}, {}  # index: {(has_gprime, t): kind index}, in the order first met
+    for key in keys:
+        slots[key] = key[2], index.setdefault(key[:2], len(index))
+    kinds = list(index)
 
-    def table_bases(kinds):
+    def table_bases():  # lazily, so that _cells checks the arguments first
         means = {p: torus_integral_upper(p) for p in {2.0 * t if star else t for star, t in kinds}}
         powers = {p for star, t in kinds for p in ((t + 1.0, t) if star else (t,))}
         for table in tables:
@@ -148,7 +152,8 @@ def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
                     bases.append(n_steps * means[t] + 0.5 * variation[t])
             yield bases
 
-    return _keyed_cells(keys, (n_steps, star_weight), table_bases)
+    per_table = _cells(kinds, {p for p, _ in slots.values()}, (n_steps, star_weight), table_bases())
+    return [{key: cells[p][kind] for key, (p, kind) in slots.items()} for cells in per_table]
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from majorant.certify import (
     remainder_bound,
 )
 from majorant.envelope import envelope_max
-from majorant.integrand import IntegrandSpec, h4_sup_bound
+from majorant.integrand import h4_bounds
 from majorant.pipeline import DEFAULT_CONFIG
-from majorant.trigpoly import SignVariant
 
 from oracle import required_steps
 
@@ -141,7 +140,7 @@ class TestRemainderBound:
 
 class TestRequiredSteps:
     def test_reproduces_step_table_entry(self):
-        sup4 = h4_sup_bound(IntegrandSpec(5, 3, SignVariant.PLUS))
+        (sup4,) = h4_bounds(5, [(3, False)])
         assert required_steps(sup4, 0.182, 1.0, 0) == 475
 
     def test_scales_with_budget(self):

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from majorant import integrand
-from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds
+from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_bounds, h4_term_bounds
 from majorant.trigpoly import SignVariant, TrigSquare, sup_norm_bound
 
 from oracle import eval_G, eval_H, eval_H_second, h4_sup_bound_reference, h4_term_bounds_reference, term_sum_value
@@ -125,10 +125,10 @@ class TestEvalHSecond:
 
 class TestFourthDerivativeBounds:
     def test_frozen_scalar_bounds(self):
-        assert h4_sup_bound(IntegrandSpec(5, 0, PLUS)) == pytest.approx(
+        assert h4_bounds(5, [(0, False)])[0] == pytest.approx(
             12455527870080.0, rel=1e-12
         )
-        assert h4_sup_bound(IntegrandSpec(5, 3, PLUS)) == pytest.approx(
+        assert h4_bounds(5, [(3, False)])[0] == pytest.approx(
             282932124114527.6, rel=1e-12
         )
 
@@ -142,7 +142,7 @@ class TestFourthDerivativeBounds:
             + 20.0 * 729.0 * 335840000.0
             + 5.0 * 6561.0 * 11600000.0
         )
-        assert h4_sup_bound(IntegrandSpec(5, 0, PLUS)) == pytest.approx(by_hand, rel=1e-12)
+        assert h4_bounds(5, [(0, False)])[0] == pytest.approx(by_hand, rel=1e-12)
 
     def test_term_coefficients_are_exact_integers(self):
         """Group constants times brace coefficients at t = 5, j = 1 and j = 2."""
@@ -175,7 +175,7 @@ class TestFourthDerivativeBounds:
         h = 1e-4
         for spec in (IntegrandSpec(5, 1, PLUS), IntegrandSpec(5, 2, MINUS)):
             terms, trig = h4_term_bounds(spec), TrigSquare(5, spec.sign)
-            scalar = h4_sup_bound(spec)
+            (scalar,) = h4_bounds(spec.t, [(spec.j, False)])
             for x in rng.uniform(0.02, 0.48, size=40):
                 if eval_G(trig, x) < 0.5:
                     continue
@@ -190,9 +190,9 @@ class TestFourthDerivativeBounds:
 
     def test_requires_large_enough_power(self):
         with pytest.raises(ValueError, match="t > 4 with logs"):
-            h4_sup_bound(IntegrandSpec(4.0, 1, PLUS))
+            h4_bounds(4.0, [(1, False)])
         with pytest.raises(ValueError, match="t > 4 with logs"):
-            h4_sup_bound(IntegrandSpec(3.9, 0, PLUS))
+            h4_bounds(3.9, [(0, False)])
         with pytest.raises(ValueError, match="t >= 5"):
             h4_term_bounds(IntegrandSpec(4.5, 0, PLUS))
 
@@ -226,7 +226,7 @@ class TestBraceBuilder:
         for t in BUILDER_POWERS + [4.0, 4.5]:
             orders = BUILDER_ORDERS if t > 4.0 else [0]
             for j, bound in zip(orders, h4_bounds(t, [(j, False) for j in orders])):
-                assert bound.hex() == h4_sup_bound_reference(t, j).hex() == h4_sup_bound(IntegrandSpec(t, j, PLUS)).hex(), (t, j)
+                assert bound.hex() == h4_sup_bound_reference(t, j).hex(), (t, j)
 
     def test_mixed_jobs_keep_their_order_and_kind(self):
         jobs = [(3, False), (1, True), (0, True), (3, True), (1, False)]
@@ -254,6 +254,7 @@ class TestBraceBuilder:
     def test_power_whose_polynomials_overflow_is_refused(self, t):
         """At t = inf the brace polynomials are inf - inf; an overflowing polynomial is refused by name, never a nan or inf bound."""
         message = "^" + re.escape(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float") + "$"
-        for call in (h4_sup_bound, h4_term_bounds):
-            with pytest.raises(ValueError, match=message):
-                call(IntegrandSpec(t, 2, PLUS))
+        with pytest.raises(ValueError, match=message):
+            h4_bounds(t, [(2, False)])
+        with pytest.raises(ValueError, match=message):
+            h4_term_bounds(IntegrandSpec(t, 2, PLUS))

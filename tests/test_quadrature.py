@@ -13,24 +13,25 @@ from majorant import quadrature
 from majorant import tables as tables_module  # the fixture tables is a pair of maxima tables
 from majorant.certify import TaylorCertificate, build_certificate, eval_cert_poly
 from majorant.envelope import envelope_max
-from majorant.integrand import IntegrandSpec, h4_bounds, h4_sup_bound, h4_term_bounds, refined_kinds
+from majorant.integrand import IntegrandSpec, h4_bounds, h4_term_bounds, refined_kinds
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5
 from majorant.quadrature import (
     MAX_STEPS,
     MODES,
     CertifiedValue,
     NodeColumns,
+    _cells,
     _ERR_DENOM,
     _error_bounds,
     _h_node_sums,
+    _integral_bases,
+    _INTEGRAL_WEIGHTS,
     _NODE_TABLE,
     _node_table,
     _nodes,
     gap_derivative,
     gap_derivatives,
     refined_error_bound,
-    refined_error_bounds,
-    term_integrals,
 )
 from majorant.spectral import torus_integral_upper, torus_power_integral
 from majorant.tables import q_values, reproduce_table
@@ -144,13 +145,10 @@ class TestMidpointRule:
     def test_empty_job_list_gives_no_values(self):
         assert gap_derivatives(5.5, 100, []) == []
 
-    def test_generators_give_the_values_of_lists(self, tables):
-        """Jobs and term lists are read once each, so a generator of them gives what the list gives."""
+    def test_generators_give_the_values_of_lists(self):
+        """Jobs are read once, so a generator of them gives what the list gives."""
         jobs = [(1, "refined"), (3, "plain"), (2, "refined")]
         assert gap_derivatives(5.5, 640, (job for job in jobs)) == gap_derivatives(5.5, 640, jobs) != []
-        term_lists = [h4_term_bounds(IntegrandSpec(5.5, j, PLUS)) for j in (1, 2)]
-        expected = refined_error_bounds(term_lists, tables, 640)
-        assert refined_error_bounds(iter(term_lists), tables, 640) == expected and all(len(bounds) == 2 for bounds in expected)
 
 
 class TestDeterminism:
@@ -370,19 +368,22 @@ class TestBatchedNodeSums:
                 assert v.hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, t, j)
 
     def test_batched_refined_bounds_equal_single_calls(self):
-        """One refined_error_bounds pass per (t, N) for both signs reproduces every single bound and the oracle bitwise."""
+        """One indexed pass per (t, N) for both signs, and refined_error_bound on each order alone, are each the oracle bitwise."""
         for (t, n), jobs in default_proof_passes().items():
-            term_sums = [h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j, _ in jobs]
+            orders = [j for j, _ in jobs]
+            term_sums = [h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j in orders]
             tables = [default_max_table(TrigSquare(5, sign)) for sign in (PLUS, MINUS)]
-            for table, batched in zip(tables, refined_error_bounds(term_sums, tables, n)):
+            cell_orders = {p for j in orders for p in range(max(j - 4, 0), j + 1)}
+            batches = _error_bounds(h4_bounds(t, [(j, True) for j in orders]), refined_kinds(t), cell_orders, tables, n)
+            for table, batched in zip(tables, batches):
                 singles = [refined_error_bound(s, TrigSquare(5, table.sign), n, table) for s in term_sums]
-                assert [b.hex() for b in batched] == [s.hex() for s in singles], (t, n, table.sign)
                 termwise = [  # the per-key oracle, summed as the error bound sums it
                     math.fsum(c * term_integral_reference(has_gprime, t_r, j_r, table) for c, (has_gprime, t_r, j_r) in s)
                     / (23040.0 * float(n) ** 4)
                     for s in term_sums
                 ]
                 assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, table.sign)
+                assert [s.hex() for s in singles] == [w.hex() for w in termwise], (t, n, table.sign)
 
     def test_single_order_sums_match_batch_and_oracle(self):
         """A one-order pass, as one gap_derivative call makes, and gapped batches agree with the full batch.
@@ -419,7 +420,7 @@ class TestBatchedNodeSums:
                         for trig in trigs
                     )
                 else:
-                    e_minus = e_plus = h4_sup_bound(IntegrandSpec(t, j, PLUS)) / (23040.0 * float(n) ** 4)
+                    e_minus = e_plus = h4_bounds(t, [(j, False)])[0] / (23040.0 * float(n) ** 4)
                 assert value.error_bound.hex() == (e_minus + e_plus).hex(), (t, j, n, mode)
                 assert (value.steps, value.method) == (n, mode)
                 checked[mode] += 1
@@ -476,19 +477,23 @@ class TestQPass:
     def test_proof_keys_equal_oracle(self, tables):
         """Every (has_gprime, t_r, j_r) key of the default proof's refined bounds, both signs, is bitwise the oracle.
 
-        Both per-key passes are checked at the proof's N: term_integrals, which
-        the refined error bounds sum, and the q pass.
+        Both per-key passes are checked at the proof's N: the cells of each
+        (group, log order) that the refined error bounds sum, and the q pass.
         """
         checked = 0
         for (t, n), jobs in default_proof_passes().items():
-            keys = [key for j, mode in jobs if mode == "refined" for _, key in h4_term_bounds(IntegrandSpec(t, j, PLUS))]
-            for q, integrals, table in zip(q_values(keys, tables, n), term_integrals(keys, tables), tables):
-                assert set(q) == set(integrals) == set(keys)
-                for (has_gprime, t_r, j_r), value in q.items():
-                    expected = q_reference(has_gprime, t_r, j_r, n, table)
-                    assert value.hex() == expected.hex(), (t, n, has_gprime, t_r, j_r, table.sign)
-                    expected = term_integral_reference(has_gprime, t_r, j_r, table)
-                    assert integrals[has_gprime, t_r, j_r].hex() == expected.hex(), (t, has_gprime, t_r, j_r, table.sign)
+            kinds = refined_kinds(t)
+            cells = {(group, p) for terms in h4_bounds(t, [(j, True) for j, mode in jobs if mode == "refined"]) for _, group, p in terms}
+            keys = [(*kinds[group], p) for group, p in cells]
+            per_table = _cells(kinds, {p for _, p in cells}, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables))
+            for q, integrals, table in zip(q_values(keys, tables, n), per_table, tables):
+                assert set(q) == set(keys)
+                for group, p in cells:
+                    has_gprime, t_r = kinds[group]
+                    expected = q_reference(has_gprime, t_r, p, n, table)
+                    assert q[has_gprime, t_r, p].hex() == expected.hex(), (t, n, has_gprime, t_r, p, table.sign)
+                    expected = term_integral_reference(has_gprime, t_r, p, table)
+                    assert integrals[p][group].hex() == expected.hex(), (t, has_gprime, t_r, p, table.sign)
                     checked += 1
         assert checked == 2 * 221
 
@@ -504,13 +509,13 @@ class TestQPass:
         for name in ("variation_bound_power", "torus_integral_upper"):
             real = getattr(tables_module, name)
             monkeypatch.setattr(tables_module, name, lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
-        real_cells = quadrature._cells
+        real_cells = tables_module._cells
 
         def counting(kinds, orders, weights, table_bases):
             calls.update(["_cells"] + ["small_range_term"] * (len(kinds) * sum(1 for p in orders if p != 0)))
             return real_cells(kinds, orders, weights, table_bases)
 
-        monkeypatch.setattr(quadrature, "_cells", counting)
+        monkeypatch.setattr(tables_module, "_cells", counting)
         reproduce_table(table_id)
         assert calls == {"variation_bound_power": 8, "torus_integral_upper": 4, "_cells": 1, "small_range_term": small_terms}
 
@@ -582,13 +587,13 @@ class TestNodeSumBounds:
         assert math.isfinite(value.estimate) and value.error_bound == math.inf
 
     @pytest.mark.parametrize("n_steps", [100.5, True, 0])
-    def test_bound_passes_share_the_node_step_rule(self, n_steps, plus_table):
+    def test_bound_passes_share_the_node_step_rule(self, n_steps, plus_square, plus_table):
         """A step count the node pass refuses has no node sum to bound, so both bound passes refuse it too."""
         terms = h4_term_bounds(IntegrandSpec(5.5, 1, PLUS))
         for call in (
             lambda: _nodes(n_steps),
             lambda: q_values([(False, 5.0, 1)], [plus_table], n_steps),
-            lambda: refined_error_bounds([terms], [plus_table], n_steps),
+            lambda: refined_error_bound(terms, plus_square, n_steps, plus_table),
         ):
             with pytest.raises(ValueError, match=rf"^step count must be an integer in 1\.\.{MAX_STEPS}, got {n_steps!r}$"):
                 call()
@@ -665,11 +670,17 @@ class TestIntegrateH:
             assert bounds[0].hex() == bounds[1].hex(), (t, j)
 
     def test_term_keys_are_term_integral_keys(self, tables):
-        """The key of each h4_term_bounds term is the key under which term_integrals returns its integral."""
+        """The key of each h4_term_bounds term names the one cell, of each sign's cell table, that holds its integral."""
         for t, j in itertools.product((5.0, 5.065, 5.33, 6.0), range(13)):
-            keys = [key for _, key in h4_term_bounds(IntegrandSpec(t, j, PLUS))]
-            for integrals in term_integrals(keys, tables):
-                assert all(key in integrals for key in keys) and len(integrals) == len(set(keys)), (t, j)
+            kinds = refined_kinds(t)
+            assert len(set(kinds)) == len(kinds), t  # so a (has_gprime, t_r) key names one group
+            (terms,) = h4_bounds(t, [(j, True)])
+            keyed = h4_term_bounds(IntegrandSpec(t, j, PLUS))
+            assert [(c, (*kinds[group], p)) for c, group, p in terms] == list(keyed), (t, j)
+            orders = {p for _, _, p in terms}
+            for cells in _cells(kinds, orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)):
+                assert set(cells) == orders and all(len(cells[p]) == len(kinds) for p in orders), (t, j)
+                assert all(math.isfinite(cells[key[2]][kinds.index(key[:2])]) for _, key in keyed), (t, j)
 
     def test_refined_error_bound_rejects_foreign_table(self, plus_square, minus_table):
         """The one-key wrapper takes a square beside its table, and refuses a table of the other sign."""
@@ -805,15 +816,16 @@ def test_sweep_sign_errors_equal_the_reference(n, monkeypatch):
 def test_refined_bounds_equal_the_per_order_reference(n, tables):
     """Each batch's refined error bounds, both signs, are bitwise the per-(t, j) brace formula with every key integral afresh.
 
-    Both drivers are held: the indexed one over the cells of the five groups
-    at the orders j-4..j, as gap_derivatives sums them, and the keyed one,
-    refined_error_bounds over the terms of h4_term_bounds.
+    Both entries to the one driver are held: the batch over the cells of the
+    five groups at the orders j-4..j, as gap_derivatives sums them, and
+    refined_error_bound on the terms of h4_term_bounds of each order alone.
     """
     for t in BOUND_POWERS:
         indexed = _error_bounds(
             h4_bounds(t, [(j, True) for j in BOUND_ORDERS]), refined_kinds(t), {p for j in BOUND_ORDERS for p in range(max(j - 4, 0), j + 1)}, tables, n
         )
-        keyed = refined_error_bounds([h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j in BOUND_ORDERS], tables, n)
-        for table, *bounds in zip(tables, indexed, keyed):
+        for table, batched in zip(tables, indexed):
+            square = TrigSquare(5, table.sign)
+            singles = [refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, table.sign)), square, n, table) for j in BOUND_ORDERS]
             expected = [refined_error_bound_reference(t, j, n, table).hex() for j in BOUND_ORDERS]
-            assert [[b.hex() for b in driver] for driver in bounds] == [expected, expected], (t, n, table.sign)
+            assert [[b.hex() for b in driver] for driver in (batched, singles)] == [expected, expected], (t, n, table.sign)
