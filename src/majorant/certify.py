@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .envelope import envelope_max
 from .quadrature import gap_derivatives
-from .trigpoly import G_MAX
+from .trigpoly import G_MAX, check_int
 
 PIPELINE_T_MIN = 5.0
 PIPELINE_T_MAX = 6.0
@@ -75,11 +75,8 @@ def check_window(center: float, radius: float, base_order: int, degree: int) -> 
     lo, hi = center - radius, center + radius
     if not PIPELINE_T_MIN - _EDGE_TOL <= lo <= hi <= PIPELINE_T_MAX + _EDGE_TOL:
         raise ValueError(f"expansion window [{lo}, {hi}] leaves {_PROVEN_RANGE}")
-    for name, value in (("base_order", base_order), ("degree", degree)):
-        if type(value) is not int or value < 0:  # refuses True (== 1) and 4.0 too
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
+    check_int("base_order", base_order, 0)
+    check_int("degree", degree, 0, MAX_DEGREE)
 
 
 def check_interval(center: float, radius: float, a: float, b: float) -> None:
@@ -150,6 +147,7 @@ def build_certificate(
     propagated quadrature error exceeds its budget, or if budgets plus the
     computed tail bound overrun total_delta.
     """
+    budgets = list(budgets)  # read once, as gap_derivatives reads its jobs: a generator has no len()
     check_budgets(budgets, degree)
     budget_list = [float(b) for b in budgets]
     tail = remainder_bound(center, radius, base_order, degree)
@@ -181,8 +179,7 @@ def build_certificate(
 
 def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
     """m-th derivative of the certificate polynomial at t inside its window."""
-    if type(m) is not int or not 0 <= m <= cert.degree:  # refuses True (== 1) and 1.0 too
-        raise ValueError(f"derivative order must be in 0..{cert.degree} and an int, got {m!r}")
+    check_int("derivative order m", m, 0, cert.degree)
     if not abs(t - cert.center) <= cert.radius + _EDGE_TOL:  # also refuses nan
         raise ValueError(
             f"t={t} outside certified window [{cert.center - cert.radius}, "
@@ -203,7 +200,8 @@ def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCert
     condition fails, the verdict is certified=False, with every row checked
     and one reason.
     """
-    a, b = float(interval[0]), float(interval[1])
+    a, b = interval  # exactly one pair: a ValueError for one bound or three
+    a, b = float(a), float(b)
     check_interval(cert.center, cert.radius, a, b)
     check_target("chain", target)
     if target == "positive":
@@ -251,7 +249,8 @@ def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> Sign
     at an endpoint, contradicting the mean bound.  Hence p has no zero and is
     positive throughout.
     """
-    a, b = float(interval[0]), float(interval[1])
+    a, b = interval  # exactly one pair: a ValueError for one bound or three
+    a, b = float(a), float(b)
     check_interval(cert.center, cert.radius, a, b)
     check_target("cascade", target)
     delta = cert.total_delta

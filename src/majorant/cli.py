@@ -15,7 +15,7 @@ import sys
 from .pipeline import emit_report, prove_k5
 from .quadrature import MODES, gap_derivative
 from .tables import TABLE_IDS, reproduce_table
-from .trigpoly import TrigSquare, curvature_slack, locate_maxima, parse_sign
+from .trigpoly import TrigSquare, curvature_slack, locate_maxima
 
 _MIN_TABLE_BUMP = 0.001
 
@@ -51,7 +51,7 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
 
 def _cmd_maxima(args: argparse.Namespace) -> int:
-    square = TrigSquare(5, parse_sign(args.sign))
+    square = TrigSquare(5, args.sign)
     bump = args.bump if args.bump is not None else max(_MIN_TABLE_BUMP, curvature_slack(args.step))
     table = locate_maxima(square, args.step, bump)
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -10,22 +10,21 @@ from __future__ import annotations
 
 import math
 
-from .trigpoly import G_MAX
+from .trigpoly import G_MAX, check_int
 
 
 def envelope_max(s: float, m: int, a: float, b: float) -> float:
     """Maximum of v^s * |log v|^m over [a, b], for 0 <= a < b <= 9 and s > 0.
 
-    For m = 0 the function is increasing, so the maximum is b^s (this case
-    also tolerates s = 0).  For m >= 1 the function vanishes at v = 0 and
-    v = 1 and is smooth elsewhere; on (0, 1) its only interior critical point
-    is v0 = exp(-m/s) with value (m/(e*s))^m, and on (1, 9] it increases.
-    The maximum over [a, b] is therefore the largest of the endpoint values
-    and, when a < v0 < min(b, 1), the interior peak.  A maximum beyond the
-    float range is returned as inf: still an upper bound, if a useless one.
+    m is a log order: m t-derivatives of G^t bring down (log G)^m.  For m = 0
+    the function is increasing, so the maximum is b^s (s = 0 allowed).  For
+    m >= 1 it vanishes at v = 0 and v = 1 and is smooth elsewhere; on (0, 1)
+    its only interior critical point is v0 = exp(-m/s), with value
+    (m/(e*s))^m, and on (1, 9] it increases.  The maximum over [a, b] is the
+    largest of the endpoint values and, when a < v0 < min(b, 1), the peak.  A
+    maximum beyond the float range is returned as inf: still an upper bound.
     """
-    if not m >= 0:  # also refuses nan
-        raise ValueError(f"log exponent must be a nonnegative integer, got {m}")
+    check_int("log exponent m", m, 0)
     if not 0.0 <= a < b <= G_MAX + 1e-12:
         raise ValueError(f"need 0 <= a < b <= {G_MAX:g}, got [{a}, {b}]")
     if m == 0 and not s >= 0.0:  # phrased "not <valid>" so that a NaN fails

@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple
 
 from .envelope import envelope_max
-from .trigpoly import G_MAX, SignVariant, overflow_to_inf, parse_sign, sup_norm_bound
+from .trigpoly import G_MAX, SignVariant, check_int, overflow_to_inf, parse_sign, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
@@ -73,8 +73,7 @@ class IntegrandSpec(NamedTuple("IntegrandSpec", [("t", float), ("j", int), ("sig
 def _check_power_and_order(t: float, j: int) -> None:
     if not t >= 1.0:  # also refuses nan
         raise ValueError(f"power t must be >= 1, got {t}")
-    if type(j) is not int or j < 0:  # True is 1 and 2.0 is 2, but neither is an order
-        raise ValueError(f"log exponent j must be a nonnegative integer, got {j}")
+    check_int("log exponent j", j, 0)
 
 
 def _brace_rows(t: float) -> tuple[tuple[float, ...], ...]:

@@ -48,7 +48,7 @@ from typing import NamedTuple
 from .integrand import h4_bounds, refined_kinds
 from .spectral import torus_integral_upper
 from .trigpoly import G_MAX, MAX_STEPS, SIGN_PAIR, LocalMaxTable, SignVariant, TrigSquare, default_max_table
-from .trigpoly import eval_G_pair, overflow_to_inf, variation_bound_power
+from .trigpoly import check_int, eval_G_pair, overflow_to_inf, variation_bound_power
 
 MODES = ("plain", "refined")
 _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
@@ -70,8 +70,7 @@ class CertifiedValue(NamedTuple):
 
 def _check_steps(n_steps: int) -> None:
     """The one step-count rule of the node pass and both bound passes: an int in 1..MAX_STEPS."""
-    if type(n_steps) is not int or not 1 <= n_steps <= MAX_STEPS:  # refuses True (== 1) and 100.0 too
-        raise ValueError(f"step count must be an integer in 1..{MAX_STEPS}, got {n_steps!r}")
+    check_int("step count", n_steps, 1, MAX_STEPS)
 
 
 _INTEGRAL_WEIGHTS = (1.0, 14.0 / G_MAX)  # the small-range weights of an integral over one period: 1, or 14/9 with |G'|
@@ -93,8 +92,7 @@ def _cells(kinds, orders, weights, table_bases) -> list[dict[int, list[float]]]:
             raise ValueError(f"power must be >= 1, got {t}")
         per_kind.append((t, _SMALL_END**t, math.e * t, weights[star]))
     for p in orders:
-        if not p >= 0:
-            raise ValueError(f"log exponent must be nonnegative, got {p}")
+        check_int("log exponent p", p, 0)
         log_small = overflow_to_inf(pow, _LOG_SMALL_END, p)
         if p == 0:
             smalls = [0.0] * len(per_kind)

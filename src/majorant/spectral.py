@@ -14,26 +14,22 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .trigpoly import F2, F3, G_MAX, K, SignVariant, overflow_to_inf
+from .trigpoly import F2, F3, G_MAX, K, SignVariant, check_int, overflow_to_inf, parse_sign
 
 _MAX_RHO = F2  # the blocks of F^rho stay disjoint while rho < F3
 
 
-def fourier_coeffs_pow(sign: SignVariant, rho: int) -> tuple[int, ...]:
+def fourier_coeffs_pow(sign: SignVariant | str, rho: int) -> tuple[int, ...]:
     """Integer coefficients of F^rho on frequencies 0 .. 7*rho, by double binomial expansion.
 
     The coefficient at frequency nu = 7*mu + lambda is
     sign^mu * C(rho, mu) * C(rho - mu, lambda).  Blocks for distinct mu are
     disjoint only while rho <= 6; beyond that the expansion would need to
-    merge overlapping frequencies, which this closed form does not do, so
-    larger exponents are rejected.
+    merge overlapping frequencies, which this closed form does not do.
+    ``sign`` is a SignVariant or its label, as parse_sign takes it.
     """
-    if not 0 <= rho <= _MAX_RHO:
-        raise ValueError(
-            f"need 0 <= rho <= k+1 = {_MAX_RHO} (a nonnegative exponent whose coefficient "
-            f"blocks do not overlap), got {rho}"
-        )
-    s = -1 if sign is SignVariant.MINUS else 1
+    check_int("rho", rho, 0, _MAX_RHO)
+    s = -1 if parse_sign(sign) is SignVariant.MINUS else 1
     coeffs = []
     for nu in range(rho * F3 + 1):
         mu, lam = divmod(nu, F3)
@@ -44,7 +40,6 @@ def fourier_coeffs_pow(sign: SignVariant, rho: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
 def torus_power_integral(rho: int) -> int:
     """Exact mean of G^rho over one period, as an integer (rho <= 6).
 

@@ -60,8 +60,7 @@ class TrigSquare(NamedTuple("TrigSquare", [("k", int), ("sign", SignVariant)])):
     __slots__ = ()
 
     def __new__(cls, k: int = K, sign: SignVariant | str = SignVariant.PLUS):
-        if k != K:
-            raise ValueError(f"only k = {K} is supported, got k = {k}")
+        check_int("k", k, K, K)
         return super().__new__(cls, k, parse_sign(sign))
 
     @classmethod
@@ -118,6 +117,12 @@ def overflow_to_inf(f, *args) -> float:
         return math.inf
 
 
+def check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """The one integer rule of every order, exponent and count: exactly an int (no bool, though True == 1), in lo..hi (hi None: open)."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        raise ValueError(f"{name} must be an integer {f'>= {lo}' if hi is None else f'in {lo}..{hi}'}, got {value!r}")
+
+
 def sup_norm_bound(m: int) -> float:
     """Proven bound for sup|G^(m)|: G_MAX for m = 0, else 2^(m+1) pi^m (1 + 6^m + 7^m).
 
@@ -125,8 +130,7 @@ def sup_norm_bound(m: int) -> float:
     the derivative; it is independent of the sign variant.  Past the float
     range (from m = 188) the bound is inf.
     """
-    if type(m) is not int or m < 0:  # refuses nan, 1.5 and True (== 1) too, as check_window does
-        raise ValueError(f"derivative order must be >= 0 and an int, got {m!r}")
+    check_int("derivative order m", m, 0)
     if m == 0:
         return G_MAX
     return overflow_to_inf(lambda: 2.0 ** (m + 1) * pi**m * (1.0 + float(F2) ** m + float(F3) ** m))

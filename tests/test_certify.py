@@ -105,16 +105,16 @@ class TestRemainderBound:
             lambda: remainder_bound(5.065, 0.065, 4, 170),
             lambda: build_certificate(5.065, 0.065, 4, 170, [0.15] + 170 * [1e-6], 640, "refined", 0.187),
         ):
-            with pytest.raises(ValueError, match="^degree must be at most 169, got 170$"):
+            with pytest.raises(ValueError, match=r"^degree must be an integer in 0\.\.169, got 170$"):
                 call()
 
     @pytest.mark.parametrize("call,refusal", [
-        pytest.param(lambda: remainder_bound(5.065, 0.065, True, 6), "base_order must be a nonnegative integer, got True", id="base-order-true"),
-        pytest.param(lambda: check_window(5.065, 0.065, 4.0, 6), "base_order must be a nonnegative integer, got 4.0", id="base-order-float"),
-        pytest.param(lambda: check_window(5.065, 0.065, -1, 6), "base_order must be a nonnegative integer, got -1", id="base-order-negative"),
+        pytest.param(lambda: remainder_bound(5.065, 0.065, True, 6), "base_order must be an integer >= 0, got True", id="base-order-true"),
+        pytest.param(lambda: check_window(5.065, 0.065, 4.0, 6), "base_order must be an integer >= 0, got 4.0", id="base-order-float"),
+        pytest.param(lambda: check_window(5.065, 0.065, -1, 6), "base_order must be an integer >= 0, got -1", id="base-order-negative"),
         pytest.param(
             lambda: build_certificate(5.065, 0.065, 4, 6.0, [0.15, 0.03, 0.005, 0.0005, 0.0002, 0.0002, 0.0002], 640, "refined", 0.187),
-            "degree must be a nonnegative integer, got 6.0", id="degree-float",
+            "degree must be an integer in 0..169, got 6.0", id="degree-float",
         ),
     ])
     def test_orders_must_be_ints(self, call, refusal):
@@ -210,6 +210,21 @@ class TestBuildCertificate:
         with pytest.raises(ValueError, match="expected 3"):
             build_certificate(5.5, 0.1, 1, 2, [0.1, 0.1], 100, "refined", 0.5)
 
+    def test_budgets_are_read_once(self, cert_b):
+        """A generator of budgets gives the certificate of their list; it once met len() and raised TypeError."""
+        stage = DEFAULT_CONFIG["stages"]["gap_d1_on_5.130_5.330"]
+        cert = build_certificate(
+            stage["center"], stage["radius"], stage["base_order"], stage["degree"],
+            (b for b in stage["budgets"]), stage["steps"], stage["mode"], stage["total_delta"],
+        )
+        assert cert == cert_b
+
+    def test_string_budgets_stay_refused(self):
+        with pytest.raises(TypeError):
+            build_certificate(5.5, 0.1, 1, 2, "111", 100, "refined", 0.5)
+        with pytest.raises(ValueError, match="expected 3 coefficient budgets, got 2"):
+            build_certificate(5.5, 0.1, 1, 2, "11", 100, "refined", 0.5)
+
 
 class TestEvalCertPoly:
     def test_center_values_are_coefficients(self, cert_b):
@@ -223,13 +238,13 @@ class TestEvalCertPoly:
             eval_cert_poly(cert_b, 0, 5.5)
 
     def test_rejects_bad_order(self, cert_b):
-        with pytest.raises(ValueError, match="order must be in"):
+        with pytest.raises(ValueError, match=r"order m must be an integer in 0\.\.8, got 9$"):
             eval_cert_poly(cert_b, 9, cert_b.center)
 
     @pytest.mark.parametrize("m", [True, 1.0, 1.5])
     def test_rejects_an_order_that_is_no_int(self, cert_b, m):
         """True (== 1) gave the first derivative and 1.0 a TypeError from range: every order that is no int is refused."""
-        with pytest.raises(ValueError, match="and an int"):
+        with pytest.raises(ValueError, match=rf"^derivative order m must be an integer in 0\.\.8, got {m!r}$"):
             eval_cert_poly(cert_b, m, cert_b.center)
 
 
@@ -301,6 +316,13 @@ class TestSignChain:
             check_sign_chain(cert_a, "positive", (5.0, 5.4))
         with pytest.raises(ValueError, match="empty interval"):
             check_sign_chain(cert_a, "positive", (5.1, 5.1))
+
+    @pytest.mark.parametrize("checker", [check_sign_chain, check_sign_variation])
+    @pytest.mark.parametrize("interval", [(5.0,), (5.0, 5.065, 5.13)])
+    def test_interval_is_exactly_one_pair(self, cert_a, checker, interval):
+        """A third bound was ignored, a verdict given on the first two; one bound raised IndexError."""
+        with pytest.raises(ValueError, match="values to unpack"):
+            checker(cert_a, "positive", interval)
 
 
 class TestSignVariation:

@@ -88,7 +88,7 @@ class TestValidation:
             envelope_max(1.0, 1, 0.0, 9.5)
 
     def test_rejects_bad_exponents(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="log exponent m must be an integer >= 0"):
             envelope_max(1.0, -1, 0.0, 9.0)
         with pytest.raises(ValueError, match="positive"):
             envelope_max(0.0, 2, 0.0, 9.0)
@@ -97,5 +97,5 @@ class TestValidation:
 
     def test_rejects_nan_log_exponent(self):
         """NaN fails every comparison, so the check is phrased m >= 0 negated; m < 0 let it through to a nan maximum."""
-        with pytest.raises(ValueError, match="log exponent must be a nonnegative integer, got nan"):
+        with pytest.raises(ValueError, match="log exponent m must be an integer >= 0, got nan"):
             envelope_max(5.0, math.nan, 0.0, 1.0)

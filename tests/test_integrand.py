@@ -42,7 +42,7 @@ class TestSpecValidation:
 
     def test_rejects_bad_log_exponent(self):
         for j in (-1, 1.5, math.inf, -math.inf, math.nan, True, 2.0):  # True and 2.0 equal orders 1 and 2 but are no integers
-            with pytest.raises(ValueError, match="nonnegative integer"):
+            with pytest.raises(ValueError, match="log exponent j must be an integer >= 0"):
                 IntegrandSpec(5.0, j, PLUS)
 
     def test_replace_checks_too(self):
@@ -243,7 +243,7 @@ class TestBraceBuilder:
 
     def test_jobs_are_checked_in_job_order(self):
         """The first job that a bound refuses names the error, as when each job was built on its own."""
-        with pytest.raises(ValueError, match="nonnegative integer, got -1"):
+        with pytest.raises(ValueError, match="log exponent j must be an integer >= 0, got -1"):
             h4_bounds(5.5, [(1, True), (-1, True), (10**80, True)])
         with pytest.raises(ValueError, match=r"j ~ 10\^80\.0 is too large"):
             h4_bounds(5.5, [(1, True), (10**80, True), (-1, True)])

@@ -601,7 +601,7 @@ class TestNodeSumBounds:
     def test_input_validation(self, plus_table):
         with pytest.raises(ValueError, match=">= 1"):
             q_values([(False, 0.5, 0)], [plus_table], 100)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="log exponent p must be an integer >= 0, got -1"):
             q_values([(True, 2.0, -1)], [plus_table], 100)
 
     @pytest.mark.parametrize(
@@ -724,7 +724,7 @@ class TestGapDerivative:
 
     def test_rejects_negative_order(self):
         for order in (-1, True, 2.0):  # True equals 1 and 2.0 equals 2, but neither is an order
-            with pytest.raises(ValueError, match="nonnegative integer"):
+            with pytest.raises(ValueError, match="log exponent j must be an integer >= 0"):
                 gap_derivative(order, 5.0, 100)
 
     @pytest.mark.parametrize("mode", MODES)
