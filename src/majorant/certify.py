@@ -14,13 +14,17 @@ The polynomial minus (or plus) delta then brackets the gap derivative from
 below (or above), and two elementary mechanisms turn endpoint data into a
 sign on the whole interval: a monotonicity chain of derivative signs, and a
 variation cascade that plays the growth of a would-be zero's total variation
-against endpoint bounds until it contradicts a monotone tail.  The method names
-"chain" and "cascade" live here alone: check_sign runs the check one names.
+against endpoint bounds until it contradicts a monotone tail.  Both read the
+polynomial's derivatives at an endpoint from one row, eval_cert_row: every
+order 0..degree at that point, with the window check and the powers of
+t - center taken once.  The method names "chain" and "cascade" live here
+alone: check_sign runs the check one names.
 """
 
 from __future__ import annotations
 
 from math import factorial, fsum
+from operator import mul, truediv
 from typing import NamedTuple
 
 from .envelope import envelope_max
@@ -32,6 +36,9 @@ PIPELINE_T_MAX = 6.0
 _EDGE_TOL = 1e-9
 _PROVEN_RANGE = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
 MAX_DEGREE = 169  # the tail bound divides by (degree + 1)!, and 170! is the largest factorial below the float range
+# k! for k = 0..MAX_DEGREE as floats: c / k! divides by the same float whether k! is this entry or the int
+# (Python converts an int divisor to the nearest float), so the table moves no bit.
+_FACTORIALS = tuple(float(factorial(k)) for k in range(MAX_DEGREE + 1))
 
 # The targets each sign check certifies, keyed by the stage table's method name.  The
 # variation cascade argues from positive shifted endpoint values, so it proves positivity only.
@@ -91,9 +98,12 @@ def check_interval(center: float, radius: float, a: float, b: float) -> None:
 
 
 def check_budgets(budgets, degree: int) -> None:
-    """Reject budgets that are not one positive allowance per coefficient 0..degree."""
+    """Reject budgets that are not one positive int or float allowance per coefficient 0..degree."""
     if len(budgets) != degree + 1:
         raise ValueError(f"expected {degree + 1} coefficient budgets, got {len(budgets)}")
+    for b in budgets:  # before the sign test, which a str or None would fail with TypeError
+        if isinstance(b, bool) or not isinstance(b, (int, float)):
+            raise ValueError(f"every coefficient budget must be an int or float, got {b!r}")
     if not all(b > 0.0 for b in budgets):
         raise ValueError("every coefficient budget must be positive")
 
@@ -177,16 +187,38 @@ def build_certificate(
     )
 
 
-def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
-    """m-th derivative of the certificate polynomial at t inside its window."""
-    check_int("derivative order m", m, 0, cert.degree)
+def _derivatives(cert: TaylorCertificate, orders, t: float) -> list[float]:
+    """P^(m)(t) for each m in orders: one fsum of coeffs[j] / (j - m)! * u^(j - m) per order, u = t - center."""
     if not abs(t - cert.center) <= cert.radius + _EDGE_TOL:  # also refuses nan
         raise ValueError(
             f"t={t} outside certified window [{cert.center - cert.radius}, "
             f"{cert.center + cert.radius}]"
         )
-    u, coeffs = t - cert.center, cert.coeffs  # coeffs read once, not once per term
-    return fsum(coeffs[j] / factorial(j - m) * u ** (j - m) for j in range(m, cert.degree + 1))
+    u, coeffs, n = t - cert.center, cert.coeffs, cert.degree + 1
+    if len(coeffs) < n:  # map() would stop at the last coefficient and sum too few terms
+        raise ValueError(f"a degree-{cert.degree} certificate needs {n} coefficients, got {len(coeffs)}")
+    powers = [u**k for k in range(n)]  # once per point, not once per order and term
+    return [fsum(map(mul, map(truediv, coeffs[m:n], _FACTORIALS), powers)) for m in orders]
+
+
+def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
+    """m-th derivative of the certificate polynomial at t inside its window."""
+    check_int("derivative order m", m, 0, cert.degree)
+    return _derivatives(cert, (m,), t)[0]
+
+
+def eval_cert_row(cert: TaylorCertificate, t: float) -> list[float]:
+    """Every derivative 0..degree of the certificate polynomial at t, each the float eval_cert_poly gives."""
+    return _derivatives(cert, range(cert.degree + 1), t)
+
+
+def _endpoints(checker: str, interval) -> tuple[float, float]:
+    """The two bounds of an interval that is exactly one (a, b) pair, as floats."""
+    try:
+        a, b = interval
+    except (TypeError, ValueError):  # Python's unpacking errors name neither the checker nor the interval
+        raise ValueError(f"{checker}: interval must be one (a, b) pair, got {interval!r}") from None
+    return float(a), float(b)
 
 
 def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCertificate:
@@ -200,27 +232,28 @@ def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCert
     condition fails, the verdict is certified=False, with every row checked
     and one reason.
     """
-    a, b = interval  # exactly one pair: a ValueError for one bound or three
-    a, b = float(a), float(b)
+    a, b = _endpoints("check_sign_chain", interval)
     check_interval(cert.center, cert.radius, a, b)
     check_target("chain", target)
     if target == "positive":
-        at, anchor = b, eval_cert_poly(cert, 0, b) - cert.total_delta
+        at, anchor = b, eval_cert_poly(cert, 0, b) - cert.total_delta  # b is window-checked before a
+        row = eval_cert_row(cert, a)
         ok = anchor > 0.0
     else:
-        at, anchor = a, eval_cert_poly(cert, 0, a) + cert.total_delta
+        row = eval_cert_row(cert, a)
+        at, anchor = a, row[0] + cert.total_delta
         ok = anchor < 0.0
     rows = [{"quantity": "shifted_value", "order": 0, "location": at, "value": anchor}]
     for m in range(1, cert.degree + 1):
-        dv = eval_cert_poly(cert, m, a)
+        dv = row[m]
         rows.append({"quantity": "derivative", "order": m, "location": a, "value": dv})
         ok &= dv < 0.0
     reason = None if ok else "endpoint or derivative sign conditions fail"
     return SignCertificate((a, b), target, "derivative_chain", ok, tuple(rows), reason)
 
 
-def _tail_negative(cert, m, a):
-    """Whether derivatives m+1..degree of P are provably negative on [a, b].
+def _tail_negative(cert, m, row):
+    """Whether derivatives m+1..degree of P are provably negative on [a, b], from the row at a.
 
     The constant top derivative is its own coefficient; each lower one is
     negative at a and decreasing (by induction from above), hence negative on
@@ -230,10 +263,7 @@ def _tail_negative(cert, m, a):
         return True
     if cert.coeffs[cert.degree] >= 0.0:
         return False
-    for u in range(m + 1, cert.degree):
-        if eval_cert_poly(cert, u, a) >= 0.0:
-            return False
-    return True
+    return not any(row[u] >= 0.0 for u in range(m + 1, cert.degree))
 
 
 def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> SignCertificate:
@@ -249,13 +279,13 @@ def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> Sign
     at an endpoint, contradicting the mean bound.  Hence p has no zero and is
     positive throughout.
     """
-    a, b = interval  # exactly one pair: a ValueError for one bound or three
-    a, b = float(a), float(b)
+    a, b = _endpoints("check_sign_variation", interval)
     check_interval(cert.center, cert.radius, a, b)
     check_target("cascade", target)
     delta = cert.total_delta
-    pa = eval_cert_poly(cert, 0, a) - delta
-    pb = eval_cert_poly(cert, 0, b) - delta
+    row_a, row_b = eval_cert_row(cert, a), eval_cert_row(cert, b)
+    pa = row_a[0] - delta
+    pb = row_b[0] - delta
     rows = [
         {"quantity": "shifted_value", "order": 0, "location": a, "value": pa},
         {"quantity": "shifted_value", "order": 0, "location": b, "value": pb},
@@ -271,8 +301,7 @@ def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> Sign
     levels = []  # (m, mean, endpoint max)
     for m in range(1, cert.degree + 1):
         mean = var / width
-        da = eval_cert_poly(cert, m, a)
-        db = eval_cert_poly(cert, m, b)
+        da, db = row_a[m], row_b[m]
         edge = max(abs(da), abs(db))
         levels.append((m, mean, edge))
         if mean <= edge:
@@ -283,7 +312,7 @@ def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> Sign
         var = 2.0 * mean - abs(da + db)
         rows.append({"quantity": "variation_lower", "order": m, "value": var})
     for m, mean, edge in reversed(levels):
-        if mean > edge and _tail_negative(cert, m, a):
+        if mean > edge and _tail_negative(cert, m, row_a):
             rows.append({"quantity": "contradiction_order", "order": m, "value": mean, "edge": edge})
             return SignCertificate((a, b), target, "variation_cascade", True, tuple(rows))
     return SignCertificate(

@@ -1,6 +1,8 @@
 """Tests for Taylor certificates and the two sign-verdict mechanisms."""
 
+import hashlib
 import math
+import random
 import re
 
 import pytest
@@ -15,11 +17,12 @@ from majorant.certify import (
     check_sign_variation,
     check_window,
     eval_cert_poly,
+    eval_cert_row,
     remainder_bound,
 )
 from majorant.envelope import envelope_max
 from majorant.integrand import h4_bounds
-from majorant.pipeline import DEFAULT_CONFIG
+from majorant.pipeline import DEFAULT_CONFIG, prove_k5
 
 from oracle import required_steps
 
@@ -31,6 +34,26 @@ def stage_certificate(name):
         stage["budgets"], stage["steps"], stage["mode"], stage["total_delta"],
     )
     return cert, stage
+
+
+STAGE_NAMES = ("gap_d4_on_5.000_5.130", "gap_d1_on_5.130_5.330", "gap_d1_on_5.330_5.720", "gap_d2_on_5.720_6.000")
+SIGN_CHECK_DIGEST = "bc2be3b623a1a2d1ed05c7ef389693844139c81e03996107b6d0593a11e93301"
+
+
+def sign_check_digest():
+    """sha256 of the repr of the verdicts on 300 seeded sub-intervals of the four stage certificates' windows.
+
+    Each sub-interval is checked with its stage's method and target; 5 of the 300 verdicts are not certified.
+    """
+    stages = [stage_certificate(name) for name in STAGE_NAMES]
+    rng = random.Random(28)
+    verdicts = []
+    for _ in range(300):
+        cert, stage = rng.choice(stages)
+        a, b = cert.center - cert.radius, cert.center + cert.radius
+        lo, hi = sorted((rng.uniform(a, b), rng.uniform(a, b)))
+        verdicts.append(check_sign(stage["method"], cert, stage["target"], (lo, hi)))
+    return hashlib.sha256("".join(map(repr, verdicts)).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +243,10 @@ class TestBuildCertificate:
         assert cert == cert_b
 
     def test_string_budgets_stay_refused(self):
-        with pytest.raises(TypeError):
-            build_certificate(5.5, 0.1, 1, 2, "111", 100, "refined", 0.5)
+        """A budget that is no int or float is refused by name; a str once met '1' > 0.0 and raised TypeError."""
+        for budgets, bad in (("111", "'1'"), ([0.1, None, 0.1], "None"), ([0.1, True, 0.1], "True")):
+            with pytest.raises(ValueError, match=f"^every coefficient budget must be an int or float, got {re.escape(bad)}$"):
+                build_certificate(5.5, 0.1, 1, 2, budgets, 100, "refined", 0.5)
         with pytest.raises(ValueError, match="expected 3 coefficient budgets, got 2"):
             build_certificate(5.5, 0.1, 1, 2, "11", 100, "refined", 0.5)
 
@@ -246,6 +271,71 @@ class TestEvalCertPoly:
         """True (== 1) gave the first derivative and 1.0 a TypeError from range: every order that is no int is refused."""
         with pytest.raises(ValueError, match=rf"^derivative order m must be an integer in 0\.\.8, got {m!r}$"):
             eval_cert_poly(cert_b, m, cert_b.center)
+
+
+class TestEvalCertRow:
+    @staticmethod
+    def points(cert):
+        """41 points across the window, its ends and center included, then 200 seeded ones."""
+        rng = random.Random(2801)
+        grid = [cert.center + cert.radius * (i - 20) / 20 for i in range(41)]
+        return grid + [rng.uniform(cert.center - cert.radius, cert.center + cert.radius) for _ in range(200)]
+
+    @pytest.mark.parametrize("name", STAGE_NAMES)
+    def test_row_is_each_order_of_eval_cert_poly(self, name):
+        """Each entry is the float eval_cert_poly gives, and the float of the per-order sum with int factorials."""
+        cert, _ = stage_certificate(name)
+        for t in self.points(cert):
+            row = [v.hex() for v in eval_cert_row(cert, t)]
+            assert row == [eval_cert_poly(cert, m, t).hex() for m in range(cert.degree + 1)]
+            u = t - cert.center
+            reference = [
+                math.fsum(cert.coeffs[j] / math.factorial(j - m) * u ** (j - m) for j in range(m, cert.degree + 1))
+                for m in range(cert.degree + 1)
+            ]
+            assert row == [v.hex() for v in reference]
+
+    @pytest.mark.parametrize("t", [5.33 + 1e-6, 5.13 - 1e-6, 5.5, math.nan])
+    def test_refuses_what_eval_cert_poly_refuses(self, cert_b, t):
+        with pytest.raises(ValueError, match="outside certified window") as single:
+            eval_cert_poly(cert_b, 0, t)
+        with pytest.raises(ValueError, match="outside certified window") as row:
+            eval_cert_row(cert_b, t)
+        assert str(row.value) == str(single.value)
+
+    def test_refuses_a_certificate_short_of_coefficients(self, cert_b):
+        """A map over too few coefficients would stop early; indexing past them once raised IndexError."""
+        short = cert_b._replace(coeffs=cert_b.coeffs[:-1])
+        for call in (lambda: eval_cert_row(short, 5.23), lambda: eval_cert_poly(short, 0, 5.23)):
+            with pytest.raises(ValueError, match=r"^a degree-8 certificate needs 9 coefficients, got 8$"):
+                call()
+
+    def test_a_warm_proof_takes_one_row_per_endpoint(self, monkeypatch):
+        """8 rows (chain: 1 each, cascade: 2 each) and 11 single values (P(b) of the positive chain, 10 anchors)."""
+        import majorant.certify as certify
+        import majorant.pipeline as pipeline
+
+        prove_k5()
+        calls = {"row": 0, "single": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        single = counted("single", certify.eval_cert_poly)
+        monkeypatch.setattr(certify, "eval_cert_row", counted("row", certify.eval_cert_row))
+        monkeypatch.setattr(certify, "eval_cert_poly", single)
+        monkeypatch.setattr(pipeline, "eval_cert_poly", single)
+        assert prove_k5().verdict == "PROVED"
+        assert calls == {"row": 8, "single": 11}
+
+
+class TestSignCheckDigest:
+    def test_seeded_sub_intervals(self):
+        """Verdicts, evidence rows and failure reasons of 300 seeded sign checks, pinned to one digest."""
+        assert sign_check_digest() == SIGN_CHECK_DIGEST
 
 
 class TestSignChain:
@@ -321,7 +411,8 @@ class TestSignChain:
     @pytest.mark.parametrize("interval", [(5.0,), (5.0, 5.065, 5.13)])
     def test_interval_is_exactly_one_pair(self, cert_a, checker, interval):
         """A third bound was ignored, a verdict given on the first two; one bound raised IndexError."""
-        with pytest.raises(ValueError, match="values to unpack"):
+        refusal = f"{checker.__name__}: interval must be one (a, b) pair, got {interval!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             checker(cert_a, "positive", interval)
 
 
