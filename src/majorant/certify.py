@@ -157,7 +157,7 @@ def build_certificate(
     propagated quadrature error exceeds its budget, or if budgets plus the
     computed tail bound overrun total_delta.
     """
-    budgets = list(budgets)  # read once, as gap_derivatives reads its jobs: a generator has no len()
+    budgets = list(budgets)  # read once, as gap_derivatives reads its orders: a generator has no len()
     check_budgets(budgets, degree)
     budget_list = [float(b) for b in budgets]
     tail = remainder_bound(center, radius, base_order, degree)
@@ -166,7 +166,7 @@ def build_certificate(
         raise BudgetError(
             f"budgets plus tail bound {allowance:.9g} exceed total allowance {total_delta:g}"
         )
-    values = gap_derivatives(center, steps, [(base_order + j, mode) for j in range(degree + 1)])
+    values = gap_derivatives(center, steps, range(base_order, base_order + degree + 1), mode)
     for j, (value, budget) in enumerate(zip(values, budget_list)):
         propagated = value.error_bound * radius**j / factorial(j)
         if propagated > budget:

@@ -10,12 +10,13 @@ of G^t log^j G and collecting by which G-derivatives appear yields five groups
 
 where each of four braces is a polynomial in log G whose coefficients are
 polynomials in t times falling factorials of j.  ``h4_bounds`` takes the
-polynomials once per t and gives each order j a scalar envelope, |G'| bounded
-by its sup, or (coefficient, group, p) terms keeping |G'|, each naming one
-integral over the period that the refined error bound weighs: of
-G^(t+offset) |log G|^p for the group's offset, times |G'| if it keeps one.
-``h4_term_bounds`` renders each group as its key (has_gprime, t + offset), as
-``refined_kinds`` lists them.  No bound depends on the sign: WORK_M bounds both.
+polynomials once per t and, in one mode per call, gives each order j a scalar
+envelope, |G'| bounded by its sup, or (coefficient, group, p) terms keeping
+|G'|, each naming one integral over the period that the refined error bound
+weighs: of G^(t+offset) |log G|^p for the group's offset, times |G'| if it
+keeps one.  ``refined_kinds`` lists (has_gprime, t + offset) by group, and
+``h4_term_bounds`` returns it beside one order's terms.  No bound depends on
+the sign: WORK_M bounds both.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def _brace_rows(t: float) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
-def h4_bounds(t: float, jobs) -> list:
-    """The |H''''| bound of each (j, refined) in jobs at one t: a tuple of terms if refined, else one scalar.
+def h4_bounds(t: float, orders, refined: bool) -> list:
+    """The |H''''| bound of each j in orders at one t: a tuple of terms if refined, else one scalar.
 
     A term (coefficient, group, p) stands for coefficient * G^t_r |log G|^p,
     times |G'| if has_gprime, where (has_gprime, t_r) is refined_kinds(t)[group];
@@ -102,17 +103,17 @@ def h4_bounds(t: float, jobs) -> list:
     G^(t+offset) |log G|^p on [0, G_MAX]; it needs t > 4 with logs (at t = 4
     the G^0 log^j G envelope is unbounded at 0), t >= 4 without.  Neither
     depends on the sign.  The brace polynomials in t are taken once, and each
-    job is checked, in job order, before its bound is built.
+    order is checked, in turn, before its bound is built.
     """
     rows = None
     bounds = []
-    for j, refined in jobs:
+    for j in orders:
         _check_power_and_order(t, j)
         if refined and t < 5.0:
             raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
         if not refined and (t < 4.0 or (t == 4.0 and j > 0)):
             raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 plain), got t={t}, j={j}")
-        if rows is None:  # the first job: the t-polynomials
+        if rows is None:  # the first order: the t-polynomials
             rows = _brace_rows(t)
             (a1, a2, a3, a4), (b1, b2, b3), (c1, c2), (d1,) = rows
         try:  # the largest integer any brace converts, and every bound takes the quartic brace
@@ -138,8 +139,7 @@ def refined_kinds(t: float) -> list[tuple[bool, float]]:
     return [(has_gprime, t + offset) for _, offset, _, has_gprime in _REFINED_GROUPS]
 
 
-def h4_term_bounds(spec: IntegrandSpec) -> tuple[tuple[float, tuple[bool, float, int]], ...]:
-    """|H''''| bound as (coefficient, (has_gprime, t_r, p)) terms, as refined_error_bound takes them: h4_bounds of one refined job."""
-    (terms,) = h4_bounds(spec.t, [(spec.j, True)])
-    kinds = refined_kinds(spec.t)
-    return tuple([(c, (*kinds[group], p)) for c, group, p in terms])
+def h4_term_bounds(spec: IntegrandSpec) -> tuple[list[tuple[bool, float]], tuple[tuple[float, int, int], ...]]:
+    """|H''''| bound as (refined_kinds(t), (coefficient, group, p) terms), as refined_error_bound takes it: h4_bounds of one refined order."""
+    (terms,) = h4_bounds(spec.t, [spec.j], True)
+    return refined_kinds(spec.t), terms

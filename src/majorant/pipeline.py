@@ -52,7 +52,7 @@ DEFAULT_CONFIG = {
         "endpoint_gap_zero": {},
         "gap_d1_at_5": {"order": 1, "t": 5.0, "steps": 640, "mode": "refined"},
         "gap_d2_at_5": {"order": 2, "t": 5.0, "steps": 640, "mode": "refined"},
-        "gap_d3_at_5": {"order": 3, "t": 5.0, "steps": 640, "mode": "plain"},
+        "gap_d3_at_5": {"order": 3, "t": 5.0, "steps": 640, "mode": "refined"},
         "gap_d4_on_5.000_5.130": {
             "center": 5.065,
             "radius": 0.065,
@@ -159,14 +159,14 @@ def _run_endpoint_stage(name: str) -> StageResult:
 
 
 def _derivative_values(stages: dict) -> dict[str, CertifiedValue]:
-    """The certified value of every derivative stage, from one gap_derivatives call per (t, steps) of the table."""
+    """The certified value of every derivative stage, from one gap_derivatives call per (t, steps, mode) of the table."""
     batches: dict[tuple, dict] = {}
     for name, stage in stages.items():
         if "order" in stage:
-            batches.setdefault((stage["t"], stage["steps"]), {})[name] = (stage["order"], stage["mode"])
+            batches.setdefault((stage["t"], stage["steps"], stage["mode"]), {})[name] = stage["order"]
     values = {}
-    for (t, steps), jobs in batches.items():
-        values.update(zip(jobs, gap_derivatives(t, steps, list(jobs.values()))))
+    for (t, steps, mode), orders in batches.items():
+        values.update(zip(orders, gap_derivatives(t, steps, list(orders.values()), mode)))
     return values
 
 

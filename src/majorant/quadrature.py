@@ -27,11 +27,12 @@ The node layer lives here too: per sign, one row G^t over all N nodes serves
 every j (_h_node_sums), and the node table holds G, log G and the powers
 (log G)^p asked for, both signs from one cosine pass (see _node_table).
 gap_derivatives assembles each certified gap value from both signs' node sums,
-one h4_bounds call and one cell table per sign and batch.  A term of h4_bounds
-is (coefficient, group, p); the table holds the integral bound of each of the
-five groups at each log order p the batch's terms use, and each error bound is
-one fsum over its terms' cells (_error_bounds), the one refined bound driver;
-refined_error_bound indexes one h4_term_bounds term list into it.  The cells,
+in one mode per batch, from one h4_bounds call and, refined, one cell table
+per sign.  A term of h4_bounds is (coefficient, group, p); the table holds the
+integral bound of each of the five groups at each log order p the batch's
+terms use, and each error bound is one fsum over its terms' cells
+(_error_bounds), the one refined bound driver; refined_error_bound sums the
+terms of one h4_term_bounds, in the same form, through it.  The cells,
 and the q pass of majorant.tables behind the Q tables, take their small-range
 terms in closed form, once per (kind, order) (_cells); only the variation
 bounds depend on the sign, which each LocalMaxTable carries.
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from math import fsum
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .integrand import h4_bounds, refined_kinds
@@ -123,32 +124,30 @@ def _integral_bases(kinds, tables: list[LocalMaxTable]):
         yield [variation_bound_power(table, t + 1.0) / (t + 1.0) if star else mean for (star, t), mean in zip(kinds, means)]
 
 
-def _error_bounds(term_lists, kinds, orders, tables: list[LocalMaxTable], n_steps: int) -> list[list[float]]:
+def _error_bounds(term_lists, kinds, tables: list[LocalMaxTable], n_steps: int) -> list[list[float]]:
     """Per table, the error bound of each list of (coefficient, kind index, p) terms: fsum of c * cell, over 23040 N^4.
 
-    The cells are the integral bounds of kinds at the log orders in orders,
-    which must hold every p of the terms; fsum is exactly rounded, so the
-    order of the terms does not matter.
+    The cells are the integral bounds of kinds at the log orders the terms
+    use; fsum is exactly rounded, so the order of the terms does not matter.
     """
     _check_steps(n_steps)
     scale = _ERR_DENOM * float(n_steps) ** 4
+    orders = {p for terms in term_lists for _, _, p in terms}
     return [
         [overflow_to_inf(fsum, [c * cells[p][kind] for c, kind, p in terms]) / scale for terms in term_lists]
         for cells in _cells(kinds, orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables))
     ]
 
 
-def refined_error_bound(terms, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
-    """The error bound of one h4_term_bounds term list for spec's sign, whose table it must be; bench/workloads.py calls it.
+def refined_error_bound(term_sum, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
+    """The error bound of one h4_term_bounds (kinds, terms) pair for spec's sign, whose table it must be; bench/workloads.py calls it.
 
-    The (coefficient, (has_gprime, t, p)) terms are indexed by (has_gprime, t)
-    and summed over the cells that gap_derivatives sums (_error_bounds).
+    The terms are summed over the cells that gap_derivatives sums (_error_bounds).
     """
     if table.sign is not spec.sign:
         raise ValueError("local-maximum table was built for a different square")
-    index = {}  # {(has_gprime, t): kind index}, in the order first met
-    indexed = [(c, index.setdefault(key[:2], len(index)), key[2]) for c, key in terms]
-    return _error_bounds([indexed], list(index), {p for _, _, p in indexed}, [table], n_steps)[0][0]
+    kinds, terms = term_sum
+    return _error_bounds([terms], kinds, [table], n_steps)[0][0]
 
 
 def _nodes(n_steps: int):
@@ -232,8 +231,8 @@ def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int,
     return sums
 
 
-def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:
-    """Certified gap derivatives at t, one per (order, mode) in jobs; no jobs give no values.
+def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[CertifiedValue]:
+    """Certified gap derivatives at t, one per order in orders, all in one mode; no orders give no values.
 
     Differentiating the mean of G^t in t brings down log^order G, so the
     derivative of the gap is the difference of the two sign variants'
@@ -243,34 +242,28 @@ def gap_derivatives(t: float, n_steps: int, jobs) -> list[CertifiedValue]:
     adds the two variants' bounds.  Those depend on the sign only through the
     maxima tables, so one h4_bounds call serves both signs: each sign's plain
     bound is the sup bound over 23040 N^4, and one cell table per sign, over
-    the five groups and the log orders j-4..j of the refined jobs, gives both
-    signs' refined bounds (_error_bounds).
+    the five groups and the log orders their terms use, gives that sign's
+    refined bounds (_error_bounds).  The mode and the step count are checked
+    first, with no orders too.
     """
-    jobs = list(jobs)  # a generator would be used up by the mode check
-    if not jobs:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_steps(n_steps)
+    orders = list(orders)  # read twice: a generator would be used up by the bounds
+    if not orders:
         return []
-    for _, mode in jobs:  # before any node work
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    bounds = h4_bounds(t, [(j, mode == "refined") for j, mode in jobs])
-    orders = sorted({j for j, _ in jobs})
-    minus, plus = [_h_node_sums(sign, t, orders, n_steps) for sign in SIGN_PAIR]
-    refined = [terms for terms, (_, mode) in zip(bounds, jobs) if mode == "refined"]
-    tables = [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
-    cell_orders = {p for j, mode in jobs if mode == "refined" for p in range(max(j - 4, 0), j + 1)}  # the p of their terms
-    kinds = refined_kinds(t) if refined else []  # no refined job takes no base
-    minus_errors, plus_errors = map(iter, _error_bounds(refined, kinds, cell_orders, tables, n_steps))
-    two_n, plain_scale = 2.0 * n_steps, _ERR_DENOM * float(n_steps) ** 4
-    values = []
-    for bound, (j, mode) in zip(bounds, jobs):
-        if mode == "plain":
-            e_minus = e_plus = bound / plain_scale
-        else:
-            e_minus, e_plus = next(minus_errors), next(plus_errors)
-        values.append(CertifiedValue(minus[j] / two_n - plus[j] / two_n, e_minus + e_plus, n_steps, mode))
-    return values
+    bounds = h4_bounds(t, orders, mode == "refined")  # before any node work
+    minus, plus = [_h_node_sums(sign, t, sorted(set(orders)), n_steps) for sign in SIGN_PAIR]
+    if mode == "refined":
+        tables = [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
+        errors = map(add, *_error_bounds(bounds, refined_kinds(t), tables, n_steps))
+    else:  # the sup bound holds for both signs
+        scale = _ERR_DENOM * float(n_steps) ** 4
+        errors = [bound / scale + bound / scale for bound in bounds]
+    two_n = 2.0 * n_steps
+    return [CertifiedValue(minus[j] / two_n - plus[j] / two_n, error, n_steps, mode) for j, error in zip(orders, errors)]
 
 
 def gap_derivative(order: int, t: float, n_steps: int, mode: str = "refined") -> CertifiedValue:
     """Certified value of the order-th derivative of the gap at t (see gap_derivatives)."""
-    return gap_derivatives(t, n_steps, [(order, mode)])[0]
+    return gap_derivatives(t, n_steps, [order], mode)[0]

@@ -45,11 +45,11 @@ def one_sign_integral(sign, t, n_steps, j, mode):
     The estimate is the sign's node sum over 2N; the error bound is the plain
     sup bound over 23040 N^4, or the refined bound on the sign's maxima table.
     """
-    (bound,) = h4_bounds(t, [(j, mode == "refined")])
+    (bound,) = h4_bounds(t, [j], mode == "refined")
     estimate = _h_node_sums(sign, t, [j], n_steps)[j] / (2.0 * n_steps)
-    if mode == "refined":  # over one sign's cells as gap_derivatives builds them: the five groups at the orders j-4..j
+    if mode == "refined":  # over one sign's cells as gap_derivatives builds them: the five groups at the log orders of the terms
         table = default_max_table(TrigSquare(5, sign))
-        error = _error_bounds([bound], refined_kinds(t), range(max(j - 4, 0), j + 1), [table], n_steps)[0][0]
+        error = _error_bounds([bound], refined_kinds(t), [table], n_steps)[0][0]
     else:
         error = bound / (23040.0 * float(n_steps) ** 4)
     return CertifiedValue(estimate, error, n_steps, mode)

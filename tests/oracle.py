@@ -125,21 +125,22 @@ def gap_reference(t, orders, n_steps=1000, digits=34):
 
 
 def proof_gap_batches():
-    """The default proof's gap_derivatives calls, each with its truth: [(t, N, jobs, values, {order: truth})].
+    """The default proof's gap_derivatives calls, each with its truth: [(t, N, orders, mode, values, {order: truth})].
 
     The calls are recorded while prove_k5 runs; the truth is gap_reference,
     one mpmath pass per (t, sign).
     """
     batches, real = [], pipeline.gap_derivatives
 
-    def recording(t, n_steps, jobs):
-        values = real(t, n_steps, jobs)
-        batches.append((t, n_steps, list(jobs), values))
+    def recording(t, n_steps, orders, mode):
+        orders = list(orders)
+        values = real(t, n_steps, orders, mode)
+        batches.append((t, n_steps, orders, mode, values))
         return values
 
     with mock.patch.object(pipeline, "gap_derivatives", recording), mock.patch.object(certify, "gap_derivatives", recording):
         pipeline.prove_k5()
-    return [(t, n, jobs, values, gap_reference(t, sorted({j for j, _ in jobs}))) for t, n, jobs, values in batches]
+    return [(t, n, orders, mode, values, gap_reference(t, sorted(set(orders)))) for t, n, orders, mode, values in batches]
 
 
 def least_overstatement(batches):
@@ -148,13 +149,13 @@ def least_overstatement(batches):
 
     return min(
         (value.error_bound / abs(mpmath.mpf(value.estimate) - truth[order]), (t, order, mode))
-        for t, _, jobs, values, truth in batches
-        for (order, mode), value in zip(jobs, values)
+        for t, _, orders, mode, values, truth in batches
+        for order, value in zip(orders, values)
     )
 
 
 def term_sum_value(terms, trig, x):
-    """Value at x of a term-form |H''''| bound (``h4_term_bounds``: (coefficient, key) pairs) on the square trig."""
+    """Value at x of a term-form |H''''| bound as (coefficient, (has_gprime, t_r, p)) pairs on the square trig."""
     g = eval_G(trig, x)
     gp = abs(eval_G_derivative(trig, 1, x))
     ell = abs(math.log(g))

@@ -99,7 +99,7 @@ def test_criterion_05_second_derivative_at_five():
 def test_criterion_06_third_derivative_and_step_rule():
     value = gap_derivative(3, 5.0, DEFAULT_CONFIG["stages"]["gap_d3_at_5"]["steps"], "plain")
     assert value.estimate == pytest.approx(0.18354763424, abs=1e-8)
-    (sup4,) = h4_bounds(5.0, [(3, False)])  # the plain bound of order 3, for both signs
+    (sup4,) = h4_bounds(5.0, [3], False)  # the plain bound of order 3, for both signs
     assert sup4 <= 2.8294e14
     assert abs(required_steps(sup4, 0.182, 1.0, 0) - 475) <= 1
     print("ACCEPTANCE 06 PASS — third derivative estimate and step rule agree")

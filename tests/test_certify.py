@@ -163,7 +163,7 @@ class TestRemainderBound:
 
 class TestRequiredSteps:
     def test_reproduces_step_table_entry(self):
-        (sup4,) = h4_bounds(5, [(3, False)])
+        (sup4,) = h4_bounds(5, [3], False)
         assert required_steps(sup4, 0.182, 1.0, 0) == 475
 
     def test_scales_with_budget(self):

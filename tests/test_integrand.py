@@ -125,10 +125,10 @@ class TestEvalHSecond:
 
 class TestFourthDerivativeBounds:
     def test_frozen_scalar_bounds(self):
-        assert h4_bounds(5, [(0, False)])[0] == pytest.approx(
+        assert h4_bounds(5, [0], False)[0] == pytest.approx(
             12455527870080.0, rel=1e-12
         )
-        assert h4_bounds(5, [(3, False)])[0] == pytest.approx(
+        assert h4_bounds(5, [3], False)[0] == pytest.approx(
             282932124114527.6, rel=1e-12
         )
 
@@ -142,11 +142,11 @@ class TestFourthDerivativeBounds:
             + 20.0 * 729.0 * 335840000.0
             + 5.0 * 6561.0 * 11600000.0
         )
-        assert h4_bounds(5, [(0, False)])[0] == pytest.approx(by_hand, rel=1e-12)
+        assert h4_bounds(5, [0], False)[0] == pytest.approx(by_hand, rel=1e-12)
 
     def test_term_coefficients_are_exact_integers(self):
         """Group constants times brace coefficients at t = 5, j = 1 and j = 2."""
-        terms1 = h4_term_bounds(IntegrandSpec(5, 1, PLUS))
+        terms1 = keyed(5, h4_term_bounds(IntegrandSpec(5, 1, PLUS))[1])
         by_group1 = {
             (t_r, j_r, has_gprime): c for c, (has_gprime, t_r, j_r) in terms1
         }
@@ -162,7 +162,7 @@ class TestFourthDerivativeBounds:
             (4.0, 0, False): 11600000.0,
             (4.0, 1, False): 58000000.0,
         }
-        terms2 = h4_term_bounds(IntegrandSpec(5, 2, PLUS))
+        terms2 = keyed(5, h4_term_bounds(IntegrandSpec(5, 2, PLUS))[1])
         quartic2 = {
             j_r: c
             for c, (has_gprime, t_r, j_r) in terms2
@@ -174,8 +174,8 @@ class TestFourthDerivativeBounds:
         """The pointwise term bound must cover a numeric fourth derivative."""
         h = 1e-4
         for spec in (IntegrandSpec(5, 1, PLUS), IntegrandSpec(5, 2, MINUS)):
-            terms, trig = h4_term_bounds(spec), TrigSquare(5, spec.sign)
-            (scalar,) = h4_bounds(spec.t, [(spec.j, False)])
+            terms, trig = keyed(spec.t, h4_term_bounds(spec)[1]), TrigSquare(5, spec.sign)
+            (scalar,) = h4_bounds(spec.t, [spec.j], False)
             for x in rng.uniform(0.02, 0.48, size=40):
                 if eval_G(trig, x) < 0.5:
                     continue
@@ -190,9 +190,9 @@ class TestFourthDerivativeBounds:
 
     def test_requires_large_enough_power(self):
         with pytest.raises(ValueError, match="t > 4 with logs"):
-            h4_bounds(4.0, [(1, False)])
+            h4_bounds(4.0, [1], False)
         with pytest.raises(ValueError, match="t > 4 with logs"):
-            h4_bounds(3.9, [(0, False)])
+            h4_bounds(3.9, [0], False)
         with pytest.raises(ValueError, match="t >= 5"):
             h4_term_bounds(IntegrandSpec(4.5, 0, PLUS))
 
@@ -217,44 +217,38 @@ class TestBraceBuilder:
 
     def test_term_lists_equal_the_per_order_reference(self):
         for t in BUILDER_POWERS:
-            built = h4_bounds(t, [(j, True) for j in BUILDER_ORDERS])
+            built = h4_bounds(t, BUILDER_ORDERS, True)
             for j, terms in zip(BUILDER_ORDERS, built):
                 assert bits(keyed(t, terms)) == bits(h4_term_bounds_reference(t, j)), (t, j)
-                assert keyed(t, terms) == h4_term_bounds(IntegrandSpec(t, j, MINUS))
+                kinds, same = h4_term_bounds(IntegrandSpec(t, j, MINUS))
+                assert same == terms and [(*kinds[group], p) for _, group, p in terms] == [key for _, key in keyed(t, terms)], (t, j)
 
     def test_sup_bounds_equal_the_per_order_reference(self):
         for t in BUILDER_POWERS + [4.0, 4.5]:
             orders = BUILDER_ORDERS if t > 4.0 else [0]
-            for j, bound in zip(orders, h4_bounds(t, [(j, False) for j in orders])):
+            for j, bound in zip(orders, h4_bounds(t, orders, False)):
                 assert bound.hex() == h4_sup_bound_reference(t, j).hex(), (t, j)
-
-    def test_mixed_jobs_keep_their_order_and_kind(self):
-        jobs = [(3, False), (1, True), (0, True), (3, True), (1, False)]
-        bounds = h4_bounds(5.0, jobs)
-        assert bounds[0] == h4_sup_bound_reference(5.0, 3) and bounds[4] == h4_sup_bound_reference(5.0, 1)
-        assert [keyed(5.0, bounds[i]) for i in (1, 2, 3)] == [h4_term_bounds_reference(5.0, j) for j in (1, 0, 3)]
 
     def test_brace_polynomials_are_taken_once_per_call(self, monkeypatch):
         calls = []
         real = integrand._brace_rows
         monkeypatch.setattr(integrand, "_brace_rows", lambda t: calls.append(t) or real(t))
-        h4_bounds(5.525, [(j, j % 2 == 0) for j in range(31)])
-        assert calls == [5.525]
+        for refined in (True, False):
+            h4_bounds(5.525, range(31), refined)
+        assert calls == [5.525] * 2
 
-    def test_jobs_are_checked_in_job_order(self):
-        """The first job that a bound refuses names the error, as when each job was built on its own."""
+    def test_orders_are_checked_in_turn(self):
+        """The first order that a bound refuses names the error, as when each order was built on its own."""
         with pytest.raises(ValueError, match="log exponent j must be an integer >= 0, got -1"):
-            h4_bounds(5.5, [(1, True), (-1, True), (10**80, True)])
+            h4_bounds(5.5, [1, -1, 10**80], True)
         with pytest.raises(ValueError, match=r"j ~ 10\^80\.0 is too large"):
-            h4_bounds(5.5, [(1, True), (10**80, True), (-1, True)])
-        with pytest.raises(ValueError, match="t >= 5"):
-            h4_bounds(4.5, [(0, False), (0, True)])
+            h4_bounds(5.5, [1, 10**80, -1], True)
 
     @pytest.mark.parametrize("t", [math.inf, 1e80, 5e102])
     def test_power_whose_polynomials_overflow_is_refused(self, t):
         """At t = inf the brace polynomials are inf - inf; an overflowing polynomial is refused by name, never a nan or inf bound."""
         message = "^" + re.escape(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float") + "$"
         with pytest.raises(ValueError, match=message):
-            h4_bounds(t, [(2, False)])
+            h4_bounds(t, [2], False)
         with pytest.raises(ValueError, match=message):
             h4_term_bounds(IntegrandSpec(t, 2, PLUS))

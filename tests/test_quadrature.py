@@ -1,6 +1,7 @@
 """Tests for the plain midpoint rule and its two error-bound flavours."""
 
 import collections
+import hashlib
 import itertools
 import math
 import platform
@@ -38,6 +39,7 @@ from majorant.tables import q_values, reproduce_table
 from majorant.trigpoly import SIGN_PAIR, SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral
+from test_integrand import keyed
 from oracle import eval_G, eval_G_derivative, eval_H, gap_reference, proof_gap_batches, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
@@ -143,21 +145,33 @@ class TestMidpointRule:
             _node_table(True)  # True == 1 would find the table of 1
 
     def test_empty_job_list_gives_no_values(self):
-        assert gap_derivatives(5.5, 100, []) == []
+        assert [gap_derivatives(5.5, 100, [], mode) for mode in MODES] == [[], []]
+
+    @pytest.mark.parametrize("n_steps", [True, 100.5, 0])
+    def test_empty_job_list_checks_the_step_count(self, n_steps):
+        """No orders give no values, but only for a step count the node pass would take: at any t, nan too."""
+        for t in (5.5, math.nan):
+            with pytest.raises(ValueError, match=rf"^step count must be an integer in 1\.\.{MAX_STEPS}, got {n_steps!r}$"):
+                gap_derivatives(t, n_steps, [], "refined")
+
+    def test_empty_job_list_checks_the_mode(self):
+        with pytest.raises(ValueError, match=r"^mode must be one of \('plain', 'refined'\), got 'fancy'$"):
+            gap_derivatives(5.5, 100, [], "fancy")
 
     def test_generators_give_the_values_of_lists(self):
-        """Jobs are read once, so a generator of them gives what the list gives."""
-        jobs = [(1, "refined"), (3, "plain"), (2, "refined")]
-        assert gap_derivatives(5.5, 640, (job for job in jobs)) == gap_derivatives(5.5, 640, jobs) != []
+        """Orders are read once, so a generator of them gives what the list gives."""
+        orders = [1, 3, 2]
+        for mode in MODES:
+            assert gap_derivatives(5.5, 640, (j for j in orders), mode) == gap_derivatives(5.5, 640, orders, mode) != [], mode
 
 
 class TestDeterminism:
     def test_identical_bits_with_cold_and_warm_node_table(self, pair_calls):
-        jobs = [(1, "refined"), (3, "plain"), (6, "refined")]
+        orders = [1, 3, 6]
         _NODE_TABLE.clear()
-        cold = gap_derivatives(5.4, 500, jobs)
+        cold = [value for mode in MODES for value in gap_derivatives(5.4, 500, orders, mode)]
         assert len(pair_calls) == 1  # one cosine pass per table build, for both signs
-        warm = gap_derivatives(5.4, 500, jobs)
+        warm = [value for mode in MODES for value in gap_derivatives(5.4, 500, orders, mode)]
         assert len(pair_calls) == 1  # the warm call finds both signs in the table
         for c, w in zip(cold, warm):
             assert c.estimate.hex() == w.estimate.hex()  # bitwise, not approximately
@@ -179,7 +193,7 @@ class TestDeterminism:
     def test_cold_build_makes_one_cosine_pass(self, n, pair_calls):
         """Both signs come from one eval_G_pair call over all N nodes, in node order, per table build."""
         _NODE_TABLE.clear()
-        gap_derivatives(5.5, n, [(1, "refined"), (2, "plain")])
+        gap_derivatives(5.5, n, [1, 2], "refined")
         assert pair_calls == [list(_nodes(n))]
 
     def test_warm_proof_makes_no_node_table_misses(self, monkeypatch, pair_calls):
@@ -194,22 +208,21 @@ class TestDeterminism:
         assert lookups == [640] * 10  # one lookup per sign of each of the 5 gap_derivatives calls
 
     def test_proof_builds_each_term_list_once(self, monkeypatch):
-        """Term lists are sign-free, so a proof builds one per refined (t, j), not one per sign, from one h4_bounds call per batch."""
+        """Term lists are sign-free, so a proof builds one per (t, j), not one per sign, from one refined h4_bounds call per batch."""
         calls = []
         real = quadrature.h4_bounds
-        monkeypatch.setattr(quadrature, "h4_bounds", lambda t, jobs: calls.append([(t, j) for j, refined in jobs if refined]) or real(t, jobs))
+        monkeypatch.setattr(quadrature, "h4_bounds", lambda t, orders, refined: calls.append((list(orders), refined)) or real(t, orders, refined))
         prove_k5()
-        assert sum(map(len, calls)) == 37
-        assert len(calls) == 5  # one per gap_derivatives batch
+        assert sum(len(orders) for orders, _ in calls) == 38
+        assert len(calls) == 5 and all(refined for _, refined in calls)  # one per gap_derivatives batch
 
     def test_proof_computes_each_small_range_term_once(self, monkeypatch):
         """The cells of the refined bounds are sign-free below 1/9, so one cell table per batch serves both signs.
 
-        Measured: 230 cells per sign per warm proof, 5 groups at 46 log orders
-        (the union of j-4..j over each batch's refined orders: 3, 11, 10, 11
-        and 11 orders), from one _cells call per batch, each small-range term
-        taken once for both signs: 205 with p > 0, where the keyed pass before
-        took 201, one per distinct key with j > 0.
+        Measured: 235 cells per sign per warm proof, 5 groups at 47 log orders
+        (the union of j-4..j over each batch's orders: 4, 11, 10, 11 and 11
+        orders), from one _cells call per batch, each small-range term taken
+        once for both signs: 210 with p > 0.
         """
         calls = []
         real = quadrature._cells
@@ -222,9 +235,9 @@ class TestDeterminism:
         prove_k5()  # warm
         monkeypatch.setattr(quadrature, "_cells", counting)
         prove_k5()
-        assert [(kinds, orders) for kinds, orders, _ in calls] == [(5, 3), (5, 11), (5, 10), (5, 11), (5, 11)]
+        assert [(kinds, orders) for kinds, orders, _ in calls] == [(5, 4), (5, 11), (5, 10), (5, 11), (5, 11)]
         assert all(per_table == [5 * orders] * 2 for _, orders, per_table in calls)
-        assert sum(per_table[0] for _, _, per_table in calls) == 230
+        assert sum(per_table[0] for _, _, per_table in calls) == 235
 
     @pytest.mark.parametrize("j", [0, 1, 3, 4, 9, 30, 10**6, 10**15])
     def test_single_order_call_builds_cells_at_its_orders_only(self, j, monkeypatch):
@@ -232,7 +245,7 @@ class TestDeterminism:
 
         derivative_sweep makes one gap_derivative call per op and
         certificate_audit one refined_error_bound call per bound; both are
-        checked up to j = 30.  Past that only the keyed call is: a node sum at
+        checked up to j = 30.  Past that only refined_error_bound is: a node sum at
         j = 10**6 or 10**15 overflows in (log G)^j before any bound is taken.
         """
         calls = []
@@ -280,14 +293,14 @@ class TestDeterminism:
     def test_node_sums_are_free_of_the_column_order(self, monkeypatch):
         """All 76 node sums of the default proof are bit-identical over columns in node order, reversed or shuffled: the order is a speed choice only."""
         passes = default_proof_passes()
-        assert {n for _, n in passes} == {640}
+        assert {n for _, n, _ in passes} == {640}
 
         def node_sums():
             return {
                 (sign, t, j): v.hex()
-                for (t, n), jobs in passes.items()
+                for (t, n, _), orders in passes.items()
                 for sign in SIGN_PAIR
-                for j, v in _h_node_sums(sign, t, sorted({j for j, _ in jobs}), n).items()
+                for j, v in _h_node_sums(sign, t, orders, n).items()
             }
 
         reference = node_sums()
@@ -320,14 +333,14 @@ class TestDeterminism:
 
 
 def default_proof_passes():
-    """{(t, N): [(order, mode), ...]} for every gap-derivative evaluation of the default proof."""
+    """{(t, N, mode): [order, ...]} for every gap-derivative evaluation of the default proof."""
     passes = {}
     for stage in DEFAULT_CONFIG["stages"].values():
         if "center" in stage:
             orders = range(stage["base_order"], stage["base_order"] + stage["degree"] + 1)
-            passes.setdefault((stage["center"], stage["steps"]), []).extend((j, stage["mode"]) for j in orders)
+            passes.setdefault((stage["center"], stage["steps"], stage["mode"]), []).extend(orders)
         elif "order" in stage:
-            passes.setdefault((stage["t"], stage["steps"]), []).append((stage["order"], stage["mode"]))
+            passes.setdefault((stage["t"], stage["steps"], stage["mode"]), []).append(stage["order"])
     return passes
 
 
@@ -350,9 +363,8 @@ class TestBatchedNodeSums:
         gives that float, hence every estimate, and so does one fsum in node order.
         """
         passes = default_proof_passes()
-        assert sum(len(jobs) for jobs in passes.values()) == 38
-        for (t, n), jobs in passes.items():
-            orders = [j for j, _ in jobs]
+        assert sum(map(len, passes.values())) == 38
+        for (t, n, _), orders in passes.items():
             for sign in (PLUS, MINUS):
                 batched = _h_node_sums(sign, t, sorted(orders), n)
                 for j in orders:
@@ -369,18 +381,16 @@ class TestBatchedNodeSums:
 
     def test_batched_refined_bounds_equal_single_calls(self):
         """One indexed pass per (t, N) for both signs, and refined_error_bound on each order alone, are each the oracle bitwise."""
-        for (t, n), jobs in default_proof_passes().items():
-            orders = [j for j, _ in jobs]
+        for (t, n, _), orders in default_proof_passes().items():
             term_sums = [h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j in orders]
             tables = [default_max_table(TrigSquare(5, sign)) for sign in (PLUS, MINUS)]
-            cell_orders = {p for j in orders for p in range(max(j - 4, 0), j + 1)}
-            batches = _error_bounds(h4_bounds(t, [(j, True) for j in orders]), refined_kinds(t), cell_orders, tables, n)
+            batches = _error_bounds(h4_bounds(t, orders, True), refined_kinds(t), tables, n)
             for table, batched in zip(tables, batches):
                 singles = [refined_error_bound(s, TrigSquare(5, table.sign), n, table) for s in term_sums]
                 termwise = [  # the per-key oracle, summed as the error bound sums it
-                    math.fsum(c * term_integral_reference(has_gprime, t_r, j_r, table) for c, (has_gprime, t_r, j_r) in s)
+                    math.fsum(c * term_integral_reference(has_gprime, t_r, j_r, table) for c, (has_gprime, t_r, j_r) in keyed(t, terms))
                     / (23040.0 * float(n) ** 4)
-                    for s in term_sums
+                    for _, terms in term_sums
                 ]
                 assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, table.sign)
                 assert [s.hex() for s in singles] == [w.hex() for w in termwise], (t, n, table.sign)
@@ -402,34 +412,36 @@ class TestBatchedNodeSums:
                 assert batch[j] == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, j)
 
     def test_shared_refined_pass_equals_one_sign_bound(self):
-        """Every gap value of the default proof is bitwise its two signs' parts, each computed alone.
+        """Every gap value of the default proof, in either mode, is bitwise its two signs' parts, each computed alone.
 
         The estimate is the minus node sum over 2N less the plus one.  The
         error is the sum of the two signs' bounds: refined_error_bound on each
         sign's table, or the plain sup bound over 23040 N^4, twice.
         """
         checked = collections.Counter()
-        for (t, n), jobs in default_proof_passes().items():
-            for (j, mode), value in zip(jobs, gap_derivatives(t, n, jobs)):
-                minus, plus = (_h_node_sums(sign, t, [j], n)[j] for sign in (MINUS, PLUS))
-                assert value.estimate.hex() == (minus / (2.0 * n) - plus / (2.0 * n)).hex(), (t, j, n)
-                if mode == "refined":
-                    trigs = [TrigSquare(5, sign) for sign in (MINUS, PLUS)]
-                    e_minus, e_plus = (
-                        refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, trig.sign)), trig, n, default_max_table(trig))
-                        for trig in trigs
-                    )
-                else:
-                    e_minus = e_plus = h4_bounds(t, [(j, False)])[0] / (23040.0 * float(n) ** 4)
-                assert value.error_bound.hex() == (e_minus + e_plus).hex(), (t, j, n, mode)
-                assert (value.steps, value.method) == (n, mode)
-                checked[mode] += 1
-        assert checked == {"refined": 37, "plain": 1}
+        for (t, n, _), orders in default_proof_passes().items():
+            for mode in MODES:
+                for j, value in zip(orders, gap_derivatives(t, n, orders, mode)):
+                    minus, plus = (_h_node_sums(sign, t, [j], n)[j] for sign in (MINUS, PLUS))
+                    assert value.estimate.hex() == (minus / (2.0 * n) - plus / (2.0 * n)).hex(), (t, j, n)
+                    if mode == "refined":
+                        trigs = [TrigSquare(5, sign) for sign in (MINUS, PLUS)]
+                        e_minus, e_plus = (
+                            refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, trig.sign)), trig, n, default_max_table(trig))
+                            for trig in trigs
+                        )
+                    else:
+                        e_minus = e_plus = h4_bounds(t, [j], False)[0] / (23040.0 * float(n) ** 4)
+                    assert value.error_bound.hex() == (e_minus + e_plus).hex(), (t, j, n, mode)
+                    assert (value.steps, value.method) == (n, mode)
+                    checked[mode] += 1
+        assert checked == {"refined": 38, "plain": 38}
 
     def test_batch_matches_single_order_calls(self):
-        jobs = [(1, "refined"), (4, "plain"), (2, "refined")]
-        singles = [gap_derivative(order, 5.2, 300, mode) for order, mode in jobs]
-        assert gap_derivatives(5.2, 300, jobs) == singles
+        orders = [1, 4, 2]
+        for mode in MODES:
+            singles = [gap_derivative(order, 5.2, 300, mode) for order in orders]
+            assert gap_derivatives(5.2, 300, orders, mode) == singles, mode
 
 
 class TestExactRoundingReference:
@@ -481,9 +493,11 @@ class TestQPass:
         (group, log order) that the refined error bounds sum, and the q pass.
         """
         checked = 0
-        for (t, n), jobs in default_proof_passes().items():
+        for (t, n, mode), orders in default_proof_passes().items():
+            if mode == "plain":  # a plain pass sums no cells
+                continue
             kinds = refined_kinds(t)
-            cells = {(group, p) for terms in h4_bounds(t, [(j, True) for j, mode in jobs if mode == "refined"]) for _, group, p in terms}
+            cells = {(group, p) for terms in h4_bounds(t, orders, True) for _, group, p in terms}
             keys = [(*kinds[group], p) for group, p in cells]
             per_table = _cells(kinds, {p for _, p in cells}, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables))
             for q, integrals, table in zip(q_values(keys, tables, n), per_table, tables):
@@ -495,7 +509,7 @@ class TestQPass:
                     expected = term_integral_reference(has_gprime, t_r, p, table)
                     assert integrals[p][group].hex() == expected.hex(), (t, has_gprime, t_r, p, table.sign)
                     checked += 1
-        assert checked == 2 * 221
+        assert checked == 2 * 226
 
     @pytest.mark.parametrize("table_id,small_terms", [("Q500", 5), ("Q400", 10)])
     def test_each_table_computes_each_ingredient_once(self, monkeypatch, table_id, small_terms):
@@ -659,28 +673,26 @@ class TestIntegrateH:
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="plain.*refined"):
-            gap_derivatives(5, 100, [(0, "fancy")])
+            gap_derivatives(5, 100, [0], "fancy")
 
     def test_term_lists_are_sign_free(self, minus_square, minus_table):
         """Plus and minus give the same fourth-derivative terms, hence bitwise the same bound on a square."""
         for t, j in itertools.product((5.0, 5.065, 5.33, 5.72, 6.0, 7.5), range(13)):
             plus, minus = (h4_term_bounds(IntegrandSpec(t, j, sign)) for sign in (PLUS, MINUS))
-            assert plus == minus and all(t_r >= 1.0 for _, (_, t_r, _) in plus), (t, j)
+            assert plus == minus and all(t_r >= 1.0 for _, t_r in plus[0]), (t, j)
             bounds = [refined_error_bound(terms, minus_square, 500, minus_table) for terms in (plus, minus)]
             assert bounds[0].hex() == bounds[1].hex(), (t, j)
 
-    def test_term_keys_are_term_integral_keys(self, tables):
-        """The key of each h4_term_bounds term names the one cell, of each sign's cell table, that holds its integral."""
+    def test_term_groups_name_term_integral_cells(self, tables):
+        """h4_term_bounds gives refined_kinds(t), one distinct kind per group, and each term's (group, p) names one finite cell of each sign's table."""
         for t, j in itertools.product((5.0, 5.065, 5.33, 6.0), range(13)):
-            kinds = refined_kinds(t)
-            assert len(set(kinds)) == len(kinds), t  # so a (has_gprime, t_r) key names one group
-            (terms,) = h4_bounds(t, [(j, True)])
-            keyed = h4_term_bounds(IntegrandSpec(t, j, PLUS))
-            assert [(c, (*kinds[group], p)) for c, group, p in terms] == list(keyed), (t, j)
+            kinds, terms = h4_term_bounds(IntegrandSpec(t, j, PLUS))
+            assert kinds == refined_kinds(t) and len(set(kinds)) == len(kinds), t  # so a (has_gprime, t_r) kind names one group
+            assert terms == h4_bounds(t, [j], True)[0], (t, j)
             orders = {p for _, _, p in terms}
             for cells in _cells(kinds, orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)):
                 assert set(cells) == orders and all(len(cells[p]) == len(kinds) for p in orders), (t, j)
-                assert all(math.isfinite(cells[key[2]][kinds.index(key[:2])]) for _, key in keyed), (t, j)
+                assert all(math.isfinite(cells[p][group]) for _, group, p in terms), (t, j)
 
     def test_refined_error_bound_rejects_foreign_table(self, plus_square, minus_table):
         """The one-key wrapper takes a square beside its table, and refuses a table of the other sign."""
@@ -697,13 +709,16 @@ class TestGapDerivative:
         d2 = gap_derivative(2, 5.0, 640, "refined")
         assert d2.estimate == pytest.approx(0.033815603115726844, rel=1e-12)
         assert d2.error_bound == pytest.approx(0.004975026091751638, rel=1e-12)
-        d3 = gap_derivative(3, 5.0, 640, "plain")
+        d3 = gap_derivative(3, 5.0, 640, "refined")
         assert d3.estimate == pytest.approx(0.18354763424940757, rel=1e-12)
-        assert d3.error_bound == pytest.approx(0.14638948570653776, rel=1e-12)
+        assert d3.error_bound == pytest.approx(0.01408511935127046, rel=1e-12)
+        plain_d3 = gap_derivative(3, 5.0, 640, "plain")  # the stage's mode before the proof went all refined
+        assert plain_d3.estimate == d3.estimate
+        assert plain_d3.error_bound == pytest.approx(0.14638948570653776, rel=1e-12)
 
     def test_tracks_oracle(self, half_period_oracle):
         """Each derivative stage at t = 5, at the proof's 640 nodes, encloses the Simpson oracle."""
-        for order, mode in ((1, "refined"), (2, "refined"), (3, "plain")):
+        for order, mode in ((1, "refined"), (2, "refined"), (3, "refined"), (3, "plain")):
             value = gap_derivative(order, 5.0, 640, mode)
             truth = half_period_oracle(5.0, order, "minus") - half_period_oracle(5.0, order, "plus")
             assert abs(value.estimate - truth) <= value.error_bound, order
@@ -750,22 +765,22 @@ def proof_batches():
 
 
 # The default proof's 38 gap values as (t, N, order, mode), each held against the truth in a test of its own
-PROOF_VALUES = [(t, n, j, mode) for (t, n), jobs in default_proof_passes().items() for j, mode in jobs]
+PROOF_VALUES = [(t, n, j, mode) for (t, n, mode), orders in default_proof_passes().items() for j in orders]
 
 
 class TestTruthHarness:
     def test_records_the_default_proof(self, proof_batches):
         """Five batches, one per distinct t, hold the proof's 38 gap values: those of its stage table."""
-        assert {(t, n): jobs for t, n, jobs, _, _ in proof_batches} == default_proof_passes()
-        assert len(proof_batches) == 5 and sum(len(values) for _, _, _, values, _ in proof_batches) == 38 == len(PROOF_VALUES)
+        assert {(t, n, mode): orders for t, n, orders, mode, _, _ in proof_batches} == default_proof_passes()
+        assert len(proof_batches) == 5 and sum(len(values) for *_, values, _ in proof_batches) == 38 == len(PROOF_VALUES)
 
     @pytest.mark.parametrize("t,n_steps,order,mode", PROOF_VALUES, ids=[f"t{t}-j{j}-{mode}" for t, _, j, mode in PROOF_VALUES])
     def test_gap_value_encloses_the_truth(self, proof_batches, t, n_steps, order, mode):
         """|estimate - truth| <= error_bound (measured over the 38 values: each bound is 2.2e9 to 8.3e11 times the error)."""
         import mpmath
 
-        (jobs, values, truth), = [(jobs, values, truth) for bt, bn, jobs, values, truth in proof_batches if (bt, bn) == (t, n_steps)]
-        value = values[jobs.index((order, mode))]
+        (orders, values, truth), = [(orders, values, truth) for bt, bn, orders, bm, values, truth in proof_batches if (bt, bn, bm) == (t, n_steps, mode)]
+        value = values[orders.index(order)]
         assert abs(mpmath.mpf(value.estimate) - truth[order]) <= value.error_bound
 
 
@@ -775,40 +790,41 @@ BOUND_ORDERS = list(range(31)) + [10**6, 10**15]
 
 
 def sign_errors(monkeypatch):
-    """The per-sign refined error bounds each gap_derivatives call sums, one [minus, plus] pair of lists per call."""
+    """The per-sign refined error bounds each refined gap_derivatives call sums, one [minus, plus] pair of lists per call."""
     calls = []
     real = quadrature._error_bounds
     monkeypatch.setattr(quadrature, "_error_bounds", lambda *args: calls.append(real(*args)) or calls[-1])
     return calls
 
 
-def assert_sign_errors_equal_reference(t, n, jobs, values, errors):
-    """Each refined job's two per-sign bounds are bitwise the oracle's, and its error_bound is their sum."""
+def assert_sign_errors_equal_reference(t, n, orders, values, errors):
+    """Each order's two per-sign bounds are bitwise the oracle's, and its error_bound is their sum."""
     tables = [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
-    refined = [(j, value) for (j, mode), value in zip(jobs, values) if mode == "refined"]
     for table, bounds in zip(tables, errors):
-        assert [b.hex() for b in bounds] == [refined_error_bound_reference(t, j, n, table).hex() for j, _ in refined], (t, n, table.sign)
-    for (j, value), e_minus, e_plus in zip(refined, *errors):
+        assert [b.hex() for b in bounds] == [refined_error_bound_reference(t, j, n, table).hex() for j in orders], (t, n, table.sign)
+    for j, value, e_minus, e_plus in zip(orders, values, *errors):
         assert value.error_bound.hex() == (e_minus + e_plus).hex(), (t, n, j)
 
 
 def test_proof_sign_errors_equal_the_reference(monkeypatch):
-    """Every refined gap value of the five default-proof batches: gap_derivatives' own per-sign bounds, not the keyed view."""
+    """Every gap value of the five default-proof batches, all refined: gap_derivatives' own per-sign bounds."""
     calls = sign_errors(monkeypatch)
-    for (t, n), jobs in default_proof_passes().items():
-        values = gap_derivatives(t, n, jobs)
-        assert_sign_errors_equal_reference(t, n, jobs, values, calls[-1])
-    assert sum(len(minus) for minus, _ in calls) == 37
+    for (t, n, mode), orders in default_proof_passes().items():
+        assert mode == "refined", (t, n)
+        values = gap_derivatives(t, n, orders, mode)
+        assert_sign_errors_equal_reference(t, n, orders, values, calls[-1])
+    assert sum(len(minus) for minus, _ in calls) == 38
 
 
 @pytest.mark.parametrize("n", [1, 255, 640, 3000])
 def test_sweep_sign_errors_equal_the_reference(n, monkeypatch):
-    """gap_derivatives' own per-sign bounds over t in [5, 40] and the orders 0..30 in both modes, bitwise the oracle's."""
+    """gap_derivatives' own per-sign bounds over t in [5, 40] and the orders 0..30, bitwise the oracle's; a plain batch takes no cells."""
     calls = sign_errors(monkeypatch)
-    jobs = [(j, mode) for j in range(31) for mode in MODES]
+    orders = list(range(31))
     for t in BOUND_POWERS:
-        values = gap_derivatives(t, n, jobs)
-        assert_sign_errors_equal_reference(t, n, jobs, values, calls[-1])
+        values = gap_derivatives(t, n, orders, "refined")
+        assert_sign_errors_equal_reference(t, n, orders, values, calls[-1])
+        gap_derivatives(t, n, orders, "plain")
     assert len(calls) == len(BOUND_POWERS)
 
 
@@ -817,15 +833,51 @@ def test_refined_bounds_equal_the_per_order_reference(n, tables):
     """Each batch's refined error bounds, both signs, are bitwise the per-(t, j) brace formula with every key integral afresh.
 
     Both entries to the one driver are held: the batch over the cells of the
-    five groups at the orders j-4..j, as gap_derivatives sums them, and
-    refined_error_bound on the terms of h4_term_bounds of each order alone.
+    five groups at the log orders its terms use, as gap_derivatives sums
+    them, and refined_error_bound on h4_term_bounds of each order alone.
     """
     for t in BOUND_POWERS:
-        indexed = _error_bounds(
-            h4_bounds(t, [(j, True) for j in BOUND_ORDERS]), refined_kinds(t), {p for j in BOUND_ORDERS for p in range(max(j - 4, 0), j + 1)}, tables, n
-        )
+        indexed = _error_bounds(h4_bounds(t, BOUND_ORDERS, True), refined_kinds(t), tables, n)
         for table, batched in zip(tables, indexed):
             square = TrigSquare(5, table.sign)
             singles = [refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, table.sign)), square, n, table) for j in BOUND_ORDERS]
             expected = [refined_error_bound_reference(t, j, n, table).hex() for j in BOUND_ORDERS]
             assert [[b.hex() for b in driver] for driver in (batched, singles)] == [expected, expected], (t, n, table.sign)
+
+
+def test_no_stage_needs_plain_mode():
+    """At the proof's N = 640, for t = 5.00, 5.01, ..., 6.00 and j = 0..12, every refined error bound is at most 0.11 times the plain one.
+
+    Measured: at most 0.1030 (at t = 5.0, j = 8), so plain mode gives no
+    stage of the proof a tighter bound.
+    """
+    orders = range(13)
+    for t in (5.0 + k / 100 for k in range(101)):
+        plain, refined = (gap_derivatives(t, 640, orders, mode) for mode in MODES)
+        for j, p, r in zip(orders, plain, refined):
+            assert r.error_bound <= 0.11 * p.error_bound, (t, j, r.error_bound / p.error_bound)
+
+
+BATCH_DIGEST = "2d787778fa82aa4d96c888b0ea57c0dfe5e041ef3a5e535c0f715e909d0e8048"
+
+
+def batch_digest():
+    """sha256 of the repr of (estimate, error_bound) of fixed gap_derivatives batches, both modes per order.
+
+    The t are the proof's five and 5 seeded in [5, 40], at N = 1, 255, 640
+    and 3000; each (t, N) takes the orders 0..10 in one batch per mode, and
+    the values are concatenated order by order, plain before refined.
+    """
+    rng = random.Random(2501)
+    powers = [5.0, 5.065, 5.23, 5.525, 5.86] + [rng.uniform(5.0, 40.0) for _ in range(5)]
+    text = ""
+    for t, n in itertools.product(powers, (1, 255, 640, 3000)):
+        per_mode = [gap_derivatives(t, n, range(11), mode) for mode in MODES]
+        text += "".join(repr((v.estimate, v.error_bound)) for pair in zip(*per_mode) for v in pair)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestBatchDigest:
+    def test_seeded_batches(self):
+        """Estimates and error bounds of 80 batches in each mode, pinned to one digest."""
+        assert batch_digest() == BATCH_DIGEST
