@@ -25,7 +25,10 @@ over the period, splitting the range of G at 1/9:
 
 The node layer lives here too: per sign, one row G^t over all N nodes serves
 every j (_h_node_sums), and the node table holds G, log G and the powers
-(log G)^p asked for, both signs from one cosine pass (see _node_table).
+(log G)^p asked for, both signs from one cosine pass (see _node_table), and
+every node sum taken on it, for at most _HELD_POWERS values of t per sign:
+a repeated (N, t, j), as in every proof after the first in one process, takes
+no fsum and no row G^t.
 gap_derivatives assembles each certified gap value from both signs' node sums,
 in one mode per batch, from one h4_bounds call and, refined, one cell table
 per sign.  A term of h4_bounds is (coefficient, group, p); the table holds the
@@ -58,6 +61,7 @@ LOG9 = math.log(G_MAX)
 _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
 _LOG_SMALL_END = abs(math.log(_SMALL_END))
 _NODE_TABLE: dict[int, dict[SignVariant, NodeColumns]] = {}  # see _node_table
+_HELD_POWERS = 8  # the most values of t whose node sums one sign's columns hold (the default proof takes 5)
 
 
 class CertifiedValue(NamedTuple):
@@ -158,18 +162,23 @@ def _nodes(n_steps: int):
 
 
 class NodeColumns(NamedTuple):
-    """G and log G at the N nodes of one sign, G >= 1 falling then G < 1 rising: everything about them that is free of t and j.
+    """G and log G at the N nodes of one sign, G >= 1 falling then G < 1 rising, and what _h_node_sums has taken on them.
 
     The order is for speed alone: every node sum is one exactly rounded fsum,
     so its value does not depend on it (see _node_table).
 
-    ``logs`` holds the powers (log G)^p asked for so far (by _h_node_sums), by
-    p; they are free of t too, so they are kept with the columns.
+    ``logs`` holds the powers (log G)^p asked for so far, by p; they are free
+    of t, so they are kept with the columns.  ``sums`` holds the node sums
+    taken so far, {t: {j: sum}}, for at most _HELD_POWERS values of t, the
+    oldest dropped first.  Both live on the columns they were taken from, so a
+    rebuilt or hand-built table starts with none (a hand-built one is given
+    its own empty dicts) and never reads values taken on another.
     """
 
     g: list[float]
     ell: tuple[float, ...]
     logs: dict[int, list[float]]
+    sums: dict[float, dict[int, float]]
 
 
 def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
@@ -186,6 +195,12 @@ def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
     as they grow.  (At N = 640, t = 5.86, j = 9, the list averages 5 partials
     over the last quarter of the nodes, against 17 with all of G descending;
     over the default proof's 76 node sums fsum takes about a quarter less time.)
+
+    The node sums taken on the table are held on it too (NodeColumns.sums: at
+    most _HELD_POWERS values of t per sign, the oldest dropped first, so a
+    sweep over t at one N holds a bounded number).  They live on the table, not
+    in a cache beside it, so they are dropped with it, and a rebuilt or
+    hand-built table never reads sums taken on another.
     """
     _check_steps(n_steps)  # before the lookup, where 100.0 and True would find the table of 100 or of 1
     if n_steps not in _NODE_TABLE:
@@ -195,40 +210,50 @@ def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
             g.sort()
             split = bisect_left(g, 1.0)
             g = g[split:][::-1] + g[:split]
-            table[sign] = NodeColumns(g, tuple(map(math.log, g)), {})
+            table[sign] = NodeColumns(g, tuple(map(math.log, g)), {}, {})
         _NODE_TABLE[n_steps] = table
     return _NODE_TABLE[n_steps]
 
 
 def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int, float]:
-    """Node sums of H = G^t log^j G of one sign for each j in orders, from one node pass.
+    """Node sums of H = G^t log^j G of one sign for each j in orders: the held ones looked up, the rest from one node pass.
 
-    One row G^t over all N nodes serves every j; (log G)^j is kept in the node
-    table once asked for.  The sum of order j is one fsum(G^t L^j) over all N
-    nodes, L = log G: the exactly rounded sum of the rounded products.  An entry
-    G^t or L^j, or a node sum, beyond the float range is refused, naming t or j.
+    The sum of order j is one fsum(G^t L^j) over all N nodes, L = log G: the
+    exactly rounded sum of the rounded products.  It is held on the node
+    table's columns once taken (NodeColumns.sums), so a repeated (N, t, j)
+    costs a lookup; only when some order is not held is the one row G^t over
+    all N nodes built, to serve every missing j, with (log G)^j kept in the
+    table once asked for.  An entry G^t or L^j, or a node sum, beyond the
+    float range is refused, naming t or j; a refused call holds nothing new.
     """
     nodes = _node_table(n_steps)[sign]
-    try:
-        gt = [g**t for g in nodes.g]
-    except OverflowError:
-        raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
-    sums = {}
-    for j in orders:
-        logs = nodes.logs.get(j)
-        if logs is None:
-            try:
-                logs = nodes.logs[j] = [v**j for v in nodes.ell]
-            except OverflowError:  # at a node with |log G| > 1
-                raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
+    held = nodes.sums.get(t, {})
+    missing = [j for j in orders if j not in held]
+    if missing:
         try:
-            total = fsum(map(mul, gt, logs))
-        except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
-            total = math.nan
-        if not math.isfinite(total):  # nan from above, or inf from an H product that overflowed
-            raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sum overflows a float")
-        sums[j] = total
-    return sums
+            gt = [g**t for g in nodes.g]
+        except OverflowError:
+            raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
+        taken = {}
+        for j in missing:
+            logs = nodes.logs.get(j)
+            if logs is None:
+                try:
+                    logs = nodes.logs[j] = [v**j for v in nodes.ell]
+                except OverflowError:  # at a node with |log G| > 1
+                    raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
+            try:
+                total = fsum(map(mul, gt, logs))
+            except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
+                total = math.nan
+            if not math.isfinite(total):  # nan from above, or inf from an H product that overflowed
+                raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sum overflows a float")
+            taken[j] = total
+        if t not in nodes.sums and len(nodes.sums) >= _HELD_POWERS:
+            del nodes.sums[next(iter(nodes.sums))]  # the oldest t: dicts keep insertion order
+        held = nodes.sums.setdefault(t, {})
+        held.update(taken)
+    return {j: held[j] for j in orders}
 
 
 def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[CertifiedValue]:

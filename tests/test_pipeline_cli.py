@@ -282,13 +282,15 @@ class TestReports:
             digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
             assert digest == "13446e2ddcfeb4346d909cd480963a99cc46a8064d67d29fe80ac9118b51ed68"
 
+    @pytest.mark.parametrize("package", ["majorant", "majorant.cli"])
     @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect", "majorant.tables"])
-    def test_import_leaves_module_unloaded(self, module):
+    def test_import_leaves_module_unloaded(self, package, module):
         """Only config_hash needs hashlib, which loads OpenSSL; the records are NamedTuples, so nothing loads dataclasses or inspect.
 
-        No module of the proof imports majorant.tables: the package binds its names on first use.
+        No module of the proof imports majorant.tables: the package binds its
+        names on first use, and the CLI imports it in the table command alone.
         """
-        code = f"import sys, majorant; print({module!r} in sys.modules)"
+        code = f"import sys, {package}; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
@@ -457,6 +459,16 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: log exponent j ~ 10^400.0 is too large to evaluate"), mode
             assert err.count("\n") == 1
+
+    def test_table_ids_are_the_tables_ids(self):
+        """The CLI writes the table ids out, so that it need not import majorant.tables to list them."""
+        assert majorant.cli.TABLE_IDS == TABLE_IDS
+
+    def test_prove_leaves_the_tables_unloaded(self):
+        """A proof from the command line reads no table: majorant.tables is never imported."""
+        code = "import os, sys; from majorant.cli import main; print(main(['prove', '--out', os.devnull]), 'majorant.tables' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0 False\n", "")
 
     def test_table_csv(self):
         result = run_cli("table", "maxima")

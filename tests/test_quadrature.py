@@ -15,7 +15,7 @@ from majorant import tables as tables_module  # the fixture tables is a pair of 
 from majorant.certify import TaylorCertificate, build_certificate, eval_cert_poly
 from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec, h4_bounds, h4_term_bounds, refined_kinds
-from majorant.pipeline import DEFAULT_CONFIG, prove_k5
+from majorant.pipeline import DEFAULT_CONFIG, emit_report, prove_k5
 from majorant.quadrature import (
     MAX_STEPS,
     MODES,
@@ -25,6 +25,7 @@ from majorant.quadrature import (
     _ERR_DENOM,
     _error_bounds,
     _h_node_sums,
+    _HELD_POWERS,
     _integral_bases,
     _INTEGRAL_WEIGHTS,
     _NODE_TABLE,
@@ -57,6 +58,28 @@ def pair_calls(monkeypatch):
 
     monkeypatch.setattr(quadrature, "eval_G_pair", recording)
     return calls
+
+
+@pytest.fixture
+def fsum_lengths(monkeypatch):
+    """The length of the input of each fsum quadrature takes while the test runs: N for a node sum."""
+    lengths = []
+    real = quadrature.fsum
+
+    def counting(xs):
+        xs = list(xs)
+        lengths.append(len(xs))
+        return real(xs)
+
+    monkeypatch.setattr(quadrature, "fsum", counting)
+    return lengths
+
+
+def cold_node_sums(sign, t, orders, n):
+    """_h_node_sums on the table of n with no node sum held: what a first call takes, not what an earlier one left."""
+    for columns in _node_table(n).values():
+        columns.sums.clear()
+    return _h_node_sums(sign, t, orders, n)
 
 
 def midpoint_sum(f, n):
@@ -290,8 +313,12 @@ class TestDeterminism:
             assert all(a <= b for a, b in zip(low, low[1:])), sign
             assert column.ell == tuple(map(math.log, column.g)), sign
 
-    def test_node_sums_are_free_of_the_column_order(self, monkeypatch):
-        """All 76 node sums of the default proof are bit-identical over columns in node order, reversed or shuffled: the order is a speed choice only."""
+    def test_node_sums_are_free_of_the_column_order(self, monkeypatch, fsum_lengths):
+        """All 76 node sums of the default proof are bit-identical over columns in node order, reversed or shuffled: the order is a speed choice only.
+
+        Each hand-built table has its own empty store, so its 76 sums are taken
+        on its own columns, not read from the table the proof filled.
+        """
         passes = default_proof_passes()
         assert {n for _, n, _ in passes} == {640}
 
@@ -312,24 +339,95 @@ class TestDeterminism:
             "shuffled": {sign: random.Random(24).sample(g, len(g)) for sign, g in node_order.items()},
         }
         for name, columns in orders.items():
-            table = {sign: NodeColumns(g, tuple(map(math.log, g)), {}) for sign, g in columns.items()}
+            table = {sign: NodeColumns(g, tuple(map(math.log, g)), {}, {}) for sign, g in columns.items()}
             monkeypatch.setitem(_NODE_TABLE, 640, table)  # restored when the test ends
+            fsum_lengths.clear()
             assert node_sums() == reference, name
+            assert fsum_lengths == [640] * 76, name  # every sum taken here, one fsum over all nodes each
+            assert sum(len(held) for per_sign in table.values() for held in per_sign.sums.values()) == 76, name
 
     def test_log_columns_live_with_the_node_table(self):
-        """(log G)^p is kept on the table's columns once asked for, and rebuilt with the table."""
+        """(log G)^p and the node sums are kept on the table's columns once taken, and dropped and rebuilt with the table."""
         orders = [0, 3, 7]
         warm = _h_node_sums(PLUS, 5.3, orders, 500)
-        assert set(_node_table(500)[PLUS].logs) >= {0, 3, 7}
+        columns = _node_table(500)[PLUS]
+        assert set(columns.logs) >= {0, 3, 7}
+        assert {j: columns.sums[5.3][j] for j in orders} == warm
         _NODE_TABLE.clear()
-        assert _node_table(500)[PLUS].logs == {}
+        rebuilt = _node_table(500)[PLUS]
+        assert rebuilt.logs == {} and rebuilt.sums == {}
         cold = _h_node_sums(PLUS, 5.3, orders, 500)
         assert {j: v.hex() for j, v in cold.items()} == {j: v.hex() for j, v in warm.items()}
+        assert set(rebuilt.sums) == {5.3}
 
     def test_repeat_runs_are_bitwise_stable(self):
         a = gap_derivative(1, 5.0, 200, "refined")
         b = gap_derivative(1, 5.0, 200, "refined")
         assert a == b
+
+
+class TestHeldNodeSums:
+    """Each node sum is held on the columns it was taken on, so a repeated (N, t, j) takes no fsum and no row G^t."""
+
+    def test_a_warm_proof_takes_no_node_sum(self, monkeypatch, fsum_lengths):
+        """The default proof's 76 node sums are taken once per table: a second proof builds no row G^t and gives the same bytes."""
+        _NODE_TABLE.clear()
+        first = emit_report(prove_k5())
+        assert fsum_lengths.count(640) == 76
+        rows = []
+
+        class Column(list):  # counts the passes over G, one per row G^t
+            def __iter__(self):
+                rows.append(len(self))
+                return super().__iter__()
+
+        table = _NODE_TABLE[640]
+        for sign, columns in list(table.items()):
+            monkeypatch.setitem(table, sign, columns._replace(g=Column(columns.g)))  # the same logs and sums
+        fsum_lengths.clear()
+        assert emit_report(prove_k5()) == first
+        assert 640 not in fsum_lengths and rows == []
+
+    def test_a_partly_held_batch_takes_only_the_missing_orders(self, fsum_lengths):
+        """Orders [1, 2] held, the batch [1, 2, 3] takes order 3 alone, bitwise what a cold table gives."""
+        _NODE_TABLE.clear()
+        _h_node_sums(MINUS, 5.45, [1, 2], 700)
+        fsum_lengths.clear()
+        warm = _h_node_sums(MINUS, 5.45, [1, 2, 3], 700)
+        assert fsum_lengths == [700]
+        assert set(_node_table(700)[MINUS].sums[5.45]) == {1, 2, 3}
+        _NODE_TABLE.clear()
+        cold = _h_node_sums(MINUS, 5.45, [1, 2, 3], 700)
+        assert {j: v.hex() for j, v in warm.items()} == {j: v.hex() for j, v in cold.items()}
+
+    def test_a_sweep_over_t_holds_at_most_the_limit_per_sign(self):
+        """100 values of t at one N: each sign holds the sums of the latest _HELD_POWERS of them, the oldest dropped first."""
+        assert _HELD_POWERS >= 5  # the default proof's five t at N = 640 all stay held
+        powers = [5.0 + k / 100 for k in range(100)]
+        _NODE_TABLE.clear()
+        for t in powers:
+            gap_derivative(1, t, 300, "plain")
+        for sign, columns in _node_table(300).items():
+            assert list(columns.sums) == powers[-_HELD_POWERS:], sign
+            assert all(set(held) == {1} for held in columns.sums.values()), sign
+
+    @pytest.mark.parametrize(
+        "t,orders,n,refusal",
+        [
+            (400.0, [1], 10, r"^power t = 400\.0 is too large to evaluate: G\^t at the nodes overflows"),
+            (323.0, [0], 1000, r"^log order 0 at power t = 323\.0 is too large to evaluate: its node sum overflows"),
+            (5.5, [1, 2, 900], 1000, r"^log order 900 is too large to evaluate: a power of log G overflows"),
+        ],
+        ids=["power", "node sum", "log power"],
+    )
+    def test_a_refused_sum_is_refused_again_and_never_held(self, t, orders, n, refusal):
+        """A refusal holds nothing new, so the next call refuses again; sums held before it stay."""
+        _NODE_TABLE.clear()
+        _h_node_sums(PLUS, 5.5, [1], n)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=refusal):
+                _h_node_sums(PLUS, t, orders, n)
+            assert _node_table(n)[PLUS].sums == {5.5: {1: _h_node_sums(PLUS, 5.5, [1], n)[1]}}
 
 
 def default_proof_passes():
@@ -406,7 +504,7 @@ class TestBatchedNodeSums:
         for sign in (PLUS, MINUS):
             batch = {j: v.hex() for j, v in _h_node_sums(sign, t, list(range(11)), n).items()}
             for orders in [[j] for j in range(11)] + [[1, 3], [0, 4, 9]]:
-                for j, v in _h_node_sums(sign, t, orders, n).items():
+                for j, v in cold_node_sums(sign, t, orders, n).items():
                     assert v.hex() == batch[j], (sign, orders, j)
             for j in range(11):
                 assert batch[j] == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, j)
@@ -422,7 +520,7 @@ class TestBatchedNodeSums:
         for (t, n, _), orders in default_proof_passes().items():
             for mode in MODES:
                 for j, value in zip(orders, gap_derivatives(t, n, orders, mode)):
-                    minus, plus = (_h_node_sums(sign, t, [j], n)[j] for sign in (MINUS, PLUS))
+                    minus, plus = (cold_node_sums(sign, t, [j], n)[j] for sign in (MINUS, PLUS))
                     assert value.estimate.hex() == (minus / (2.0 * n) - plus / (2.0 * n)).hex(), (t, j, n)
                     if mode == "refined":
                         trigs = [TrigSquare(5, sign) for sign in (MINUS, PLUS)]
