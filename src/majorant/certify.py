@@ -36,9 +36,9 @@ PIPELINE_T_MAX = 6.0
 _EDGE_TOL = 1e-9
 _PROVEN_RANGE = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
 MAX_DEGREE = 169  # the tail bound divides by (degree + 1)!, and 170! is the largest factorial below the float range
-# k! for k = 0..MAX_DEGREE as floats: c / k! divides by the same float whether k! is this entry or the int
-# (Python converts an int divisor to the nearest float), so the table moves no bit.
-_FACTORIALS = tuple(float(factorial(k)) for k in range(MAX_DEGREE + 1))
+# k! for k = 0..MAX_DEGREE + 1 as floats, the one source of k! here: c / k! divides by the same float whether
+# k! is this entry or the int (Python converts an int divisor to the nearest float), so the table moves no bit.
+_FACTORIALS = tuple(float(factorial(k)) for k in range(MAX_DEGREE + 2))
 
 # The targets each sign check certifies, keyed by the stage table's method name.  The
 # variation cascade argues from positive shifted endpoint values, so it proves positivity only.
@@ -134,8 +134,8 @@ def remainder_bound(center: float, radius: float, base_order: int, degree: int) 
     """
     check_window(center, radius, base_order, degree)
     m = degree + 1 + base_order
-    peak = max(envelope_max(center - radius, m, 0.0, G_MAX), envelope_max(center + radius, m, 0.0, G_MAX))
-    return 2.0 * peak * radius ** (degree + 1) / factorial(degree + 1)
+    peak = max(envelope_max([center - radius, center + radius], [m], G_MAX)[m])
+    return 2.0 * peak * radius ** (degree + 1) / _FACTORIALS[degree + 1]
 
 
 def build_certificate(
@@ -168,7 +168,7 @@ def build_certificate(
         )
     values = gap_derivatives(center, steps, range(base_order, base_order + degree + 1), mode)
     for j, (value, budget) in enumerate(zip(values, budget_list)):
-        propagated = value.error_bound * radius**j / factorial(j)
+        propagated = value.error_bound * radius**j / _FACTORIALS[j]
         if propagated > budget:
             raise BudgetError(
                 f"coefficient {j}: propagated quadrature error {propagated:.6g} exceeds "

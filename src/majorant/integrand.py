@@ -128,8 +128,9 @@ def h4_bounds(t: float, orders, refined: bool) -> list:
         }  # a term of log order p < 0 is none: each bound below skips it
         if refined:  # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
             bounds.append(tuple([(const * c, group, p) for group, (const, _, kind, _) in enumerate(_REFINED_GROUPS) for c, p in braces[kind] if p >= 0]))
-        else:
-            pieces = [const * c * envelope_max(t + offset, p, 0.0, G_MAX) for const, offset, kind in _SCALAR_GROUPS for c, p in braces[kind] if p >= 0]
+        else:  # one envelope call per order, over the scalar groups' powers at every log order a brace reaches
+            env = envelope_max([t + offset for _, offset, _ in _SCALAR_GROUPS], range(max(j - 4, 0), j + 1), G_MAX)
+            pieces = [const * c * env[p][group] for group, (const, _, kind) in enumerate(_SCALAR_GROUPS) for c, p in braces[kind] if p >= 0]
             bounds.append(overflow_to_inf(math.fsum, pieces))
     return bounds
 

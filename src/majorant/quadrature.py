@@ -15,7 +15,7 @@ bounds for ||H''''||_1 come from h4_bounds.  The plain one is its sup bound,
 the period having length 1.  The refined one integrates each of its terms
 over the period, splitting the range of G at 1/9:
 
-  * below 1/9 a term is at most envelope_max(t, j, 0, 1/9), on a set of
+  * below 1/9 a term is at most its envelope_max on [0, 1/9], on a set of
     measure at most 1; with a |G'| factor it integrates to at most that
     maximum times 14/9, because G has 14 monotone pieces per period and each
     crosses [0, 1/9] once;
@@ -37,8 +37,8 @@ terms use, and each error bound is one fsum over its terms' cells
 (_error_bounds), the one refined bound driver; refined_error_bound sums the
 terms of one h4_term_bounds, in the same form, through it.  The cells,
 and the q pass of majorant.tables behind the Q tables, take their small-range
-terms in closed form, once per (kind, order) (_cells); only the variation
-bounds depend on the sign, which each LocalMaxTable carries.
+terms from one envelope_max call (_cells); only the variation bounds depend
+on the sign, which each LocalMaxTable carries.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ from math import fsum
 from operator import add, mul
 from typing import NamedTuple
 
+from .envelope import envelope_max
 from .integrand import h4_bounds, refined_kinds
 from .spectral import torus_integral_upper
-from .trigpoly import G_MAX, MAX_STEPS, SIGN_PAIR, LocalMaxTable, SignVariant, TrigSquare, default_max_table
+from .trigpoly import G_MAX, MAX_STEPS, MONOTONE_PIECES, SIGN_PAIR, LocalMaxTable, SignVariant, TrigSquare, default_max_table
 from .trigpoly import check_int, eval_G_pair, overflow_to_inf, variation_bound_power
 
 MODES = ("plain", "refined")
@@ -59,7 +60,6 @@ _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
 
 LOG9 = math.log(G_MAX)
 _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
-_LOG_SMALL_END = abs(math.log(_SMALL_END))
 _NODE_TABLE: dict[int, dict[SignVariant, NodeColumns]] = {}  # see _node_table
 _HELD_POWERS = 8  # the most values of t whose node sums one sign's columns hold (the default proof takes 5)
 
@@ -78,39 +78,31 @@ def _check_steps(n_steps: int) -> None:
     check_int("step count", n_steps, 1, MAX_STEPS)
 
 
-_INTEGRAL_WEIGHTS = (1.0, 14.0 / G_MAX)  # the small-range weights of an integral over one period: 1, or 14/9 with |G'|
+_INTEGRAL_WEIGHTS = (1.0, MONOTONE_PIECES / G_MAX)  # the small-range weights of an integral over one period: 1, or 14/9 with |G'|
 
 
 def _cells(kinds, orders, weights, table_bases) -> list[dict[int, list[float]]]:
-    """{p: [small + log(9)^p * base of each (has_gprime, t) in kinds]} per list of bases, for each log order p in orders.
+    """{p: [small * weights[has_gprime] + log(9)^p * base of each (has_gprime, t) in kinds]} per list of bases, for each p in orders.
 
-    small is envelope_max(t, p, 0, 1/9) * weights[has_gprime] from the
-    envelope's closed form, in the same floats, and 0 at p = 0: the one
-    small-range term of both bound passes, the refined one (weights
-    _INTEGRAL_WEIGHTS) and the q pass of majorant.tables.  (1/9)^t is taken
-    once per kind, |log(1/9)|^p and log(9)^p once per order, and so are the
-    argument checks, before table_bases yields each table's bases, in kind order.
+    small is envelope_max on [0, 1/9], from one call for the nonzero orders,
+    and 0 at p = 0: the one small-range term of both bound passes, the refined
+    one (weights _INTEGRAL_WEIGHTS) and the q pass of majorant.tables.  The
+    arguments are checked, and log(9)^p taken once per order, before
+    table_bases yields each table's bases, in kind order.
     """
-    per_kind, rows, inf, exp = [], {}, math.inf, math.exp
+    powers, kind_weights = [], []
     for star, t in kinds:
         if not t >= 1.0:  # the argument checks are phrased "not <valid>" so that a NaN fails them
             raise ValueError(f"power must be >= 1, got {t}")
-        per_kind.append((t, _SMALL_END**t, math.e * t, weights[star]))
+        powers.append(t)
+        kind_weights.append(weights[star])
     for p in orders:
         check_int("log exponent p", p, 0)
-        log_small = overflow_to_inf(pow, _LOG_SMALL_END, p)
-        if p == 0:
-            smalls = [0.0] * len(per_kind)
-        else:  # the larger of the value at 1/9 and, if exp(-p/t) lies in (0, 1/9), the peak (p/(e t))^p there
-            smalls = []
-            for t, end, e_t, weight in per_kind:
-                small = end * log_small if log_small != inf else inf
-                if small != inf and 0.0 < exp(-p / t) < _SMALL_END:
-                    small = max(small, overflow_to_inf(pow, p / e_t, p))
-                smalls.append(small * weight)
-        rows[p] = overflow_to_inf(pow, LOG9, p), smalls
+    smalls = envelope_max(powers, [p for p in orders if p != 0], _SMALL_END)
+    smalls[0] = [0.0] * len(kinds)
+    rows = [(p, overflow_to_inf(pow, LOG9, p), smalls[p]) for p in orders]
     return [
-        {p: [small + log9_power * base for small, base in zip(smalls, bases)] for p, (log9_power, smalls) in rows.items()}
+        {p: [small * w + log9_power * base for small, w, base in zip(row, kind_weights, bases)] for p, log9_power, row in rows}
         for bases in table_bases
     ]
 

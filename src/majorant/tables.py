@@ -16,7 +16,7 @@ from .integrand import WORK_M
 from .pipeline import DEFAULT_CONFIG, _stage_certificate
 from .quadrature import _cells, _check_steps
 from .spectral import torus_integral_upper, torus_power_integral
-from .trigpoly import G_MAX, LocalMaxTable, SignVariant, TrigSquare, default_max_table, variation_bound_power
+from .trigpoly import G_MAX, MONOTONE_PIECES, LocalMaxTable, SignVariant, TrigSquare, default_max_table, variation_bound_power
 
 
 def second_deriv_L2() -> float:
@@ -128,11 +128,11 @@ def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
 
     torus_integral_upper is taken once per power, variation_bound_power once
     per (table, power), each j-free base once per table, and each small-range
-    term once per (has_gprime, t, j), in the closed form the refined bound
+    term once per (has_gprime, t, j), through the cells the refined bound
     pass takes (quadrature._cells), with the node-sum weights.
     """
     _check_steps(n_steps)
-    star_weight = 14.0 * n_steps / G_MAX + _HALF_L2_G2
+    star_weight = MONOTONE_PIECES * n_steps / G_MAX + _HALF_L2_G2
     index, slots = {}, {}  # index: {(has_gprime, t): kind index}, in the order first met
     for key in keys:
         slots[key] = key[2], index.setdefault(key[:2], len(index))

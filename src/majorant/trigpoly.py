@@ -28,6 +28,7 @@ from typing import NamedTuple
 TWO_PI = 2.0 * pi
 K = 5
 F2, F3 = K + 1, K + 2  # the frequencies of the two signed cosines
+MONOTONE_PIECES = 2.0 * F3  # G' has degree F3, so at most 2 * F3 = 14 zeros, and G at most 14 monotone pieces, per period
 MAX_STEPS = 1_000_000  # the most nodes or grid steps any evaluation takes
 G_MAX = 9.0  # sup G = (1 + 1 + 1)^2, attained at x = 0 by the plus sign
 

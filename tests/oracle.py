@@ -17,7 +17,11 @@ sum, behind the Q tables) and ``term_integral_reference`` (an integral over
 the period, behind the refined error bound), which the package computes from
 shared ingredients.  The |H''''| bounds of one (t, j) are written out from the
 per-order brace formulas (``brace_terms_reference``), where the package takes
-the polynomials in t once for all orders.
+the polynomials in t once for all orders.  The maxima of v^s |log v|^m are
+the scalar closed form, one (s, m) and one window [a, b] at a time
+(``envelope_reference``), where the package takes every power and order of
+[0, b] in one call; the |H''''| group constants are written out
+(``REFINED_GROUPS``, ``SCALAR_GROUPS``).
 
 ``gap_reference`` is the truth the certified gap values are held against:
 the package's midpoint rule again, in mpmath at 34 digits and with N = 1000.
@@ -31,11 +35,50 @@ from math import cos, sin
 from unittest import mock
 
 from majorant import certify, pipeline
-from majorant.envelope import envelope_max
-from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS
 from majorant.spectral import torus_integral_upper, torus_power_integral
 from majorant.tables import _HALF_L2_G2, _HALF_SUP_G1
 from majorant.trigpoly import F2, F3, TWO_PI, SignVariant, TrigSquare, variation_bound_power
+
+
+# (constant, power offset, brace kind, |G'| factor) of the five fourth-derivative groups, from the working
+# bounds 176, 6800, 280000 and 11600000 of sup|G^(m)|, m = 1..4: 176^3, 6*176*6800, 4*280000, 3*6800^2, 11600000.
+REFINED_GROUPS = (
+    (5451776.0, -4, "quartic", True),
+    (7180800.0, -3, "cubic", True),
+    (1120000.0, -2, "quadratic", True),
+    (138720000.0, -2, "quadratic", False),
+    (11600000.0, -1, "linear", False),
+)
+# The same with |G'| bounded by 176, one group per brace kind: 176^4, 6*176^2*6800, 4*176*280000 + 3*6800^2, 11600000.
+SCALAR_GROUPS = (
+    (959512576.0, -4, "quartic"),
+    (1263820800.0, -3, "cubic"),
+    (335840000.0, -2, "quadratic"),
+    (11600000.0, -1, "linear"),
+)
+
+
+def envelope_reference(s, m, a, b):
+    """Maximum of v^s |log v|^m over [a, b], 0 <= a < b <= 9, s > 0 (s >= 0 at m = 0): the scalar closed form.
+
+    b^s at m = 0; else the largest of the values at b and at a > 0 and, when
+    a < exp(-m/s) < min(b, 1), the peak (m/(e s))^m; inf past the float range.
+    """
+
+    def alpha(v):
+        return v**s * abs(math.log(v)) ** m
+
+    try:
+        if m == 0:
+            return b**s
+        candidates = [alpha(b)]
+        if a > 0.0:
+            candidates.append(alpha(a))
+        if a < math.exp(-m / s) < min(b, 1.0):
+            candidates.append((m / (math.e * s)) ** m)
+        return max(candidates)
+    except OverflowError:
+        return math.inf
 
 
 def sign_factor(sign):
@@ -225,7 +268,7 @@ def q_reference(has_gprime, t, j, n_steps, table):
     small = 0.0
     if j != 0:
         weight = 14.0 * n_steps / 9.0 + _HALF_L2_G2 if has_gprime else n_steps
-        small = envelope_max(t, j, 0.0, 1.0 / 9.0) * weight
+        small = envelope_reference(t, j, 0.0, 1.0 / 9.0) * weight
     try:
         log9_power = math.log(9.0) ** j
     except OverflowError:
@@ -242,7 +285,7 @@ def term_integral_reference(has_gprime, t, j, table):
     """
     small = 0.0
     if j != 0:
-        small = envelope_max(t, j, 0.0, 1.0 / 9.0) * (14.0 / 9.0 if has_gprime else 1.0)
+        small = envelope_reference(t, j, 0.0, 1.0 / 9.0) * (14.0 / 9.0 if has_gprime else 1.0)
     try:
         log9_power = math.log(9.0) ** j
     except OverflowError:
@@ -282,7 +325,7 @@ def h4_term_bounds_reference(t, j):
     """The term-form |H''''| bound of one (t, j): (const * |c|, (has_gprime, t + offset, p)) per group and brace term."""
     return tuple(
         (const * abs(c), (has_gprime, t + offset, p))
-        for const, offset, kind, has_gprime in _REFINED_GROUPS
+        for const, offset, kind, has_gprime in REFINED_GROUPS
         for c, p in brace_terms_reference(kind, t, j)
     )
 
@@ -290,8 +333,8 @@ def h4_term_bounds_reference(t, j):
 def h4_sup_bound_reference(t, j):
     """The scalar |H''''| bound of one (t, j): each scalar group's brace terms times their envelope maxima on [0, 9], summed."""
     pieces = [
-        const * abs(c) * envelope_max(t + offset, p, 0.0, 9.0)
-        for const, offset, kind in _SCALAR_GROUPS
+        const * abs(c) * envelope_reference(t + offset, p, 0.0, 9.0)
+        for const, offset, kind in SCALAR_GROUPS
         for c, p in brace_terms_reference(kind, t, j)
     ]
     try:

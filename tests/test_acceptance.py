@@ -178,19 +178,18 @@ def test_criterion_10_property_sweeps(half_period_oracle, rng, monkeypatch):
                 checked += 1
     assert checked > 40
 
-    # Envelope bound sandwiches the dense-grid maximum of y^s |log y|^m.
+    # Envelope bound sandwiches the dense-grid maximum of y^s |log y|^m on [0, b].
     import numpy as np
 
     for _ in range(10):
-        a = float(rng.uniform(0.05, 7.0))
-        b = float(a + rng.uniform(0.01, 9.0 - a))
+        b = float(rng.uniform(0.05, 9.0))
         s = float(rng.uniform(0.5, 6.0))
         m = int(rng.integers(0, 5))
         y = np.unique(
-            np.concatenate([np.linspace(a, b, 40_001), np.geomspace(a, b, 40_001)])
+            np.concatenate([np.linspace(1e-12, b, 40_001), np.geomspace(1e-12, b, 40_001)])
         )
         grid = float(np.max(y**s * np.abs(np.log(y)) ** m))
-        env = envelope_max(s, m, a, b)
+        env = envelope_max([s], [m], b)[m][0]
         assert grid <= env * (1.0 + 1e-12)
         assert env <= grid * (1.0 + 1e-5) + 1e-12
 

@@ -30,7 +30,7 @@ _CERT = TaylorCertificate(5.5, 0.1, 1, 3, (1.0, 2.0, 3.0, 4.0), (0.0,) * 4, (1.0
 
 # entry id: (the argument as the message names it, a call taking that one argument, its range lo..hi, hi None if open)
 INTEGER_ARGUMENTS = {
-    "envelope_max-m": ("log exponent m", lambda v: envelope_max(5.0, v, 0.0, 9.0), 0, None),
+    "envelope_max-m": ("log exponent m", lambda v: envelope_max([5.0], [v], 9.0), 0, None),
     "fourier_coeffs_pow-rho": ("rho", lambda v: fourier_coeffs_pow(SignVariant.PLUS, v), 0, 6),
     "torus_power_integral-rho": ("rho", torus_power_integral, 0, 6),
     "sup_norm_bound-m": ("derivative order m", sup_norm_bound, 0, None),

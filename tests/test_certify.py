@@ -20,11 +20,10 @@ from majorant.certify import (
     eval_cert_row,
     remainder_bound,
 )
-from majorant.envelope import envelope_max
 from majorant.integrand import h4_bounds
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5
 
-from oracle import required_steps
+from oracle import envelope_reference, required_steps
 
 
 def stage_certificate(name):
@@ -107,8 +106,8 @@ class TestRemainderBound:
 
     def test_left_edge_peak_counts(self):
         """Below v = 1 the envelope decreases in t, so the left edge can dominate."""
-        left = 2.0 * envelope_max(5.0, 40, 0.0, 9.0) * 0.1**10 / math.factorial(10)
-        right = 2.0 * envelope_max(5.2, 40, 0.0, 9.0) * 0.1**10 / math.factorial(10)
+        left = 2.0 * envelope_reference(5.0, 40, 0.0, 9.0) * 0.1**10 / math.factorial(10)
+        right = 2.0 * envelope_reference(5.2, 40, 0.0, 9.0) * 0.1**10 / math.factorial(10)
         assert left > right
         assert remainder_bound(5.1, 0.1, 30, 9) == left
         assert remainder_bound(5.1, 0.1, 30, 9) == pytest.approx(311.2340945847426, rel=1e-12)

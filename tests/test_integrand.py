@@ -10,7 +10,7 @@ from majorant import integrand
 from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_bounds, h4_term_bounds
 from majorant.trigpoly import SignVariant, TrigSquare, sup_norm_bound
 
-from oracle import eval_G, eval_H, eval_H_second, h4_sup_bound_reference, h4_term_bounds_reference, term_sum_value
+from oracle import REFINED_GROUPS, SCALAR_GROUPS, eval_G, eval_H, eval_H_second, h4_sup_bound_reference, h4_term_bounds_reference, term_sum_value
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -33,6 +33,11 @@ class TestWorkingConstants:
             (335840000.0, -2, "quadratic"),
             (11600000.0, -1, "linear"),
         )
+
+    def test_oracle_groups_are_the_packages(self):
+        """The oracle writes the five |H''''| groups and the four scalar groups out; the package derives the scalar ones."""
+        assert REFINED_GROUPS == _REFINED_GROUPS
+        assert SCALAR_GROUPS == _SCALAR_GROUPS
 
 
 class TestSpecValidation:

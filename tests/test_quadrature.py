@@ -244,23 +244,32 @@ class TestDeterminism:
 
         Measured: 235 cells per sign per warm proof, 5 groups at 47 log orders
         (the union of j-4..j over each batch's orders: 4, 11, 10, 11 and 11
-        orders), from one _cells call per batch, each small-range term taken
-        once for both signs: 210 with p > 0.
+        orders), from one _cells call per batch, and its small-range terms
+        from one envelope_max call on [0, 1/9], each taken once for both
+        signs: 210, the 5 groups at the 42 orders with p > 0.
         """
-        calls = []
-        real = quadrature._cells
+        calls, small_ranges = [], []
+        real, real_envelope = quadrature._cells, quadrature.envelope_max
 
         def counting(kinds, orders, weights, table_bases):
             per_table = real(kinds, orders, weights, table_bases)
             calls.append((len(kinds), len(orders), [sum(map(len, cells.values())) for cells in per_table]))
             return per_table
 
+        def counting_envelope(powers, orders, b):
+            rows = real_envelope(powers, orders, b)
+            small_ranges.append((b, sum(map(len, rows.values()))))
+            return rows
+
         prove_k5()  # warm
         monkeypatch.setattr(quadrature, "_cells", counting)
+        monkeypatch.setattr(quadrature, "envelope_max", counting_envelope)
         prove_k5()
         assert [(kinds, orders) for kinds, orders, _ in calls] == [(5, 4), (5, 11), (5, 10), (5, 11), (5, 11)]
         assert all(per_table == [5 * orders] * 2 for _, orders, per_table in calls)
         assert sum(per_table[0] for _, _, per_table in calls) == 235
+        assert [b for b, _ in small_ranges] == [1.0 / 9.0] * 5
+        assert sum(entries for _, entries in small_ranges) == 210
 
     @pytest.mark.parametrize("j", [0, 1, 3, 4, 9, 30, 10**6, 10**15])
     def test_single_order_call_builds_cells_at_its_orders_only(self, j, monkeypatch):
@@ -727,7 +736,7 @@ class TestNodeSumBounds:
             ),
             pytest.param(lambda sq, tb: variation_bound_power(tb, math.nan), id="variation_bound_power"),
             pytest.param(lambda sq, tb: torus_integral_upper(math.nan), id="torus_integral_upper"),
-            pytest.param(lambda sq, tb: envelope_max(math.nan, 2, 0.0, 9.0), id="envelope_max"),
+            pytest.param(lambda sq, tb: envelope_max([math.nan], [2], 9.0), id="envelope_max"),
             pytest.param(lambda sq, tb: sup_norm_bound(math.nan), id="sup_norm_bound"),
             pytest.param(
                 lambda sq, tb: eval_cert_poly(
@@ -957,6 +966,7 @@ def test_no_stage_needs_plain_mode():
 
 
 BATCH_DIGEST = "2d787778fa82aa4d96c888b0ea57c0dfe5e041ef3a5e535c0f715e909d0e8048"
+REFINED_ERROR_BOUND_DIGEST = "2570a72f65270e134d7ca7b42a6978e940faf53de63e356c6a94dfaaf2f10bb0"
 
 
 def batch_digest():
@@ -975,7 +985,26 @@ def batch_digest():
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def refined_error_bound_digest():
+    """sha256 of the hex of 400 seeded single refined_error_bound calls, as bench/workloads.py makes them.
+
+    random.Random(7) draws t in [5, 12], the order in 0..14, the step count in
+    1..3000 and the sign, in that order, per call.
+    """
+    rng = random.Random(7)
+    text = ""
+    for _ in range(400):
+        t, j, n, sign = rng.uniform(5.0, 12.0), rng.randint(0, 14), rng.randint(1, 3000), rng.choice(["plus", "minus"])
+        square = TrigSquare(5, sign)
+        text += refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, sign)), square, n, default_max_table(square)).hex()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestBatchDigest:
     def test_seeded_batches(self):
         """Estimates and error bounds of 80 batches in each mode, pinned to one digest."""
         assert batch_digest() == BATCH_DIGEST
+
+    def test_seeded_refined_error_bounds(self):
+        """400 seeded single refined error bounds, pinned to one digest."""
+        assert refined_error_bound_digest() == REFINED_ERROR_BOUND_DIGEST
