@@ -20,8 +20,8 @@ def envelope_max(powers, orders, b: float) -> dict[int, list[float]]:
     m >= 1 it vanishes at v = 0 and v = 1 and is smooth elsewhere; on (0, 1)
     its only interior critical point is v0 = exp(-m/s), with value
     (m/(e*s))^m, and on (1, 9] it increases.  The maximum over [0, b] is the
-    value at b or, when 0 < v0 < min(b, 1), the larger of it and the peak.  A
-    maximum beyond the float range is returned as inf: still an upper bound.
+    value at b or, when v0 < min(b, 1) (also where v0 underflows to 0), the
+    larger of it and the peak.  Past the float range it is inf: still a bound.
     b^s, e*s and each check are taken once per power or order, and so is
     |log b|^m (1 at m = 0, so that row is b^s exactly).
     """
@@ -43,7 +43,7 @@ def envelope_max(powers, orders, b: float) -> dict[int, list[float]]:
         row = rows[m] = []
         for s, end, e_s in per_power:
             value = end * log_power if end != inf and log_power != inf else inf
-            if m and value != inf and 0.0 < exp(-m / s) < peak_end:
+            if m and value != inf and exp(-m / s) < peak_end:
                 try:  # inline, not overflow_to_inf: 82 of the 218 entries a proof asks for take a peak
                     peak = (m / e_s) ** m
                 except OverflowError:

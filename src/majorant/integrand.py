@@ -2,26 +2,30 @@
 
 Fractional-power norms are differentiated under the integral sign, which turns
 every integrand into a power-times-log combination of G.  The quadrature module
-sums H at its nodes; its error bound needs a bound for |H''''|, assembled here
-by the chain rule from the derivative bounds of G.  Expanding four derivatives
-of G^t log^j G and collecting by which G-derivatives appear yields five groups
+sums H at its nodes; its error bound needs a bound for |H''''|, built here from
+the derivative bounds of G by Faa di Bruno's formula (W. P. Johnson, Amer.
+Math. Monthly 109, 2002): each partition of 4 into k parts m, c_m of each size,
+gives a group 4!/prod(m! c_m!) * prod G^(m) * phi^(k)(G), phi(v) = v^t log^j v,
+its constant taking WORK_M of every part but one of size 1, whose |G'| it
+keeps.  With x^(k) = x(x-1)...(x-k+1), j t-derivatives of d^k/dv^k v^t =
+t^(k) v^(t-k) give
 
-    constant * G^(t-i) * (|G'| or 1) * brace(t, j; log G)
+    phi^(k)(v) = v^(t-k) sum_{i=0..k} ((1/i!) d^i/dt^i t^(k)) j^(i) log^(j-i) v.
 
-where each of four braces is a polynomial in log G whose coefficients are
-polynomials in t times falling factorials of j.  ``h4_bounds`` takes the
-polynomials once per t and, in one mode per call, gives each order j a scalar
-envelope, |G'| bounded by its sup, or (coefficient, group, p) terms keeping
-|G'|, each naming one integral over the period that the refined error bound
-weighs: of G^(t+offset) |log G|^p for the group's offset, times |G'| if it
-keeps one.  ``refined_kinds`` lists (has_gprime, t + offset) by group, and
-``h4_term_bounds`` returns it beside one order's terms.  No bound depends on
-the sign: WORK_M bounds both.
+One rule rounds every coefficient: t^(k) is its running product; any other
+polynomial in t is its integer content times its primitive part, that summed
+left to right in descending powers (c * pow(t, e) from e = 3, c * t * t,
+c * t, c); j^(k) is an exact int, then a float; a middle coefficient is
+multiplied by j, j-1, ... left to right.  ``h4_bounds`` gives each order j a
+scalar bound, |G'| bounded by its sup, or (coefficient, group, p) terms, in one
+mode per call; ``h4_term_bounds`` returns one order's terms beside
+``refined_kinds``, what each group integrates.  WORK_M bounds both signs.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .envelope import envelope_max
@@ -30,24 +34,55 @@ from .trigpoly import G_MAX, SignVariant, check_int, overflow_to_inf, parse_sign
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
 WORK_M = (G_MAX, 176.0, 6800.0, 280000.0, 11600000.0)
+_R = len(WORK_M) - 1  # the order of the derivative bounded
 
 for _m, _w in enumerate(WORK_M):
     if _w < sup_norm_bound(_m):
         raise RuntimeError(f"working bound {_w} below true sup at order {_m}")
 
-# Groups (constant, power offset, brace kind, |G'| factor) of the fourth-derivative expansion.
+
+def _faa_di_bruno(r: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(count, parts) of each partition of r, most parts first: H^(r) / phi^(k)(G) sums count * prod G^(part), k parts."""
+    return [
+        (math.factorial(r) // math.prod(map(math.factorial, parts)) // math.prod(math.factorial(parts.count(m)) for m in set(parts)), parts)
+        for k in range(r, 0, -1) for parts in combinations_with_replacement(range(r, 0, -1), k) if sum(parts) == r
+    ]
+
+
+def _falling_rows(k: int) -> list[list[int]]:
+    """Integer coefficients, highest power of t first, of (1/i!) d^i/dt^i t^(k) for i = 0..k: the t-polynomials of brace k."""
+    falling = [1]
+    for f in range(k):  # times (t - f)
+        falling = [a - f * b for a, b in zip(falling + [0], [0] + falling)]
+    return [[math.comb(k - n, i) * a for n, a in enumerate(falling[: k + 1 - i])] for i in range(k + 1)]
+
+
+# Groups (constant, power offset -k, brace kind, |G'| factor) of the fourth-derivative expansion, one per partition of 4.
 # The refined groups keep |G'| so the quadrature can integrate it exactly; the scalar groups
 # bound it by WORK_M[1] and add up each kind's constants (exact: all are integers < 2^53).
-_REFINED_GROUPS = (
-    (WORK_M[1] ** 3, -4, "quartic", True),
-    (6.0 * WORK_M[1] * WORK_M[2], -3, "cubic", True),
-    (4.0 * WORK_M[3], -2, "quadratic", True),
-    (3.0 * WORK_M[2] ** 2, -2, "quadratic", False),
-    (WORK_M[4], -1, "linear", False),
+_REFINED_GROUPS = tuple(
+    (count * math.prod(WORK_M[m] for m in (parts[:-1] if parts[-1] == 1 else parts)), -len(parts), ("linear", "quadratic", "cubic", "quartic")[len(parts) - 1], parts[-1] == 1)
+    for count, parts in _faa_di_bruno(_R)
 )
 _SCALAR_GROUPS = tuple(
     (sum(c * (WORK_M[1] if g else 1.0) for c, _, k, g in _REFINED_GROUPS if k == kind), offset, kind)
     for offset, kind in dict.fromkeys((offset, kind) for _, offset, kind, _ in _REFINED_GROUPS)
+)
+
+# One order's brace coefficients (k, i) in one list, _ENTRIES: the middle ones by i descending, whose first
+# _FACTORED[f] take the factor j - f, each polynomial as (content, (coefficient, power) of its primitive part);
+# the tops (k, k); the falling factorials (k, 0).  Plan c lists the (constant, group, i, entry) of each term of
+# a group table with i <= c: order j takes plan min(j, 4), as a term of log order j - i < 0 is none.
+_MIDDLE = [(k, i) for i in range(_R - 1, 0, -1) for k in range(_R, i, -1)]
+_ENTRIES = _MIDDLE + [(k, k) for k in range(1, _R + 1)] + [(k, 0) for k in range(1, _R + 1)]
+_FACTORED = [sum(i > f for _, i in _MIDDLE) for f in range(_R)]
+_MIDDLE_POLYNOMIALS = [
+    (float(content), [(float(c // content), len(row) - 1 - n) for n, c in enumerate(row)])
+    for k, i in _MIDDLE for row in [_falling_rows(k)[i]] for content in [math.gcd(*row)]
+]
+_TERM_PLANS, _SCALAR_PLANS = (
+    [tuple((const, g, i, _ENTRIES.index((-offset, i))) for g, (const, offset, *_) in enumerate(groups) for i in range(-offset, -1, -1) if i <= c) for c in range(_R + 1)]
+    for groups in (_REFINED_GROUPS, _SCALAR_GROUPS)
 )
 
 
@@ -77,20 +112,22 @@ def _check_power_and_order(t: float, j: int) -> None:
     check_int("log exponent j", j, 0)
 
 
-def _brace_rows(t: float) -> tuple[tuple[float, ...], ...]:
-    """The t-polynomials of the quartic, cubic, quadratic and linear braces; a t where one is not finite is refused."""
-    cube = overflow_to_inf(pow, t, 3)  # inf from t ~ 5.6e102; t(t-1)(t-2)(t-3) is inf from t ~ 1.2e77 already
-    falling2 = t * (t - 1.0)
-    falling3 = falling2 * (t - 2.0)
-    rows = (
-        (4.0 * t - 6.0, 6.0 * t * t - 18.0 * t + 11.0, 2.0 * cube - 9.0 * t * t + 11.0 * t - 3.0, falling3 * (t - 3.0)),
-        (3.0 * (t - 1.0), 3.0 * t * t - 6.0 * t + 2.0, falling3),
-        (2.0 * t - 1.0, falling2),
-        (t,),
-    )
-    if not all(math.isfinite(c) for row in rows for c in row):  # t = inf too, where the bound would be nan
+def _brace_rows(t: float) -> tuple[list[float], list[float]]:
+    """The j-free brace values at t: each middle polynomial, in _MIDDLE order, and t^(k), k = 1..4; a t where one is not finite is refused."""
+    powers = [overflow_to_inf(pow, t, e) for e in range(_R)]  # t^3 is inf from t ~ 5.6e102, t^(4) from t ~ 1.2e77 already
+    middles = []
+    for content, terms in _MIDDLE_POLYNOMIALS:
+        total = 0.0  # 0.0 plus the leading term, positive, is that term
+        for c, e in terms:
+            total += c * t * t if e == 2 else c * powers[e]
+        middles.append(content * total)
+    falling, product = [], 1.0
+    for f in range(_R):  # t^(k) as its running product
+        product *= t - f
+        falling.append(product)
+    if not all(map(math.isfinite, middles + falling)):  # t = inf too, where the bound would be nan
         raise ValueError(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float")
-    return rows
+    return middles, falling
 
 
 def h4_bounds(t: float, orders, refined: bool) -> list:
@@ -114,23 +151,24 @@ def h4_bounds(t: float, orders, refined: bool) -> list:
         if not refined and (t < 4.0 or (t == 4.0 and j > 0)):
             raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 plain), got t={t}, j={j}")
         if rows is None:  # the first order: the t-polynomials
-            rows = _brace_rows(t)
-            (a1, a2, a3, a4), (b1, b2, b3), (c1, c2), (d1,) = rows
-        try:  # the largest integer any brace converts, and every bound takes the quartic brace
-            falling = float(j * (j - 1) * (j - 2) * (j - 3))
+            middle_rows, falling = rows = _brace_rows(t)
+            plans = _TERM_PLANS if refined else _SCALAR_PLANS
+        try:  # _ENTRIES in order: each middle coefficient times j, j - 1, ... in turn, each top j^(k) an exact int until float
+            values, top = [r * j for r in middle_rows], j
+            values.append(float(j))
+            for f in range(1, _R):
+                top *= j - f
+                values.append(float(top))
+                for n in range(_FACTORED[f]):
+                    values[n] *= j - f
         except OverflowError:  # from j ~ 1.2e77; the message gives log10(j), as str(j) refuses past 4300 digits
             raise ValueError(f"log exponent j ~ 10^{math.log10(j):.1f} is too large to evaluate: the fourth-derivative bound overflows a float") from None
-        braces = {  # polynomial times falling factors of j, left to right; positive at t >= 4, so no zero term or abs
-            "quartic": ((falling, j - 4), (a1 * j * (j - 1) * (j - 2), j - 3), (a2 * j * (j - 1), j - 2), (a3 * 2.0 * j, j - 1), (a4, j)),
-            "cubic": ((float(j * (j - 1) * (j - 2)), j - 3), (b1 * j * (j - 1), j - 2), (b2 * j, j - 1), (b3, j)),
-            "quadratic": ((float(j * (j - 1)), j - 2), (c1 * j, j - 1), (c2, j)),
-            "linear": ((float(j), j - 1), (d1, j)),
-        }  # a term of log order p < 0 is none: each bound below skips it
+        values += falling  # positive at t >= 4, so no zero term or abs
         if refined:  # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
-            bounds.append(tuple([(const * c, group, p) for group, (const, _, kind, _) in enumerate(_REFINED_GROUPS) for c, p in braces[kind] if p >= 0]))
+            bounds.append(tuple([(const * values[n], group, j - i) for const, group, i, n in plans[min(j, _R)]]))
         else:  # one envelope call per order, over the scalar groups' powers at every log order a brace reaches
-            env = envelope_max([t + offset for _, offset, _ in _SCALAR_GROUPS], range(max(j - 4, 0), j + 1), G_MAX)
-            pieces = [const * c * env[p][group] for group, (const, _, kind) in enumerate(_SCALAR_GROUPS) for c, p in braces[kind] if p >= 0]
+            env = envelope_max([t + offset for _, offset, _ in _SCALAR_GROUPS], range(max(j - _R, 0), j + 1), G_MAX)
+            pieces = [const * values[n] * env[j - i][group] for const, group, i, n in plans[min(j, _R)]]
             bounds.append(overflow_to_inf(math.fsum, pieces))
     return bounds
 

@@ -84,25 +84,25 @@ _INTEGRAL_WEIGHTS = (1.0, MONOTONE_PIECES / G_MAX)  # the small-range weights of
 def _cells(kinds, orders, weights, table_bases) -> list[dict[int, list[float]]]:
     """{p: [small * weights[has_gprime] + log(9)^p * base of each (has_gprime, t) in kinds]} per list of bases, for each p in orders.
 
-    small is envelope_max on [0, 1/9], from one call for the nonzero orders,
-    and 0 at p = 0: the one small-range term of both bound passes, the refined
-    one (weights _INTEGRAL_WEIGHTS) and the q pass of majorant.tables.  The
-    arguments are checked, and log(9)^p taken once per order, before
-    table_bases yields each table's bases, in kind order.
+    small is envelope_max on [0, 1/9], one call over the nonzero orders with
+    an entry per distinct power, and 0 at p = 0: the one small-range term of both
+    bound passes, the refined one (weights _INTEGRAL_WEIGHTS) and the q pass
+    of majorant.tables.  The arguments are checked, and log(9)^p taken once
+    per order, before table_bases yields each table's bases, in kind order.
     """
-    powers, kind_weights = [], []
+    powers, slots, kind_weights = {}, [], []  # powers: {t: its entry in the envelope rows}
     for star, t in kinds:
         if not t >= 1.0:  # the argument checks are phrased "not <valid>" so that a NaN fails them
             raise ValueError(f"power must be >= 1, got {t}")
-        powers.append(t)
+        slots.append(powers.setdefault(t, len(powers)))
         kind_weights.append(weights[star])
     for p in orders:
         check_int("log exponent p", p, 0)
     smalls = envelope_max(powers, [p for p in orders if p != 0], _SMALL_END)
-    smalls[0] = [0.0] * len(kinds)
+    smalls[0] = [0.0] * len(powers)
     rows = [(p, overflow_to_inf(pow, LOG9, p), smalls[p]) for p in orders]
     return [
-        {p: [small * w + log9_power * base for small, w, base in zip(row, kind_weights, bases)] for p, log9_power, row in rows}
+        {p: [row[s] * w + log9_power * base for s, w, base in zip(slots, kind_weights, bases)] for p, log9_power, row in rows}
         for bases in table_bases
     ]
 

@@ -63,6 +63,8 @@ def envelope_reference(s, m, a, b):
 
     b^s at m = 0; else the largest of the values at b and at a > 0 and, when
     a < exp(-m/s) < min(b, 1), the peak (m/(e s))^m; inf past the float range.
+    At a = 0 the peak counts whenever exp(-m/s) < min(b, 1), also where it
+    underflows to 0: the true exp(-m/s) is above 0.
     """
 
     def alpha(v):
@@ -74,7 +76,7 @@ def envelope_reference(s, m, a, b):
         candidates = [alpha(b)]
         if a > 0.0:
             candidates.append(alpha(a))
-        if a < math.exp(-m / s) < min(b, 1.0):
+        if (a == 0.0 or a < math.exp(-m / s)) and math.exp(-m / s) < min(b, 1.0):
             candidates.append((m / (math.e * s)) ** m)
         return max(candidates)
     except OverflowError:

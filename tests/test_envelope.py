@@ -34,6 +34,16 @@ class TestClosedForm:
         assert single(5.0, 400, 9.0) == math.inf
         assert single(400.0, 0, 9.0) == math.inf
 
+    def test_peak_counts_where_its_location_underflows(self):
+        """exp(-m/s) is 0.0 in floats for m/s > about 745, yet the peak at that v0 > 0 lies in [0, b] for every b.
+
+        Taking only the value at b gave 2.20 for the first and 3.5e272 for the
+        second, far below the true maxima 1/(e * 0.001) and (800/e)^800.
+        """
+        assert math.exp(-1 / 0.001) == 0.0 and math.exp(-800 / 1.0) == 0.0
+        assert single(0.001, 1, 9.0) == pytest.approx(1.0 / (math.e * 0.001), rel=1e-15)
+        assert single(1.0, 800, 1.0 / 9.0) == math.inf
+
     def test_one_row_per_order_one_entry_per_power(self):
         """Each order's row lists the powers in call order, each entry the maximum of that (s, m) alone."""
         powers, orders = [5.0, 1.0, 2.5], [3, 0, 1]
@@ -63,6 +73,19 @@ class TestClosedForm:
                     if b == 1.0 and m > 0 and 0.0 < v < math.inf:  # v^s |log v|^m is 0 at v = 1, so v is the peak
                         seen.add("peak")
         assert seen == {"inf", "underflow", "finite", "peak"}
+
+    @pytest.mark.parametrize("b", [1.0 / 9.0, 1.0, 9.0])
+    def test_underflow_entries_bound_the_dense_grid(self, b):
+        """Entries whose peak location exp(-m/s) underflows stay above a grid maximum: s = 0.001 at m = 1, 5 and 69 (finite up to 69).
+
+        No grid reaches v0 = exp(-1000 m), so only the upper-bound side of the
+        sandwich is checked: the value at b alone fell below the grid.
+        """
+        for m in (1, 5, 69):
+            assert math.exp(-m / 0.001) == 0.0
+            env = single(0.001, m, b)
+            assert env == envelope_reference(0.001, m, 0.0, b) < math.inf
+            assert dense_grid_max(0.001, m, b) <= env * (1 + 1e-12), (m, b)
 
 
 def dense_grid_max(s, m, b):

@@ -229,7 +229,7 @@ class TestBraceBuilder:
                 assert same == terms and [(*kinds[group], p) for _, group, p in terms] == [key for _, key in keyed(t, terms)], (t, j)
 
     def test_sup_bounds_equal_the_per_order_reference(self):
-        for t in BUILDER_POWERS + [4.0, 4.5]:
+        for t in BUILDER_POWERS + [4.0, 4.01, 4.5]:  # at 4.01 the G^(t-4) peak location exp(-m/(t-4)) underflows from m = 8
             orders = BUILDER_ORDERS if t > 4.0 else [0]
             for j, bound in zip(orders, h4_bounds(t, orders, False)):
                 assert bound.hex() == h4_sup_bound_reference(t, j).hex(), (t, j)
@@ -257,3 +257,32 @@ class TestBraceBuilder:
             h4_bounds(t, [2], False)
         with pytest.raises(ValueError, match=message):
             h4_term_bounds(IntegrandSpec(t, 2, PLUS))
+
+
+class TestFaaDiBrunoAgainstCalculus:
+    """The generated expansion, partitions times the falling-factorial braces, is the derivative of H, in mpmath."""
+
+    @pytest.mark.parametrize("r, groups", [(4, 5), (6, 11), (8, 22)])
+    def test_expansion_equals_numerical_derivative(self, r, groups):
+        """At r = 4, 6 and 8, seeded (x, t, j) and both signs, sum over partitions of count * prod G^(m) * phi^(k)(G) is mpmath.diff of H to 20 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        expansion_groups = integrand._faa_di_bruno(r)
+        assert len(expansion_groups) == groups and {sum(parts) for _, parts in expansion_groups} == {r}
+        rng = random.Random(r)
+        with mpmath.workdps(50):
+            for sign in (1, -1):
+                for _ in range(2):
+                    x, t, j = mpmath.mpf(rng.uniform(0.01, 0.49)), mpmath.mpf(rng.uniform(5.0, 9.0)), rng.randrange(7)
+
+                    def g_derivative(m, y=x):  # d^m/dy^m of G = 3 + 2 (cos 2 pi y + s cos 12 pi y + s cos 14 pi y)
+                        waves = ((1, 1), (sign, 6), (sign, 7))
+                        return (3 if m == 0 else 0) + 2 * sum(c * (2 * mpmath.pi * f) ** m * mpmath.cos(2 * mpmath.pi * f * y + m * mpmath.pi / 2) for c, f in waves)
+
+                    g, ell = g_derivative(0), mpmath.log(g_derivative(0))
+                    expansion = mpmath.fsum(
+                        count * mpmath.fprod(g_derivative(m) for m in parts) * g ** (t - len(parts))
+                        * mpmath.fsum(mpmath.polyval(row, t) * mpmath.ff(j, i) * ell ** (j - i) for i, row in enumerate(integrand._falling_rows(len(parts))) if i <= j)
+                        for count, parts in expansion_groups
+                    )
+                    truth = mpmath.diff(lambda y: g_derivative(0, y) ** t * mpmath.log(g_derivative(0, y)) ** j, x, r)
+                    assert abs(expansion - truth) <= mpmath.mpf(10) ** -20 * abs(truth), (r, sign, x, t, j)

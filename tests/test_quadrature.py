@@ -246,7 +246,8 @@ class TestDeterminism:
         (the union of j-4..j over each batch's orders: 4, 11, 10, 11 and 11
         orders), from one _cells call per batch, and its small-range terms
         from one envelope_max call on [0, 1/9], each taken once for both
-        signs: 210, the 5 groups at the 42 orders with p > 0.
+        signs: 168, the 4 distinct powers of the 5 groups (t - 2 twice) at
+        the 42 orders with p > 0.
         """
         calls, small_ranges = [], []
         real, real_envelope = quadrature._cells, quadrature.envelope_max
@@ -269,7 +270,7 @@ class TestDeterminism:
         assert all(per_table == [5 * orders] * 2 for _, orders, per_table in calls)
         assert sum(per_table[0] for _, _, per_table in calls) == 235
         assert [b for b, _ in small_ranges] == [1.0 / 9.0] * 5
-        assert sum(entries for _, entries in small_ranges) == 210
+        assert sum(entries for _, entries in small_ranges) == 168
 
     @pytest.mark.parametrize("j", [0, 1, 3, 4, 9, 30, 10**6, 10**15])
     def test_single_order_call_builds_cells_at_its_orders_only(self, j, monkeypatch):
