@@ -16,10 +16,10 @@ One rule rounds every coefficient: t^(k) is its running product; any other
 polynomial in t is its integer content times its primitive part, that summed
 left to right in descending powers (c * pow(t, e) from e = 3, c * t * t,
 c * t, c); j^(k) is an exact int, then a float; a middle coefficient is
-multiplied by j, j-1, ... left to right.  ``h4_bounds`` gives each order j a
-scalar bound, |G'| bounded by its sup, or (coefficient, group, p) terms, in one
-mode per call; ``h4_term_bounds`` returns one order's terms beside
-``refined_kinds``, what each group integrates.  WORK_M bounds both signs.
+multiplied by j, j-1, ... left to right.  ``h4_bounds`` gives each order j
+its (coefficient, group, p) terms, ``term_kinds`` what each group stands for,
+and the quadrature module bounds each term, by its sup or by its integral;
+``h4_term_bounds`` gives one order's terms.  WORK_M bounds both signs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .envelope import envelope_max
 from .trigpoly import G_MAX, SignVariant, check_int, overflow_to_inf, parse_sign, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
@@ -57,22 +56,16 @@ def _falling_rows(k: int) -> list[list[int]]:
     return [[math.comb(k - n, i) * a for n, a in enumerate(falling[: k + 1 - i])] for i in range(k + 1)]
 
 
-# Groups (constant, power offset -k, brace kind, |G'| factor) of the fourth-derivative expansion, one per partition of 4.
-# The refined groups keep |G'| so the quadrature can integrate it exactly; the scalar groups
-# bound it by WORK_M[1] and add up each kind's constants (exact: all are integers < 2^53).
-_REFINED_GROUPS = tuple(
-    (count * math.prod(WORK_M[m] for m in (parts[:-1] if parts[-1] == 1 else parts)), -len(parts), ("linear", "quadratic", "cubic", "quartic")[len(parts) - 1], parts[-1] == 1)
-    for count, parts in _faa_di_bruno(_R)
-)
-_SCALAR_GROUPS = tuple(
-    (sum(c * (WORK_M[1] if g else 1.0) for c, _, k, g in _REFINED_GROUPS if k == kind), offset, kind)
-    for offset, kind in dict.fromkeys((offset, kind) for _, offset, kind, _ in _REFINED_GROUPS)
+# Groups (constant, power offset -k, |G'| factor) of the fourth-derivative expansion, one per partition of 4 into
+# k parts, brace k.  A group keeps one |G'| so the quadrature can integrate it exactly, or bound it by WORK_M[1].
+_GROUPS = tuple(
+    (count * math.prod(WORK_M[m] for m in (parts[:-1] if parts[-1] == 1 else parts)), -len(parts), parts[-1] == 1) for count, parts in _faa_di_bruno(_R)
 )
 
 # One order's brace coefficients (k, i) in one list, _ENTRIES: the middle ones by i descending, whose first
 # _FACTORED[f] take the factor j - f, each polynomial as (content, (coefficient, power) of its primitive part);
-# the tops (k, k); the falling factorials (k, 0).  Plan c lists the (constant, group, i, entry) of each term of
-# a group table with i <= c: order j takes plan min(j, 4), as a term of log order j - i < 0 is none.
+# the tops (k, k); the falling factorials (k, 0).  Plan c lists the (constant, group, i, entry) of each term
+# with i <= c: order j takes plan min(j, 4), as a term of log order j - i < 0 is none.
 _MIDDLE = [(k, i) for i in range(_R - 1, 0, -1) for k in range(_R, i, -1)]
 _ENTRIES = _MIDDLE + [(k, k) for k in range(1, _R + 1)] + [(k, 0) for k in range(1, _R + 1)]
 _FACTORED = [sum(i > f for _, i in _MIDDLE) for f in range(_R)]
@@ -80,10 +73,10 @@ _MIDDLE_POLYNOMIALS = [
     (float(content), [(float(c // content), len(row) - 1 - n) for n, c in enumerate(row)])
     for k, i in _MIDDLE for row in [_falling_rows(k)[i]] for content in [math.gcd(*row)]
 ]
-_TERM_PLANS, _SCALAR_PLANS = (
-    [tuple((const, g, i, _ENTRIES.index((-offset, i))) for g, (const, offset, *_) in enumerate(groups) for i in range(-offset, -1, -1) if i <= c) for c in range(_R + 1)]
-    for groups in (_REFINED_GROUPS, _SCALAR_GROUPS)
-)
+_TERM_PLANS = [
+    tuple((const, g, i, _ENTRIES.index((-offset, i))) for g, (const, offset, _) in enumerate(_GROUPS) for i in range(-offset, -1, -1) if i <= c)
+    for c in range(_R + 1)
+]
 
 
 # A functional NamedTuple base, as for TrigSquare, so that __new__ can check t and j.
@@ -130,29 +123,22 @@ def _brace_rows(t: float) -> tuple[list[float], list[float]]:
     return middles, falling
 
 
-def h4_bounds(t: float, orders, refined: bool) -> list:
-    """The |H''''| bound of each j in orders at one t: a tuple of terms if refined, else one scalar.
+def h4_bounds(t: float, orders) -> list[tuple[tuple[float, int, int], ...]]:
+    """The |H''''| bound of each j in orders at one t: a tuple of sign-free (coefficient, group, p) terms.
 
-    A term (coefficient, group, p) stands for coefficient * G^t_r |log G|^p,
-    times |G'| if has_gprime, where (has_gprime, t_r) is refined_kinds(t)[group];
-    terms need t >= 5, so that each t_r is at least 1.  The scalar holds
-    over the whole period, each scalar group's term bounded by the envelope of
-    G^(t+offset) |log G|^p on [0, G_MAX]; it needs t > 4 with logs (at t = 4
-    the G^0 log^j G envelope is unbounded at 0), t >= 4 without.  Neither
-    depends on the sign.  The brace polynomials in t are taken once, and each
-    order is checked, in turn, before its bound is built.
+    A term stands for coefficient * G^t_r |log G|^p, times |G'| if has_gprime,
+    where (has_gprime, t_r) is term_kinds(t)[group].  t_r >= t - 4 is bounded
+    on [0, 9] for t > 4 with logs, t >= 4 without.  The brace polynomials in t
+    are taken once, and each order is checked, in turn, before its terms.
     """
     rows = None
     bounds = []
     for j in orders:
         _check_power_and_order(t, j)
-        if refined and t < 5.0:
-            raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
-        if not refined and (t < 4.0 or (t == 4.0 and j > 0)):
-            raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 plain), got t={t}, j={j}")
+        if t < 4.0 or (t == 4.0 and j > 0):
+            raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 without), got t={t}, j={j}")
         if rows is None:  # the first order: the t-polynomials
             middle_rows, falling = rows = _brace_rows(t)
-            plans = _TERM_PLANS if refined else _SCALAR_PLANS
         try:  # _ENTRIES in order: each middle coefficient times j, j - 1, ... in turn, each top j^(k) an exact int until float
             values, top = [r * j for r in middle_rows], j
             values.append(float(j))
@@ -164,21 +150,24 @@ def h4_bounds(t: float, orders, refined: bool) -> list:
         except OverflowError:  # from j ~ 1.2e77; the message gives log10(j), as str(j) refuses past 4300 digits
             raise ValueError(f"log exponent j ~ 10^{math.log10(j):.1f} is too large to evaluate: the fourth-derivative bound overflows a float") from None
         values += falling  # positive at t >= 4, so no zero term or abs
-        if refined:  # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
-            bounds.append(tuple([(const * values[n], group, j - i) for const, group, i, n in plans[min(j, _R)]]))
-        else:  # one envelope call per order, over the scalar groups' powers at every log order a brace reaches
-            env = envelope_max([t + offset for _, offset, _ in _SCALAR_GROUPS], range(max(j - _R, 0), j + 1), G_MAX)
-            pieces = [const * values[n] * env[j - i][group] for const, group, i, n in plans[min(j, _R)]]
-            bounds.append(overflow_to_inf(math.fsum, pieces))
+        # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
+        bounds.append(tuple([(const * values[n], group, j - i) for const, group, i, n in _TERM_PLANS[min(j, _R)]]))
     return bounds
 
 
+def term_kinds(t: float) -> list[tuple[bool, float]]:
+    """(has_gprime, t + offset) of each group, by group index: what a term of h4_bounds at t stands for."""
+    return [(has_gprime, t + offset) for _, offset, has_gprime in _GROUPS]
+
+
 def refined_kinds(t: float) -> list[tuple[bool, float]]:
-    """(has_gprime, t + offset) of each refined group, by group index: what a term of h4_bounds at t integrates."""
-    return [(has_gprime, t + offset) for _, offset, _, has_gprime in _REFINED_GROUPS]
+    """term_kinds(t) for the refined bound, which integrates each kind's G^t_r and needs t_r >= 1: refused below t = 5."""
+    if not t >= 5.0:
+        raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
+    return term_kinds(t)
 
 
 def h4_term_bounds(spec: IntegrandSpec) -> tuple[list[tuple[bool, float]], tuple[tuple[float, int, int], ...]]:
-    """|H''''| bound as (refined_kinds(t), (coefficient, group, p) terms), as refined_error_bound takes it: h4_bounds of one refined order."""
-    (terms,) = h4_bounds(spec.t, [spec.j], True)
+    """|H''''| bound as (refined_kinds(t), (coefficient, group, p) terms), as refined_error_bound takes it: h4_bounds of one order."""
+    (terms,) = h4_bounds(spec.t, [spec.j])
     return refined_kinds(spec.t), terms

@@ -10,10 +10,11 @@ period.  By Poisson summation that rule errs by the sum over m != 0 of
 at most ||f''''||_1 / (4 pi N m)^4, with the L^1 norm over one period.  So
 the half-period rule errs by at most ||f''''||_1 zeta(4) / (4 pi N)^4, that
 is ||f''''||_1 / (23040 N^4) (Trefethen and Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Review 56, 2014).  Two interchangeable
-bounds for ||H''''||_1 come from h4_bounds.  The plain one is its sup bound,
-the period having length 1.  The refined one integrates each of its terms
-over the period, splitting the range of G at 1/9:
+convergent trapezoidal rule", SIAM Review 56, 2014).  Both bounds for
+||H''''||_1 bound each (coefficient, group, p) term of h4_bounds: the plain
+one by its sup over a period of length 1, envelope_max of G^t_r |log G|^p on
+[0, 9], times WORK_M[1] with |G'|; the refined one by its integral over the
+period, splitting the range of G at 1/9:
 
   * below 1/9 a term is at most its envelope_max on [0, 1/9], on a set of
     measure at most 1; with a |G'| factor it integrates to at most that
@@ -30,15 +31,13 @@ every node sum taken on it, for at most _HELD_POWERS values of t per sign:
 a repeated (N, t, j), as in every proof after the first in one process, takes
 no fsum and no row G^t.
 gap_derivatives assembles each certified gap value from both signs' node sums,
-in one mode per batch, from one h4_bounds call and, refined, one cell table
-per sign.  A term of h4_bounds is (coefficient, group, p); the table holds the
-integral bound of each of the five groups at each log order p the batch's
-terms use, and each error bound is one fsum over its terms' cells
-(_error_bounds), the one refined bound driver; refined_error_bound sums the
-terms of one h4_term_bounds, in the same form, through it.  The cells,
-and the q pass of majorant.tables behind the Q tables, take their small-range
-terms from one envelope_max call (_cells); only the variation bounds depend
-on the sign, which each LocalMaxTable carries.
+in one mode per batch, from one h4_bounds call and a cell table, the bound of
+each of the five groups at each log order p the batch's terms use: one per
+sign, refined, or one for both, plain.  Each error bound is one fsum over its
+terms' cells (_error_bounds), the one bound driver, which refined_error_bound
+calls too.  A cell table takes its maxima from one envelope_max call: on
+[0, 9] (_sup_cells), or its small-range terms on [0, 1/9] (_cells), as the q
+pass of majorant.tables does; only the variation bounds depend on the sign.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .envelope import envelope_max
-from .integrand import h4_bounds, refined_kinds
+from .integrand import WORK_M, h4_bounds, refined_kinds, term_kinds
 from .spectral import torus_integral_upper
 from .trigpoly import G_MAX, MAX_STEPS, MONOTONE_PIECES, SIGN_PAIR, LocalMaxTable, SignVariant, TrigSquare, default_max_table
 from .trigpoly import check_int, eval_G_pair, overflow_to_inf, variation_bound_power
@@ -120,30 +119,34 @@ def _integral_bases(kinds, tables: list[LocalMaxTable]):
         yield [variation_bound_power(table, t + 1.0) / (t + 1.0) if star else mean for (star, t), mean in zip(kinds, means)]
 
 
-def _error_bounds(term_lists, kinds, tables: list[LocalMaxTable], n_steps: int) -> list[list[float]]:
-    """Per table, the error bound of each list of (coefficient, kind index, p) terms: fsum of c * cell, over 23040 N^4.
+def _sup_cells(kinds, orders) -> dict[int, list[float]]:
+    """{p: [max of G^t |log G|^p on [0, 9], times WORK_M[1] if has_gprime, of each (has_gprime, t) in kinds]}: sign-free sup cells.
 
-    The cells are the integral bounds of kinds at the log orders the terms
-    use; fsum is exactly rounded, so the order of the terms does not matter.
+    One envelope_max call over the orders, with an entry per distinct power.
+    """
+    powers = {}  # {t: its entry in the envelope rows}
+    slots = [(powers.setdefault(t, len(powers)), WORK_M[1] if star else 1.0) for star, t in kinds]
+    return {p: [row[s] * w for s, w in slots] for p, row in envelope_max(powers, orders, G_MAX).items()}
+
+
+def _error_bounds(term_lists, cell_tables, n_steps: int) -> list[list[float]]:
+    """Per cell table, the error bound of each list of (coefficient, kind index, p) terms: fsum of c * cell, over 23040 N^4.
+
+    A cell table, {p: [cell of each kind]}, is from _cells or _sup_cells.
+    fsum is exactly rounded, so the order of the terms does not matter.
     """
     _check_steps(n_steps)
     scale = _ERR_DENOM * float(n_steps) ** 4
-    orders = {p for terms in term_lists for _, _, p in terms}
-    return [
-        [overflow_to_inf(fsum, [c * cells[p][kind] for c, kind, p in terms]) / scale for terms in term_lists]
-        for cells in _cells(kinds, orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables))
-    ]
+    return [[overflow_to_inf(fsum, [c * cells[p][kind] for c, kind, p in terms]) / scale for terms in term_lists] for cells in cell_tables]
 
 
 def refined_error_bound(term_sum, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
-    """The error bound of one h4_term_bounds (kinds, terms) pair for spec's sign, whose table it must be; bench/workloads.py calls it.
-
-    The terms are summed over the cells that gap_derivatives sums (_error_bounds).
-    """
+    """The error bound of one h4_term_bounds (kinds, terms) pair for spec's sign, whose table it must be, as gap_derivatives sums it; bench/workloads.py calls it."""
     if table.sign is not spec.sign:
         raise ValueError("local-maximum table was built for a different square")
     kinds, terms = term_sum
-    return _error_bounds([terms], kinds, [table], n_steps)[0][0]
+    cells = _cells(kinds, {p for _, _, p in terms}, _INTEGRAL_WEIGHTS, _integral_bases(kinds, [table]))
+    return _error_bounds([terms], cells, n_steps)[0][0]
 
 
 def _nodes(n_steps: int):
@@ -256,12 +259,10 @@ def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[Certified
     integrals of H = G^t log^order G over the half period (both variants are
     even, so the half-period integral is half the mean).  The estimate is the
     minus variant's node sum over 2N less the plus variant's; the error bound
-    adds the two variants' bounds.  Those depend on the sign only through the
-    maxima tables, so one h4_bounds call serves both signs: each sign's plain
-    bound is the sup bound over 23040 N^4, and one cell table per sign, over
-    the five groups and the log orders their terms use, gives that sign's
-    refined bounds (_error_bounds).  The mode and the step count are checked
-    first, with no orders too.
+    adds the two variants' bounds.  One h4_bounds call serves both signs, and
+    before any node work so do the plain cells, summed once, or one refined
+    cell table per sign, each over the five groups at the terms' log orders.
+    The mode and the step count are checked first, with no orders too.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -269,14 +270,14 @@ def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[Certified
     orders = list(orders)  # read twice: a generator would be used up by the bounds
     if not orders:
         return []
-    bounds = h4_bounds(t, orders, mode == "refined")  # before any node work
-    minus, plus = [_h_node_sums(sign, t, sorted(set(orders)), n_steps) for sign in SIGN_PAIR]
+    bounds = h4_bounds(t, orders)
+    log_orders = {p for terms in bounds for _, _, p in terms}
     if mode == "refined":
-        tables = [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
-        errors = map(add, *_error_bounds(bounds, refined_kinds(t), tables, n_steps))
-    else:  # the sup bound holds for both signs
-        scale = _ERR_DENOM * float(n_steps) ** 4
-        errors = [bound / scale + bound / scale for bound in bounds]
+        kinds, tables = refined_kinds(t), [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
+        errors = map(add, *_error_bounds(bounds, _cells(kinds, log_orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)), n_steps))
+    else:  # the sup cells hold for both signs
+        errors = [e + e for e in _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders)], n_steps)[0]]
+    minus, plus = [_h_node_sums(sign, t, sorted(set(orders)), n_steps) for sign in SIGN_PAIR]
     two_n = 2.0 * n_steps
     return [CertifiedValue(minus[j] / two_n - plus[j] / two_n, error, n_steps, mode) for j, error in zip(orders, errors)]
 

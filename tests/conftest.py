@@ -1,10 +1,12 @@
-"""Shared fixtures: the two squares, their maxima tables and the list of both, a numpy oracle, and one sign's integral."""
+"""Shared fixtures: the two squares, their maxima tables and the list of both, a numpy oracle, one sign's integral and the plain |H''''| bound."""
+
+import math
 
 import numpy as np
 import pytest
 
-from majorant.integrand import h4_bounds, refined_kinds
-from majorant.quadrature import CertifiedValue, _error_bounds, _h_node_sums
+from majorant.integrand import h4_bounds, refined_kinds, term_kinds
+from majorant.quadrature import _INTEGRAL_WEIGHTS, CertifiedValue, _cells, _error_bounds, _h_node_sums, _integral_bases, _sup_cells
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table
 
 
@@ -42,17 +44,28 @@ def rng():
 def one_sign_integral(sign, t, n_steps, j, mode):
     """One sign's certified integral of G^t log^j G over [0, 1/2], from the parts gap_derivatives assembles.
 
-    The estimate is the sign's node sum over 2N; the error bound is the plain
-    sup bound over 23040 N^4, or the refined bound on the sign's maxima table.
+    The estimate is the sign's node sum over 2N; the error bound sums the
+    terms of order j over the plain sup cells or over the sign's refined
+    cells, each as gap_derivatives builds them: the five groups at the log
+    orders of the terms.
     """
-    (bound,) = h4_bounds(t, [j], mode == "refined")
+    (terms,) = h4_bounds(t, [j])
     estimate = _h_node_sums(sign, t, [j], n_steps)[j] / (2.0 * n_steps)
-    if mode == "refined":  # over one sign's cells as gap_derivatives builds them: the five groups at the log orders of the terms
-        table = default_max_table(TrigSquare(5, sign))
-        error = _error_bounds([bound], refined_kinds(t), [table], n_steps)[0][0]
+    orders = {p for _, _, p in terms}
+    if mode == "refined":
+        kinds = refined_kinds(t)
+        cells = _cells(kinds, orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, [default_max_table(TrigSquare(5, sign))]))
     else:
-        error = bound / (23040.0 * float(n_steps) ** 4)
+        cells = [_sup_cells(term_kinds(t), orders)]
+    ((error,),) = _error_bounds([terms], cells, n_steps)
     return CertifiedValue(estimate, error, n_steps, mode)
+
+
+def plain_h4_bound(t, j):
+    """The plain |H''''| bound of order j at t, both signs: its terms summed over the sup cells, as the plain error bound is before 23040 N^4."""
+    (terms,) = h4_bounds(t, [j])
+    cells = _sup_cells(term_kinds(t), {p for _, _, p in terms})
+    return math.fsum([c * cells[p][group] for c, group, p in terms])
 
 
 def numpy_G(x, sign):

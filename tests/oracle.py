@@ -21,7 +21,8 @@ the polynomials in t once for all orders.  The maxima of v^s |log v|^m are
 the scalar closed form, one (s, m) and one window [a, b] at a time
 (``envelope_reference``), where the package takes every power and order of
 [0, b] in one call; the |H''''| group constants are written out
-(``REFINED_GROUPS``, ``SCALAR_GROUPS``).
+(``REFINED_GROUPS``), and so are the four per-kind sums that plain bounds
+were once taken over (``SCALAR_GROUPS``).
 
 ``gap_reference`` is the truth the certified gap values are held against:
 the package's midpoint rule again, in mpmath at 34 digits and with N = 1000.
@@ -50,6 +51,7 @@ REFINED_GROUPS = (
     (11600000.0, -1, "linear", False),
 )
 # The same with |G'| bounded by 176, one group per brace kind: 176^4, 6*176^2*6800, 4*176*280000 + 3*6800^2, 11600000.
+# The package no longer sums a plain bound over these; a test holds its per-term sums within 2 ulps of theirs.
 SCALAR_GROUPS = (
     (959512576.0, -4, "quartic"),
     (1263820800.0, -3, "cubic"),
@@ -333,10 +335,10 @@ def h4_term_bounds_reference(t, j):
 
 
 def h4_sup_bound_reference(t, j):
-    """The scalar |H''''| bound of one (t, j): each scalar group's brace terms times their envelope maxima on [0, 9], summed."""
+    """The plain |H''''| bound of one (t, j): each term times its sup on [0, 9], the envelope maximum (times 176 with |G'|), summed."""
     pieces = [
-        const * abs(c) * envelope_reference(t + offset, p, 0.0, 9.0)
-        for const, offset, kind in SCALAR_GROUPS
+        const * abs(c) * (envelope_reference(t + offset, p, 0.0, 9.0) * (176.0 if has_gprime else 1.0))
+        for const, offset, kind, has_gprime in REFINED_GROUPS
         for c, p in brace_terms_reference(kind, t, j)
     ]
     try:

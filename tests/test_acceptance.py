@@ -14,7 +14,7 @@ from majorant.certify import (
     eval_cert_poly,
 )
 from majorant.envelope import envelope_max
-from majorant.integrand import IntegrandSpec, h4_bounds
+from majorant.integrand import IntegrandSpec
 from majorant.pipeline import DEFAULT_CONFIG, emit_report, prove_k5
 from majorant.quadrature import gap_derivative
 from majorant.spectral import torus_power_integral
@@ -26,7 +26,7 @@ from majorant.trigpoly import (
     variation_bound_power,
 )
 
-from conftest import numpy_G, one_sign_integral
+from conftest import numpy_G, one_sign_integral, plain_h4_bound
 from oracle import eval_H, eval_H_second, required_steps
 
 
@@ -99,7 +99,7 @@ def test_criterion_05_second_derivative_at_five():
 def test_criterion_06_third_derivative_and_step_rule():
     value = gap_derivative(3, 5.0, DEFAULT_CONFIG["stages"]["gap_d3_at_5"]["steps"], "plain")
     assert value.estimate == pytest.approx(0.18354763424, abs=1e-8)
-    (sup4,) = h4_bounds(5.0, [3], False)  # the plain bound of order 3, for both signs
+    sup4 = plain_h4_bound(5.0, 3)  # the plain bound of order 3, for both signs
     assert sup4 <= 2.8294e14
     assert abs(required_steps(sup4, 0.182, 1.0, 0) - 475) <= 1
     print("ACCEPTANCE 06 PASS — third derivative estimate and step rule agree")

@@ -20,9 +20,9 @@ from majorant.certify import (
     eval_cert_row,
     remainder_bound,
 )
-from majorant.integrand import h4_bounds
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5
 
+from conftest import plain_h4_bound
 from oracle import envelope_reference, required_steps
 
 
@@ -162,7 +162,7 @@ class TestRemainderBound:
 
 class TestRequiredSteps:
     def test_reproduces_step_table_entry(self):
-        (sup4,) = h4_bounds(5, [3], False)
+        sup4 = plain_h4_bound(5, 3)
         assert required_steps(sup4, 0.182, 1.0, 0) == 475
 
     def test_scales_with_budget(self):

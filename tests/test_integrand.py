@@ -7,10 +7,12 @@ import re
 import pytest
 
 from majorant import integrand
-from majorant.integrand import _REFINED_GROUPS, _SCALAR_GROUPS, WORK_M, IntegrandSpec, h4_bounds, h4_term_bounds
+from majorant.integrand import _GROUPS, WORK_M, IntegrandSpec, h4_bounds, h4_term_bounds
+from majorant.quadrature import gap_derivatives
 from majorant.trigpoly import SignVariant, TrigSquare, sup_norm_bound
 
-from oracle import REFINED_GROUPS, SCALAR_GROUPS, eval_G, eval_H, eval_H_second, h4_sup_bound_reference, h4_term_bounds_reference, term_sum_value
+from conftest import plain_h4_bound
+from oracle import REFINED_GROUPS, SCALAR_GROUPS, eval_G, eval_H, eval_H_second, h4_term_bounds_reference, term_sum_value
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -25,19 +27,15 @@ class TestWorkingConstants:
         for m, w in enumerate(WORK_M):
             assert w <= sup_norm_bound(m) * 1.01
 
-    def test_scalar_groups_are_exact_integers(self):
-        """176^4, 6*176^2*6800, 3*6800^2 + 4*176*280000 and 11600000: the scalar |H''''| groups."""
-        assert _SCALAR_GROUPS == (
-            (959512576.0, -4, "quartic"),
-            (1263820800.0, -3, "cubic"),
-            (335840000.0, -2, "quadratic"),
-            (11600000.0, -1, "linear"),
-        )
-
     def test_oracle_groups_are_the_packages(self):
-        """The oracle writes the five |H''''| groups and the four scalar groups out; the package derives the scalar ones."""
-        assert REFINED_GROUPS == _REFINED_GROUPS
-        assert SCALAR_GROUPS == _SCALAR_GROUPS
+        """The oracle writes the five |H''''| groups out, naming brace k = -offset, and their per-kind sums with |G'| by WORK_M[1], exact integers."""
+        assert tuple((const, offset, has_gprime) for const, offset, _, has_gprime in REFINED_GROUPS) == _GROUPS
+        assert all(kind == ("linear", "quadratic", "cubic", "quartic")[-offset - 1] for _, offset, kind, _ in REFINED_GROUPS)  # brace k = -offset
+        per_kind = {}
+        for const, offset, kind, has_gprime in REFINED_GROUPS:
+            per_kind[offset, kind] = per_kind.get((offset, kind), 0.0) + const * (WORK_M[1] if has_gprime else 1.0)
+        assert SCALAR_GROUPS == tuple((const, offset, kind) for (offset, kind), const in per_kind.items())
+        assert all(const == int(const) < 2**53 for const, _, _ in SCALAR_GROUPS)
 
 
 class TestSpecValidation:
@@ -129,25 +127,21 @@ class TestEvalHSecond:
 
 
 class TestFourthDerivativeBounds:
-    def test_frozen_scalar_bounds(self):
-        assert h4_bounds(5, [0], False)[0] == pytest.approx(
-            12455527870080.0, rel=1e-12
-        )
-        assert h4_bounds(5, [3], False)[0] == pytest.approx(
-            282932124114527.6, rel=1e-12
-        )
+    def test_frozen_plain_bounds(self):
+        assert plain_h4_bound(5, 0) == pytest.approx(12455527870080.0, rel=1e-12)
+        assert plain_h4_bound(5, 3) == pytest.approx(282932124114527.6, rel=1e-12)
 
-    def test_scalar_bound_assembly_without_logs(self):
+    def test_plain_bound_assembly_without_logs(self):
         # with j = 0 each brace collapses to a falling factorial of t, so the
-        # whole bound is four explicit products of group constant, brace value
-        # and envelope maximum
+        # whole bound is four explicit products of per-kind constant, brace
+        # value and envelope maximum
         by_hand = (
             120.0 * 9.0 * 176.0**4
             + 60.0 * 81.0 * (6.0 * 176.0**2 * 6800.0)
             + 20.0 * 729.0 * 335840000.0
             + 5.0 * 6561.0 * 11600000.0
         )
-        assert h4_bounds(5, [0], False)[0] == pytest.approx(by_hand, rel=1e-12)
+        assert plain_h4_bound(5, 0) == pytest.approx(by_hand, rel=1e-12)
 
     def test_term_coefficients_are_exact_integers(self):
         """Group constants times brace coefficients at t = 5, j = 1 and j = 2."""
@@ -180,7 +174,7 @@ class TestFourthDerivativeBounds:
         h = 1e-4
         for spec in (IntegrandSpec(5, 1, PLUS), IntegrandSpec(5, 2, MINUS)):
             terms, trig = keyed(spec.t, h4_term_bounds(spec)[1]), TrigSquare(5, spec.sign)
-            (scalar,) = h4_bounds(spec.t, [spec.j], False)
+            plain = plain_h4_bound(spec.t, spec.j)
             for x in rng.uniform(0.02, 0.48, size=40):
                 if eval_G(trig, x) < 0.5:
                     continue
@@ -191,13 +185,13 @@ class TestFourthDerivativeBounds:
                 ) / h**2
                 slack = 1e-4 * abs(fd4) + 2e4  # difference-quotient noise floor
                 assert abs(fd4) <= term_sum_value(terms, trig, x) + slack
-                assert abs(fd4) <= scalar + slack
+                assert abs(fd4) <= plain + slack
 
     def test_requires_large_enough_power(self):
         with pytest.raises(ValueError, match="t > 4 with logs"):
-            h4_bounds(4.0, [1], False)
+            h4_bounds(4.0, [1])
         with pytest.raises(ValueError, match="t > 4 with logs"):
-            h4_bounds(3.9, [0], False)
+            h4_bounds(3.9, [0])
         with pytest.raises(ValueError, match="t >= 5"):
             h4_term_bounds(IntegrandSpec(4.5, 0, PLUS))
 
@@ -214,7 +208,7 @@ def bits(terms):
 
 def keyed(t, terms):
     """A refined term list of h4_bounds at t with each group index written as its key (has_gprime, t + offset), from the group table."""
-    return tuple((c, (_REFINED_GROUPS[group][3], t + _REFINED_GROUPS[group][1], p)) for c, group, p in terms)
+    return tuple((c, (_GROUPS[group][2], t + _GROUPS[group][1], p)) for c, group, p in terms)
 
 
 class TestBraceBuilder:
@@ -222,39 +216,34 @@ class TestBraceBuilder:
 
     def test_term_lists_equal_the_per_order_reference(self):
         for t in BUILDER_POWERS:
-            built = h4_bounds(t, BUILDER_ORDERS, True)
+            built = h4_bounds(t, BUILDER_ORDERS)
             for j, terms in zip(BUILDER_ORDERS, built):
                 assert bits(keyed(t, terms)) == bits(h4_term_bounds_reference(t, j)), (t, j)
                 kinds, same = h4_term_bounds(IntegrandSpec(t, j, MINUS))
                 assert same == terms and [(*kinds[group], p) for _, group, p in terms] == [key for _, key in keyed(t, terms)], (t, j)
 
-    def test_sup_bounds_equal_the_per_order_reference(self):
-        for t in BUILDER_POWERS + [4.0, 4.01, 4.5]:  # at 4.01 the G^(t-4) peak location exp(-m/(t-4)) underflows from m = 8
-            orders = BUILDER_ORDERS if t > 4.0 else [0]
-            for j, bound in zip(orders, h4_bounds(t, orders, False)):
-                assert bound.hex() == h4_sup_bound_reference(t, j).hex(), (t, j)
-
     def test_brace_polynomials_are_taken_once_per_call(self, monkeypatch):
         calls = []
         real = integrand._brace_rows
         monkeypatch.setattr(integrand, "_brace_rows", lambda t: calls.append(t) or real(t))
-        for refined in (True, False):
-            h4_bounds(5.525, range(31), refined)
-        assert calls == [5.525] * 2
+        h4_bounds(5.525, range(31))
+        for mode in ("plain", "refined"):  # one h4_bounds call per gap_derivatives batch
+            gap_derivatives(5.525, 300, range(31), mode)
+        assert calls == [5.525] * 3
 
     def test_orders_are_checked_in_turn(self):
         """The first order that a bound refuses names the error, as when each order was built on its own."""
         with pytest.raises(ValueError, match="log exponent j must be an integer >= 0, got -1"):
-            h4_bounds(5.5, [1, -1, 10**80], True)
+            h4_bounds(5.5, [1, -1, 10**80])
         with pytest.raises(ValueError, match=r"j ~ 10\^80\.0 is too large"):
-            h4_bounds(5.5, [1, 10**80, -1], True)
+            h4_bounds(5.5, [1, 10**80, -1])
 
     @pytest.mark.parametrize("t", [math.inf, 1e80, 5e102])
     def test_power_whose_polynomials_overflow_is_refused(self, t):
         """At t = inf the brace polynomials are inf - inf; an overflowing polynomial is refused by name, never a nan or inf bound."""
         message = "^" + re.escape(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float") + "$"
         with pytest.raises(ValueError, match=message):
-            h4_bounds(t, [2], False)
+            h4_bounds(t, [2])
         with pytest.raises(ValueError, match=message):
             h4_term_bounds(IntegrandSpec(t, 2, PLUS))
 

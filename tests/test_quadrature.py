@@ -6,15 +6,16 @@ import itertools
 import math
 import platform
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
-from majorant import quadrature
+from majorant import integrand, quadrature
 from majorant import tables as tables_module  # the fixture tables is a pair of maxima tables
 from majorant.certify import TaylorCertificate, build_certificate, eval_cert_poly
 from majorant.envelope import envelope_max
-from majorant.integrand import IntegrandSpec, h4_bounds, h4_term_bounds, refined_kinds
+from majorant.integrand import IntegrandSpec, h4_bounds, h4_term_bounds, refined_kinds, term_kinds
 from majorant.pipeline import DEFAULT_CONFIG, emit_report, prove_k5
 from majorant.quadrature import (
     MAX_STEPS,
@@ -31,6 +32,7 @@ from majorant.quadrature import (
     _NODE_TABLE,
     _node_table,
     _nodes,
+    _sup_cells,
     gap_derivative,
     gap_derivatives,
     refined_error_bound,
@@ -39,9 +41,10 @@ from majorant.spectral import torus_integral_upper, torus_power_integral
 from majorant.tables import q_values, reproduce_table
 from majorant.trigpoly import SIGN_PAIR, SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
-from conftest import one_sign_integral
+from conftest import one_sign_integral, plain_h4_bound
 from test_integrand import keyed
-from oracle import eval_G, eval_G_derivative, eval_H, gap_reference, proof_gap_batches, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
+from oracle import SCALAR_GROUPS, brace_terms_reference, envelope_reference, eval_G, eval_G_derivative, eval_H, gap_reference, h4_sup_bound_reference
+from oracle import proof_gap_batches, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
 
 PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
 
@@ -80,6 +83,23 @@ def cold_node_sums(sign, t, orders, n):
     for columns in _node_table(n).values():
         columns.sums.clear()
     return _h_node_sums(sign, t, orders, n)
+
+
+def log_orders(bounds):
+    """The log orders p that the (coefficient, group, p) terms of bounds use: those of their cells."""
+    return {p for terms in bounds for _, _, p in terms}
+
+
+def refined_bounds(t, orders, tables, n):
+    """Per table, the refined error bound of each order at t: its terms over the table's integral cells, as gap_derivatives sums them."""
+    bounds, kinds = h4_bounds(t, orders), refined_kinds(t)
+    return _error_bounds(bounds, _cells(kinds, log_orders(bounds), _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)), n)
+
+
+def plain_bounds(t, orders, n):
+    """The plain error bound of each order at t, one sign's: its terms over the sign-free sup cells, as gap_derivatives sums them."""
+    bounds = h4_bounds(t, orders)
+    return _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders(bounds))], n)[0]
 
 
 def midpoint_sum(f, n):
@@ -231,13 +251,13 @@ class TestDeterminism:
         assert lookups == [640] * 10  # one lookup per sign of each of the 5 gap_derivatives calls
 
     def test_proof_builds_each_term_list_once(self, monkeypatch):
-        """Term lists are sign-free, so a proof builds one per (t, j), not one per sign, from one refined h4_bounds call per batch."""
+        """Term lists are sign-free, so a proof builds one per (t, j), not one per sign, from one h4_bounds call per batch."""
         calls = []
         real = quadrature.h4_bounds
-        monkeypatch.setattr(quadrature, "h4_bounds", lambda t, orders, refined: calls.append((list(orders), refined)) or real(t, orders, refined))
+        monkeypatch.setattr(quadrature, "h4_bounds", lambda t, orders: calls.append(list(orders)) or real(t, orders))
         prove_k5()
-        assert sum(len(orders) for orders, _ in calls) == 38
-        assert len(calls) == 5 and all(refined for _, refined in calls)  # one per gap_derivatives batch
+        assert sum(map(len, calls)) == 38
+        assert len(calls) == 5  # one per gap_derivatives batch
 
     def test_proof_computes_each_small_range_term_once(self, monkeypatch):
         """The cells of the refined bounds are sign-free below 1/9, so one cell table per batch serves both signs.
@@ -281,16 +301,40 @@ class TestDeterminism:
         checked up to j = 30.  Past that only refined_error_bound is: a node sum at
         j = 10**6 or 10**15 overflows in (log G)^j before any bound is taken.
         """
-        calls = []
-        real = quadrature._cells
+        calls, sup_calls = [], []
+        real, real_sup = quadrature._cells, quadrature._sup_cells
         monkeypatch.setattr(quadrature, "_cells", lambda kinds, orders, *rest: calls.append((list(kinds), set(orders))) or real(kinds, orders, *rest))
+        monkeypatch.setattr(quadrature, "_sup_cells", lambda kinds, orders: sup_calls.append((list(kinds), set(orders))) or real_sup(kinds, orders))
         expected = set(range(max(j - 4, 0), j + 1))
         trig = TrigSquare(5, PLUS)
         refined_error_bound(h4_term_bounds(IntegrandSpec(5.5, j, PLUS)), trig, 300, default_max_table(trig))
         if j <= 30:
             gap_derivative(j, 5.5, 300, "refined")
+            gap_derivative(j, 5.5, 300, "plain")
         assert [orders for _, orders in calls] == [expected] * (1 + (j <= 30))
-        assert all(kinds == refined_kinds(5.5) for kinds, _ in calls)
+        assert [orders for _, orders in sup_calls] == [expected] * (j <= 30)
+        assert all(kinds == refined_kinds(5.5) == term_kinds(5.5) for kinds, _ in calls + sup_calls)
+
+    def test_plain_batch_takes_one_envelope_call(self, monkeypatch):
+        """A plain batch's sup cells come from one envelope_max call on [0, 9], with an entry per distinct power and log order.
+
+        At t = 5.5 the five groups have the 4 distinct powers t - 4..t - 1 (t - 2
+        twice), and the orders 0..39 use the log orders 0..39: 160 entries, where
+        one call per order over j - 4..j made 40 calls and 760 entries.  The
+        integrand states the terms only, and calls no envelope_max.
+        """
+        calls = []
+        real = quadrature.envelope_max
+
+        def counting(powers, orders, b):
+            rows = real(powers, orders, b)
+            calls.append((b, sum(map(len, rows.values()))))
+            return rows
+
+        monkeypatch.setattr(quadrature, "envelope_max", counting)
+        gap_derivatives(5.5, 640, range(40), "plain")
+        assert calls == [(9.0, 160)]
+        assert not hasattr(integrand, "envelope_max")
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640])
     def test_each_sign_holds_all_nodes_falling_then_rising(self, n, monkeypatch):
@@ -492,7 +536,7 @@ class TestBatchedNodeSums:
         for (t, n, _), orders in default_proof_passes().items():
             term_sums = [h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j in orders]
             tables = [default_max_table(TrigSquare(5, sign)) for sign in (PLUS, MINUS)]
-            batches = _error_bounds(h4_bounds(t, orders, True), refined_kinds(t), tables, n)
+            batches = refined_bounds(t, orders, tables, n)
             for table, batched in zip(tables, batches):
                 singles = [refined_error_bound(s, TrigSquare(5, table.sign), n, table) for s in term_sums]
                 termwise = [  # the per-key oracle, summed as the error bound sums it
@@ -524,7 +568,7 @@ class TestBatchedNodeSums:
 
         The estimate is the minus node sum over 2N less the plus one.  The
         error is the sum of the two signs' bounds: refined_error_bound on each
-        sign's table, or the plain sup bound over 23040 N^4, twice.
+        sign's table, or the plain |H''''| bound over 23040 N^4, twice.
         """
         checked = collections.Counter()
         for (t, n, _), orders in default_proof_passes().items():
@@ -539,7 +583,7 @@ class TestBatchedNodeSums:
                             for trig in trigs
                         )
                     else:
-                        e_minus = e_plus = h4_bounds(t, [j], False)[0] / (23040.0 * float(n) ** 4)
+                        e_minus = e_plus = plain_h4_bound(t, j) / (23040.0 * float(n) ** 4)
                     assert value.error_bound.hex() == (e_minus + e_plus).hex(), (t, j, n, mode)
                     assert (value.steps, value.method) == (n, mode)
                     checked[mode] += 1
@@ -605,7 +649,7 @@ class TestQPass:
             if mode == "plain":  # a plain pass sums no cells
                 continue
             kinds = refined_kinds(t)
-            cells = {(group, p) for terms in h4_bounds(t, orders, True) for _, group, p in terms}
+            cells = {(group, p) for terms in h4_bounds(t, orders) for _, group, p in terms}
             keys = [(*kinds[group], p) for group, p in cells]
             per_table = _cells(kinds, {p for _, p in cells}, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables))
             for q, integrals, table in zip(q_values(keys, tables, n), per_table, tables):
@@ -796,7 +840,7 @@ class TestIntegrateH:
         for t, j in itertools.product((5.0, 5.065, 5.33, 6.0), range(13)):
             kinds, terms = h4_term_bounds(IntegrandSpec(t, j, PLUS))
             assert kinds == refined_kinds(t) and len(set(kinds)) == len(kinds), t  # so a (has_gprime, t_r) kind names one group
-            assert terms == h4_bounds(t, [j], True)[0], (t, j)
+            assert terms == h4_bounds(t, [j])[0], (t, j)
             orders = {p for _, _, p in terms}
             for cells in _cells(kinds, orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)):
                 assert set(cells) == orders and all(len(cells[p]) == len(kinds) for p in orders), (t, j)
@@ -856,6 +900,21 @@ class TestGapDerivative:
         with pytest.raises(ValueError, match=r"^log exponent j ~ 10\^80\.0 is too large"):
             gap_derivative(10**80, 5.5, 100, mode)
 
+    def test_power_rule_of_each_mode(self, pair_calls):
+        """Refined bounds integrate every G^t_r, so they need t >= 5 and refuse 4 < t < 5 before any cosine; plain bounds take t > 4, and t = 4 at order 0."""
+        _NODE_TABLE.clear()
+        refusal = r"^term-form fourth-derivative bound needs t >= 5, got 4\.5$"
+        with pytest.raises(ValueError, match=refusal):
+            gap_derivative(1, 4.5, 10, "refined")
+        with pytest.raises(ValueError, match=refusal):
+            h4_term_bounds(IntegrandSpec(4.5, 1, PLUS))
+        assert pair_calls == []
+        for order, t in ((1, 4.5), (3, 4.01), (0, 4.0)):
+            value = gap_derivative(order, t, 10, "plain")
+            assert math.isfinite(value.error_bound) and value.error_bound > 0.0, (order, t)
+        with pytest.raises(ValueError, match="t > 4 with logs"):
+            gap_derivative(1, 4.0, 10, "plain")
+
     @pytest.mark.parametrize("mode", MODES)
     def test_rejects_infinite_power_before_node_work(self, mode, pair_calls):
         """At t = inf the |H''''| bound would be nan (inf - inf in its polynomials); t is refused before any cosine."""
@@ -898,7 +957,7 @@ BOUND_ORDERS = list(range(31)) + [10**6, 10**15]
 
 
 def sign_errors(monkeypatch):
-    """The per-sign refined error bounds each refined gap_derivatives call sums, one [minus, plus] pair of lists per call."""
+    """The per-sign error bounds each gap_derivatives call sums: a [minus, plus] pair of lists, refined, or one list for both, plain."""
     calls = []
     real = quadrature._error_bounds
     monkeypatch.setattr(quadrature, "_error_bounds", lambda *args: calls.append(real(*args)) or calls[-1])
@@ -926,14 +985,21 @@ def test_proof_sign_errors_equal_the_reference(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 255, 640, 3000])
 def test_sweep_sign_errors_equal_the_reference(n, monkeypatch):
-    """gap_derivatives' own per-sign bounds over t in [5, 40] and the orders 0..30, bitwise the oracle's; a plain batch takes no cells."""
+    """gap_derivatives' own per-sign bounds over t in [5, 40] and the orders 0..30, bitwise the oracle's, in both modes.
+
+    A plain batch sums its one sign-free list once, and its error_bound is that bound twice.
+    """
     calls = sign_errors(monkeypatch)
     orders = list(range(31))
+    scale = 23040.0 * float(n) ** 4
     for t in BOUND_POWERS:
         values = gap_derivatives(t, n, orders, "refined")
         assert_sign_errors_equal_reference(t, n, orders, values, calls[-1])
-        gap_derivatives(t, n, orders, "plain")
-    assert len(calls) == len(BOUND_POWERS)
+        values = gap_derivatives(t, n, orders, "plain")
+        (shared,) = calls[-1]
+        assert [b.hex() for b in shared] == [(h4_sup_bound_reference(t, j) / scale).hex() for j in orders], (t, n)
+        assert [v.error_bound.hex() for v in values] == [(b + b).hex() for b in shared], (t, n)
+    assert len(calls) == 2 * len(BOUND_POWERS)
 
 
 @pytest.mark.parametrize("n", [1, 255, 640, 3000])
@@ -945,12 +1011,70 @@ def test_refined_bounds_equal_the_per_order_reference(n, tables):
     them, and refined_error_bound on h4_term_bounds of each order alone.
     """
     for t in BOUND_POWERS:
-        indexed = _error_bounds(h4_bounds(t, BOUND_ORDERS, True), refined_kinds(t), tables, n)
+        indexed = refined_bounds(t, BOUND_ORDERS, tables, n)
         for table, batched in zip(tables, indexed):
             square = TrigSquare(5, table.sign)
             singles = [refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, table.sign)), square, n, table) for j in BOUND_ORDERS]
             expected = [refined_error_bound_reference(t, j, n, table).hex() for j in BOUND_ORDERS]
             assert [[b.hex() for b in driver] for driver in (batched, singles)] == [expected, expected], (t, n, table.sign)
+
+
+@pytest.mark.parametrize("n", [1, 255, 640, 3000])
+def test_plain_bounds_equal_the_per_order_reference(n):
+    """Each batch's plain error bounds are bitwise the per-(t, j) brace formula, every term times its sup on [0, 9] afresh.
+
+    Also below t = 5, where only plain mode reaches: at 4.01 the G^(t-4) peak
+    location exp(-m/(t-4)) underflows from m = 8, and t = 4 takes order 0 alone.
+    """
+    for t in BOUND_POWERS + [4.0, 4.01, 4.5]:
+        orders = BOUND_ORDERS if t > 4.0 else [0]
+        expected = [(h4_sup_bound_reference(t, j) / (23040.0 * float(n) ** 4)).hex() for j in orders]
+        assert [b.hex() for b in plain_bounds(t, orders, n)] == expected, (t, n)
+
+
+def scalar_group_sum(t, j):
+    """The plain |H''''| bound as it was once taken: per brace kind, one summed constant (oracle.SCALAR_GROUPS) times each brace term's sup."""
+    pieces = [
+        const * abs(c) * envelope_reference(t + offset, p, 0.0, 9.0)
+        for const, offset, kind in SCALAR_GROUPS
+        for c, p in brace_terms_reference(kind, t, j)
+    ]
+    try:
+        return math.fsum(pieces)
+    except OverflowError:
+        return math.inf
+
+
+def ulps_apart(a, b):
+    """How many float steps lie from a to b, both >= 0, whose bit patterns as ints are ordered as they are (inf after the largest)."""
+    a_bits, b_bits = struct.unpack("<2q", struct.pack("<2d", a, b))
+    return abs(a_bits - b_bits)
+
+
+@pytest.mark.parametrize("n", [1, 255, 640, 3000])
+def test_plain_bounds_stay_within_two_ulps_of_the_scalar_groups(n):
+    """Every plain bound, at seeded t in (4, 40] (a third in (4, 5)) and the orders 0..30, is within 2 ulps of the per-kind sum.
+
+    Rounding each term on its own, rather than each per-kind constant, moves
+    some sums in the last bits, both ways, and makes no finite one inf.  The
+    error bound is that sum over 23040 N^4, twice, so its division can turn 2
+    ulps into 3: at t = 4.202894761168064, j = 17, N = 640 (measured over
+    9300 seeded (t, j) at N = 640: 2405 sums moved, none by more than 2
+    ulps, and 2129 error bounds, one by 3).
+    """
+    rng = random.Random(3301)
+    powers = [4.202894761168064] + [rng.uniform(4.0, 5.0) for _ in range(3)] + [rng.uniform(5.0, 40.0) for _ in range(8)]
+    orders = list(range(31))
+    scale = 23040.0 * float(n) ** 4
+    moved = 0
+    for t in powers:
+        for j, value in zip(orders, gap_derivatives(t, n, orders, "plain")):
+            bound, old = plain_h4_bound(t, j), scalar_group_sum(t, j)
+            assert value.error_bound.hex() == (bound / scale + bound / scale).hex(), (t, n, j)
+            assert math.isfinite(bound) == math.isfinite(old) and ulps_apart(bound, old) <= 2, (t, j, bound, old)
+            assert ulps_apart(value.error_bound, old / scale + old / scale) <= 3, (t, n, j)
+            moved += bound != old
+    assert 0 < moved < len(powers) * len(orders)
 
 
 def test_no_stage_needs_plain_mode():
@@ -966,22 +1090,24 @@ def test_no_stage_needs_plain_mode():
             assert r.error_bound <= 0.11 * p.error_bound, (t, j, r.error_bound / p.error_bound)
 
 
-BATCH_DIGEST = "2d787778fa82aa4d96c888b0ea57c0dfe5e041ef3a5e535c0f715e909d0e8048"
+BATCH_DIGEST = "d8539ccbf9700e6fe011ca8581277ea12442931cbf236e5099b7061a498085f9"
+REFINED_BATCH_DIGEST = "9532cfd972b173e96d02916e04efe12a0366f747db1de0d45f11fc2af6448f93"
 REFINED_ERROR_BOUND_DIGEST = "2570a72f65270e134d7ca7b42a6978e940faf53de63e356c6a94dfaaf2f10bb0"
 
 
-def batch_digest():
-    """sha256 of the repr of (estimate, error_bound) of fixed gap_derivatives batches, both modes per order.
+def batch_digest(modes=MODES):
+    """sha256 of the repr of (estimate, error_bound) of fixed gap_derivatives batches, one per mode in modes.
 
     The t are the proof's five and 5 seeded in [5, 40], at N = 1, 255, 640
     and 3000; each (t, N) takes the orders 0..10 in one batch per mode, and
-    the values are concatenated order by order, plain before refined.
+    the values are concatenated order by order, in the order of modes (by
+    default plain before refined).
     """
     rng = random.Random(2501)
     powers = [5.0, 5.065, 5.23, 5.525, 5.86] + [rng.uniform(5.0, 40.0) for _ in range(5)]
     text = ""
     for t, n in itertools.product(powers, (1, 255, 640, 3000)):
-        per_mode = [gap_derivatives(t, n, range(11), mode) for mode in MODES]
+        per_mode = [gap_derivatives(t, n, range(11), mode) for mode in modes]
         text += "".join(repr((v.estimate, v.error_bound)) for pair in zip(*per_mode) for v in pair)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -1005,6 +1131,10 @@ class TestBatchDigest:
     def test_seeded_batches(self):
         """Estimates and error bounds of 80 batches in each mode, pinned to one digest."""
         assert batch_digest() == BATCH_DIGEST
+
+    def test_seeded_refined_batches(self):
+        """The refined half alone, pinned where plain bounds were still summed per brace kind: no refined bit has moved since."""
+        assert batch_digest(["refined"]) == REFINED_BATCH_DIGEST
 
     def test_seeded_refined_error_bounds(self):
         """400 seeded single refined error bounds, pinned to one digest."""
