@@ -9,7 +9,6 @@ INCONCLUSIVE, 2 invalid input (arguments, or an --out file that cannot be writte
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .pipeline import emit_report, prove_k5
@@ -33,6 +32,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    import csv  # here and in _cmd_maxima alone, so that a prove process never loads it
+
     from .tables import reproduce_table
 
     header, rows = reproduce_table(args.id)
@@ -54,6 +55,8 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
 
 def _cmd_maxima(args: argparse.Namespace) -> int:
+    import csv
+
     square = TrigSquare(5, args.sign)
     bump = args.bump if args.bump is not None else max(_MIN_TABLE_BUMP, curvature_slack(args.step))
     table = locate_maxima(square, args.step, bump)

@@ -25,11 +25,10 @@ period, splitting the range of G at 1/9:
     Var(G^(t+1)) / (t+1), bounded by variation_bound_power.
 
 The node layer lives here too: per sign, one row G^t over all N nodes serves
-every j (_h_node_sums), and the node table holds G, log G and the powers
-(log G)^p asked for, both signs from one cosine pass (see _node_table), and
-every node sum taken on it, for at most _HELD_POWERS values of t per sign:
-a repeated (N, t, j), as in every proof after the first in one process, takes
-no fsum and no row G^t.
+every j (_h_node_sums), on a node table of G, log G and the powers (log G)^p
+asked for, both signs from one cosine pass (see _node_table), which also holds
+the latest _HELD_POWERS (t, mode) batches of gap values certified on it: a
+repeated (N, t, mode, j), as in every proof after the first, takes no pass.
 gap_derivatives assembles each certified gap value from both signs' node sums,
 in one mode per batch, from one h4_bounds call and a cell table, the bound of
 each of the five groups at each log order p the batch's terms use: one per
@@ -59,8 +58,8 @@ _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
 
 LOG9 = math.log(G_MAX)
 _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
-_NODE_TABLE: dict[int, dict[SignVariant, NodeColumns]] = {}  # see _node_table
-_HELD_POWERS = 8  # the most values of t whose node sums one sign's columns hold (the default proof takes 5)
+_NODE_TABLE: dict[int, NodeTable] = {}  # see _node_table
+_HELD_POWERS = 8  # the most (t, mode) batches whose gap values one node table holds (the default proof takes 5)
 
 
 class CertifiedValue(NamedTuple):
@@ -157,26 +156,31 @@ def _nodes(n_steps: int):
 
 
 class NodeColumns(NamedTuple):
-    """G and log G at the N nodes of one sign, G >= 1 falling then G < 1 rising, and what _h_node_sums has taken on them.
+    """G and log G at the N nodes of one sign, G >= 1 falling then G < 1 rising, and the powers (log G)^p asked for so far, by p.
 
     The order is for speed alone: every node sum is one exactly rounded fsum,
-    so its value does not depend on it (see _node_table).
-
-    ``logs`` holds the powers (log G)^p asked for so far, by p; they are free
-    of t, so they are kept with the columns.  ``sums`` holds the node sums
-    taken so far, {t: {j: sum}}, for at most _HELD_POWERS values of t, the
-    oldest dropped first.  Both live on the columns they were taken from, so a
-    rebuilt or hand-built table starts with none (a hand-built one is given
-    its own empty dicts) and never reads values taken on another.
+    so its value does not depend on it (see _node_table).  The log powers are
+    free of t, so they are kept with the columns.
     """
 
     g: list[float]
     ell: tuple[float, ...]
     logs: dict[int, list[float]]
-    sums: dict[float, dict[int, float]]
 
 
-def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
+class NodeTable(NamedTuple):
+    """The node columns of one step count, by sign, and the gap values certified on them, {(t, mode): {j: value}}.
+
+    ``held`` keeps the latest _HELD_POWERS (t, mode) batches.  It lives on the
+    table, not beside it, so it is dropped with the table, and a rebuilt or
+    hand-built table never reads values taken on another.
+    """
+
+    columns: dict[SignVariant, NodeColumns]
+    held: dict[tuple[float, str], dict[int, CertifiedValue]]
+
+
+def _node_table(n_steps: int) -> NodeTable:
     """G and log G at the N midpoint nodes, by sign, from one eval_G_pair pass.
 
     Free of t and j, so every batch at this step count shares it, and so do the
@@ -190,65 +194,48 @@ def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
     as they grow.  (At N = 640, t = 5.86, j = 9, the list averages 5 partials
     over the last quarter of the nodes, against 17 with all of G descending;
     over the default proof's 76 node sums fsum takes about a quarter less time.)
-
-    The node sums taken on the table are held on it too (NodeColumns.sums: at
-    most _HELD_POWERS values of t per sign, the oldest dropped first, so a
-    sweep over t at one N holds a bounded number).  They live on the table, not
-    in a cache beside it, so they are dropped with it, and a rebuilt or
-    hand-built table never reads sums taken on another.
     """
     _check_steps(n_steps)  # before the lookup, where 100.0 and True would find the table of 100 or of 1
     if n_steps not in _NODE_TABLE:
         _NODE_TABLE.clear()
-        table = {}
+        columns = {}
         for sign, g in zip(SIGN_PAIR, eval_G_pair(_nodes(n_steps))):
             g.sort()
             split = bisect_left(g, 1.0)
             g = g[split:][::-1] + g[:split]
-            table[sign] = NodeColumns(g, tuple(map(math.log, g)), {}, {})
-        _NODE_TABLE[n_steps] = table
+            columns[sign] = NodeColumns(g, tuple(map(math.log, g)), {})
+        _NODE_TABLE[n_steps] = NodeTable(columns, {})
     return _NODE_TABLE[n_steps]
 
 
 def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int, float]:
-    """Node sums of H = G^t log^j G of one sign for each j in orders: the held ones looked up, the rest from one node pass.
+    """Node sums of H = G^t log^j G of one sign for each j in orders, from one row G^t over all N nodes.
 
-    The sum of order j is one fsum(G^t L^j) over all N nodes, L = log G: the
-    exactly rounded sum of the rounded products.  It is held on the node
-    table's columns once taken (NodeColumns.sums), so a repeated (N, t, j)
-    costs a lookup; only when some order is not held is the one row G^t over
-    all N nodes built, to serve every missing j, with (log G)^j kept in the
-    table once asked for.  An entry G^t or L^j, or a node sum, beyond the
-    float range is refused, naming t or j; a refused call holds nothing new.
+    The sum of order j is one fsum(G^t L^j), L = log G: the exactly rounded
+    sum of the rounded products, (log G)^j kept in the table once asked for.
+    An entry G^t or L^j, or a node sum, past the float range is refused, naming t or j.
     """
-    nodes = _node_table(n_steps)[sign]
-    held = nodes.sums.get(t, {})
-    missing = [j for j in orders if j not in held]
-    if missing:
-        try:
-            gt = [g**t for g in nodes.g]
-        except OverflowError:
-            raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
-        taken = {}
-        for j in missing:
-            logs = nodes.logs.get(j)
-            if logs is None:
-                try:
-                    logs = nodes.logs[j] = [v**j for v in nodes.ell]
-                except OverflowError:  # at a node with |log G| > 1
-                    raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
+    nodes = _node_table(n_steps).columns[sign]
+    try:
+        gt = [g**t for g in nodes.g]
+    except OverflowError:
+        raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
+    sums = {}
+    for j in orders:
+        logs = nodes.logs.get(j)
+        if logs is None:
             try:
-                total = fsum(map(mul, gt, logs))
-            except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
-                total = math.nan
-            if not math.isfinite(total):  # nan from above, or inf from an H product that overflowed
-                raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sum overflows a float")
-            taken[j] = total
-        if t not in nodes.sums and len(nodes.sums) >= _HELD_POWERS:
-            del nodes.sums[next(iter(nodes.sums))]  # the oldest t: dicts keep insertion order
-        held = nodes.sums.setdefault(t, {})
-        held.update(taken)
-    return {j: held[j] for j in orders}
+                logs = nodes.logs[j] = [v**j for v in nodes.ell]
+            except OverflowError:  # at a node with |log G| > 1
+                raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
+        try:
+            total = fsum(map(mul, gt, logs))
+        except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
+            total = math.nan
+        if not math.isfinite(total):  # nan from above, or inf from an H product that overflowed
+            raise ValueError(f"log order {j} at power t = {t!r} is too large to evaluate: its node sum overflows a float")
+        sums[j] = total
+    return sums
 
 
 def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[CertifiedValue]:
@@ -262,24 +249,38 @@ def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[Certified
     adds the two variants' bounds.  One h4_bounds call serves both signs, and
     before any node work so do the plain cells, summed once, or one refined
     cell table per sign, each over the five groups at the terms' log orders.
-    The mode and the step count are checked first, with no orders too.
+
+    A value depends on its own (t, N, mode, j) alone, so it is held on the
+    node table (NodeTable.held) and only the orders not held take the passes.
+    The mode and the step count are checked first, with no orders too; only a
+    float t and int orders are looked up, so 5, True and 1.0, equal to held
+    keys, meet the passes' checks.  A refused batch holds nothing new.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_steps(n_steps)
-    orders = list(orders)  # read twice: a generator would be used up by the bounds
-    if not orders:
-        return []
-    bounds = h4_bounds(t, orders)
-    log_orders = {p for terms in bounds for _, _, p in terms}
-    if mode == "refined":
-        kinds, tables = refined_kinds(t), [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
-        errors = map(add, *_error_bounds(bounds, _cells(kinds, log_orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)), n_steps))
-    else:  # the sup cells hold for both signs
-        errors = [e + e for e in _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders)], n_steps)[0]]
-    minus, plus = [_h_node_sums(sign, t, sorted(set(orders)), n_steps) for sign in SIGN_PAIR]
-    two_n = 2.0 * n_steps
-    return [CertifiedValue(minus[j] / two_n - plus[j] / two_n, error, n_steps, mode) for j, error in zip(orders, errors)]
+    orders = list(orders)  # read twice: a generator would be used up by the lookup
+    table, key = _NODE_TABLE.get(n_steps), ((t, mode) if type(t) is float else None)
+    held = table.held.get(key, {}) if table else {}
+    missing = [j for j in orders if type(j) is not int or j not in held]
+    if missing:
+        bounds = h4_bounds(t, missing)
+        log_orders = {p for terms in bounds for _, _, p in terms}
+        if mode == "refined":
+            kinds, tables = refined_kinds(t), [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
+            errors = map(add, *_error_bounds(bounds, _cells(kinds, log_orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)), n_steps))
+        else:  # the sup cells hold for both signs
+            errors = [e + e for e in _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders)], n_steps)[0]]
+        minus, plus = [_h_node_sums(sign, t, sorted(set(missing)), n_steps) for sign in SIGN_PAIR]
+        two_n = 2.0 * n_steps
+        taken = {j: CertifiedValue(minus[j] / two_n - plus[j] / two_n, error, n_steps, mode) for j, error in zip(missing, errors)}
+        if key is not None:
+            store = _NODE_TABLE[n_steps].held  # built, or found, by the node pass
+            if key not in store and len(store) >= _HELD_POWERS:
+                del store[next(iter(store))]  # the oldest batch: dicts keep insertion order
+            held = store.setdefault(key, {})
+        held.update(taken)
+    return [held[j] for j in orders]
 
 
 def gap_derivative(order: int, t: float, n_steps: int, mode: str = "refined") -> CertifiedValue:

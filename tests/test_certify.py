@@ -389,6 +389,14 @@ class TestSignChain:
         assert by_quantity["shifted_value"]["value"] == pytest.approx(1.1)
         assert by_quantity["derivative"]["location"] == 5.4 and by_quantity["derivative"]["value"] == 2.0
 
+    @pytest.mark.parametrize("target,value", [("positive", 0.25), ("negative", -0.25)])
+    def test_zero_shifted_endpoint_is_not_certified(self, target, value):
+        """A constant P = +-delta: P(b) - delta, or P(a) + delta, is exactly 0.0, and no derivative is left to fail."""
+        cert = TaylorCertificate(5.5, 0.25, 1, 0, (value,), (0.0,), (1e-9,), 0.0, 0.25)
+        verdict = check_sign_chain(cert, target, (5.25, 5.75))
+        assert not verdict.certified
+        assert verdict.evidence == ({"quantity": "shifted_value", "order": 0, "location": 5.75 if target == "positive" else 5.25, "value": 0.0},)
+
     def test_middle_interval_fails(self, cert_b):
         """The chain does not close where the cascade is needed; the verdict keeps the rows it checked."""
         verdict = check_sign_chain(cert_b, "positive", (5.13, 5.33))
@@ -455,6 +463,20 @@ class TestSignVariation:
         verdict = check_sign_variation(cert_d, "positive", (5.72, 6.0))
         assert not verdict.certified
         assert "not both positive" in verdict.failure_reason
+
+    @pytest.mark.parametrize(
+        "coeffs,shifted",
+        [((0.25,), (0.0, 0.0)), ((1.25, 4.0), (0.0, 2.0)), ((1.25, -4.0), (2.0, 0.0))],
+        ids=["constant", "zero at a", "zero at b"],
+    )
+    def test_zero_shifted_endpoint_is_not_certified(self, coeffs, shifted):
+        """P(a) - delta or P(b) - delta is exactly 0.0 (delta = 0.25, u = +-0.25 at the ends): refused at the endpoint check, not later."""
+        degree = len(coeffs) - 1
+        cert = TaylorCertificate(5.5, 0.25, 1, degree, coeffs, (0.0,) * len(coeffs), (1e-9,) * len(coeffs), 0.0, 0.25)
+        verdict = check_sign_variation(cert, "positive", (5.25, 5.75))
+        assert not verdict.certified
+        assert verdict.failure_reason == "shifted endpoint values are not both positive"
+        assert tuple(r["value"] for r in verdict.evidence) == shifted
 
     def test_flat_certificate_with_steep_tail_is_inconclusive(self):
         """Endpoint means stay below endpoint derivative magnitudes: no verdict.

@@ -207,6 +207,12 @@ class TestProve:
         assert result.status == "failed" and result.margin < 0
         assert result.warnings == (f"positivity margin {result.margin:.6g} is not positive at 50 steps",)
 
+    def test_zero_margin_derivative_stage_fails(self):
+        """estimate == error_bound leaves a margin of exactly 0.0, which certifies no positivity."""
+        result = _run_derivative_stage(D1, CertifiedValue(0.25, 0.25, 640, "refined"))
+        assert (result.status, result.margin) == ("failed", 0.0)
+        assert result.warnings == ("positivity margin 0 is not positive at 640 steps",)
+
     def test_overflowing_envelope_is_inconclusive(self):
         """A log power so high that envelope maxima overflow gives an infinite bound and a failed stage, not a crash.
 
@@ -283,12 +289,13 @@ class TestReports:
             assert digest == "13446e2ddcfeb4346d909cd480963a99cc46a8064d67d29fe80ac9118b51ed68"
 
     @pytest.mark.parametrize("package", ["majorant", "majorant.cli"])
-    @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect", "majorant.tables"])
+    @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect", "majorant.tables", "csv"])
     def test_import_leaves_module_unloaded(self, package, module):
         """Only config_hash needs hashlib, which loads OpenSSL; the records are NamedTuples, so nothing loads dataclasses or inspect.
 
         No module of the proof imports majorant.tables: the package binds its
-        names on first use, and the CLI imports it in the table command alone.
+        names on first use, and the CLI imports it in the table command alone,
+        and csv in the table and maxima commands alone.
         """
         code = f"import sys, {package}; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)

@@ -1,6 +1,7 @@
 """Tests for the plain midpoint rule and its two error-bound flavours."""
 
 import collections
+import decimal
 import hashlib
 import itertools
 import math
@@ -22,6 +23,7 @@ from majorant.quadrature import (
     MODES,
     CertifiedValue,
     NodeColumns,
+    NodeTable,
     _cells,
     _ERR_DENOM,
     _error_bounds,
@@ -78,11 +80,14 @@ def fsum_lengths(monkeypatch):
     return lengths
 
 
-def cold_node_sums(sign, t, orders, n):
-    """_h_node_sums on the table of n with no node sum held: what a first call takes, not what an earlier one left."""
-    for columns in _node_table(n).values():
-        columns.sums.clear()
-    return _h_node_sums(sign, t, orders, n)
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """The number of calls gap_derivatives makes to each function of its bound pass and node pass while the test runs, by name."""
+    calls = collections.Counter()
+    for name in ("h4_bounds", "_cells", "_sup_cells", "_error_bounds", "_h_node_sums"):
+        real = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name, lambda *args, _real=real, _name=name: calls.update([_name]) or _real(*args))
+    return calls
 
 
 def log_orders(bounds):
@@ -100,6 +105,11 @@ def plain_bounds(t, orders, n):
     """The plain error bound of each order at t, one sign's: its terms over the sign-free sup cells, as gap_derivatives sums them."""
     bounds = h4_bounds(t, orders)
     return _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders(bounds))], n)[0]
+
+
+def bits(values):
+    """The (estimate, error_bound) of each certified value as hex strings: what bitwise equality compares."""
+    return [(v.estimate.hex(), v.error_bound.hex()) for v in values]
 
 
 def midpoint_sum(f, n):
@@ -230,7 +240,7 @@ class TestDeterminism:
             gap_derivative(1, 5.5, n, "plain")
         assert held_while_building == [[]] * 3  # one build per step count, none beside another table
         assert list(_NODE_TABLE) == [257]
-        assert set(_NODE_TABLE[257]) == {PLUS, MINUS}
+        assert set(_NODE_TABLE[257].columns) == {PLUS, MINUS}
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640, 3000])
     def test_cold_build_makes_one_cosine_pass(self, n, pair_calls):
@@ -239,35 +249,41 @@ class TestDeterminism:
         gap_derivatives(5.5, n, [1, 2], "refined")
         assert pair_calls == [list(_nodes(n))]
 
-    def test_warm_proof_makes_no_node_table_misses(self, monkeypatch, pair_calls):
-        """One table holds both signs of the default proof's one step count, so a warm proof evaluates no G."""
-        prove_k5()
+    def test_warm_proof_makes_no_node_table_misses(self, monkeypatch, pair_calls, pass_calls):
+        """One table holds both signs of the default proof's one step count, and its gap values: a warm proof evaluates no G and takes no pass."""
         lookups = []
         real = quadrature._node_table
         monkeypatch.setattr(quadrature, "_node_table", lambda n: lookups.append(n) or real(n))
-        pair_calls.clear()
+        _NODE_TABLE.clear()
         prove_k5()
-        assert pair_calls == []
+        assert pair_calls == [list(_nodes(640))]  # one cosine pass, for both signs
         assert lookups == [640] * 10  # one lookup per sign of each of the 5 gap_derivatives calls
+        lookups.clear(), pair_calls.clear(), pass_calls.clear()
+        prove_k5()
+        assert pair_calls == [] and lookups == [] and pass_calls == {}
 
     def test_proof_builds_each_term_list_once(self, monkeypatch):
-        """Term lists are sign-free, so a proof builds one per (t, j), not one per sign, from one h4_bounds call per batch."""
+        """Term lists are sign-free, so a cold proof builds one per (t, j), not one per sign, from one h4_bounds call per batch; a warm one builds none."""
         calls = []
         real = quadrature.h4_bounds
         monkeypatch.setattr(quadrature, "h4_bounds", lambda t, orders: calls.append(list(orders)) or real(t, orders))
+        _NODE_TABLE.clear()
         prove_k5()
         assert sum(map(len, calls)) == 38
         assert len(calls) == 5  # one per gap_derivatives batch
+        calls.clear()
+        prove_k5()
+        assert calls == []
 
     def test_proof_computes_each_small_range_term_once(self, monkeypatch):
         """The cells of the refined bounds are sign-free below 1/9, so one cell table per batch serves both signs.
 
-        Measured: 235 cells per sign per warm proof, 5 groups at 47 log orders
+        Measured: 235 cells per sign per cold proof, 5 groups at 47 log orders
         (the union of j-4..j over each batch's orders: 4, 11, 10, 11 and 11
         orders), from one _cells call per batch, and its small-range terms
         from one envelope_max call on [0, 1/9], each taken once for both
         signs: 168, the 4 distinct powers of the 5 groups (t - 2 twice) at
-        the 42 orders with p > 0.
+        the 42 orders with p > 0.  A warm proof, its gap values held, takes none.
         """
         calls, small_ranges = [], []
         real, real_envelope = quadrature._cells, quadrature.envelope_max
@@ -282,15 +298,18 @@ class TestDeterminism:
             small_ranges.append((b, sum(map(len, rows.values()))))
             return rows
 
-        prove_k5()  # warm
         monkeypatch.setattr(quadrature, "_cells", counting)
         monkeypatch.setattr(quadrature, "envelope_max", counting_envelope)
+        _NODE_TABLE.clear()
         prove_k5()
         assert [(kinds, orders) for kinds, orders, _ in calls] == [(5, 4), (5, 11), (5, 10), (5, 11), (5, 11)]
         assert all(per_table == [5 * orders] * 2 for _, orders, per_table in calls)
         assert sum(per_table[0] for _, _, per_table in calls) == 235
         assert [b for b, _ in small_ranges] == [1.0 / 9.0] * 5
         assert sum(entries for _, entries in small_ranges) == 168
+        calls.clear(), small_ranges.clear()
+        prove_k5()
+        assert calls == small_ranges == []
 
     @pytest.mark.parametrize("j", [0, 1, 3, 4, 9, 30, 10**6, 10**15])
     def test_single_order_call_builds_cells_at_its_orders_only(self, j, monkeypatch):
@@ -356,7 +375,7 @@ class TestDeterminism:
         table = _node_table(n)
         assert len(outputs) == 1
         for sign, node_order in zip((MINUS, PLUS), outputs[0]):
-            column = table[sign]
+            column = table.columns[sign]
             assert len(column.g) == n, sign
             assert sorted(column.g) == sorted(node_order), sign
             split = sum(g >= 1.0 for g in node_order)
@@ -368,10 +387,10 @@ class TestDeterminism:
             assert column.ell == tuple(map(math.log, column.g)), sign
 
     def test_node_sums_are_free_of_the_column_order(self, monkeypatch, fsum_lengths):
-        """All 76 node sums of the default proof are bit-identical over columns in node order, reversed or shuffled: the order is a speed choice only.
+        """All 76 node sums of the default proof, and its 38 gap values, are bit-identical over columns in node order, reversed or shuffled: the order is a speed choice only.
 
-        Each hand-built table has its own empty store, so its 76 sums are taken
-        on its own columns, not read from the table the proof filled.
+        Each hand-built table has its own empty store, so its 38 gap values are
+        taken on its own columns, not read from the table the proof filled.
         """
         passes = default_proof_passes()
         assert {n for _, n, _ in passes} == {640}
@@ -384,8 +403,11 @@ class TestDeterminism:
                 for j, v in _h_node_sums(sign, t, orders, n).items()
             }
 
-        reference = node_sums()
-        assert len(reference) == 76
+        def gap_values():
+            return [value for (t, n, mode), orders in passes.items() for value in bits(gap_derivatives(t, n, orders, mode))]
+
+        reference, reference_values = node_sums(), gap_values()
+        assert len(reference) == 76 and len(reference_values) == 38
         node_order = dict(zip(SIGN_PAIR, quadrature.eval_G_pair(_nodes(640))))
         orders = {
             "node order": node_order,
@@ -393,26 +415,29 @@ class TestDeterminism:
             "shuffled": {sign: random.Random(24).sample(g, len(g)) for sign, g in node_order.items()},
         }
         for name, columns in orders.items():
-            table = {sign: NodeColumns(g, tuple(map(math.log, g)), {}, {}) for sign, g in columns.items()}
+            table = NodeTable({sign: NodeColumns(g, tuple(map(math.log, g)), {}) for sign, g in columns.items()}, {})
             monkeypatch.setitem(_NODE_TABLE, 640, table)  # restored when the test ends
             fsum_lengths.clear()
             assert node_sums() == reference, name
             assert fsum_lengths == [640] * 76, name  # every sum taken here, one fsum over all nodes each
-            assert sum(len(held) for per_sign in table.values() for held in per_sign.sums.values()) == 76, name
+            fsum_lengths.clear()
+            assert gap_values() == reference_values, name
+            assert fsum_lengths.count(640) == 76, name  # and again for the gap values, none read from another table
+            assert sum(len(held) for held in table.held.values()) == 38, name
 
     def test_log_columns_live_with_the_node_table(self):
-        """(log G)^p and the node sums are kept on the table's columns once taken, and dropped and rebuilt with the table."""
+        """(log G)^p and the gap values are kept on the node table once taken, and dropped and rebuilt with the table."""
         orders = [0, 3, 7]
-        warm = _h_node_sums(PLUS, 5.3, orders, 500)
-        columns = _node_table(500)[PLUS]
-        assert set(columns.logs) >= {0, 3, 7}
-        assert {j: columns.sums[5.3][j] for j in orders} == warm
+        warm = gap_derivatives(5.3, 500, orders, "refined")
+        table = _node_table(500)
+        assert set(table.columns[PLUS].logs) >= {0, 3, 7}
+        assert table.held == {(5.3, "refined"): dict(zip(orders, warm))}
         _NODE_TABLE.clear()
-        rebuilt = _node_table(500)[PLUS]
-        assert rebuilt.logs == {} and rebuilt.sums == {}
-        cold = _h_node_sums(PLUS, 5.3, orders, 500)
-        assert {j: v.hex() for j, v in cold.items()} == {j: v.hex() for j, v in warm.items()}
-        assert set(rebuilt.sums) == {5.3}
+        rebuilt = _node_table(500)
+        assert rebuilt.columns[PLUS].logs == {} and rebuilt.held == {}
+        cold = gap_derivatives(5.3, 500, orders, "refined")
+        assert bits(cold) == bits(warm)
+        assert set(rebuilt.columns[PLUS].logs) >= {0, 3, 7} and list(rebuilt.held) == [(5.3, "refined")]
 
     def test_repeat_runs_are_bitwise_stable(self):
         a = gap_derivative(1, 5.0, 200, "refined")
@@ -420,68 +445,106 @@ class TestDeterminism:
         assert a == b
 
 
-class TestHeldNodeSums:
-    """Each node sum is held on the columns it was taken on, so a repeated (N, t, j) takes no fsum and no row G^t."""
+class TestHeldGapValues:
+    """Each gap value is held on the node table it was taken on, so a repeated (N, t, mode, j) takes no bound pass and no node pass."""
 
-    def test_a_warm_proof_takes_no_node_sum(self, monkeypatch, fsum_lengths):
-        """The default proof's 76 node sums are taken once per table: a second proof builds no row G^t and gives the same bytes."""
+    def test_a_warm_proof_takes_no_pass(self, pass_calls, pair_calls, fsum_lengths):
+        """The default proof's 38 gap values are taken once per table: a second proof gives the same bytes from no h4_bounds call, no G and no fsum."""
         _NODE_TABLE.clear()
         first = emit_report(prove_k5())
-        assert fsum_lengths.count(640) == 76
-        rows = []
-
-        class Column(list):  # counts the passes over G, one per row G^t
-            def __iter__(self):
-                rows.append(len(self))
-                return super().__iter__()
-
-        table = _NODE_TABLE[640]
-        for sign, columns in list(table.items()):
-            monkeypatch.setitem(table, sign, columns._replace(g=Column(columns.g)))  # the same logs and sums
-        fsum_lengths.clear()
+        assert pass_calls == {"h4_bounds": 5, "_cells": 5, "_error_bounds": 5, "_h_node_sums": 10}
+        assert len(pair_calls) == 1 and fsum_lengths.count(640) == 76
+        pass_calls.clear(), pair_calls.clear(), fsum_lengths.clear()
         assert emit_report(prove_k5()) == first
-        assert 640 not in fsum_lengths and rows == []
+        assert pass_calls == {} and pair_calls == [] and fsum_lengths == []
 
-    def test_a_partly_held_batch_takes_only_the_missing_orders(self, fsum_lengths):
-        """Orders [1, 2] held, the batch [1, 2, 3] takes order 3 alone, bitwise what a cold table gives."""
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_partly_held_batch_takes_only_the_missing_orders(self, mode, monkeypatch, fsum_lengths):
+        """Orders [1, 2] held, the batch [2, 3, 1] takes the bounds and node sums of order 3 alone, bitwise what a cold table gives."""
+        calls = []
+        real = quadrature.h4_bounds
+        monkeypatch.setattr(quadrature, "h4_bounds", lambda t, orders: calls.append(list(orders)) or real(t, orders))
         _NODE_TABLE.clear()
-        _h_node_sums(MINUS, 5.45, [1, 2], 700)
-        fsum_lengths.clear()
-        warm = _h_node_sums(MINUS, 5.45, [1, 2, 3], 700)
-        assert fsum_lengths == [700]
-        assert set(_node_table(700)[MINUS].sums[5.45]) == {1, 2, 3}
+        gap_derivatives(5.45, 700, [1, 2], mode)
+        calls.clear(), fsum_lengths.clear()
+        warm = gap_derivatives(5.45, 700, [2, 3, 1], mode)
+        assert calls == [[3]] and fsum_lengths.count(700) == 2  # one node sum per sign
+        assert set(_node_table(700).held[5.45, mode]) == {1, 2, 3}
         _NODE_TABLE.clear()
-        cold = _h_node_sums(MINUS, 5.45, [1, 2, 3], 700)
-        assert {j: v.hex() for j, v in warm.items()} == {j: v.hex() for j, v in cold.items()}
+        assert bits(warm) == bits(gap_derivatives(5.45, 700, [2, 3, 1], mode))
 
-    def test_a_sweep_over_t_holds_at_most_the_limit_per_sign(self):
-        """100 values of t at one N: each sign holds the sums of the latest _HELD_POWERS of them, the oldest dropped first."""
-        assert _HELD_POWERS >= 5  # the default proof's five t at N = 640 all stay held
+    def test_a_sweep_over_t_holds_at_most_the_limit(self):
+        """100 values of t at one N: the table holds the values of the latest _HELD_POWERS of them, the oldest dropped first."""
+        assert _HELD_POWERS >= 5  # the default proof's five batches at N = 640 all stay held
         powers = [5.0 + k / 100 for k in range(100)]
         _NODE_TABLE.clear()
         for t in powers:
             gap_derivative(1, t, 300, "plain")
-        for sign, columns in _node_table(300).items():
-            assert list(columns.sums) == powers[-_HELD_POWERS:], sign
-            assert all(set(held) == {1} for held in columns.sums.values()), sign
+        held = _node_table(300).held
+        assert list(held) == [(t, "plain") for t in powers[-_HELD_POWERS:]]
+        assert all(set(values) == {1} for values in held.values())
 
     @pytest.mark.parametrize(
         "t,orders,n,refusal",
         [
             (400.0, [1], 10, r"^power t = 400\.0 is too large to evaluate: G\^t at the nodes overflows"),
             (323.0, [0], 1000, r"^log order 0 at power t = 323\.0 is too large to evaluate: its node sum overflows"),
-            (5.5, [1, 2, 900], 1000, r"^log order 900 is too large to evaluate: a power of log G overflows"),
+            (5.5, [2, 900], 1000, r"^log order 900 is too large to evaluate: a power of log G overflows"),
+            (5.5, [2, 10**80], 1000, r"^log exponent j ~ 10\^80\.0 is too large to evaluate"),
         ],
-        ids=["power", "node sum", "log power"],
+        ids=["power", "node sum", "log power", "order"],
     )
-    def test_a_refused_sum_is_refused_again_and_never_held(self, t, orders, n, refusal):
-        """A refusal holds nothing new, so the next call refuses again; sums held before it stay."""
+    def test_a_refused_batch_is_refused_again_and_never_held(self, t, orders, n, refusal):
+        """A refusal holds nothing new, not even the orders of its batch that passed, so the next call refuses again; values held before it stay."""
         _NODE_TABLE.clear()
-        _h_node_sums(PLUS, 5.5, [1], n)
+        (before,) = gap_derivatives(5.5, n, [1], "plain")
         for _ in range(2):
             with pytest.raises(ValueError, match=refusal):
-                _h_node_sums(PLUS, t, orders, n)
-            assert _node_table(n)[PLUS].sums == {5.5: {1: _h_node_sums(PLUS, 5.5, [1], n)[1]}}
+                gap_derivatives(t, n, orders, "plain")
+            assert _node_table(n).held == {(5.5, "plain"): {1: before}}
+
+    def test_plain_and_refined_values_are_held_apart(self):
+        """At one (t, N, j) the two modes share the estimate, not the bound: each is held under its own mode, bitwise its own cold call."""
+        orders = list(range(6))
+        _NODE_TABLE.clear()
+        held = {mode: gap_derivatives(5.5, 640, orders, mode) for mode in MODES}
+        assert list(_node_table(640).held) == [(5.5, mode) for mode in MODES]
+        for j, plain, refined in zip(orders, held["plain"], held["refined"]):
+            assert plain.estimate == refined.estimate and plain.error_bound > refined.error_bound, j
+        for mode in MODES:
+            _NODE_TABLE.clear()
+            assert bits(held[mode]) == bits(gap_derivatives(5.5, 640, orders, mode)), mode
+            assert [v.method for v in held[mode]] == [mode] * len(orders)
+
+    @pytest.mark.parametrize(
+        "args,refusal",
+        [
+            ((5.0, 640, [True], "refined"), r"^log exponent j must be an integer >= 0, got True$"),
+            ((5.0, 640, [1.0], "refined"), r"^log exponent j must be an integer >= 0, got 1\.0$"),
+            ((5.0, 640, [2, -1], "refined"), r"^log exponent j must be an integer >= 0, got -1$"),
+            ((5.0, 640, [1], "fancy"), r"^mode must be one of \('plain', 'refined'\), got 'fancy'$"),
+            ((5.0, 640.0, [1], "refined"), rf"^step count must be an integer in 1\.\.{MAX_STEPS}, got 640\.0$"),
+        ],
+        ids=["True", "1.0", "-1", "mode", "640.0 steps"],
+    )
+    def test_held_values_are_looked_up_after_the_checks(self, args, refusal):
+        """After a warm proof holds (5.0, refined) at j = 1, 2, 3, an order, mode or step count equal to a held key is refused as before."""
+        _NODE_TABLE.clear()
+        prove_k5()
+        assert set(_node_table(640).held[5.0, "refined"]) == {1, 2, 3}
+        with pytest.raises(ValueError, match=refusal):
+            gap_derivatives(*args)
+
+    def test_only_a_float_power_is_looked_up(self, pass_calls):
+        """t = 5 equals a held 5.0 and gives its values through the passes; Decimal("5.0") is refused by them, as it is with nothing held."""
+        _NODE_TABLE.clear()
+        (held,) = gap_derivatives(5.0, 640, [1], "refined")
+        pass_calls.clear()
+        assert gap_derivatives(5, 640, [1], "refined") == [held]
+        assert pass_calls["h4_bounds"] == 1
+        with pytest.raises(TypeError):
+            gap_derivatives(decimal.Decimal("5.0"), 640, [1], "refined")
+        assert list(_node_table(640).held) == [(5.0, "refined")]
 
 
 def default_proof_passes():
@@ -558,7 +621,7 @@ class TestBatchedNodeSums:
         for sign in (PLUS, MINUS):
             batch = {j: v.hex() for j, v in _h_node_sums(sign, t, list(range(11)), n).items()}
             for orders in [[j] for j in range(11)] + [[1, 3], [0, 4, 9]]:
-                for j, v in cold_node_sums(sign, t, orders, n).items():
+                for j, v in _h_node_sums(sign, t, orders, n).items():
                     assert v.hex() == batch[j], (sign, orders, j)
             for j in range(11):
                 assert batch[j] == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, j)
@@ -571,10 +634,11 @@ class TestBatchedNodeSums:
         sign's table, or the plain |H''''| bound over 23040 N^4, twice.
         """
         checked = collections.Counter()
+        _NODE_TABLE.clear()  # so every value is taken here, none held from before
         for (t, n, _), orders in default_proof_passes().items():
             for mode in MODES:
                 for j, value in zip(orders, gap_derivatives(t, n, orders, mode)):
-                    minus, plus = (cold_node_sums(sign, t, [j], n)[j] for sign in (MINUS, PLUS))
+                    minus, plus = (_h_node_sums(sign, t, [j], n)[j] for sign in (MINUS, PLUS))
                     assert value.estimate.hex() == (minus / (2.0 * n) - plus / (2.0 * n)).hex(), (t, j, n)
                     if mode == "refined":
                         trigs = [TrigSquare(5, sign) for sign in (MINUS, PLUS)]
@@ -974,13 +1038,14 @@ def assert_sign_errors_equal_reference(t, n, orders, values, errors):
 
 
 def test_proof_sign_errors_equal_the_reference(monkeypatch):
-    """Every gap value of the five default-proof batches, all refined: gap_derivatives' own per-sign bounds."""
+    """Every gap value of the five default-proof batches, all refined: gap_derivatives' own per-sign bounds, on a cleared table."""
     calls = sign_errors(monkeypatch)
+    _NODE_TABLE.clear()  # a held value takes no bound pass, so each batch would read the last call's bounds
     for (t, n, mode), orders in default_proof_passes().items():
         assert mode == "refined", (t, n)
         values = gap_derivatives(t, n, orders, mode)
         assert_sign_errors_equal_reference(t, n, orders, values, calls[-1])
-    assert sum(len(minus) for minus, _ in calls) == 38
+    assert len(calls) == 5 and sum(len(minus) for minus, _ in calls) == 38
 
 
 @pytest.mark.parametrize("n", [1, 255, 640, 3000])
@@ -993,6 +1058,7 @@ def test_sweep_sign_errors_equal_the_reference(n, monkeypatch):
     orders = list(range(31))
     scale = 23040.0 * float(n) ** 4
     for t in BOUND_POWERS:
+        _NODE_TABLE.clear()  # a held value takes no bound pass (the seeded four t are one), so the batch would read the last call's bounds
         values = gap_derivatives(t, n, orders, "refined")
         assert_sign_errors_equal_reference(t, n, orders, values, calls[-1])
         values = gap_derivatives(t, n, orders, "plain")
