@@ -14,11 +14,10 @@ The polynomial minus (or plus) delta then brackets the gap derivative from
 below (or above), and two elementary mechanisms turn endpoint data into a
 sign on the whole interval: a monotonicity chain of derivative signs, and a
 variation cascade that plays the growth of a would-be zero's total variation
-against endpoint bounds until it contradicts a monotone tail.  Both read the
-polynomial's derivatives at an endpoint from one row, eval_cert_row: every
-order 0..degree at that point, with the window check and the powers of
-t - center taken once.  The method names "chain" and "cascade" live here
-alone: check_sign runs the check one names.
+against endpoint bounds until it contradicts a monotone tail.  Both read P at
+an interval end from one row of a Taylor table of coeffs[m + i] / i!, which
+check_signs builds once per call.  The method names "chain" and "cascade" live
+here alone: check_sign, check_sign_chain and check_sign_variation call it.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class SignCertificate(NamedTuple):
     failure_reason: str | None = None
 
 
-# The three checks below are phrased as "not <valid>" so that a NaN fails them.
+# The checks below and in _endpoints are phrased as "not <valid>" so that a NaN fails them.
 def check_window(center: float, radius: float, base_order: int, degree: int) -> None:
     """Reject an expansion window that leaves the proven range, a base order or degree that is no nonnegative int, or a degree above MAX_DEGREE."""
     if not radius > 0.0:
@@ -84,17 +83,6 @@ def check_window(center: float, radius: float, base_order: int, degree: int) -> 
         raise ValueError(f"expansion window [{lo}, {hi}] leaves {_PROVEN_RANGE}")
     check_int("base_order", base_order, 0)
     check_int("degree", degree, 0, MAX_DEGREE)
-
-
-def check_interval(center: float, radius: float, a: float, b: float) -> None:
-    """Reject a sign-check interval that is empty, leaves the proven range or leaves the window."""
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    if not (PIPELINE_T_MIN - _EDGE_TOL <= a and b <= PIPELINE_T_MAX + _EDGE_TOL):
-        raise ValueError(f"interval [{a}, {b}] is outside the proven range {_PROVEN_RANGE}")
-    lo, hi = center - radius, center + radius
-    if not (lo - _EDGE_TOL <= a and b <= hi + _EDGE_TOL):
-        raise ValueError(f"interval [{a}, {b}] leaves the certified window [{lo}, {hi}]")
 
 
 def check_budgets(budgets, degree: int) -> None:
@@ -118,9 +106,9 @@ def check_target(method: str, target: str) -> None:
 
 
 def check_sign(method: str, cert: TaylorCertificate, target: str, interval) -> SignCertificate:
-    """The verdict of the sign check that method names, looked up per call so that a rebound checker runs."""
+    """The verdict of the sign check that method names on one interval: check_signs on [interval], the method and target refused first."""
     check_target(method, target)
-    return (check_sign_chain if method == "chain" else check_sign_variation)(cert, target, interval)
+    return check_signs(method, cert, target, [interval])[0][0]
 
 
 def remainder_bound(center: float, radius: float, base_order: int, degree: int) -> float:
@@ -187,38 +175,72 @@ def build_certificate(
     )
 
 
-def _derivatives(cert: TaylorCertificate, orders, t: float) -> list[float]:
-    """P^(m)(t) for each m in orders: one fsum of coeffs[j] / (j - m)! * u^(j - m) per order, u = t - center."""
+def _offset(cert: TaylorCertificate, t: float) -> float:
+    """u = t - center, after the two tests each evaluation makes first: t inside the window, and all degree + 1 coefficients."""
     if not abs(t - cert.center) <= cert.radius + _EDGE_TOL:  # also refuses nan
-        raise ValueError(
-            f"t={t} outside certified window [{cert.center - cert.radius}, "
-            f"{cert.center + cert.radius}]"
-        )
-    u, coeffs, n = t - cert.center, cert.coeffs, cert.degree + 1
-    if len(coeffs) < n:  # map() would stop at the last coefficient and sum too few terms
-        raise ValueError(f"a degree-{cert.degree} certificate needs {n} coefficients, got {len(coeffs)}")
-    powers = [u**k for k in range(n)]  # once per point, not once per order and term
-    return [fsum(map(mul, map(truediv, coeffs[m:n], _FACTORIALS), powers)) for m in orders]
+        raise ValueError(f"t={t} outside certified window [{cert.center - cert.radius}, {cert.center + cert.radius}]")
+    if len(cert.coeffs) <= cert.degree:  # map() would stop at the last coefficient and sum too few terms
+        raise ValueError(f"a degree-{cert.degree} certificate needs {cert.degree + 1} coefficients, got {len(cert.coeffs)}")
+    return t - cert.center
+
+
+def _taylor_table(cert: TaylorCertificate, orders) -> list[list[float]]:
+    """Row m for each m in orders: coeffs[m + i] / i! for i = 0..degree - m, the Taylor coefficients of P^(m) at the center."""
+    return [list(map(truediv, cert.coeffs[m : cert.degree + 1], _FACTORIALS)) for m in orders]
+
+
+def _values(table: list[list[float]], u: float) -> list[float]:
+    """Each table row's polynomial at u: the powers of u once, then one fsum of products per row."""
+    powers = [u**k for k in range(len(table[0]))]  # the first row is the longest
+    return [fsum(map(mul, row, powers)) for row in table]
 
 
 def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
     """m-th derivative of the certificate polynomial at t inside its window."""
     check_int("derivative order m", m, 0, cert.degree)
-    return _derivatives(cert, (m,), t)[0]
+    return _values(_taylor_table(cert, (m,)), _offset(cert, t))[0]
 
 
 def eval_cert_row(cert: TaylorCertificate, t: float) -> list[float]:
     """Every derivative 0..degree of the certificate polynomial at t, each the float eval_cert_poly gives."""
-    return _derivatives(cert, range(cert.degree + 1), t)
+    return _values(_taylor_table(cert, range(cert.degree + 1)), _offset(cert, t))
 
 
-def _endpoints(checker: str, interval) -> tuple[float, float]:
-    """The two bounds of an interval that is exactly one (a, b) pair, as floats."""
+def _endpoints(checker: str, cert: TaylorCertificate, interval) -> tuple[float, float]:
+    """The two bounds of a sign-check interval as floats; refused unless it is one (a, b) pair, nonempty, and inside the proven range and cert's window."""
     try:
         a, b = interval
     except (TypeError, ValueError):  # Python's unpacking errors name neither the checker nor the interval
         raise ValueError(f"{checker}: interval must be one (a, b) pair, got {interval!r}") from None
-    return float(a), float(b)
+    a, b = float(a), float(b)
+    if not a < b:
+        raise ValueError(f"empty interval [{a}, {b}]")
+    if not (PIPELINE_T_MIN - _EDGE_TOL <= a and b <= PIPELINE_T_MAX + _EDGE_TOL):
+        raise ValueError(f"interval [{a}, {b}] is outside the proven range {_PROVEN_RANGE}")
+    lo, hi = cert.center - cert.radius, cert.center + cert.radius
+    if not (lo - _EDGE_TOL <= a and b <= hi + _EDGE_TOL):
+        raise ValueError(f"interval [{a}, {b}] leaves the certified window [{lo}, {hi}]")
+    return a, b
+
+
+def check_signs(method: str, cert: TaylorCertificate, target: str, intervals) -> tuple[list[SignCertificate], dict[float, float]]:
+    """The verdict on each interval by the check that method names, and values {end: P(end)}: one Taylor table, one row per distinct end."""
+    checker = "check_sign_chain" if method == "chain" else "check_sign_variation" if method == "cascade" else "check_signs"
+    pairs = [_endpoints(checker, cert, interval) for interval in intervals]
+    check_target(method, target)
+    for a, b in pairs:  # the ends each verdict reads, as the one-interval checks tested them: P(b) before the row at a for a positive chain
+        for end in (a, b) if method == "cascade" else (b, a) if target == "positive" else (a,):
+            _offset(cert, end)
+    table = _taylor_table(cert, range(cert.degree + 1))
+    right, decide = (table, _cascade_verdict) if method == "cascade" else (table[:1], _chain_verdict)  # a chain reads only P at b
+    rows, verdicts = {}, []
+    for a, b in pairs:
+        if len(rows.get(a, ())) < len(table):  # not yet taken, or taken as a chain's right end
+            rows[a] = _values(table, a - cert.center)
+        if b not in rows:
+            rows[b] = _values(right, b - cert.center)
+        verdicts.append(decide(cert, target, a, b, rows[a], rows[b]))
+    return verdicts, {end: row[0] for end, row in rows.items()}
 
 
 def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCertificate:
@@ -232,20 +254,20 @@ def check_sign_chain(cert: TaylorCertificate, target: str, interval) -> SignCert
     condition fails, the verdict is certified=False, with every row checked
     and one reason.
     """
-    a, b = _endpoints("check_sign_chain", interval)
-    check_interval(cert.center, cert.radius, a, b)
-    check_target("chain", target)
+    return check_signs("chain", cert, target, [interval])[0][0]
+
+
+def _chain_verdict(cert, target, a, b, row_a, row_b) -> SignCertificate:
+    """The chain's verdict on [a, b] from the rows at its ends (see check_sign_chain)."""
     if target == "positive":
-        at, anchor = b, eval_cert_poly(cert, 0, b) - cert.total_delta  # b is window-checked before a
-        row = eval_cert_row(cert, a)
+        at, anchor = b, row_b[0] - cert.total_delta
         ok = anchor > 0.0
     else:
-        row = eval_cert_row(cert, a)
-        at, anchor = a, row[0] + cert.total_delta
+        at, anchor = a, row_a[0] + cert.total_delta
         ok = anchor < 0.0
     rows = [{"quantity": "shifted_value", "order": 0, "location": at, "value": anchor}]
     for m in range(1, cert.degree + 1):
-        dv = row[m]
+        dv = row_a[m]
         rows.append({"quantity": "derivative", "order": m, "location": a, "value": dv})
         ok &= dv < 0.0
     reason = None if ok else "endpoint or derivative sign conditions fail"
@@ -279,11 +301,12 @@ def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> Sign
     at an endpoint, contradicting the mean bound.  Hence p has no zero and is
     positive throughout.
     """
-    a, b = _endpoints("check_sign_variation", interval)
-    check_interval(cert.center, cert.radius, a, b)
-    check_target("cascade", target)
+    return check_signs("cascade", cert, target, [interval])[0][0]
+
+
+def _cascade_verdict(cert, target, a, b, row_a, row_b) -> SignCertificate:
+    """The cascade's verdict on [a, b] from the rows at its ends (see check_sign_variation)."""
     delta = cert.total_delta
-    row_a, row_b = eval_cert_row(cert, a), eval_cert_row(cert, b)
     pa = row_a[0] - delta
     pb = row_b[0] - delta
     rows = [

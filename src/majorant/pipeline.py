@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .certify import PIPELINE_T_MAX, PIPELINE_T_MIN, BudgetError, build_certificate, check_sign, eval_cert_poly
+from .certify import PIPELINE_T_MAX, PIPELINE_T_MIN, BudgetError, build_certificate, check_signs
 from .quadrature import CertifiedValue, gap_derivatives
 from .spectral import endpoint_difference_zero
 
@@ -198,14 +198,9 @@ def _run_certificate_stage(name: str, stage: dict) -> StageResult:
             f"{stage['tail_budget']:g} (still within total_delta)",
         )
     target = stage["target"]
-    verdicts = [check_sign(stage["method"], cert, target, interval) for interval in stage["intervals"]]
-    anchors = [eval_cert_poly(cert, 0, end) for interval in stage["intervals"] for end in interval]
-    if target == "positive":
-        estimate = min(anchors)
-        margin = estimate - cert.total_delta
-    else:
-        estimate = max(anchors)
-        margin = -estimate - cert.total_delta
+    verdicts, anchors = check_signs(stage["method"], cert, target, stage["intervals"])  # anchors: P at every interval end
+    estimate = (min if target == "positive" else max)(anchors.values())
+    margin = (estimate if target == "positive" else -estimate) - cert.total_delta
     failed = [v for v in verdicts if not v.certified]
     if failed:
         reasons = tuple(f"interval {v.interval}: {v.failure_reason}" for v in failed)

@@ -24,6 +24,10 @@ the scalar closed form, one (s, m) and one window [a, b] at a time
 (``REFINED_GROUPS``), and so are the four per-kind sums that plain bounds
 were once taken over (``SCALAR_GROUPS``).
 
+``taylor_row_reference`` evaluates a certificate polynomial's derivatives at
+one point as the package did before its Taylor table, dividing by the
+factorials again for every order.
+
 ``gap_reference`` is the truth the certified gap values are held against:
 the package's midpoint rule again, in mpmath at 34 digits and with N = 1000.
 ``proof_gap_batches`` holds the default proof's gap values against it, and
@@ -33,6 +37,7 @@ the package's midpoint rule again, in mpmath at 34 digits and with N = 1000.
 import math
 from fractions import Fraction
 from math import cos, sin
+from operator import mul, truediv
 from unittest import mock
 
 from majorant import certify, pipeline
@@ -345,6 +350,18 @@ def h4_sup_bound_reference(t, j):
         return math.fsum(pieces)
     except OverflowError:
         return math.inf
+
+
+def taylor_row_reference(cert, t):
+    """P^(m)(t) for m = 0..degree, u = t - center: per order, one fsum of coeffs[j] / (j - m)! * u^(j - m), every coefficient divided again.
+
+    This is the certificate evaluator before its Taylor table: the powers u^k once per point, each order's
+    coefficients divided by the factorials as it is summed.  No window or coefficient-count check.
+    """
+    u, coeffs, n = t - cert.center, cert.coeffs, cert.degree + 1
+    factorials = [float(math.factorial(k)) for k in range(n)]
+    powers = [u**k for k in range(n)]
+    return [math.fsum(map(mul, map(truediv, coeffs[m:n], factorials), powers)) for m in range(n)]
 
 
 def refined_error_bound_reference(t, j, n_steps, table):

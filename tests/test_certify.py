@@ -15,6 +15,7 @@ from majorant.certify import (
     check_sign,
     check_sign_chain,
     check_sign_variation,
+    check_signs,
     check_window,
     eval_cert_poly,
     eval_cert_row,
@@ -23,7 +24,7 @@ from majorant.certify import (
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5
 
 from conftest import plain_h4_bound
-from oracle import envelope_reference, required_steps
+from oracle import envelope_reference, required_steps, taylor_row_reference
 
 
 def stage_certificate(name):
@@ -90,6 +91,45 @@ class TestCheckSign:
                 assert verdict.certified
                 checked += 1
         assert checked == 5
+
+    @pytest.mark.parametrize("name", STAGE_NAMES)
+    def test_check_signs_is_check_sign_per_interval(self, name):
+        """One call gives each stage interval check_sign's verdict, and each distinct end P(end), the float eval_cert_poly gives."""
+        cert, stage = stage_certificate(name)
+        verdicts, values = check_signs(stage["method"], cert, stage["target"], stage["intervals"])
+        assert verdicts == [check_sign(stage["method"], cert, stage["target"], interval) for interval in stage["intervals"]]
+        ends = [end for interval in stage["intervals"] for end in interval]
+        assert sorted(values) == sorted(set(ends))
+        assert {end: v.hex() for end, v in values.items()} == {end: eval_cert_poly(cert, 0, end).hex() for end in ends}
+
+    def test_check_signs_over_the_seeded_sub_intervals(self):
+        """The 300 seeded sub-intervals of the digest, one check_signs call per stage: check_sign's verdicts, in order."""
+        stages = [stage_certificate(name) for name in STAGE_NAMES]
+        rng = random.Random(28)
+        picked = {name: [] for name in STAGE_NAMES}
+        for _ in range(300):
+            name = rng.choice(STAGE_NAMES)
+            cert, _ = stages[STAGE_NAMES.index(name)]
+            a, b = cert.center - cert.radius, cert.center + cert.radius
+            picked[name].append(tuple(sorted((rng.uniform(a, b), rng.uniform(a, b)))))
+        for name, (cert, stage) in zip(STAGE_NAMES, stages):
+            verdicts, values = check_signs(stage["method"], cert, stage["target"], picked[name])
+            assert verdicts == [check_sign(stage["method"], cert, stage["target"], interval) for interval in picked[name]]
+            assert len(values) == 2 * len(picked[name])
+
+    def test_check_signs_refusals(self, cert_a, cert_b):
+        """Every interval (named by the method's one-interval checker), then the method and target; no interval, no verdict."""
+        with pytest.raises(ValueError, match=r"^check_signs: interval must be one \(a, b\) pair, got \(5\.13,\)$"):
+            check_signs("bogus", cert_b, "negative", [(5.13,)])
+        with pytest.raises(ValueError, match=r"^method must be one of \('chain', 'cascade'\)$"):
+            check_signs("bogus", cert_b, "negative", [(5.13, 5.33)])
+        with pytest.raises(ValueError, match=r"^check_sign_chain: interval must be one \(a, b\) pair, got \(5\.0,\)$"):
+            check_signs("chain", cert_a, "nonzero", [(5.0, 5.13), (5.0,)])
+        with pytest.raises(ValueError, match="certified window"):
+            check_signs("cascade", cert_b, "negative", [(5.13, 5.33), (5.13, 5.5)])
+        with pytest.raises(ValueError, match="certifies positive targets only"):
+            check_signs("cascade", cert_b, "negative", [(5.13, 5.33)])
+        assert check_signs("cascade", cert_b, "positive", []) == ([], {})
 
     def test_refuses_unknown_method_and_uncovered_target(self, cert_b):
         with pytest.raises(ValueError, match=r"method must be one of \('chain', 'cascade'\)"):
@@ -310,12 +350,11 @@ class TestEvalCertRow:
                 call()
 
     def test_a_warm_proof_takes_one_row_per_endpoint(self, monkeypatch):
-        """8 rows (chain: 1 each, cascade: 2 each) and 11 single values (P(b) of the positive chain, 10 anchors)."""
+        """4 Taylor tables (one per stage), 9 rows (one per distinct interval end) and no single evaluation."""
         import majorant.certify as certify
-        import majorant.pipeline as pipeline
 
         prove_k5()
-        calls = {"row": 0, "single": 0}
+        calls = {"table": 0, "row": 0, "single": 0}
 
         def counted(kind, fn):
             def wrapper(*args):
@@ -323,12 +362,43 @@ class TestEvalCertRow:
                 return fn(*args)
             return wrapper
 
-        single = counted("single", certify.eval_cert_poly)
-        monkeypatch.setattr(certify, "eval_cert_row", counted("row", certify.eval_cert_row))
-        monkeypatch.setattr(certify, "eval_cert_poly", single)
-        monkeypatch.setattr(pipeline, "eval_cert_poly", single)
+        monkeypatch.setattr(certify, "_taylor_table", counted("table", certify._taylor_table))
+        monkeypatch.setattr(certify, "_values", counted("row", certify._values))
+        monkeypatch.setattr(certify, "eval_cert_poly", counted("single", certify.eval_cert_poly))
         assert prove_k5().verdict == "PROVED"
-        assert calls == {"row": 8, "single": 11}
+        assert calls == {"table": 4, "row": 9, "single": 0}
+
+    @staticmethod
+    def random_certificate(rng):
+        """A seeded certificate of degree 0..12 inside [5, 6], its coefficients of either sign over nine decades."""
+        degree, radius = rng.randint(0, 12), rng.uniform(0.01, 0.5)
+        coeffs = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 6.0) for _ in range(degree + 1))
+        n = degree + 1
+        return TaylorCertificate(rng.uniform(5.0 + radius, 6.0 - radius), radius, 1, degree, coeffs, (0.0,) * n, (1e-9,) * n, 0.0, 1.0)
+
+    def test_table_rows_equal_the_per_order_formula(self):
+        """Rows from the Taylor table, whole or one order, are bitwise the per-point formula that divides again per order.
+
+        On the four stage certificates at their window points, and on 200 seeded certificates at both window ends,
+        the center and three seeded points.
+        """
+        checked = 0
+        for name in STAGE_NAMES:
+            cert, _ = stage_certificate(name)
+            for t in self.points(cert):
+                reference = [v.hex() for v in taylor_row_reference(cert, t)]
+                assert [v.hex() for v in eval_cert_row(cert, t)] == reference, (name, t)
+                checked += 1
+        rng = random.Random(3501)
+        for _ in range(200):
+            cert = self.random_certificate(rng)
+            lo, hi = cert.center - cert.radius, cert.center + cert.radius
+            for t in [lo, cert.center, hi] + [rng.uniform(lo, hi) for _ in range(3)]:
+                reference = [v.hex() for v in taylor_row_reference(cert, t)]
+                assert [v.hex() for v in eval_cert_row(cert, t)] == reference, (cert, t)
+                assert [eval_cert_poly(cert, m, t).hex() for m in range(cert.degree + 1)] == reference, (cert, t)
+                checked += 1
+        assert checked == 4 * 241 + 200 * 6
 
 
 class TestSignCheckDigest:
@@ -495,3 +565,92 @@ class TestSignVariation:
         assert isinstance(verdict, SignCertificate)
         assert not verdict.certified
         assert "monotone tail" in verdict.failure_reason
+
+
+def dyadic_certificate(*coeffs):
+    """A certificate around 5.5 with radius and allowance 0.25: at the ends 5.25 and 5.75 (u = -+0.25) every row value is exact."""
+    n = len(coeffs)
+    return TaylorCertificate(5.5, 0.25, 1, n - 1, coeffs, (0.0,) * n, (1e-9,) * n, 0.0, 0.25)
+
+
+def evidence(*rows):
+    """Evidence rows from (quantity, order, location or None, value) tuples, in the checkers' key order."""
+    return tuple(
+        {"quantity": q, "order": m, "value": v} if at is None else {"quantity": q, "order": m, "location": at, "value": v}
+        for q, m, at, v in rows
+    )
+
+
+class TestSignBoundaries:
+    """Each strict comparison of the sign checks met at exact equality: equality certifies nothing."""
+
+    NO_CONTRADICTION = "no order pairs a mean bound exceeding both endpoint magnitudes with a monotone tail"
+
+    @pytest.mark.parametrize("target,c0,anchor", [("positive", 1.0, (5.75, 0.65625)), ("negative", -1.0, (5.25, -0.71875))])
+    def test_chain_refuses_a_zero_derivative(self, target, c0, anchor):
+        """P'(a) = -0.25 + (-1.0)(-0.25) is exactly 0.0 under P'' = -1, with the anchor clear: a zero derivative is not negative."""
+        verdict = check_sign_chain(dyadic_certificate(c0, -0.25, -1.0), target, (5.25, 5.75))
+        assert not verdict.certified
+        assert verdict.evidence == evidence(
+            ("shifted_value", 0, *anchor), ("derivative", 1, 5.25, 0.0), ("derivative", 2, 5.25, -1.0),
+        )
+
+    def test_cascade_stops_where_the_mean_equals_the_edge(self):
+        """P = 1.75 - 8u^2: p(a) = p(b) = 1.0, so the order-1 mean 2.0 / 0.5 is 4.0 = |P'(a)| = |P'(b)|.
+
+        The cascade stops there (mean <= edge), and the equal pair is no contradiction (mean > edge), although
+        the tail behind it is negative.
+        """
+        verdict = check_sign_variation(dyadic_certificate(1.75, 0.0, -16.0), "positive", (5.25, 5.75))
+        assert not verdict.certified and verdict.failure_reason == self.NO_CONTRADICTION
+        assert verdict.evidence == evidence(
+            ("shifted_value", 0, 5.25, 1.0), ("shifted_value", 0, 5.75, 1.0), ("variation_lower", 0, None, 2.0),
+        )
+
+    @pytest.mark.parametrize(
+        "coeffs,pa,pb,mean,edge",
+        [((4.25, 3.0, -32.0, -96.0, 0.0), 2.5, 3.5, 12.0, 8.0), ((3.0, 3.0, -24.0, -96.0), 1.5, 2.5, 8.0, 6.0)],
+        ids=["top coefficient 0.0", "P''(a) = 0.0"],
+    )
+    def test_a_zero_in_the_tail_is_not_negative(self, coeffs, pa, pb, mean, edge):
+        """The order-1 mean clears both ends and order 2 does not, so the verdict rests on the tail behind order 1.
+
+        With a top coefficient of exactly 0.0 (a cubic written at degree 4), or P''(a) exactly 0.0 under
+        P''' = -96, the tail is not provably negative and the cascade certifies nothing.
+        """
+        verdict = check_sign_variation(dyadic_certificate(*coeffs), "positive", (5.25, 5.75))
+        assert not verdict.certified and verdict.failure_reason == self.NO_CONTRADICTION
+        assert verdict.evidence == evidence(
+            ("shifted_value", 0, 5.25, pa), ("shifted_value", 0, 5.75, pb), ("variation_lower", 0, None, pa + pb),
+            ("mean_lower", 1, None, mean), ("derivative", 1, 5.25, edge), ("derivative", 1, 5.75, -edge),
+            ("variation_lower", 1, None, 2.0 * mean),
+        )
+
+
+class TestWindowTestOrder:
+    """The evaluator's window test rounds apart from the interval check at the 1e-9 tolerance: 5.249999999 and
+    5.750000001 pass the interval check of a window [5.25, 5.75] and fail the evaluator's.  Which end a refusal
+    names, and whether an end is tested at all, follows the one-interval checks: a positive chain tests P(b)
+    before the row at a, a negative chain reads nothing at b, and the cascade tests a, then b.
+    """
+
+    A_OUT, B_OUT = 5.249999999, 5.750000001  # 0x1.4ffffffeed1f4p+2 and 0x1.7000000112e0cp+2
+    A_IN = 5.249999999000001  # one ulp up: inside both tests
+
+    @pytest.mark.parametrize(
+        "checker,target,named",
+        [(check_sign_chain, "positive", B_OUT), (check_sign_chain, "negative", A_OUT), (check_sign_variation, "positive", A_OUT)],
+    )
+    def test_the_first_end_tested_is_named(self, checker, target, named):
+        with pytest.raises(ValueError, match=rf"^t={named} outside certified window \[5\.25, 5\.75\]$"):
+            checker(dyadic_certificate(1.0, -1.0), target, (self.A_OUT, self.B_OUT))
+
+    def test_a_negative_chain_tests_nothing_at_b(self):
+        """b fails the evaluator's window test, yet the negative chain gives its verdict; values still hold P(b)."""
+        cert = dyadic_certificate(-1.0, -1.0)
+        verdict = check_sign_chain(cert, "negative", (self.A_IN, self.B_OUT))
+        assert verdict.certified
+        verdicts, values = check_signs("chain", cert, "negative", [(self.A_IN, self.B_OUT)])
+        assert verdicts == [verdict] and values[self.B_OUT] == -1.0 - (self.B_OUT - 5.5)
+        with pytest.raises(ValueError, match="outside certified window"):
+            check_sign_variation(dyadic_certificate(2.0, -1.0), "positive", (self.A_IN, self.B_OUT))

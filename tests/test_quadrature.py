@@ -1016,7 +1016,8 @@ class TestTruthHarness:
 
 
 # The t of the default proof's batches, then seeded t in [5, 40]; orders 0..30 and two past any proof.
-BOUND_POWERS = [5.0, 5.065, 5.23, 5.525, 5.86, 6.0] + [random.Random(1717).uniform(5.0, 40.0) for _ in range(4)]
+_BOUND_RNG = random.Random(1717)  # one generator for all four draws, so they are four distinct t
+BOUND_POWERS = [5.0, 5.065, 5.23, 5.525, 5.86, 6.0] + [_BOUND_RNG.uniform(5.0, 40.0) for _ in range(4)]
 BOUND_ORDERS = list(range(31)) + [10**6, 10**15]
 
 
@@ -1058,7 +1059,7 @@ def test_sweep_sign_errors_equal_the_reference(n, monkeypatch):
     orders = list(range(31))
     scale = 23040.0 * float(n) ** 4
     for t in BOUND_POWERS:
-        _NODE_TABLE.clear()  # a held value takes no bound pass (the seeded four t are one), so the batch would read the last call's bounds
+        _NODE_TABLE.clear()  # a held value takes no bound pass, so a batch at a t asked before would read the last call's bounds
         values = gap_derivatives(t, n, orders, "refined")
         assert_sign_errors_equal_reference(t, n, orders, values, calls[-1])
         values = gap_derivatives(t, n, orders, "plain")
