@@ -16,8 +16,9 @@ sign on the whole interval: a monotonicity chain of derivative signs, and a
 variation cascade that plays the growth of a would-be zero's total variation
 against endpoint bounds until it contradicts a monotone tail.  Both read P at
 an interval end from one row of a Taylor table of coeffs[m + i] / i!, which
-check_signs builds once per call.  The method names "chain" and "cascade" live
-here alone: check_sign, check_sign_chain and check_sign_variation call it.
+check_signs builds once per call; check_sign_chain and check_sign_variation
+are its one-interval calls.  One window rule, _within, decides both which
+intervals a check takes and where P may be evaluated.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ MAX_DEGREE = 169  # the tail bound divides by (degree + 1)!, and 170! is the lar
 # k! for k = 0..MAX_DEGREE + 1 as floats, the one source of k! here: c / k! divides by the same float whether
 # k! is this entry or the int (Python converts an int divisor to the nearest float), so the table moves no bit.
 _FACTORIALS = tuple(float(factorial(k)) for k in range(MAX_DEGREE + 2))
-
-# The targets each sign check certifies, keyed by the stage table's method name.  The
-# variation cascade argues from positive shifted endpoint values, so it proves positivity only.
-SIGN_TARGETS = {"chain": ("positive", "negative"), "cascade": ("positive",)}
 
 
 class BudgetError(ValueError):
@@ -73,13 +70,18 @@ class SignCertificate(NamedTuple):
     failure_reason: str | None = None
 
 
+def _within(t: float, lo: float, hi: float) -> bool:
+    """The one window rule: t lies in [lo, hi] widened by _EDGE_TOL at each edge.  A nan lies in no window."""
+    return lo - _EDGE_TOL <= t <= hi + _EDGE_TOL
+
+
 # The checks below and in _endpoints are phrased as "not <valid>" so that a NaN fails them.
 def check_window(center: float, radius: float, base_order: int, degree: int) -> None:
     """Reject an expansion window that leaves the proven range, a base order or degree that is no nonnegative int, or a degree above MAX_DEGREE."""
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     lo, hi = center - radius, center + radius
-    if not PIPELINE_T_MIN - _EDGE_TOL <= lo <= hi <= PIPELINE_T_MAX + _EDGE_TOL:
+    if not (_within(lo, PIPELINE_T_MIN, PIPELINE_T_MAX) and _within(hi, PIPELINE_T_MIN, PIPELINE_T_MAX)):
         raise ValueError(f"expansion window [{lo}, {hi}] leaves {_PROVEN_RANGE}")
     check_int("base_order", base_order, 0)
     check_int("degree", degree, 0, MAX_DEGREE)
@@ -94,21 +96,6 @@ def check_budgets(budgets, degree: int) -> None:
             raise ValueError(f"every coefficient budget must be an int or float, got {b!r}")
     if not all(b > 0.0 for b in budgets):
         raise ValueError("every coefficient budget must be positive")
-
-
-def check_target(method: str, target: str) -> None:
-    """Reject a method that names no sign check, or a target that its check does not certify."""
-    if method not in SIGN_TARGETS:
-        raise ValueError(f"method must be one of {tuple(SIGN_TARGETS)}")
-    targets = SIGN_TARGETS[method]
-    if target not in targets:
-        raise ValueError(f"the {method} check certifies {' or '.join(targets)} targets only, got {target!r}")
-
-
-def check_sign(method: str, cert: TaylorCertificate, target: str, interval) -> SignCertificate:
-    """The verdict of the sign check that method names on one interval: check_signs on [interval], the method and target refused first."""
-    check_target(method, target)
-    return check_signs(method, cert, target, [interval])[0][0]
 
 
 def remainder_bound(center: float, radius: float, base_order: int, degree: int) -> float:
@@ -175,17 +162,10 @@ def build_certificate(
     )
 
 
-def _offset(cert: TaylorCertificate, t: float) -> float:
-    """u = t - center, after the two tests each evaluation makes first: t inside the window, and all degree + 1 coefficients."""
-    if not abs(t - cert.center) <= cert.radius + _EDGE_TOL:  # also refuses nan
-        raise ValueError(f"t={t} outside certified window [{cert.center - cert.radius}, {cert.center + cert.radius}]")
-    if len(cert.coeffs) <= cert.degree:  # map() would stop at the last coefficient and sum too few terms
-        raise ValueError(f"a degree-{cert.degree} certificate needs {cert.degree + 1} coefficients, got {len(cert.coeffs)}")
-    return t - cert.center
-
-
 def _taylor_table(cert: TaylorCertificate, orders) -> list[list[float]]:
     """Row m for each m in orders: coeffs[m + i] / i! for i = 0..degree - m, the Taylor coefficients of P^(m) at the center."""
+    if len(cert.coeffs) <= cert.degree:  # map() would stop at the last coefficient and sum too few terms
+        raise ValueError(f"a degree-{cert.degree} certificate needs {cert.degree + 1} coefficients, got {len(cert.coeffs)}")
     return [list(map(truediv, cert.coeffs[m : cert.degree + 1], _FACTORIALS)) for m in orders]
 
 
@@ -198,12 +178,10 @@ def _values(table: list[list[float]], u: float) -> list[float]:
 def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
     """m-th derivative of the certificate polynomial at t inside its window."""
     check_int("derivative order m", m, 0, cert.degree)
-    return _values(_taylor_table(cert, (m,)), _offset(cert, t))[0]
-
-
-def eval_cert_row(cert: TaylorCertificate, t: float) -> list[float]:
-    """Every derivative 0..degree of the certificate polynomial at t, each the float eval_cert_poly gives."""
-    return _values(_taylor_table(cert, range(cert.degree + 1)), _offset(cert, t))
+    lo, hi = cert.center - cert.radius, cert.center + cert.radius
+    if not _within(t, lo, hi):
+        raise ValueError(f"t={t} outside certified window [{lo}, {hi}]")
+    return _values(_taylor_table(cert, (m,)), t - cert.center)[0]
 
 
 def _endpoints(checker: str, cert: TaylorCertificate, interval) -> tuple[float, float]:
@@ -215,22 +193,27 @@ def _endpoints(checker: str, cert: TaylorCertificate, interval) -> tuple[float, 
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    if not (PIPELINE_T_MIN - _EDGE_TOL <= a and b <= PIPELINE_T_MAX + _EDGE_TOL):
+    if not (_within(a, PIPELINE_T_MIN, PIPELINE_T_MAX) and _within(b, PIPELINE_T_MIN, PIPELINE_T_MAX)):
         raise ValueError(f"interval [{a}, {b}] is outside the proven range {_PROVEN_RANGE}")
     lo, hi = cert.center - cert.radius, cert.center + cert.radius
-    if not (lo - _EDGE_TOL <= a and b <= hi + _EDGE_TOL):
+    if not (_within(a, lo, hi) and _within(b, lo, hi)):
         raise ValueError(f"interval [{a}, {b}] leaves the certified window [{lo}, {hi}]")
     return a, b
 
 
 def check_signs(method: str, cert: TaylorCertificate, target: str, intervals) -> tuple[list[SignCertificate], dict[float, float]]:
-    """The verdict on each interval by the check that method names, and values {end: P(end)}: one Taylor table, one row per distinct end."""
+    """The verdict on each interval by the check that method names, and values {end: P(end)}: one Taylor table, one row per distinct end.
+
+    Refusals come in one order: each interval's shape, range and window, then the method and target.  The
+    variation cascade argues from positive shifted endpoint values, so it certifies positive targets only.
+    """
     checker = "check_sign_chain" if method == "chain" else "check_sign_variation" if method == "cascade" else "check_signs"
     pairs = [_endpoints(checker, cert, interval) for interval in intervals]
-    check_target(method, target)
-    for a, b in pairs:  # the ends each verdict reads, as the one-interval checks tested them: P(b) before the row at a for a positive chain
-        for end in (a, b) if method == "cascade" else (b, a) if target == "positive" else (a,):
-            _offset(cert, end)
+    if method not in ("chain", "cascade"):
+        raise ValueError("method must be one of ('chain', 'cascade')")
+    targets = ("positive", "negative") if method == "chain" else ("positive",)
+    if target not in targets:
+        raise ValueError(f"the {method} check certifies {' or '.join(targets)} targets only, got {target!r}")
     table = _taylor_table(cert, range(cert.degree + 1))
     right, decide = (table, _cascade_verdict) if method == "cascade" else (table[:1], _chain_verdict)  # a chain reads only P at b
     rows, verdicts = {}, []

@@ -1,0 +1,81 @@
+"""Comparison-flip mutation probe for the certificate layer.
+
+Flips one comparison operator at a time (< and <=, > and >=, == and !=) in a
+temporary copy of the repository, runs the Tier-1 command there with -x, and
+prints each mutant that every test survives.  Pytest does not collect this
+file; run it from the repository root:
+
+    python tests/mutation_probe.py                        # certify.py and pipeline.py
+    python tests/mutation_probe.py src/majorant/envelope.py
+
+Each mutant runs the whole suite until its first failure, so a survivor costs
+one full Tier-1 run.  The exit status is 1 if any mutant survives, else 0.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_MODULES = ("src/majorant/certify.py", "src/majorant/pipeline.py")
+FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+
+
+def comparisons(source: str):
+    """(line, column, operator) of each comparison token in source, in order; the tokenizer passes over comments and string text."""
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.OP and tok.string in FLIPS:
+            yield tok.start[0], tok.start[1], tok.string
+
+
+def mutant(source: str, line: int, col: int, op: str) -> str:
+    """source with the operator at (line, col) flipped."""
+    lines = source.splitlines(keepends=True)
+    text = lines[line - 1]
+    lines[line - 1] = text[:col] + FLIPS[op] + text[col + len(op):]
+    return "".join(lines)
+
+
+def survives(copy: Path) -> bool:
+    """Whether the Tier-1 suite passes in the copy."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}  # no bytecode: a flip that keeps the size could reuse a stale .pyc
+    run = subprocess.run(TIER1, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return run.returncode == 0
+
+
+def main(modules) -> int:
+    survivors, total = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        for part in ("src", "tests", "pyproject.toml"):
+            if (ROOT / part).is_dir():
+                shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+            else:
+                shutil.copy(ROOT / part, copy / part)
+        if not survives(copy):
+            print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
+            return 2
+        for module in modules:
+            path = copy / module
+            source = path.read_text()
+            for line, col, op in comparisons(source):
+                total += 1
+                path.write_text(mutant(source, line, col, op))
+                if survives(copy):
+                    survivors.append((module, line, col, op))
+                    print(f"SURVIVED {module}:{line}:{col + 1} {op} -> {FLIPS[op]}: {source.splitlines()[line - 1].strip()}", flush=True)
+            path.write_text(source)
+    print(f"{len(survivors)} of {total} comparison flips survive the Tier-1 suite")
+    return min(len(survivors), 1)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:] or DEFAULT_MODULES))

@@ -7,21 +7,22 @@ import re
 
 import pytest
 
+import majorant.certify as certify
 from majorant.certify import (
     BudgetError,
     SignCertificate,
     TaylorCertificate,
+    _endpoints,
     build_certificate,
-    check_sign,
     check_sign_chain,
     check_sign_variation,
     check_signs,
     check_window,
     eval_cert_poly,
-    eval_cert_row,
     remainder_bound,
 )
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5
+from majorant.quadrature import gap_derivatives
 
 from conftest import plain_h4_bound
 from oracle import envelope_reference, required_steps, taylor_row_reference
@@ -40,6 +41,16 @@ STAGE_NAMES = ("gap_d4_on_5.000_5.130", "gap_d1_on_5.130_5.330", "gap_d1_on_5.33
 SIGN_CHECK_DIGEST = "bc2be3b623a1a2d1ed05c7ef389693844139c81e03996107b6d0593a11e93301"
 
 
+def check_one(method, cert, target, interval):
+    """The verdict of the sign check that method names on one interval: check_signs on [interval]."""
+    return check_signs(method, cert, target, [interval])[0][0]
+
+
+def table_row(cert, t):
+    """Every derivative 0..degree of the certificate polynomial at t, the row check_signs takes there: one Taylor table, one _values."""
+    return certify._values(certify._taylor_table(cert, range(cert.degree + 1)), t - cert.center)
+
+
 def sign_check_digest():
     """sha256 of the repr of the verdicts on 300 seeded sub-intervals of the four stage certificates' windows.
 
@@ -52,7 +63,7 @@ def sign_check_digest():
         cert, stage = rng.choice(stages)
         a, b = cert.center - cert.radius, cert.center + cert.radius
         lo, hi = sorted((rng.uniform(a, b), rng.uniform(a, b)))
-        verdicts.append(check_sign(stage["method"], cert, stage["target"], (lo, hi)))
+        verdicts.append(check_one(stage["method"], cert, stage["target"], (lo, hi)))
     return hashlib.sha256("".join(map(repr, verdicts)).encode()).hexdigest()
 
 
@@ -78,7 +89,7 @@ def cert_d():
 
 class TestCheckSign:
     def test_same_verdict_as_the_named_checker(self, cert_a, cert_b, cert_c, cert_d):
-        """On the five stage intervals of the default proof, check_sign is the checker its method names."""
+        """On the five stage intervals of the default proof, check_signs on one interval is the checker its method names."""
         checkers = {"chain": check_sign_chain, "cascade": check_sign_variation}
         certs = {"gap_d4_on_5.000_5.130": cert_a, "gap_d1_on_5.130_5.330": cert_b,
                  "gap_d1_on_5.330_5.720": cert_c, "gap_d2_on_5.720_6.000": cert_d}
@@ -86,7 +97,7 @@ class TestCheckSign:
         for name, cert in certs.items():
             stage = DEFAULT_CONFIG["stages"][name]
             for interval in stage["intervals"]:
-                verdict = check_sign(stage["method"], cert, stage["target"], interval)
+                verdict = check_one(stage["method"], cert, stage["target"], interval)
                 assert verdict == checkers[stage["method"]](cert, stage["target"], interval)
                 assert verdict.certified
                 checked += 1
@@ -94,16 +105,16 @@ class TestCheckSign:
 
     @pytest.mark.parametrize("name", STAGE_NAMES)
     def test_check_signs_is_check_sign_per_interval(self, name):
-        """One call gives each stage interval check_sign's verdict, and each distinct end P(end), the float eval_cert_poly gives."""
+        """One call gives each stage interval its one-interval verdict, and each distinct end P(end), the float eval_cert_poly gives."""
         cert, stage = stage_certificate(name)
         verdicts, values = check_signs(stage["method"], cert, stage["target"], stage["intervals"])
-        assert verdicts == [check_sign(stage["method"], cert, stage["target"], interval) for interval in stage["intervals"]]
+        assert verdicts == [check_one(stage["method"], cert, stage["target"], interval) for interval in stage["intervals"]]
         ends = [end for interval in stage["intervals"] for end in interval]
         assert sorted(values) == sorted(set(ends))
         assert {end: v.hex() for end, v in values.items()} == {end: eval_cert_poly(cert, 0, end).hex() for end in ends}
 
     def test_check_signs_over_the_seeded_sub_intervals(self):
-        """The 300 seeded sub-intervals of the digest, one check_signs call per stage: check_sign's verdicts, in order."""
+        """The 300 seeded sub-intervals of the digest, one check_signs call per stage: the one-interval verdicts, in order."""
         stages = [stage_certificate(name) for name in STAGE_NAMES]
         rng = random.Random(28)
         picked = {name: [] for name in STAGE_NAMES}
@@ -114,7 +125,7 @@ class TestCheckSign:
             picked[name].append(tuple(sorted((rng.uniform(a, b), rng.uniform(a, b)))))
         for name, (cert, stage) in zip(STAGE_NAMES, stages):
             verdicts, values = check_signs(stage["method"], cert, stage["target"], picked[name])
-            assert verdicts == [check_sign(stage["method"], cert, stage["target"], interval) for interval in picked[name]]
+            assert verdicts == [check_one(stage["method"], cert, stage["target"], interval) for interval in picked[name]]
             assert len(values) == 2 * len(picked[name])
 
     def test_check_signs_refusals(self, cert_a, cert_b):
@@ -132,10 +143,12 @@ class TestCheckSign:
         assert check_signs("cascade", cert_b, "positive", []) == ([], {})
 
     def test_refuses_unknown_method_and_uncovered_target(self, cert_b):
-        with pytest.raises(ValueError, match=r"method must be one of \('chain', 'cascade'\)"):
-            check_sign("bogus", cert_b, "positive", (5.13, 5.33))
-        with pytest.raises(ValueError, match="certifies positive targets only"):
-            check_sign("cascade", cert_b, "negative", (5.13, 5.33))
+        with pytest.raises(ValueError, match=r"^method must be one of \('chain', 'cascade'\)$"):
+            check_one("bogus", cert_b, "positive", (5.13, 5.33))
+        with pytest.raises(ValueError, match=r"^the cascade check certifies positive targets only, got 'negative'$"):
+            check_one("cascade", cert_b, "negative", (5.13, 5.33))
+        with pytest.raises(ValueError, match=r"^the chain check certifies positive or negative targets only, got 'nonzero'$"):
+            check_one("chain", cert_b, "nonzero", (5.13, 5.33))
 
 
 class TestRemainderBound:
@@ -252,6 +265,28 @@ class TestBuildCertificate:
                 stage["budgets"], stage["steps"], stage["mode"], total_delta=1e-05,
             )
 
+    def test_the_allowance_may_equal_total_delta(self):
+        """Budgets plus tail bound exactly at total_delta build; total_delta one ulp below them raises BudgetError.
+
+        The window 5.5 +- 0.25 and the budgets 0.5 and 0.25 are dyadic; total_delta is their allowance as build_certificate sums it.
+        """
+        budgets = [0.5, 0.25]
+        allowance = math.fsum(budgets) + remainder_bound(5.5, 0.25, 1, 1)
+        assert build_certificate(5.5, 0.25, 1, 1, budgets, 640, "refined", allowance).total_delta == allowance
+        with pytest.raises(BudgetError, match="exceed total allowance"):
+            build_certificate(5.5, 0.25, 1, 1, budgets, 640, "refined", math.nextafter(allowance, 0.0))
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_a_coefficient_may_use_its_whole_budget(self, j):
+        """Budget j equal to its propagated error err_j * 0.25^j / j! (exact for j <= 1) builds; one ulp below it raises BudgetError naming j."""
+        propagated = gap_derivatives(5.5, 640, range(1, 3), "refined")[j].error_bound * 0.25**j
+        budgets = [1.0, 1.0]
+        budgets[j] = propagated
+        assert build_certificate(5.5, 0.25, 1, 1, budgets, 640, "refined", 1e9).termwise_budget[j] == propagated
+        budgets[j] = math.nextafter(propagated, 0.0)
+        with pytest.raises(BudgetError, match=f"^coefficient {j}: propagated quadrature error"):
+            build_certificate(5.5, 0.25, 1, 1, budgets, 640, "refined", 1e9)
+
     def test_plain_mode_fails_first_budget_at_wide_centers(self):
         """The leading coefficients need the refined bound; plain cannot fit."""
         for name in ("gap_d4_on_5.000_5.130", "gap_d2_on_5.720_6.000"):
@@ -313,6 +348,8 @@ class TestEvalCertPoly:
 
 
 class TestEvalCertRow:
+    """Rows of the Taylor table: every derivative 0..degree of P at one point, as check_signs takes them."""
+
     @staticmethod
     def points(cert):
         """41 points across the window, its ends and center included, then 200 seeded ones."""
@@ -325,7 +362,7 @@ class TestEvalCertRow:
         """Each entry is the float eval_cert_poly gives, and the float of the per-order sum with int factorials."""
         cert, _ = stage_certificate(name)
         for t in self.points(cert):
-            row = [v.hex() for v in eval_cert_row(cert, t)]
+            row = [v.hex() for v in table_row(cert, t)]
             assert row == [eval_cert_poly(cert, m, t).hex() for m in range(cert.degree + 1)]
             u = t - cert.center
             reference = [
@@ -336,16 +373,19 @@ class TestEvalCertRow:
 
     @pytest.mark.parametrize("t", [5.33 + 1e-6, 5.13 - 1e-6, 5.5, math.nan])
     def test_refuses_what_eval_cert_poly_refuses(self, cert_b, t):
-        with pytest.raises(ValueError, match="outside certified window") as single:
+        """A point the evaluator refuses ends no interval a sign check takes; a nan end leaves the interval empty."""
+        window = f"[{cert_b.center - cert_b.radius}, {cert_b.center + cert_b.radius}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(f't={t} outside certified window {window}')}$"):
             eval_cert_poly(cert_b, 0, t)
-        with pytest.raises(ValueError, match="outside certified window") as row:
-            eval_cert_row(cert_b, t)
-        assert str(row.value) == str(single.value)
+        interval = (t, 5.23) if t < 5.23 else (5.23, t)
+        refusal = "empty interval [5.23, nan]" if math.isnan(t) else f"interval [{interval[0]}, {interval[1]}] leaves the certified window {window}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            check_signs("cascade", cert_b, "positive", [interval])
 
     def test_refuses_a_certificate_short_of_coefficients(self, cert_b):
         """A map over too few coefficients would stop early; indexing past them once raised IndexError."""
         short = cert_b._replace(coeffs=cert_b.coeffs[:-1])
-        for call in (lambda: eval_cert_row(short, 5.23), lambda: eval_cert_poly(short, 0, 5.23)):
+        for call in (lambda: check_signs("cascade", short, "positive", [(5.13, 5.33)]), lambda: eval_cert_poly(short, 0, 5.23)):
             with pytest.raises(ValueError, match=r"^a degree-8 certificate needs 9 coefficients, got 8$"):
                 call()
 
@@ -387,7 +427,7 @@ class TestEvalCertRow:
             cert, _ = stage_certificate(name)
             for t in self.points(cert):
                 reference = [v.hex() for v in taylor_row_reference(cert, t)]
-                assert [v.hex() for v in eval_cert_row(cert, t)] == reference, (name, t)
+                assert [v.hex() for v in table_row(cert, t)] == reference, (name, t)
                 checked += 1
         rng = random.Random(3501)
         for _ in range(200):
@@ -395,7 +435,7 @@ class TestEvalCertRow:
             lo, hi = cert.center - cert.radius, cert.center + cert.radius
             for t in [lo, cert.center, hi] + [rng.uniform(lo, hi) for _ in range(3)]:
                 reference = [v.hex() for v in taylor_row_reference(cert, t)]
-                assert [v.hex() for v in eval_cert_row(cert, t)] == reference, (cert, t)
+                assert [v.hex() for v in table_row(cert, t)] == reference, (cert, t)
                 assert [eval_cert_poly(cert, m, t).hex() for m in range(cert.degree + 1)] == reference, (cert, t)
                 checked += 1
         assert checked == 4 * 241 + 200 * 6
@@ -607,6 +647,12 @@ class TestSignBoundaries:
             ("shifted_value", 0, 5.25, 1.0), ("shifted_value", 0, 5.75, 1.0), ("variation_lower", 0, None, 2.0),
         )
 
+    def test_the_top_order_needs_no_tail(self):
+        """P = 1 + u/2 rises, yet at its top order the mean 1.5 / 0.5 = 3.0 clears |P'| = 0.5 with no derivative left to be negative."""
+        verdict = check_sign_variation(dyadic_certificate(1.0, 0.5), "positive", (5.25, 5.75))
+        assert verdict.certified
+        assert verdict.evidence[-1] == {"quantity": "contradiction_order", "order": 1, "value": 3.0, "edge": 0.5}
+
     @pytest.mark.parametrize(
         "coeffs,pa,pb,mean,edge",
         [((4.25, 3.0, -32.0, -96.0, 0.0), 2.5, 3.5, 12.0, 8.0), ((3.0, 3.0, -24.0, -96.0), 1.5, 2.5, 8.0, 6.0)],
@@ -627,30 +673,65 @@ class TestSignBoundaries:
         )
 
 
-class TestWindowTestOrder:
-    """The evaluator's window test rounds apart from the interval check at the 1e-9 tolerance: 5.249999999 and
-    5.750000001 pass the interval check of a window [5.25, 5.75] and fail the evaluator's.  Which end a refusal
-    names, and whether an end is tested at all, follows the one-interval checks: a positive chain tests P(b)
-    before the row at a, a negative chain reads nothing at b, and the cascade tests a, then b.
-    """
+def accepts(call, *args) -> bool:
+    """Whether call(*args) returns rather than refusing with a ValueError."""
+    try:
+        call(*args)
+    except ValueError:
+        return False
+    return True
 
-    A_OUT, B_OUT = 5.249999999, 5.750000001  # 0x1.4ffffffeed1f4p+2 and 0x1.7000000112e0cp+2
-    A_IN = 5.249999999000001  # one ulp up: inside both tests
 
-    @pytest.mark.parametrize(
-        "checker,target,named",
-        [(check_sign_chain, "positive", B_OUT), (check_sign_chain, "negative", A_OUT), (check_sign_variation, "positive", A_OUT)],
-    )
-    def test_the_first_end_tested_is_named(self, checker, target, named):
-        with pytest.raises(ValueError, match=rf"^t={named} outside certified window \[5\.25, 5\.75\]$"):
-            checker(dyadic_certificate(1.0, -1.0), target, (self.A_OUT, self.B_OUT))
+class TestWindowRule:
+    """The interval check and the evaluator test an end by one rule, lo - 1e-9 <= t <= hi + 1e-9: both take it or neither does."""
 
-    def test_a_negative_chain_tests_nothing_at_b(self):
-        """b fails the evaluator's window test, yet the negative chain gives its verdict; values still hold P(b)."""
-        cert = dyadic_certificate(-1.0, -1.0)
-        verdict = check_sign_chain(cert, "negative", (self.A_IN, self.B_OUT))
-        assert verdict.certified
-        verdicts, values = check_signs("chain", cert, "negative", [(self.A_IN, self.B_OUT)])
-        assert verdicts == [verdict] and values[self.B_OUT] == -1.0 - (self.B_OUT - 5.5)
-        with pytest.raises(ValueError, match="outside certified window"):
-            check_sign_variation(dyadic_certificate(2.0, -1.0), "positive", (self.A_IN, self.B_OUT))
+    A_OUT, B_OUT = 5.249999999, 5.750000001  # 5.25 - 1e-9 and 5.75 + 1e-9 as floats: the widened edges of [5.25, 5.75]
+    A_IN = 5.249999999000001  # one ulp up
+
+    @staticmethod
+    def edge_ends():
+        """(cert, end, interval) for each end within 3 ulps of a widened edge of 2000 seeded windows in [5, 6], the interval running to the center."""
+        rng = random.Random(3601)
+        for _ in range(2000):
+            radius = rng.uniform(0.01, 0.49)
+            center = rng.uniform(5.0 + radius + 1e-6, 6.0 - radius - 1e-6)  # clear of the proven range's own widened edges
+            cert = TaylorCertificate(center, radius, 1, 1, (1.0, -1.0), (0.0, 0.0), (1e-9, 1e-9), 0.0, 0.25)
+            for edge in (center - radius - 1e-9, center + radius + 1e-9):
+                for k in range(-3, 4):
+                    end = edge + k * math.ulp(edge)
+                    yield cert, end, (end, center) if edge < center else (center, end)
+
+    def test_an_end_passes_the_interval_check_exactly_when_the_evaluator_takes_it(self):
+        """The evaluator once tested |t - center| <= radius + 1e-9, which rounds apart from the interval check: some ends passed one and failed the other."""
+        taken = mismatched = 0
+        for cert, end, interval in self.edge_ends():
+            by_interval = accepts(_endpoints, "check_signs", cert, interval)
+            taken += by_interval
+            mismatched += by_interval != accepts(eval_cert_poly, cert, 0, end)
+        assert mismatched == 0
+        assert 0 < taken < 2000 * 2 * 7  # both outcomes occur
+
+    def test_the_widened_edges_are_inside(self):
+        """Every check takes an interval whose ends are the widened edges, and its values are P as the evaluator gives it there.
+
+        The evaluator once refused both edges, so the cascade and the positive chain refused (A_OUT, B_OUT) although the
+        interval check had taken it, and the negative chain on (A_IN, B_OUT) returned P(B_OUT), which the evaluator refused.
+        """
+        for method, target, coeffs, interval in (
+            ("cascade", "positive", (2.0, -1.0), (self.A_OUT, self.B_OUT)),
+            ("chain", "positive", (2.0, -1.0), (self.A_OUT, self.B_OUT)),
+            ("chain", "negative", (-1.0, -1.0), (self.A_IN, self.B_OUT)),
+        ):
+            cert = dyadic_certificate(*coeffs)
+            verdicts, values = check_signs(method, cert, target, [interval])
+            assert verdicts[0].certified, (method, target)
+            assert values == {end: eval_cert_poly(cert, 0, end) for end in interval}
+
+    def test_the_next_float_out_is_refused(self):
+        cert = dyadic_certificate(2.0, -1.0)
+        a, b = math.nextafter(self.A_OUT, 5.0), math.nextafter(self.B_OUT, 6.0)
+        for end, interval in ((a, (a, 5.5)), (b, (5.5, b))):
+            with pytest.raises(ValueError, match=f"^{re.escape(f't={end} outside certified window [5.25, 5.75]')}$"):
+                eval_cert_poly(cert, 0, end)
+            with pytest.raises(ValueError, match=f"^{re.escape(f'interval [{interval[0]}, {interval[1]}] leaves the certified window [5.25, 5.75]')}$"):
+                check_signs("cascade", cert, "positive", [interval])

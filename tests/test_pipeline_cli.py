@@ -14,7 +14,7 @@ import pytest
 
 import majorant.cli
 import majorant.trigpoly
-from majorant.certify import SignCertificate, TaylorCertificate
+from majorant.certify import SignCertificate, TaylorCertificate, eval_cert_poly
 from majorant.integrand import IntegrandSpec
 from majorant.pipeline import (
     CASE_ID,
@@ -170,6 +170,13 @@ class TestConfig:
             assert json.dumps(DEFAULT_CONFIG) == before, table_id
 
 
+def run_hand_built_stage(monkeypatch, cert, method, target, interval, tail_budget):
+    """_run_certificate_stage on one interval, with cert in place of the certificate the stage would build."""
+    monkeypatch.setattr("majorant.pipeline._stage_certificate", lambda stage: cert)
+    stage = {"notes": [], "tail_budget": tail_budget, "target": target, "method": method, "intervals": [interval]}
+    return _run_certificate_stage("hand_built", stage)
+
+
 class TestProve:
     def test_default_run_is_proved(self, default_report):
         assert default_report.verdict == "PROVED"
@@ -212,6 +219,31 @@ class TestProve:
         result = _run_derivative_stage(D1, CertifiedValue(0.25, 0.25, 640, "refined"))
         assert (result.status, result.margin) == ("failed", 0.0)
         assert result.warnings == ("positivity margin 0 is not positive at 640 steps",)
+
+    def test_a_tail_bound_at_its_budget_adds_no_note(self, monkeypatch):
+        """A tail bound of 0.5 under a tail budget of 0.5 is within it; a budget one ulp less adds the note, and the stage still certifies."""
+        cert = TaylorCertificate(5.5, 0.25, 1, 1, (2.0, -1.0), (0.0, 0.0), (0.125, 0.125), 0.5, 0.75)
+        at = run_hand_built_stage(monkeypatch, cert, "cascade", "positive", (5.25, 5.75), 0.5)
+        assert (at.status, at.estimate, at.margin, at.warnings) == ("certified", 1.75, 1.0, ())
+        over = run_hand_built_stage(monkeypatch, cert, "cascade", "positive", (5.25, 5.75), math.nextafter(0.5, 0.0))
+        assert over.status == "certified"
+        assert over.warnings == ("computed tail bound 0.5 exceeds the declared tail budget 0.5 (still within total_delta)",)
+
+    def test_a_zero_anchor_margin_fails(self, monkeypatch):
+        """A positive chain reads P - delta at b alone, the stage margin reads P at both ends: here P(a) - delta is exactly 0.0.
+
+        P'(a) < 0 and P'' < 0, so P decreases on [a, b], b the float after a; yet P(a) as evaluated is one ulp below P(b).
+        With delta = P(a) the chain certifies (P(b) - delta > 0), and the margin is exactly 0.0, which certifies nothing.
+        """
+        coeffs = tuple(map(float.fromhex, ("0x1.6a75c00abb832p-1", "-0x1.9479cbe3bb636p-2", "-0x1.eb100c8c93428p+0")))
+        a = float.fromhex("0x1.52d23adca2b15p+2")  # 5.294081416572927
+        b = math.nextafter(a, 6.0)
+        cert = TaylorCertificate(5.5, 0.25, 1, 2, coeffs, (0.0,) * 3, (1e-9,) * 3, 0.0, 1.0)
+        delta = eval_cert_poly(cert, 0, a)
+        assert delta < eval_cert_poly(cert, 0, b)
+        result = run_hand_built_stage(monkeypatch, cert._replace(total_delta=delta), "chain", "positive", (a, b), 1.0)
+        assert (result.status, result.margin) == ("failed", 0.0)
+        assert result.warnings == (f"anchor value {delta:.6g} does not clear the allowance",)
 
     def test_overflowing_envelope_is_inconclusive(self):
         """A log power so high that envelope maxima overflow gives an infinite bound and a failed stage, not a crash.
