@@ -132,6 +132,7 @@ def build_certificate(
     propagated quadrature error exceeds its budget, or if budgets plus the
     computed tail bound overrun total_delta.
     """
+    check_window(center, radius, base_order, degree)  # before check_budgets, which reads degree
     budgets = list(budgets)  # read once, as gap_derivatives reads its orders: a generator has no len()
     check_budgets(budgets, degree)
     budget_list = [float(b) for b in budgets]

@@ -26,23 +26,24 @@ period, splitting the range of G at 1/9:
 
 The node layer lives here too: per sign, one row G^t over all N nodes serves
 every j (_h_node_sums), on a node table of G, log G and the powers (log G)^p
-asked for, both signs from one cosine pass (see _node_table), which also holds
-the latest _HELD_POWERS (t, mode) batches of gap values certified on it: a
-repeated (N, t, mode, j), as in every proof after the first, takes no pass.
-gap_derivatives assembles each certified gap value from both signs' node sums,
-in one mode per batch, from one h4_bounds call and a cell table, the bound of
+asked for, both signs from one cosine pass (see _node_table).  gap_derivatives
+assembles each certified gap value from both signs' node sums, in one mode
+per batch, from one h4_bounds call and a cell table, the bound of
 each of the five groups at each log order p the batch's terms use: one per
 sign, refined, or one for both, plain.  Each error bound is one fsum over its
 terms' cells (_error_bounds), the one bound driver, which refined_error_bound
 calls too.  A cell table takes its maxima from one envelope_max call: on
 [0, 9] (_sup_cells), or its small-range terms on [0, 1/9] (_cells), as the q
 pass of majorant.tables does; only the variation bounds depend on the sign.
+The latest 8 whole batches are memoized (_gap_batch): a repeated
+(t, N, orders, mode), as in every proof after the first, takes no pass.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import lru_cache
 from math import fsum
 from operator import add, mul
 from typing import NamedTuple
@@ -58,8 +59,7 @@ _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
 
 LOG9 = math.log(G_MAX)
 _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
-_NODE_TABLE: dict[int, NodeTable] = {}  # see _node_table
-_HELD_POWERS = 8  # the most (t, mode) batches whose gap values one node table holds (the default proof takes 5)
+_NODE_TABLE: dict[int, dict[SignVariant, NodeColumns]] = {}  # see _node_table
 
 
 class CertifiedValue(NamedTuple):
@@ -168,24 +168,14 @@ class NodeColumns(NamedTuple):
     logs: dict[int, list[float]]
 
 
-class NodeTable(NamedTuple):
-    """The node columns of one step count, by sign, and the gap values certified on them, {(t, mode): {j: value}}.
-
-    ``held`` keeps the latest _HELD_POWERS (t, mode) batches.  It lives on the
-    table, not beside it, so it is dropped with the table, and a rebuilt or
-    hand-built table never reads values taken on another.
-    """
-
-    columns: dict[SignVariant, NodeColumns]
-    held: dict[tuple[float, str], dict[int, CertifiedValue]]
-
-
-def _node_table(n_steps: int) -> NodeTable:
-    """G and log G at the N midpoint nodes, by sign, from one eval_G_pair pass.
+def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
+    """G and log G at the N midpoint nodes, {sign: NodeColumns}, from one eval_G_pair pass.
 
     Free of t and j, so every batch at this step count shares it, and so do the
     log powers it keeps once asked for.  Only the latest step count's table is
-    held (a proof uses one), and it is dropped before another is built.  Each
+    held (a proof uses one), in a one-entry slot cleared before another is
+    built, so one table is alive at a time (an lru_cache(maxsize=1) would
+    keep the old one until the new one is returned).  Each
     sign's G is ordered G >= 1 descending, then G < 1 ascending, before log G.
     fsum is exactly rounded in any order, but each term walks its whole list
     of partials, so the order sets the cost.  The G < 1 products G^t (log G)^j
@@ -204,7 +194,7 @@ def _node_table(n_steps: int) -> NodeTable:
             split = bisect_left(g, 1.0)
             g = g[split:][::-1] + g[:split]
             columns[sign] = NodeColumns(g, tuple(map(math.log, g)), {})
-        _NODE_TABLE[n_steps] = NodeTable(columns, {})
+        _NODE_TABLE[n_steps] = columns
     return _NODE_TABLE[n_steps]
 
 
@@ -215,7 +205,7 @@ def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int,
     sum of the rounded products, (log G)^j kept in the table once asked for.
     An entry G^t or L^j, or a node sum, past the float range is refused, naming t or j.
     """
-    nodes = _node_table(n_steps).columns[sign]
+    nodes = _node_table(n_steps)[sign]
     try:
         gt = [g**t for g in nodes.g]
     except OverflowError:
@@ -246,41 +236,41 @@ def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[Certified
     integrals of H = G^t log^order G over the half period (both variants are
     even, so the half-period integral is half the mean).  The estimate is the
     minus variant's node sum over 2N less the plus variant's; the error bound
-    adds the two variants' bounds.  One h4_bounds call serves both signs, and
-    before any node work so do the plain cells, summed once, or one refined
-    cell table per sign, each over the five groups at the terms' log orders.
+    adds the two variants' bounds (see _gap_batch).
 
-    A value depends on its own (t, N, mode, j) alone, so it is held on the
-    node table (NodeTable.held) and only the orders not held take the passes.
-    The mode and the step count are checked first, with no orders too; only a
-    float t and int orders are looked up, so 5, True and 1.0, equal to held
-    keys, meet the passes' checks.  A refused batch holds nothing new.
+    The mode and the step count are checked first, with no orders too.  Only
+    then is the memo taken, and only for a float t and int orders, so 5, True
+    and 1.0, equal to memoized keys, meet the passes' checks.  A refused batch
+    is not memoized.  The list is the caller's own.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_steps(n_steps)
-    orders = list(orders)  # read twice: a generator would be used up by the lookup
-    table, key = _NODE_TABLE.get(n_steps), ((t, mode) if type(t) is float else None)
-    held = table.held.get(key, {}) if table else {}
-    missing = [j for j in orders if type(j) is not int or j not in held]
-    if missing:
-        bounds = h4_bounds(t, missing)
-        log_orders = {p for terms in bounds for _, _, p in terms}
-        if mode == "refined":
-            kinds, tables = refined_kinds(t), [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
-            errors = map(add, *_error_bounds(bounds, _cells(kinds, log_orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)), n_steps))
-        else:  # the sup cells hold for both signs
-            errors = [e + e for e in _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders)], n_steps)[0]]
-        minus, plus = [_h_node_sums(sign, t, sorted(set(missing)), n_steps) for sign in SIGN_PAIR]
-        two_n = 2.0 * n_steps
-        taken = {j: CertifiedValue(minus[j] / two_n - plus[j] / two_n, error, n_steps, mode) for j, error in zip(missing, errors)}
-        if key is not None:
-            store = _NODE_TABLE[n_steps].held  # built, or found, by the node pass
-            if key not in store and len(store) >= _HELD_POWERS:
-                del store[next(iter(store))]  # the oldest batch: dicts keep insertion order
-            held = store.setdefault(key, {})
-        held.update(taken)
-    return [held[j] for j in orders]
+    orders = tuple(orders)
+    if not orders:
+        return []
+    batch = _gap_batch if type(t) is float and all(type(j) is int for j in orders) else _gap_batch.__wrapped__
+    return list(batch(t, n_steps, orders, mode))
+
+
+@lru_cache(maxsize=8)  # the default proof takes 5 batches
+def _gap_batch(t: float, n_steps: int, orders: tuple[int, ...], mode: str) -> tuple[CertifiedValue, ...]:
+    """The certified gap value at t of each order in orders, in one checked mode: a pure function of its arguments.
+
+    One h4_bounds call serves both signs, and before any node work so do the
+    plain cells, summed once, or one refined cell table per sign, each over
+    the five groups at the terms' log orders.
+    """
+    bounds = h4_bounds(t, orders)
+    log_orders = {p for terms in bounds for _, _, p in terms}
+    if mode == "refined":
+        kinds, tables = refined_kinds(t), [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
+        errors = map(add, *_error_bounds(bounds, _cells(kinds, log_orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)), n_steps))
+    else:  # the sup cells hold for both signs
+        errors = [e + e for e in _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders)], n_steps)[0]]
+    minus, plus = [_h_node_sums(sign, t, sorted(set(orders)), n_steps) for sign in SIGN_PAIR]
+    two_n = 2.0 * n_steps
+    return tuple(CertifiedValue(minus[j] / two_n - plus[j] / two_n, error, n_steps, mode) for j, error in zip(orders, errors))
 
 
 def gap_derivative(order: int, t: float, n_steps: int, mode: str = "refined") -> CertifiedValue:

@@ -23,10 +23,17 @@ from majorant import (
     sup_norm_bound,
     torus_power_integral,
 )
-from majorant.certify import MAX_DEGREE, remainder_bound
+from majorant.certify import MAX_DEGREE, build_certificate, remainder_bound
 from majorant.trigpoly import MAX_STEPS, check_int
 
 _CERT = TaylorCertificate(5.5, 0.1, 1, 3, (1.0, 2.0, 3.0, 4.0), (0.0,) * 4, (1.0,) * 4, 0.0, 1.0)
+
+
+def _build(degree):
+    """build_certificate at degree with unbounded budgets, one per coefficient (one if degree is no int >= 0), so every valid degree builds."""
+    budgets = [math.inf] * (max(degree + 1, 1) if type(degree) is int else 1)
+    return build_certificate(5.5, 0.1, 1, degree, budgets, 1, "plain", math.inf)
+
 
 # entry id: (the argument as the message names it, a call taking that one argument, its range lo..hi, hi None if open)
 INTEGER_ARGUMENTS = {
@@ -37,6 +44,7 @@ INTEGER_ARGUMENTS = {
     "eval_cert_poly-m": ("derivative order m", lambda v: eval_cert_poly(_CERT, v, 5.5), 0, _CERT.degree),
     "remainder_bound-base_order": ("base_order", lambda v: remainder_bound(5.5, 0.1, v, 3), 0, None),
     "remainder_bound-degree": ("degree", lambda v: remainder_bound(5.5, 0.1, 1, v), 0, MAX_DEGREE),
+    "build_certificate-degree": ("degree", _build, 0, MAX_DEGREE),
     "gap_derivative-order": ("log exponent j", lambda v: gap_derivative(v, 5.5, 100), 0, None),
     "gap_derivative-steps": ("step count", lambda v: gap_derivative(1, 5.5, v), 1, MAX_STEPS),
     "IntegrandSpec-j": ("log exponent j", lambda v: IntegrandSpec(5.5, v, "plus"), 0, None),

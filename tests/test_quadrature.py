@@ -23,12 +23,11 @@ from majorant.quadrature import (
     MODES,
     CertifiedValue,
     NodeColumns,
-    NodeTable,
     _cells,
     _ERR_DENOM,
     _error_bounds,
+    _gap_batch,
     _h_node_sums,
-    _HELD_POWERS,
     _integral_bases,
     _INTEGRAL_WEIGHTS,
     _NODE_TABLE,
@@ -105,6 +104,12 @@ def plain_bounds(t, orders, n):
     """The plain error bound of each order at t, one sign's: its terms over the sign-free sup cells, as gap_derivatives sums them."""
     bounds = h4_bounds(t, orders)
     return _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders(bounds))], n)[0]
+
+
+def clear_caches():
+    """Drop the node table and the memoized batches, so the next call takes every pass."""
+    _NODE_TABLE.clear()
+    _gap_batch.cache_clear()
 
 
 def bits(values):
@@ -185,7 +190,7 @@ class TestMidpointRule:
         refusal = rf"step count must be an integer in 1\.\.{MAX_STEPS}, got 100\.0"
         with pytest.raises(ValueError, match=refusal):
             _nodes(100.0)
-        _NODE_TABLE.clear()
+        clear_caches()
         with pytest.raises(ValueError, match=refusal):
             gap_derivative(1, 5.5, 100.0)
         gap_derivative(1, 5.5, 100)
@@ -197,8 +202,12 @@ class TestMidpointRule:
         with pytest.raises(ValueError, match="got True"):
             _node_table(True)  # True == 1 would find the table of 1
 
-    def test_empty_job_list_gives_no_values(self):
-        assert [gap_derivatives(5.5, 100, [], mode) for mode in MODES] == [[], []]
+    def test_empty_job_list_gives_no_values(self, pair_calls):
+        """No orders give no values at any t, nan and 400.0 too, from no pass: not even the cosines are taken."""
+        _NODE_TABLE.clear()
+        for t in (5.5, math.nan, 400.0):
+            assert [gap_derivatives(t, 100, [], mode) for mode in MODES] == [[], []], t
+        assert pair_calls == []
 
     @pytest.mark.parametrize("n_steps", [True, 100.5, 0])
     def test_empty_job_list_checks_the_step_count(self, n_steps):
@@ -221,9 +230,10 @@ class TestMidpointRule:
 class TestDeterminism:
     def test_identical_bits_with_cold_and_warm_node_table(self, pair_calls):
         orders = [1, 3, 6]
-        _NODE_TABLE.clear()
+        clear_caches()
         cold = [value for mode in MODES for value in gap_derivatives(5.4, 500, orders, mode)]
         assert len(pair_calls) == 1  # one cosine pass per table build, for both signs
+        _gap_batch.cache_clear()  # so the warm calls take their passes on the warm table
         warm = [value for mode in MODES for value in gap_derivatives(5.4, 500, orders, mode)]
         assert len(pair_calls) == 1  # the warm call finds both signs in the table
         for c, w in zip(cold, warm):
@@ -235,26 +245,26 @@ class TestDeterminism:
         held_while_building = []
         real = quadrature.eval_G_pair
         monkeypatch.setattr(quadrature, "eval_G_pair", lambda xs: held_while_building.append(list(_NODE_TABLE)) or real(xs))
-        _NODE_TABLE.clear()
+        clear_caches()
         for n in (120, 300, 257):
             gap_derivative(1, 5.5, n, "plain")
         assert held_while_building == [[]] * 3  # one build per step count, none beside another table
         assert list(_NODE_TABLE) == [257]
-        assert set(_NODE_TABLE[257].columns) == {PLUS, MINUS}
+        assert set(_NODE_TABLE[257]) == {PLUS, MINUS}
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640, 3000])
     def test_cold_build_makes_one_cosine_pass(self, n, pair_calls):
         """Both signs come from one eval_G_pair call over all N nodes, in node order, per table build."""
-        _NODE_TABLE.clear()
+        clear_caches()
         gap_derivatives(5.5, n, [1, 2], "refined")
         assert pair_calls == [list(_nodes(n))]
 
     def test_warm_proof_makes_no_node_table_misses(self, monkeypatch, pair_calls, pass_calls):
-        """One table holds both signs of the default proof's one step count, and its gap values: a warm proof evaluates no G and takes no pass."""
+        """One table holds both signs of the default proof's one step count, and the memo its batches: a warm proof evaluates no G and takes no pass."""
         lookups = []
         real = quadrature._node_table
         monkeypatch.setattr(quadrature, "_node_table", lambda n: lookups.append(n) or real(n))
-        _NODE_TABLE.clear()
+        clear_caches()
         prove_k5()
         assert pair_calls == [list(_nodes(640))]  # one cosine pass, for both signs
         assert lookups == [640] * 10  # one lookup per sign of each of the 5 gap_derivatives calls
@@ -267,7 +277,7 @@ class TestDeterminism:
         calls = []
         real = quadrature.h4_bounds
         monkeypatch.setattr(quadrature, "h4_bounds", lambda t, orders: calls.append(list(orders)) or real(t, orders))
-        _NODE_TABLE.clear()
+        clear_caches()
         prove_k5()
         assert sum(map(len, calls)) == 38
         assert len(calls) == 5  # one per gap_derivatives batch
@@ -283,7 +293,7 @@ class TestDeterminism:
         orders), from one _cells call per batch, and its small-range terms
         from one envelope_max call on [0, 1/9], each taken once for both
         signs: 168, the 4 distinct powers of the 5 groups (t - 2 twice) at
-        the 42 orders with p > 0.  A warm proof, its gap values held, takes none.
+        the 42 orders with p > 0.  A warm proof, its batches memoized, takes none.
         """
         calls, small_ranges = [], []
         real, real_envelope = quadrature._cells, quadrature.envelope_max
@@ -300,7 +310,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(quadrature, "_cells", counting)
         monkeypatch.setattr(quadrature, "envelope_max", counting_envelope)
-        _NODE_TABLE.clear()
+        clear_caches()
         prove_k5()
         assert [(kinds, orders) for kinds, orders, _ in calls] == [(5, 4), (5, 11), (5, 10), (5, 11), (5, 11)]
         assert all(per_table == [5 * orders] * 2 for _, orders, per_table in calls)
@@ -375,7 +385,7 @@ class TestDeterminism:
         table = _node_table(n)
         assert len(outputs) == 1
         for sign, node_order in zip((MINUS, PLUS), outputs[0]):
-            column = table.columns[sign]
+            column = table[sign]
             assert len(column.g) == n, sign
             assert sorted(column.g) == sorted(node_order), sign
             split = sum(g >= 1.0 for g in node_order)
@@ -389,8 +399,8 @@ class TestDeterminism:
     def test_node_sums_are_free_of_the_column_order(self, monkeypatch, fsum_lengths):
         """All 76 node sums of the default proof, and its 38 gap values, are bit-identical over columns in node order, reversed or shuffled: the order is a speed choice only.
 
-        Each hand-built table has its own empty store, so its 38 gap values are
-        taken on its own columns, not read from the table the proof filled.
+        The memo is cleared for each hand-built table, so its 38 gap values are
+        taken on its own columns, not read from the batches taken before.
         """
         passes = default_proof_passes()
         assert {n for _, n, _ in passes} == {640}
@@ -415,29 +425,28 @@ class TestDeterminism:
             "shuffled": {sign: random.Random(24).sample(g, len(g)) for sign, g in node_order.items()},
         }
         for name, columns in orders.items():
-            table = NodeTable({sign: NodeColumns(g, tuple(map(math.log, g)), {}) for sign, g in columns.items()}, {})
+            table = {sign: NodeColumns(g, tuple(map(math.log, g)), {}) for sign, g in columns.items()}
             monkeypatch.setitem(_NODE_TABLE, 640, table)  # restored when the test ends
             fsum_lengths.clear()
             assert node_sums() == reference, name
             assert fsum_lengths == [640] * 76, name  # every sum taken here, one fsum over all nodes each
             fsum_lengths.clear()
+            _gap_batch.cache_clear()
             assert gap_values() == reference_values, name
-            assert fsum_lengths.count(640) == 76, name  # and again for the gap values, none read from another table
-            assert sum(len(held) for held in table.held.values()) == 38, name
+            assert fsum_lengths.count(640) == 76, name  # and again for the gap values, none read from the memo
 
     def test_log_columns_live_with_the_node_table(self):
-        """(log G)^p and the gap values are kept on the node table once taken, and dropped and rebuilt with the table."""
+        """(log G)^p is kept on the node table once taken, and dropped and rebuilt with the table."""
         orders = [0, 3, 7]
+        clear_caches()
         warm = gap_derivatives(5.3, 500, orders, "refined")
-        table = _node_table(500)
-        assert set(table.columns[PLUS].logs) >= {0, 3, 7}
-        assert table.held == {(5.3, "refined"): dict(zip(orders, warm))}
-        _NODE_TABLE.clear()
+        assert set(_node_table(500)[PLUS].logs) == {0, 3, 7}
+        clear_caches()
         rebuilt = _node_table(500)
-        assert rebuilt.columns[PLUS].logs == {} and rebuilt.held == {}
+        assert rebuilt[PLUS].logs == {}
         cold = gap_derivatives(5.3, 500, orders, "refined")
         assert bits(cold) == bits(warm)
-        assert set(rebuilt.columns[PLUS].logs) >= {0, 3, 7} and list(rebuilt.held) == [(5.3, "refined")]
+        assert set(rebuilt[PLUS].logs) == {0, 3, 7}
 
     def test_repeat_runs_are_bitwise_stable(self):
         a = gap_derivative(1, 5.0, 200, "refined")
@@ -446,43 +455,32 @@ class TestDeterminism:
 
 
 class TestHeldGapValues:
-    """Each gap value is held on the node table it was taken on, so a repeated (N, t, mode, j) takes no bound pass and no node pass."""
+    """Each whole batch of gap values is memoized (_gap_batch), so a repeated (t, N, orders, mode) takes no bound pass and no node pass."""
 
     def test_a_warm_proof_takes_no_pass(self, pass_calls, pair_calls, fsum_lengths):
-        """The default proof's 38 gap values are taken once per table: a second proof gives the same bytes from no h4_bounds call, no G and no fsum."""
-        _NODE_TABLE.clear()
+        """The default proof's 5 batches are taken once: a second proof gives the same bytes from 5 memo hits, no h4_bounds call, no G and no fsum."""
+        clear_caches()
         first = emit_report(prove_k5())
         assert pass_calls == {"h4_bounds": 5, "_cells": 5, "_error_bounds": 5, "_h_node_sums": 10}
         assert len(pair_calls) == 1 and fsum_lengths.count(640) == 76
+        assert _gap_batch.cache_info()[:2] == (0, 5)  # hits, misses
         pass_calls.clear(), pair_calls.clear(), fsum_lengths.clear()
         assert emit_report(prove_k5()) == first
         assert pass_calls == {} and pair_calls == [] and fsum_lengths == []
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_a_partly_held_batch_takes_only_the_missing_orders(self, mode, monkeypatch, fsum_lengths):
-        """Orders [1, 2] held, the batch [2, 3, 1] takes the bounds and node sums of order 3 alone, bitwise what a cold table gives."""
-        calls = []
-        real = quadrature.h4_bounds
-        monkeypatch.setattr(quadrature, "h4_bounds", lambda t, orders: calls.append(list(orders)) or real(t, orders))
-        _NODE_TABLE.clear()
-        gap_derivatives(5.45, 700, [1, 2], mode)
-        calls.clear(), fsum_lengths.clear()
-        warm = gap_derivatives(5.45, 700, [2, 3, 1], mode)
-        assert calls == [[3]] and fsum_lengths.count(700) == 2  # one node sum per sign
-        assert set(_node_table(700).held[5.45, mode]) == {1, 2, 3}
-        _NODE_TABLE.clear()
-        assert bits(warm) == bits(gap_derivatives(5.45, 700, [2, 3, 1], mode))
+        assert _gap_batch.cache_info()[:2] == (5, 5)
 
     def test_a_sweep_over_t_holds_at_most_the_limit(self):
-        """100 values of t at one N: the table holds the values of the latest _HELD_POWERS of them, the oldest dropped first."""
-        assert _HELD_POWERS >= 5  # the default proof's five batches at N = 640 all stay held
+        """100 values of t at one N: the memo holds the batches of the latest 8 of them, the least recently used dropped first."""
+        assert _gap_batch.cache_info().maxsize >= 5  # the default proof's five batches all stay memoized
         powers = [5.0 + k / 100 for k in range(100)]
-        _NODE_TABLE.clear()
+        clear_caches()
         for t in powers:
             gap_derivative(1, t, 300, "plain")
-        held = _node_table(300).held
-        assert list(held) == [(t, "plain") for t in powers[-_HELD_POWERS:]]
-        assert all(set(values) == {1} for values in held.values())
+        limit = _gap_batch.cache_info().maxsize
+        assert _gap_batch.cache_info()[1:] == (100, limit, limit)  # misses, maxsize, currsize
+        for t in powers[-limit:] + powers[:1]:
+            gap_derivative(1, t, 300, "plain")
+        assert _gap_batch.cache_info()[:2] == (limit, 101)
 
     @pytest.mark.parametrize(
         "t,orders,n,refusal",
@@ -495,24 +493,26 @@ class TestHeldGapValues:
         ids=["power", "node sum", "log power", "order"],
     )
     def test_a_refused_batch_is_refused_again_and_never_held(self, t, orders, n, refusal):
-        """A refusal holds nothing new, not even the orders of its batch that passed, so the next call refuses again; values held before it stay."""
-        _NODE_TABLE.clear()
+        """A refusal adds no entry, so the next call refuses again; the batch memoized before it stays."""
+        clear_caches()
         (before,) = gap_derivatives(5.5, n, [1], "plain")
         for _ in range(2):
             with pytest.raises(ValueError, match=refusal):
                 gap_derivatives(t, n, orders, "plain")
-            assert _node_table(n).held == {(5.5, "plain"): {1: before}}
+            assert _gap_batch.cache_info().currsize == 1
+        assert gap_derivatives(5.5, n, [1], "plain") == [before]
+        assert _gap_batch.cache_info().hits == 1
 
     def test_plain_and_refined_values_are_held_apart(self):
-        """At one (t, N, j) the two modes share the estimate, not the bound: each is held under its own mode, bitwise its own cold call."""
+        """At one (t, N, j) the two modes share the estimate, not the bound: each batch is memoized under its own mode, bitwise its own cold call."""
         orders = list(range(6))
-        _NODE_TABLE.clear()
+        clear_caches()
         held = {mode: gap_derivatives(5.5, 640, orders, mode) for mode in MODES}
-        assert list(_node_table(640).held) == [(5.5, mode) for mode in MODES]
+        assert _gap_batch.cache_info().currsize == 2
         for j, plain, refined in zip(orders, held["plain"], held["refined"]):
             assert plain.estimate == refined.estimate and plain.error_bound > refined.error_bound, j
         for mode in MODES:
-            _NODE_TABLE.clear()
+            clear_caches()
             assert bits(held[mode]) == bits(gap_derivatives(5.5, 640, orders, mode)), mode
             assert [v.method for v in held[mode]] == [mode] * len(orders)
 
@@ -528,23 +528,33 @@ class TestHeldGapValues:
         ids=["True", "1.0", "-1", "mode", "640.0 steps"],
     )
     def test_held_values_are_looked_up_after_the_checks(self, args, refusal):
-        """After a warm proof holds (5.0, refined) at j = 1, 2, 3, an order, mode or step count equal to a held key is refused as before."""
-        _NODE_TABLE.clear()
-        prove_k5()
-        assert set(_node_table(640).held[5.0, "refined"]) == {1, 2, 3}
+        """With (5.0, 640, [1], refined) memoized, a batch equal to its key but for an order, mode or step count of the wrong type is refused as before."""
+        clear_caches()
+        gap_derivatives(5.0, 640, [1], "refined")
         with pytest.raises(ValueError, match=refusal):
             gap_derivatives(*args)
+        assert _gap_batch.cache_info().hits == 0  # no refused call found the memoized batch
 
     def test_only_a_float_power_is_looked_up(self, pass_calls):
-        """t = 5 equals a held 5.0 and gives its values through the passes; Decimal("5.0") is refused by them, as it is with nothing held."""
-        _NODE_TABLE.clear()
+        """t = 5 equals a memoized 5.0 and gives its values through the passes; Decimal("5.0") is refused by them, as it is with nothing memoized."""
+        clear_caches()
         (held,) = gap_derivatives(5.0, 640, [1], "refined")
         pass_calls.clear()
         assert gap_derivatives(5, 640, [1], "refined") == [held]
         assert pass_calls["h4_bounds"] == 1
         with pytest.raises(TypeError):
             gap_derivatives(decimal.Decimal("5.0"), 640, [1], "refined")
-        assert list(_node_table(640).held) == [(5.0, "refined")]
+        assert _gap_batch.cache_info()[:2] == (0, 1)
+
+    def test_a_returned_list_is_the_callers_own(self):
+        """Mutating the list a memoized call returns leaves the next call's values as they were."""
+        clear_caches()
+        first = gap_derivatives(5.5, 300, [1, 2], "refined")
+        expected = list(first)
+        first[0] = None
+        first.append(None)
+        assert gap_derivatives(5.5, 300, [1, 2], "refined") == expected
+        assert _gap_batch.cache_info().hits == 1
 
 
 def default_proof_passes():
@@ -634,7 +644,7 @@ class TestBatchedNodeSums:
         sign's table, or the plain |H''''| bound over 23040 N^4, twice.
         """
         checked = collections.Counter()
-        _NODE_TABLE.clear()  # so every value is taken here, none held from before
+        _gap_batch.cache_clear()  # so every value is taken here, none memoized from before
         for (t, n, _), orders in default_proof_passes().items():
             for mode in MODES:
                 for j, value in zip(orders, gap_derivatives(t, n, orders, mode)):
@@ -1041,7 +1051,7 @@ def assert_sign_errors_equal_reference(t, n, orders, values, errors):
 def test_proof_sign_errors_equal_the_reference(monkeypatch):
     """Every gap value of the five default-proof batches, all refined: gap_derivatives' own per-sign bounds, on a cleared table."""
     calls = sign_errors(monkeypatch)
-    _NODE_TABLE.clear()  # a held value takes no bound pass, so each batch would read the last call's bounds
+    _gap_batch.cache_clear()  # a memoized batch takes no bound pass, so it would read the last call's bounds
     for (t, n, mode), orders in default_proof_passes().items():
         assert mode == "refined", (t, n)
         values = gap_derivatives(t, n, orders, mode)
@@ -1059,7 +1069,7 @@ def test_sweep_sign_errors_equal_the_reference(n, monkeypatch):
     orders = list(range(31))
     scale = 23040.0 * float(n) ** 4
     for t in BOUND_POWERS:
-        _NODE_TABLE.clear()  # a held value takes no bound pass, so a batch at a t asked before would read the last call's bounds
+        _gap_batch.cache_clear()  # a memoized batch takes no bound pass, so a batch asked before would read the last call's bounds
         values = gap_derivatives(t, n, orders, "refined")
         assert_sign_errors_equal_reference(t, n, orders, values, calls[-1])
         values = gap_derivatives(t, n, orders, "plain")
