@@ -31,7 +31,6 @@ from .spectral import (
 from .trigpoly import (
     SignVariant,
     TrigSquare,
-    locate_maxima,
     parse_sign,
     sup_norm_bound,
     variation_bound_power,

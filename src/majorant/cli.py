@@ -13,9 +13,7 @@ import sys
 
 from .pipeline import emit_report, prove_k5
 from .quadrature import MODES, gap_derivative
-from .trigpoly import TrigSquare, curvature_slack, locate_maxima
 
-_MIN_TABLE_BUMP = 0.001
 # majorant.tables.TABLE_IDS, written out so that only the table command imports majorant.tables
 TABLE_IDS = ("maxima", "A_rho", "Q500", "Q400", "T1", "T2", "T3", "T4", "T5", "T6")
 
@@ -32,7 +30,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    import csv  # here and in _cmd_maxima alone, so that a prove process never loads it
+    import csv  # here alone, so that a prove process never loads it
 
     from .tables import reproduce_table
 
@@ -51,19 +49,6 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
     print(f"error_bound {value.error_bound!r}")
     print(f"steps       {value.steps}")
     print(f"method      {value.method}")
-    return 0
-
-
-def _cmd_maxima(args: argparse.Namespace) -> int:
-    import csv
-
-    square = TrigSquare(5, args.sign)
-    bump = args.bump if args.bump is not None else max(_MIN_TABLE_BUMP, curvature_slack(args.step))
-    table = locate_maxima(square, args.step, bump)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["location", "value_upper", "multiplicity"])
-    for entry in table.entries:
-        writer.writerow([entry.location, entry.value_upper, entry.multiplicity])
     return 0
 
 
@@ -89,15 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     deriv.add_argument("--steps", type=int, required=True, help="midpoint nodes per half period")
     deriv.add_argument("--mode", choices=MODES, default="refined")
     deriv.set_defaults(func=_cmd_derivative)
-
-    maxima = sub.add_parser("maxima", help="certified local-maxima table of one square")
-    maxima.add_argument("--sign", choices=("plus", "minus"), required=True)
-    maxima.add_argument("--step", type=float, default=0.001, help="grid step dividing 0.5")
-    maxima.add_argument(
-        "--bump", type=float, default=None,
-        help="additive slack on grid values (default: table convention, at least the sound minimum)",
-    )
-    maxima.set_defaults(func=_cmd_maxima)
     return parser
 
 

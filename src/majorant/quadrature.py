@@ -36,7 +36,7 @@ calls too.  A cell table takes its maxima from one envelope_max call: on
 [0, 9] (_sup_cells), or its small-range terms on [0, 1/9] (_cells), as the q
 pass of majorant.tables does; only the variation bounds depend on the sign.
 The latest 8 whole batches are memoized (_gap_batch): a repeated
-(t, N, orders, mode), as in every proof after the first, takes no pass.
+(t, N, mode, orders), as in every proof after the first, takes no pass.
 """
 
 from __future__ import annotations
@@ -239,9 +239,9 @@ def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[Certified
     adds the two variants' bounds (see _gap_batch).
 
     The mode and the step count are checked first, with no orders too.  Only
-    then is the memo taken, and only for a float t and int orders, so 5, True
-    and 1.0, equal to memoized keys, meet the passes' checks.  A refused batch
-    is not memoized.  The list is the caller's own.
+    then is the memo taken, keyed by the type of t and of each order as well,
+    so 5, True and 1.0, equal to memoized keys, meet the passes' checks.  A
+    refused batch is not memoized.  The list is the caller's own.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -249,12 +249,11 @@ def gap_derivatives(t: float, n_steps: int, orders, mode: str) -> list[Certified
     orders = tuple(orders)
     if not orders:
         return []
-    batch = _gap_batch if type(t) is float and all(type(j) is int for j in orders) else _gap_batch.__wrapped__
-    return list(batch(t, n_steps, orders, mode))
+    return list(_gap_batch(t, n_steps, mode, *orders))
 
 
-@lru_cache(maxsize=8)  # the default proof takes 5 batches
-def _gap_batch(t: float, n_steps: int, orders: tuple[int, ...], mode: str) -> tuple[CertifiedValue, ...]:
+@lru_cache(maxsize=8, typed=True)  # the default proof takes 5 batches; typed keys the type of every argument, each order included
+def _gap_batch(t: float, n_steps: int, mode: str, *orders: int) -> tuple[CertifiedValue, ...]:
     """The certified gap value at t of each order in orders, in one checked mode: a pure function of its arguments.
 
     One h4_bounds call serves both signs, and before any node work so do the

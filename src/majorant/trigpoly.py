@@ -12,16 +12,18 @@ plus).  Every working constant in the package is proven for this case alone,
 so k is the module constant ``K`` rather than a parameter.
 
 This module states G's range bound ``G_MAX``, evaluates both signs' G over a
-run of points in one pass, bounds the sup norms of the derivatives, tabulates
-certified upper bounds at the local maxima of G over a half period, and bounds
-the total variation of integer or real powers of G.
+run of points in one pass, bounds the sup norms of the derivatives, and bounds
+the total variation of integer or real powers of G.  The variation bounds read
+one table per sign of certified upper bounds at the local maxima of G over a
+half period, both built at import from one pass over a fixed grid (step
+MAXIMA_STEP, each interior maximum raised by MAXIMA_BUMP), whose slack and
+count of maxima are checked there too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
 from math import cos, fsum, pi
 from typing import NamedTuple
 
@@ -29,7 +31,7 @@ TWO_PI = 2.0 * pi
 K = 5
 F2, F3 = K + 1, K + 2  # the frequencies of the two signed cosines
 MONOTONE_PIECES = 2.0 * F3  # G' has degree F3, so at most 2 * F3 = 14 zeros, and G at most 14 monotone pieces, per period
-MAX_STEPS = 1_000_000  # the most nodes or grid steps any evaluation takes
+MAX_STEPS = 1_000_000  # the most midpoint nodes any quadrature takes
 G_MAX = 9.0  # sup G = (1 + 1 + 1)^2, attained at x = 0 by the plus sign
 
 
@@ -87,8 +89,6 @@ class LocalMaxTable(NamedTuple):
     """Certified local-maximum bounds for the G of one sign over [0, 1/2]: the bound layer's one carrier of the sign."""
 
     sign: SignVariant
-    step: float
-    bump: float
     entries: tuple[LocalMaxEntry, ...]
 
     @property
@@ -139,70 +139,51 @@ def sup_norm_bound(m: int) -> float:
 
 def curvature_slack(h: float) -> float:
     """How far G may rise above a grid value at step h near a local maximum: sup|G''| (h/2)^2 / 2."""
-    return 0.5 * sup_norm_bound(2) * (h / 2.0) * (h / 2.0)  # not ** 2, which raises OverflowError for h past 1e154
+    return 0.5 * sup_norm_bound(2) * (h / 2.0) ** 2
 
 
-def _ceil_decimals(x: float, decimals: int = 3) -> float:
-    scale = 10.0**decimals
-    return math.ceil(x * scale) / scale
+def _scan_maxima(samples: list[float]) -> tuple[LocalMaxEntry, ...]:
+    """The local maxima of G over [0, 1/2] from its samples at i * MAXIMA_STEP, i = 0..n.
 
-
-@lru_cache(maxsize=None)
-def locate_maxima(spec: TrigSquare, h: float, bump: float) -> LocalMaxTable:
-    """Certified table of the local maxima of G over the half period [0, 1/2].
-
-    G is sampled at step h.  A sample exceeding both neighbours (with the grid
-    mirrored at 0 and 1/2, where G is even) brackets a true local maximum; a
-    maximum at xi within an h-neighbourhood of the winning sample satisfies
-    G(xi) <= sample + curvature_slack(h) because G'(xi) = 0, so ``bump`` must
-    cover that slack.  Interior bounds are rounded up to 3 decimals; at
-    the symmetry points 0 and 1/2 the derivative vanishes identically and the
-    sampled value is the exact local maximum value, so no slack is added.
-    Every bound is clamped at the global maximum G_MAX before it is rounded,
-    so a huge or infinite bump gives G_MAX.  A step past MAX_STEPS grid steps
-    is refused before any sampling; both signs share the grid (_grid_pair).
+    A sample exceeding both neighbours (with the grid mirrored at 0 and 1/2,
+    where G is even) brackets a true local maximum; a maximum at xi within a
+    step of the winning sample satisfies G(xi) <= sample + curvature_slack
+    because G'(xi) = 0, and MAXIMA_BUMP covers that slack.  Interior bounds
+    are rounded up to 3 decimals; at the symmetry points 0 and 1/2 the
+    derivative vanishes identically and the sample is the exact local
+    maximum value, so nothing is added.
     """
-    if not h > 0.0:  # also refuses nan
-        raise ValueError(f"step must be positive, got {h}")
-    slack = curvature_slack(h)
-    if not bump >= slack:
-        raise ValueError(f"bump {bump:g} does not cover the curvature slack {slack:.6g} for step {h:g}")
-    steps = 0.5 / h  # inf for a subnormal step
-    if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS; short form, as 5e+299 for 1e-300
-        raise ValueError(f"step {h:g} gives {steps:.9g} grid steps, more than {MAX_STEPS}")
-    n = round(steps)
-    if n < 2 or abs(n * h - 0.5) > 1e-9:
-        raise ValueError(f"step {h:g} must evenly divide the half period")
-    samples = _grid_pair(h, n)[SIGN_PAIR.index(spec.sign)]
+    n = len(samples) - 1
     entries = []
-    for i in range(n + 1):
+    for i, v in enumerate(samples):
         left = samples[i - 1] if i > 0 else samples[1]
         right = samples[i + 1] if i < n else samples[n - 1]
-        v = samples[i]
         if not (v > left and v > right):
             continue
         if i == 0 or i == n:
-            entries.append(LocalMaxEntry(i * h, min(v, G_MAX), 1))
+            entries.append(LocalMaxEntry(i * MAXIMA_STEP, v, 1))
         else:
-            bound = _ceil_decimals(min(max(left, v, right) + bump, G_MAX))  # clamped first: bump may be inf
-            entries.append(LocalMaxEntry(i * h, bound, 2))
-    table = LocalMaxTable(spec.sign, h, bump, tuple(entries))
-    if table.total_multiplicity != 7:
-        raise ValueError(
-            f"expected 7 local maxima (with multiplicity), found "
-            f"{table.total_multiplicity}; the tabulation step is unreliable"
-        )
-    return table
+            entries.append(LocalMaxEntry(i * MAXIMA_STEP, math.ceil((v + MAXIMA_BUMP) * 1000.0) / 1000.0, 2))
+    return tuple(entries)
 
 
-@lru_cache(maxsize=1)  # the latest grid, so that both signs' tables of one step share its eval_G_pair pass
-def _grid_pair(h: float, n: int) -> tuple[list[float], list[float]]:
-    return eval_G_pair(i * h for i in range(n + 1))
+# The one maxima grid: step 1/1000 over the half period, each interior grid maximum raised by 0.001.
+# The bump exceeds curvature_slack(MAXIMA_STEP) = 8.49e-4 by 1.5e-4.
+MAXIMA_STEP = MAXIMA_BUMP = 0.001
+if not MAXIMA_BUMP >= curvature_slack(MAXIMA_STEP):
+    raise RuntimeError(f"maxima bump {MAXIMA_BUMP} does not cover the curvature slack {curvature_slack(MAXIMA_STEP):.6g}")
+_MAX_TABLES = {
+    sign: LocalMaxTable(sign, _scan_maxima(samples))
+    for sign, samples in zip(SIGN_PAIR, eval_G_pair(i * MAXIMA_STEP for i in range(501)))
+}
+for _table in _MAX_TABLES.values():  # G' has degree F3, so G has at most F3 = 7 local maxima per period
+    if _table.total_multiplicity != F3:
+        raise RuntimeError(f"expected {F3} local maxima of the {_table.sign.value} sign, found {_table.total_multiplicity}")
 
 
 def default_max_table(spec: TrigSquare) -> LocalMaxTable:
-    """The standard table at step 1/1000 with matching bump."""
-    return locate_maxima(spec, 0.001, 0.001)
+    """The certified local-maximum table of spec's sign, built at import."""
+    return _MAX_TABLES[spec.sign]
 
 
 def variation_bound_power(table: LocalMaxTable, t: float) -> float:

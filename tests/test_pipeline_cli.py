@@ -326,8 +326,8 @@ class TestReports:
         """Only config_hash needs hashlib, which loads OpenSSL; the records are NamedTuples, so nothing loads dataclasses or inspect.
 
         No module of the proof imports majorant.tables: the package binds its
-        names on first use, and the CLI imports it in the table command alone,
-        and csv in the table and maxima commands alone.
+        names on first use, and the CLI imports it, and csv, in the table
+        command alone.
         """
         code = f"import sys, {package}; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -524,51 +524,13 @@ class TestCli:
         assert result.returncode == 0
         assert "estimate    0.0028784920987163787" in result.stdout
 
-    def test_maxima_command(self):
-        result = run_cli("maxima", "--sign", "minus", "--step", "0.001")
-        assert result.returncode == 0
-        assert "0.5,1.0,1" in result.stdout
-
-    def test_maxima_grid_too_large_exit_two(self, monkeypatch, capsys):
-        """A step of 1e-9 would sample 5e8 points; it is refused before the first one."""
-        monkeypatch.setattr(majorant.trigpoly, "eval_G_pair", lambda *_: pytest.fail("sampled a grid above MAX_STEPS"))
-        assert majorant.cli.main(["maxima", "--sign", "plus", "--step", "1e-9"]) == 2
-        assert capsys.readouterr() == ("", "error: step 1e-09 gives 500000000 grid steps, more than 1000000\n")
-
-    @pytest.mark.parametrize("step,count", [("1e-300", "5e+299"), ("1e-309", "inf")])
-    def test_maxima_tiny_step_refusal_is_short(self, step, count, capsys):
-        """A grid-step count past 10^9 is stated in short form; past the float range (a subnormal step) as inf."""
-        assert majorant.cli.main(["maxima", "--sign", "plus", "--step", step]) == 2
-        assert capsys.readouterr() == ("", f"error: step {float(step):g} gives {count} grid steps, more than 1000000\n")
-
-    @pytest.mark.parametrize("bump", ["inf", "1e308"])
-    def test_maxima_huge_bump_gives_nine(self, bump, capsys):
-        """Every interior bound is clamped at 9 before it is rounded, so a huge bump gives 9, not an OverflowError."""
-        assert majorant.cli.main(["maxima", "--sign", "plus", "--bump", bump]) == 0
-        out, err = capsys.readouterr()
-        assert err == "" and out.splitlines()[1:] == ["0.0,9.0,1", "0.151,9.0,2", "0.302,9.0,2", "0.448,9.0,2"]
-
-    @pytest.mark.parametrize(
-        "args,refusal",
-        [
-            pytest.param(["--step", "1e200"], "step 1e+200 must evenly divide the half period", id="1e200"),
-            pytest.param(["--step", "1e308"], "step 1e+308 must evenly divide the half period", id="1e308"),
-            pytest.param(
-                ["--step", "1e200", "--bump", "1"], "bump 1 does not cover the curvature slack inf for step 1e+200", id="1e200-bump"
-            ),
-        ],
-    )
-    def test_maxima_huge_step_exit_two(self, args, refusal, capsys):
-        """A step past 1e154 squares past the float range: the slack is inf, and the step is refused in one line."""
-        assert majorant.cli.main(["maxima", "--sign", "plus", *args]) == 2
-        assert capsys.readouterr() == ("", f"error: {refusal}\n")
-
-    def test_maxima_nan_step_or_bump_exit_two(self, capsys):
-        """NaN fails every comparison, so the step and bump checks are written to fail on it."""
-        assert majorant.cli.main(["maxima", "--sign", "minus", "--step", "nan"]) == 2
-        assert capsys.readouterr() == ("", "error: step must be positive, got nan\n")
-        assert majorant.cli.main(["maxima", "--sign", "minus", "--bump", "nan"]) == 2
-        assert capsys.readouterr().err.startswith("error: bump nan does not cover the curvature slack")
+    @pytest.mark.parametrize("options", [[], ["--sign", "minus", "--step", "0.001"], ["--sign", "plus", "--bump", "inf"]], ids=["bare", "step", "bump"])
+    def test_no_maxima_subcommand(self, options, capsys):
+        """The one maxima table of each sign is fixed, and majorant table maxima prints both: maxima is no subcommand, with any options."""
+        with pytest.raises(SystemExit) as exit_info:
+            majorant.cli.main(["maxima", *options])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'maxima'" in capsys.readouterr().err
 
     def test_optimized_interpreter_gives_same_bytes(self, tmp_path):
         """Checks live in explicit raises, not asserts, so python -O changes nothing."""

@@ -536,7 +536,7 @@ class TestHeldGapValues:
         assert _gap_batch.cache_info().hits == 0  # no refused call found the memoized batch
 
     def test_only_a_float_power_is_looked_up(self, pass_calls):
-        """t = 5 equals a memoized 5.0 and gives its values through the passes; Decimal("5.0") is refused by them, as it is with nothing memoized."""
+        """Only a float t finds a memoized 5.0: the memo keys each argument's type, so t = 5 gives 5.0's values through the passes and Decimal("5.0") is refused by them."""
         clear_caches()
         (held,) = gap_derivatives(5.0, 640, [1], "refined")
         pass_calls.clear()
@@ -544,7 +544,7 @@ class TestHeldGapValues:
         assert pass_calls["h4_bounds"] == 1
         with pytest.raises(TypeError):
             gap_derivatives(decimal.Decimal("5.0"), 640, [1], "refined")
-        assert _gap_batch.cache_info()[:2] == (0, 1)
+        assert _gap_batch.cache_info()[:2] == (0, 3)  # hits, misses: 5.0, 5 and Decimal("5.0") each a key of its own
 
     def test_a_returned_list_is_the_callers_own(self):
         """Mutating the list a memoized call returns leaves the next call's values as they were."""

@@ -1,6 +1,7 @@
 """Tests for the squared three-term sums, their derivatives, and maxima tables."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from majorant.quadrature import _nodes
 from majorant.tables import second_deriv_L2
 from majorant.trigpoly import (
     G_MAX,
+    MAXIMA_BUMP,
+    MAXIMA_STEP,
     SIGN_PAIR,
     SignVariant,
     TrigSquare,
+    _scan_maxima,
+    curvature_slack,
     default_max_table,
     eval_G_pair,
-    locate_maxima,
     parse_sign,
     sup_norm_bound,
     variation_bound_power,
@@ -138,7 +142,7 @@ class TestJet:
         assert_pair_matches_oracle(list(_nodes(n)))
 
     def test_pair_is_bitwise_on_the_default_maxima_grid(self):
-        """On the grid locate_maxima samples for default_max_table: step 1/1000 over [0, 1/2]."""
+        """On the grid of the maxima tables: step 1/1000 over [0, 1/2]."""
         assert_pair_matches_oracle([i * 0.001 for i in range(501)])
 
 
@@ -192,8 +196,20 @@ class TestSecondDerivL2:
         assert numeric == pytest.approx(second_deriv_L2(), rel=1e-9)
 
 
+def exec_trigpoly(old: str, new: str) -> dict:
+    """The namespace of trigpoly's source run with its one line old replaced by new: its import-time checks under other constants."""
+    source = Path(trigpoly.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    namespace = {"__name__": "trigpoly_variant"}
+    exec(compile(source.replace(old, new), trigpoly.__file__, "exec"), namespace)
+    return namespace
+
+
+GRID_LINE = "MAXIMA_STEP = MAXIMA_BUMP = 0.001\n"
+
+
 class TestLocateMaxima:
-    """The certified maxima tables at the standard step 1/1000."""
+    """The certified maxima tables, built at import on the grid of step 1/1000."""
 
     def test_plus_table(self, plus_table):
         got = [(e.location, e.value_upper, e.multiplicity) for e in plus_table.entries]
@@ -230,38 +246,57 @@ class TestLocateMaxima:
                 for dx in np.linspace(-0.0005, 0.0005, 11):
                     assert eval_G(spec, entry.location + dx) <= entry.value_upper + 1e-12
 
-    def test_insufficient_bump_rejected(self, plus_square):
-        with pytest.raises(ValueError, match="curvature slack"):
-            locate_maxima(plus_square, 0.001, 1e-9)
+    def test_interior_bounds_dominate_G_a_step_around(self, plus_square, minus_square):
+        """Each interior value_upper is at least the oracle's G at step 1e-6 over location +- MAXIMA_STEP, where the true maximum lies."""
+        for spec in (plus_square, minus_square):
+            for entry in default_max_table(spec).entries:
+                if entry.multiplicity == 2:
+                    worst = max(eval_G(spec, entry.location + i * 1e-6) for i in range(-1000, 1001))
+                    assert worst <= entry.value_upper, (spec.sign, entry)
 
-    def test_step_must_divide_half_period(self, plus_square):
-        with pytest.raises(ValueError, match="evenly divide"):
-            locate_maxima(plus_square, 0.0003, 0.01)
+    def test_bump_covers_the_slack_with_a_margin(self):
+        """The bump exceeds the curvature slack of the step by 1.5e-4, more than 1e-4."""
+        assert MAXIMA_STEP == MAXIMA_BUMP == 0.001
+        assert MAXIMA_BUMP - curvature_slack(MAXIMA_STEP) > 1e-4
 
-    def test_coarser_grid_still_covers(self, plus_square, plus_table):
-        """A coarser certified table must still dominate true maxima values."""
-        coarse = locate_maxima(plus_square, 0.0025, 0.02)
-        assert coarse.total_multiplicity == 7
-        for fine_e, coarse_e in zip(plus_table.entries, coarse.entries):
-            assert abs(fine_e.location - coarse_e.location) <= 0.003
-            assert coarse_e.value_upper >= eval_G(plus_square, fine_e.location) - 1e-12
+    def test_a_bump_at_the_slack_exactly_is_taken(self):
+        """The import check is bump >= slack: a bump equal to the slack builds both tables, each of 7 maxima."""
+        variant = exec_trigpoly(GRID_LINE, "MAXIMA_STEP = 0.001\nMAXIMA_BUMP = curvature_slack(MAXIMA_STEP)\n")
+        assert [table.total_multiplicity for table in variant["_MAX_TABLES"].values()] == [7, 7]
 
-    def test_tables_are_cached(self, plus_square):
-        assert locate_maxima(plus_square, 0.001, 0.001) is locate_maxima(
-            plus_square, 0.001, 0.001
-        )
+    @pytest.mark.parametrize("bump", ["math.nextafter(curvature_slack(MAXIMA_STEP), 0.0)", "math.nan"], ids=["ulp_below", "nan"])
+    def test_a_bump_below_the_slack_fails_the_import(self, bump):
+        """A bump one ulp below the slack, or NaN, is refused when the module loads."""
+        with pytest.raises(RuntimeError, match=r"^maxima bump \S+ does not cover the curvature slack 0\.000848786$"):
+            exec_trigpoly(GRID_LINE, f"MAXIMA_STEP = 0.001\nMAXIMA_BUMP = {bump}\n")
+
+    def test_a_grid_that_misses_maxima_fails_the_import(self):
+        """A grid over [0, 1/4] alone finds fewer than 7 maxima for a sign, which is refused when the module loads."""
+        with pytest.raises(RuntimeError, match=r"^expected 7 local maxima of the minus sign, found [0-6]$"):
+            exec_trigpoly("range(501)", "range(251)")
+
+    @pytest.mark.parametrize(
+        "samples,entries",
+        [
+            ([1.0, 0.0, 2.0], [(0.0, 1.0, 1), (0.002, 2.0, 1)]),
+            ([0.0, 1.0, 1.0, 0.0], []),
+            ([0.0, 2.0, 1.0, 0.5], [(0.001, 2.001, 2)]),
+        ],
+        ids=["ends", "flat top", "interior"],
+    )
+    def test_scan_on_hand_built_samples(self, samples, entries):
+        """An end is mirrored onto its one neighbour, not the far end; a flat top is no strict maximum; an interior one is raised and rounded up."""
+        assert [tuple(e) for e in _scan_maxima(samples)] == entries
 
     def test_one_grid_pass_fills_both_default_tables(self, plus_square, minus_square, plus_table, minus_table, monkeypatch):
-        """From cleared caches, both signs' default tables come from one eval_G_pair pass, each as before and cached again."""
+        """Both signs' tables come from the one eval_G_pair pass at import: default_max_table takes no pass and returns the same table each time."""
         calls = []
         real = trigpoly.eval_G_pair
         monkeypatch.setattr(trigpoly, "eval_G_pair", lambda xs: calls.append(1) or real(xs))
-        locate_maxima.cache_clear()
-        trigpoly._grid_pair.cache_clear()
-        plus, minus = default_max_table(plus_square), default_max_table(minus_square)
-        assert len(calls) == 1
-        assert (plus, minus) == (plus_table, minus_table)  # equal to the tables built before the caches were cleared
-        assert default_max_table(plus_square) is plus and default_max_table(minus_square) is minus
+        for spec, table in ((plus_square, plus_table), (minus_square, minus_table)):
+            assert default_max_table(spec) is default_max_table(TrigSquare(5, spec.sign.value)) is table
+            assert table.sign is spec.sign
+        assert calls == []
 
 
 class TestVariationBound:
