@@ -145,7 +145,7 @@ def build_certificate(
     values = gap_derivatives(center, steps, range(base_order, base_order + degree + 1), mode)
     for j, (value, budget) in enumerate(zip(values, budget_list)):
         propagated = value.error_bound * radius**j / _FACTORIALS[j]
-        if propagated > budget:
+        if not propagated <= budget:  # a nan error_bound fails this too
             raise BudgetError(
                 f"coefficient {j}: propagated quadrature error {propagated:.6g} exceeds "
                 f"budget {budget:g} (steps={steps}, mode={mode})"
@@ -250,26 +250,20 @@ def _chain_verdict(cert, target, a, b, row_a, row_b) -> SignCertificate:
         at, anchor = a, row_a[0] + cert.total_delta
         ok = anchor < 0.0
     rows = [{"quantity": "shifted_value", "order": 0, "location": at, "value": anchor}]
-    for m in range(1, cert.degree + 1):
-        dv = row_a[m]
-        rows.append({"quantity": "derivative", "order": m, "location": a, "value": dv})
-        ok &= dv < 0.0
+    rows += ({"quantity": "derivative", "order": m, "location": a, "value": row_a[m]} for m in range(1, cert.degree + 1))
+    ok = ok and _monotone_tail(row_a, 0)
     reason = None if ok else "endpoint or derivative sign conditions fail"
     return SignCertificate((a, b), target, "derivative_chain", ok, tuple(rows), reason)
 
 
-def _tail_negative(cert, m, row):
-    """Whether derivatives m+1..degree of P are provably negative on [a, b], from the row at a.
+def _monotone_tail(row: list[float], m: int) -> bool:
+    """Whether derivatives m+1..degree of P are provably negative on [a, b], from the row at a; a nan is not negative.
 
-    The constant top derivative is its own coefficient; each lower one is
+    The row's last entry is the constant top derivative; each lower one is
     negative at a and decreasing (by induction from above), hence negative on
     the whole interval.
     """
-    if m >= cert.degree:
-        return True
-    if cert.coeffs[cert.degree] >= 0.0:
-        return False
-    return not any(row[u] >= 0.0 for u in range(m + 1, cert.degree))
+    return all(v < 0.0 for v in row[m + 1 :])
 
 
 def check_sign_variation(cert: TaylorCertificate, target: str, interval) -> SignCertificate:
@@ -297,32 +291,27 @@ def _cascade_verdict(cert, target, a, b, row_a, row_b) -> SignCertificate:
         {"quantity": "shifted_value", "order": 0, "location": a, "value": pa},
         {"quantity": "shifted_value", "order": 0, "location": b, "value": pb},
     ]
-    if pa <= 0.0 or pb <= 0.0:
-        return SignCertificate(
-            (a, b), target, "variation_cascade", False, tuple(rows),
-            "shifted endpoint values are not both positive",
-        )
-    width = b - a
-    var = pa + pb
-    rows.append({"quantity": "variation_lower", "order": 0, "value": var})
-    levels = []  # (m, mean, endpoint max)
-    for m in range(1, cert.degree + 1):
-        mean = var / width
-        da, db = row_a[m], row_b[m]
-        edge = max(abs(da), abs(db))
-        levels.append((m, mean, edge))
-        if mean <= edge:
-            break
-        rows.append({"quantity": "mean_lower", "order": m, "value": mean})
-        rows.append({"quantity": "derivative", "order": m, "location": a, "value": da})
-        rows.append({"quantity": "derivative", "order": m, "location": b, "value": db})
-        var = 2.0 * mean - abs(da + db)
-        rows.append({"quantity": "variation_lower", "order": m, "value": var})
-    for m, mean, edge in reversed(levels):
-        if mean > edge and _tail_negative(cert, m, row_a):
-            rows.append({"quantity": "contradiction_order", "order": m, "value": mean, "edge": edge})
-            return SignCertificate((a, b), target, "variation_cascade", True, tuple(rows))
-    return SignCertificate(
-        (a, b), target, "variation_cascade", False, tuple(rows),
-        "no order pairs a mean bound exceeding both endpoint magnitudes with a monotone tail",
-    )
+    reason = "shifted endpoint values are not both positive"
+    if pa > 0.0 and pb > 0.0:
+        reason = "no order pairs a mean bound exceeding both endpoint magnitudes with a monotone tail"
+        width = b - a
+        var = pa + pb
+        rows.append({"quantity": "variation_lower", "order": 0, "value": var})
+        contradiction = None  # at the last order the descent passes
+        for m in range(1, cert.degree + 1):
+            mean = var / width
+            da, db = row_a[m], row_b[m]
+            edge = max(abs(da), abs(db))
+            if not mean > edge:
+                break
+            contradiction = {"quantity": "contradiction_order", "order": m, "value": mean, "edge": edge}
+            rows.append({"quantity": "mean_lower", "order": m, "value": mean})
+            rows.append({"quantity": "derivative", "order": m, "location": a, "value": da})
+            rows.append({"quantity": "derivative", "order": m, "location": b, "value": db})
+            var = 2.0 * mean - abs(da + db)
+            rows.append({"quantity": "variation_lower", "order": m, "value": var})
+        # a tail negative behind some order is negative behind every deeper one, so the deepest order decides
+        if contradiction is not None and _monotone_tail(row_a, contradiction["order"]):
+            rows.append(contradiction)
+            reason = None
+    return SignCertificate((a, b), target, "variation_cascade", reason is None, tuple(rows), reason)

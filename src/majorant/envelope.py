@@ -44,7 +44,7 @@ def envelope_max(powers, orders, b: float) -> dict[int, list[float]]:
         for s, end, e_s in per_power:
             value = end * log_power if end != inf and log_power != inf else inf
             if m and value != inf and exp(-m / s) < peak_end:
-                try:  # inline, not overflow_to_inf: 71 of the 176 entries a warm proof asks for take a peak
+                try:  # inline, not overflow_to_inf: 71 of a cold proof's 176 entries take a peak, and all 8 of a warm one's
                     peak = (m / e_s) ** m
                 except OverflowError:
                     peak = inf

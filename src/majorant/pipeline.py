@@ -201,16 +201,10 @@ def _run_certificate_stage(name: str, stage: dict) -> StageResult:
     verdicts, anchors = check_signs(stage["method"], cert, target, stage["intervals"])  # anchors: P at every interval end
     estimate = (min if target == "positive" else max)(anchors.values())
     margin = (estimate if target == "positive" else -estimate) - cert.total_delta
-    failed = [v for v in verdicts if not v.certified]
-    if failed:
-        reasons = tuple(f"interval {v.interval}: {v.failure_reason}" for v in failed)
-        return StageResult(name, "failed", estimate, cert.total_delta, margin, notes + reasons)
-    if margin <= 0.0:
-        return StageResult(
-            name, "failed", estimate, cert.total_delta, margin,
-            notes + (f"anchor value {estimate:.6g} does not clear the allowance",),
-        )
-    return StageResult(name, "certified", estimate, cert.total_delta, margin, notes)
+    reasons = tuple(f"interval {v.interval}: {v.failure_reason}" for v in verdicts if not v.certified)
+    if not reasons and not margin > 0.0:  # a nan anchor fails this too
+        reasons = (f"anchor value {estimate:.6g} does not clear the allowance",)
+    return StageResult(name, "failed" if reasons else "certified", estimate, cert.total_delta, margin, notes + reasons)
 
 
 def _coverage_gaps(stages: dict) -> list[tuple[float, float]]:

@@ -22,7 +22,7 @@ from majorant.certify import (
     remainder_bound,
 )
 from majorant.pipeline import DEFAULT_CONFIG, prove_k5
-from majorant.quadrature import gap_derivatives
+from majorant.quadrature import CertifiedValue, gap_derivatives
 
 from conftest import plain_h4_bound
 from oracle import envelope_reference, required_steps, taylor_row_reference
@@ -286,6 +286,13 @@ class TestBuildCertificate:
         budgets[j] = math.nextafter(propagated, 0.0)
         with pytest.raises(BudgetError, match=f"^coefficient {j}: propagated quadrature error"):
             build_certificate(5.5, 0.25, 1, 1, budgets, 640, "refined", 1e9)
+
+    def test_a_nan_error_bound_fits_no_budget(self, monkeypatch):
+        """Gap values whose error bounds are nan raise BudgetError at coefficient 0; the budget fit once read nan > budget as a fit."""
+        nan_values = lambda t, steps, orders, mode: [CertifiedValue(1.0, math.nan, steps, mode) for _ in orders]
+        monkeypatch.setattr(certify, "gap_derivatives", nan_values)
+        with pytest.raises(BudgetError, match="^coefficient 0: propagated quadrature error nan exceeds budget"):
+            build_certificate(5.5, 0.25, 1, 1, [0.5, 0.25], 640, "refined", 1e9)
 
     def test_plain_mode_fails_first_budget_at_wide_centers(self):
         """The leading coefficients need the refined bound; plain cannot fit."""
@@ -671,6 +678,33 @@ class TestSignBoundaries:
             ("mean_lower", 1, None, mean), ("derivative", 1, 5.25, edge), ("derivative", 1, 5.75, -edge),
             ("variation_lower", 1, None, 2.0 * mean),
         )
+
+
+class TestNanFailsEveryDecision:
+    """A nan in a certificate certifies no sign: each comparison of the verdicts reads a nan as a failure."""
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_the_chain_certifies_no_nan_certificate(self, position):
+        coeffs = [-1.0, -0.25, -1.0] if position == 0 else [1.0, -0.25, -1.0]
+        coeffs[position] = math.nan
+        for target in ("positive", "negative"):
+            verdict = check_sign_chain(dyadic_certificate(*coeffs), target, (5.25, 5.75))
+            assert not verdict.certified and verdict.failure_reason == "endpoint or derivative sign conditions fail"
+
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_a_nan_coefficient_fails_the_cascade_at_its_endpoints(self, position):
+        """Every row takes every coefficient above its order, so P(a) and P(b) are nan: the endpoint check fails, where the
+        cascade once descended through nan means to report that no order pairs a mean bound with a monotone tail."""
+        coeffs = [4.25, 3.0, -32.0, -96.0]
+        coeffs[position] = math.nan
+        verdict = check_sign_variation(dyadic_certificate(*coeffs), "positive", (5.25, 5.75))
+        assert not verdict.certified and verdict.failure_reason == "shifted endpoint values are not both positive"
+        assert len(verdict.evidence) == 2 and all(math.isnan(r["value"]) for r in verdict.evidence)
+
+    def test_the_tail_predicate_reads_nan_as_not_negative(self):
+        """The one monotone-tail test of both mechanisms; the tail test it replaced passed this row from order 1."""
+        row = [1.0, 0.0, math.nan, -1.0]
+        assert [certify._monotone_tail(row, m) for m in range(4)] == [False, False, True, True]
 
 
 def accepts(call, *args) -> bool:

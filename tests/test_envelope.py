@@ -44,6 +44,16 @@ class TestClosedForm:
         assert single(0.001, 1, 9.0) == pytest.approx(1.0 / (math.e * 0.001), rel=1e-15)
         assert single(1.0, 800, 1.0 / 9.0) == math.inf
 
+    def test_a_peak_at_b_is_the_value_at_b(self):
+        """b = exp(-m/s) exactly (s = 0.5625, m = 1): the peak lies at b, not below it, so the maximum is the value at b.
+
+        The peak's closed form 1/(e*s) rounds one ulp above b^s * |log b|; taking it there would give 0.6540078954158975.
+        """
+        s = 0.5625
+        b = math.exp(-1 / s)
+        assert single(s, 1, b) == b**s * abs(math.log(b)) == 0.6540078954158974
+        assert 1 / (math.e * s) == math.nextafter(0.6540078954158974, 1.0)
+
     def test_one_row_per_order_one_entry_per_power(self):
         """Each order's row lists the powers in call order, each entry the maximum of that (s, m) alone."""
         powers, orders = [5.0, 1.0, 2.5], [3, 0, 1]

@@ -43,6 +43,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="t must be >= 1"):
             IntegrandSpec(0.5, 0, PLUS)
 
+    def test_the_least_power_is_one(self):
+        """t = 1 is taken and the float below it refused: the check is t >= 1, not t > 1."""
+        assert IntegrandSpec(1.0, 0, "plus").t == 1.0
+        with pytest.raises(ValueError, match="^power t must be >= 1, got 0.9999999999999999$"):
+            IntegrandSpec(math.nextafter(1.0, 0.0), 0, "plus")
+
     def test_rejects_bad_log_exponent(self):
         for j in (-1, 1.5, math.inf, -math.inf, math.nan, True, 2.0):  # True and 2.0 equal orders 1 and 2 but are no integers
             with pytest.raises(ValueError, match="log exponent j must be an integer >= 0"):

@@ -245,6 +245,16 @@ class TestProve:
         assert (result.status, result.margin) == ("failed", 0.0)
         assert result.warnings == (f"anchor value {delta:.6g} does not clear the allowance",)
 
+    def test_nan_anchors_fail_the_stage(self, monkeypatch):
+        """A certified interval whose anchors are nan leaves a nan margin, which clears no allowance; it was once certified."""
+        cert = TaylorCertificate(5.5, 0.25, 1, 1, (2.0, -1.0), (0.0, 0.0), (0.125, 0.125), 0.0, 0.25)
+        verdict = SignCertificate((5.25, 5.75), "positive", "variation_cascade", True, ())
+        nan_anchors = lambda method, cert, target, intervals: ([verdict], {5.25: math.nan, 5.75: math.nan})
+        monkeypatch.setattr("majorant.pipeline.check_signs", nan_anchors)
+        result = run_hand_built_stage(monkeypatch, cert, "cascade", "positive", (5.25, 5.75), 1.0)
+        assert result.status == "failed" and math.isnan(result.margin)
+        assert result.warnings == ("anchor value nan does not clear the allowance",)
+
     def test_overflowing_envelope_is_inconclusive(self):
         """A log power so high that envelope maxima overflow gives an infinite bound and a failed stage, not a crash.
 
