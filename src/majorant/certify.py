@@ -132,11 +132,10 @@ def build_certificate(
     propagated quadrature error exceeds its budget, or if budgets plus the
     computed tail bound overrun total_delta.
     """
-    check_window(center, radius, base_order, degree)  # before check_budgets, which reads degree
+    tail = remainder_bound(center, radius, base_order, degree)  # checks the window before check_budgets reads degree
     budgets = list(budgets)  # read once, as gap_derivatives reads its orders: a generator has no len()
     check_budgets(budgets, degree)
     budget_list = [float(b) for b in budgets]
-    tail = remainder_bound(center, radius, base_order, degree)
     allowance = fsum(budget_list) + tail
     if not allowance <= total_delta:  # a nan total_delta fails this, where allowance > nan would let it pass
         raise BudgetError(

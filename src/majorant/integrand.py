@@ -17,9 +17,11 @@ polynomial in t is its integer content times its primitive part, that summed
 left to right in descending powers (c * pow(t, e) from e = 3, c * t * t,
 c * t, c); j^(k) is an exact int, then a float; a middle coefficient is
 multiplied by j, j-1, ... left to right.  ``h4_bounds`` gives each order j
-its (coefficient, group, p) terms, ``term_kinds`` what each group stands for,
-and the quadrature module bounds each term, by its sup or by its integral;
-``h4_term_bounds`` gives one order's terms.  WORK_M bounds both signs.
+its (coefficient, group, p) terms in one loop over the groups and their brace
+orders i = min(k, j)..0 (a log order j - i < 0 is no term), ``term_kinds``
+what each group stands for, and the quadrature module bounds each term, by
+its sup or by its integral; ``h4_term_bounds`` gives one order's terms.
+WORK_M bounds both signs.
 """
 
 from __future__ import annotations
@@ -62,21 +64,11 @@ _GROUPS = tuple(
     (count * math.prod(WORK_M[m] for m in (parts[:-1] if parts[-1] == 1 else parts)), -len(parts), parts[-1] == 1) for count, parts in _faa_di_bruno(_R)
 )
 
-# One order's brace coefficients (k, i) in one list, _ENTRIES: the middle ones by i descending, whose first
-# _FACTORED[f] take the factor j - f, each polynomial as (content, (coefficient, power) of its primitive part);
-# the tops (k, k); the falling factorials (k, 0).  Plan c lists the (constant, group, i, entry) of each term
-# with i <= c: order j takes plan min(j, 4), as a term of log order j - i < 0 is none.
-_MIDDLE = [(k, i) for i in range(_R - 1, 0, -1) for k in range(_R, i, -1)]
-_ENTRIES = _MIDDLE + [(k, k) for k in range(1, _R + 1)] + [(k, 0) for k in range(1, _R + 1)]
-_FACTORED = [sum(i > f for _, i in _MIDDLE) for f in range(_R)]
-_MIDDLE_POLYNOMIALS = [
-    (float(content), [(float(c // content), len(row) - 1 - n) for n, c in enumerate(row)])
-    for k, i in _MIDDLE for row in [_falling_rows(k)[i]] for content in [math.gcd(*row)]
-]
-_TERM_PLANS = [
-    tuple((const, g, i, _ENTRIES.index((-offset, i))) for g, (const, offset, _) in enumerate(_GROUPS) for i in range(-offset, -1, -1) if i <= c)
-    for c in range(_R + 1)
-]
+# The middle braces (k, i), 0 < i < k: each polynomial as (content, (coefficient, power) of its primitive part).
+_MIDDLE_POLYNOMIALS = {
+    (k, i): (float(content), [(float(c // content), len(row) - 1 - n) for n, c in enumerate(row)])
+    for k in range(1, _R + 1) for i, row in enumerate(_falling_rows(k)[1:k], 1) for content in [math.gcd(*row)]
+}
 
 
 # A functional NamedTuple base, as for TrigSquare, so that __new__ can check t and j.
@@ -105,22 +97,22 @@ def _check_power_and_order(t: float, j: int) -> None:
     check_int("log exponent j", j, 0)
 
 
-def _brace_rows(t: float) -> tuple[list[float], list[float]]:
-    """The j-free brace values at t: each middle polynomial, in _MIDDLE order, and t^(k), k = 1..4; a t where one is not finite is refused."""
+def _brace_rows(t: float) -> dict[tuple[int, int], float]:
+    """{(k, i): value} of the j-free braces at t: each middle polynomial, and t^(k) at i = 0; a t where one is not finite is refused."""
     powers = [overflow_to_inf(pow, t, e) for e in range(_R)]  # t^3 is inf from t ~ 5.6e102, t^(4) from t ~ 1.2e77 already
-    middles = []
-    for content, terms in _MIDDLE_POLYNOMIALS:
+    braces = {}
+    for key, (content, terms) in _MIDDLE_POLYNOMIALS.items():
         total = 0.0  # 0.0 plus the leading term, positive, is that term
         for c, e in terms:
             total += c * t * t if e == 2 else c * powers[e]
-        middles.append(content * total)
-    falling, product = [], 1.0
-    for f in range(_R):  # t^(k) as its running product
-        product *= t - f
-        falling.append(product)
-    if not all(map(math.isfinite, middles + falling)):  # t = inf too, where the bound would be nan
+        braces[key] = content * total
+    product = 1.0
+    for k in range(1, _R + 1):  # t^(k) as its running product
+        product *= t - (k - 1)
+        braces[k, 0] = product
+    if not all(map(math.isfinite, braces.values())):  # t = inf too, where the bound would be nan
         raise ValueError(f"power t = {t!r} is too large to evaluate: the fourth-derivative bound overflows a float")
-    return middles, falling
+    return braces
 
 
 def h4_bounds(t: float, orders) -> list[tuple[tuple[float, int, int], ...]]:
@@ -131,27 +123,29 @@ def h4_bounds(t: float, orders) -> list[tuple[tuple[float, int, int], ...]]:
     on [0, 9] for t > 4 with logs, t >= 4 without.  The brace polynomials in t
     are taken once, and each order is checked, in turn, before its terms.
     """
-    rows = None
+    braces = None
     bounds = []
     for j in orders:
         _check_power_and_order(t, j)
         if t < 4.0 or (t == 4.0 and j > 0):
             raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 without), got t={t}, j={j}")
-        if rows is None:  # the first order: the t-polynomials
-            middle_rows, falling = rows = _brace_rows(t)
-        try:  # _ENTRIES in order: each middle coefficient times j, j - 1, ... in turn, each top j^(k) an exact int until float
-            values, top = [r * j for r in middle_rows], j
-            values.append(float(j))
-            for f in range(1, _R):
-                top *= j - f
-                values.append(float(top))
-                for n in range(_FACTORED[f]):
-                    values[n] *= j - f
+        if braces is None:  # the first order: the t-polynomials
+            braces = _brace_rows(t)
+        terms = []  # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
+        try:  # brace orders i from min(k, j) down: a term of log order j - i < 0 is none
+            for group, (const, offset, _) in enumerate(_GROUPS):
+                k = -offset
+                for i in range(min(k, j), -1, -1):
+                    if i == k:  # the top j^(k): an exact int, then a float
+                        value = float(math.perm(j, k))
+                    else:  # positive at t >= 4, so no zero term or abs
+                        value = braces[k, i]
+                        for f in range(i):
+                            value *= j - f
+                    terms.append((const * value, group, j - i))
         except OverflowError:  # from j ~ 1.2e77; the message gives log10(j), as str(j) refuses past 4300 digits
             raise ValueError(f"log exponent j ~ 10^{math.log10(j):.1f} is too large to evaluate: the fourth-derivative bound overflows a float") from None
-        values += falling  # positive at t >= 4, so no zero term or abs
-        # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
-        bounds.append(tuple([(const * values[n], group, j - i) for const, group, i, n in _TERM_PLANS[min(j, _R)]]))
+        bounds.append(tuple(terms))
     return bounds
 
 

@@ -1,9 +1,9 @@
-"""Comparison-flip mutation probe for the certificate layer.
+"""Comparison and min/max flip mutation probe for the certificate layer.
 
-Flips one comparison operator at a time (< and <=, > and >=, == and !=) in a
-temporary copy of the repository, runs the Tier-1 command there with -x, and
-prints each mutant that every test survives.  Pytest does not collect this
-file; run it from the repository root:
+Flips one comparison operator at a time (< and <=, > and >=, == and !=), or
+swaps one name min and max, in a temporary copy of the repository, runs the
+Tier-1 command there with -x, and prints each mutant that every test
+survives.  Pytest does not collect this file; run it from the repository root:
 
     python tests/mutation_probe.py                        # certify.py and pipeline.py
     python tests/mutation_probe.py src/majorant/envelope.py
@@ -25,19 +25,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_MODULES = ("src/majorant/certify.py", "src/majorant/pipeline.py")
-FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
+FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "min": "max", "max": "min"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
-def comparisons(source: str):
-    """(line, column, operator) of each comparison token in source, in order; the tokenizer passes over comments and string text."""
+def flip_sites(source: str):
+    """(line, column, token) of each comparison operator and each name min or max in source, in order; the tokenizer passes over comments and string text."""
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.OP and tok.string in FLIPS:
+        if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in FLIPS:
             yield tok.start[0], tok.start[1], tok.string
 
 
 def mutant(source: str, line: int, col: int, op: str) -> str:
-    """source with the operator at (line, col) flipped."""
+    """source with the operator or name at (line, col) flipped."""
     lines = source.splitlines(keepends=True)
     text = lines[line - 1]
     lines[line - 1] = text[:col] + FLIPS[op] + text[col + len(op):]
@@ -66,14 +66,14 @@ def main(modules) -> int:
         for module in modules:
             path = copy / module
             source = path.read_text()
-            for line, col, op in comparisons(source):
+            for line, col, op in flip_sites(source):
                 total += 1
                 path.write_text(mutant(source, line, col, op))
                 if survives(copy):
                     survivors.append((module, line, col, op))
                     print(f"SURVIVED {module}:{line}:{col + 1} {op} -> {FLIPS[op]}: {source.splitlines()[line - 1].strip()}", flush=True)
             path.write_text(source)
-    print(f"{len(survivors)} of {total} comparison flips survive the Tier-1 suite")
+    print(f"{len(survivors)} of {total} comparison and min/max flips survive the Tier-1 suite")
     return min(len(survivors), 1)
 
 

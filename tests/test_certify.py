@@ -103,13 +103,19 @@ class TestCheckSign:
                 checked += 1
         assert checked == 5
 
-    @pytest.mark.parametrize("name", STAGE_NAMES)
-    def test_check_signs_is_check_sign_per_interval(self, name):
-        """One call gives each stage interval its one-interval verdict, and each distinct end P(end), the float eval_cert_poly gives."""
+    @pytest.mark.parametrize("name,intervals", [pytest.param(name, None, id=name) for name in STAGE_NAMES] + [
+        # chains over abutting intervals: a shared end is first a right end, whose row is partial, then a left end
+        pytest.param(STAGE_NAMES[0], [(5.0, 5.065), (5.065, 5.13)], id="gap_d4_on_5.000_5.130-abutting"),
+        pytest.param(STAGE_NAMES[0], [(5.065, 5.13), (5.0, 5.065)], id="gap_d4_on_5.000_5.130-abutting-reversed"),
+        pytest.param(STAGE_NAMES[3], [(5.72, 5.86), (5.86, 6.0)], id="gap_d2_on_5.720_6.000-abutting"),
+    ])
+    def test_check_signs_is_check_sign_per_interval(self, name, intervals):
+        """One call gives each interval (the stage's, unless given) its one-interval verdict, and each distinct end P(end), the float eval_cert_poly gives."""
         cert, stage = stage_certificate(name)
-        verdicts, values = check_signs(stage["method"], cert, stage["target"], stage["intervals"])
-        assert verdicts == [check_one(stage["method"], cert, stage["target"], interval) for interval in stage["intervals"]]
-        ends = [end for interval in stage["intervals"] for end in interval]
+        intervals = stage["intervals"] if intervals is None else intervals
+        verdicts, values = check_signs(stage["method"], cert, stage["target"], intervals)
+        assert verdicts == [check_one(stage["method"], cert, stage["target"], interval) for interval in intervals]
+        ends = [end for interval in intervals for end in interval]
         assert sorted(values) == sorted(set(ends))
         assert {end: v.hex() for end, v in values.items()} == {end: eval_cert_poly(cert, 0, end).hex() for end in ends}
 
@@ -190,6 +196,10 @@ class TestRemainderBound:
         pytest.param(
             lambda: build_certificate(5.065, 0.065, 4, 6.0, [0.15, 0.03, 0.005, 0.0005, 0.0002, 0.0002, 0.0002], 640, "refined", 0.187),
             "degree must be an integer in 0..169, got 6.0", id="degree-float",
+        ),
+        pytest.param(  # the window, degree included, is refused before the budgets are counted against it
+            lambda: build_certificate(5.065, 0.065, 4, 6.0, [], 640, "refined", 0.187),
+            "degree must be an integer in 0..169, got 6.0", id="degree-float-before-budgets",
         ),
     ])
     def test_orders_must_be_ints(self, call, refusal):
