@@ -15,10 +15,11 @@ below (or above), and two elementary mechanisms turn endpoint data into a
 sign on the whole interval: a monotonicity chain of derivative signs, and a
 variation cascade that plays the growth of a would-be zero's total variation
 against endpoint bounds until it contradicts a monotone tail.  Both read P at
-an interval end from one row of a Taylor table of coeffs[m + i] / i!, which
-check_signs builds once per call; check_sign_chain and check_sign_variation
-are its one-interval calls.  One window rule, _within, decides both which
-intervals a check takes and where P may be evaluated.
+an interval end from the Taylor table of coeffs[m + i] / i! that each
+certificate computes once, when it is built; check_sign_chain and
+check_sign_variation are check_signs' one-interval calls.  One window rule,
+_within, decides both which intervals a check takes and where P may be
+evaluated.
 """
 
 from __future__ import annotations
@@ -45,18 +46,28 @@ class BudgetError(ValueError):
     """A certificate's error accounting failed; the message names the culprit."""
 
 
-class TaylorCertificate(NamedTuple):
-    """A certified degree-n expansion of the base_order-th gap derivative."""
+# A functional NamedTuple base, as for TrigSquare, so that __new__ can derive the last field from the coefficients.
+class TaylorCertificate(NamedTuple("TaylorCertificate", [
+    ("center", float), ("radius", float), ("base_order", int), ("degree", int), ("coeffs", tuple[float, ...]),
+    ("coefficient_errors", tuple[float, ...]), ("termwise_budget", tuple[float, ...]), ("remainder", float),
+    ("total_delta", float), ("taylor", tuple[tuple[float, ...], ...]),
+])):
+    """A certified degree-n expansion of the base_order-th gap derivative.
 
-    center: float
-    radius: float
-    base_order: int
-    degree: int
-    coeffs: tuple[float, ...]
-    coefficient_errors: tuple[float, ...]
-    termwise_budget: tuple[float, ...]
-    remainder: float
-    total_delta: float
+    ``taylor`` is derived, never given: row m holds coeffs[m + i] / i!, the Taylor coefficients of P^(m) at the
+    center.  Every construction (_replace, _make and unpickling too) computes it from the coefficients and ignores
+    a passed value, so no certificate carries a table that disagrees with them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, center, radius, base_order, degree, coeffs, coefficient_errors, termwise_budget, remainder, total_delta, taylor=None):
+        fields = (center, radius, base_order, degree, coeffs, coefficient_errors, termwise_budget, remainder, total_delta)
+        return super().__new__(cls, *fields, _taylor_table(degree, coeffs))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so a replaced coefficient gets its table too
+        return cls(*fields)
 
 
 class SignCertificate(NamedTuple):
@@ -162,14 +173,14 @@ def build_certificate(
     )
 
 
-def _taylor_table(cert: TaylorCertificate, orders) -> list[list[float]]:
-    """Row m for each m in orders: coeffs[m + i] / i! for i = 0..degree - m, the Taylor coefficients of P^(m) at the center."""
-    if len(cert.coeffs) <= cert.degree:  # map() would stop at the last coefficient and sum too few terms
-        raise ValueError(f"a degree-{cert.degree} certificate needs {cert.degree + 1} coefficients, got {len(cert.coeffs)}")
-    return [list(map(truediv, cert.coeffs[m : cert.degree + 1], _FACTORIALS)) for m in orders]
+def _taylor_table(degree: int, coeffs) -> tuple[tuple[float, ...], ...]:
+    """A certificate's taylor field: row m, for m = 0..degree, is coeffs[m + i] / i! for i = 0..degree - m."""
+    if len(coeffs) <= degree:  # map() would stop at the last coefficient and sum too few terms
+        raise ValueError(f"a degree-{degree} certificate needs {degree + 1} coefficients, got {len(coeffs)}")
+    return tuple(tuple(map(truediv, coeffs[m : degree + 1], _FACTORIALS)) for m in range(degree + 1))
 
 
-def _values(table: list[list[float]], u: float) -> list[float]:
+def _values(table: tuple[tuple[float, ...], ...], u: float) -> list[float]:
     """Each table row's polynomial at u: the powers of u once, then one fsum of products per row."""
     powers = [u**k for k in range(len(table[0]))]  # the first row is the longest
     return [fsum(map(mul, row, powers)) for row in table]
@@ -181,7 +192,7 @@ def eval_cert_poly(cert: TaylorCertificate, m: int, t: float) -> float:
     lo, hi = cert.center - cert.radius, cert.center + cert.radius
     if not _within(t, lo, hi):
         raise ValueError(f"t={t} outside certified window [{lo}, {hi}]")
-    return _values(_taylor_table(cert, (m,)), t - cert.center)[0]
+    return _values(cert.taylor[m : m + 1], t - cert.center)[0]
 
 
 def _endpoints(checker: str, cert: TaylorCertificate, interval) -> tuple[float, float]:
@@ -202,7 +213,7 @@ def _endpoints(checker: str, cert: TaylorCertificate, interval) -> tuple[float, 
 
 
 def check_signs(method: str, cert: TaylorCertificate, target: str, intervals) -> tuple[list[SignCertificate], dict[float, float]]:
-    """The verdict on each interval by the check that method names, and values {end: P(end)}: one Taylor table, one row per distinct end.
+    """The verdict on each interval by the check that method names, and values {end: P(end)}: one evaluation of cert.taylor per distinct end.
 
     Refusals come in one order: each interval's shape, range and window, then the method and target.  The
     variation cascade argues from positive shifted endpoint values, so it certifies positive targets only.
@@ -214,7 +225,7 @@ def check_signs(method: str, cert: TaylorCertificate, target: str, intervals) ->
     targets = ("positive", "negative") if method == "chain" else ("positive",)
     if target not in targets:
         raise ValueError(f"the {method} check certifies {' or '.join(targets)} targets only, got {target!r}")
-    table = _taylor_table(cert, range(cert.degree + 1))
+    table = cert.taylor
     right, decide = (table, _cascade_verdict) if method == "cascade" else (table[:1], _chain_verdict)  # a chain reads only P at b
     rows, verdicts = {}, []
     for a, b in pairs:

@@ -1,7 +1,9 @@
 """Tests for Taylor certificates and the two sign-verdict mechanisms."""
 
+import copy
 import hashlib
 import math
+import pickle
 import random
 import re
 
@@ -47,8 +49,8 @@ def check_one(method, cert, target, interval):
 
 
 def table_row(cert, t):
-    """Every derivative 0..degree of the certificate polynomial at t, the row check_signs takes there: one Taylor table, one _values."""
-    return certify._values(certify._taylor_table(cert, range(cert.degree + 1)), t - cert.center)
+    """Every derivative 0..degree of the certificate polynomial at t, the row check_signs takes there: one _values of cert.taylor."""
+    return certify._values(cert.taylor, t - cert.center)
 
 
 def sign_check_digest():
@@ -400,14 +402,14 @@ class TestEvalCertRow:
             check_signs("cascade", cert_b, "positive", [interval])
 
     def test_refuses_a_certificate_short_of_coefficients(self, cert_b):
-        """A map over too few coefficients would stop early; indexing past them once raised IndexError."""
-        short = cert_b._replace(coeffs=cert_b.coeffs[:-1])
-        for call in (lambda: check_signs("cascade", short, "positive", [(5.13, 5.33)]), lambda: eval_cert_poly(short, 0, 5.23)):
-            with pytest.raises(ValueError, match=r"^a degree-8 certificate needs 9 coefficients, got 8$"):
-                call()
+        """A map over too few coefficients would stop early, so a certificate short of them is refused when it is built; none can reach a check."""
+        with pytest.raises(ValueError, match=r"^a degree-8 certificate needs 9 coefficients, got 8$"):
+            cert_b._replace(coeffs=cert_b.coeffs[:-1])
+        with pytest.raises(ValueError, match=r"^a degree-2 certificate needs 3 coefficients, got 2$"):
+            TaylorCertificate(5.5, 0.1, 1, 2, (1.0, 2.0), (0.0,) * 3, (1e-9,) * 3, 0.0, 1.0)
 
     def test_a_warm_proof_takes_one_row_per_endpoint(self, monkeypatch):
-        """4 Taylor tables (one per stage), 9 rows (one per distinct interval end) and no single evaluation."""
+        """4 Taylor tables (one per stage certificate, at its construction), 9 rows (one per distinct interval end) and no single evaluation."""
         import majorant.certify as certify
 
         prove_k5()
@@ -456,6 +458,59 @@ class TestEvalCertRow:
                 assert [eval_cert_poly(cert, m, t).hex() for m in range(cert.degree + 1)] == reference, (cert, t)
                 checked += 1
         assert checked == 4 * 241 + 200 * 6
+
+
+class TestTaylorField:
+    """TaylorCertificate.taylor, the table every construction derives from the coefficients."""
+
+    @staticmethod
+    def rows_at_ends(cert):
+        """The table's rows of values at both window ends and the center, as hex."""
+        return [[v.hex() for v in table_row(cert, t)] for t in (cert.center - cert.radius, cert.center, cert.center + cert.radius)]
+
+    @staticmethod
+    def reference_at_ends(cert):
+        return [[v.hex() for v in taylor_row_reference(cert, t)] for t in (cert.center - cert.radius, cert.center, cert.center + cert.radius)]
+
+    def test_every_construction_derives_the_table_of_its_coefficients(self, cert_b):
+        """_replace, _make, pickle and a passed table all end in the table of the certificate's own coefficients, bitwise."""
+        coeffs = tuple(-2.0 * c for c in cert_b.coeffs)
+        fresh = TaylorCertificate(*cert_b[:4], coeffs, *cert_b[5:9])
+        assert fresh.taylor != cert_b.taylor
+        built = {
+            "_replace": cert_b._replace(coeffs=coeffs),
+            "_make": TaylorCertificate._make((*cert_b[:4], coeffs, *cert_b[5:])),
+            "pickle": pickle.loads(pickle.dumps(fresh)),
+            "copy": copy.copy(fresh),
+            "passed table": TaylorCertificate(*fresh[:9], taylor=cert_b.taylor),
+            "_replace of the table": fresh._replace(taylor=cert_b.taylor),
+        }
+        for how, cert in built.items():
+            assert cert == fresh and cert.taylor == fresh.taylor, how
+            assert self.rows_at_ends(cert) == self.reference_at_ends(fresh), how
+        assert pickle.loads(pickle.dumps(cert_b)) == cert_b
+
+    def test_the_table_is_tuples_of_the_per_order_rows(self, cert_d):
+        """One tuple row per order 0..degree, each coeffs[m:] over 0!, 1!, ...; tuples, so a certificate stays hashable."""
+        assert isinstance(cert_d.taylor, tuple) and all(isinstance(row, tuple) for row in cert_d.taylor)
+        assert [len(row) for row in cert_d.taylor] == list(range(cert_d.degree + 1, 0, -1))
+        for m, row in enumerate(cert_d.taylor):
+            assert [v.hex() for v in row] == [(c / math.factorial(i)).hex() for i, c in enumerate(cert_d.coeffs[m:])]
+        assert hash(cert_d) == hash(stage_certificate("gap_d2_on_5.720_6.000")[0])
+        assert {cert_d: 1}[cert_d] == 1
+
+    def test_checks_build_no_table(self, monkeypatch, cert_a, cert_b, cert_d):
+        """One-interval chain and cascade checks and eval_cert_poly on a built certificate read its table and build none."""
+        builds = []
+        real = certify._taylor_table
+        monkeypatch.setattr(certify, "_taylor_table", lambda *args: builds.append(args) or real(*args))
+        assert check_sign_chain(cert_a, "positive", (5.0, 5.13)).certified
+        assert check_sign_chain(cert_d, "negative", (5.72, 6.0)).certified
+        assert check_sign_variation(cert_b, "positive", (5.13, 5.33)).certified
+        assert eval_cert_poly(cert_b, 3, 5.2) == table_row(cert_b, 5.2)[3]
+        assert builds == []
+        cert_b._replace(total_delta=1.0)
+        assert builds == [(cert_b.degree, cert_b.coeffs)]
 
 
 class TestSignCheckDigest:
