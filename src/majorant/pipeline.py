@@ -14,13 +14,16 @@ DEFAULT_CONFIG states the whole argument: its layout, its quadrature (640
 steps, each stage's error mode and sign check) and every certificate's window,
 degree, budgets and allowances.  No setting changes it.
 
-This module owns the stage table, its hash, and the report object;
-majorant.tables reproduces the paper's tables.
+This module owns the stage table, its hash, the report object and its two
+formats; majorant.tables reproduces the paper's tables.  JSON is the bytes of
+json.dumps(indent=2), laid out here around the leaves that one unindented pass
+of json's C encoder spells (json indents in pure Python before 3.13): with a
+newline between items, and every newline inside a string escaped, that pass
+splits into exactly one piece per leaf.
 """
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .certify import PIPELINE_T_MAX, PIPELINE_T_MIN, BudgetError, build_certificate, check_signs
@@ -144,6 +147,7 @@ class ProofReport(NamedTuple):
 
 def config_hash(cfg: dict) -> str:
     import hashlib  # here, not at the top: only a proof hashes, and the import loads OpenSSL
+    import json  # here too: only a proof or a JSON report encodes, so the other commands skip json
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -255,10 +259,26 @@ def prove_k5() -> ProofReport:
 # ---------------------------------------------------------------------------
 
 
+# json.dumps(indent=2)'s layout, a %s for each leaf: the fields of a report and of a stage, and a list at its depth
+_REPORT_HEAD = "{\n" + "".join(f'  "{name}": %s,\n' for name in ProofReport._fields[:-1]) + '  "stages": '
+_STAGE_HEAD = "{\n" + "".join(f'      "{name}": %s,\n' for name in StageResult._fields[:-1]) + '      "warnings": '
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
+
+
 def emit_report(report: ProofReport, fmt: str = "json") -> str:
     """Serialize a report deterministically (identical runs, identical bytes)."""
-    if fmt == "json":
-        return json.dumps(dict(report._asdict(), stages=[s._asdict() for s in report.stages]), indent=2) + "\n"  # _asdict keeps the field order, and with it the bytes
+    if fmt == "json":  # a leaf that is not a str, int, float, bool or None, or warnings not a tuple, raise TypeError
+        import json  # here, not at the top: only a proof or a JSON report encodes, so the other commands skip json
+        leaves = [*report[:-1], *(leaf for s in report.stages for leaf in s[:-1] + s.warnings)]
+        if odd := {*map(type, leaves)} - {str, int, float, bool, type(None)}:
+            raise TypeError(f"a report leaf must be a str, int, float, bool or None, not {sorted(t.__name__ for t in odd)}")
+        stages = [_STAGE_HEAD + _json_list(["%s"] * len(s.warnings), 3) + "\n    }" for s in report.stages]
+        pieces = json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n")
+        return (_REPORT_HEAD + _json_list(stages, 1) + "\n}\n") % tuple(pieces)
     if fmt != "text":
         raise ValueError(f"format must be 'json' or 'text', got {fmt!r}")
     lines = [

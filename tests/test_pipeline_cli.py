@@ -58,6 +58,36 @@ def asdict_rendering(value):
     return value
 
 
+def hand_report(*stages, top=("1", CASE_ID, "PROVED", "binary64", None, "0" * 64)):
+    """A report built by hand from its six top-level leaves and its stages."""
+    return ProofReport(*top, stages)
+
+
+# Leaves that json spells in its own way: nan, the infinities, signed zero, the extreme floats, an int, a bool and null
+ODD_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 7, True, None]
+# Strings json escapes: a quote, a backslash, control characters, non-ASCII, and the item separator of its compact form
+ODD_STRINGS = {
+    "quote": 'say "q"', "backslash": "back\\slash", "newline": "two\nlines", "tab": "tab\there", "NUL": "nul\0byte",
+    "e-acute": "caf\u00e9", "emoji": "\U0001F600", "item separator": '", "',
+}
+HAND_BUILT_REPORTS = {
+    "no stages": hand_report(),
+    "0 warnings": hand_report(StageResult("s", "certified", 1.0, 0.5, 0.5)),
+    "1 warning": hand_report(StageResult("s", "failed", 1.0, 0.5, 0.5, ("one",))),
+    "3 warnings": hand_report(StageResult("s", "failed", None, None, None, ("a", "b", "c")), StageResult("t", "certified", 0.0, 0.0, None)),
+    **{
+        f"numbers {value!r}": hand_report(
+            StageResult("s", "failed", value, 0.5, 0.25), StageResult("t", "failed", 0.5, value, 0.25),
+            StageResult("u", "failed", 0.5, 0.25, value, ("w",)), StageResult("v", "failed", value, value, value),
+        )
+        for value in ODD_NUMBERS
+    },
+    **{
+        f"string {kind}": hand_report(StageResult(text, text, 0.1, None, -0.0, (text, "w", text)), top=(text, text, text, text, None, text))
+        for kind, text in ODD_STRINGS.items()
+    },
+}
+
 # Every entry of the stage table as (stage, field); the stage None stands for the top-level "case"
 TABLE_ENTRIES = [(None, "case")] + [(name, field) for name, stage in DEFAULT_CONFIG["stages"].items() for field in stage]
 
@@ -314,9 +344,29 @@ class TestReports:
         with pytest.raises(ValueError, match="json.*text"):
             emit_report(default_report, "yaml")
 
-    def test_json_is_the_asdict_rendering(self, default_report):
-        """The report dict is built field by field from the records' _asdict, with the bytes of a recursive rendering."""
-        assert emit_report(default_report) == json.dumps(asdict_rendering(default_report), indent=2) + "\n"
+    @pytest.mark.parametrize("name", ["default", *HAND_BUILT_REPORTS])
+    def test_json_is_the_asdict_rendering(self, request, name):
+        """The written layout has the bytes of json.dumps(indent=2) over a recursive rendering, empty lists and odd leaves included."""
+        report = request.getfixturevalue("default_report") if name == "default" else HAND_BUILT_REPORTS[name]
+        assert emit_report(report) == json.dumps(asdict_rendering(report), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "report,match",
+        [
+            (hand_report(StageResult("s", "certified", [1.0], 0.5, 0.5)), "list"),
+            (hand_report(StageResult("s", "certified", 1.0, {"a": 1.0}, 0.5)), "dict"),
+            (hand_report(StageResult("s", "certified", 1.0, 0.5, (0.5,))), "tuple"),
+            (hand_report(StageResult("s", "failed", 1.0, 0.5, 0.5, (["note"],))), "list"),
+            (hand_report(StageResult("s", "failed", 1.0, 0.5, 0.5, "a note, not a tuple of notes")), "str"),
+            (hand_report(top=("1", CASE_ID, "PROVED", "binary64", [], "0" * 64)), "list"),
+        ],
+        ids=["list estimate", "dict error_bound", "tuple margin", "list warning", "str warnings", "list timestamp"],
+    )
+    def test_json_refuses_a_leaf_that_is_not_a_scalar(self, report, match):
+        """json would write a container leaf in its own layout; the writer refuses it rather than write other bytes."""
+        json.dumps(asdict_rendering(report), indent=2)  # the reference renders every one of them
+        with pytest.raises(TypeError, match=match):
+            emit_report(report)
 
     def test_inconclusive_json_is_the_asdict_rendering(self, tight_allowance):
         """A failed certificate stage has None fields and warnings; they render as the recursive rendering does, with pinned bytes."""
@@ -331,9 +381,9 @@ class TestReports:
             assert digest == "13446e2ddcfeb4346d909cd480963a99cc46a8064d67d29fe80ac9118b51ed68"
 
     @pytest.mark.parametrize("package", ["majorant", "majorant.cli"])
-    @pytest.mark.parametrize("module", ["hashlib", "dataclasses", "inspect", "majorant.tables", "csv"])
+    @pytest.mark.parametrize("module", ["hashlib", "json", "dataclasses", "inspect", "majorant.tables", "csv"])
     def test_import_leaves_module_unloaded(self, package, module):
-        """Only config_hash needs hashlib, which loads OpenSSL; the records are NamedTuples, so nothing loads dataclasses or inspect.
+        """Only config_hash needs hashlib, which loads OpenSSL, and only it and a JSON report need json; the records are NamedTuples, so nothing loads dataclasses or inspect.
 
         No module of the proof imports majorant.tables: the package binds its
         names on first use, and the CLI imports it, and csv, in the table
