@@ -24,7 +24,8 @@ evaluated.
 
 from __future__ import annotations
 
-from math import factorial, fsum
+from itertools import accumulate
+from math import fsum
 from operator import mul, truediv
 from typing import NamedTuple
 
@@ -37,9 +38,9 @@ PIPELINE_T_MAX = 6.0
 _EDGE_TOL = 1e-9
 _PROVEN_RANGE = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
 MAX_DEGREE = 169  # the tail bound divides by (degree + 1)!, and 170! is the largest factorial below the float range
-# k! for k = 0..MAX_DEGREE + 1 as floats, the one source of k! here: c / k! divides by the same float whether
-# k! is this entry or the int (Python converts an int divisor to the nearest float), so the table moves no bit.
-_FACTORIALS = tuple(float(factorial(k)) for k in range(MAX_DEGREE + 2))
+# k! for k = 0..MAX_DEGREE + 1 as floats, the one source of k! here, from one running product of exact ints: c / k!
+# divides by the same float whether k! is this entry or the int (Python converts an int divisor to the nearest float).
+_FACTORIALS = tuple(map(float, accumulate(range(1, MAX_DEGREE + 2), mul, initial=1)))
 
 
 class BudgetError(ValueError):

@@ -181,6 +181,12 @@ class TestRemainderBound:
         with pytest.raises(ValueError, match="radius"):
             remainder_bound(5.5, 0.0, 1, 8)
 
+    def test_factorial_table_is_math_factorial(self):
+        """The running product gives, for every k the table holds, the float of math.factorial(k), bit for bit."""
+        assert len(certify._FACTORIALS) == certify.MAX_DEGREE + 2
+        for k, value in enumerate(certify._FACTORIALS):
+            assert value.hex() == float(math.factorial(k)).hex(), k
+
     def test_degree_past_factorial_range_is_refused(self):
         """The tail bound divides by (degree + 1)!, a float only up to 170!, so 169 is the largest degree."""
         assert math.isfinite(remainder_bound(5.065, 0.065, 4, 169))
