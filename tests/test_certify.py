@@ -350,6 +350,54 @@ class TestBuildCertificate:
             build_certificate(5.5, 0.1, 1, 2, "11", 100, "refined", 0.5)
 
 
+# Each certificate stage's tail budget as the paper declares it, and its computed tail bound as README gives it (3 figures)
+PAPER_TAIL_BUDGETS = {
+    "gap_d4_on_5.000_5.130": (0.0009, "0.000881"),
+    "gap_d1_on_5.130_5.330": (2e-06, "1.76e-06"),
+    "gap_d1_on_5.330_5.720": (7.3e-05, "7.25e-05"),
+    "gap_d2_on_5.720_6.000": (0.00035, "0.000349"),
+}
+
+
+class TestPaperDepartures:
+    """The figures of README's "Where this run departs from the paper's tables", computed from the stage table."""
+
+    @pytest.mark.parametrize("name,plain,refined", [
+        ("gap_d4_on_5.000_5.130", "0.48", "0.046"),
+        ("gap_d2_on_5.720_6.000", "0.56", "0.038"),
+    ])
+    def test_plain_leading_errors_overrun_their_budget(self, name, plain, refined):
+        """At 640 steps the leading coefficient's plain error overruns its budget and its refined error fits (radius**0 / 0! is 1)."""
+        stage = DEFAULT_CONFIG["stages"][name]
+        budget = stage["budgets"][0]
+        errors = {mode: gap_derivatives(stage["center"], stage["steps"], [stage["base_order"]], mode)[0].error_bound for mode in ("plain", "refined")}
+        assert (f"{errors['plain']:.2g}", f"{errors['refined']:.2g}") == (plain, refined)
+        assert errors["refined"] <= budget < errors["plain"]
+
+    def test_the_step_rule_asks_more_than_the_paper_lists(self):
+        """For the d4 stage the fourth-root rule on the plain |H''''| bound at its center and its leading budget gives 671 steps, where the paper lists 474."""
+        stage = DEFAULT_CONFIG["stages"]["gap_d4_on_5.000_5.130"]
+        sup4 = plain_h4_bound(stage["center"], stage["base_order"])
+        assert required_steps(sup4, stage["budgets"][0], stage["radius"], 0) == 671 > stage["steps"] > 474
+
+    @pytest.mark.parametrize("name", STAGE_NAMES)
+    def test_the_computed_tail_is_within_the_paper_tail_budget(self, name):
+        declared, shown = PAPER_TAIL_BUDGETS[name]
+        cert, _ = stage_certificate(name)
+        assert f"{cert.remainder:.3g}" == shown
+        assert cert.remainder <= declared
+
+    @pytest.mark.parametrize("name", STAGE_NAMES)
+    def test_the_allowance_holds_the_tail(self, name):
+        """With total_delta at the stage's budgets plus its tail bound the certificate builds; one ulp less, the tail overruns it."""
+        stage = DEFAULT_CONFIG["stages"][name]
+        window = (stage["center"], stage["radius"], stage["base_order"], stage["degree"], stage["budgets"], stage["steps"], stage["mode"])
+        allowance = math.fsum(stage["budgets"]) + remainder_bound(*window[:4])
+        assert build_certificate(*window, allowance).total_delta == allowance
+        with pytest.raises(BudgetError, match="^budgets plus tail bound .* exceed total allowance"):
+            build_certificate(*window, math.nextafter(allowance, 0.0))
+
+
 class TestEvalCertPoly:
     def test_center_values_are_coefficients(self, cert_b):
         for m in range(cert_b.degree + 1):
