@@ -13,11 +13,12 @@ whole run INCONCLUSIVE rather than silently passing; its warnings say why,
 and a certified stage has none.  The stage table DEFAULT_CONFIG holds only
 what the proof decides with: its layout, its quadrature (640 steps, each
 stage's error mode and sign check) and every certificate's window, degree,
-budgets and allowances.  No setting changes it.  README notes where these
-depart from the paper's figures.
+budgets and allowances.  No setting changes it, so its hash is a constant,
+CONFIG_SHA256, that a test recomputes.  README notes where these depart
+from the paper's figures.
 
-This module owns the stage table, its hash, the report object and its two
-formats; majorant.tables reproduces the paper's tables.  JSON is the bytes of
+This module owns the stage table, the report object and its two formats;
+majorant.tables reproduces the paper's tables.  JSON is the bytes of
 json.dumps(indent=2), laid out here around the leaves that one unindented pass
 of json's C encoder spells (json indents in pure Python before 3.13): with a
 newline between items, and every newline inside a string escaped, that pass
@@ -104,6 +105,9 @@ DEFAULT_CONFIG = {
     },
 }
 
+# sha256 of DEFAULT_CONFIG's canonical JSON (sorted keys, no spaces), as shipped; the report carries it
+CONFIG_SHA256 = "ab19e7ad6ca2ad2605d656909d819f6e4b80388156f401f7265030b40dd44c54"
+
 
 class StageResult(NamedTuple):
     name: str
@@ -124,21 +128,15 @@ class ProofReport(NamedTuple):
     stages: tuple[StageResult, ...]
 
 
-def config_hash(cfg: dict) -> str:
-    import hashlib  # here, not at the top: only a proof hashes, and the import loads OpenSSL
-    import json  # here too: only a proof or a JSON report encodes, so the other commands skip json
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Stage execution
 # ---------------------------------------------------------------------------
 
 
 def _run_endpoint_stage(name: str) -> StageResult:
-    ok = endpoint_difference_zero()
-    return StageResult(name, "certified" if ok else "failed", 0.0, 0.0, None)
+    if endpoint_difference_zero():
+        return StageResult(name, "certified", 0.0, 0.0, None)
+    return StageResult(name, "failed", None, None, None, ("the 5th or 6th power integrals of the two signs differ",))
 
 
 def _derivative_values(stages: dict) -> dict[str, CertifiedValue]:
@@ -200,12 +198,12 @@ def _coverage_gaps(stages: dict) -> list[tuple[float, float]]:
 def prove_k5() -> ProofReport:
     """Run every stage of DEFAULT_CONFIG and assemble the verdict.
 
-    The stage table is read, and hashed into the report, as it stands at the
-    call.  Stage failures are recorded, never raised: an unprovable margin
-    yields verdict INCONCLUSIVE.  So does a piece of [5, 6] that no sign-check
+    The stage table is read as it stands at the call; the report carries
+    CONFIG_SHA256, the shipped table's hash, even if the table was patched.
+    Stage failures are recorded, never raised: an unprovable margin yields
+    verdict INCONCLUSIVE.  So does a piece of [5, 6] that no sign-check
     interval covers: a failed COVERAGE_STAGE result, after the stages, names it.
     """
-    digest = config_hash(DEFAULT_CONFIG)
     stages = DEFAULT_CONFIG["stages"]
     derivatives = _derivative_values(stages)
     results = []
@@ -222,7 +220,7 @@ def prove_k5() -> ProofReport:
         warnings = tuple(f"no certificate interval covers [{a!r}, {b!r}] of {span}" for a, b in gaps)
         results.append(StageResult(COVERAGE_STAGE, "failed", None, None, None, warnings))
     verdict = "PROVED" if all(r.status == "certified" for r in results) else "INCONCLUSIVE"
-    return ProofReport(REPORT_VERSION, CASE_ID, verdict, ENVIRONMENT_NOTE, None, digest, tuple(results))
+    return ProofReport(REPORT_VERSION, CASE_ID, verdict, ENVIRONMENT_NOTE, None, CONFIG_SHA256, tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +241,7 @@ def _json_list(items: list[str], depth: int) -> str:
 def emit_report(report: ProofReport, fmt: str = "json") -> str:
     """Serialize a report deterministically (identical runs, identical bytes)."""
     if fmt == "json":  # a leaf that is not a str, int, float, bool or None, or warnings not a tuple, raise TypeError
-        import json  # here, not at the top: only a proof or a JSON report encodes, so the other commands skip json
+        import json  # here, not at the top: only a JSON report encodes, so the other commands skip json
         leaves = [*report[:-1], *(leaf for s in report.stages for leaf in s[:-1] + s.warnings)]
         if odd := {*map(type, leaves)} - {str, int, float, bool, type(None)}:
             raise TypeError(f"a report leaf must be a str, int, float, bool or None, not {sorted(t.__name__ for t in odd)}")

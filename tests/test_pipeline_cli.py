@@ -18,13 +18,13 @@ from majorant.certify import SignCertificate, TaylorCertificate, eval_cert_poly
 from majorant.integrand import IntegrandSpec
 from majorant.pipeline import (
     CASE_ID,
+    CONFIG_SHA256,
     COVERAGE_STAGE,
     DEFAULT_CONFIG,
     ProofReport,
     StageResult,
     _run_certificate_stage,
     _run_derivative_stage,
-    config_hash,
     emit_report,
     prove_k5,
 )
@@ -111,12 +111,12 @@ def other_value(field, value):
 
 
 def proof_outcome():
-    """The proof's report with its config_hash blanked, or the ValueError that refuses the stage table."""
+    """The proof's JSON report, or the ValueError that refuses the stage table."""
     try:
         report = prove_k5()
     except ValueError as exc:
         return f"refused: {exc}"
-    return emit_report(report._replace(config_hash=""))
+    return emit_report(report)
 
 
 # sha256 of each reference table's CSV, as ``majorant table <id>`` prints it
@@ -162,10 +162,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("stage,field", TABLE_ENTRIES, ids=[f"{stage}-{field}" for stage, field in TABLE_ENTRIES])
     def test_every_entry_reaches_the_proof(self, stage, field, default_report, monkeypatch):
-        """Another value of any entry changes the report beyond its config_hash, or the proof refuses it: the table holds nothing the proof ignores."""
+        """Another value of any entry changes the report, whose config_hash stays CONFIG_SHA256, or the proof refuses it: the table holds nothing the proof ignores."""
         table = DEFAULT_CONFIG["stages"][stage]
         monkeypatch.setitem(table, field, other_value(field, table[field]))
-        assert proof_outcome() != emit_report(default_report._replace(config_hash=""))
+        assert proof_outcome() != emit_report(default_report)
 
     def test_uncovered_piece_of_the_range_is_inconclusive(self, monkeypatch):
         """A narrowed sign-check interval leaves [5.445, 5.56] uncovered: every stage still certifies, but the verdict is INCONCLUSIVE and a failed result names the piece."""
@@ -178,11 +178,13 @@ class TestConfig:
         assert report.stages[-1] == StageResult(COVERAGE_STAGE, "failed", None, None, None, (warning,))
 
     def test_hash_is_stable_and_sensitive(self):
-        base = config_hash(DEFAULT_CONFIG)
-        assert base == "ab19e7ad6ca2ad2605d656909d819f6e4b80388156f401f7265030b40dd44c54"
+        """CONFIG_SHA256 is the sha256 of the shipped table's canonical JSON, so an edit to the table needs a new literal."""
+        def canonical_sha256(cfg):
+            return hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+        assert canonical_sha256(DEFAULT_CONFIG) == CONFIG_SHA256
         changed = copy.deepcopy(DEFAULT_CONFIG)
         changed["stages"][D4]["total_delta"] = 0.1869
-        assert config_hash(changed) != base
+        assert canonical_sha256(changed) != CONFIG_SHA256
 
     def test_proof_and_tables_leave_the_stage_table_as_found(self):
         """A proof reads DEFAULT_CONFIG in place, so no stage runner or coefficient table may edit it, lists included."""
@@ -235,6 +237,15 @@ class TestProve:
         assert (default_report.verdict, tight.verdict) == ("PROVED", "INCONCLUSIVE")
         for report in (default_report, tight):
             assert all(s.status == "failed" for s in report.stages if s.warnings), report.verdict
+
+    def test_unequal_endpoint_integrals_fail_and_say_why(self, monkeypatch):
+        """A failed endpoint check reports no value and names its reason, as every other failed stage without a value does."""
+        monkeypatch.setattr("majorant.pipeline.endpoint_difference_zero", lambda: False)
+        report = prove_k5()
+        assert report.verdict == "INCONCLUSIVE"
+        reason = "the 5th or 6th power integrals of the two signs differ"
+        assert report.stages[0] == StageResult("endpoint_gap_zero", "failed", None, None, None, (reason,))
+        assert all(s.status == "certified" for s in report.stages[1:])
 
     def test_starved_derivative_stage_fails(self):
         """Steps are fixed, so a derivative stage with a non-positive margin is built from a starved value."""
@@ -358,7 +369,10 @@ class TestReports:
             emit_report(report)
 
     def test_inconclusive_json_is_the_asdict_rendering(self, tight_allowance):
-        """A failed certificate stage has None fields and warnings; they render as the recursive rendering does, with pinned bytes."""
+        """A failed certificate stage has None fields and warnings; they render as the recursive rendering does, with pinned bytes.
+
+        The patched table still reports CONFIG_SHA256, the shipped table's hash.
+        """
         report = prove_k5()
         assert report.verdict == "INCONCLUSIVE"
         by_name = {s.name: s for s in report.stages}
@@ -367,12 +381,12 @@ class TestReports:
         assert emit_report(report) == json.dumps(asdict_rendering(report), indent=2) + "\n"
         if platform.libc_ver()[0] == "glibc":  # recorded on glibc 2.36, x86-64, Python 3.11.7
             digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
-            assert digest == "6a6b88af7f43b1ac68d6ef6a4c19d313f8be9cb69343c891573e53ad5a2658df"
+            assert digest == "06d2ec9b1af878ce36ee83f3ecabc04a677cb0d1e8abd89b8b9ac0cc791b433b"
 
     @pytest.mark.parametrize("package", ["majorant", "majorant.cli"])
     @pytest.mark.parametrize("module", ["hashlib", "json", "dataclasses", "inspect", "majorant.tables", "csv"])
     def test_import_leaves_module_unloaded(self, package, module):
-        """Only config_hash needs hashlib, which loads OpenSSL, and only it and a JSON report need json; the records are NamedTuples, so nothing loads dataclasses or inspect.
+        """Nothing needs hashlib, which loads OpenSSL, and only a JSON report needs json; the records are NamedTuples, so nothing loads dataclasses or inspect.
 
         No module of the proof imports majorant.tables: the package binds its
         names on first use, and the CLI imports it, and csv, in the table
@@ -382,6 +396,22 @@ class TestReports:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
+
+    def test_no_proof_loads_hashlib(self, tmp_path):
+        """The report carries the pinned CONFIG_SHA256, so neither a proof with its JSON report nor ``majorant prove`` hashes anything.
+
+        ``python -X importtime`` names on stderr every module the process imports.
+        """
+        code = "import sys, majorant; majorant.emit_report(majorant.prove_k5()); print('hashlib' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+        out = tmp_path / "report.json"
+        command = [sys.executable, "-X", "importtime", "-m", "majorant", "prove", "--out", str(out)]
+        result = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+        assert "majorant.pipeline" in imported and "hashlib" not in imported
+        assert json.loads(out.read_text())["config_hash"] == CONFIG_SHA256
 
 
 @pytest.mark.parametrize(
