@@ -3,7 +3,7 @@
 Exit codes: 0 success (and verdict PROVED for ``prove``), 1 proof ran but is
 INCONCLUSIVE, 2 invalid input (arguments, or an --out file that cannot be written),
 3 internal error (any other exception: a fault in the program, not in its input).
-``prove`` takes no configuration: it runs the stage table DEFAULT_CONFIG.
+``prove`` takes no configuration: it runs the fixed argument of majorant.pipeline.
 """
 
 from __future__ import annotations

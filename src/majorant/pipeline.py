@@ -10,12 +10,13 @@ polynomial of a low-order derivative keeps a fixed sign.  The proof checks
 that those stages' sign-check intervals leave no piece of [5, 6] out.  Each stage carries
 explicit error accounting; a stage whose margin cannot be certified makes the
 whole run INCONCLUSIVE rather than silently passing; its warnings say why,
-and a certified stage has none.  The stage table DEFAULT_CONFIG holds only
-what the proof decides with: its layout, its quadrature (640 steps, each
-stage's error mode and sign check) and every certificate's window, degree,
-budgets and allowances.  No setting changes it, so its hash is a constant,
-CONFIG_SHA256, that a test recomputes.  README notes where these depart
-from the paper's figures.
+and a certified stage has none.  The argument's layout is code: the endpoint
+stage, the derivative orders DERIVATIVE_STAGES at t = 5, and STEPS, the node
+count of every quadrature.  The stage table DEFAULT_CONFIG holds the four
+certificates, each with what the proof decides with: its window, degree,
+quadrature, budgets, allowances and sign check.  No setting changes it, so
+its hash is a constant, CONFIG_SHA256, that a test recomputes.  README notes
+where these depart from the paper's figures.
 
 This module owns the stage table, the report object and its two formats;
 majorant.tables reproduces the paper's tables.  JSON is the bytes of
@@ -37,20 +38,18 @@ REPORT_VERSION = "1"
 CASE_ID = "k5-three-term"
 COVERAGE_STAGE = "interval_coverage"  # the failed result a gap in the tiling of [5, 6] adds
 ENVIRONMENT_NOTE = "IEEE-754 binary64; every node sum exactly rounded; deterministic node order"
+STEPS = 640  # midpoint nodes per half period in every quadrature the proof takes
+DERIVATIVE_STAGES = {"gap_d1_at_5": 1, "gap_d2_at_5": 2, "gap_d3_at_5": 3}  # report name: order of the gap derivative at PIPELINE_T_MIN
 
 DEFAULT_CONFIG = {
     "stages": {
-        "endpoint_gap_zero": {},
-        "gap_d1_at_5": {"order": 1, "t": 5.0, "steps": 640, "mode": "refined"},
-        "gap_d2_at_5": {"order": 2, "t": 5.0, "steps": 640, "mode": "refined"},
-        "gap_d3_at_5": {"order": 3, "t": 5.0, "steps": 640, "mode": "refined"},
         "gap_d4_on_5.000_5.130": {
             "center": 5.065,
             "radius": 0.065,
             "base_order": 4,
             "degree": 6,
             "budgets": [0.15, 0.03, 0.005, 0.0005, 0.0002, 0.0002, 0.0002],
-            "steps": 640,
+            "steps": STEPS,
             "mode": "refined",
             "total_delta": 0.187,
             "target": "positive",
@@ -66,7 +65,7 @@ DEFAULT_CONFIG = {
                 0.003606534, 0.001019244, 0.000142293, 1.30964e-05, 8.94756e-07,
                 4.84427e-08, 2.16681e-09, 8.24499e-11, 2.7301e-12,
             ],
-            "steps": 640,
+            "steps": STEPS,
             "mode": "refined",
             "total_delta": 0.0048,
             "target": "positive",
@@ -82,7 +81,7 @@ DEFAULT_CONFIG = {
                 0.007186277, 0.003921976, 0.00105811, 0.000188317, 2.48926e-05,
                 2.60863e-06, 2.2591e-07, 1.66398e-08, 1.06486e-09, 6.01989e-11,
             ],
-            "steps": 640,
+            "steps": STEPS,
             "mode": "refined",
             "total_delta": 0.0124555,
             "target": "positive",
@@ -95,7 +94,7 @@ DEFAULT_CONFIG = {
             "base_order": 2,
             "degree": 8,
             "budgets": [0.16, 0.062, 0.015, 0.002, 0.002, 0.002, 0.002, 0.002, 0.002],
-            "steps": 640,
+            "steps": STEPS,
             "mode": "refined",
             "total_delta": 0.2494,
             "target": "negative",
@@ -106,7 +105,7 @@ DEFAULT_CONFIG = {
 }
 
 # sha256 of DEFAULT_CONFIG's canonical JSON (sorted keys, no spaces), as shipped; the report carries it
-CONFIG_SHA256 = "ab19e7ad6ca2ad2605d656909d819f6e4b80388156f401f7265030b40dd44c54"
+CONFIG_SHA256 = "c019307b2bdff08d3aea3e089862e6d93e1240e7bb2c70226211a52120ade7a5"
 
 
 class StageResult(NamedTuple):
@@ -133,22 +132,10 @@ class ProofReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _run_endpoint_stage(name: str) -> StageResult:
+def _run_endpoint_stage() -> StageResult:
     if endpoint_difference_zero():
-        return StageResult(name, "certified", 0.0, 0.0, None)
-    return StageResult(name, "failed", None, None, None, ("the 5th or 6th power integrals of the two signs differ",))
-
-
-def _derivative_values(stages: dict) -> dict[str, CertifiedValue]:
-    """The certified value of every derivative stage, from one gap_derivatives call per (t, steps, mode) of the table."""
-    batches: dict[tuple, dict] = {}
-    for name, stage in stages.items():
-        if "order" in stage:
-            batches.setdefault((stage["t"], stage["steps"], stage["mode"]), {})[name] = stage["order"]
-    values = {}
-    for (t, steps, mode), orders in batches.items():
-        values.update(zip(orders, gap_derivatives(t, steps, list(orders.values()), mode)))
-    return values
+        return StageResult("endpoint_gap_zero", "certified", 0.0, 0.0, None)
+    return StageResult("endpoint_gap_zero", "failed", None, None, None, ("the 5th or 6th power integrals of the two signs differ",))
 
 
 def _run_derivative_stage(name: str, value: CertifiedValue) -> StageResult:
@@ -185,7 +172,7 @@ def _run_certificate_stage(name: str, stage: dict) -> StageResult:
 def _coverage_gaps(stages: dict) -> list[tuple[float, float]]:
     """The pieces of [PIPELINE_T_MIN, PIPELINE_T_MAX] that no certificate stage's sign-check interval covers."""
     reach, gaps = PIPELINE_T_MIN, []
-    intervals = sorted((a, b) for stage in stages.values() if "center" in stage for a, b in stage["intervals"])
+    intervals = sorted((a, b) for stage in stages.values() for a, b in stage["intervals"])
     for a, b in intervals:
         if a > reach:
             gaps.append((reach, a))
@@ -196,24 +183,21 @@ def _coverage_gaps(stages: dict) -> list[tuple[float, float]]:
 
 
 def prove_k5() -> ProofReport:
-    """Run every stage of DEFAULT_CONFIG and assemble the verdict.
+    """Run the argument and assemble the verdict.
 
-    The stage table is read as it stands at the call; the report carries
-    CONFIG_SHA256, the shipped table's hash, even if the table was patched.
+    The stages run in report order: the endpoint stage, the derivative stages
+    of DERIVATIVE_STAGES from one batch at PIPELINE_T_MIN and STEPS nodes, and
+    one certificate stage per entry of DEFAULT_CONFIG.  The stage table is read
+    as it stands at the call; the report carries CONFIG_SHA256, the shipped
+    table's hash, even if the table was patched.
     Stage failures are recorded, never raised: an unprovable margin yields
     verdict INCONCLUSIVE.  So does a piece of [5, 6] that no sign-check
     interval covers: a failed COVERAGE_STAGE result, after the stages, names it.
     """
     stages = DEFAULT_CONFIG["stages"]
-    derivatives = _derivative_values(stages)
-    results = []
-    for name, stage in stages.items():
-        if name == "endpoint_gap_zero":
-            results.append(_run_endpoint_stage(name))
-        elif "center" in stage:
-            results.append(_run_certificate_stage(name, stage))
-        else:
-            results.append(_run_derivative_stage(name, derivatives[name]))
+    values = gap_derivatives(PIPELINE_T_MIN, STEPS, [*DERIVATIVE_STAGES.values()], "refined")
+    results = [_run_endpoint_stage(), *map(_run_derivative_stage, DERIVATIVE_STAGES, values)]
+    results += (_run_certificate_stage(name, stage) for name, stage in stages.items())
     gaps = _coverage_gaps(stages)
     if gaps:
         span = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"

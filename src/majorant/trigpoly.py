@@ -6,18 +6,18 @@ polynomials, the case k = 5 of the paper: for a sign ``s`` the square expands to
     G(x) = 3 + 2*(cos(2*pi*x) + s*cos(2*pi*6*x) + s*cos(2*pi*7*x)),
 
 an even, 1-periodic function with frequencies 1, 6 and 7 and values in
-[0.018, 9]: G has no zeros (its minimum on a grid of step 1/20000, less the
-curvature slack of that step, is 0.0182 for the minus sign and larger for
-plus).  Every working constant in the package is proven for this case alone,
-so k is the module constant ``K`` rather than a parameter.
+[G_MIN, G_MAX] = [0.0174, 9]: G has no zeros.  Every working constant in the
+package is proven for this case alone, so k is the module constant ``K``
+rather than a parameter.
 
-This module states G's range bound ``G_MAX``, evaluates both signs' G over a
-run of points in one pass, bounds the sup norms of the derivatives, and bounds
-the total variation of integer or real powers of G.  The variation bounds read
+This module states G's range bounds, evaluates both signs' G over a run of
+points in one pass, bounds the sup norms of the derivatives, and bounds the
+total variation of integer or real powers of G.  The variation bounds read
 one table per sign of certified upper bounds at the local maxima of G over a
 half period, both built at import from one pass over a fixed grid (step
 MAXIMA_STEP, each interior maximum raised by MAXIMA_BUMP), whose slack and
-count of maxima are checked there too.
+count of maxima are checked there too.  The same pass gives G_MIN, its least
+sample less that slack, checked positive there.
 """
 
 from __future__ import annotations
@@ -172,13 +172,15 @@ def _scan_maxima(samples: list[float]) -> tuple[LocalMaxEntry, ...]:
 MAXIMA_STEP = MAXIMA_BUMP = 0.001
 if not MAXIMA_BUMP >= curvature_slack(MAXIMA_STEP):
     raise RuntimeError(f"maxima bump {MAXIMA_BUMP} does not cover the curvature slack {curvature_slack(MAXIMA_STEP):.6g}")
-_MAX_TABLES = {
-    sign: LocalMaxTable(sign, _scan_maxima(samples))
-    for sign, samples in zip(SIGN_PAIR, eval_G_pair(i * MAXIMA_STEP for i in range(501)))
-}
+_GRID_SAMPLES = eval_G_pair(i * MAXIMA_STEP for i in range(501))  # both signs' G on the grid: the one G pass at import
+_MAX_TABLES = {sign: LocalMaxTable(sign, _scan_maxima(samples)) for sign, samples in zip(SIGN_PAIR, _GRID_SAMPLES)}
 for _table in _MAX_TABLES.values():  # G' has degree F3, so G has at most F3 = 7 local maxima per period
     if _table.total_multiplicity != F3:
         raise RuntimeError(f"expected {F3} local maxima of the {_table.sign.value} sign, found {_table.total_multiplicity}")
+# The maxima argument mirrored: G' = 0 at an interior minimum, so the sample nearest it exceeds it by at most the slack.
+G_MIN = math.floor((min(map(min, _GRID_SAMPLES)) - curvature_slack(MAXIMA_STEP)) * 10000.0) / 10000.0  # rounded down
+if not G_MIN > 0.0:  # also refuses nan
+    raise RuntimeError(f"G may vanish: its least grid sample less the curvature slack is {G_MIN}")
 
 
 def default_max_table(spec: TrigSquare) -> LocalMaxTable:

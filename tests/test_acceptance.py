@@ -15,7 +15,7 @@ from majorant.certify import (
 )
 from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec
-from majorant.pipeline import DEFAULT_CONFIG, emit_report, prove_k5
+from majorant.pipeline import DEFAULT_CONFIG, STEPS, emit_report, prove_k5
 from majorant.quadrature import gap_derivative
 from majorant.spectral import torus_power_integral
 from majorant.tables import reproduce_table
@@ -72,14 +72,13 @@ def test_criterion_03_integer_moments():
 
 
 def test_criterion_04_first_derivative_at_five():
-    steps = DEFAULT_CONFIG["stages"]["gap_d1_at_5"]["steps"]
     start = time.perf_counter()
-    value = gap_derivative(1, 5.0, steps, "refined")
+    value = gap_derivative(1, 5.0, STEPS, "refined")
     elapsed = time.perf_counter() - start
     assert value.estimate == pytest.approx(0.002878492, abs=1e-6)
     assert value.error_bound <= 0.00195
     for sign in SignVariant:
-        part = one_sign_integral(sign, 5.0, steps, 1, "refined")
+        part = one_sign_integral(sign, 5.0, STEPS, 1, "refined")
         assert part.error_bound <= 0.0008672
         assert part.error_bound >= 0.0008672 * 0.999
     assert elapsed < 5.0
@@ -87,17 +86,16 @@ def test_criterion_04_first_derivative_at_five():
 
 
 def test_criterion_05_second_derivative_at_five():
-    steps = DEFAULT_CONFIG["stages"]["gap_d2_at_5"]["steps"]
-    value = gap_derivative(2, 5.0, steps, "refined")
+    value = gap_derivative(2, 5.0, STEPS, "refined")
     assert value.estimate == pytest.approx(0.033815603, abs=1e-6)
     for sign in SignVariant:
-        part = one_sign_integral(sign, 5.0, steps, 2, "refined")
+        part = one_sign_integral(sign, 5.0, STEPS, 2, "refined")
         assert 0.00245 <= part.error_bound <= 0.00252
-    print(f"ACCEPTANCE 05 PASS — second derivative at {steps} steps within budget")
+    print(f"ACCEPTANCE 05 PASS — second derivative at {STEPS} steps within budget")
 
 
 def test_criterion_06_third_derivative_and_step_rule():
-    value = gap_derivative(3, 5.0, DEFAULT_CONFIG["stages"]["gap_d3_at_5"]["steps"], "plain")
+    value = gap_derivative(3, 5.0, STEPS, "plain")
     assert value.estimate == pytest.approx(0.18354763424, abs=1e-8)
     sup4 = plain_h4_bound(5.0, 3)  # the plain bound of order 3, for both signs
     assert sup4 <= 2.8294e14

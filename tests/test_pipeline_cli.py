@@ -14,13 +14,15 @@ import pytest
 
 import majorant.cli
 import majorant.trigpoly
-from majorant.certify import SignCertificate, TaylorCertificate, eval_cert_poly
+from majorant.certify import PIPELINE_T_MIN, SignCertificate, TaylorCertificate, eval_cert_poly
 from majorant.integrand import IntegrandSpec
 from majorant.pipeline import (
     CASE_ID,
     CONFIG_SHA256,
     COVERAGE_STAGE,
     DEFAULT_CONFIG,
+    DERIVATIVE_STAGES,
+    STEPS,
     ProofReport,
     StageResult,
     _run_certificate_stage,
@@ -147,10 +149,10 @@ def tight_allowance(monkeypatch):
 
 class TestConfig:
     def test_default_config_states_the_argument(self):
-        """Orders 1-3 at t = 5, then four certificates whose intervals tile [5, 6] in stage order."""
-        stages = DEFAULT_CONFIG["stages"]
-        assert [(s["order"], s["t"]) for s in stages.values() if "order" in s] == [(1, 5.0), (2, 5.0), (3, 5.0)]
-        certificates = [s for s in stages.values() if "center" in s]
+        """Orders 1-3 at t = 5, then four certificates whose intervals tile [5, 6] in stage order, all at STEPS refined, as the derivative batch."""
+        assert list(DERIVATIVE_STAGES.values()) == [1, 2, 3] and EXPECTED_STAGES[1:4] == list(DERIVATIVE_STAGES) and PIPELINE_T_MIN == 5.0
+        certificates = list(DEFAULT_CONFIG["stages"].values())
+        assert [(s["steps"], s["mode"]) for s in certificates] == [(STEPS, "refined")] * 4
         edges = [5.0]
         for stage in certificates:
             for a, b in stage["intervals"]:
@@ -166,6 +168,12 @@ class TestConfig:
         table = DEFAULT_CONFIG["stages"][stage]
         monkeypatch.setitem(table, field, other_value(field, table[field]))
         assert proof_outcome() != emit_report(default_report)
+
+    @pytest.mark.parametrize("name,value", [("STEPS", STEPS - 1), ("DERIVATIVE_STAGES", {name: j + 1 for name, j in DERIVATIVE_STAGES.items()})])
+    def test_the_derivative_constants_reach_the_proof(self, name, value, default_report, monkeypatch):
+        """Another node count or other derivative orders change the report: each proof reads both constants."""
+        monkeypatch.setattr(f"majorant.pipeline.{name}", value)
+        assert emit_report(prove_k5()) != emit_report(default_report)
 
     def test_uncovered_piece_of_the_range_is_inconclusive(self, monkeypatch):
         """A narrowed sign-check interval leaves [5.445, 5.56] uncovered: every stage still certifies, but the verdict is INCONCLUSIVE and a failed result names the piece."""
@@ -318,7 +326,7 @@ class TestReports:
     def test_default_report_bytes_are_pinned(self):
         """The default JSON report is the behavioural contract; hash recorded on glibc 2.36, x86-64, Python 3.11.7."""
         digest = hashlib.sha256(emit_report(prove_k5(), "json").encode("utf-8")).hexdigest()
-        assert digest == "0a860d7b9c27cea8fed9f18f03846516423973fb07e8c71ba2af62e8814ee333"
+        assert digest == "e56696733c1daa5c4212f376c07c9e27159b6deb06f61c99cdaeb98b609b38b6"
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the hashes were recorded with glibc's libm")
     @pytest.mark.parametrize("table_id,digest", TABLE_SHA256.items())
@@ -381,7 +389,7 @@ class TestReports:
         assert emit_report(report) == json.dumps(asdict_rendering(report), indent=2) + "\n"
         if platform.libc_ver()[0] == "glibc":  # recorded on glibc 2.36, x86-64, Python 3.11.7
             digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
-            assert digest == "06d2ec9b1af878ce36ee83f3ecabc04a677cb0d1e8abd89b8b9ac0cc791b433b"
+            assert digest == "e93b7771edd752804fc51e92d2983bd6018133c7681317b579f838d0ce918dd3"
 
     @pytest.mark.parametrize("package", ["majorant", "majorant.cli"])
     @pytest.mark.parametrize("module", ["hashlib", "json", "dataclasses", "inspect", "majorant.tables", "csv"])

@@ -14,10 +14,10 @@ import pytest
 
 from majorant import integrand, quadrature
 from majorant import tables as tables_module  # the fixture tables is a pair of maxima tables
-from majorant.certify import TaylorCertificate, build_certificate, eval_cert_poly
+from majorant.certify import PIPELINE_T_MIN, TaylorCertificate, build_certificate, eval_cert_poly
 from majorant.envelope import envelope_max
 from majorant.integrand import IntegrandSpec, h4_bounds, h4_term_bounds, refined_kinds, term_kinds
-from majorant.pipeline import DEFAULT_CONFIG, emit_report, prove_k5
+from majorant.pipeline import DEFAULT_CONFIG, DERIVATIVE_STAGES, STEPS, emit_report, prove_k5
 from majorant.quadrature import (
     MAX_STEPS,
     MODES,
@@ -559,13 +559,10 @@ class TestHeldGapValues:
 
 def default_proof_passes():
     """{(t, N, mode): [order, ...]} for every gap-derivative evaluation of the default proof."""
-    passes = {}
+    passes = {(PIPELINE_T_MIN, STEPS, "refined"): list(DERIVATIVE_STAGES.values())}
     for stage in DEFAULT_CONFIG["stages"].values():
-        if "center" in stage:
-            orders = range(stage["base_order"], stage["base_order"] + stage["degree"] + 1)
-            passes.setdefault((stage["center"], stage["steps"], stage["mode"]), []).extend(orders)
-        elif "order" in stage:
-            passes.setdefault((stage["t"], stage["steps"], stage["mode"]), []).append(stage["order"])
+        orders = range(stage["base_order"], stage["base_order"] + stage["degree"] + 1)
+        passes.setdefault((stage["center"], stage["steps"], stage["mode"]), []).extend(orders)
     return passes
 
 

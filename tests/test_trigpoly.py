@@ -11,6 +11,7 @@ from majorant.quadrature import _nodes
 from majorant.tables import second_deriv_L2
 from majorant.trigpoly import (
     G_MAX,
+    G_MIN,
     MAXIMA_BUMP,
     MAXIMA_STEP,
     SIGN_PAIR,
@@ -83,11 +84,12 @@ class TestEvalG:
 
     @pytest.mark.parametrize("sign", list(SignVariant))
     def test_G_has_no_zeros(self, sign):
-        """Grid minimum less the curvature slack at a true minimum (where G' = 0) stays positive."""
+        """Grid minimum less the curvature slack at a true minimum (where G' = 0) stays positive, and G_MIN bounds G on the grid."""
         h = 1.0 / 20000.0
         spec = TrigSquare(5, sign)
         grid_min = min(eval_G(spec, i * h) for i in range(10001))  # [0, 1/2]: G is even
         assert grid_min - 0.5 * sup_norm_bound(2) * (h / 2.0) ** 2 > 0.0
+        assert grid_min >= G_MIN
 
 
 class TestDerivatives:
@@ -206,6 +208,7 @@ def exec_trigpoly(old: str, new: str) -> dict:
 
 
 GRID_LINE = "MAXIMA_STEP = MAXIMA_BUMP = 0.001\n"
+G_MIN_LINE = "G_MIN = math.floor((min(map(min, _GRID_SAMPLES)) - curvature_slack(MAXIMA_STEP)) * 10000.0) / 10000.0  # rounded down\n"
 
 
 class TestLocateMaxima:
@@ -269,6 +272,23 @@ class TestLocateMaxima:
         """A bump one ulp below the slack, or NaN, is refused when the module loads."""
         with pytest.raises(RuntimeError, match=r"^maxima bump \S+ does not cover the curvature slack 0\.000848786$"):
             exec_trigpoly(GRID_LINE, f"MAXIMA_STEP = 0.001\nMAXIMA_BUMP = {bump}\n")
+
+    def test_lower_bound_is_the_least_sample_less_the_slack(self):
+        """G_MIN is the minus sign's sample at x = 0.308, 0.018280, less the slack 8.49e-4, rounded down to 4 decimals: 0.0174."""
+        least = min(eval_G(TrigSquare(5, sign), i * MAXIMA_STEP) for sign in SignVariant for i in range(501))
+        assert least == pytest.approx(eval_G(TrigSquare(5, SignVariant.MINUS), 0.308), abs=1e-15)
+        assert G_MIN == 0.0174 <= least - curvature_slack(MAXIMA_STEP) < G_MIN + 1e-4
+
+    def test_the_least_positive_lower_bound_is_taken(self):
+        """The import check is G_MIN > 0: the least positive float passes it."""
+        variant = exec_trigpoly(G_MIN_LINE, "G_MIN = math.ulp(0.0)\n")
+        assert variant["G_MIN"] == 5e-324
+
+    @pytest.mark.parametrize("bound", ["0.0", "math.nan"], ids=["zero", "nan"])
+    def test_a_lower_bound_that_is_not_positive_fails_the_import(self, bound):
+        """A lower bound of exactly 0, or NaN, is refused when the module loads."""
+        with pytest.raises(RuntimeError, match=r"^G may vanish: its least grid sample less the curvature slack is (0\.0|nan)$"):
+            exec_trigpoly(G_MIN_LINE, f"G_MIN = {bound}\n")
 
     def test_a_grid_that_misses_maxima_fails_the_import(self):
         """A grid over [0, 1/4] alone finds fewer than 7 maxima for a sign, which is refused when the module loads."""
