@@ -94,6 +94,15 @@ HAND_BUILT_REPORTS = {
 TABLE_ENTRIES = [(name, field) for name, stage in DEFAULT_CONFIG["stages"].items() for field in stage]
 
 
+def derivative_stage_entries(name):
+    """A derivative stage's fixed entries: its order at PIPELINE_T_MIN, at STEPS nodes, refined."""
+    return {"t": PIPELINE_T_MIN, "order": DERIVATIVE_STAGES[name], "steps": STEPS, "mode": "refined"}
+
+
+# Every entry of the stage table and of the fixed derivative stages as (stage, field)
+PROOF_ENTRIES = TABLE_ENTRIES + [(name, field) for name in DERIVATIVE_STAGES for field in derivative_stage_entries(name)]
+
+
 def other_value(field, value):
     """Another value of a stage-table entry, of the same type, that the proof cannot leave unseen."""
     if field == "target":
@@ -162,9 +171,20 @@ class TestConfig:
         assert [s["base_order"] for s in certificates] == [4, 1, 1, 2]
         assert [s["target"] for s in certificates] == ["positive", "positive", "positive", "negative"]
 
-    @pytest.mark.parametrize("stage,field", TABLE_ENTRIES, ids=[f"{stage}-{field}" for stage, field in TABLE_ENTRIES])
+    @pytest.mark.parametrize("stage,field", PROOF_ENTRIES, ids=[f"{stage}-{field}" for stage, field in PROOF_ENTRIES])
     def test_every_entry_reaches_the_proof(self, stage, field, default_report, monkeypatch):
-        """Another value of any entry changes the report, whose config_hash stays CONFIG_SHA256, or the proof refuses it: the table holds nothing the proof ignores."""
+        """Another value of any entry changes the report, whose config_hash stays CONFIG_SHA256, or the proof refuses it: the table holds nothing the proof ignores.
+
+        A derivative stage's report result is its value at exactly its fixed entries, and another value of any one of them gives another result.
+        """
+        if stage in DERIVATIVE_STAGES:
+            entries = derivative_stage_entries(stage)
+            changed = {**entries, field: other_value(field, entries[field])}
+            def result(e):
+                return _run_derivative_stage(stage, gap_derivative(e["order"], e["t"], e["steps"], e["mode"]))
+            reported = default_report.stages[EXPECTED_STAGES.index(stage)]
+            assert reported == result(entries) and reported != result(changed)
+            return
         table = DEFAULT_CONFIG["stages"][stage]
         monkeypatch.setitem(table, field, other_value(field, table[field]))
         assert proof_outcome() != emit_report(default_report)
