@@ -24,10 +24,10 @@ evaluated.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate
 from math import fsum
 from operator import mul, truediv
-from typing import NamedTuple
 
 from .envelope import envelope_max
 from .quadrature import gap_derivatives
@@ -47,12 +47,7 @@ class BudgetError(ValueError):
     """A certificate's error accounting failed; the message names the culprit."""
 
 
-# A functional NamedTuple base, as for TrigSquare, so that __new__ can derive the last field from the coefficients.
-class TaylorCertificate(NamedTuple("TaylorCertificate", [
-    ("center", float), ("radius", float), ("base_order", int), ("degree", int), ("coeffs", tuple[float, ...]),
-    ("coefficient_errors", tuple[float, ...]), ("termwise_budget", tuple[float, ...]), ("remainder", float),
-    ("total_delta", float), ("taylor", tuple[tuple[float, ...], ...]),
-])):
+class TaylorCertificate(namedtuple("TaylorCertificate", "center radius base_order degree coeffs coefficient_errors termwise_budget remainder total_delta taylor")):
     """A certified degree-n expansion of the base_order-th gap derivative.
 
     ``taylor`` is derived, never given: row m holds coeffs[m + i] / i!, the Taylor coefficients of P^(m) at the
@@ -71,15 +66,10 @@ class TaylorCertificate(NamedTuple("TaylorCertificate", [
         return cls(*fields)
 
 
-class SignCertificate(NamedTuple):
-    """Outcome of a sign check on an interval; inconclusive is a value, not an error."""
+class SignCertificate(namedtuple("SignCertificate", "interval claimed_sign method certified evidence failure_reason", defaults=(None,))):
+    """Outcome of a sign check on an interval, a pair of floats; inconclusive is a value, not an error, and ``failure_reason`` then says why."""
 
-    interval: tuple[float, float]
-    claimed_sign: str
-    method: str
-    certified: bool
-    evidence: tuple[dict, ...]
-    failure_reason: str | None = None
+    __slots__ = ()
 
 
 def _within(t: float, lo: float, hi: float) -> bool:

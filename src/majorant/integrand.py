@@ -27,8 +27,8 @@ WORK_M bounds both signs.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 from .trigpoly import G_MAX, SignVariant, check_int, overflow_to_inf, parse_sign, sup_norm_bound
 
@@ -71,8 +71,7 @@ _MIDDLE_POLYNOMIALS = {
 }
 
 
-# A functional NamedTuple base, as for TrigSquare, so that __new__ can check t and j.
-class IntegrandSpec(NamedTuple("IntegrandSpec", [("t", float), ("j", int), ("sign", SignVariant)])):
+class IntegrandSpec(namedtuple("IntegrandSpec", "t j sign")):
     """Parameters of H = G^t log^j G for one sign variant of the k = 5 square.
 
     There is no k: the working bounds WORK_M and the quadrature's variation

@@ -28,7 +28,7 @@ splits into exactly one piece per leaf.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .certify import PIPELINE_T_MAX, PIPELINE_T_MIN, BudgetError, build_certificate, check_signs
 from .quadrature import CertifiedValue, gap_derivatives
@@ -108,23 +108,19 @@ DEFAULT_CONFIG = {
 CONFIG_SHA256 = "c019307b2bdff08d3aea3e089862e6d93e1240e7bb2c70226211a52120ade7a5"
 
 
-class StageResult(NamedTuple):
-    name: str
-    status: str  # "certified" or "failed"
-    estimate: float | None
-    error_bound: float | None
-    margin: float | None
-    warnings: tuple[str, ...] = ()
+class StageResult(namedtuple("StageResult", "name status estimate error_bound margin warnings", defaults=((),))):
+    """One stage's outcome: ``status`` is "certified" or "failed", and ``estimate``, ``error_bound`` and ``margin`` are floats or None."""
+
+    __slots__ = ()
 
 
-class ProofReport(NamedTuple):
-    version: str
-    case: str
-    verdict: str  # "PROVED" or "INCONCLUSIVE"
-    environment: str
-    timestamp: None  # deliberately constant: reports must be bit-reproducible
-    config_hash: str
-    stages: tuple[StageResult, ...]
+class ProofReport(namedtuple("ProofReport", "version case verdict environment timestamp config_hash stages")):
+    """The proof's outcome: ``verdict`` is "PROVED" or "INCONCLUSIVE", and ``stages`` is a tuple of StageResult.
+
+    ``timestamp`` is always None, so that reports are bit-reproducible.
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from math import fsum
 from operator import add, mul
-from typing import NamedTuple
 
 from .envelope import envelope_max
 from .integrand import WORK_M, h4_bounds, refined_kinds, term_kinds
@@ -62,13 +62,10 @@ _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
 _NODE_TABLE: dict[int, dict[SignVariant, NodeColumns]] = {}  # see _node_table
 
 
-class CertifiedValue(NamedTuple):
+class CertifiedValue(namedtuple("CertifiedValue", "estimate error_bound steps method")):
     """A numeric estimate together with a proven absolute error bound."""
 
-    estimate: float
-    error_bound: float
-    steps: int
-    method: str
+    __slots__ = ()
 
 
 def _check_steps(n_steps: int) -> None:
@@ -155,7 +152,7 @@ def _nodes(n_steps: int):
     return (k / denom for k in range(1, 2 * n_steps, 2))  # k = 2n - 1
 
 
-class NodeColumns(NamedTuple):
+class NodeColumns(namedtuple("NodeColumns", "g ell logs")):
     """G and log G at the N nodes of one sign, G >= 1 falling then G < 1 rising, and the powers (log G)^p asked for so far, by p.
 
     The order is for speed alone: every node sum is one exactly rounded fsum,
@@ -163,9 +160,7 @@ class NodeColumns(NamedTuple):
     free of t, so they are kept with the columns.
     """
 
-    g: list[float]
-    ell: tuple[float, ...]
-    logs: dict[int, list[float]]
+    __slots__ = ()
 
 
 def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:

@@ -31,11 +31,8 @@ def fourier_coeffs_pow(sign: SignVariant | str, rho: int) -> tuple[int, ...]:
     check_int("rho", rho, 0, _MAX_RHO)
     s = -1 if parse_sign(sign) is SignVariant.MINUS else 1
     coeffs = []
-    for nu in range(rho * F3 + 1):
+    for nu in range(rho * F3 + 1):  # mu = nu // 7 <= rho, and C(rho - mu, lambda) is 0 where lambda > rho - mu
         mu, lam = divmod(nu, F3)
-        if mu > rho or lam > rho - mu:
-            coeffs.append(0)
-            continue
         coeffs.append((s**mu) * comb(rho, mu) * comb(rho - mu, lam))
     return tuple(coeffs)
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from math import cos, fsum, pi
-from typing import NamedTuple
 
 TWO_PI = 2.0 * pi
 K = 5
@@ -52,8 +52,7 @@ def parse_sign(name) -> SignVariant:
         raise ValueError(f"unknown sign variant {name!r}; expected 'plus' or 'minus'") from None
 
 
-# The fields sit in a functional NamedTuple base: a NamedTuple class body may not define __new__, which checks them.
-class TrigSquare(NamedTuple("TrigSquare", [("k", int), ("sign", SignVariant)])):
+class TrigSquare(namedtuple("TrigSquare", "k sign")):
     """The squared three-term sum with frequencies 1, 6 and 7.
 
     ``k`` admits only K = 5; it stays a field so that ``TrigSquare(5, sign)``
@@ -71,7 +70,7 @@ class TrigSquare(NamedTuple("TrigSquare", [("k", int), ("sign", SignVariant)])):
         return cls(*fields)
 
 
-class LocalMaxEntry(NamedTuple):
+class LocalMaxEntry(namedtuple("LocalMaxEntry", "location value_upper multiplicity")):
     """One local maximum of G on the half period.
 
     ``location`` is accurate to within the tabulation step; interior maxima
@@ -80,16 +79,13 @@ class LocalMaxEntry(NamedTuple):
     local maximum value.
     """
 
-    location: float
-    value_upper: float
-    multiplicity: int
+    __slots__ = ()
 
 
-class LocalMaxTable(NamedTuple):
-    """Certified local-maximum bounds for the G of one sign over [0, 1/2]: the bound layer's one carrier of the sign."""
+class LocalMaxTable(namedtuple("LocalMaxTable", "sign entries")):
+    """Certified local-maximum bounds, a tuple of LocalMaxEntry, for the G of one sign over [0, 1/2]: the bound layer's one carrier of the sign."""
 
-    sign: SignVariant
-    entries: tuple[LocalMaxEntry, ...]
+    __slots__ = ()
 
     @property
     def total_multiplicity(self) -> int:

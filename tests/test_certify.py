@@ -173,9 +173,11 @@ class TestRemainderBound:
         assert remainder_bound(5.1, 0.1, 30, 9) == left
         assert remainder_bound(5.1, 0.1, 30, 9) == pytest.approx(311.2340945847426, rel=1e-12)
 
-    def test_window_must_stay_inside_proven_range(self):
+    @pytest.mark.parametrize("center,radius", [(5.5, 0.6), (5.05, 0.1), (5.95, 0.1)], ids=["both_ends", "left_end", "right_end"])
+    def test_window_must_stay_inside_proven_range(self, center, radius):
+        """A window is refused when either end leaves [5, 6], so each end is checked on its own: a one-sided case fails if that end goes unchecked."""
         with pytest.raises(ValueError, match="leaves \\[5, 6\\]"):
-            remainder_bound(5.5, 0.6, 1, 8)
+            remainder_bound(center, radius, 1, 8)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):

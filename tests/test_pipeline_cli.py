@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 import platform
 import subprocess
 import sys
@@ -412,16 +413,20 @@ class TestReports:
             assert digest == "e93b7771edd752804fc51e92d2983bd6018133c7681317b579f838d0ce918dd3"
 
     @pytest.mark.parametrize("package", ["majorant", "majorant.cli"])
-    @pytest.mark.parametrize("module", ["hashlib", "json", "dataclasses", "inspect", "majorant.tables", "csv"])
+    @pytest.mark.parametrize("module", ["hashlib", "json", "dataclasses", "inspect", "majorant.tables", "csv", "typing"])
     def test_import_leaves_module_unloaded(self, package, module):
-        """Nothing needs hashlib, which loads OpenSSL, and only a JSON report needs json; the records are NamedTuples, so nothing loads dataclasses or inspect.
+        """Nothing needs hashlib, which loads OpenSSL, and only a JSON report needs json; the records are collections.namedtuple
+        subclasses, so nothing loads typing, dataclasses or inspect.
 
         No module of the proof imports majorant.tables: the package binds its
         names on first use, and the CLI imports it, and csv, in the table
-        command alone.
+        command alone.  The child runs under ``python -S``, so no module that a
+        site .pth file imports is counted; it finds this package's src
+        directory on sys.path, as -S skips an editable install's .pth too.
         """
-        code = f"import sys, {package}; print({module!r} in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        src = str(pathlib.Path(majorant.cli.__file__).parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import {package}; print({module!r} in sys.modules)"
+        result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
 
