@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .certify import PIPELINE_T_MAX, PIPELINE_T_MIN, BudgetError, build_certificate, check_signs
+from .certify import _PROVEN_RANGE, PIPELINE_T_MAX, PIPELINE_T_MIN, BudgetError, build_certificate, check_signs
 from .quadrature import CertifiedValue, gap_derivatives
 from .spectral import endpoint_difference_zero
 
@@ -196,8 +196,7 @@ def prove_k5() -> ProofReport:
     results += (_run_certificate_stage(name, stage) for name, stage in stages.items())
     gaps = _coverage_gaps(stages)
     if gaps:
-        span = f"[{PIPELINE_T_MIN:g}, {PIPELINE_T_MAX:g}]"
-        warnings = tuple(f"no certificate interval covers [{a!r}, {b!r}] of {span}" for a, b in gaps)
+        warnings = tuple(f"no certificate interval covers [{a!r}, {b!r}] of {_PROVEN_RANGE}" for a, b in gaps)
         results.append(StageResult(COVERAGE_STAGE, "failed", None, None, None, warnings))
     verdict = "PROVED" if all(r.status == "certified" for r in results) else "INCONCLUSIVE"
     return ProofReport(REPORT_VERSION, CASE_ID, verdict, ENVIRONMENT_NOTE, None, CONFIG_SHA256, tuple(results))

@@ -25,8 +25,8 @@ period, splitting the range of G at 1/9:
     Var(G^(t+1)) / (t+1), bounded by variation_bound_power.
 
 The node layer lives here too: per sign, one row G^t over all N nodes serves
-every j (_h_node_sums), on a node table of G, log G and the powers (log G)^p
-asked for, both signs from one cosine pass (see _node_table).  gap_derivatives
+every j (_h_node_sums), on a node table of G and the powers (log G)^p, p = 1
+built with it, both signs from one cosine pass (see _node_table).  gap_derivatives
 assembles each certified gap value from both signs' node sums, in one mode
 per batch, from one h4_bounds call and a cell table, the bound of
 each of the five groups at each log order p the batch's terms use: one per
@@ -59,7 +59,7 @@ _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
 
 LOG9 = math.log(G_MAX)
 _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
-_NODE_TABLE: dict[int, dict[SignVariant, NodeColumns]] = {}  # see _node_table
+_NODE_TABLE: dict[int, dict[SignVariant, tuple[list[float], dict[int, list[float]]]]] = {}  # see _node_table
 
 
 class CertifiedValue(namedtuple("CertifiedValue", "estimate error_bound steps method")):
@@ -152,19 +152,8 @@ def _nodes(n_steps: int):
     return (k / denom for k in range(1, 2 * n_steps, 2))  # k = 2n - 1
 
 
-class NodeColumns(namedtuple("NodeColumns", "g ell logs")):
-    """G and log G at the N nodes of one sign, G >= 1 falling then G < 1 rising, and the powers (log G)^p asked for so far, by p.
-
-    The order is for speed alone: every node sum is one exactly rounded fsum,
-    so its value does not depend on it (see _node_table).  The log powers are
-    free of t, so they are kept with the columns.
-    """
-
-    __slots__ = ()
-
-
-def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
-    """G and log G at the N midpoint nodes, {sign: NodeColumns}, from one eval_G_pair pass.
+def _node_table(n_steps: int) -> dict[SignVariant, tuple[list[float], dict[int, list[float]]]]:
+    """{sign: (G, {p: (log G)^p})} at the N midpoint nodes, from one eval_G_pair pass, with p = 1 only until others are asked for.
 
     Free of t and j, so every batch at this step count shares it, and so do the
     log powers it keeps once asked for.  Only the latest step count's table is
@@ -188,33 +177,33 @@ def _node_table(n_steps: int) -> dict[SignVariant, NodeColumns]:
             g.sort()
             split = bisect_left(g, 1.0)
             g = g[split:][::-1] + g[:split]
-            columns[sign] = NodeColumns(g, tuple(map(math.log, g)), {})
+            columns[sign] = g, {1: list(map(math.log, g))}
         _NODE_TABLE[n_steps] = columns
     return _NODE_TABLE[n_steps]
 
 
-def _h_node_sums(sign: SignVariant, t: float, orders, n_steps: int) -> dict[int, float]:
-    """Node sums of H = G^t log^j G of one sign for each j in orders, from one row G^t over all N nodes.
+def _h_node_sums(columns, t: float, orders) -> dict[int, float]:
+    """Node sums of H = G^t log^j G of one sign for each j in orders, from one row G^t over its node-table columns (G, {p: L^p}).
 
     The sum of order j is one fsum(G^t L^j), L = log G: the exactly rounded
-    sum of the rounded products, (log G)^j kept in the table once asked for.
+    sum of the rounded products, L^j kept in the columns once asked for.
     An entry G^t or L^j, or a node sum, past the float range is refused, naming t or j.
     """
-    nodes = _node_table(n_steps)[sign]
+    g, logs = columns
     try:
-        gt = [g**t for g in nodes.g]
+        gt = [v**t for v in g]
     except OverflowError:
         raise ValueError(f"power t = {t!r} is too large to evaluate: G^t at the nodes overflows a float") from None
     sums = {}
     for j in orders:
-        logs = nodes.logs.get(j)
-        if logs is None:
+        log_power = logs.get(j)
+        if log_power is None:
             try:
-                logs = nodes.logs[j] = [v**j for v in nodes.ell]
+                log_power = logs[j] = [v**j for v in logs[1]]
             except OverflowError:  # at a node with |log G| > 1
                 raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
         try:
-            total = fsum(map(mul, gt, logs))
+            total = fsum(map(mul, gt, log_power))
         except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
             total = math.nan
         if not math.isfinite(total):  # nan from above, or inf from an H product that overflowed
@@ -262,7 +251,8 @@ def _gap_batch(t: float, n_steps: int, mode: str, *orders: int) -> tuple[Certifi
         errors = map(add, *_error_bounds(bounds, _cells(kinds, log_orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)), n_steps))
     else:  # the sup cells hold for both signs
         errors = [e + e for e in _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders)], n_steps)[0]]
-    minus, plus = [_h_node_sums(sign, t, sorted(set(orders)), n_steps) for sign in SIGN_PAIR]
+    table = _node_table(n_steps)
+    minus, plus = [_h_node_sums(table[sign], t, sorted(set(orders))) for sign in SIGN_PAIR]
     two_n = 2.0 * n_steps
     return tuple(CertifiedValue(minus[j] / two_n - plus[j] / two_n, error, n_steps, mode) for j, error in zip(orders, errors))
 

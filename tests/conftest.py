@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from majorant.integrand import h4_bounds, refined_kinds, term_kinds
-from majorant.quadrature import _INTEGRAL_WEIGHTS, CertifiedValue, _cells, _error_bounds, _h_node_sums, _integral_bases, _sup_cells
+from majorant.quadrature import _INTEGRAL_WEIGHTS, CertifiedValue, _cells, _error_bounds, _h_node_sums, _integral_bases, _node_table, _sup_cells
 from majorant.trigpoly import SignVariant, TrigSquare, default_max_table
 
 
@@ -50,7 +50,7 @@ def one_sign_integral(sign, t, n_steps, j, mode):
     orders of the terms.
     """
     (terms,) = h4_bounds(t, [j])
-    estimate = _h_node_sums(sign, t, [j], n_steps)[j] / (2.0 * n_steps)
+    estimate = _h_node_sums(_node_table(n_steps)[sign], t, [j])[j] / (2.0 * n_steps)
     orders = {p for _, _, p in terms}
     if mode == "refined":
         kinds = refined_kinds(t)

@@ -22,7 +22,6 @@ from majorant.quadrature import (
     MAX_STEPS,
     MODES,
     CertifiedValue,
-    NodeColumns,
     _cells,
     _ERR_DENOM,
     _error_bounds,
@@ -267,7 +266,7 @@ class TestDeterminism:
         clear_caches()
         prove_k5()
         assert pair_calls == [list(_nodes(640))]  # one cosine pass, for both signs
-        assert lookups == [640] * 10  # one lookup per sign of each of the 5 gap_derivatives calls
+        assert lookups == [640] * 5  # one lookup for both signs of each of the 5 gap_derivatives calls
         lookups.clear(), pair_calls.clear(), pass_calls.clear()
         prove_k5()
         assert pair_calls == [] and lookups == [] and pass_calls == {}
@@ -367,7 +366,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 640])
     def test_each_sign_holds_all_nodes_falling_then_rising(self, n, monkeypatch):
-        """Each sign's column holds the G of all N nodes from eval_G_pair, G >= 1 non-increasing, then G < 1 non-decreasing, and log G follows it.
+        """Each sign's G holds all N nodes from eval_G_pair, G >= 1 non-increasing, then G < 1 non-decreasing, and its one log column, p = 1, follows it.
 
         fsum is exactly rounded whatever the order of its terms; this one
         keeps its list of partials short.
@@ -385,16 +384,16 @@ class TestDeterminism:
         table = _node_table(n)
         assert len(outputs) == 1
         for sign, node_order in zip((MINUS, PLUS), outputs[0]):
-            column = table[sign]
-            assert len(column.g) == n, sign
-            assert sorted(column.g) == sorted(node_order), sign
-            split = sum(g >= 1.0 for g in node_order)
-            high, low = column.g[:split], column.g[split:]
+            g, logs = table[sign]
+            assert len(g) == n, sign
+            assert sorted(g) == sorted(node_order), sign
+            split = sum(v >= 1.0 for v in node_order)
+            high, low = g[:split], g[split:]
             assert n == 1 or (high and low), sign  # both parts are tested
-            assert all(g >= 1.0 for g in high) and all(g < 1.0 for g in low), sign
+            assert all(v >= 1.0 for v in high) and all(v < 1.0 for v in low), sign
             assert all(a >= b for a, b in zip(high, high[1:])), sign
             assert all(a <= b for a, b in zip(low, low[1:])), sign
-            assert column.ell == tuple(map(math.log, column.g)), sign
+            assert logs == {1: list(map(math.log, g))}, sign
 
     def test_node_sums_are_free_of_the_column_order(self, monkeypatch, fsum_lengths):
         """All 76 node sums of the default proof, and its 38 gap values, are bit-identical over columns in node order, reversed or shuffled: the order is a speed choice only.
@@ -410,7 +409,7 @@ class TestDeterminism:
                 (sign, t, j): v.hex()
                 for (t, n, _), orders in passes.items()
                 for sign in SIGN_PAIR
-                for j, v in _h_node_sums(sign, t, orders, n).items()
+                for j, v in _h_node_sums(_node_table(n)[sign], t, orders).items()
             }
 
         def gap_values():
@@ -425,7 +424,7 @@ class TestDeterminism:
             "shuffled": {sign: random.Random(24).sample(g, len(g)) for sign, g in node_order.items()},
         }
         for name, columns in orders.items():
-            table = {sign: NodeColumns(g, tuple(map(math.log, g)), {}) for sign, g in columns.items()}
+            table = {sign: (g, {1: list(map(math.log, g))}) for sign, g in columns.items()}
             monkeypatch.setitem(_NODE_TABLE, 640, table)  # restored when the test ends
             fsum_lengths.clear()
             assert node_sums() == reference, name
@@ -436,17 +435,28 @@ class TestDeterminism:
             assert fsum_lengths.count(640) == 76, name  # and again for the gap values, none read from the memo
 
     def test_log_columns_live_with_the_node_table(self):
-        """(log G)^p is kept on the node table once taken, and dropped and rebuilt with the table."""
+        """(log G)^p is kept on the node table once taken, beside the p = 1 column of the build, and dropped and rebuilt with the table."""
         orders = [0, 3, 7]
         clear_caches()
         warm = gap_derivatives(5.3, 500, orders, "refined")
-        assert set(_node_table(500)[PLUS].logs) == {0, 3, 7}
+        assert [set(logs) for _, logs in _node_table(500).values()] == [{0, 1, 3, 7}] * 2
         clear_caches()
         rebuilt = _node_table(500)
-        assert rebuilt[PLUS].logs == {}
+        assert [set(logs) for _, logs in rebuilt.values()] == [{1}] * 2
         cold = gap_derivatives(5.3, 500, orders, "refined")
         assert bits(cold) == bits(warm)
-        assert set(rebuilt[PLUS].logs) == {0, 3, 7}
+        assert [set(logs) for _, logs in rebuilt.values()] == [{0, 1, 3, 7}] * 2
+
+    def test_order_one_reads_the_log_column_of_the_build(self):
+        """A build holds one column per sign, log G at p = 1, and an order-1 batch sums over that very list: it adds no column."""
+        clear_caches()
+        table = _node_table(640)
+        built = {sign: logs[1] for sign, (_, logs) in table.items()}
+        for sign, (g, logs) in table.items():
+            assert list(logs) == [1] and logs[1] == list(map(math.log, g)), sign
+        gap_derivative(1, 5.5, 640)
+        for sign, (_, logs) in table.items():
+            assert list(logs) == [1] and logs[1] is built[sign], sign
 
     def test_repeat_runs_are_bitwise_stable(self):
         a = gap_derivative(1, 5.0, 200, "refined")
@@ -588,7 +598,7 @@ class TestBatchedNodeSums:
         assert sum(map(len, passes.values())) == 38
         for (t, n, _), orders in passes.items():
             for sign in (PLUS, MINUS):
-                batched = _h_node_sums(sign, t, sorted(orders), n)
+                batched = _h_node_sums(_node_table(n)[sign], t, sorted(orders))
                 for j in orders:
                     products = pointwise_products(IntegrandSpec(t, j, sign), n)
                     exact = float(sum(map(Fraction, products)))
@@ -598,7 +608,7 @@ class TestBatchedNodeSums:
     def test_sums_off_the_proof_grid_equal_node_order_reference(self, n):
         """Sums over the table's columns (G >= 1 falling, then G < 1 rising) equal the node-order reference bit for bit, at (t, N) the proof never uses."""
         for sign, t in itertools.product((PLUS, MINUS), (5.0, 5.37, 6.0)):
-            for j, v in _h_node_sums(sign, t, [0, 1, 4, 9], n).items():
+            for j, v in _h_node_sums(_node_table(n)[sign], t, [0, 1, 4, 9]).items():
                 assert v.hex() == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, t, j)
 
     def test_batched_refined_bounds_equal_single_calls(self):
@@ -626,9 +636,9 @@ class TestBatchedNodeSums:
         """
         t, n = 5.7, 777
         for sign in (PLUS, MINUS):
-            batch = {j: v.hex() for j, v in _h_node_sums(sign, t, list(range(11)), n).items()}
+            batch = {j: v.hex() for j, v in _h_node_sums(_node_table(n)[sign], t, list(range(11))).items()}
             for orders in [[j] for j in range(11)] + [[1, 3], [0, 4, 9]]:
-                for j, v in _h_node_sums(sign, t, orders, n).items():
+                for j, v in _h_node_sums(_node_table(n)[sign], t, orders).items():
                     assert v.hex() == batch[j], (sign, orders, j)
             for j in range(11):
                 assert batch[j] == pointwise_node_sum(IntegrandSpec(t, j, sign), n).hex(), (sign, j)
@@ -645,7 +655,7 @@ class TestBatchedNodeSums:
         for (t, n, _), orders in default_proof_passes().items():
             for mode in MODES:
                 for j, value in zip(orders, gap_derivatives(t, n, orders, mode)):
-                    minus, plus = (_h_node_sums(sign, t, [j], n)[j] for sign in (MINUS, PLUS))
+                    minus, plus = (_h_node_sums(_node_table(n)[sign], t, [j])[j] for sign in (MINUS, PLUS))
                     assert value.estimate.hex() == (minus / (2.0 * n) - plus / (2.0 * n)).hex(), (t, j, n)
                     if mode == "refined":
                         trigs = [TrigSquare(5, sign) for sign in (MINUS, PLUS)]
@@ -683,7 +693,7 @@ class TestExactRoundingReference:
         for t in range(1, 7):
             assert 2 * n_steps > 7 * t
             exact = n_steps * torus_power_integral(t)
-            total = _h_node_sums(sign, float(t), [0], n_steps)[0]
+            total = _h_node_sums(_node_table(n_steps)[sign], float(t), [0])[0]
             assert abs(total - exact) <= 1e-15 * exact, (t, total, exact)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="recorded with glibc's libm")
@@ -692,7 +702,7 @@ class TestExactRoundingReference:
     def test_node_sum_is_exact_at_the_proof_step_counts(self, sign, n_steps):
         """Recorded on glibc 2.36, x86-64, Python 3.11.7: no rounding shows at N = 500 or 640."""
         for t in range(1, 7):
-            assert _h_node_sums(sign, float(t), [0], n_steps)[0] == n_steps * torus_power_integral(t), t
+            assert _h_node_sums(_node_table(n_steps)[sign], float(t), [0])[0] == n_steps * torus_power_integral(t), t
 
 
 class TestQPass:
