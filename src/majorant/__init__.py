@@ -29,7 +29,7 @@ from .spectral import (
     torus_power_integral,
 )
 from .trigpoly import (
-    SignVariant,
+    SIGN_PAIR as SignVariant,
     TrigSquare,
     parse_sign,
     sup_norm_bound,

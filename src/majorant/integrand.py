@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 from itertools import combinations_with_replacement
 
-from .trigpoly import G_MAX, SignVariant, check_int, overflow_to_inf, parse_sign, sup_norm_bound
+from .trigpoly import G_MAX, check_int, overflow_to_inf, parse_sign, sup_norm_bound
 
 # Rounded working bounds for sup|G^(m)|, m = 0..4 (k = 5).  Rounding keeps the
 # group constants below exact integers while staying valid upper bounds.
@@ -75,13 +75,13 @@ class IntegrandSpec(namedtuple("IntegrandSpec", "t j sign")):
     """Parameters of H = G^t log^j G for one sign variant of the k = 5 square.
 
     There is no k: the working bounds WORK_M and the quadrature's variation
-    constants are proven for k = 5 alone.  ``sign`` is a SignVariant or its
-    label, as parse_sign takes it.
+    constants are proven for k = 5 alone.  ``sign`` is the label 'plus' or
+    'minus', in any case, stored as parse_sign returns it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, t: float, j: int, sign: SignVariant | str):
+    def __new__(cls, t: float, j: int, sign: str):
         _check_power_and_order(t, j)
         return super().__new__(cls, t, j, parse_sign(sign))
 

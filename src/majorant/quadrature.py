@@ -51,7 +51,7 @@ from operator import add, mul
 from .envelope import envelope_max
 from .integrand import WORK_M, h4_bounds, refined_kinds, term_kinds
 from .spectral import torus_integral_upper
-from .trigpoly import G_MAX, MAX_STEPS, MONOTONE_PIECES, SIGN_PAIR, LocalMaxTable, SignVariant, TrigSquare, default_max_table
+from .trigpoly import G_MAX, MAX_STEPS, MONOTONE_PIECES, SIGN_PAIR, LocalMaxTable, TrigSquare, default_max_table
 from .trigpoly import check_int, eval_G_pair, overflow_to_inf, variation_bound_power
 
 MODES = ("plain", "refined")
@@ -59,7 +59,7 @@ _ERR_DENOM = 23040.0  # (4 pi)^4 / zeta(4) = 256 * 90, exact
 
 LOG9 = math.log(G_MAX)
 _SMALL_END = 1.0 / G_MAX  # where the bounds split the range of G
-_NODE_TABLE: dict[int, dict[SignVariant, tuple[list[float], dict[int, list[float]]]]] = {}  # see _node_table
+_NODE_TABLE: dict[int, dict[str, tuple[list[float], dict[int, list[float]]]]] = {}  # see _node_table
 
 
 class CertifiedValue(namedtuple("CertifiedValue", "estimate error_bound steps method")):
@@ -138,7 +138,7 @@ def _error_bounds(term_lists, cell_tables, n_steps: int) -> list[list[float]]:
 
 def refined_error_bound(term_sum, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
     """The error bound of one h4_term_bounds (kinds, terms) pair for spec's sign, whose table it must be, as gap_derivatives sums it; bench/workloads.py calls it."""
-    if table.sign is not spec.sign:
+    if table.sign != spec.sign:
         raise ValueError("local-maximum table was built for a different square")
     kinds, terms = term_sum
     cells = _cells(kinds, {p for _, _, p in terms}, _INTEGRAL_WEIGHTS, _integral_bases(kinds, [table]))
@@ -152,7 +152,7 @@ def _nodes(n_steps: int):
     return (k / denom for k in range(1, 2 * n_steps, 2))  # k = 2n - 1
 
 
-def _node_table(n_steps: int) -> dict[SignVariant, tuple[list[float], dict[int, list[float]]]]:
+def _node_table(n_steps: int) -> dict[str, tuple[list[float], dict[int, list[float]]]]:
     """{sign: (G, {p: (log G)^p})} at the N midpoint nodes, from one eval_G_pair pass, with p = 1 only until others are asked for.
 
     Free of t and j, so every batch at this step count shares it, and so do the
@@ -185,8 +185,8 @@ def _node_table(n_steps: int) -> dict[SignVariant, tuple[list[float], dict[int, 
 def _h_node_sums(columns, t: float, orders) -> dict[int, float]:
     """Node sums of H = G^t log^j G of one sign for each j in orders, from one row G^t over its node-table columns (G, {p: L^p}).
 
-    The sum of order j is one fsum(G^t L^j), L = log G: the exactly rounded
-    sum of the rounded products, L^j kept in the columns once asked for.
+    The sum of order j is one fsum(G^t L^j), L = log G, G^t alone at j = 0: the
+    exactly rounded sum of the rounded products, L^j kept once asked for.
     An entry G^t or L^j, or a node sum, past the float range is refused, naming t or j.
     """
     g, logs = columns
@@ -197,13 +197,13 @@ def _h_node_sums(columns, t: float, orders) -> dict[int, float]:
     sums = {}
     for j in orders:
         log_power = logs.get(j)
-        if log_power is None:
+        if log_power is None and j:
             try:
                 log_power = logs[j] = [v**j for v in logs[1]]
             except OverflowError:  # at a node with |log G| > 1
                 raise ValueError(f"log order {j} is too large to evaluate: a power of log G overflows a float") from None
         try:
-            total = fsum(map(mul, gt, log_power))
+            total = fsum(map(mul, gt, log_power) if j else gt)
         except (OverflowError, ValueError):  # fsum met a sum beyond the float range, or inf - inf
             total = math.nan
         if not math.isfinite(total):  # nan from above, or inf from an H product that overflowed

@@ -14,22 +14,22 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .trigpoly import F2, F3, G_MAX, K, SignVariant, check_int, overflow_to_inf, parse_sign
+from .trigpoly import F2, F3, G_MAX, K, check_int, overflow_to_inf, parse_sign
 
 _MAX_RHO = F2  # the blocks of F^rho stay disjoint while rho < F3
 
 
-def fourier_coeffs_pow(sign: SignVariant | str, rho: int) -> tuple[int, ...]:
+def fourier_coeffs_pow(sign: str, rho: int) -> tuple[int, ...]:
     """Integer coefficients of F^rho on frequencies 0 .. 7*rho, by double binomial expansion.
 
     The coefficient at frequency nu = 7*mu + lambda is
     sign^mu * C(rho, mu) * C(rho - mu, lambda).  Blocks for distinct mu are
     disjoint only while rho <= 6; beyond that the expansion would need to
     merge overlapping frequencies, which this closed form does not do.
-    ``sign`` is a SignVariant or its label, as parse_sign takes it.
+    ``sign`` is the label 'plus' or 'minus', in any case, as parse_sign takes it.
     """
     check_int("rho", rho, 0, _MAX_RHO)
-    s = -1 if parse_sign(sign) is SignVariant.MINUS else 1
+    s = -1 if parse_sign(sign) == "minus" else 1
     coeffs = []
     for nu in range(rho * F3 + 1):  # mu = nu // 7 <= rho, and C(rho - mu, lambda) is 0 where lambda > rho - mu
         mu, lam = divmod(nu, F3)
@@ -43,7 +43,7 @@ def torus_power_integral(rho: int) -> int:
     Parseval: the mean of |F^rho|^2 is the sum of squared coefficients, and
     squaring erases the sign variant.  fourier_coeffs_pow rejects rho > 6.
     """
-    return sum(c * c for c in fourier_coeffs_pow(SignVariant.PLUS, rho))
+    return sum(c * c for c in fourier_coeffs_pow("plus", rho))
 
 
 _MOMENTS = tuple(float(torus_power_integral(rho)) for rho in range(1, _MAX_RHO + 1))  # A(rho), rho = 1..6
@@ -73,8 +73,8 @@ def endpoint_difference_zero() -> bool:
     the norm-comparison gap vanishes at both integer endpoints.
     """
     for rho in (K, K + 1):
-        plus = fourier_coeffs_pow(SignVariant.PLUS, rho)
-        minus = fourier_coeffs_pow(SignVariant.MINUS, rho)
+        plus = fourier_coeffs_pow("plus", rho)
+        minus = fourier_coeffs_pow("minus", rho)
         if sum(c * c for c in plus) != sum(c * c for c in minus):
             return False
     return True

@@ -1,7 +1,8 @@
 """The trigonometric squares ``|1 + e(x) + s·e(7x)|^2`` and certified facts about them.
 
 Everything downstream rests on one pair of nonnegative trigonometric
-polynomials, the case k = 5 of the paper: for a sign ``s`` the square expands to
+polynomials, the case k = 5 of the paper: for a sign ``s``, the label "plus"
+(s = 1) or "minus" (s = -1), the square expands to
 
     G(x) = 3 + 2*(cos(2*pi*x) + s*cos(2*pi*6*x) + s*cos(2*pi*7*x)),
 
@@ -22,7 +23,6 @@ sample less that slack, checked positive there.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 from math import cos, fsum, pi
@@ -35,33 +35,26 @@ MAX_STEPS = 1_000_000  # the most midpoint nodes any quadrature takes
 G_MAX = 9.0  # sup G = (1 + 1 + 1)^2, attained at x = 0 by the plus sign
 
 
-class SignVariant(enum.Enum):
-    """Sign of the high-frequency term in ``1 + e(x) + s*e(7x)``."""
-
-    PLUS = "plus"
-    MINUS = "minus"
+SIGN_PAIR = ("minus", "plus")  # the two sign labels, a sign's one form, in the order of eval_G_pair's lists; the package's SignVariant
 
 
-def parse_sign(name) -> SignVariant:
-    """Coerce a user-supplied sign label ('plus'/'minus') to a SignVariant."""
-    if isinstance(name, SignVariant):
-        return name
-    try:
-        return SignVariant(str(name).lower())
-    except ValueError:
-        raise ValueError(f"unknown sign variant {name!r}; expected 'plus' or 'minus'") from None
+def parse_sign(name) -> str:
+    """The label ('plus' or 'minus') of a user-supplied sign, in any case."""
+    if (label := str(name).lower()) in SIGN_PAIR:
+        return label
+    raise ValueError(f"unknown sign variant {name!r}; expected 'plus' or 'minus'")
 
 
 class TrigSquare(namedtuple("TrigSquare", "k sign")):
     """The squared three-term sum with frequencies 1, 6 and 7.
 
     ``k`` admits only K = 5; it stays a field so that ``TrigSquare(5, sign)``
-    keeps working.  ``sign`` is a SignVariant or its label, as parse_sign takes it.
+    keeps working.  ``sign`` is a label in any case, stored as parse_sign returns it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, k: int = K, sign: SignVariant | str = SignVariant.PLUS):
+    def __new__(cls, k: int = K, sign: str = "plus"):
         check_int("k", k, K, K)
         return super().__new__(cls, k, parse_sign(sign))
 
@@ -90,9 +83,6 @@ class LocalMaxTable(namedtuple("LocalMaxTable", "sign entries")):
     @property
     def total_multiplicity(self) -> int:
         return sum(e.multiplicity for e in self.entries)
-
-
-SIGN_PAIR = (SignVariant.MINUS, SignVariant.PLUS)  # the signs of eval_G_pair's two lists, in order
 
 
 def eval_G_pair(xs) -> tuple[list[float], list[float]]:
@@ -172,7 +162,7 @@ _GRID_SAMPLES = eval_G_pair(i * MAXIMA_STEP for i in range(501))  # both signs' 
 _MAX_TABLES = {sign: LocalMaxTable(sign, _scan_maxima(samples)) for sign, samples in zip(SIGN_PAIR, _GRID_SAMPLES)}
 for _table in _MAX_TABLES.values():  # G' has degree F3, so G has at most F3 = 7 local maxima per period
     if _table.total_multiplicity != F3:
-        raise RuntimeError(f"expected {F3} local maxima of the {_table.sign.value} sign, found {_table.total_multiplicity}")
+        raise RuntimeError(f"expected {F3} local maxima of the {_table.sign} sign, found {_table.total_multiplicity}")
 # The maxima argument mirrored: G' = 0 at an interior minimum, so the sample nearest it exceeds it by at most the slack.
 G_MIN = math.floor((min(map(min, _GRID_SAMPLES)) - curvature_slack(MAXIMA_STEP)) * 10000.0) / 10000.0  # rounded down
 if not G_MIN > 0.0:  # also refuses nan

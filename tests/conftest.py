@@ -7,17 +7,17 @@ import pytest
 
 from majorant.integrand import h4_bounds, refined_kinds, term_kinds
 from majorant.quadrature import _INTEGRAL_WEIGHTS, CertifiedValue, _cells, _error_bounds, _h_node_sums, _integral_bases, _node_table, _sup_cells
-from majorant.trigpoly import SignVariant, TrigSquare, default_max_table
+from majorant.trigpoly import TrigSquare, default_max_table
 
 
 @pytest.fixture(scope="session")
 def plus_square():
-    return TrigSquare(5, SignVariant.PLUS)
+    return TrigSquare(5, "plus")
 
 
 @pytest.fixture(scope="session")
 def minus_square():
-    return TrigSquare(5, SignVariant.MINUS)
+    return TrigSquare(5, "minus")
 
 
 @pytest.fixture(scope="session")
@@ -69,9 +69,8 @@ def plain_h4_bound(t, j):
 
 
 def numpy_G(x, sign):
-    """Vectorized G for either 'plus'/'minus' label or a SignVariant."""
-    label = sign.value if isinstance(sign, SignVariant) else sign
-    s = 1.0 if label == "plus" else -1.0
+    """Vectorized G for the sign label 'plus' or 'minus'."""
+    s = 1.0 if sign == "plus" else -1.0
     return 3.0 + 2.0 * (
         np.cos(2 * np.pi * x) + s * np.cos(12 * np.pi * x) + s * np.cos(14 * np.pi * x)
     )

@@ -43,7 +43,7 @@ from unittest import mock
 from majorant import certify, pipeline
 from majorant.spectral import torus_integral_upper, torus_power_integral
 from majorant.tables import _HALF_L2_G2, _HALF_SUP_G1
-from majorant.trigpoly import F2, F3, TWO_PI, SignVariant, TrigSquare, variation_bound_power
+from majorant.trigpoly import F2, F3, TWO_PI, TrigSquare, variation_bound_power
 
 
 # (constant, power offset, brace kind, |G'| factor) of the five fourth-derivative groups, from the working
@@ -92,7 +92,7 @@ def envelope_reference(s, m, a, b):
 
 def sign_factor(sign):
     """The s of G as a float: 1.0 for the plus square, -1.0 for the minus square."""
-    return 1.0 if sign is SignVariant.PLUS else -1.0
+    return 1.0 if sign == "plus" else -1.0
 
 
 def eval_G(spec, x):
@@ -163,7 +163,7 @@ def gap_reference(t, orders, n_steps=1000, digits=34):
 
     with mpmath.workdps(digits):
         power, sums = mpmath.mpf(t), {}
-        for sign in (SignVariant.MINUS, SignVariant.PLUS):
+        for sign in ("minus", "plus"):
             s = sign_factor(sign)
             totals = dict.fromkeys(orders, mpmath.mpf(0))
             for k in range(1, n_steps + 1):
@@ -173,7 +173,7 @@ def gap_reference(t, orders, n_steps=1000, digits=34):
                 for j in orders:
                     totals[j] += g_t * ell**j
             sums[sign] = totals
-        return {j: (sums[SignVariant.MINUS][j] - sums[SignVariant.PLUS][j]) / (2 * n_steps) for j in orders}
+        return {j: (sums["minus"][j] - sums["plus"][j]) / (2 * n_steps) for j in orders}
 
 
 def proof_gap_batches():

@@ -20,7 +20,7 @@ from majorant.quadrature import gap_derivative
 from majorant.spectral import torus_power_integral
 from majorant.tables import reproduce_table
 from majorant.trigpoly import (
-    SignVariant,
+    SIGN_PAIR,
     TrigSquare,
     default_max_table,
     variation_bound_power,
@@ -45,7 +45,7 @@ def test_criterion_01_local_maxima_tables():
         "minus": [(0.076, 8.662, 2), (0.227, 6.279, 2), (0.377, 3.005, 2), (0.5, 1.0, 1)],
     }
     for label, rows in expected.items():
-        table = default_max_table(TrigSquare(5, SignVariant(label)))
+        table = default_max_table(TrigSquare(5, label))
         got = [(e.location, e.value_upper, e.multiplicity) for e in table.entries]
         assert got == rows
         assert sum(e.multiplicity for e in table.entries) == 7
@@ -53,8 +53,8 @@ def test_criterion_01_local_maxima_tables():
 
 
 def test_criterion_02_variation_bounds():
-    plus = TrigSquare(5, SignVariant.PLUS)
-    minus = TrigSquare(5, SignVariant.MINUS)
+    plus = TrigSquare(5, "plus")
+    minus = TrigSquare(5, "minus")
     v_plus = variation_bound_power(default_max_table(plus), 1.0)
     v_minus = variation_bound_power(default_max_table(minus), 1.0)
     assert v_plus == 73.96
@@ -77,7 +77,7 @@ def test_criterion_04_first_derivative_at_five():
     elapsed = time.perf_counter() - start
     assert value.estimate == pytest.approx(0.002878492, abs=1e-6)
     assert value.error_bound <= 0.00195
-    for sign in SignVariant:
+    for sign in SIGN_PAIR:
         part = one_sign_integral(sign, 5.0, STEPS, 1, "refined")
         assert part.error_bound <= 0.0008672
         assert part.error_bound >= 0.0008672 * 0.999
@@ -88,7 +88,7 @@ def test_criterion_04_first_derivative_at_five():
 def test_criterion_05_second_derivative_at_five():
     value = gap_derivative(2, 5.0, STEPS, "refined")
     assert value.estimate == pytest.approx(0.033815603, abs=1e-6)
-    for sign in SignVariant:
+    for sign in SIGN_PAIR:
         part = one_sign_integral(sign, 5.0, STEPS, 2, "refined")
         assert 0.00245 <= part.error_bound <= 0.00252
     print(f"ACCEPTANCE 05 PASS — second derivative at {STEPS} steps within budget")
@@ -166,7 +166,7 @@ def test_criterion_10_property_sweeps(half_period_oracle, rng, monkeypatch):
 
     checked = 0
     for t, j in [(5.0, 0), (5.0, 2), (5.86, 1), (5.23, 3)]:
-        for sign in SignVariant:
+        for sign in ("plus", "minus"):
             spec = IntegrandSpec(t, j, sign)
             for x in rng.uniform(0.0, 0.5, 12):
                 if numpy_G(x, sign) < 0.5:
@@ -193,9 +193,9 @@ def test_criterion_10_property_sweeps(half_period_oracle, rng, monkeypatch):
 
     # Certified integrals bracket an independent high-resolution oracle.
     for t, j in [(5.0, 1), (5.0, 2), (5.0, 3), (5.065, 4), (5.86, 2)]:
-        for sign in SignVariant:
+        for sign in SIGN_PAIR:
             value = one_sign_integral(sign, t, 500, j, "refined")
-            truth = half_period_oracle(t, j, sign.value)
+            truth = half_period_oracle(t, j, sign)
             assert abs(value.estimate - truth) <= value.error_bound
 
     # An overrun allowance must degrade to INCONCLUSIVE, never to a false PROVED.

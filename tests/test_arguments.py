@@ -13,7 +13,6 @@ import pytest
 
 from majorant import (
     IntegrandSpec,
-    SignVariant,
     TaylorCertificate,
     TrigSquare,
     envelope_max,
@@ -38,7 +37,7 @@ def _build(degree):
 # entry id: (the argument as the message names it, a call taking that one argument, its range lo..hi, hi None if open)
 INTEGER_ARGUMENTS = {
     "envelope_max-m": ("log exponent m", lambda v: envelope_max([5.0], [v], 9.0), 0, None),
-    "fourier_coeffs_pow-rho": ("rho", lambda v: fourier_coeffs_pow(SignVariant.PLUS, v), 0, 6),
+    "fourier_coeffs_pow-rho": ("rho", lambda v: fourier_coeffs_pow("plus", v), 0, 6),
     "torus_power_integral-rho": ("rho", torus_power_integral, 0, 6),
     "sup_norm_bound-m": ("derivative order m", sup_norm_bound, 0, None),
     "eval_cert_poly-m": ("derivative order m", lambda v: eval_cert_poly(_CERT, v, 5.5), 0, _CERT.degree),
@@ -96,8 +95,8 @@ class TestSignArguments:
     @pytest.mark.parametrize("rho", range(7))
     def test_fourier_coeffs_pow_takes_a_label(self, rho):
         """A label gives its own variant's row; "minus" once gave the plus row."""
-        assert fourier_coeffs_pow("minus", rho) == fourier_coeffs_pow(SignVariant.MINUS, rho)
-        assert fourier_coeffs_pow("plus", rho) == fourier_coeffs_pow(SignVariant.PLUS, rho)
+        assert fourier_coeffs_pow("minus", rho) == fourier_coeffs_pow("MINUS", rho)
+        assert fourier_coeffs_pow("plus", rho) == fourier_coeffs_pow("Plus", rho)
         if rho > 0:  # the rows differ from rho = 1 on: the coefficient at frequency 7 is the sign
             assert fourier_coeffs_pow("minus", rho) != fourier_coeffs_pow("plus", rho)
 

@@ -4,6 +4,7 @@ import copy
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -33,7 +34,7 @@ from majorant.pipeline import (
 )
 from majorant.quadrature import CertifiedValue, gap_derivative
 from majorant.tables import TABLE_IDS, reproduce_table
-from majorant.trigpoly import G_MAX, LocalMaxEntry, SignVariant, TrigSquare, default_max_table
+from majorant.trigpoly import G_MAX, LocalMaxEntry, TrigSquare, default_max_table
 
 EXPECTED_STAGES = [
     "endpoint_gap_zero",
@@ -412,11 +413,17 @@ class TestReports:
             digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
             assert digest == "e93b7771edd752804fc51e92d2983bd6018133c7681317b579f838d0ce918dd3"
 
-    @pytest.mark.parametrize("package", ["majorant", "majorant.cli"])
-    @pytest.mark.parametrize("module", ["hashlib", "json", "dataclasses", "inspect", "majorant.tables", "csv", "typing"])
+    @pytest.mark.parametrize(
+        "module,package",
+        [
+            *itertools.product(["hashlib", "json", "dataclasses", "inspect", "majorant.tables", "csv", "typing"], ["majorant.cli", "majorant"]),
+            ("enum", "majorant"),
+        ],
+    )
     def test_import_leaves_module_unloaded(self, package, module):
         """Nothing needs hashlib, which loads OpenSSL, and only a JSON report needs json; the records are collections.namedtuple
-        subclasses, so nothing loads typing, dataclasses or inspect.
+        subclasses, so nothing loads typing, dataclasses or inspect, and a sign is its label, so the package loads no enum
+        (the CLI does, through argparse and re).
 
         No module of the proof imports majorant.tables: the package binds its
         names on first use, and the CLI imports it, and csv, in the table
@@ -453,7 +460,7 @@ class TestReports:
         (TrigSquare(), "sign"),
         (LocalMaxEntry(0.0, G_MAX, 1), "value_upper"),
         (default_max_table(TrigSquare()), "entries"),
-        (IntegrandSpec(5.0, 0, SignVariant.PLUS), "t"),
+        (IntegrandSpec(5.0, 0, "plus"), "t"),
         (CertifiedValue(0.0, 0.0, 1, "midpoint"), "error_bound"),
         (TaylorCertificate(5.0, 0.1, 1, 0, (0.0,), (0.0,), (0.0,), 0.0, 0.0), "coeffs"),
         (SignCertificate((5.0, 6.0), "positive", "derivative_chain", True, ()), "certified"),

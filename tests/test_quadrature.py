@@ -39,14 +39,14 @@ from majorant.quadrature import (
 )
 from majorant.spectral import torus_integral_upper, torus_power_integral
 from majorant.tables import q_values, reproduce_table
-from majorant.trigpoly import SIGN_PAIR, SignVariant, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
+from majorant.trigpoly import SIGN_PAIR, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral, plain_h4_bound
 from test_integrand import keyed
 from oracle import SCALAR_GROUPS, brace_terms_reference, envelope_reference, eval_G, eval_G_derivative, eval_H, gap_reference, h4_sup_bound_reference
 from oracle import proof_gap_batches, q_reference, refined_error_bound_reference, sign_factor, term_integral_reference
 
-PLUS, MINUS = SignVariant.PLUS, SignVariant.MINUS
+PLUS, MINUS = "plus", "minus"
 
 
 @pytest.fixture
@@ -439,13 +439,13 @@ class TestDeterminism:
         orders = [0, 3, 7]
         clear_caches()
         warm = gap_derivatives(5.3, 500, orders, "refined")
-        assert [set(logs) for _, logs in _node_table(500).values()] == [{0, 1, 3, 7}] * 2
+        assert [set(logs) for _, logs in _node_table(500).values()] == [{1, 3, 7}] * 2
         clear_caches()
         rebuilt = _node_table(500)
         assert [set(logs) for _, logs in rebuilt.values()] == [{1}] * 2
         cold = gap_derivatives(5.3, 500, orders, "refined")
         assert bits(cold) == bits(warm)
-        assert [set(logs) for _, logs in rebuilt.values()] == [{0, 1, 3, 7}] * 2
+        assert [set(logs) for _, logs in rebuilt.values()] == [{1, 3, 7}] * 2
 
     def test_order_one_reads_the_log_column_of_the_build(self):
         """A build holds one column per sign, log G at p = 1, and an order-1 batch sums over that very list: it adds no column."""
@@ -780,7 +780,7 @@ class TestNodeSumBounds:
                 eval_G(spec, x) ** t * abs(math.log(eval_G(spec, x))) ** j for x in nodes
             )
             bound = bounds[False, t, j]
-            assert total <= bound, f"t={t} j={j} {spec.sign.value}: {total} > {bound}"
+            assert total <= bound, f"t={t} j={j} {spec.sign}: {total} > {bound}"
 
     @pytest.mark.parametrize("t,j", [(1.0, 0), (3.0, 1), (5.0, 2)])
     def test_q_star_dominates(self, t, j, tables):
@@ -795,7 +795,7 @@ class TestNodeSumBounds:
                 for x in nodes
             )
             bound = bounds[True, t, j]
-            assert total <= bound, f"t={t} j={j} {spec.sign.value}: {total} > {bound}"
+            assert total <= bound, f"t={t} j={j} {spec.sign}: {total} > {bound}"
 
     def test_frozen_values(self, tables):
         plus, minus = q_values([(True, 1.0, 0), (False, 3.0, 0), (False, 4.0, 1)], tables, 500)
@@ -890,7 +890,7 @@ class TestIntegrateH:
     def test_refined_tracks_oracle(self, half_period_oracle):
         for t, j, sign in ((5.0, 1, PLUS), (5.0, 1, MINUS), (5.23, 2, MINUS)):
             value = one_sign_integral(sign, t, 500, j, "refined")
-            truth = half_period_oracle(t, j, sign.value)
+            truth = half_period_oracle(t, j, sign)
             assert abs(value.estimate - truth) <= value.error_bound
             assert abs(value.estimate - truth) < 1e-6  # the bound is very conservative
 

@@ -12,15 +12,15 @@ from majorant.spectral import (
     torus_integral_upper,
     torus_power_integral,
 )
-from majorant.trigpoly import SignVariant
+from majorant.trigpoly import SIGN_PAIR
 
 from conftest import numpy_G
 from oracle import TORUS_MOMENTS, parseval_integral, torus_anchor_bounds
 
 
-def convolution_coeffs(sign: SignVariant, rho: int) -> list[int]:
+def convolution_coeffs(sign: str, rho: int) -> list[int]:
     """Oracle: coefficients of F^rho by repeated integer convolution."""
-    s = 1 if sign is SignVariant.PLUS else -1
+    s = 1 if sign == "plus" else -1
     base = [1, 1, 0, 0, 0, 0, 0, s]
     out = [1]
     for _ in range(rho):
@@ -36,13 +36,13 @@ def convolution_coeffs(sign: SignVariant, rho: int) -> list[int]:
 
 class TestFourierCoeffs:
     def test_first_power(self):
-        plus = fourier_coeffs_pow(SignVariant.PLUS, 1)
-        minus = fourier_coeffs_pow(SignVariant.MINUS, 1)
+        plus = fourier_coeffs_pow("plus", 1)
+        minus = fourier_coeffs_pow("minus", 1)
         assert plus == (1, 1, 0, 0, 0, 0, 0, 1)
         assert minus == (1, 1, 0, 0, 0, 0, 0, -1)
 
     def test_second_power(self):
-        minus = fourier_coeffs_pow(SignVariant.MINUS, 2)
+        minus = fourier_coeffs_pow("minus", 2)
         expected = [0] * 15
         expected[0], expected[1], expected[2] = 1, 2, 1
         expected[7], expected[8] = -2, -2
@@ -50,7 +50,7 @@ class TestFourierCoeffs:
         assert list(minus) == expected
 
     @pytest.mark.parametrize("rho", range(7))
-    @pytest.mark.parametrize("sign", [SignVariant.PLUS, SignVariant.MINUS])
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_matches_convolution_oracle(self, rho, sign):
         closed = fourier_coeffs_pow(sign, rho)
         assert list(closed) == convolution_coeffs(sign, rho)
@@ -61,14 +61,14 @@ class TestFourierCoeffs:
         At rho = 7 it would miss overlaps (Parseval sum 272834 against the
         convolution's 272849), so it refuses rather than return a wrong expansion.
         """
-        assert sum(c * c for c in convolution_coeffs(SignVariant.PLUS, 7)) == 272849
-        for sign in SignVariant:
+        assert sum(c * c for c in convolution_coeffs("plus", 7)) == 272849
+        for sign in SIGN_PAIR:
             with pytest.raises(ValueError, match=r"^rho must be an integer in 0\.\.6, got 7$"):
                 fourier_coeffs_pow(sign, 7)
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError, match=r"^rho must be an integer in 0\.\.6, got -1$"):
-            fourier_coeffs_pow(SignVariant.PLUS, -1)
+            fourier_coeffs_pow("plus", -1)
 
 
 class TestTorusPowerIntegral:
@@ -80,7 +80,7 @@ class TestTorusPowerIntegral:
 
     @pytest.mark.parametrize("rho", range(7))
     def test_matches_convolution_parseval(self, rho):
-        truth = sum(c * c for c in convolution_coeffs(SignVariant.MINUS, rho))
+        truth = sum(c * c for c in convolution_coeffs("minus", rho))
         assert torus_power_integral(rho) == truth
 
     def test_rejects_exponent_beyond_window(self):

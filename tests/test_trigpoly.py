@@ -1,12 +1,13 @@
 """Tests for the squared three-term sums, their derivatives, and maxima tables."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from majorant import trigpoly
+from majorant import SignVariant, trigpoly
 from majorant.quadrature import _nodes
 from majorant.tables import second_deriv_L2
 from majorant.trigpoly import (
@@ -15,7 +16,6 @@ from majorant.trigpoly import (
     MAXIMA_BUMP,
     MAXIMA_STEP,
     SIGN_PAIR,
-    SignVariant,
     TrigSquare,
     _scan_maxima,
     curvature_slack,
@@ -31,19 +31,22 @@ from oracle import eval_G, eval_G_derivative, sign_factor
 
 
 class TestParseSign:
-    def test_accepts_labels_and_enum(self):
-        assert parse_sign("plus") is SignVariant.PLUS
-        assert parse_sign("MINUS") is SignVariant.MINUS
-        assert parse_sign(SignVariant.PLUS) is SignVariant.PLUS
+    def test_accepts_labels_in_any_case(self):
+        """A sign is its lower-case label, the one form: the package's SignVariant is the two labels, and parse_sign returns one."""
+        assert SignVariant is SIGN_PAIR and list(SignVariant) == ["minus", "plus"]
+        assert parse_sign("plus") == "plus"
+        assert parse_sign("MINUS") == "minus"
+        assert parse_sign(parse_sign("Plus")) == "plus"
 
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown sign variant"):
-            parse_sign("both")
+        for name in ("both", "", None, 1, "plus ", "SignVariant.PLUS"):
+            with pytest.raises(ValueError, match=rf"^unknown sign variant {re.escape(repr(name))}; expected 'plus' or 'minus'$"):
+                parse_sign(name)
 
     def test_factor(self):
         """The oracle's s of each square; the package never multiplies by it."""
-        assert sign_factor(SignVariant.PLUS) == 1.0
-        assert sign_factor(SignVariant.MINUS) == -1.0
+        assert sign_factor("plus") == 1.0
+        assert sign_factor("minus") == -1.0
 
 
 class TestEvalG:
@@ -70,19 +73,19 @@ class TestEvalG:
     def test_rejects_k_other_than_five(self, k):
         """The bound constants hold for k = 5 only: at k = 200 the q pass's |G'| bound fell below the node sum it bounds."""
         with pytest.raises(ValueError, match=rf"^k must be an integer in 5\.\.5, got {k}$"):
-            TrigSquare(k, SignVariant.MINUS)
+            TrigSquare(k, "minus")
 
     def test_sign_label_is_its_variant(self, plus_square, plus_table):
-        """A label is coerced when the square is built, so its table is that sign's, not the other's."""
-        assert TrigSquare(5, "plus") == plus_square and TrigSquare(5, "plus").sign is SignVariant.PLUS
+        """A label in any case is stored lower-case when the square is built, so its table is that sign's, not the other's."""
+        assert TrigSquare(5, "PLUS") == plus_square and TrigSquare(5, "PLUS").sign == "plus"
         assert default_max_table(TrigSquare(5, "plus")) == plus_table
         with pytest.raises(ValueError, match="unknown sign variant"):
             TrigSquare(5, "bogus")
-        assert TrigSquare(5, SignVariant.MINUS)._replace(sign="plus") == plus_square
+        assert TrigSquare(5, "minus")._replace(sign="plus") == plus_square
         with pytest.raises(ValueError, match=r"^k must be an integer in 5\.\.5, got 4$"):
             plus_square._replace(k=4)
 
-    @pytest.mark.parametrize("sign", list(SignVariant))
+    @pytest.mark.parametrize("sign", SIGN_PAIR)
     def test_G_has_no_zeros(self, sign):
         """Grid minimum less the curvature slack at a true minimum (where G' = 0) stays positive, and G_MIN bounds G on the grid."""
         h = 1.0 / 20000.0
@@ -126,7 +129,7 @@ class TestDerivatives:
 def assert_pair_matches_oracle(xs):
     """Both signs of eval_G_pair, in the order SIGN_PAIR states, equal the one-sign oracle eval_G to the last bit at every x of xs."""
     pair = eval_G_pair(xs)
-    assert set(SIGN_PAIR) == set(SignVariant) and [len(values) for values in pair] == [len(xs)] * 2
+    assert SIGN_PAIR == ("minus", "plus") and [len(values) for values in pair] == [len(xs)] * 2
     for sign, values in zip(SIGN_PAIR, pair):
         spec = TrigSquare(5, sign)
         for x, g in zip(xs, values):
@@ -275,8 +278,8 @@ class TestLocateMaxima:
 
     def test_lower_bound_is_the_least_sample_less_the_slack(self):
         """G_MIN is the minus sign's sample at x = 0.308, 0.018280, less the slack 8.49e-4, rounded down to 4 decimals: 0.0174."""
-        least = min(eval_G(TrigSquare(5, sign), i * MAXIMA_STEP) for sign in SignVariant for i in range(501))
-        assert least == pytest.approx(eval_G(TrigSquare(5, SignVariant.MINUS), 0.308), abs=1e-15)
+        least = min(eval_G(TrigSquare(5, sign), i * MAXIMA_STEP) for sign in SIGN_PAIR for i in range(501))
+        assert least == pytest.approx(eval_G(TrigSquare(5, "minus"), 0.308), abs=1e-15)
         assert G_MIN == 0.0174 <= least - curvature_slack(MAXIMA_STEP) < G_MIN + 1e-4
 
     def test_the_least_positive_lower_bound_is_taken(self):
@@ -314,8 +317,8 @@ class TestLocateMaxima:
         real = trigpoly.eval_G_pair
         monkeypatch.setattr(trigpoly, "eval_G_pair", lambda xs: calls.append(1) or real(xs))
         for spec, table in ((plus_square, plus_table), (minus_square, minus_table)):
-            assert default_max_table(spec) is default_max_table(TrigSquare(5, spec.sign.value)) is table
-            assert table.sign is spec.sign
+            assert default_max_table(spec) is default_max_table(TrigSquare(5, spec.sign.upper())) is table
+            assert table.sign == spec.sign
         assert calls == []
 
 
@@ -339,7 +342,7 @@ class TestVariationBound:
 
     def test_table_carries_its_sign(self, plus_table, minus_table):
         """The sign is the table's, so no square is passed beside it."""
-        assert (plus_table.sign, minus_table.sign) == (SignVariant.PLUS, SignVariant.MINUS)
+        assert (plus_table.sign, minus_table.sign) == ("plus", "minus")
 
     def test_rejects_negative_power(self, plus_table):
         with pytest.raises(ValueError, match="nonnegative"):
