@@ -15,11 +15,11 @@ below (or above), and two elementary mechanisms turn endpoint data into a
 sign on the whole interval: a monotonicity chain of derivative signs, and a
 variation cascade that plays the growth of a would-be zero's total variation
 against endpoint bounds until it contradicts a monotone tail.  Both read P at
-an interval end from the Taylor table of coeffs[m + i] / i! that each
-certificate computes once, when it is built; check_sign_chain and
-check_sign_variation are check_signs' one-interval calls.  One window rule,
-_within, decides both which intervals a check takes and where P may be
-evaluated.
+an interval end from the Taylor table of coeffs[m + i] / i! built with each
+certificate; check_sign_chain and check_sign_variation are check_signs'
+one-interval calls.  A verdict holds its interval, outcome, evidence and
+failure reason, not the caller's target or check.  One window rule, _within,
+decides which intervals a check takes and where P may be evaluated.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class TaylorCertificate(namedtuple("TaylorCertificate", "center radius base_orde
         return cls(*fields)
 
 
-class SignCertificate(namedtuple("SignCertificate", "interval claimed_sign method certified evidence failure_reason", defaults=(None,))):
-    """Outcome of a sign check on an interval, a pair of floats; inconclusive is a value, not an error, and ``failure_reason`` then says why."""
+class SignCertificate(namedtuple("SignCertificate", "interval certified evidence failure_reason", defaults=(None,))):
+    """Outcome of a sign check on an interval, a pair of floats (the caller holds the target and check); inconclusive is a value, not an error, and ``failure_reason`` then says why."""
 
     __slots__ = ()
 
@@ -166,6 +166,7 @@ def build_certificate(
 
 def _taylor_table(degree: int, coeffs) -> tuple[tuple[float, ...], ...]:
     """A certificate's taylor field: row m, for m = 0..degree, is coeffs[m + i] / i! for i = 0..degree - m."""
+    check_int("degree", degree, 0, MAX_DEGREE)
     if len(coeffs) <= degree:  # map() would stop at the last coefficient and sum too few terms
         raise ValueError(f"a degree-{degree} certificate needs {degree + 1} coefficients, got {len(coeffs)}")
     return tuple(tuple(map(truediv, coeffs[m : degree + 1], _FACTORIALS)) for m in range(degree + 1))
@@ -254,7 +255,7 @@ def _chain_verdict(cert, target, a, b, row_a, row_b) -> SignCertificate:
     rows += ({"quantity": "derivative", "order": m, "location": a, "value": row_a[m]} for m in range(1, cert.degree + 1))
     ok = ok and _monotone_tail(row_a, 0)
     reason = None if ok else "endpoint or derivative sign conditions fail"
-    return SignCertificate((a, b), target, "derivative_chain", ok, tuple(rows), reason)
+    return SignCertificate((a, b), ok, tuple(rows), reason)
 
 
 def _monotone_tail(row: list[float], m: int) -> bool:
@@ -315,4 +316,4 @@ def _cascade_verdict(cert, target, a, b, row_a, row_b) -> SignCertificate:
         if contradiction is not None and _monotone_tail(row_a, contradiction["order"]):
             rows.append(contradiction)
             reason = None
-    return SignCertificate((a, b), target, "variation_cascade", reason is None, tuple(rows), reason)
+    return SignCertificate((a, b), reason is None, tuple(rows), reason)

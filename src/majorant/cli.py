@@ -43,12 +43,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_derivative(args: argparse.Namespace) -> int:
     value = gap_derivative(args.order, args.t, args.steps, args.mode)
-    print(f"order       {args.order}")
-    print(f"t           {args.t!r}")
-    print(f"estimate    {value.estimate!r}")
-    print(f"error_bound {value.error_bound!r}")
-    print(f"steps       {value.steps}")
-    print(f"method      {value.method}")
+    fields = {"order": args.order, "t": args.t, "estimate": value.estimate, "error_bound": value.error_bound, "steps": value.steps, "method": value.method}
+    print("".join(f"{label:<12}{text}\n" for label, text in fields.items()), end="")  # a float's format is its repr
     return 0
 
 

@@ -239,14 +239,9 @@ def emit_report(report: ProofReport, fmt: str = "json") -> str:
     ]
     for s in report.stages:
         lines.append(f"[{s.status:>9}] {s.name}")
-        if s.estimate is not None:
-            lines.append(f"            estimate    {s.estimate!r}")
-        if s.error_bound is not None:
-            lines.append(f"            error bound {s.error_bound!r}")
-        if s.margin is not None:
-            lines.append(f"            margin      {s.margin!r}")
-        for w in s.warnings:
-            lines.append(f"            note: {w}")
+        values = zip(("estimate", "error bound", "margin"), (s.estimate, s.error_bound, s.margin))
+        lines += (f"{'':12}{label:<12}{value!r}" for label, value in values if value is not None)
+        lines += (f"{'':12}note: {w}" for w in s.warnings)
     lines.append("")
     return "\n".join(lines)
 

@@ -1,9 +1,12 @@
-"""Comparison and min/max flip mutation probe for the certificate layer.
+"""Comparison, min/max, arithmetic and boolean flip mutation probe for the certificate layer.
 
-Flips one comparison operator at a time (< and <=, > and >=, == and !=), or
-swaps one name min and max, in a temporary copy of the repository, runs the
-Tier-1 command there with -x, and prints each mutant that every test
-survives.  Pytest does not collect this file; run it from the repository root:
+Flips one operator at a time (< and <=, > and >=, == and !=, a binary + and -,
+a binary * and /, and and or), or swaps one name min and max, in a temporary
+copy of the repository, runs the Tier-1 command there with -x, and prints each
+mutant that every test survives.  Operators inside an f-string's replacement
+fields are not flipped: Python 3.12 tokenizes them and 3.11 does not, so both
+see the same sites.  Pytest does not collect this file; run it from the
+repository root:
 
     python tests/mutation_probe.py                        # certify.py and pipeline.py
     python tests/mutation_probe.py src/majorant/envelope.py
@@ -18,6 +21,7 @@ else 0.
 from __future__ import annotations
 
 import io
+import keyword
 import os
 import shutil
 import subprocess
@@ -28,7 +32,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_MODULES = ("src/majorant/certify.py", "src/majorant/pipeline.py")
-FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "min": "max", "max": "min"}
+FLIPS = {
+    "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "min": "max", "max": "min",
+    "+": "-", "-": "+", "*": "/", "/": "*", "and": "or", "or": "and",
+}
+ARITHMETIC = ("+", "-", "*", "/")  # flipped only where binary: not unary minus, *args or a / in a parameter list
+FSTRING_START, FSTRING_END = (getattr(tokenize, name, -1) for name in ("FSTRING_START", "FSTRING_END"))  # Python 3.12 on
 # (module, stripped source line, operator, reason): mutants that no input can tell from the source
 EQUIVALENT = (
     (
@@ -43,15 +52,33 @@ EQUIVALENT = (
         ">=",
         "both branches give A(rho) at t = rho, which only integer t <= 6 reach, and those return early",
     ),
+    (
+        "src/majorant/spectral.py",
+        "for rho in (K, K + 1):",
+        "+",
+        "both signs' Parseval sums agree at every rho, so the flipped loop also returns True",
+    ),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
+def ends_operand(tok) -> bool:
+    """Whether tok ends an operand (a number, a string, a closing bracket, or a name that is no keyword), so that an operator after it is binary."""
+    if tok.type == tokenize.NAME:
+        return not keyword.iskeyword(tok.string)
+    return tok.type in (tokenize.NUMBER, tokenize.STRING, FSTRING_END) or tok.type == tokenize.OP and tok.string in (")", "]", "}")
+
+
 def flip_sites(source: str):
-    """(line, column, token) of each comparison operator and each name min or max in source, in order; the tokenizer passes over comments and string text."""
+    """(line, column, token) of each operator of FLIPS and each name min or max in source, in order; the tokenizer passes over comments and string text."""
+    depth, previous = 0, None  # f-string nesting depth; the last token that is no comment or line continuation
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in FLIPS:
-            yield tok.start[0], tok.start[1], tok.string
+        depth += (tok.type == FSTRING_START) - (tok.type == FSTRING_END)
+        if depth == 0 and tok.type in (tokenize.OP, tokenize.NAME) and tok.string in FLIPS:
+            if tok.string not in ARITHMETIC or previous is not None and ends_operand(previous):
+                yield tok.start[0], tok.start[1], tok.string
+        if tok.type not in (tokenize.NL, tokenize.COMMENT):
+            previous = tok
 
 
 def mutant(source: str, line: int, col: int, op: str) -> str:
@@ -101,7 +128,7 @@ def main(modules) -> int:
     for module, text, op in sorted(unmatched):
         print(f"STALE {module}: no surviving {op} -> {FLIPS[op]} flip on the listed line: {text}")
     listed = len(equivalent) - len(unmatched)
-    print(f"{len(survivors) + listed} of {total} comparison and min/max flips survive the Tier-1 suite, {listed} of them listed as equivalent")
+    print(f"{len(survivors) + listed} of {total} flips survive the Tier-1 suite, {listed} of them listed as equivalent")
     return min(len(survivors) + len(unmatched), 1)
 
 

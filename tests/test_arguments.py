@@ -26,6 +26,7 @@ from majorant.certify import MAX_DEGREE, build_certificate, remainder_bound
 from majorant.trigpoly import MAX_STEPS, check_int
 
 _CERT = TaylorCertificate(5.5, 0.1, 1, 3, (1.0, 2.0, 3.0, 4.0), (0.0,) * 4, (1.0,) * 4, 0.0, 1.0)
+_COEFFS = (1.0,) * (MAX_DEGREE + 2)  # one past what MAX_DEGREE takes, so a degree above it has its coefficients and only the degree rule refuses it
 
 
 def _build(degree):
@@ -44,6 +45,7 @@ INTEGER_ARGUMENTS = {
     "remainder_bound-base_order": ("base_order", lambda v: remainder_bound(5.5, 0.1, v, 3), 0, None),
     "remainder_bound-degree": ("degree", lambda v: remainder_bound(5.5, 0.1, 1, v), 0, MAX_DEGREE),
     "build_certificate-degree": ("degree", _build, 0, MAX_DEGREE),
+    "TaylorCertificate-degree": ("degree", lambda v: TaylorCertificate(5.5, 0.1, 1, v, _COEFFS, (), (), 0.0, 1.0), 0, MAX_DEGREE),
     "gap_derivative-order": ("log exponent j", lambda v: gap_derivative(v, 5.5, 100), 0, None),
     "gap_derivative-steps": ("step count", lambda v: gap_derivative(1, 5.5, v), 1, MAX_STEPS),
     "IntegrandSpec-j": ("log exponent j", lambda v: IntegrandSpec(5.5, v, "plus"), 0, None),

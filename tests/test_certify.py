@@ -40,7 +40,7 @@ def stage_certificate(name):
 
 
 STAGE_NAMES = ("gap_d4_on_5.000_5.130", "gap_d1_on_5.130_5.330", "gap_d1_on_5.330_5.720", "gap_d2_on_5.720_6.000")
-SIGN_CHECK_DIGEST = "bc2be3b623a1a2d1ed05c7ef389693844139c81e03996107b6d0593a11e93301"
+SIGN_CHECK_DIGEST = "489d7df094888858b181dff4453306f58c84fa4761f054e870df7fcc5ee00ce7"
 
 
 def check_one(method, cert, target, interval):
@@ -890,3 +890,12 @@ class TestWindowRule:
                 eval_cert_poly(cert, 0, end)
             with pytest.raises(ValueError, match=f"^{re.escape(f'interval [{interval[0]}, {interval[1]}] leaves the certified window [5.25, 5.75]')}$"):
                 check_signs("cascade", cert, "positive", [interval])
+
+    @pytest.mark.parametrize("center,interval", [(5.9, (5.8, 6.05)), (5.1, (4.95, 5.2))], ids=["right_end", "left_end"])
+    def test_an_interval_crossing_the_proven_range_is_refused(self, center, interval):
+        """A hand-built window may cross [5, 6]; an interval inside it with one end outside [5, 6] is refused, so each end is checked on its own."""
+        cert = TaylorCertificate(center, 0.2, 1, 1, (1.0, -1.0), (0.0, 0.0), (1e-9, 1e-9), 0.0, 0.25)
+        refusal = f"interval [{interval[0]}, {interval[1]}] is outside the proven range [5, 6]"
+        for method in ("chain", "cascade"):
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                check_signs(method, cert, "positive", [interval])

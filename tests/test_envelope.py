@@ -33,6 +33,8 @@ class TestClosedForm:
         # the interior peak (400/(5e))^400 and 9^400 exceed the float range; inf still bounds them
         assert single(5.0, 400, 9.0) == math.inf
         assert single(400.0, 0, 9.0) == math.inf
+        # (1/9)^340 underflows to 0 and |log(1/9)|^1000 overflows: their product is nan, so the bound is inf
+        assert envelope_max([340.0], [1000], 1.0 / 9.0) == {1000: [math.inf]}
 
     def test_peak_counts_where_its_location_underflows(self):
         """exp(-m/s) is 0.0 in floats for m/s > about 745, yet the peak at that v0 > 0 lies in [0, b] for every b.

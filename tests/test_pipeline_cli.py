@@ -308,7 +308,7 @@ class TestProve:
     def test_nan_anchors_fail_the_stage(self, monkeypatch):
         """A certified interval whose anchors are nan leaves a nan margin, which clears no allowance; it was once certified."""
         cert = TaylorCertificate(5.5, 0.25, 1, 1, (2.0, -1.0), (0.0, 0.0), (0.125, 0.125), 0.0, 0.25)
-        verdict = SignCertificate((5.25, 5.75), "positive", "variation_cascade", True, ())
+        verdict = SignCertificate((5.25, 5.75), True, ())
         nan_anchors = lambda method, cert, target, intervals: ([verdict], {5.25: math.nan, 5.75: math.nan})
         monkeypatch.setattr("majorant.pipeline.check_signs", nan_anchors)
         result = run_hand_built_stage(monkeypatch, cert, "cascade", "positive", (5.25, 5.75))
@@ -349,6 +349,12 @@ class TestReports:
         """The default JSON report is the behavioural contract; hash recorded on glibc 2.36, x86-64, Python 3.11.7."""
         digest = hashlib.sha256(emit_report(prove_k5(), "json").encode("utf-8")).hexdigest()
         assert digest == "e56696733c1daa5c4212f376c07c9e27159b6deb06f61c99cdaeb98b609b38b6"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the hash was recorded with glibc's libm")
+    def test_default_text_report_bytes_are_pinned(self):
+        """The default report as ``majorant prove --format text`` writes it; hash recorded on glibc 2.36, x86-64, Python 3.11.7."""
+        digest = hashlib.sha256(emit_report(prove_k5(), "text").encode("utf-8")).hexdigest()
+        assert digest == "59cc78e8a676e24137cb0e95f5540146afa7bd0aaaa0039dc0bb99574cb599bf"
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the hashes were recorded with glibc's libm")
     @pytest.mark.parametrize("table_id,digest", TABLE_SHA256.items())
@@ -463,7 +469,7 @@ class TestReports:
         (IntegrandSpec(5.0, 0, "plus"), "t"),
         (CertifiedValue(0.0, 0.0, 1, "midpoint"), "error_bound"),
         (TaylorCertificate(5.0, 0.1, 1, 0, (0.0,), (0.0,), (0.0,), 0.0, 0.0), "coeffs"),
-        (SignCertificate((5.0, 6.0), "positive", "derivative_chain", True, ()), "certified"),
+        (SignCertificate((5.0, 6.0), True, ()), "certified"),
         (StageResult("stage", "certified", 0.0, 0.0, 0.0), "margin"),
         (ProofReport("1", CASE_ID, "PROVED", "", None, "", ()), "verdict"),
     ],
@@ -640,8 +646,15 @@ class TestCli:
             "derivative", "--order", "1", "--t", "5.0", "--steps", "500",
             "--mode", "refined",
         )
-        assert result.returncode == 0
-        assert "estimate    0.0028784920987163787" in result.stdout
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (
+            "order       1\n"
+            "t           5.0\n"
+            "estimate    0.0028784920987163787\n"
+            "error_bound 0.004654734105807148\n"
+            "steps       500\n"
+            "method      refined\n"
+        )
 
     @pytest.mark.parametrize("options", [[], ["--sign", "minus", "--step", "0.001"], ["--sign", "plus", "--bump", "inf"]], ids=["bare", "step", "bump"])
     def test_no_maxima_subcommand(self, options, capsys):
