@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     deriv = sub.add_parser("derivative", help="one certified gap-derivative evaluation")
     deriv.add_argument("--order", type=int, required=True, help="derivative order (>= 0; 0 is the gap itself)")
-    deriv.add_argument("--t", type=float, required=True, help="exponent: t > 4 plain (t >= 4 at order 0), t >= 5 refined")
+    deriv.add_argument("--t", type=float, required=True, help="exponent t >= 5, in both modes")
     deriv.add_argument("--steps", type=int, required=True, help="midpoint nodes per half period")
     deriv.add_argument("--mode", choices=MODES, default="refined")
     deriv.set_defaults(func=_cmd_derivative)

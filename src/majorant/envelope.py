@@ -21,9 +21,10 @@ def envelope_max(powers, orders, b: float) -> dict[int, list[float]]:
     its only interior critical point is v0 = exp(-m/s), with value
     (m/(e*s))^m, and on (1, 9] it increases.  The maximum over [0, b] is the
     value at b or, when v0 < min(b, 1) (also where v0 underflows to 0), the
-    larger of it and the peak.  Past the float range it is inf: still a bound.
-    b^s, e*s and each check are taken once per power or order, and so is
-    |log b|^m (1 at m = 0, so that row is b^s exactly).
+    larger of it and the peak; the value at b is taken in log space where b^s
+    or |log b|^m leaves the float range (b != 1 there).  Past that range the
+    maximum is inf: still a bound.  b^s, e*s and each check are taken once per
+    power or order, and so is |log b|^m (1 at m = 0, so that row is b^s exactly).
     """
     powers, orders = list(powers), list(orders)  # each is read more than once
     if not 0.0 < b <= G_MAX:  # the checks are phrased "not <valid>" so that a NaN fails them
@@ -42,7 +43,7 @@ def envelope_max(powers, orders, b: float) -> dict[int, list[float]]:
         log_power = overflow_to_inf(pow, log_b, m)
         row = rows[m] = []
         for s, end, e_s in per_power:
-            value = end * log_power if end != inf and log_power != inf else inf
+            value = end * log_power if end != inf and log_power != inf else overflow_to_inf(exp, s * math.log(b) + m * math.log(log_b))
             if m and value != inf and exp(-m / s) < peak_end:
                 value = max(value, overflow_to_inf(pow, m / e_s, m))
             row.append(value)

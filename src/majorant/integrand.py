@@ -21,7 +21,7 @@ its (coefficient, group, p) terms in one loop over the groups and their brace
 orders i = min(k, j)..0 (a log order j - i < 0 is no term), ``term_kinds``
 what each group stands for, and the quadrature module bounds each term, by
 its sup or by its integral; ``h4_term_bounds`` gives one order's terms.
-WORK_M bounds both signs.
+WORK_M bounds both signs.  The one power rule, t >= 5, keeps each t - k >= 1.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class IntegrandSpec(namedtuple("IntegrandSpec", "t j sign")):
     """Parameters of H = G^t log^j G for one sign variant of the k = 5 square.
 
     There is no k: the working bounds WORK_M and the quadrature's variation
-    constants are proven for k = 5 alone.  ``sign`` is the label 'plus' or
-    'minus', in any case, stored as parse_sign returns it.
+    constants are proven for k = 5 alone.  t >= 5.  ``sign`` is the label
+    'plus' or 'minus', in any case, stored as parse_sign returns it.
     """
 
     __slots__ = ()
@@ -91,8 +91,8 @@ class IntegrandSpec(namedtuple("IntegrandSpec", "t j sign")):
 
 
 def _check_power_and_order(t: float, j: int) -> None:
-    if not t >= 1.0:  # also refuses nan
-        raise ValueError(f"power t must be >= 1, got {t}")
+    if not t >= 5.0:  # the one power rule; also refuses nan
+        raise ValueError(f"power t must be >= 5, got {t}")
     check_int("log exponent j", j, 0)
 
 
@@ -118,16 +118,14 @@ def h4_bounds(t: float, orders) -> list[tuple[tuple[float, int, int], ...]]:
     """The |H''''| bound of each j in orders at one t: a tuple of sign-free (coefficient, group, p) terms.
 
     A term stands for coefficient * G^t_r |log G|^p, times |G'| if has_gprime,
-    where (has_gprime, t_r) is term_kinds(t)[group].  t_r >= t - 4 is bounded
-    on [0, 9] for t > 4 with logs, t >= 4 without.  The brace polynomials in t
-    are taken once, and each order is checked, in turn, before its terms.
+    where (has_gprime, t_r) is term_kinds(t)[group], t_r >= t - 4 >= 1 as
+    t >= 5.  The brace polynomials in t are taken once, and each order is
+    checked, in turn, before its terms.
     """
     braces = None
     bounds = []
     for j in orders:
         _check_power_and_order(t, j)
-        if t < 4.0 or (t == 4.0 and j > 0):
-            raise ValueError(f"fourth-derivative bound needs t > 4 with logs (t >= 4 without), got t={t}, j={j}")
         if braces is None:  # the first order: the t-polynomials
             braces = _brace_rows(t)
         terms = []  # a tuple from a list: tuple() of a generator resizes, and fragments memory measurably
@@ -137,7 +135,7 @@ def h4_bounds(t: float, orders) -> list[tuple[tuple[float, int, int], ...]]:
                 for i in range(min(k, j), -1, -1):
                     if i == k:  # the top j^(k): an exact int, then a float
                         value = float(math.perm(j, k))
-                    else:  # positive at t >= 4, so no zero term or abs
+                    else:  # positive at t >= 5, so no zero term or abs
                         value = braces[k, i]
                         for f in range(i):
                             value *= j - f
@@ -153,14 +151,7 @@ def term_kinds(t: float) -> list[tuple[bool, float]]:
     return [(has_gprime, t + offset) for _, offset, has_gprime in _GROUPS]
 
 
-def refined_kinds(t: float) -> list[tuple[bool, float]]:
-    """term_kinds(t) for the refined bound, which integrates each kind's G^t_r and needs t_r >= 1: refused below t = 5."""
-    if not t >= 5.0:
-        raise ValueError(f"term-form fourth-derivative bound needs t >= 5, got {t}")
-    return term_kinds(t)
-
-
 def h4_term_bounds(spec: IntegrandSpec) -> tuple[list[tuple[bool, float]], tuple[tuple[float, int, int], ...]]:
-    """|H''''| bound as (refined_kinds(t), (coefficient, group, p) terms), as refined_error_bound takes it: h4_bounds of one order."""
+    """|H''''| bound as (term_kinds(t), (coefficient, group, p) terms), t >= 5 as spec has it, as refined_error_bound takes it: h4_bounds of one order."""
     (terms,) = h4_bounds(spec.t, [spec.j])
-    return refined_kinds(spec.t), terms
+    return term_kinds(spec.t), terms

@@ -49,9 +49,9 @@ from math import fsum
 from operator import add, mul
 
 from .envelope import envelope_max
-from .integrand import WORK_M, h4_bounds, refined_kinds, term_kinds
+from .integrand import WORK_M, h4_bounds, term_kinds
 from .spectral import torus_integral_upper
-from .trigpoly import G_MAX, MAX_STEPS, MONOTONE_PIECES, SIGN_PAIR, LocalMaxTable, TrigSquare, default_max_table
+from .trigpoly import G_MAX, MAX_STEPS, MAX_TABLES, MONOTONE_PIECES, SIGN_PAIR, LocalMaxTable, TrigSquare
 from .trigpoly import check_int, eval_G_pair, overflow_to_inf, variation_bound_power
 
 MODES = ("plain", "refined")
@@ -244,13 +244,12 @@ def _gap_batch(t: float, n_steps: int, mode: str, *orders: int) -> tuple[Certifi
     plain cells, summed once, or one refined cell table per sign, each over
     the five groups at the terms' log orders.
     """
-    bounds = h4_bounds(t, orders)
+    bounds, kinds = h4_bounds(t, orders), term_kinds(t)
     log_orders = {p for terms in bounds for _, _, p in terms}
-    if mode == "refined":
-        kinds, tables = refined_kinds(t), [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
-        errors = map(add, *_error_bounds(bounds, _cells(kinds, log_orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables)), n_steps))
+    if mode == "refined":  # one cell table per sign's maxima table
+        errors = map(add, *_error_bounds(bounds, _cells(kinds, log_orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, MAX_TABLES.values())), n_steps))
     else:  # the sup cells hold for both signs
-        errors = [e + e for e in _error_bounds(bounds, [_sup_cells(term_kinds(t), log_orders)], n_steps)[0]]
+        errors = [e + e for e in _error_bounds(bounds, [_sup_cells(kinds, log_orders)], n_steps)[0]]
     table = _node_table(n_steps)
     minus, plus = [_h_node_sums(table[sign], t, sorted(set(orders))) for sign in SIGN_PAIR]
     two_n = 2.0 * n_steps

@@ -16,7 +16,7 @@ from .integrand import WORK_M
 from .pipeline import DEFAULT_CONFIG, _stage_certificate
 from .quadrature import _cells, _check_steps
 from .spectral import torus_integral_upper, torus_power_integral
-from .trigpoly import G_MAX, MONOTONE_PIECES, LocalMaxTable, TrigSquare, default_max_table, variation_bound_power
+from .trigpoly import G_MAX, MAX_TABLES, MONOTONE_PIECES, LocalMaxTable, variation_bound_power
 
 
 def second_deriv_L2() -> float:
@@ -164,7 +164,7 @@ def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
 def _maxima_rows():
     rows = []
     for label in ("plus", "minus"):
-        table = default_max_table(TrigSquare(5, label))
+        table = MAX_TABLES[label]
         refs = REFERENCE_MAXIMA[label]
         for entry, ref in zip(table.entries, refs):
             rows.append([
@@ -189,7 +189,7 @@ def _a_rho_rows():
 def _q_rows(n_steps: int, reference: dict):
     """Both signs' node-sum bound of every reference key ("star": with |G'|), from one q pass."""
     keys = [(kind == "star", float(t), j) for kind, t, j in reference]
-    tables = [default_max_table(TrigSquare(5, sign)) for sign in ("plus", "minus")]
+    tables = [MAX_TABLES["plus"], MAX_TABLES["minus"]]
     plus, minus = q_values(keys, tables, n_steps)
     rows = []
     for ((kind, t, j), ref), key in zip(reference.items(), keys):

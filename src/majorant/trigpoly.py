@@ -159,8 +159,8 @@ MAXIMA_STEP = MAXIMA_BUMP = 0.001
 if not MAXIMA_BUMP >= curvature_slack(MAXIMA_STEP):
     raise RuntimeError(f"maxima bump {MAXIMA_BUMP} does not cover the curvature slack {curvature_slack(MAXIMA_STEP):.6g}")
 _GRID_SAMPLES = eval_G_pair(i * MAXIMA_STEP for i in range(501))  # both signs' G on the grid: the one G pass at import
-_MAX_TABLES = {sign: LocalMaxTable(sign, _scan_maxima(samples)) for sign, samples in zip(SIGN_PAIR, _GRID_SAMPLES)}
-for _table in _MAX_TABLES.values():  # G' has degree F3, so G has at most F3 = 7 local maxima per period
+MAX_TABLES = {sign: LocalMaxTable(sign, _scan_maxima(samples)) for sign, samples in zip(SIGN_PAIR, _GRID_SAMPLES)}  # by sign label
+for _table in MAX_TABLES.values():  # G' has degree F3, so G has at most F3 = 7 local maxima per period
     if _table.total_multiplicity != F3:
         raise RuntimeError(f"expected {F3} local maxima of the {_table.sign} sign, found {_table.total_multiplicity}")
 # The maxima argument mirrored: G' = 0 at an interior minimum, so the sample nearest it exceeds it by at most the slack.
@@ -171,7 +171,7 @@ if not G_MIN > 0.0:  # also refuses nan
 
 def default_max_table(spec: TrigSquare) -> LocalMaxTable:
     """The certified local-maximum table of spec's sign, built at import."""
-    return _MAX_TABLES[spec.sign]
+    return MAX_TABLES[spec.sign]
 
 
 def variation_bound_power(table: LocalMaxTable, t: float) -> float:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from majorant.integrand import h4_bounds, refined_kinds, term_kinds
+from majorant.integrand import h4_bounds, term_kinds
 from majorant.quadrature import _INTEGRAL_WEIGHTS, CertifiedValue, _cells, _error_bounds, _h_node_sums, _integral_bases, _node_table, _sup_cells
 from majorant.trigpoly import TrigSquare, default_max_table
 
@@ -51,12 +51,11 @@ def one_sign_integral(sign, t, n_steps, j, mode):
     """
     (terms,) = h4_bounds(t, [j])
     estimate = _h_node_sums(_node_table(n_steps)[sign], t, [j])[j] / (2.0 * n_steps)
-    orders = {p for _, _, p in terms}
+    kinds, orders = term_kinds(t), {p for _, _, p in terms}
     if mode == "refined":
-        kinds = refined_kinds(t)
         cells = _cells(kinds, orders, _INTEGRAL_WEIGHTS, _integral_bases(kinds, [default_max_table(TrigSquare(5, sign))]))
     else:
-        cells = [_sup_cells(term_kinds(t), orders)]
+        cells = [_sup_cells(kinds, orders)]
     ((error,),) = _error_bounds([terms], cells, n_steps)
     return CertifiedValue(estimate, error, n_steps, mode)
 

@@ -1,9 +1,12 @@
-"""One rule per argument kind: every integer argument through check_int, every sign through parse_sign.
+"""One rule per argument kind: every integer argument through check_int, every sign through parse_sign, every power t >= 5.
 
 Each public entry that takes an order, exponent or count is called with the
 values that equal or resemble an int but are none (True == 1, 2.0 == 2), a
 fraction, a negative, nan and, where the range has an upper end, the value
 past it; each must raise the one ValueError of check_int, naming the argument.
+Each entry that takes the power t of H = G^t log^j G, and the derivative
+command in both modes, refuses t < 5 and nan with one message, before any
+cosine is taken.
 """
 
 import math
@@ -11,6 +14,7 @@ import re
 
 import pytest
 
+import majorant.cli
 from majorant import (
     IntegrandSpec,
     TaylorCertificate,
@@ -19,10 +23,14 @@ from majorant import (
     eval_cert_poly,
     fourier_coeffs_pow,
     gap_derivative,
+    h4_term_bounds,
+    quadrature,
     sup_norm_bound,
     torus_power_integral,
 )
 from majorant.certify import MAX_DEGREE, build_certificate, remainder_bound
+from majorant.integrand import h4_bounds
+from majorant.quadrature import MODES
 from majorant.trigpoly import MAX_STEPS, check_int
 
 _CERT = TaylorCertificate(5.5, 0.1, 1, 3, (1.0, 2.0, 3.0, 4.0), (0.0,) * 4, (1.0,) * 4, 0.0, 1.0)
@@ -72,6 +80,51 @@ def test_integer_argument_range_ends_are_accepted(entry):
     call(lo)
     if hi is not None and hi != MAX_STEPS:
         call(hi)
+
+
+# entry id: a call taking the power t alone, each through integrand's one power rule
+POWER_ARGUMENTS = {
+    "IntegrandSpec": lambda t: IntegrandSpec(t, 1, "plus"),
+    "IntegrandSpec._replace": lambda t: IntegrandSpec(5.5, 1, "plus")._replace(t=t),
+    "h4_bounds": lambda t: h4_bounds(t, [0, 1]),
+    "h4_term_bounds": lambda t: h4_term_bounds(tuple.__new__(IntegrandSpec, (t, 1, "plus"))),  # a spec built past its own check
+    "gap_derivative-plain": lambda t: gap_derivative(1, t, 10, "plain"),
+    "gap_derivative-refined": lambda t: gap_derivative(1, t, 10, "refined"),
+}
+SMALL_POWERS = (4.0, 4.5, math.nextafter(5.0, 0.0), math.nan)  # the float just below 5 is 4.999999999999999
+
+
+@pytest.fixture
+def cosine_passes(monkeypatch):
+    """The eval_G_pair calls of the node layer while the test runs, from a cleared node table and batch memo."""
+    quadrature._NODE_TABLE.clear()
+    quadrature._gap_batch.cache_clear()
+    calls, real = [], quadrature.eval_G_pair
+    monkeypatch.setattr(quadrature, "eval_G_pair", lambda xs: calls.append(xs) or real(xs))
+    return calls
+
+
+@pytest.mark.parametrize("t", SMALL_POWERS, ids=repr)
+@pytest.mark.parametrize("entry", POWER_ARGUMENTS)
+def test_power_below_five_is_refused_before_any_cosine(entry, t, cosine_passes):
+    with pytest.raises(ValueError, match=f"^power t must be >= 5, got {t}$"):
+        POWER_ARGUMENTS[entry](t)
+    assert cosine_passes == []
+
+
+@pytest.mark.parametrize("t", SMALL_POWERS, ids=repr)
+@pytest.mark.parametrize("mode", MODES)
+def test_derivative_command_refuses_a_power_below_five(mode, t, capsys, cosine_passes):
+    assert majorant.cli.main(["derivative", "--order", "1", "--t", str(t), "--steps", "10", "--mode", mode]) == 2
+    assert capsys.readouterr() == ("", f"error: power t must be >= 5, got {t}\n")
+    assert cosine_passes == []
+
+
+@pytest.mark.parametrize("entry", POWER_ARGUMENTS)
+def test_the_least_power_five_is_accepted(entry, cosine_passes):
+    """t = 5 passes the rule, so the check is t >= 5, not t > 5; a gap derivative then takes its one cosine pass."""
+    POWER_ARGUMENTS[entry](5.0)
+    assert len(cosine_passes) == entry.startswith("gap_derivative")
 
 
 class TestCheckInt:

@@ -33,8 +33,18 @@ class TestClosedForm:
         # the interior peak (400/(5e))^400 and 9^400 exceed the float range; inf still bounds them
         assert single(5.0, 400, 9.0) == math.inf
         assert single(400.0, 0, 9.0) == math.inf
-        # (1/9)^340 underflows to 0 and |log(1/9)|^1000 overflows: their product is nan, so the bound is inf
-        assert envelope_max([340.0], [1000], 1.0 / 9.0) == {1000: [math.inf]}
+        assert single(400.0, 3, 9.0) == math.inf  # 9^400 overflows, and so does the value at b taken in log space
+
+    def test_finite_maxima_where_a_factor_leaves_the_float_range(self):
+        """|log(1/9)|^1000 overflows, and (1/9)^340 and (1/9)^460 underflow to 0, yet each maximum is finite (mpmath, 40 digits).
+
+        At s = 300 and 340 the peaks, 3.84e88 and 1.69e34, beat the values at b,
+        4.0e55 and 2.7e17; at s = 460 the peak lies past b = 1/9 and the value at
+        b is the maximum.  Each was inf, taking neither the value at b nor the peak.
+        """
+        assert (1.0 / 9.0) ** 340 == 0.0 and (1.0 / 9.0) ** 460 == 0.0
+        expected = [3.8394001461607388e88, 1.6850044590687487e34, 8.3732467741794439e-98]
+        assert envelope_max([300.0, 340.0, 460.0], [1000], 1.0 / 9.0)[1000] == pytest.approx(expected, rel=1e-12)
 
     def test_peak_counts_where_its_location_underflows(self):
         """exp(-m/s) is 0.0 in floats for m/s > about 745, yet the peak at that v0 > 0 lies in [0, b] for every b.

@@ -40,14 +40,8 @@ class TestWorkingConstants:
 
 class TestSpecValidation:
     def test_rejects_small_power(self):
-        with pytest.raises(ValueError, match="t must be >= 1"):
+        with pytest.raises(ValueError, match="^power t must be >= 5, got 0.5$"):
             IntegrandSpec(0.5, 0, PLUS)
-
-    def test_the_least_power_is_one(self):
-        """t = 1 is taken and the float below it refused: the check is t >= 1, not t > 1."""
-        assert IntegrandSpec(1.0, 0, "plus").t == 1.0
-        with pytest.raises(ValueError, match="^power t must be >= 1, got 0.9999999999999999$"):
-            IntegrandSpec(math.nextafter(1.0, 0.0), 0, "plus")
 
     def test_rejects_bad_log_exponent(self):
         for j in (-1, 1.5, math.inf, -math.inf, math.nan, True, 2.0):  # True and 2.0 equal orders 1 and 2 but are no integers
@@ -55,7 +49,7 @@ class TestSpecValidation:
                 IntegrandSpec(5.0, j, PLUS)
 
     def test_replace_checks_too(self):
-        with pytest.raises(ValueError, match="t must be >= 1"):
+        with pytest.raises(ValueError, match="t must be >= 5"):
             IntegrandSpec(5.0, 0, PLUS)._replace(t=0.5)
         assert IntegrandSpec(5.0, 0, PLUS)._replace(j=2) == IntegrandSpec(5.0, 2, PLUS)
 
@@ -192,14 +186,6 @@ class TestFourthDerivativeBounds:
                 slack = 1e-4 * abs(fd4) + 2e4  # difference-quotient noise floor
                 assert abs(fd4) <= term_sum_value(terms, trig, x) + slack
                 assert abs(fd4) <= plain + slack
-
-    def test_requires_large_enough_power(self):
-        with pytest.raises(ValueError, match="t > 4 with logs"):
-            h4_bounds(4.0, [1])
-        with pytest.raises(ValueError, match="t > 4 with logs"):
-            h4_bounds(3.9, [0])
-        with pytest.raises(ValueError, match="t >= 5"):
-            h4_term_bounds(IntegrandSpec(4.5, 0, PLUS))
 
 
 # The t of the default proof's batches and of its plain stage, then seeded t in [5, 40]; orders 0..30 and two past any proof.

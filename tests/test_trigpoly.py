@@ -268,7 +268,7 @@ class TestLocateMaxima:
     def test_a_bump_at_the_slack_exactly_is_taken(self):
         """The import check is bump >= slack: a bump equal to the slack builds both tables, each of 7 maxima."""
         variant = exec_trigpoly(GRID_LINE, "MAXIMA_STEP = 0.001\nMAXIMA_BUMP = curvature_slack(MAXIMA_STEP)\n")
-        assert [table.total_multiplicity for table in variant["_MAX_TABLES"].values()] == [7, 7]
+        assert [table.total_multiplicity for table in variant["MAX_TABLES"].values()] == [7, 7]
 
     @pytest.mark.parametrize("bump", ["math.nextafter(curvature_slack(MAXIMA_STEP), 0.0)", "math.nan"], ids=["ulp_below", "nan"])
     def test_a_bump_below_the_slack_fails_the_import(self, bump):
