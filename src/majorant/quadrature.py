@@ -51,7 +51,7 @@ from operator import add, mul
 from .envelope import envelope_max
 from .integrand import WORK_M, h4_bounds, term_kinds
 from .spectral import torus_integral_upper
-from .trigpoly import G_MAX, MAX_STEPS, MAX_TABLES, MONOTONE_PIECES, SIGN_PAIR, LocalMaxTable, TrigSquare
+from .trigpoly import G_MAX, MAX_STEPS, MAX_TABLES, MONOTONE_PIECES, SIGN_PAIR, TrigSquare
 from .trigpoly import check_int, eval_G_pair, overflow_to_inf, variation_bound_power
 
 MODES = ("plain", "refined")
@@ -102,8 +102,8 @@ def _cells(kinds, orders, weights, table_bases) -> list[dict[int, list[float]]]:
     ]
 
 
-def _integral_bases(kinds, tables: list[LocalMaxTable]):
-    """Per maxima table, the large-range base of each (has_gprime, t) in kinds, lazily.
+def _integral_bases(kinds, tables):
+    """Per maxima table (a sign's tuple of LocalMaxEntry) in tables, the large-range base of each (has_gprime, t) in kinds, lazily.
 
     The mean bound torus_integral_upper(t), once per kind, or with |G'| the
     variation bound of G^(t+1) over t+1, once per (table, kind): with the
@@ -136,10 +136,13 @@ def _error_bounds(term_lists, cell_tables, n_steps: int) -> list[list[float]]:
     return [[overflow_to_inf(fsum, [c * cells[p][kind] for c, kind, p in terms]) / scale for terms in term_lists] for cells in cell_tables]
 
 
-def refined_error_bound(term_sum, spec: TrigSquare, n_steps: int, table: LocalMaxTable) -> float:
-    """The error bound of one h4_term_bounds (kinds, terms) pair for spec's sign, whose table it must be, as gap_derivatives sums it; bench/workloads.py calls it."""
-    if table.sign != spec.sign:
-        raise ValueError("local-maximum table was built for a different square")
+def refined_error_bound(term_sum, spec: TrigSquare, n_steps: int, table) -> float:
+    """The error bound of one h4_term_bounds (kinds, terms) pair for spec's sign, as gap_derivatives sums it; bench/workloads.py calls it.
+
+    Any table but spec's sign's certified maxima, MAX_TABLES[spec.sign], is refused: the other sign's, or an altered copy.
+    """
+    if table != MAX_TABLES[spec.sign]:
+        raise ValueError(f"local-maximum table is not the certified table of the {spec.sign} sign")
     kinds, terms = term_sum
     cells = _cells(kinds, {p for _, _, p in terms}, _INTEGRAL_WEIGHTS, _integral_bases(kinds, [table]))
     return _error_bounds([terms], cells, n_steps)[0][0]

@@ -16,7 +16,7 @@ from .integrand import WORK_M
 from .pipeline import DEFAULT_CONFIG, _stage_certificate
 from .quadrature import _cells, _check_steps
 from .spectral import torus_integral_upper, torus_power_integral
-from .trigpoly import G_MAX, MAX_TABLES, MONOTONE_PIECES, LocalMaxTable, variation_bound_power
+from .trigpoly import G_MAX, MAX_TABLES, MONOTONE_PIECES, variation_bound_power
 
 
 def second_deriv_L2() -> float:
@@ -109,12 +109,12 @@ REFERENCE_CASCADE = {
 }
 
 
-def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
+def q_values(keys, tables, n_steps: int) -> list[dict]:
     """The q pass: bounds for the N-node midpoint sum of G^t |log G|^j, times |G'| if has_gprime, per key and sign.
 
     One {(has_gprime, t, j): bound} dict is returned per maxima table in
-    tables, for the sign of that table.  Each bound splits the range of G at
-    1/9 and is small + log(9)^j * base:
+    tables, a sign's tuple of LocalMaxEntry, for that sign.  Each bound
+    splits the range of G at 1/9 and is small + log(9)^j * base:
 
       * without |G'|, small values are covered by the envelope maximum on
         [0, 1/9] at every node, large values by log(9)^j times the node sum
@@ -164,9 +164,7 @@ def q_values(keys, tables: list[LocalMaxTable], n_steps: int) -> list[dict]:
 def _maxima_rows():
     rows = []
     for label in ("plus", "minus"):
-        table = MAX_TABLES[label]
-        refs = REFERENCE_MAXIMA[label]
-        for entry, ref in zip(table.entries, refs):
+        for entry, ref in zip(MAX_TABLES[label], REFERENCE_MAXIMA[label]):
             rows.append([
                 label,
                 f"{entry.location:.3f}",

@@ -75,16 +75,6 @@ class LocalMaxEntry(namedtuple("LocalMaxEntry", "location value_upper multiplici
     __slots__ = ()
 
 
-class LocalMaxTable(namedtuple("LocalMaxTable", "sign entries")):
-    """Certified local-maximum bounds, a tuple of LocalMaxEntry, for the G of one sign over [0, 1/2]: the bound layer's one carrier of the sign."""
-
-    __slots__ = ()
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
-
 def eval_G_pair(xs) -> tuple[list[float], list[float]]:
     """G = 3 + 2 (c1 + s c6 + s c7) at each x of xs, one list per sign of SIGN_PAIR, each c_v = cos(2 pi v x) taken once."""
     w2, w3 = TWO_PI * F2, TWO_PI * F3
@@ -159,23 +149,23 @@ MAXIMA_STEP = MAXIMA_BUMP = 0.001
 if not MAXIMA_BUMP >= curvature_slack(MAXIMA_STEP):
     raise RuntimeError(f"maxima bump {MAXIMA_BUMP} does not cover the curvature slack {curvature_slack(MAXIMA_STEP):.6g}")
 _GRID_SAMPLES = eval_G_pair(i * MAXIMA_STEP for i in range(501))  # both signs' G on the grid: the one G pass at import
-MAX_TABLES = {sign: LocalMaxTable(sign, _scan_maxima(samples)) for sign, samples in zip(SIGN_PAIR, _GRID_SAMPLES)}  # by sign label
-for _table in MAX_TABLES.values():  # G' has degree F3, so G has at most F3 = 7 local maxima per period
-    if _table.total_multiplicity != F3:
-        raise RuntimeError(f"expected {F3} local maxima of the {_table.sign} sign, found {_table.total_multiplicity}")
+MAX_TABLES = {sign: _scan_maxima(samples) for sign, samples in zip(SIGN_PAIR, _GRID_SAMPLES)}  # each sign's tuple of LocalMaxEntry, by label
+for _sign, _table in MAX_TABLES.items():  # G' has degree F3, so G has at most F3 = 7 local maxima per period
+    if (_count := sum(e.multiplicity for e in _table)) != F3:
+        raise RuntimeError(f"expected {F3} local maxima of the {_sign} sign, found {_count}")
 # The maxima argument mirrored: G' = 0 at an interior minimum, so the sample nearest it exceeds it by at most the slack.
 G_MIN = math.floor((min(map(min, _GRID_SAMPLES)) - curvature_slack(MAXIMA_STEP)) * 10000.0) / 10000.0  # rounded down
 if not G_MIN > 0.0:  # also refuses nan
     raise RuntimeError(f"G may vanish: its least grid sample less the curvature slack is {G_MIN}")
 
 
-def default_max_table(spec: TrigSquare) -> LocalMaxTable:
-    """The certified local-maximum table of spec's sign, built at import."""
+def default_max_table(spec: TrigSquare) -> tuple[LocalMaxEntry, ...]:
+    """The certified local maxima of spec's sign, MAX_TABLES[spec.sign], built at import; bench/workloads.py calls it."""
     return MAX_TABLES[spec.sign]
 
 
-def variation_bound_power(table: LocalMaxTable, t: float) -> float:
-    """Upper bound for the total variation of G^t over one period, for the sign of table.
+def variation_bound_power(table, t: float) -> float:
+    """Upper bound for the total variation of G^t over one period, for the G whose local maxima, a tuple of LocalMaxEntry, are table.
 
     G^t rises from a minimum to each local maximum and falls again, so its
     variation is at most twice the sum of the local maximum values of G^t,
@@ -183,4 +173,4 @@ def variation_bound_power(table: LocalMaxTable, t: float) -> float:
     """
     if not t >= 0.0:  # also refuses nan
         raise ValueError(f"power must be nonnegative, got {t}")
-    return 2.0 * overflow_to_inf(fsum, (e.multiplicity * e.value_upper**t for e in table.entries))
+    return 2.0 * overflow_to_inf(fsum, (e.multiplicity * e.value_upper**t for e in table))

@@ -71,11 +71,19 @@ def envelope_reference(s, m, a, b):
     b^s at m = 0; else the largest of the values at b and at a > 0 and, when
     a < exp(-m/s) < min(b, 1), the peak (m/(e s))^m; inf past the float range.
     At a = 0 the peak counts whenever exp(-m/s) < min(b, 1), also where it
-    underflows to 0: the true exp(-m/s) is above 0.
+    underflows to 0: the true exp(-m/s) is above 0.  A value whose factor v^s
+    or |log v|^m leaves the float range is taken in log space, so that a
+    finite value, and the peak beside it, still count.
     """
 
     def alpha(v):
-        return v**s * abs(math.log(v)) ** m
+        try:
+            return v**s * abs(math.log(v)) ** m
+        except OverflowError:
+            try:
+                return math.exp(s * math.log(v) + m * math.log(abs(math.log(v))))
+            except OverflowError:
+                return math.inf
 
     try:
         if m == 0:

@@ -46,9 +46,9 @@ def test_criterion_01_local_maxima_tables():
     }
     for label, rows in expected.items():
         table = default_max_table(TrigSquare(5, label))
-        got = [(e.location, e.value_upper, e.multiplicity) for e in table.entries]
+        got = [(e.location, e.value_upper, e.multiplicity) for e in table]
         assert got == rows
-        assert sum(e.multiplicity for e in table.entries) == 7
+        assert sum(e.multiplicity for e in table) == 7
     print("ACCEPTANCE 01 PASS — local maxima tables reproduced exactly")
 
 

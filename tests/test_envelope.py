@@ -40,11 +40,14 @@ class TestClosedForm:
 
         At s = 300 and 340 the peaks, 3.84e88 and 1.69e34, beat the values at b,
         4.0e55 and 2.7e17; at s = 460 the peak lies past b = 1/9 and the value at
-        b is the maximum.  Each was inf, taking neither the value at b nor the peak.
+        b is the maximum.  Each was inf, taking neither the value at b nor the peak;
+        the scalar closed form envelope_reference was inf too, and now gives the same bits.
         """
         assert (1.0 / 9.0) ** 340 == 0.0 and (1.0 / 9.0) ** 460 == 0.0
         expected = [3.8394001461607388e88, 1.6850044590687487e34, 8.3732467741794439e-98]
-        assert envelope_max([300.0, 340.0, 460.0], [1000], 1.0 / 9.0)[1000] == pytest.approx(expected, rel=1e-12)
+        row = envelope_max([300.0, 340.0, 460.0], [1000], 1.0 / 9.0)[1000]
+        assert row == pytest.approx(expected, rel=1e-12)
+        assert [v.hex() for v in row] == [envelope_reference(s, 1000, 0.0, 1.0 / 9.0).hex() for s in (300.0, 340.0, 460.0)]
 
     def test_peak_counts_where_its_location_underflows(self):
         """exp(-m/s) is 0.0 in floats for m/s > about 745, yet the peak at that v0 > 0 lies in [0, b] for every b.

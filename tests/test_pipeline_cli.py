@@ -34,7 +34,7 @@ from majorant.pipeline import (
 )
 from majorant.quadrature import CertifiedValue, gap_derivative
 from majorant.tables import TABLE_IDS, reproduce_table
-from majorant.trigpoly import G_MAX, LocalMaxEntry, TrigSquare, default_max_table
+from majorant.trigpoly import G_MAX, LocalMaxEntry, TrigSquare
 
 EXPECTED_STAGES = [
     "endpoint_gap_zero",
@@ -465,7 +465,6 @@ class TestReports:
     [
         (TrigSquare(), "sign"),
         (LocalMaxEntry(0.0, G_MAX, 1), "value_upper"),
-        (default_max_table(TrigSquare()), "entries"),
         (IntegrandSpec(5.0, 0, "plus"), "t"),
         (CertifiedValue(0.0, 0.0, 1, "midpoint"), "error_bound"),
         (TaylorCertificate(5.0, 0.1, 1, 0, (0.0,), (0.0,), (0.0,), 0.0, 0.0), "coeffs"),

@@ -5,6 +5,7 @@ import decimal
 import hashlib
 import itertools
 import math
+import pickle
 import platform
 import random
 import struct
@@ -39,7 +40,7 @@ from majorant.quadrature import (
 )
 from majorant.spectral import torus_integral_upper, torus_power_integral
 from majorant.tables import q_values, reproduce_table
-from majorant.trigpoly import SIGN_PAIR, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
+from majorant.trigpoly import MAX_TABLES, SIGN_PAIR, TrigSquare, default_max_table, sup_norm_bound, variation_bound_power
 
 from conftest import one_sign_integral, plain_h4_bound
 from test_integrand import keyed
@@ -615,17 +616,16 @@ class TestBatchedNodeSums:
         """One indexed pass per (t, N) for both signs, and refined_error_bound on each order alone, are each the oracle bitwise."""
         for (t, n, _), orders in default_proof_passes().items():
             term_sums = [h4_term_bounds(IntegrandSpec(t, j, PLUS)) for j in orders]
-            tables = [default_max_table(TrigSquare(5, sign)) for sign in (PLUS, MINUS)]
-            batches = refined_bounds(t, orders, tables, n)
-            for table, batched in zip(tables, batches):
-                singles = [refined_error_bound(s, TrigSquare(5, table.sign), n, table) for s in term_sums]
+            batches = refined_bounds(t, orders, MAX_TABLES.values(), n)
+            for (sign, table), batched in zip(MAX_TABLES.items(), batches):
+                singles = [refined_error_bound(s, TrigSquare(5, sign), n, table) for s in term_sums]
                 termwise = [  # the per-key oracle, summed as the error bound sums it
                     math.fsum(c * term_integral_reference(has_gprime, t_r, j_r, table) for c, (has_gprime, t_r, j_r) in keyed(t, terms))
                     / (23040.0 * float(n) ** 4)
                     for _, terms in term_sums
                 ]
-                assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, table.sign)
-                assert [s.hex() for s in singles] == [w.hex() for w in termwise], (t, n, table.sign)
+                assert [b.hex() for b in batched] == [w.hex() for w in termwise], (t, n, sign)
+                assert [s.hex() for s in singles] == [w.hex() for w in termwise], (t, n, sign)
 
     def test_single_order_sums_match_batch_and_oracle(self):
         """A one-order pass, as one gap_derivative call makes, and gapped batches agree with the full batch.
@@ -709,17 +709,17 @@ class TestQPass:
     """The q pass and the term-integral pass share their ingredients across keys and signs, and change no value."""
 
     @pytest.mark.parametrize("table_id,n", [("Q500", 500), ("Q400", 400)])
-    def test_tables_equal_oracle(self, table_id, n, tables):
+    def test_tables_equal_oracle(self, table_id, n):
         """Every Q500/Q400 entry, both signs, and a one-key q pass are bitwise the per-key oracle."""
         _, rows = reproduce_table(table_id)
         for kind, t, j, *per_sign, _, _ in rows:
             key = (kind == "star", float(t), j)
-            for value, table in zip(per_sign, tables):
-                expected = q_reference(kind == "star", float(t), j, n, table).hex()
-                single = q_values([key], [table], n)[0][key]
-                assert value.hex() == single.hex() == expected, (table_id, kind, t, j, table.sign)
+            for value, sign in zip(per_sign, (PLUS, MINUS)):  # the table's columns: bound_plus, bound_minus
+                expected = q_reference(kind == "star", float(t), j, n, MAX_TABLES[sign]).hex()
+                single = q_values([key], [MAX_TABLES[sign]], n)[0][key]
+                assert value.hex() == single.hex() == expected, (table_id, kind, t, j, sign)
 
-    def test_proof_keys_equal_oracle(self, tables):
+    def test_proof_keys_equal_oracle(self):
         """Every (has_gprime, t_r, j_r) key of the default proof's refined bounds, both signs, is bitwise the oracle.
 
         Both per-key passes are checked at the proof's N: the cells of each
@@ -732,15 +732,15 @@ class TestQPass:
             kinds = term_kinds(t)
             cells = {(group, p) for terms in h4_bounds(t, orders) for _, group, p in terms}
             keys = [(*kinds[group], p) for group, p in cells]
-            per_table = _cells(kinds, {p for _, p in cells}, _INTEGRAL_WEIGHTS, _integral_bases(kinds, tables))
-            for q, integrals, table in zip(q_values(keys, tables, n), per_table, tables):
+            per_table = _cells(kinds, {p for _, p in cells}, _INTEGRAL_WEIGHTS, _integral_bases(kinds, MAX_TABLES.values()))
+            for q, integrals, (sign, table) in zip(q_values(keys, MAX_TABLES.values(), n), per_table, MAX_TABLES.items()):
                 assert set(q) == set(keys)
                 for group, p in cells:
                     has_gprime, t_r = kinds[group]
                     expected = q_reference(has_gprime, t_r, p, n, table)
-                    assert q[has_gprime, t_r, p].hex() == expected.hex(), (t, n, has_gprime, t_r, p, table.sign)
+                    assert q[has_gprime, t_r, p].hex() == expected.hex(), (t, n, has_gprime, t_r, p, sign)
                     expected = term_integral_reference(has_gprime, t_r, p, table)
-                    assert integrals[p][group].hex() == expected.hex(), (t, has_gprime, t_r, p, table.sign)
+                    assert integrals[p][group].hex() == expected.hex(), (t, has_gprime, t_r, p, sign)
                     checked += 1
         assert checked == 2 * 226
 
@@ -771,11 +771,11 @@ class TestNodeSumBounds:
     """The q pass's bounds, with |G'| ("star") and without ("plain"), must dominate the true node sums they stand for."""
 
     @pytest.mark.parametrize("t,j", [(1.0, 0), (3.0, 1), (5.0, 2), (5.5, 0)])
-    def test_q_plain_dominates(self, t, j, tables):
+    def test_q_plain_dominates(self, t, j):
         n = 500
         nodes = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
-        for table, bounds in zip(tables, q_values([(False, t, j)], tables, n)):
-            spec = TrigSquare(5, table.sign)
+        for sign, bounds in zip(MAX_TABLES, q_values([(False, t, j)], MAX_TABLES.values(), n)):
+            spec = TrigSquare(5, sign)
             total = math.fsum(
                 eval_G(spec, x) ** t * abs(math.log(eval_G(spec, x))) ** j for x in nodes
             )
@@ -783,11 +783,11 @@ class TestNodeSumBounds:
             assert total <= bound, f"t={t} j={j} {spec.sign}: {total} > {bound}"
 
     @pytest.mark.parametrize("t,j", [(1.0, 0), (3.0, 1), (5.0, 2)])
-    def test_q_star_dominates(self, t, j, tables):
+    def test_q_star_dominates(self, t, j):
         n = 400
         nodes = [(2 * i - 1) / (4.0 * n) for i in range(1, n + 1)]
-        for table, bounds in zip(tables, q_values([(True, t, j)], tables, n)):
-            spec = TrigSquare(5, table.sign)
+        for sign, bounds in zip(MAX_TABLES, q_values([(True, t, j)], MAX_TABLES.values(), n)):
+            spec = TrigSquare(5, sign)
             total = math.fsum(
                 eval_G(spec, x) ** t
                 * abs(math.log(eval_G(spec, x))) ** j
@@ -927,11 +927,26 @@ class TestIntegrateH:
                 assert set(cells) == orders and all(len(cells[p]) == len(kinds) for p in orders), (t, j)
                 assert all(math.isfinite(cells[p][group]) for _, group, p in terms), (t, j)
 
-    def test_refined_error_bound_rejects_foreign_table(self, plus_square, minus_table):
-        """The one-key wrapper takes a square beside its table, and refuses a table of the other sign."""
+    def test_refined_error_bound_rejects_foreign_table(self, plus_square, plus_table, minus_table):
+        """The one-key wrapper takes a square beside its table, and refuses any table but the sign's certified one.
+
+        That is the other sign's table, and a copy of the plus table with one
+        value_upper raised by 0.001: the right sign, but no certified bound.
+        """
         terms = h4_term_bounds(IntegrandSpec(5.5, 1, PLUS))
-        with pytest.raises(ValueError, match="different square"):
-            refined_error_bound(terms, plus_square, 500, minus_table)
+        raised = (plus_table[0], plus_table[1]._replace(value_upper=plus_table[1].value_upper + 0.001), *plus_table[2:])
+        for table in (minus_table, raised):
+            with pytest.raises(ValueError, match="^local-maximum table is not the certified table of the plus sign$"):
+                refined_error_bound(terms, plus_square, 500, table)
+
+    def test_refined_error_bound_accepts_an_equal_copy(self, plus_square, plus_table):
+        """The certified table's tuple, and a pickled copy of it, a new object equal to it, give the same bound bit for bit."""
+        terms = h4_term_bounds(IntegrandSpec(5.5, 1, PLUS))
+        expected = refined_error_bound(terms, plus_square, 500, plus_table).hex()
+        copied = pickle.loads(pickle.dumps(plus_table))
+        assert copied is not plus_table
+        for copy in (tuple(MAX_TABLES[PLUS]), copied):
+            assert refined_error_bound(terms, plus_square, 500, copy).hex() == expected
 
 
 class TestGapDerivative:
@@ -1033,9 +1048,8 @@ def sign_errors(monkeypatch):
 
 def assert_sign_errors_equal_reference(t, n, orders, values, errors):
     """Each order's two per-sign bounds are bitwise the oracle's, and its error_bound is their sum."""
-    tables = [default_max_table(TrigSquare(5, sign)) for sign in SIGN_PAIR]
-    for table, bounds in zip(tables, errors):
-        assert [b.hex() for b in bounds] == [refined_error_bound_reference(t, j, n, table).hex() for j in orders], (t, n, table.sign)
+    for (sign, table), bounds in zip(MAX_TABLES.items(), errors):  # MAX_TABLES is in SIGN_PAIR order, as errors is
+        assert [b.hex() for b in bounds] == [refined_error_bound_reference(t, j, n, table).hex() for j in orders], (t, n, sign)
     for j, value, e_minus, e_plus in zip(orders, values, *errors):
         assert value.error_bound.hex() == (e_minus + e_plus).hex(), (t, n, j)
 
@@ -1072,7 +1086,7 @@ def test_sweep_sign_errors_equal_the_reference(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 255, 640, 3000])
-def test_refined_bounds_equal_the_per_order_reference(n, tables):
+def test_refined_bounds_equal_the_per_order_reference(n):
     """Each batch's refined error bounds, both signs, are bitwise the per-(t, j) brace formula with every key integral afresh.
 
     Both entries to the one driver are held: the batch over the cells of the
@@ -1080,12 +1094,12 @@ def test_refined_bounds_equal_the_per_order_reference(n, tables):
     them, and refined_error_bound on h4_term_bounds of each order alone.
     """
     for t in BOUND_POWERS:
-        indexed = refined_bounds(t, BOUND_ORDERS, tables, n)
-        for table, batched in zip(tables, indexed):
-            square = TrigSquare(5, table.sign)
-            singles = [refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, table.sign)), square, n, table) for j in BOUND_ORDERS]
+        indexed = refined_bounds(t, BOUND_ORDERS, MAX_TABLES.values(), n)
+        for (sign, table), batched in zip(MAX_TABLES.items(), indexed):
+            square = TrigSquare(5, sign)
+            singles = [refined_error_bound(h4_term_bounds(IntegrandSpec(t, j, sign)), square, n, table) for j in BOUND_ORDERS]
             expected = [refined_error_bound_reference(t, j, n, table).hex() for j in BOUND_ORDERS]
-            assert [[b.hex() for b in driver] for driver in (batched, singles)] == [expected, expected], (t, n, table.sign)
+            assert [[b.hex() for b in driver] for driver in (batched, singles)] == [expected, expected], (t, n, sign)
 
 
 @pytest.mark.parametrize("n", [1, 255, 640, 3000])

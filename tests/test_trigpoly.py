@@ -13,6 +13,7 @@ from majorant.tables import second_deriv_L2
 from majorant.trigpoly import (
     G_MAX,
     G_MIN,
+    MAX_TABLES,
     MAXIMA_BUMP,
     MAXIMA_STEP,
     SIGN_PAIR,
@@ -218,44 +219,43 @@ class TestLocateMaxima:
     """The certified maxima tables, built at import on the grid of step 1/1000."""
 
     def test_plus_table(self, plus_table):
-        got = [(e.location, e.value_upper, e.multiplicity) for e in plus_table.entries]
+        got = [(e.location, e.value_upper, e.multiplicity) for e in plus_table]
         assert got == [
             (0.0, 9.0, 1),
             (0.151, 7.701, 2),
             (0.302, 4.628, 2),
             (0.448, 1.661, 2),
         ]
-        assert plus_table.total_multiplicity == 7
+        assert sum(e.multiplicity for e in plus_table) == 7
 
     def test_minus_table(self, minus_table):
-        got = [(e.location, e.value_upper, e.multiplicity) for e in minus_table.entries]
+        got = [(e.location, e.value_upper, e.multiplicity) for e in minus_table]
         assert got == [
             (0.076, 8.662, 2),
             (0.227, 6.279, 2),
             (0.377, 3.005, 2),
             (0.5, 1.0, 1),
         ]
-        assert minus_table.total_multiplicity == 7
+        assert sum(e.multiplicity for e in minus_table) == 7
 
     def test_endpoint_entries_are_exact_samples(self, plus_square, minus_square):
         # at the symmetry points G' = 0, so no curvature slack is added there
-        plus = default_max_table(plus_square).entries[0]
+        plus = default_max_table(plus_square)[0]
         assert plus.value_upper == eval_G(plus_square, 0.0) == 9.0
-        minus = default_max_table(minus_square).entries[-1]
+        minus = default_max_table(minus_square)[-1]
         assert minus.value_upper == pytest.approx(eval_G(minus_square, 0.5), abs=1e-12)
 
     def test_bounds_dominate_true_maxima(self, plus_square, minus_square):
         """Each value_upper must exceed a sampled value near the reported spot."""
         for spec in (plus_square, minus_square):
-            table = default_max_table(spec)
-            for entry in table.entries:
+            for entry in default_max_table(spec):
                 for dx in np.linspace(-0.0005, 0.0005, 11):
                     assert eval_G(spec, entry.location + dx) <= entry.value_upper + 1e-12
 
     def test_interior_bounds_dominate_G_a_step_around(self, plus_square, minus_square):
         """Each interior value_upper is at least the oracle's G at step 1e-6 over location +- MAXIMA_STEP, where the true maximum lies."""
         for spec in (plus_square, minus_square):
-            for entry in default_max_table(spec).entries:
+            for entry in default_max_table(spec):
                 if entry.multiplicity == 2:
                     worst = max(eval_G(spec, entry.location + i * 1e-6) for i in range(-1000, 1001))
                     assert worst <= entry.value_upper, (spec.sign, entry)
@@ -268,7 +268,7 @@ class TestLocateMaxima:
     def test_a_bump_at_the_slack_exactly_is_taken(self):
         """The import check is bump >= slack: a bump equal to the slack builds both tables, each of 7 maxima."""
         variant = exec_trigpoly(GRID_LINE, "MAXIMA_STEP = 0.001\nMAXIMA_BUMP = curvature_slack(MAXIMA_STEP)\n")
-        assert [table.total_multiplicity for table in variant["MAX_TABLES"].values()] == [7, 7]
+        assert {sign: sum(e.multiplicity for e in table) for sign, table in variant["MAX_TABLES"].items()} == {"minus": 7, "plus": 7}
 
     @pytest.mark.parametrize("bump", ["math.nextafter(curvature_slack(MAXIMA_STEP), 0.0)", "math.nan"], ids=["ulp_below", "nan"])
     def test_a_bump_below_the_slack_fails_the_import(self, bump):
@@ -311,14 +311,13 @@ class TestLocateMaxima:
         """An end is mirrored onto its one neighbour, not the far end; a flat top is no strict maximum; an interior one is raised and rounded up."""
         assert [tuple(e) for e in _scan_maxima(samples)] == entries
 
-    def test_one_grid_pass_fills_both_default_tables(self, plus_square, minus_square, plus_table, minus_table, monkeypatch):
-        """Both signs' tables come from the one eval_G_pair pass at import: default_max_table takes no pass and returns the same table each time."""
+    def test_one_grid_pass_fills_both_default_tables(self, monkeypatch):
+        """Both signs' tables come from the one eval_G_pair pass at import: default_max_table takes no pass and returns the sign's table each time."""
         calls = []
         real = trigpoly.eval_G_pair
         monkeypatch.setattr(trigpoly, "eval_G_pair", lambda xs: calls.append(1) or real(xs))
-        for spec, table in ((plus_square, plus_table), (minus_square, minus_table)):
-            assert default_max_table(spec) is default_max_table(TrigSquare(5, spec.sign.upper())) is table
-            assert table.sign == spec.sign
+        for sign, table in MAX_TABLES.items():
+            assert default_max_table(TrigSquare(5, sign)) is default_max_table(TrigSquare(5, sign.upper())) is table
         assert calls == []
 
 
@@ -339,10 +338,6 @@ class TestVariationBound:
             tv = float(np.abs(np.diff(g**t)).sum())
             bound = variation_bound_power(default_max_table(spec), t)
             assert tv <= bound * (1 + 1e-9), f"t={t} {label}: variation {tv} above {bound}"
-
-    def test_table_carries_its_sign(self, plus_table, minus_table):
-        """The sign is the table's, so no square is passed beside it."""
-        assert (plus_table.sign, minus_table.sign) == ("plus", "minus")
 
     def test_rejects_negative_power(self, plus_table):
         with pytest.raises(ValueError, match="nonnegative"):
